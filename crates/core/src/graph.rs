@@ -4,7 +4,9 @@
 //! flow through a processing pipeline (§IV of the paper).
 
 use graphblas::prelude::*;
+use graphblas::Edit;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Whether the adjacency matrix is to be interpreted as directed (an edge
@@ -19,7 +21,7 @@ pub enum GraphKind {
     Undirected,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Cached {
     at: Option<Arc<Matrix<f64>>>,
     structure: Option<Arc<Matrix<bool>>>,
@@ -199,37 +201,49 @@ impl Graph {
         Ok(st)
     }
 
-    /// Degrees along one axis: count entries per row (out) or per column
-    /// (in) of the pattern.
-    fn degree(&self, transpose: bool) -> Result<Arc<Vector<i64>>> {
-        let ones = self.a.pattern();
-        let mut d = Vector::<i64>::new(self.nvertices())?;
-        let mut counts = Matrix::<i64>::new(self.nvertices(), self.nvertices())?;
-        apply_matrix(&mut counts, None, NOACC, unaryop::One, &ones, &Descriptor::default())?;
-        let desc = if transpose { Descriptor::new().transpose_a() } else { Descriptor::default() };
-        reduce_matrix(&mut d, None, NOACC, &binaryop::Plus, &counts, &desc)?;
-        Ok(Arc::new(d))
-    }
-
     /// Cached out-degrees (row degrees) as an `i64` vector; vertices with
-    /// no out-edges have no entry.
+    /// no out-edges have no entry. Read off the adjacency's row pointers.
     pub fn out_degree(&self) -> Result<Arc<Vector<i64>>> {
         let mut c = self.cache.lock();
         if let Some(d) = &c.out_degree {
             return Ok(d.clone());
         }
-        let d = self.degree(false)?;
+        let d = Arc::new(self.a.row_degrees());
         c.out_degree = Some(d.clone());
         Ok(d)
     }
 
-    /// Cached in-degrees (column degrees).
+    /// Cached in-degrees (column degrees). An undirected graph's are its
+    /// out-degrees; a directed graph reads them off `Aᵀ` when that is
+    /// already cached, and otherwise counts down the columns of `A`.
     pub fn in_degree(&self) -> Result<Arc<Vector<i64>>> {
+        if self.kind == GraphKind::Undirected {
+            return self.out_degree();
+        }
         let mut c = self.cache.lock();
         if let Some(d) = &c.in_degree {
             return Ok(d.clone());
         }
-        let d = self.degree(true)?;
+        let d = match &c.at {
+            Some(at) => at.row_degrees(),
+            None => {
+                let n = self.nvertices();
+                let mut ones = Matrix::<i64>::new(n, n)?;
+                apply_matrix(
+                    &mut ones,
+                    None,
+                    NOACC,
+                    unaryop::One,
+                    &self.a,
+                    &Descriptor::default(),
+                )?;
+                let mut d = Vector::<i64>::new(n)?;
+                let desc = Descriptor::new().transpose_a();
+                reduce_matrix(&mut d, None, NOACC, &binaryop::Plus, &ones, &desc)?;
+                d
+            }
+        };
+        let d = Arc::new(d);
         c.in_degree = Some(d.clone());
         Ok(d)
     }
@@ -285,6 +299,40 @@ impl Graph {
         self.epoch = epoch;
     }
 
+    /// The snapshot that follows this one: `a_next` is this adjacency
+    /// with the netted `delta` (mirror arcs included) applied. Whatever
+    /// this snapshot had materialised is carried forward by the same
+    /// delta — the structure (dual and all) and `Aᵀ` through the
+    /// deferred-update path and one assembly, the degrees by patching
+    /// the touched rows — and whatever it had not stays lazy.
+    /// [`Graph::new`] on `a_next` is the from-scratch oracle.
+    pub(crate) fn advance(&self, a_next: Matrix<f64>, delta: &[Edit<f64>]) -> Result<Graph> {
+        let prev = self.cache.lock().clone();
+        let mut next = Cached::default();
+        if let Some(st) = prev.structure {
+            let pattern = delta.iter().map(|&(i, j, x)| (i, j, x.map(|_| true)));
+            next.structure = Some(replayed(&st, pattern)?);
+        }
+        if let Some(at) = prev.at {
+            next.at = Some(replayed(&at, delta.iter().map(|&(i, j, x)| (j, i, x)))?);
+        }
+        if prev.out_degree.is_some() || prev.in_degree.is_some() {
+            // Net change per row and per column: +1 for an arc the delta
+            // creates, -1 for one it removes, nothing for a re-weight.
+            let (mut rows, mut cols) = (BTreeMap::new(), BTreeMap::new());
+            for &(i, j, x) in delta {
+                let change = i64::from(x.is_some()) - i64::from(self.a.get(i, j).is_some());
+                if change != 0 {
+                    *rows.entry(i).or_insert(0) += change;
+                    *cols.entry(j).or_insert(0) += change;
+                }
+            }
+            next.out_degree = prev.out_degree.map(|d| patch_degrees(&d, &rows)).transpose()?;
+            next.in_degree = prev.in_degree.map(|d| patch_degrees(&d, &cols)).transpose()?;
+        }
+        Ok(Graph { a: a_next, kind: self.kind, cache: Mutex::new(next), epoch: self.epoch })
+    }
+
     /// Structural checks: squareness always; symmetry for undirected
     /// graphs (pattern and values must match the transpose).
     pub fn check(&self) -> Result<()> {
@@ -296,6 +344,35 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// A copy of `m` with `edits` replayed through the deferred-update path
+/// (pending tuples, in-place updates, zombies) and resolved by one
+/// assembly, which also patches a built dual.
+fn replayed<T: Scalar>(
+    m: &Matrix<T>,
+    edits: impl Iterator<Item = Edit<T>>,
+) -> Result<Arc<Matrix<T>>> {
+    let mut next = m.clone();
+    next.apply_edits(edits)?;
+    next.wait();
+    Ok(Arc::new(next))
+}
+
+/// A copy of the degree vector `d` with each vertex's net `changes`
+/// applied; a degree that falls to 0 loses its entry.
+fn patch_degrees(d: &Vector<i64>, changes: &BTreeMap<Index, i64>) -> Result<Arc<Vector<i64>>> {
+    let mut next = d.clone();
+    let patched = changes.iter().map(|(&v, &change)| (v, d.get(v).unwrap_or(0) + change));
+    // Removals first: a vector removal scans whatever insertions are pending.
+    for (v, _) in patched.clone().filter(|&(_, degree)| degree == 0) {
+        next.remove_element(v)?;
+    }
+    for (v, degree) in patched.filter(|&(_, degree)| degree != 0) {
+        next.set_element(v, degree)?;
+    }
+    next.wait();
+    Ok(Arc::new(next))
 }
 
 impl std::fmt::Debug for Graph {

@@ -1,17 +1,19 @@
-//! The sharded drain path: one drainer thread per shard replays that
-//! shard's slice of the update log into a private sub-matrix, and a
+//! The sharded drain path: one drainer thread per shard turns that
+//! shard's slice of the update log into a small sorted delta, and a
 //! coordinator thread cuts consistent batches, barriers the shards at
-//! one epoch, combines the disjoint sub-matrices, and publishes the
-//! snapshot.
+//! one epoch, folds their deltas into the published adjacency, and
+//! publishes the snapshot. Shards carry deltas, never a copy of the
+//! graph: the only resident adjacency is the published one.
 //!
 //! Consistency argument: the coordinator swaps *all* shard queues out
 //! before dispatching any of them, so one epoch contains exactly the
 //! updates accepted before the cut — never a prefix of one shard and a
 //! suffix of another. Each edge is routed to exactly one shard by a
 //! pure function of its canonical key ([`Partitioner`]), so per-edge
-//! replay order equals submission order at any shard count, and the
-//! combined matrix is a disjoint union — the S∈{1,2,4} differential
-//! tests check it is *bit-identical* to a single-shard replay.
+//! replay order equals submission order at any shard count, the shard
+//! deltas are disjoint, and the last write to an edge is the same one
+//! everywhere — the S∈{1,2,4} differential tests check the published
+//! matrix is *bit-identical* to a single-shard replay.
 //!
 //! Failure semantics: a shard drainer that panics mid-replay marks the
 //! service failed. The coordinator stops publishing (the last good
@@ -26,18 +28,17 @@ use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use graphblas::binaryop;
 use graphblas::trace;
-use graphblas::{ops, Descriptor, Error as GrbError, Matrix};
+use graphblas::{net_edits, Edit, Error as GrbError};
 
-use super::{now_unix_ns, panic_message, Partitioner, Shared, Snapshot, Update};
+use super::{now_unix_ns, panic_message, Shared, Snapshot, Update};
 use crate::graph::{Graph, GraphKind};
 
 /// What the coordinator asks a shard worker to do next.
 pub(crate) enum SlotCmd {
     /// Nothing pending; the worker waits.
     Idle,
-    /// Replay `batch` and assemble, reporting completion as `epoch`.
+    /// Net `batch` into a delta, reporting completion as `epoch`.
     Drain { epoch: u64, batch: Vec<Update> },
     /// Exit the worker thread.
     Shutdown,
@@ -47,33 +48,28 @@ pub(crate) enum SlotCmd {
 pub(crate) struct ShardDone {
     /// Last epoch this shard finished (success or failure).
     pub(crate) epoch: u64,
-    /// Pending tuples the assembly resolved.
-    pub(crate) pending: usize,
-    /// Zombies the assembly resolved.
-    pub(crate) zombies: usize,
-    /// Panic message if the replay failed.
+    /// The shard's netted delta for that epoch, for the coordinator to take.
+    pub(crate) delta: Vec<Edit<f64>>,
+    /// Panic message if the drain failed.
     pub(crate) failed: Option<String>,
 }
 
-/// Per-shard worker state: a command slot, a completion slot, and the
-/// shard's private master sub-matrix (holding exactly the edges the
-/// partitioner routes to this shard).
+/// Per-shard worker state: a command slot and a completion slot.
 pub(crate) struct ShardWorker {
     cmd: Mutex<SlotCmd>,
     cmd_cv: Condvar,
     done: Mutex<ShardDone>,
     done_cv: Condvar,
-    master: Mutex<Matrix<f64>>,
 }
 
 impl ShardWorker {
-    fn new(master: Matrix<f64>, epoch: u64) -> Self {
+    /// A worker that has nothing to report up to `epoch`.
+    pub(crate) fn new(epoch: u64) -> Self {
         ShardWorker {
             cmd: Mutex::new(SlotCmd::Idle),
             cmd_cv: Condvar::new(),
-            done: Mutex::new(ShardDone { epoch, pending: 0, zombies: 0, failed: None }),
+            done: Mutex::new(ShardDone { epoch, delta: Vec::new(), failed: None }),
             done_cv: Condvar::new(),
-            master: Mutex::new(master),
         }
     }
 
@@ -84,37 +80,9 @@ impl ShardWorker {
     }
 }
 
-/// Split the initial graph into per-shard sub-matrices: every stored
-/// arc is routed by the canonical key of its edge, so both arcs of an
-/// undirected edge land in the owning shard.
-pub(crate) fn split_masters(
-    initial: &Graph,
-    partitioner: &dyn Partitioner,
-    compressed: bool,
-) -> Result<Vec<ShardWorker>, GrbError> {
-    let n = initial.nvertices();
-    let undirected = initial.kind() == GraphKind::Undirected;
-    let epoch = initial.epoch();
-    let mut per: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); partitioner.shards()];
-    for (i, j, v) in initial.a().iter() {
-        let (ki, kj) = if undirected && i > j { (j, i) } else { (i, j) };
-        per[partitioner.shard_of(ki, kj)].push((i, j, v));
-    }
-    per.into_iter()
-        .map(|tuples| {
-            let mut m = Matrix::from_tuples(n, n, tuples, |_, b| b)?;
-            if compressed {
-                m.set_compressed(true);
-            }
-            Ok(ShardWorker::new(m, epoch))
-        })
-        .collect()
-}
-
-/// The per-shard drainer loop: wait for a command, replay the batch
-/// into this shard's master through the deferred-update path, assemble
-/// once, report. Panics are caught and reported, never propagated into
-/// a hung barrier.
+/// The per-shard drainer loop: wait for a command, net the batch into
+/// this shard's delta, report. Panics are caught and reported, never
+/// propagated into a hung barrier.
 pub(crate) fn shard_loop(
     workers: Arc<Vec<ShardWorker>>,
     index: usize,
@@ -143,25 +111,12 @@ pub(crate) fn shard_loop(
             if index == 0 && fail_epoch == Some(epoch) {
                 panic!("injected shard-drainer failure at epoch {epoch}");
             }
-            let mut master = w.master.lock().unwrap_or_else(|e| e.into_inner());
-            let apply_errors = replay(&mut master, &batch, kind);
-            if apply_errors > 0 {
-                trace::warn_once(
-                    "service.apply",
-                    &format!("{apply_errors} service updates failed to apply (skipped)"),
-                );
-            }
-            let (pending, zombies) = master.deferred();
-            // One amortized assembly for the whole shard batch, parallel
-            // on the par_chunks pool.
-            master.wait();
-            (pending, zombies)
+            shard_delta(&batch, kind)
         }));
         let mut d = w.done.lock().unwrap_or_else(|e| e.into_inner());
         match outcome {
-            Ok((pending, zombies)) => {
-                d.pending = pending;
-                d.zombies = zombies;
+            Ok(delta) => {
+                d.delta = delta;
                 d.failed = None;
             }
             Err(p) => d.failed = Some(panic_message(&*p).to_string()),
@@ -171,68 +126,46 @@ pub(crate) fn shard_loop(
     }
 }
 
-/// Replay one shard batch: inserts become pending tuples, deletes
-/// become zombies; undirected graphs mirror both arcs into the same
-/// shard master. Returns the count of (internal-bug) apply failures.
-fn replay(master: &mut Matrix<f64>, batch: &[Update], kind: GraphKind) -> usize {
+/// One shard batch as a delta: an insert is a `Some(weight)` edit, a
+/// delete a `None`; undirected graphs mirror both arcs (into the same
+/// shard, which owns the edge). Sorted by position, and netted so only
+/// the last write to each arc survives.
+fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
     let mirror = kind == GraphKind::Undirected;
-    let mut apply_errors = 0usize;
+    let mut delta = Vec::with_capacity(batch.len() * (1 + usize::from(mirror)));
     for u in batch {
-        let r = match *u {
-            Update::Insert(i, j, w) => master.set_element(i, j, w).and_then(|()| {
-                if mirror && i != j {
-                    master.set_element(j, i, w)
-                } else {
-                    Ok(())
-                }
-            }),
-            Update::Delete(i, j) => master.remove_element(i, j).and_then(|()| {
-                if mirror && i != j {
-                    master.remove_element(j, i)
-                } else {
-                    Ok(())
-                }
-            }),
+        let (i, j, x) = match *u {
+            Update::Insert(i, j, w) => (i, j, Some(w)),
+            Update::Delete(i, j) => (i, j, None),
         };
-        if r.is_err() {
-            apply_errors += 1;
+        delta.push((i, j, x));
+        if mirror && i != j {
+            delta.push((j, i, x));
         }
     }
-    apply_errors
+    net_edits(&mut delta);
+    delta
 }
 
-/// Union the (disjoint) shard masters into one publishable matrix. With
-/// one shard this is exactly the pre-sharding publish path — a clone of
-/// the single master — which is what makes S=1 the differential oracle.
-fn combine_masters(workers: &[ShardWorker], compressed: bool) -> Result<Matrix<f64>, GrbError> {
-    let first = workers[0].master.lock().unwrap_or_else(|e| e.into_inner());
-    if workers.len() == 1 {
-        return Ok(first.clone());
-    }
-    let (nr, nc) = (first.nrows(), first.ncols());
-    let mut acc = first.clone();
-    drop(first);
-    for w in &workers[1..] {
-        let shard = w.master.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Matrix::<f64>::new(nr, nc)?;
-        // Shard supports are disjoint, so any merge op is a pure union;
-        // Plus never actually combines two values.
-        ops::ewise_add_matrix(
-            &mut out,
-            None,
-            ops::NOACC,
-            binaryop::Plus,
-            &acc,
-            &shard,
-            &Descriptor::default(),
-        )?;
-        drop(shard);
-        acc = out;
-    }
+/// Epoch e+1 from epoch e: a copy of the *published* adjacency takes the
+/// delta through the deferred-update path (inserts become pending tuples
+/// or in-place updates, deletes zombies) and one assembly resolves it;
+/// the snapshot's materialised caches follow by the same delta.
+/// Returns the graph with the `(pending, zombies)` the assembly resolved.
+fn next_graph(
+    prev: &Graph,
+    delta: &[Edit<f64>],
+    compressed: bool,
+) -> Result<(Graph, (usize, usize)), GrbError> {
+    let mut a = prev.a().clone();
+    a.apply_edits(delta.iter().copied())?;
+    let deferred = a.deferred();
     if compressed {
-        acc.set_compressed(true);
+        // Assembles, and (re-)encodes the result on the parallel pool.
+        a.set_compressed(true);
     }
-    Ok(acc)
+    a.wait();
+    Ok((prev.advance(a, delta)?, deferred))
 }
 
 /// Mark the service failed (shard `shard` died with `message`), wake
@@ -261,7 +194,8 @@ pub(crate) fn shutdown_workers(workers: &[ShardWorker]) {
 }
 
 /// The epoch coordinator: cut a consistent batch across all shard
-/// queues, fan it out, barrier, combine, publish.
+/// queues, fan it out, barrier, fold the shard deltas into the published
+/// adjacency, publish.
 pub(crate) fn coordinator_loop(
     shared: &Arc<Shared>,
     workers: &Arc<Vec<ShardWorker>>,
@@ -335,26 +269,22 @@ pub(crate) fn coordinator_loop(
         }
 
         // Barrier: all shards at this epoch before anything publishes.
-        let mut pending_sum = 0usize;
-        let mut zombies_sum = 0usize;
+        // Their deltas are disjoint (one shard owns each edge), so the
+        // epoch's delta is their concatenation.
+        let mut delta: Vec<Edit<f64>> = Vec::new();
         let mut failure: Option<(usize, String)> = None;
         for (si, w) in workers.iter().enumerate() {
             let mut d = w.done.lock().unwrap_or_else(|e| e.into_inner());
             while d.epoch < epoch {
                 d = w.done_cv.wait(d).unwrap_or_else(|e| e.into_inner());
             }
-            pending_sum += d.pending;
-            zombies_sum += d.zombies;
+            delta.append(&mut d.delta);
             if failure.is_none() {
                 if let Some(m) = &d.failed {
                     failure = Some((si, m.clone()));
                 }
             }
         }
-        span.arg("pending", pending_sum);
-        span.arg("zombies", zombies_sum);
-        shared.metrics.pending_peak.set_max(pending_sum as f64);
-        shared.metrics.zombies_peak.set_max(zombies_sum as f64);
 
         if let Some((si, message)) = failure {
             span.arg("failed_shard", si);
@@ -364,17 +294,16 @@ pub(crate) fn coordinator_loop(
             return;
         }
 
-        let master_bytes: usize = workers
-            .iter()
-            .map(|w| w.master.lock().unwrap_or_else(|e| e.into_inner()).memory_usage().total())
-            .sum();
-        shared.metrics.master_bytes.set(master_bytes as f64);
-
-        // Combine the disjoint shard masters and publish: an immutable
-        // Graph with fresh (lazily computed) caches, stamped with this
-        // epoch. Readers swap over atomically on their next snapshot().
-        match combine_masters(workers, compressed).and_then(|m| Graph::new(m, shared.kind)) {
-            Ok(mut g) => {
+        // Publish: an immutable Graph that inherits the caches of the one
+        // it replaces, stamped with this epoch. Readers swap over
+        // atomically on their next snapshot().
+        let prev = shared.snapshot.read().graph.clone();
+        match next_graph(&prev, &delta, compressed) {
+            Ok((mut g, (pending, zombies))) => {
+                span.arg("pending", pending);
+                span.arg("zombies", zombies);
+                shared.metrics.pending_peak.set_max(pending as f64);
+                shared.metrics.zombies_peak.set_max(zombies as f64);
                 g.set_epoch(epoch);
                 let nedges = g.nedges();
                 span.arg("nedges", nedges);
@@ -393,7 +322,7 @@ pub(crate) fn coordinator_loop(
                 shared.metrics.epoch.set(epoch as f64);
             }
             Err(_) => {
-                // Shard dimensions never change, so this is unreachable;
+                // Updates are bounds-checked at submit, so this is unreachable;
                 // keep serving the previous snapshot if it somehow isn't.
                 trace::warn_once("service.publish", "failed to rebuild service snapshot graph");
             }

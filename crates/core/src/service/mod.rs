@@ -16,13 +16,13 @@
 //!                                            │ one k×n multi-source BFS
 //!                                            ▼
 //!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
-//!                                            ▲
-//!                              combine shard sub-matrices (disjoint ∪)
+//!                                            ▲  caches inherited from e-1
+//!                    copy of epoch e-1's adjacency + Δ, one assembly
 //!                                            │ barrier: all shards at e
-//!              ┌── shard 0 drainer ──▶ sub-matrix 0 (pending, zombies)
-//!  epoch ──────┤── shard 1 drainer ──▶ sub-matrix 1       ⋮
-//!  coordinator └── shard S-1 drainer ▶ sub-matrix S-1
-//!                   ▲ replay own slice of the update log
+//!              ┌── shard 0 drainer ──▶ Δ₀ (sorted, last write wins)
+//!  epoch ──────┤── shard 1 drainer ──▶ Δ₁       ⋮
+//!  coordinator └── shard S-1 drainer ▶ Δ_{S-1}
+//!                   ▲ net own slice of the update log
 //!  writers ──▶ per-shard bounded queues, routed by [`Partitioner`]
 //!              (block / coalesce / reject)
 //! ```
@@ -36,13 +36,18 @@
 //!   against a queued update to the same edge, or is rejected.
 //! * **The epoch coordinator** cuts a consistent batch across *all*
 //!   shard queues at once and fans it out to one **drainer thread per
-//!   shard**, each replaying its slice into a private sub-matrix through
-//!   the deferred-update entry points — insertions become pending
-//!   tuples, deletions become zombies — and resolving its batch with a
-//!   single assembly on the `par_chunks` pool. A barrier holds until
-//!   every shard reaches the epoch; the disjoint sub-matrices are then
-//!   unioned and published. One coordinated drain = one **epoch**; a
-//!   snapshot never mixes shards from different epochs.
+//!   shard**, each netting its slice into a small sorted delta (the last
+//!   write to an arc wins; undirected edges carry both arcs). Shards
+//!   hold no copy of the graph. A barrier holds until every shard
+//!   reaches the epoch; the coordinator then replays the disjoint deltas
+//!   into a copy of the *published* adjacency through the
+//!   deferred-update entry points — insertions become pending tuples,
+//!   deletions become zombies — resolves them with a single assembly,
+//!   and carries the previous snapshot's materialised caches (structure
+//!   and its dual, transpose, degrees) forward by the same delta. One
+//!   coordinated drain = one **epoch**; a snapshot never mixes shards
+//!   from different epochs. What remains O(E) per epoch is one
+//!   memcpy-speed pass over each matrix the snapshot holds.
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
@@ -176,10 +181,11 @@ pub enum BackpressurePolicy {
 /// `queue_capacity`, and the [`BackpressurePolicy`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shards: per-shard update queues, drainer threads, and
-    /// graph sub-matrices. Routing defaults to a [`RowBlock`]
-    /// partitioner over this many shards; ignored when `partitioner` is
-    /// set (the partitioner's own shard count wins). Clamped to ≥ 1.
+    /// Number of shards: per-shard update queues and drainer threads,
+    /// each netting its slice of an epoch into a delta. Routing defaults
+    /// to a [`RowBlock`] partitioner over this many shards; ignored when
+    /// `partitioner` is set (the partitioner's own shard count wins).
+    /// Clamped to ≥ 1.
     pub shards: usize,
     /// Per-shard queue bound. A full shard triggers the backpressure
     /// policy, so `shards × queue_capacity` bounds service memory.
@@ -190,9 +196,9 @@ pub struct ServiceConfig {
     /// shards); a deeper backlog is split across consecutive epochs so
     /// snapshot latency stays bounded.
     pub max_batch: usize,
-    /// Keep the shard sub-matrices (and therefore every published
-    /// snapshot) in the compressed storage form: each epoch's assembly
-    /// re-encodes them on the parallel pool. Cuts resident bytes roughly
+    /// Keep every published snapshot in the compressed storage form:
+    /// each epoch's assembly decodes, merges and re-encodes it on the
+    /// parallel pool. Cuts resident bytes roughly
     /// in half on power-law graphs for a modest re-encode cost per
     /// epoch. Implied when the initial graph was loaded from `.lagc`.
     pub compressed: bool,
@@ -410,9 +416,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) epoch: metrics::Gauge,
     pub(crate) pending_peak: metrics::Gauge,
     pub(crate) zombies_peak: metrics::Gauge,
-    /// Resident bytes summed over the shard sub-matrices, refreshed
-    /// after each epoch's assemblies.
-    pub(crate) master_bytes: metrics::Gauge,
     pub(crate) last_publish: metrics::Gauge,
     /// Wall clock of the last snapshot publish, in unix nanoseconds —
     /// the `lagraph_service_epoch_lag_seconds` callback reads it at
@@ -503,11 +506,6 @@ impl ServiceMetrics {
             zombies_peak: metrics::gauge(
                 "lagraph_service_zombies_peak",
                 "Largest zombie count any single epoch assembly resolved.",
-            ),
-            master_bytes: metrics::gauge_with(
-                "lagraph_service_resident_bytes",
-                "Resident bytes of service-owned graph objects.",
-                &[("object", "master")],
             ),
             last_publish: metrics::gauge(
                 "lagraph_service_last_publish_unixtime_seconds",
@@ -608,9 +606,9 @@ pub struct ServiceStats {
 }
 
 impl GraphService {
-    /// Start serving `initial`: split it across the partitioner's
-    /// shards, spawn one drainer thread per shard plus the epoch
-    /// coordinator, and stand up the admission layer. The graph's kind
+    /// Start serving `initial` as epoch 0: spawn one drainer thread per
+    /// shard of the partitioner plus the epoch coordinator, and stand up
+    /// the admission layer. The graph's kind
     /// governs update semantics: on an undirected graph every
     /// insert/delete is applied to both arcs atomically within one epoch.
     pub fn new(initial: Graph, config: ServiceConfig) -> Result<Self, ServiceError> {
@@ -624,10 +622,9 @@ impl GraphService {
         };
         let shards = partitioner.shards();
         let compressed = config.compressed;
-        // Each shard's private working copy holds exactly the edges the
-        // partitioner routes to it; the served snapshot is immutable, so
-        // the sub-matrices start as a routed split of the initial graph.
-        let workers_state = Arc::new(drainer::split_masters(&initial, &*partitioner, compressed)?);
+        let epoch = initial.epoch();
+        let workers_state: Arc<Vec<_>> =
+            Arc::new((0..shards).map(|_| drainer::ShardWorker::new(epoch)).collect());
         let nedges = initial.nedges();
         let initial = Arc::new(initial);
         let views_cfg = config.views.clone().unwrap_or_default();
@@ -641,11 +638,7 @@ impl GraphService {
             kind,
             nvertices,
             partitioner,
-            snapshot: RwLock::new(Arc::new(Snapshot {
-                epoch: initial.epoch(),
-                nedges,
-                graph: initial,
-            })),
+            snapshot: RwLock::new(Arc::new(Snapshot { epoch, nedges, graph: initial })),
             submitted: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),

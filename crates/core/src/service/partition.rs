@@ -6,13 +6,13 @@
 //!
 //! A partitioner is a *routing policy*, not a storage constraint: shard
 //! `s` owns exactly the edges `shard_of` assigns to it, each shard
-//! drainer replays only its own slice of the update log into its own
-//! sub-matrix, and the published snapshot is the disjoint union of all
-//! shard sub-matrices at one epoch. Because `shard_of` is a pure
-//! function of the (canonicalized) edge key, every update to one edge
-//! is serialized through one shard — per-edge last-write-wins order is
-//! preserved at any shard count, which is what makes the S∈{1,2,4}
-//! differential tests bit-identical.
+//! drainer nets only its own slice of the update log into its own
+//! delta, and the published snapshot is the previous one plus the
+//! disjoint union of all shard deltas at one epoch. Because `shard_of`
+//! is a pure function of the (canonicalized) edge key, every update to
+//! one edge is serialized through one shard — per-edge last-write-wins
+//! order is preserved at any shard count, which is what makes the
+//! S∈{1,2,4} differential tests bit-identical.
 //!
 //! On undirected graphs the service canonicalizes each edge to
 //! `(min, max)` *before* routing, and the owning shard replays both

@@ -1,0 +1,242 @@
+//! Differential tests for carried-forward snapshot caches.
+//!
+//! A published epoch inherits whatever its predecessor had materialised
+//! (`Graph::advance`): the structure with its dual, `Aᵀ`, the degree
+//! vectors — patched by the epoch's delta instead of re-derived. The
+//! honesty property: after *every* epoch of the 800-update churn scripts
+//! (insert-only, delete-heavy, mixed; the generator of
+//! `service_views.rs`), directed and undirected, at S ∈ {1, 2, 4} shards,
+//! each inherited cache must equal the one `Graph::new` derives from
+//! scratch on the same adjacency — and an epoch whose predecessor had
+//! nothing materialised must materialise nothing.
+
+use std::collections::BTreeSet;
+
+use graphblas::Direction;
+use lagraph::service::{GraphService, ServiceConfig, Update};
+use lagraph::{bfs_level_direction, Graph, GraphKind};
+
+const N: usize = 64;
+const ROUNDS: usize = 8;
+const PER_ROUND: usize = 100;
+
+/// Deterministic seed graph: a ring plus chords, no self-loops.
+fn seed_graph(kind: GraphKind) -> Graph {
+    let edges: Vec<(usize, usize)> = (0..N)
+        .map(|i| (i, (i + 1) % N))
+        .chain((0..N / 4).map(|i| (i, (i * 5 + 2) % N)).filter(|&(i, j)| i != j))
+        .collect();
+    Graph::from_edges(N, &edges, kind).expect("seed graph")
+}
+
+/// Tiny deterministic PRNG (xorshift64*).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Mix {
+    InsertOnly,
+    DeleteHeavy,
+    Mixed,
+}
+
+/// The churn script of `service_views.rs`: deletes are drawn from a
+/// tracked mirror of the live edge set so they mostly hit real edges.
+fn script(mix: Mix) -> Vec<Vec<Update>> {
+    let mut rng = Rng(0xA5A5_1234_5678_9ABC);
+    let mut present: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for i in 0..N {
+        let j = (i + 1) % N;
+        present.insert((i.min(j), i.max(j)));
+    }
+    for i in 0..N / 4 {
+        let j = (i * 5 + 2) % N;
+        if i != j {
+            present.insert((i.min(j), i.max(j)));
+        }
+    }
+    let delete_cut = match mix {
+        Mix::InsertOnly => 0,
+        Mix::DeleteHeavy => 10,
+        Mix::Mixed => 4,
+    };
+    (0..ROUNDS)
+        .map(|_| {
+            (0..PER_ROUND)
+                .map(|_| {
+                    if (rng.next() % 16) < delete_cut && !present.is_empty() {
+                        let idx = (rng.next() as usize) % present.len();
+                        let &(i, j) = present.iter().nth(idx).expect("indexed edge");
+                        present.remove(&(i, j));
+                        Update::Delete(i, j)
+                    } else {
+                        let i = (rng.next() as usize) % N;
+                        let mut j = (rng.next() as usize) % N;
+                        if i == j {
+                            j = (j + 1) % N;
+                        }
+                        present.insert((i.min(j), i.max(j)));
+                        Update::Insert(i, j, (rng.next() % 1000) as f64 / 8.0)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn service(kind: GraphKind, shards: usize) -> GraphService {
+    GraphService::new(seed_graph(kind), ServiceConfig { shards, ..ServiceConfig::default() })
+        .expect("service")
+}
+
+fn bits(m: &graphblas::Matrix<f64>) -> Vec<(usize, usize, u64)> {
+    m.extract_tuples().into_iter().map(|(i, j, w)| (i, j, w.to_bits())).collect()
+}
+
+/// Materialise every cached property, the structure's dual included (a
+/// pull BFS reads it).
+fn touch(g: &Graph) {
+    g.structure().expect("structure");
+    g.at().expect("at");
+    g.out_degree().expect("out_degree");
+    g.in_degree().expect("in_degree");
+    bfs_level_direction(g, 0, Direction::Pull).expect("pull bfs");
+}
+
+/// Every cache of `g` equals the one a from-scratch graph over the same
+/// adjacency derives.
+fn assert_caches_match_oracle(g: &Graph, label: &str) {
+    let oracle = Graph::new(g.a().clone(), g.kind()).expect("oracle");
+    assert_eq!(
+        g.structure().expect("structure").extract_tuples(),
+        oracle.structure().expect("structure").extract_tuples(),
+        "{label}: structure"
+    );
+    for source in [0, N / 2, N - 1] {
+        // Pull reads the dual, push the rows: three answers, one truth.
+        let pulled = bfs_level_direction(g, source, Direction::Pull).expect("pull bfs");
+        let pushed = bfs_level_direction(g, source, Direction::Push).expect("push bfs");
+        let want = bfs_level_direction(&oracle, source, Direction::Pull).expect("oracle bfs");
+        assert_eq!(
+            pulled.extract_tuples(),
+            want.extract_tuples(),
+            "{label}: pull bfs from {source}"
+        );
+        assert_eq!(
+            pushed.extract_tuples(),
+            want.extract_tuples(),
+            "{label}: push bfs from {source}"
+        );
+    }
+    assert_eq!(bits(&g.at().expect("at")), bits(&oracle.at().expect("at")), "{label}: at");
+    assert_eq!(
+        g.out_degree().expect("out").extract_tuples(),
+        oracle.out_degree().expect("out").extract_tuples(),
+        "{label}: out_degree"
+    );
+    assert_eq!(
+        g.in_degree().expect("in").extract_tuples(),
+        oracle.in_degree().expect("in").extract_tuples(),
+        "{label}: in_degree"
+    );
+}
+
+/// Replay one script with every cache live: each published epoch must
+/// arrive with all of them already materialised, and equal to the oracle.
+fn run_carried(mix: Mix, kind: GraphKind, shards: usize) {
+    let label = format!("{mix:?} {kind:?} S={shards}");
+    let s = service(kind, shards);
+    touch(s.snapshot().graph());
+    for round in script(mix) {
+        for u in &round {
+            s.submit(*u).expect("submit");
+        }
+        let snap = s.flush().expect("flush");
+        let g = snap.graph();
+        let label = format!("{label} epoch {}", snap.epoch());
+        // Whatever number of epochs the flush turned, each inherited from
+        // the one before: nothing is left for the getters to derive.
+        let inherited = g.resident_bytes();
+        assert!(inherited > g.a().memory_usage().total(), "{label}: no cache was carried forward");
+        assert_caches_match_oracle(g, &label);
+        assert_eq!(g.resident_bytes(), inherited, "{label}: a getter had to derive a cache");
+    }
+}
+
+#[test]
+fn insert_only_epochs_inherit_exact_caches() {
+    for kind in [GraphKind::Undirected, GraphKind::Directed] {
+        for shards in [1, 2, 4] {
+            run_carried(Mix::InsertOnly, kind, shards);
+        }
+    }
+}
+
+#[test]
+fn delete_heavy_epochs_inherit_exact_caches() {
+    for kind in [GraphKind::Undirected, GraphKind::Directed] {
+        for shards in [1, 2, 4] {
+            run_carried(Mix::DeleteHeavy, kind, shards);
+        }
+    }
+}
+
+#[test]
+fn mixed_epochs_inherit_exact_caches() {
+    for kind in [GraphKind::Undirected, GraphKind::Directed] {
+        for shards in [1, 2, 4] {
+            run_carried(Mix::Mixed, kind, shards);
+        }
+    }
+}
+
+#[test]
+fn unqueried_epochs_materialise_nothing() {
+    for kind in [GraphKind::Undirected, GraphKind::Directed] {
+        let s = service(kind, 2);
+        for round in script(Mix::Mixed) {
+            for u in &round {
+                s.submit(*u).expect("submit");
+            }
+            let snap = s.flush().expect("flush");
+            let g = snap.graph();
+            assert_eq!(
+                g.resident_bytes(),
+                g.a().memory_usage().total(),
+                "{kind:?} epoch {}: an epoch nobody queried holds more than its adjacency",
+                snap.epoch()
+            );
+        }
+        // The caches are lazy, not lost: the last epoch still derives them.
+        assert_caches_match_oracle(s.snapshot().graph(), &format!("{kind:?} lazy"));
+    }
+}
+
+#[test]
+fn only_what_was_materialised_is_carried() {
+    let s = service(GraphKind::Directed, 2);
+    s.snapshot().graph().out_degree().expect("out_degree at epoch 0");
+    let rounds = script(Mix::Mixed);
+    for u in &rounds[0] {
+        s.submit(*u).expect("submit");
+    }
+    let snap = s.flush().expect("flush");
+    let g = snap.graph();
+    let inherited = g.resident_bytes();
+    assert!(inherited > g.a().memory_usage().total(), "out_degree was not carried forward");
+    g.out_degree().expect("out_degree");
+    assert_eq!(g.resident_bytes(), inherited, "out_degree had to be derived again");
+    g.structure().expect("structure");
+    assert!(g.resident_bytes() > inherited, "structure was carried though never materialised");
+    assert_caches_match_oracle(g, "partial carry");
+}

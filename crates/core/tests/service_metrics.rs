@@ -83,15 +83,22 @@ fn churning_service_populates_slo_series() {
         delta(&after, &before, "lagraph_service_epochs_total") >= 3.0,
         "three flushes must publish at least three epochs"
     );
+    // The snapshot is the service's only copy of the graph (shards carry
+    // deltas, not masters), and three epochs of spliced assemblies and
+    // carried-forward caches must not have left it any fatter than a
+    // graph built from scratch with the same property materialised.
     assert!(
-        after.get("lagraph_service_resident_bytes{object=\"master\"}").copied().unwrap_or(0.0)
-            > 0.0,
-        "master resident bytes missing"
+        !after.contains_key("lagraph_service_resident_bytes{object=\"master\"}"),
+        "there is no master any more"
     );
+    let served =
+        after.get("lagraph_service_resident_bytes{object=\"snapshot\"}").copied().unwrap_or(0.0);
+    let fresh = Graph::new(snapshot.graph().a().clone(), GraphKind::Directed).expect("fresh");
+    bfs_level(&fresh, 0).expect("bfs on the from-scratch graph");
+    let fresh = fresh.resident_bytes() as f64;
     assert!(
-        after.get("lagraph_service_resident_bytes{object=\"snapshot\"}").copied().unwrap_or(0.0)
-            > 0.0,
-        "snapshot resident bytes missing"
+        served > 0.0 && served <= 1.25 * fresh && fresh <= 1.25 * served,
+        "snapshot resident bytes {served} not within 1.25x of a from-scratch graph's {fresh}"
     );
     assert!(
         delta(&after, &before, "graphblas_span_seconds_count{cat=\"algo\",span=\"bfs.level\"}")

@@ -894,6 +894,16 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
             f(i, &idx, &val);
         }
     }
+    fn for_each_len(&self, f: &mut dyn FnMut(Index, usize)) {
+        // Off the Elias-Fano cumulative counts: no gap is decoded.
+        let mut prev = 0u64;
+        self.ptr.for_each(|i, v| {
+            if i > 0 && v > prev {
+                f(i - 1, (v - prev) as usize);
+            }
+            prev = v;
+        });
+    }
     fn nonempty_majors(&self) -> Vec<Index> {
         let ptr = self.ptr_vec();
         (0..self.nrows).filter(|&i| ptr[i + 1] > ptr[i]).collect()

@@ -4,14 +4,17 @@
 //! hypersparse variants — §II.A) plus the deferred-update state that
 //! implements the non-blocking execution model:
 //!
-//! * **pending tuples** — an unordered list of `(i, j, x)` insertions, and
+//! * **pending tuples** — an unordered list of `(i, j, x)` insertions
+//!   (and tombstones cancelling earlier ones), and
 //! * **zombies** — entries tagged for deletion in place (the index is
 //!   stored with its top bit flipped, exactly SuiteSparse's trick),
 //!
-//! both resolved by a single [`Matrix::wait`] (assembly) step costing
-//! `O(n + e + p log p)`. This is why a sequence of `e` `set_element` calls
-//! costs the same as one `build` of `e` tuples (reproduced by the
-//! `incremental` benchmark).
+//! both resolved by a single [`Matrix::wait`] (assembly) step: the
+//! standard forms splice the netted edits straight into new arrays —
+//! `O(p log p)` plus one bulk copy of the untouched rows — and a built
+//! CSR dual is patched by the same splice. This is why a sequence of `e`
+//! `set_element` calls costs the same as one `build` of `e` tuples
+//! (reproduced by the `incremental` benchmark).
 //!
 //! Reads acquire the object through an internal lock and assemble lazily,
 //! so the Rust API can keep the C API's convention that reading a matrix
@@ -21,7 +24,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::compressed::CompressedMat;
 use crate::error::{Error, Result};
-use crate::sparse::{Cs, Hyper, SparseView, Tuple};
+use crate::sparse::{Cs, Hyper, MatData, SparseView, Tuple};
 use crate::types::{Index, Scalar};
 
 /// Zombie flag: a deleted entry keeps its slot with this bit set on its
@@ -32,6 +35,25 @@ pub(crate) const ZOMBIE: usize = 1usize << (usize::BITS - 1);
 #[inline]
 pub(crate) fn unflip(i: usize) -> usize {
     i & !ZOMBIE
+}
+
+/// One deferred write: `Some(x)` stores `x` at `(row, col)`, `None`
+/// deletes whatever is there. The currency of the pending list, of
+/// [`Matrix::apply_edits`], and of the serving layer's epoch deltas.
+pub type Edit<T> = (Index, Index, Option<T>);
+
+/// Sort edits by position and keep only the last write at each one. The
+/// sort is stable, so "last" means last in submission order.
+pub fn net_edits<T>(edits: &mut Vec<Edit<T>>) {
+    edits.sort_by_key(|&(i, j, _)| (i, j));
+    edits.dedup_by(|later, earlier| {
+        let same = (later.0, later.1) == (earlier.0, earlier.1);
+        if same {
+            // `dedup_by` drops `later`: hand its write to the survivor.
+            earlier.2 = later.2.take();
+        }
+        same
+    });
 }
 
 /// Above this major dimension a standard pointer array is considered too
@@ -206,6 +228,49 @@ impl<T: Scalar> Store<T> {
             Store::CompressedCsr(c) => c.nvals(),
         }
     }
+
+    /// `(row, col)` in this store's (major, minor) order.
+    fn major_minor(&self, i: Index, j: Index) -> (Index, Index) {
+        match self {
+            Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) => (i, j),
+            Store::Csc(_) | Store::HyperCsc(_) => (j, i),
+        }
+    }
+
+    /// Position in the index/value arrays of the slot (live or zombie) of
+    /// `(maj, min)`: a zombie-aware binary search within one major
+    /// vector. `None` when there is no slot — always, for the immutable
+    /// compressed form.
+    fn slot(&self, maj: Index, min: Index) -> Option<usize> {
+        let (idx, a, b) = match self {
+            Store::Csr(c) | Store::Csc(c) => (&c.idx, c.ptr[maj], c.ptr[maj + 1]),
+            Store::HyperCsr(h) | Store::HyperCsc(h) => {
+                let k = h.heads.binary_search(&maj).ok()?;
+                (&h.idx, h.ptr[k], h.ptr[k + 1])
+            }
+            Store::CompressedCsr(_) => return None,
+        };
+        idx[a..b].binary_search_by_key(&min, |&x| unflip(x)).ok().map(|off| a + off)
+    }
+
+    /// The live (non-zombie) stored entry at `(maj, min)`.
+    fn get(&self, maj: Index, min: Index) -> Option<T> {
+        let (idx, val) = match self {
+            Store::Csr(c) | Store::Csc(c) => (&c.idx, &c.val),
+            Store::HyperCsr(h) | Store::HyperCsc(h) => (&h.idx, &h.val),
+            Store::CompressedCsr(c) => return SparseView::get(c, maj, min),
+        };
+        self.slot(maj, min).filter(|&p| idx[p] & ZOMBIE == 0).map(|p| val[p])
+    }
+
+    /// The index and value arrays [`Store::slot`] positions point into.
+    fn arrays(&mut self) -> (&mut [Index], &mut [T]) {
+        match self {
+            Store::Csr(c) | Store::Csc(c) => (&mut c.idx, &mut c.val),
+            Store::HyperCsr(h) | Store::HyperCsc(h) => (&mut h.idx, &mut h.val),
+            Store::CompressedCsr(_) => unreachable!("the compressed form has no slots"),
+        }
+    }
 }
 
 /// The assembled + deferred state of a matrix.
@@ -214,14 +279,24 @@ pub(crate) struct Inner<T> {
     pub nrows: Index,
     pub ncols: Index,
     pub store: Store<T>,
-    /// Unordered insertions awaiting assembly; later entries win.
-    pub pending: Vec<Tuple<T>>,
+    /// Unordered writes awaiting assembly, as `(row, col, _)`; later
+    /// entries win. Outside the compressed form only positions without a
+    /// slot in `store` appear here: insertions, and the tombstones of
+    /// deletions that may cancel one.
+    pub pending: Vec<Edit<T>>,
     /// Number of zombie entries in `store`.
     pub nzombies: usize,
+    /// The major of every zombie planted since the last assembly
+    /// (unsorted, repeats allowed): where the splice must look for them.
+    pub zombie_majors: Vec<Index>,
     /// When dual storage is enabled (§II.E: GraphBLAST keeps "two copies
     /// of each GrB_Matrix object" for push/pull), the cached transpose in
-    /// row-major form, rebuilt lazily after mutations.
-    pub dual: Option<crate::sparse::MatData<T>>,
+    /// row-major form. A write marks it stale by logging itself in
+    /// `dual_edits`; assembly patches a CSR dual with the log, and any
+    /// other form is dropped and rebuilt lazily.
+    pub dual: Option<MatData<T>>,
+    /// Writes since `dual` was last exact, as `(col, row, _)`.
+    pub dual_edits: Vec<Edit<T>>,
     /// Whether the performance-oriented dual storage is requested.
     pub dual_enabled: bool,
     /// Whether this matrix opts into the compressed read-optimized form
@@ -269,7 +344,7 @@ pub(crate) use with_rows;
 
 impl<T: Scalar> Inner<T> {
     pub(crate) fn needs_assembly(&self) -> bool {
-        !self.pending.is_empty() || self.nzombies > 0
+        !self.pending.is_empty() || self.nzombies > 0 || !self.dual_edits.is_empty()
     }
 
     /// Resident bytes of the current state (storage form + deferred
@@ -282,26 +357,34 @@ impl<T: Scalar> Inner<T> {
         };
         let dual_bytes = match &self.dual {
             None => 0,
-            Some(crate::sparse::MatData::Cs(c)) => {
+            Some(MatData::Cs(c)) => {
                 let (p, i, v) = cs_bytes(c);
                 p + i + v
             }
-            Some(crate::sparse::MatData::Hyper(h)) => {
+            Some(MatData::Hyper(h)) => {
                 let (p, i, v) = hyper_bytes(h);
                 p + i + v
             }
-            Some(crate::sparse::MatData::Compressed(c)) => c.bytes(),
+            Some(MatData::Compressed(c)) => c.bytes(),
         };
         MemoryUsage {
             ptr_bytes,
             idx_bytes,
             val_bytes,
-            pending_bytes: vec_bytes(&self.pending),
+            pending_bytes: vec_bytes(&self.pending) + vec_bytes(&self.dual_edits),
             dual_bytes,
         }
     }
 
-    /// Resolve zombies and pending tuples: `O(n + e + p log p)`.
+    /// Forget the cached transpose and the writes logged against it.
+    fn drop_dual(&mut self) {
+        self.dual = None;
+        self.dual_edits.clear();
+    }
+
+    /// Resolve zombies and pending writes. The standard forms cost
+    /// `O(p log p)` to net the writes plus one bulk copy of the arrays
+    /// ([`splice`]); the hypersparse forms merge tuple streams in `O(e)`.
     pub(crate) fn assemble(&mut self) {
         if !self.needs_assembly() {
             return;
@@ -311,62 +394,39 @@ impl<T: Scalar> Inner<T> {
             self.pending.len(),
             self.nzombies,
         );
-        self.dual = None;
-        // The compressed form is read-only: expand it to CSR, run the
-        // standard merge, and re-encode below. This *is* recompaction.
-        if let Store::CompressedCsr(_) = &self.store {
-            if let Store::CompressedCsr(cm) =
-                std::mem::replace(&mut self.store, Store::Csr(Cs::empty(1, 1)))
-            {
-                self.store = Store::Csr(cm.decode());
-            }
+        // The cached transpose takes the same writes, transposed, through
+        // the same splice (only a CSR dual survives a write to get here).
+        let mut dual_edits = std::mem::take(&mut self.dual_edits);
+        if let Some(MatData::Cs(d)) = &mut self.dual {
+            net_edits(&mut dual_edits);
+            *d = splice(d, &dual_edits, &[]);
         }
-        // Sort pending by position; a stable sort keeps insertion order
-        // among duplicates so "last write wins" can keep the final one.
-        self.pending.sort_by_key(|&(i, j, _)| (i, j));
-        let pending = std::mem::take(&mut self.pending);
-        let row_major = matches!(self.store, Store::Csr(_) | Store::HyperCsr(_));
-        // Pending tuples are stored as (row, col); flip to the store's
-        // major axis if column-major.
-        let mut pend: Vec<Tuple<T>> = if row_major {
-            pending
-        } else {
-            let mut p: Vec<Tuple<T>> = pending.into_iter().map(|(i, j, x)| (j, i, x)).collect();
-            p.sort_by_key(|&(i, j, _)| (i, j));
-            p
-        };
-        // Keep only the last write at each position.
-        pend.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 && later.1 == earlier.1 {
-                // `dedup_by` removes `later` when true; move its value into
-                // `earlier` so the surviving element holds the last write.
-                earlier.2 = later.2;
-                true
-            } else {
-                false
+        if !self.pending.is_empty() || self.nzombies > 0 {
+            // The compressed form is read-only: expand it to CSR, splice,
+            // and re-encode below. This *is* recompaction.
+            if let Store::CompressedCsr(cm) = &self.store {
+                let cs = cm.decode();
+                self.store = Store::Csr(cs);
             }
-        });
-        self.nzombies = 0;
-        match &mut self.store {
-            Store::Csr(cs) | Store::Csc(cs) => {
-                let (nmajor, nminor) = (cs.nmajor, cs.nminor);
-                let old = raw_tuples_cs(cs);
-                let chunks = merge_assemble(&old, &pend, nmajor, true);
-                *cs = cs_from_merged_chunks(nmajor, nminor, chunks);
+            // Pending writes are (row, col); the store wants (major, minor).
+            let mut pend = std::mem::take(&mut self.pending);
+            if matches!(self.store, Store::Csc(_) | Store::HyperCsc(_)) {
+                for e in &mut pend {
+                    std::mem::swap(&mut e.0, &mut e.1);
+                }
             }
-            Store::HyperCsr(h) | Store::HyperCsc(h) => {
-                let (nmajor, nminor) = (h.nmajor, h.nminor);
-                let old = raw_tuples_hyper(h);
-                let merged: Vec<Tuple<T>> = merge_assemble(&old, &pend, nmajor, false)
-                    .into_iter()
-                    .flat_map(|(_, _, out)| out)
-                    .collect();
-                *h = from_sorted_tuples_hyper(nmajor, nminor, merged);
+            net_edits(&mut pend);
+            let mut zombie_majors = std::mem::take(&mut self.zombie_majors);
+            zombie_majors.sort_unstable();
+            self.nzombies = 0;
+            match &mut self.store {
+                Store::Csr(cs) | Store::Csc(cs) => *cs = splice(cs, &pend, &zombie_majors),
+                Store::HyperCsr(h) | Store::HyperCsc(h) => *h = splice_hyper(h, &pend),
+                Store::CompressedCsr(_) => unreachable!("expanded to CSR above"),
             }
-            Store::CompressedCsr(_) => unreachable!("expanded to CSR above"),
+            self.maybe_hypersparse();
+            self.maybe_compress();
         }
-        self.maybe_hypersparse();
-        self.maybe_compress();
         if span.on() {
             span.arg("resident_bytes", self.memory_usage().total() as u64);
         }
@@ -451,28 +511,48 @@ impl<T: Scalar> Inner<T> {
         self.store.nvals_raw()
     }
 
-    /// The `set_element` write path, shared by the exclusive (`&mut self`)
-    /// and lock-taking (`&self`) public entry points.
-    fn set_element_inner(&mut self, i: Index, j: Index, x: T) -> Result<()> {
+    /// Mark the cached transpose stale by one write: a CSR dual is
+    /// patched with the logged writes at assembly, any other form is
+    /// dropped now and rebuilt by the next kernel read.
+    fn stale_dual(&mut self, i: Index, j: Index, x: Option<T>) {
+        match self.dual {
+            Some(MatData::Cs(_)) => self.dual_edits.push((j, i, x)),
+            _ => self.dual = None,
+        }
+    }
+
+    fn check_bounds(&self, i: Index, j: Index) -> Result<()> {
         if i >= self.nrows {
             return Err(Error::oob(i, self.nrows));
         }
         if j >= self.ncols {
             return Err(Error::oob(j, self.ncols));
         }
-        self.dual = None;
-        let (maj, min) = major_minor(&self.store, i, j);
-        let hit = match &mut self.store {
-            Store::Csr(cs) | Store::Csc(cs) => set_in_cs(cs, maj, min, x),
-            Store::HyperCsr(h) | Store::HyperCsc(h) => set_in_hyper(h, maj, min, x),
-            // The compressed form is immutable: every write defers. The
-            // pending-wins merge gives the usual last-write-wins update.
-            Store::CompressedCsr(_) => SetOutcome::Absent,
-        };
-        match hit {
-            SetOutcome::Updated => {}
-            SetOutcome::Resurrected => self.nzombies -= 1,
-            SetOutcome::Absent => self.pending.push((i, j, x)),
+        Ok(())
+    }
+
+    /// The `set_element` write path, shared by the exclusive (`&mut self`)
+    /// and lock-taking (`&self`) public entry points.
+    fn set_element_inner(&mut self, i: Index, j: Index, x: T) -> Result<()> {
+        self.check_bounds(i, j)?;
+        self.stale_dual(i, j, Some(x));
+        let (maj, min) = self.store.major_minor(i, j);
+        match self.store.slot(maj, min) {
+            // An existing slot is updated in place, resurrecting a zombie.
+            Some(p) => {
+                let (idx, val) = self.store.arrays();
+                if idx[p] & ZOMBIE != 0 {
+                    idx[p] = min;
+                    self.nzombies -= 1;
+                    if self.nzombies == 0 {
+                        self.zombie_majors.clear();
+                    }
+                }
+                val[p] = x;
+            }
+            // No slot (never one in the immutable compressed form): the
+            // write defers, and last-write-wins netting resolves it.
+            None => self.pending.push((i, j, Some(x))),
         }
         // Recompaction: don't let the write backlog dwarf the compressed
         // form's savings — rebuild it eagerly past the threshold.
@@ -487,151 +567,161 @@ impl<T: Scalar> Inner<T> {
 
     /// The `remove_element` write path, shared by both public entry points.
     fn remove_element_inner(&mut self, i: Index, j: Index) -> Result<()> {
-        if i >= self.nrows {
-            return Err(Error::oob(i, self.nrows));
-        }
-        if j >= self.ncols {
-            return Err(Error::oob(j, self.ncols));
-        }
-        self.dual = None;
-        if !self.pending.is_empty() {
-            self.pending.retain(|&(pi, pj, _)| (pi, pj) != (i, j));
-        }
-        // Deletions need a mutable slot to plant the zombie in: expand
-        // the read-only compressed form back to CSR (the next assembly's
-        // `maybe_compress` re-encodes it).
-        if let Store::CompressedCsr(_) = &self.store {
-            if SparseView::get(rows_of(self), i, j).is_none() {
-                return Ok(()); // nothing stored: keep the compressed form
+        self.check_bounds(i, j)?;
+        self.stale_dual(i, j, None);
+        let (maj, min) = self.store.major_minor(i, j);
+        match self.store.slot(maj, min) {
+            Some(p) => {
+                let (idx, _) = self.store.arrays();
+                if idx[p] & ZOMBIE == 0 {
+                    idx[p] |= ZOMBIE;
+                    self.nzombies += 1;
+                    self.zombie_majors.push(maj);
+                }
             }
-            if let Store::CompressedCsr(cm) =
-                std::mem::replace(&mut self.store, Store::Csr(Cs::empty(1, 1)))
-            {
-                self.store = Store::Csr(cm.decode());
+            // No slot to plant a zombie in. What may sit here is a pending
+            // insertion or, in the read-only compressed form, a stored
+            // entry: a tombstone cancels either at assembly, in O(1) now.
+            None => {
+                let stored =
+                    matches!(&self.store, Store::CompressedCsr(c) if c.get(i, j).is_some());
+                if stored || !self.pending.is_empty() {
+                    self.pending.push((i, j, None));
+                }
             }
-        }
-        let (maj, min) = major_minor(&self.store, i, j);
-        let killed = match &mut self.store {
-            Store::Csr(cs) | Store::Csc(cs) => kill_in_cs(cs, maj, min),
-            Store::HyperCsr(h) | Store::HyperCsc(h) => kill_in_hyper(h, maj, min),
-            Store::CompressedCsr(_) => unreachable!("expanded above"),
-        };
-        if killed {
-            self.nzombies += 1;
         }
         Ok(())
     }
 }
 
-/// Extract raw tuples from a `Cs`, keeping zombie flags on the minor index.
-fn raw_tuples_cs<T: Scalar>(cs: &Cs<T>) -> Vec<Tuple<T>> {
-    let mut out = Vec::with_capacity(cs.idx.len());
-    for i in 0..cs.nmajor {
-        for p in cs.ptr[i]..cs.ptr[i + 1] {
-            out.push((i, cs.idx[p], cs.val[p]));
+/// The one merge of assembly: stored entries as `(key, live, value)`
+/// against netted edits as `(key, write)`, both sorted by key. An edit
+/// replaces or deletes the stored entry with its key; zombies (`!live`)
+/// are dropped.
+fn merge_edits<K: Ord + Copy, T: Copy>(
+    stored: impl Iterator<Item = (K, bool, T)>,
+    edits: impl Iterator<Item = (K, Option<T>)>,
+    mut emit: impl FnMut(K, T),
+) {
+    let mut edits = edits.peekable();
+    let mut write = |(k, x): (K, Option<T>)| {
+        if let Some(x) = x {
+            emit(k, x);
+        }
+    };
+    for (k, live, x) in stored {
+        while let Some(e) = edits.next_if(|e| e.0 < k) {
+            write(e);
+        }
+        match edits.next_if(|e| e.0 == k) {
+            Some(e) => write(e),
+            None => write((k, live.then_some(x))),
         }
     }
-    out
+    edits.for_each(write);
 }
 
-fn raw_tuples_hyper<T: Scalar>(h: &Hyper<T>) -> Vec<Tuple<T>> {
-    let mut out = Vec::with_capacity(h.idx.len());
-    for (k, &head) in h.heads.iter().enumerate() {
-        for p in h.ptr[k]..h.ptr[k + 1] {
-            out.push((head, h.idx[p], h.val[p]));
-        }
-    }
-    out
+/// Row `row` of `cs` (zombie flags still set) merged with its edits.
+fn merge_row<T: Scalar>(cs: &Cs<T>, row: Index, edits: &[Edit<T>], emit: impl FnMut(Index, T)) {
+    let at = cs.ptr[row]..cs.ptr[row + 1];
+    merge_edits(
+        cs.idx[at.clone()].iter().zip(&cs.val[at]).map(|(&j, &x)| (unflip(j), j & ZOMBIE == 0, x)),
+        edits.iter().map(|&(_, j, x)| (j, x)),
+        emit,
+    );
 }
 
-/// One assembly chunk: the major range it covers, the per-major entry
-/// counts inside it (empty unless requested), and the merged tuples.
-type MergedChunk<T> = (std::ops::Range<usize>, Vec<usize>, Vec<Tuple<T>>);
+/// Assembly of a standard form, array to array: `cs` with the netted,
+/// major-sorted `edits` applied and the zombies in the (sorted) rows
+/// `zombie_majors` dropped. Only rows named by either are merged; their
+/// new sizes are counted first, the row pointers follow by prefix sum,
+/// and the fill — chunked by row range, so the result is the same at any
+/// thread count — copies every run of untouched rows in bulk.
+fn splice<T: Scalar>(cs: &Cs<T>, edits: &[Edit<T>], zombie_majors: &[Index]) -> Cs<T> {
+    // (row, its range of `edits`, its new length), in row order.
+    let mut touched: Vec<(Index, std::ops::Range<usize>, usize)> = Vec::new();
+    let (mut e, mut z) = (0, 0);
+    while e < edits.len() || z < zombie_majors.len() {
+        let row = match (edits.get(e), zombie_majors.get(z)) {
+            (Some(edit), Some(&zrow)) => edit.0.min(zrow),
+            (Some(edit), None) => edit.0,
+            (None, Some(&zrow)) => zrow,
+            (None, None) => unreachable!("loop condition"),
+        };
+        let start = e;
+        e += edits[e..].partition_point(|edit| edit.0 == row);
+        z += zombie_majors[z..].partition_point(|&zrow| zrow == row);
+        let mut len = 0;
+        merge_row(cs, row, &edits[start..e], |_, _| len += 1);
+        touched.push((row, start..e, len));
+    }
 
-/// Assembly merge: combine sorted, zombie-flagged stored tuples with
-/// sorted, deduplicated pending tuples (pending wins ties, zombies are
-/// dropped), chunked over the major domain — each worker binary-searches
-/// its slice of both streams, so major ranges never overlap. Each chunk
-/// also returns its per-major entry counts so pointer construction can
-/// skip rescanning the merged data.
-/// `with_counts` must be false for hypersparse stores, whose major
-/// dimension can be astronomically larger than the entry count — a dense
-/// per-major count vector would be absurd there.
-fn merge_assemble<T: Scalar>(
-    old: &[Tuple<T>],
-    pend: &[Tuple<T>],
-    nmajor: Index,
-    with_counts: bool,
-) -> Vec<MergedChunk<T>> {
-    crate::parallel::par_chunks(nmajor, old.len() + pend.len(), |r| {
-        let (oa, ob) =
-            (old.partition_point(|t| t.0 < r.start), old.partition_point(|t| t.0 < r.end));
-        let (pa, pb) =
-            (pend.partition_point(|t| t.0 < r.start), pend.partition_point(|t| t.0 < r.end));
-        let old = &old[oa..ob];
-        let mut out = Vec::with_capacity(old.len() + (pb - pa));
-        let mut pi = pend[pa..pb].iter().peekable();
-        for &(i, j, x) in old {
-            while let Some(&&(pi_, pj_, px)) = pi.peek() {
-                if (pi_, pj_) < (i, unflip(j)) {
-                    out.push((pi_, pj_, px));
-                    pi.next();
-                } else {
-                    break;
-                }
-            }
-            let is_zombie = j & ZOMBIE != 0;
-            if let Some(&&(pi_, pj_, px)) = pi.peek() {
-                if (pi_, pj_) == (i, unflip(j)) {
-                    out.push((pi_, pj_, px));
-                    pi.next();
-                    continue;
-                }
-            }
-            if !is_zombie {
-                out.push((i, j, x));
-            }
+    // Every old pointer moves by the net growth of the touched rows
+    // before it (a wrapping offset: rows shrink as well as grow).
+    let mut ptr = Vec::with_capacity(cs.nmajor + 1);
+    ptr.push(0);
+    let (mut from, mut shift) = (0, 0usize);
+    for &(row, _, len) in &touched {
+        ptr.extend(cs.ptr[from + 1..=row].iter().map(|&p| p.wrapping_add(shift)));
+        shift = shift.wrapping_add(len).wrapping_sub(cs.ptr[row + 1] - cs.ptr[row]);
+        ptr.push(cs.ptr[row + 1].wrapping_add(shift));
+        from = row + 1;
+    }
+    ptr.extend(cs.ptr[from + 1..].iter().map(|&p| p.wrapping_add(shift)));
+    let total = ptr[cs.nmajor];
+
+    let chunks = crate::parallel::par_chunks(cs.nmajor, total, |r| {
+        // The first chunk's arrays become the result: size them for it.
+        let cap = if r.start == 0 { total } else { ptr[r.end] - ptr[r.start] };
+        let (mut idx, mut val) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut from = r.start;
+        let mine =
+            touched.partition_point(|t| t.0 < r.start)..touched.partition_point(|t| t.0 < r.end);
+        for (row, edits_of, _) in &touched[mine] {
+            let untouched = cs.ptr[from]..cs.ptr[*row];
+            idx.extend_from_slice(&cs.idx[untouched.clone()]);
+            val.extend_from_slice(&cs.val[untouched]);
+            merge_row(cs, *row, &edits[edits_of.clone()], |j, x| {
+                idx.push(j);
+                val.push(x);
+            });
+            from = row + 1;
         }
-        for &t in pi {
-            out.push(t);
-        }
-        let mut counts = Vec::new();
-        if with_counts {
-            counts.resize(r.len(), 0);
-            for &(i, _, _) in &out {
-                counts[i - r.start] += 1;
-            }
-        }
-        (r, counts, out)
-    })
+        let untouched = cs.ptr[from]..cs.ptr[r.end];
+        idx.extend_from_slice(&cs.idx[untouched.clone()]);
+        val.extend_from_slice(&cs.val[untouched]);
+        (idx, val)
+    });
+    let mut chunks = chunks.into_iter();
+    let (mut idx, mut val) = chunks.next().unwrap_or_default();
+    for (ci, cv) in chunks {
+        idx.extend_from_slice(&ci);
+        val.extend_from_slice(&cv);
+    }
+    Cs { nmajor: cs.nmajor, nminor: cs.nminor, ptr, idx, val }
 }
 
-/// Build a `Cs` from the merged assembly chunks. The per-major counting
-/// already happened in parallel inside each chunk; this pass only splices
-/// the counts into the pointer array, prefix-sums it (O(nmajor)), and
-/// concatenates the chunk payloads in major order.
-fn cs_from_merged_chunks<T: Scalar>(
-    nmajor: Index,
-    nminor: Index,
-    chunks: Vec<MergedChunk<T>>,
-) -> Cs<T> {
-    let total: usize = chunks.iter().map(|(_, _, o)| o.len()).sum();
-    let mut ptr = vec![0usize; nmajor + 1];
-    for (r, counts, _) in &chunks {
-        ptr[r.start + 1..r.end + 1].copy_from_slice(counts);
-    }
-    for i in 0..nmajor {
-        ptr[i + 1] += ptr[i];
-    }
-    let mut idx = Vec::with_capacity(total);
-    let mut val = Vec::with_capacity(total);
-    for (_, _, out) in chunks {
-        for (_, j, x) in out {
-            idx.push(j);
-            val.push(x);
-        }
-    }
-    Cs { nmajor, nminor, ptr, idx, val }
+/// Assembly of a hypersparse form: the stored tuples (zombie flags still
+/// set) merged with the netted edits, chunked over the major domain —
+/// each worker binary-searches its slice of both streams, so major
+/// ranges never overlap. No per-major array is ever built: the major
+/// dimension can be astronomically larger than the entry count.
+fn splice_hyper<T: Scalar>(h: &Hyper<T>, edits: &[Edit<T>]) -> Hyper<T> {
+    let old = h.tuples();
+    let chunks = crate::parallel::par_chunks(h.nmajor, old.len() + edits.len(), |r| {
+        let old =
+            &old[old.partition_point(|t| t.0 < r.start)..old.partition_point(|t| t.0 < r.end)];
+        let edits = &edits
+            [edits.partition_point(|t| t.0 < r.start)..edits.partition_point(|t| t.0 < r.end)];
+        let mut out = Vec::with_capacity(old.len() + edits.len());
+        merge_edits(
+            old.iter().map(|&(i, j, x)| ((i, unflip(j)), j & ZOMBIE == 0, x)),
+            edits.iter().map(|&(i, j, x)| ((i, j), x)),
+            |(i, j), x| out.push((i, j, x)),
+        );
+        out
+    });
+    from_sorted_tuples_hyper(h.nmajor, h.nminor, chunks.into_iter().flatten().collect())
 }
 
 /// Rebuild a `Cs` from sorted, deduplicated, zombie-free tuples in O(e).
@@ -699,18 +789,7 @@ impl<T: Scalar> Matrix<T> {
         if nrows == 0 || ncols == 0 {
             return Err(Error::invalid("matrix dimensions must be >= 1"));
         }
-        Ok(Matrix {
-            inner: RwLock::new(Inner {
-                nrows,
-                ncols,
-                store: Store::empty_row_major(nrows, ncols),
-                pending: Vec::new(),
-                nzombies: 0,
-                dual: None,
-                dual_enabled: false,
-                compress_enabled: false,
-            }),
-        })
+        Ok(Matrix::from_store(nrows, ncols, Store::empty_row_major(nrows, ncols)))
     }
 
     /// Create and build in one step (`GrB_Matrix_build` on a fresh matrix).
@@ -743,7 +822,7 @@ impl<T: Scalar> Matrix<T> {
             }
         }
         let (nrows, ncols) = (inner.nrows, inner.ncols);
-        inner.dual = None;
+        inner.drop_dual();
         inner.store = if nrows > HYPER_DIM_LIMIT {
             Store::HyperCsr(Hyper::from_tuples(nrows, ncols, tuples, dup))
         } else {
@@ -834,7 +913,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Remove one entry (`GrB_Matrix_removeElement`). Deletion of an
     /// assembled entry creates a zombie; removal of a pending insertion
-    /// cancels it. Removing a non-existent entry is a no-op.
+    /// cancels it (with a pending tombstone, in O(1)). Removing a
+    /// non-existent entry is a no-op.
     pub fn remove_element(&mut self, i: Index, j: Index) -> Result<()> {
         self.inner.get_mut().remove_element_inner(i, j)
     }
@@ -845,7 +925,19 @@ impl<T: Scalar> Matrix<T> {
         self.inner.write().remove_element_inner(i, j)
     }
 
-    /// The deferred-update backlog: `(pending insertions, zombies)` not yet
+    /// Replay a stream of [`Edit`]s through the deferred-update path —
+    /// [`Matrix::set_element`] for a `Some`, [`Matrix::remove_element`]
+    /// for a `None` — leaving the one assembly to the next read or
+    /// [`Matrix::wait`].
+    pub fn apply_edits(&mut self, edits: impl IntoIterator<Item = Edit<T>>) -> Result<()> {
+        let inner = self.inner.get_mut();
+        edits.into_iter().try_for_each(|(i, j, x)| match x {
+            Some(x) => inner.set_element_inner(i, j, x),
+            None => inner.remove_element_inner(i, j),
+        })
+    }
+
+    /// The deferred-update backlog: `(pending writes, zombies)` not yet
     /// resolved by assembly. `(0, 0)` means the matrix is fully assembled.
     /// A monitoring hook for systems (like `lagraph::service`) that batch
     /// updates into the non-blocking state and want to observe how much
@@ -859,25 +951,13 @@ impl<T: Scalar> Matrix<T> {
     /// absent. Does not force assembly.
     pub fn extract_element(&self, i: Index, j: Index) -> Result<T> {
         let inner = self.inner.read();
-        if i >= inner.nrows {
-            return Err(Error::oob(i, inner.nrows));
-        }
-        if j >= inner.ncols {
-            return Err(Error::oob(j, inner.ncols));
-        }
+        inner.check_bounds(i, j)?;
         // Later pending writes shadow assembled data; scan from the back.
-        for &(pi, pj, px) in inner.pending.iter().rev() {
-            if (pi, pj) == (i, j) {
-                return Ok(px);
-            }
+        if let Some(&(_, _, x)) = inner.pending.iter().rev().find(|e| (e.0, e.1) == (i, j)) {
+            return x.ok_or(Error::NoValue);
         }
-        let (maj, min) = major_minor(&inner.store, i, j);
-        let found = match &inner.store {
-            Store::Csr(cs) | Store::Csc(cs) => get_in_cs(cs, maj, min),
-            Store::HyperCsr(h) | Store::HyperCsc(h) => get_in_hyper(h, maj, min),
-            Store::CompressedCsr(c) => SparseView::get(c, maj, min),
-        };
-        found.ok_or(Error::NoValue)
+        let (maj, min) = inner.store.major_minor(i, j);
+        inner.store.get(maj, min).ok_or(Error::NoValue)
     }
 
     /// Convenience: `extract_element` returning `Option`.
@@ -888,10 +968,11 @@ impl<T: Scalar> Matrix<T> {
     /// Remove all entries, keeping the dimensions (`GrB_Matrix_clear`).
     pub fn clear(&mut self) {
         let inner = self.inner.get_mut();
-        inner.dual = None;
+        inner.drop_dual();
         inner.store = Store::empty_row_major(inner.nrows, inner.ncols);
         inner.pending.clear();
         inner.nzombies = 0;
+        inner.zombie_majors.clear();
     }
 
     /// Copy all entries out as `(row, col, value)` tuples in row-major
@@ -917,7 +998,7 @@ impl<T: Scalar> Matrix<T> {
             .collect();
         inner.nrows = nrows;
         inner.ncols = ncols;
-        inner.dual = None;
+        inner.drop_dual();
         inner.store = if nrows > HYPER_DIM_LIMIT {
             Store::HyperCsr(from_sorted_tuples_hyper(nrows, ncols, tuples))
         } else {
@@ -986,9 +1067,9 @@ impl<T: Scalar> Matrix<T> {
                 // Under compression, the cached transpose is encoded too —
                 // otherwise dual storage would forfeit half the savings.
                 if w.compression_engaged(w.store.nvals_raw()) {
-                    if let crate::sparse::MatData::Cs(cs) = &d {
+                    if let MatData::Cs(cs) = &d {
                         if let Some(cm) = CompressedMat::encode(cs) {
-                            d = crate::sparse::MatData::Compressed(cm);
+                            d = MatData::Compressed(cm);
                         }
                     }
                 }
@@ -1005,7 +1086,7 @@ impl<T: Scalar> Matrix<T> {
         let inner = self.inner.get_mut();
         inner.dual_enabled = enabled;
         if !enabled {
-            inner.dual = None;
+            inner.drop_dual();
         }
     }
 
@@ -1025,16 +1106,15 @@ impl<T: Scalar> Matrix<T> {
     pub fn set_compressed(&mut self, enabled: bool) {
         let inner = self.inner.get_mut();
         inner.compress_enabled = enabled;
+        // Assemble first either way: pending writes over a compressed
+        // store may shadow stored entries, which no slotted form allows.
+        inner.assemble();
         if enabled {
-            inner.assemble();
             inner.ensure_row_major();
             inner.maybe_compress();
-        } else if let Store::CompressedCsr(_) = &inner.store {
-            if let Store::CompressedCsr(cm) =
-                std::mem::replace(&mut inner.store, Store::Csr(Cs::empty(1, 1)))
-            {
-                inner.store = Store::Csr(cm.decode());
-            }
+        } else if let Store::CompressedCsr(cm) = &inner.store {
+            let cs = cm.decode();
+            inner.store = Store::Csr(cs);
         }
     }
 
@@ -1043,8 +1123,7 @@ impl<T: Scalar> Matrix<T> {
         self.inner.read().compress_enabled
     }
 
-    /// Whether the matrix currently sits in the compressed form (it may
-    /// be temporarily expanded, e.g. right after a deletion).
+    /// Whether the matrix currently sits in the compressed form.
     pub fn is_compressed(&self) -> bool {
         matches!(self.inner.read().store, Store::CompressedCsr(_))
     }
@@ -1111,7 +1190,8 @@ impl<T: Scalar> Matrix<T> {
         inner.store = store;
         inner.pending.clear();
         inner.nzombies = 0;
-        inner.dual = None;
+        inner.zombie_majors.clear();
+        inner.drop_dual();
         // Keep opted-in outputs compressed across kernel writes.
         inner.maybe_compress();
     }
@@ -1125,7 +1205,9 @@ impl<T: Scalar> Matrix<T> {
                 store,
                 pending: Vec::new(),
                 nzombies: 0,
+                zombie_majors: Vec::new(),
                 dual: None,
+                dual_edits: Vec::new(),
                 dual_enabled: false,
                 compress_enabled: false,
             }),
@@ -1155,123 +1237,23 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_store(g.nrows, g.ncols, Store::row_major_from_vecs(g.nrows, g.ncols, vecs))
     }
 
+    /// Stored entries per row as an `i64` vector, with no entry for an
+    /// empty row: `reduce(+, apply(one, A))`, read off the row pointers
+    /// (the Elias-Fano offsets of the compressed form) without touching
+    /// an index or a value.
+    pub fn row_degrees(&self) -> crate::vector::Vector<i64> {
+        let g = self.read_rows();
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        rows_of(&g).for_each_len(&mut |i, len| {
+            idx.push(i);
+            val.push(len as i64);
+        });
+        crate::vector::Vector::from_parts(g.nrows, idx, val)
+    }
+
     /// Iterate over all `(row, col, value)` entries in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = Tuple<T>> {
         self.extract_tuples().into_iter()
-    }
-}
-
-fn major_minor<T>(store: &Store<T>, i: Index, j: Index) -> (Index, Index) {
-    match store {
-        Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) => (i, j),
-        Store::Csc(_) | Store::HyperCsc(_) => (j, i),
-    }
-}
-
-enum SetOutcome {
-    Updated,
-    Resurrected,
-    Absent,
-}
-
-/// Zombie-aware binary search within one major vector.
-fn find_slot(idx: &[Index], minor: Index) -> Option<usize> {
-    idx.binary_search_by_key(&minor, |&x| unflip(x)).ok()
-}
-
-fn set_in_cs<T: Scalar>(cs: &mut Cs<T>, maj: Index, min: Index, x: T) -> SetOutcome {
-    let (a, b) = (cs.ptr[maj], cs.ptr[maj + 1]);
-    match find_slot(&cs.idx[a..b], min) {
-        Some(off) => {
-            let p = a + off;
-            let was_zombie = cs.idx[p] & ZOMBIE != 0;
-            cs.idx[p] = min;
-            cs.val[p] = x;
-            if was_zombie {
-                SetOutcome::Resurrected
-            } else {
-                SetOutcome::Updated
-            }
-        }
-        None => SetOutcome::Absent,
-    }
-}
-
-fn set_in_hyper<T: Scalar>(h: &mut Hyper<T>, maj: Index, min: Index, x: T) -> SetOutcome {
-    match h.heads.binary_search(&maj) {
-        Ok(k) => {
-            let (a, b) = (h.ptr[k], h.ptr[k + 1]);
-            match find_slot(&h.idx[a..b], min) {
-                Some(off) => {
-                    let p = a + off;
-                    let was_zombie = h.idx[p] & ZOMBIE != 0;
-                    h.idx[p] = min;
-                    h.val[p] = x;
-                    if was_zombie {
-                        SetOutcome::Resurrected
-                    } else {
-                        SetOutcome::Updated
-                    }
-                }
-                None => SetOutcome::Absent,
-            }
-        }
-        Err(_) => SetOutcome::Absent,
-    }
-}
-
-fn kill_in_cs<T: Scalar>(cs: &mut Cs<T>, maj: Index, min: Index) -> bool {
-    let (a, b) = (cs.ptr[maj], cs.ptr[maj + 1]);
-    if let Some(off) = find_slot(&cs.idx[a..b], min) {
-        let p = a + off;
-        if cs.idx[p] & ZOMBIE == 0 {
-            cs.idx[p] |= ZOMBIE;
-            return true;
-        }
-    }
-    false
-}
-
-fn kill_in_hyper<T: Scalar>(h: &mut Hyper<T>, maj: Index, min: Index) -> bool {
-    if let Ok(k) = h.heads.binary_search(&maj) {
-        let (a, b) = (h.ptr[k], h.ptr[k + 1]);
-        if let Some(off) = find_slot(&h.idx[a..b], min) {
-            let p = a + off;
-            if h.idx[p] & ZOMBIE == 0 {
-                h.idx[p] |= ZOMBIE;
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn get_in_cs<T: Scalar>(cs: &Cs<T>, maj: Index, min: Index) -> Option<T> {
-    let (a, b) = (cs.ptr[maj], cs.ptr[maj + 1]);
-    find_slot(&cs.idx[a..b], min).and_then(|off| {
-        let p = a + off;
-        if cs.idx[p] & ZOMBIE == 0 {
-            Some(cs.val[p])
-        } else {
-            None
-        }
-    })
-}
-
-fn get_in_hyper<T: Scalar>(h: &Hyper<T>, maj: Index, min: Index) -> Option<T> {
-    match h.heads.binary_search(&maj) {
-        Ok(k) => {
-            let (a, b) = (h.ptr[k], h.ptr[k + 1]);
-            find_slot(&h.idx[a..b], min).and_then(|off| {
-                let p = a + off;
-                if h.idx[p] & ZOMBIE == 0 {
-                    Some(h.val[p])
-                } else {
-                    None
-                }
-            })
-        }
-        Err(_) => None,
     }
 }
 

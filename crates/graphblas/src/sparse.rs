@@ -43,6 +43,12 @@ pub trait SparseView<T: Scalar>: Sync {
     /// Visit every non-empty vector in increasing major order.
     #[allow(clippy::type_complexity)]
     fn for_each_vec(&self, f: &mut dyn FnMut(Index, &[Index], &[T]));
+    /// Visit the entry count of every non-empty vector in increasing
+    /// major order, without reading an index or a value.
+    fn for_each_len(&self, f: &mut dyn FnMut(Index, usize)) {
+        // Slice-backed forms hand out their vectors for free.
+        self.for_each_vec(&mut |maj, idx, _| f(maj, idx.len()));
+    }
     /// The majors of all non-empty vectors, in increasing order.
     fn nonempty_majors(&self) -> Vec<Index>;
     /// True when rows must be decoded rather than borrowed — kernels use

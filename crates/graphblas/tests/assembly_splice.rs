@@ -1,0 +1,268 @@
+//! Differential tests for assembly: the direct CSR splice (and the
+//! hypersparse tuple merge beside it) against a `BTreeMap` oracle.
+//!
+//! Every script — random interleavings of `set_element`,
+//! `remove_element`, re-inserts, duplicate writes and `wait`, plus the
+//! hand-written corner cases below — runs over every storage form, with
+//! dual storage off and on, at 1 and 8 threads (parallel threshold forced
+//! to 1, so even these tiny matrices take the chunked fill). With dual
+//! storage on, a kernel read builds the cached transpose mid-script;
+//! later writes mark it stale and assembly patches it, and push and pull
+//! products over the patched dual must equal the same products over a
+//! matrix built from scratch.
+
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+use graphblas::parallel::{set_par_threshold, set_threads};
+use graphblas::prelude::*;
+use graphblas::semiring::PLUS_TIMES;
+use proptest::prelude::*;
+
+/// Logical dimension of every script: indices are `0..N`.
+const N: Index = 8;
+
+/// Thread count and threshold are process-wide; scripts from
+/// concurrently-running test functions must not interleave their toggles.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Form {
+    Csr,
+    Csc,
+    HyperCsr,
+    HyperCsc,
+}
+
+const FORMS: [Form; 4] = [Form::Csr, Form::Csc, Form::HyperCsr, Form::HyperCsc];
+
+impl Form {
+    fn hyper(self) -> bool {
+        matches!(self, Form::HyperCsr | Form::HyperCsc)
+    }
+
+    /// The matrix dimension: past the standard pointer-array limit for
+    /// the hypersparse forms, so they never fall back to CSR.
+    fn dim(self) -> Index {
+        if self.hyper() {
+            1 << 30
+        } else {
+            N
+        }
+    }
+
+    /// Spread a logical index over the dimension.
+    fn at(self, k: Index) -> Index {
+        if self.hyper() {
+            k * 0x0800_0001
+        } else {
+            k
+        }
+    }
+
+    fn new_matrix(self, dual: bool) -> Matrix<i64> {
+        let mut m = Matrix::new(self.dim(), self.dim()).expect("new");
+        if matches!(self, Form::Csc | Form::HyperCsc) {
+            m.set_col_major();
+        }
+        m.set_dual_storage(dual);
+        m
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Set(Index, Index, i64),
+    Remove(Index, Index),
+    Wait,
+    /// A kernel read, which assembles, converts to row-major and builds
+    /// the dual. Skipped when dual storage is off, so the column-major
+    /// forms stay column-major until the script's final check.
+    Read,
+}
+
+type Model = BTreeMap<(Index, Index), i64>;
+
+fn tuples_of(model: &Model, form: Form) -> Vec<(Index, Index, i64)> {
+    model.iter().map(|(&(i, j), &v)| (form.at(i), form.at(j), v)).collect()
+}
+
+/// `A·u` and `Aᵀ·u`, each pushed and pulled: between them they read the
+/// rows and the dual in both roles.
+fn products(m: &Matrix<i64>) -> Vec<Vec<(Index, i64)>> {
+    let u = Vector::from_tuples(N, (0..N).map(|k| (k, k as i64 + 1)).collect(), |_, b| b)
+        .expect("input vector");
+    let mut out = Vec::new();
+    for transpose in [false, true] {
+        for direction in [Direction::Push, Direction::Pull] {
+            let mut desc = Descriptor::new().direction(direction);
+            if transpose {
+                desc = desc.transpose_a();
+            }
+            let mut w = Vector::<i64>::new(N).expect("output vector");
+            mxv(&mut w, None, NOACC, &PLUS_TIMES, m, &u, &desc).expect("mxv");
+            out.push(w.extract_tuples());
+        }
+    }
+    out
+}
+
+/// The whole observable state must equal the oracle's.
+fn check_against(m: &Matrix<i64>, model: &Model, form: Form, what: &str) {
+    assert_eq!(m.extract_tuples(), tuples_of(model, form), "{what}: tuples");
+    assert_eq!(m.nvals(), model.len(), "{what}: nvals");
+    if !form.hyper() {
+        let mut fresh = Matrix::from_tuples(N, N, tuples_of(model, form), |_, b| b).expect("fresh");
+        fresh.set_dual_storage(m.dual_storage());
+        assert_eq!(products(m), products(&fresh), "{what}: products over the patched dual");
+    }
+}
+
+/// Run one script on one configuration, checking point reads after every
+/// write and the whole state at every `Wait`/`Read` and at the end.
+fn run_script(ops: &[Op], form: Form, dual: bool, threads: usize) {
+    let what = format!("{form:?} dual={dual} threads={threads}");
+    set_threads(threads);
+    let mut m = form.new_matrix(dual);
+    let mut model = Model::new();
+    for op in ops {
+        match *op {
+            Op::Set(i, j, v) => {
+                m.set_element(form.at(i), form.at(j), v).expect("set");
+                model.insert((i, j), v);
+                assert_eq!(m.get(form.at(i), form.at(j)), Some(v), "{what}: read own write");
+            }
+            Op::Remove(i, j) => {
+                m.remove_element(form.at(i), form.at(j)).expect("remove");
+                model.remove(&(i, j));
+                assert_eq!(m.get(form.at(i), form.at(j)), None, "{what}: read own delete");
+            }
+            Op::Wait => {
+                m.wait();
+                assert_eq!(m.deferred(), (0, 0), "{what}: wait left work behind");
+                assert_eq!(m.nvals(), model.len(), "{what}: nvals after wait");
+            }
+            Op::Read if dual => check_against(&m, &model, form, &what),
+            Op::Read => {}
+        }
+    }
+    check_against(&m, &model, form, &what);
+}
+
+/// Every storage form × dual off/on × 1 and 8 threads.
+fn run_everywhere(ops: &[Op]) {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_par_threshold(1);
+    for form in FORMS {
+        for dual in [false, true] {
+            for threads in [1, 8] {
+                run_script(ops, form, dual, threads);
+            }
+        }
+    }
+    set_threads(0);
+    set_par_threshold(0);
+}
+
+/// A base pattern assembled and read (so the dual exists) before the
+/// delta under test: two or three entries in every row.
+fn base() -> Vec<Op> {
+    let mut ops: Vec<Op> = (0..N)
+        .flat_map(|i| [(i, i), (i, (i + 3) % N), (i, (i * 5 + 1) % N)])
+        .map(|(i, j)| Op::Set(i, j, (i * N + j) as i64))
+        .collect();
+    ops.extend([Op::Wait, Op::Read]);
+    ops
+}
+
+fn after_base(delta: impl IntoIterator<Item = Op>) -> Vec<Op> {
+    let mut ops = base();
+    ops.extend(delta);
+    ops.push(Op::Wait);
+    ops
+}
+
+#[test]
+fn empty_delta_changes_nothing() {
+    // Nothing pending; then in-place updates only, which leave no
+    // structural work (the store is not reassembled, the dual is patched).
+    run_everywhere(&after_base([Op::Wait]));
+    run_everywhere(&after_base([Op::Set(0, 0, -1), Op::Set(N - 1, N - 1, -2)]));
+}
+
+#[test]
+fn delta_in_the_first_or_last_row_only() {
+    for row in [0, N - 1] {
+        run_everywhere(&after_base([Op::Set(row, 1, 7), Op::Set(row, 6, 8), Op::Remove(row, row)]));
+    }
+    // First and last column too: the first and last row of the dual.
+    for col in [0, N - 1] {
+        run_everywhere(&after_base([Op::Set(2, col, 7), Op::Set(5, col, 8), Op::Remove(col, col)]));
+    }
+}
+
+#[test]
+fn delta_that_empties_a_row() {
+    for row in [0, 3, N - 1] {
+        run_everywhere(&after_base((0..N).map(|j| Op::Remove(row, j))));
+    }
+    // ... and one that refills it in the same assembly, and after it.
+    let refill = (0..N).map(|j| Op::Remove(3, j)).chain([Op::Set(3, 2, 9)]);
+    run_everywhere(&after_base(refill.clone()));
+    run_everywhere(&after_base(refill.chain([Op::Wait, Op::Set(3, 4, 10), Op::Set(3, 0, 11)])));
+}
+
+#[test]
+fn delta_larger_than_the_matrix() {
+    // Two stored entries, then a write at every position (duplicates
+    // included), then most of them deleted again.
+    let mut ops = vec![Op::Set(1, 1, 1), Op::Set(6, 2, 2), Op::Wait, Op::Read];
+    for pass in 0..2 {
+        ops.extend((0..N * N).map(|k| Op::Set(k / N, k % N, (k + pass * 100) as i64)));
+    }
+    ops.push(Op::Wait);
+    ops.extend((0..N * N).filter(|k| k % 5 != 0).map(|k| Op::Remove(k / N, k % N)));
+    ops.push(Op::Wait);
+    run_everywhere(&ops);
+    // Everything deleted: assembly down to an empty matrix.
+    run_everywhere(&after_base((0..N * N).map(|k| Op::Remove(k / N, k % N))));
+}
+
+#[test]
+fn delete_cancels_pending_and_reinsert_resurrects() {
+    run_everywhere(&after_base([
+        Op::Set(2, 6, 1), // pending insertion ...
+        Op::Remove(2, 6), // ... cancelled by a tombstone ...
+        Op::Set(2, 6, 2), // ... and written again: the last write wins.
+        Op::Remove(4, 4), // zombie ...
+        Op::Set(4, 4, 3), // ... resurrected in place.
+        Op::Remove(5, 5), // zombie that stays dead,
+        Op::Remove(5, 5), // killed twice.
+        Op::Remove(7, 2), // nothing there at all.
+    ]));
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        prop_oneof![
+            ((0..N, 0..N), -100i64..100).prop_map(|((i, j), v)| Op::Set(i, j, v)),
+            ((0..N, 0..N), -100i64..100).prop_map(|((i, j), v)| Op::Set(i, j, v)),
+            (0..N, 0..N).prop_map(|(i, j)| Op::Remove(i, j)),
+            Just(Op::Wait),
+            Just(Op::Read),
+        ],
+        0..80,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary interleavings: pending tuples, tombstones, zombies,
+    /// in-place updates, the splice and the dual patch are all invisible
+    /// to the observer, in every form, at any thread count.
+    #[test]
+    fn random_interleavings_match_the_map_model(ops in arb_ops()) {
+        run_everywhere(&ops);
+    }
+}
