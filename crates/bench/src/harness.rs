@@ -489,6 +489,9 @@ impl BenchReport {
                     ("spans".into(), a.spans.into()),
                     ("op_wall_ns".into(), a.op_wall_ns.into()),
                     ("peak_resident_bytes".into(), a.peak_resident_bytes.into()),
+                    ("writes_inplace".into(), a.writes_inplace.into()),
+                    ("writes_merge".into(), a.writes_merge.into()),
+                    ("vector_conversions".into(), a.vector_conversions.into()),
                     ("checksum".into(), r.checksum.into()),
                 ]),
             ));
@@ -559,6 +562,10 @@ impl BenchReport {
                 specialized: au64("specialized"),
                 mxm_fused: au64("mxm_fused"),
                 peak_resident_bytes: au64("peak_resident_bytes"),
+                // Absent in reports from before the in-place write arm.
+                writes_inplace: au64("writes_inplace"),
+                writes_merge: au64("writes_merge"),
+                vector_conversions: au64("vector_conversions"),
             };
             let checksum = av.get("checksum").and_then(Value::as_f64).unwrap_or(0.0);
             algos.push(AlgoResult { algo, trials_ns, agg, checksum });

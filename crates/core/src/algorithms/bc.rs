@@ -4,7 +4,7 @@
 //! forward sweep of masked `mxm`s and a backward dependency accumulation.
 
 use graphblas::prelude::*;
-use graphblas::semiring::{PLUS_FIRST, PLUS_TIMES};
+use graphblas::semiring::PLUS_FIRST;
 use graphblas::trace;
 
 use crate::graph::Graph;
@@ -27,10 +27,10 @@ pub fn betweenness_centrality(graph: &Graph, sources: &[Index]) -> Result<Vector
     let mut algo = trace::algo_span("bc.batch");
     algo.arg("n", n);
     algo.arg("sources", ns);
-    // A as f64 pattern for path counting.
-    let mut a = Matrix::<f64>::new(n, n)?;
-    apply_matrix(&mut a, None, NOACC, unaryop::One, &*s, &Descriptor::default())?;
-
+    // Both sweeps multiply by the adjacency *pattern*, so they run over
+    // the Boolean structure with a FIRST multiply (`x ⊗ true = x`, what
+    // `x × 1.0` gives bit for bit) instead of an f64 copy of the graph
+    // held for the whole call.
     // numsp: ns × n path counts; starts with 1 at each source.
     let mut numsp = Matrix::<f64>::new(ns, n)?;
     for (k, &src) in sources.iter().enumerate() {
@@ -52,7 +52,7 @@ pub fn betweenness_centrality(graph: &Graph, sources: &[Index]) -> Result<Vector
             NOACC,
             &PLUS_FIRST,
             &frontier,
-            &a,
+            &*s,
             &Descriptor::new().complement().structural().replace(),
         )?;
         if next.nvals() == 0 {
@@ -108,9 +108,9 @@ pub fn betweenness_centrality(graph: &Graph, sources: &[Index]) -> Result<Vector
             &mut t,
             Some(&mask_prev),
             NOACC,
-            &PLUS_TIMES,
+            &PLUS_FIRST,
             &w,
-            &a,
+            &*s,
             &Descriptor::new().structural().replace().transpose_b(),
         )?;
         // bcu += t .* numsp

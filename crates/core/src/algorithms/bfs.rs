@@ -64,24 +64,22 @@ pub fn bfs_level_matrix(
     algo.arg("n", n);
     algo.arg("source", source);
     let mut levels = Vector::<i32>::new(n)?;
+    // The mask of the traversal step, kept beside `levels` and updated by
+    // the same masked assign: each level costs what its frontier touches,
+    // not a rebuild of `levels`' pattern.
+    let mut visited = Vector::<bool>::new(n)?;
     let mut frontier = Vector::<bool>::new(n)?;
     frontier.set_element(source, true)?;
+    let by_frontier = Descriptor::new().structural();
     let mut depth = 0;
     while frontier.nvals() > 0 {
         depth += 1;
         let mut iter = trace::iter_span("bfs.iter", depth as u64);
         iter.arg("frontier_nnz", frontier.nvals());
         // levels[frontier] = depth
-        assign_scalar(
-            &mut levels,
-            Some(&frontier),
-            NOACC,
-            depth,
-            &IndexSel::All,
-            &Descriptor::new().structural(),
-        )?;
+        assign_scalar(&mut levels, Some(&frontier), NOACC, depth, &IndexSel::All, &by_frontier)?;
+        assign_scalar(&mut visited, Some(&frontier), NOACC, true, &IndexSel::All, &by_frontier)?;
         // frontier<¬levels,replace> = graphᵀ ⊕.⊗ frontier
-        let visited = levels.pattern();
         let q = std::mem::replace(&mut frontier, Vector::new(n)?);
         mxv(
             &mut frontier,

@@ -37,26 +37,26 @@ pub fn connected_components(graph: &Graph) -> Result<Vector<u64>> {
 
     let mut algo = trace::algo_span("cc.fastsv");
     algo.arg("n", n);
+    // Labels only ever decrease, so their sum (at most n² < 2⁶⁴) drops in
+    // every round that changes anything: the fixpoint test is one reduce.
+    let mut label_sum = reduce_vector_scalar(&binaryop::Plus, &f);
+    let mut gp = Vector::<u64>::new(n)?;
     let mut round: u64 = 0;
     loop {
         round += 1;
         let _iter = trace::iter_span("cc.iter", round);
-        let before = f.extract_tuples();
         // Grandparents: gp(v) = f(f(v)).
         let fv: Vec<Index> = f.iter().map(|(_, p)| p as Index).collect();
-        let mut gp = Vector::<u64>::new(n)?;
         extract(&mut gp, None, NOACC, &f, &IndexSel::List(fv), &Descriptor::default())?;
-        // Hooking: mngp(v) = min over neighbors u of gp(u).
-        let mut mngp = Vector::<u64>::new(n)?;
-        mxv(&mut mngp, None, NOACC, &MIN_SECOND, a, &gp, &Descriptor::default())?;
-        // f = min(f, mngp, gp): hook low labels and shortcut.
-        let fc = f.clone();
-        ewise_add(&mut f, None, NOACC, binaryop::Min, &fc, &mngp, &Descriptor::default())?;
-        let fc = f.clone();
-        ewise_add(&mut f, None, NOACC, binaryop::Min, &fc, &gp, &Descriptor::default())?;
-        if f.extract_tuples() == before {
+        // Hooking: f(v) min= the smallest gp(u) over neighbors u.
+        mxv(&mut f, None, Some(binaryop::Min), &MIN_SECOND, a, &gp, &Descriptor::default())?;
+        // Shortcutting: f min= gp.
+        apply(&mut f, None, Some(binaryop::Min), unaryop::Identity, &gp, &Descriptor::default())?;
+        let sum = reduce_vector_scalar(&binaryop::Plus, &f);
+        if sum == label_sum {
             break;
         }
+        label_sum = sum;
     }
     algo.arg("iters", round);
     Ok(f)

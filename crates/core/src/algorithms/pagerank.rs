@@ -77,6 +77,17 @@ fn pagerank_core(
     let degree = graph.out_degree()?;
     let mut dinv = Vector::<f64>::new(n)?;
     apply(&mut dinv, None, NOACC, |d: i64| 1.0 / d as f64, &degree, &Descriptor::default())?;
+    // The dangling vertices, as a selector for their rank: fixed for the
+    // whole run, so built once.
+    let mut dangling = Vector::<bool>::new(n)?;
+    assign_scalar(
+        &mut dangling,
+        Some(&degree.pattern()),
+        NOACC,
+        true,
+        &IndexSel::All,
+        &Descriptor::new().complement().structural(),
+    )?;
 
     let mut algo = trace::algo_span("pagerank");
     algo.arg("n", n);
@@ -87,41 +98,34 @@ fn pagerank_core(
         None => Vector::dense(n, 1.0 / nf)?,
     };
     let teleport = (1.0 - damping) / nf;
+    // Per-iteration temporaries, reused so each op writes into storage
+    // that is already in the form its result takes.
+    let mut w = Vector::<f64>::new(n)?;
+    let mut sunk = Vector::<f64>::new(n)?;
+    let mut diff = Vector::<f64>::new(n)?;
     let mut iters = 0;
     for _ in 0..opts.max_iters {
         iters += 1;
         let mut iter = trace::iter_span("pagerank.iter", iters as u64);
         // w = r ./ d on non-dangling vertices.
-        let mut w = Vector::<f64>::new(n)?;
         ewise_mult(&mut w, None, NOACC, binaryop::Times, &r, &dinv, &Descriptor::default())?;
         // Sink mass: rank held by dangling vertices, redistributed evenly.
-        let mut sunk = r.clone();
-        assign(
-            &mut sunk,
-            Some(&degree.pattern()),
-            NOACC,
-            &Vector::<f64>::new(n)?,
-            &IndexSel::All,
-            &Descriptor::new().structural(),
-        )?;
+        ewise_mult(&mut sunk, None, NOACC, binaryop::First, &r, &dangling, &Descriptor::default())?;
         let sink_mass = reduce_vector_scalar(&binaryop::Plus, &sunk);
-        // r_new = teleport + damping * (Aᵀ w + sink_mass / n)
-        let mut pulled = Vector::<f64>::new(n)?;
-        mxv(&mut pulled, None, NOACC, &PLUS_SECOND, &at, &w, &Descriptor::default())?;
+        // r_new = teleport + damping * (Aᵀ w + sink_mass / n): the pull
+        // accumulates into a vector holding the constant term.
         let base = teleport + damping * sink_mass / nf;
         let mut r_new = Vector::dense(n, base)?;
-        let snapshot = r_new.clone();
-        ewise_add(
+        mxv(
             &mut r_new,
             None,
-            NOACC,
-            |a: f64, b: f64| a + damping * b,
-            &snapshot,
-            &pulled,
+            Some(|a: f64, b: f64| a + damping * b),
+            &PLUS_SECOND,
+            &at,
+            &w,
             &Descriptor::default(),
         )?;
         // L1 delta.
-        let mut diff = Vector::<f64>::new(n)?;
         ewise_add(
             &mut diff,
             None,

@@ -12,7 +12,6 @@
 use graphblas::prelude::*;
 use graphblas::semiring::MIN_PLUS;
 use graphblas::trace;
-use graphblas::unaryop::ValueNe;
 
 use crate::graph::Graph;
 
@@ -34,15 +33,48 @@ pub fn sssp_bellman_ford(graph: &Graph, source: Index) -> Result<Vector<f64>> {
     for round in 0..n {
         let mut iter = trace::iter_span("sssp.iter", round as u64);
         iter.arg("reached_nnz", dist.nvals());
-        let before = dist.extract_tuples();
-        // dist = min(dist, dist min.+ A) — vxm accumulates with MIN.
-        let d = dist.clone();
-        vxm(&mut dist, None, Some(binaryop::Min), &MIN_PLUS, &d, a, &Descriptor::default())?;
-        if dist.extract_tuples() == before {
+        // relaxed = dist min.+ A, of which only strict improvements matter.
+        let mut relaxed = Vector::<f64>::new(n)?;
+        vxm(&mut relaxed, None, NOACC, &MIN_PLUS, &dist, a, &Descriptor::default())?;
+        let improved = improvements(&relaxed, &dist, |_| true)?;
+        if improved.nvals() == 0 {
             break;
         }
+        // dist = min(dist, relaxed)
+        accumulate_min(&mut dist, &improved)?;
     }
     Ok(dist)
+}
+
+/// The entries of `req` that strictly improve on `cur` (smaller, or at a
+/// position `cur` has no entry) and satisfy `keep` — at the cost of
+/// `req`'s entries, not of `cur`'s.
+fn improvements(
+    req: &Vector<f64>,
+    cur: &Vector<f64>,
+    keep: impl Fn(f64) -> bool + Copy + Send + Sync,
+) -> Result<Vector<f64>> {
+    let n = req.size();
+    // stale(i) = req(i) >= cur(i), where both have an entry.
+    let mut stale = Vector::<bool>::new(n)?;
+    ewise_mult(&mut stale, None, NOACC, |r: f64, c: f64| r >= c, req, cur, &Descriptor::default())?;
+    // improved<¬stale> = select(req, keep): the value mask lets through
+    // what is not stale, including positions `cur` never reached.
+    let mut improved = Vector::<f64>::new(n)?;
+    select(
+        &mut improved,
+        Some(&stale),
+        NOACC,
+        move |_: Index, _: Index, d: f64| keep(d),
+        req,
+        &Descriptor::new().complement(),
+    )?;
+    Ok(improved)
+}
+
+/// `t = min(t, req)` over the union pattern, in place: `t min= req`.
+fn accumulate_min(t: &mut Vector<f64>, req: &Vector<f64>) -> Result<()> {
+    apply(t, None, Some(binaryop::Min), unaryop::Identity, req, &Descriptor::default())
 }
 
 /// Delta-stepping SSSP (Sridhar et al., "Delta-stepping SSSP: from
@@ -50,6 +82,11 @@ pub fn sssp_bellman_ford(graph: &Graph, source: Index) -> Result<Vector<f64>> {
 /// processed in buckets of width `delta`; light edges (≤ delta) are
 /// relaxed repeatedly inside a bucket, heavy edges once per bucket.
 /// Requires non-negative weights.
+///
+/// Each light relaxation costs what its wave touches: the requests
+/// `treq = wave min.+ light`, their comparison against `t`, the next wave
+/// (the strict improvements that land in the bucket) and `t min= treq`
+/// all walk `treq`'s entries. Only the bucket scans read all of `t`.
 pub fn sssp_delta_stepping(graph: &Graph, source: Index, delta: f64) -> Result<Vector<f64>> {
     let a = graph.a();
     let n = a.nrows();
@@ -60,7 +97,14 @@ pub fn sssp_delta_stepping(graph: &Graph, source: Index, delta: f64) -> Result<V
     if delta.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(Error::invalid("delta must be positive"));
     }
+    let mut algo = trace::algo_span("sssp.delta_stepping");
+    algo.arg("n", n);
+    algo.arg("source", source);
+    algo.arg("delta", delta);
     // Split the graph into light (w ≤ delta) and heavy (w > delta) edges.
+    // Neither gets dual storage: every product below is a `vxm` from a
+    // wave far smaller than the graph, which pushes; building the two
+    // transposes per call costs more than the pulls they would allow.
     let mut light = Matrix::<f64>::new(n, n)?;
     select_matrix(
         &mut light,
@@ -79,16 +123,7 @@ pub fn sssp_delta_stepping(graph: &Graph, source: Index, delta: f64) -> Result<V
         a,
         &Descriptor::default(),
     )?;
-    // Both split matrices are reused across every bucket's vxm loop; dual
-    // storage lets Direction::Auto's cost model pick pull when a bucket's
-    // frontier grows dense instead of being pinned to the natural push.
-    light.set_dual_storage(true);
-    heavy.set_dual_storage(true);
 
-    let mut algo = trace::algo_span("sssp.delta_stepping");
-    algo.arg("n", n);
-    algo.arg("source", source);
-    algo.arg("delta", delta);
     let mut t = Vector::<f64>::new(n)?;
     t.set_element(source, 0.0)?;
     let mut bucket = 0usize;
@@ -97,17 +132,12 @@ pub fn sssp_delta_stepping(graph: &Graph, source: Index, delta: f64) -> Result<V
         iter.arg("reached_nnz", t.nvals());
         let lo = bucket as f64 * delta;
         let hi = lo + delta;
-        // tmasked: the distances currently falling in this bucket.
-        let mut tmasked = Vector::<f64>::new(n)?;
-        select(
-            &mut tmasked,
-            None,
-            NOACC,
-            |_: Index, _: Index, d: f64| d >= lo && d < hi,
-            &t,
-            &Descriptor::default(),
-        )?;
-        if tmasked.nvals() == 0 {
+        let in_bucket = move |d: f64| d >= lo && d < hi;
+        let scan_bucket = move |_: Index, _: Index, d: f64| in_bucket(d);
+        // wave: the distances currently falling in this bucket.
+        let mut wave = Vector::<f64>::new(n)?;
+        select(&mut wave, None, NOACC, scan_bucket, &t, &Descriptor::default())?;
+        if wave.nvals() == 0 {
             // Find whether any vertex remains in a later bucket.
             let mut rest = Vector::<f64>::new(n)?;
             select(
@@ -126,63 +156,29 @@ pub fn sssp_delta_stepping(graph: &Graph, source: Index, delta: f64) -> Result<V
             bucket = (next_min / delta).floor() as usize;
             continue;
         }
-        // Settle the bucket: repeat light-edge relaxations until no new
-        // vertex enters it.
-        let mut settled = tmasked.clone();
-        loop {
+        // Settle the bucket: repeat light-edge relaxations until no
+        // distance in it improves.
+        while wave.nvals() > 0 {
             let mut treq = Vector::<f64>::new(n)?;
-            vxm(&mut treq, None, NOACC, &MIN_PLUS, &tmasked, &light, &Descriptor::default())?;
+            vxm(&mut treq, None, NOACC, &MIN_PLUS, &wave, &light, &Descriptor::default())?;
+            // Next wave: vertices that enter the bucket or improve inside it.
+            wave = improvements(&treq, &t, in_bucket)?;
             // t = min(t, treq)
-            let tsnap = t.clone();
-            ewise_add(&mut t, None, NOACC, binaryop::Min, &tsnap, &treq, &Descriptor::default())?;
-            // New entrants to this bucket: improved distances within range.
-            let mut entered = Vector::<f64>::new(n)?;
-            select(
-                &mut entered,
-                None,
-                NOACC,
-                |_: Index, _: Index, d: f64| d >= lo && d < hi,
-                &t,
-                &Descriptor::default(),
-            )?;
-            // Which of them were not already settled at this distance?
-            let mut fresh = entered.clone();
-            // Remove entries equal to their settled value.
-            let settled_snapshot = settled.clone();
-            let mut same = Vector::<f64>::new(n)?;
-            ewise_mult(
-                &mut same,
-                None,
-                NOACC,
-                |a: f64, b: f64| if a == b { 1.0 } else { 0.0 },
-                &entered,
-                &settled_snapshot,
-                &Descriptor::default(),
-            )?;
-            let mut unchanged = Vector::<f64>::new(n)?;
-            select(&mut unchanged, None, NOACC, ValueNe(0.0), &same, &Descriptor::default())?;
-            // fresh = entered minus unchanged positions
-            let fsnap = fresh.clone();
-            assign(
-                &mut fresh,
-                Some(&unchanged.pattern()),
-                NOACC,
-                &Vector::<f64>::new(n)?,
-                &IndexSel::All,
-                &Descriptor::new().structural(),
-            )?;
-            let _ = fsnap;
-            if fresh.nvals() == 0 {
-                break;
-            }
-            settled = entered;
-            tmasked = fresh;
+            accumulate_min(&mut t, &treq)?;
         }
-        // One heavy-edge relaxation for the settled bucket.
-        let mut treq = Vector::<f64>::new(n)?;
-        vxm(&mut treq, None, NOACC, &MIN_PLUS, &settled, &heavy, &Descriptor::default())?;
-        let tsnap = t.clone();
-        ewise_add(&mut t, None, NOACC, binaryop::Min, &tsnap, &treq, &Descriptor::default())?;
+        // One heavy-edge relaxation from everything the bucket settled:
+        // t min= settled min.+ heavy.
+        let mut settled = Vector::<f64>::new(n)?;
+        select(&mut settled, None, NOACC, scan_bucket, &t, &Descriptor::default())?;
+        vxm(
+            &mut t,
+            None,
+            Some(binaryop::Min),
+            &MIN_PLUS,
+            &settled,
+            &heavy,
+            &Descriptor::default(),
+        )?;
         bucket += 1;
     }
     Ok(t)

@@ -1,0 +1,205 @@
+//! Deterministic cost budgets for the traversal loops, read off drained
+//! trace spans — so a loop that goes back to snapshot-and-merge (a
+//! `clone()` per round, a pattern rebuilt per level, a result reinstalled
+//! sparse and re-promoted) fails a test, not a benchmark.
+//!
+//! Everything here is a count the library reports about itself on a 2^12
+//! RMAT at one thread under the pinned cost model (`GRAPHBLAS_COST_MODEL=
+//! 3,1`, set below when the caller has not): op spans per PageRank
+//! iteration, FastSV round and Δ-stepping light relaxation; which path
+//! each vector `write` took; how many vectors changed storage form; and,
+//! for BFS, the positions its writes examined.
+
+use std::sync::Mutex;
+
+use graphblas::parallel::set_threads;
+use graphblas::trace::{self, Cat, Event, RunAggregate};
+use lagraph::algorithms::{
+    bfs_level, connected_components, pagerank, sssp_delta_stepping, PageRankOptions,
+};
+use lagraph::gen::Workload;
+use lagraph::graph::{Graph, GraphKind};
+
+/// Op spans (each op and the `write` that ends it) in one PageRank
+/// iteration: two `ewise_mult`, the pull `mxv` and one `ewise_add` with
+/// their writes, and two `reduce`. The loop this replaced spent 11.
+const PAGERANK_ITER_SPANS: usize = 10;
+/// One FastSV round: `extract`, `mxv` and `apply` with their writes, and
+/// the `reduce` that tests for the fixpoint. Was 8.
+const FASTSV_ROUND_SPANS: usize = 7;
+/// One Δ-stepping light relaxation: `vxm`, `ewise_mult`, `select` and
+/// `apply`, each with its write. Was 11.
+const DELTA_RELAXATION_SPANS: usize = 8;
+/// A non-empty bucket outside its relaxations: the two bucket scans
+/// (`select` + write) and the heavy `vxm` + write.
+const DELTA_BUCKET_SPANS: usize = 6;
+
+/// The trace ring, the thread count and the cost model are process-wide.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+/// Run `f` at one thread under the pinned cost model with tracing on and
+/// return what it recorded, oldest first.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    if std::env::var_os("GRAPHBLAS_COST_MODEL").is_none() {
+        // Read once, at the first direction choice of the process; every
+        // test takes the lock above before its first operation.
+        std::env::set_var("GRAPHBLAS_COST_MODEL", "3,1");
+    }
+    set_threads(1);
+    trace::set_capacity(1 << 20);
+    trace::clear();
+    trace::enable();
+    let out = f();
+    trace::disable();
+    set_threads(0);
+    let mut events = trace::drain();
+    events.sort_by_key(|e| e.t0_ns);
+    (out, events)
+}
+
+fn rmat() -> Graph {
+    Workload::Rmat.graph(12, 16, 7, 255).expect("rmat scale 12")
+}
+
+fn inside(inner: &Event, outer: &Event) -> bool {
+    inner.t0_ns >= outer.t0_ns && inner.t0_ns + inner.dur_ns <= outer.t0_ns + outer.dur_ns
+}
+
+fn is_op(e: &Event) -> bool {
+    e.cat == Cat::Op && e.dur_ns > 0
+}
+
+/// The op spans that ran inside each span named `name`.
+fn ops_per<'a>(events: &'a [Event], name: &str) -> Vec<Vec<&'a Event>> {
+    events
+        .iter()
+        .filter(|e| e.name == name && e.dur_ns > 0)
+        .map(|outer| events.iter().filter(|e| is_op(e) && inside(e, outer)).collect())
+        .collect()
+}
+
+/// No write found its output full-length and merged lists all the same,
+/// and the in-place arm did run.
+fn assert_full_length_outputs_written_in_place(events: &[Event], what: &str) {
+    let mut in_place = 0;
+    for w in events.iter().filter(|e| e.name == "write" && e.arg_str("w_form").is_some()) {
+        let (form, path) = (w.arg_str("w_form").expect("form"), w.arg_str("path").expect("path"));
+        assert!(form == "sparse" || path != "merge", "{what}: a {form} output was merged: {w:?}");
+        in_place += usize::from(path == "inplace");
+    }
+    assert!(in_place > 0, "{what}: no write took the in-place arm");
+}
+
+#[test]
+fn pagerank_iteration_budget() {
+    let g = rmat();
+    let opts = PageRankOptions { tolerance: 1e-6, ..Default::default() };
+    let ((_, iters), events) = traced(|| pagerank(&g, &opts).expect("pagerank"));
+    assert!(iters >= 8, "too few iterations ({iters}) for the budget to mean anything");
+    let per_iter = ops_per(&events, "pagerank.iter");
+    assert_eq!(per_iter.len(), iters);
+    for (k, ops) in per_iter.iter().enumerate() {
+        let names: Vec<_> = ops.iter().map(|e| e.name).collect();
+        assert_eq!(ops.len(), PAGERANK_ITER_SPANS, "iteration {}: {names:?}", k + 1);
+        assert!(
+            ops.iter().all(|e| e.arg_str("path") != Some("merge")),
+            "iteration {}: a write merged lists: {names:?}",
+            k + 1
+        );
+    }
+    assert_full_length_outputs_written_in_place(&events, "pagerank");
+    // Forms settle in the first iteration; later ones convert nothing.
+    let agg = RunAggregate::from_events(&events);
+    assert!(
+        agg.vector_conversions <= 4,
+        "{} form conversions in {iters} iterations",
+        agg.vector_conversions
+    );
+}
+
+#[test]
+fn fastsv_round_budget() {
+    let g = rmat();
+    let (_, events) = traced(|| connected_components(&g).expect("cc"));
+    let per_round = ops_per(&events, "cc.iter");
+    assert!(per_round.len() >= 2, "FastSV needs a second round to see its fixpoint");
+    for (k, ops) in per_round.iter().enumerate() {
+        let names: Vec<_> = ops.iter().map(|e| e.name).collect();
+        assert_eq!(ops.len(), FASTSV_ROUND_SPANS, "round {}: {names:?}", k + 1);
+    }
+    assert_full_length_outputs_written_in_place(&events, "fastsv");
+    let agg = RunAggregate::from_events(&events);
+    assert_eq!(agg.writes_merge, 0, "every FastSV vector is full-length from the start");
+    assert!(agg.vector_conversions <= 2, "{} form conversions", agg.vector_conversions);
+}
+
+#[test]
+fn delta_stepping_relaxation_budget() {
+    let g = rmat();
+    let source = g.out_degree().expect("degrees").iter().next().expect("a vertex with edges").0;
+    let (_, events) = traced(|| sssp_delta_stepping(&g, source, 64.0).expect("sssp"));
+    let algo = events.iter().find(|e| e.name == "sssp.delta_stepping").expect("algo span");
+    // The light/heavy split runs under the algorithm span, not before it.
+    let splits = events
+        .iter()
+        .filter(|e| e.name == "select" && e.arg_u64("a_nnz").is_some() && inside(e, algo))
+        .count();
+    assert_eq!(splits, 2, "both split selects are attributed to sssp.delta_stepping");
+    let mut relaxations = 0;
+    for (b, ops) in ops_per(&events, "sssp.bucket").iter().enumerate() {
+        let products = ops.iter().filter(|e| e.name == "vxm").count();
+        if products == 0 {
+            continue; // an empty bucket: scans only
+        }
+        let names: Vec<_> = ops.iter().map(|e| e.name).collect();
+        assert_eq!(
+            ops.len(),
+            DELTA_BUCKET_SPANS + DELTA_RELAXATION_SPANS * (products - 1),
+            "bucket {b} with {} relaxations: {names:?}",
+            products - 1
+        );
+        relaxations += products - 1;
+    }
+    assert!(relaxations >= 4, "only {relaxations} light relaxations ran");
+    assert_full_length_outputs_written_in_place(&events, "delta-stepping");
+    // Without dual storage on the per-call split every product pushes.
+    let agg = RunAggregate::from_events(&events);
+    assert_eq!((agg.pull, agg.direction_fallbacks), (0, 0));
+}
+
+/// Positions examined by all the vector writes of one BFS.
+fn bfs_write_work(g: &Graph, source: usize) -> (usize, u64, u64) {
+    let (levels, events) = traced(|| bfs_level(g, source).expect("bfs"));
+    assert_full_length_outputs_written_in_place(&events, "bfs");
+    let work = events.iter().filter(|e| e.name == "write").filter_map(|e| e.arg_u64("work")).sum();
+    let depth = events.iter().filter(|e| e.name == "bfs.iter").count() as u64;
+    (levels.nvals(), work, depth)
+}
+
+#[test]
+fn bfs_write_cost_follows_the_frontier() {
+    // On the RMAT: every reached vertex is written once into `levels`,
+    // once into `visited` and once as part of a frontier, plus what the
+    // merge arm rereads while `levels` is still sparse (< n/16 entries).
+    let g = rmat();
+    let source = g.out_degree().expect("degrees").iter().next().expect("a vertex with edges").0;
+    let (reached, work, depth) = bfs_write_work(&g, source);
+    assert!(reached > 1000, "the source's component is most of the graph ({reached})");
+    assert!(
+        work <= 4 * reached as u64 + 64 * depth,
+        "bfs writes examined {work} positions for {reached} reached vertices in {depth} levels"
+    );
+
+    // On a path, 4096 levels of one vertex each: rebuilding `levels` (or
+    // its pattern) per level costs n²/2 ≈ 8.4 M positions. The in-place
+    // arm costs O(1) per level once `levels` and `visited` are
+    // full-length; until then (256 levels) the merge arm rereads their
+    // lists, (n/16)² ≈ 65 k positions in all.
+    let n = 4096;
+    let edges: Vec<(usize, usize)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+    let path = Graph::from_edges(n, &edges, GraphKind::Undirected).expect("path");
+    let (reached, work, depth) = bfs_write_work(&path, 0);
+    assert_eq!((reached, depth), (n, n as u64));
+    assert!(work <= 24 * n as u64, "bfs on a path examined {work} positions");
+}

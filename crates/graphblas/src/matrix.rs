@@ -139,7 +139,7 @@ pub struct MemoryUsage {
     /// `heads`).
     pub ptr_bytes: usize,
     /// Index / presence structures: minor indices for sparse forms,
-    /// the presence bitmap or flags for bitmap/dense vectors.
+    /// the packed presence words of full-length vectors.
     pub idx_bytes: usize,
     /// Stored scalar values.
     pub val_bytes: usize,
@@ -213,12 +213,25 @@ impl<T: Scalar> Store<T> {
         ncols: Index,
         vecs: Vec<(Index, Vec<Index>, Vec<T>)>,
     ) -> Self {
-        let nvec = vecs.len();
-        if nrows > HYPER_DIM_LIMIT || (nrows > HYPER_MIN_DIM && nvec < nrows / HYPER_RATIO) {
+        if Self::wants_hyper(nrows, vecs.len()) {
             Store::HyperCsr(Hyper::from_vecs(nrows, ncols, vecs))
         } else {
             Store::Csr(Cs::from_vecs(nrows, ncols, vecs))
         }
+    }
+
+    /// The same choice for a result that arrives as flat CSR arrays with
+    /// `nvec` occupied rows.
+    pub(crate) fn row_major_from_cs(cs: Cs<T>, nvec: usize) -> Self {
+        if Self::wants_hyper(cs.nmajor, nvec) {
+            Store::HyperCsr(cs.to_hyper())
+        } else {
+            Store::Csr(cs)
+        }
+    }
+
+    fn wants_hyper(nrows: Index, nvec: usize) -> bool {
+        nrows > HYPER_DIM_LIMIT || (nrows > HYPER_MIN_DIM && nvec < nrows / HYPER_RATIO)
     }
 
     fn nvals_raw(&self) -> usize {
@@ -598,7 +611,7 @@ impl<T: Scalar> Inner<T> {
 /// against netted edits as `(key, write)`, both sorted by key. An edit
 /// replaces or deletes the stored entry with its key; zombies (`!live`)
 /// are dropped.
-fn merge_edits<K: Ord + Copy, T: Copy>(
+pub(crate) fn merge_edits<K: Ord + Copy, T: Copy>(
     stored: impl Iterator<Item = (K, bool, T)>,
     edits: impl Iterator<Item = (K, Option<T>)>,
     mut emit: impl FnMut(K, T),

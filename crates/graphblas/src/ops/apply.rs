@@ -9,10 +9,10 @@ use crate::parallel::par_chunks;
 use crate::sparse::transpose_dyn;
 use crate::types::{Index, Scalar};
 use crate::unaryop::{IndexUnaryOp, UnaryOp};
-use crate::vector::Vector;
+use crate::vector::{VView, Vector};
 
-use super::common::{check_dims, check_mmask, check_vmask};
-use super::write::{write_matrix, write_vector};
+use super::common::{check_dims, check_mmask, check_vmask, InverseSel};
+use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= f(u)` — apply `f` to every stored entry of `u`.
 pub fn apply<A, T, Op, Acc>(
@@ -32,7 +32,7 @@ where
     check_dims(w.size() == u.size(), "apply: output and input lengths differ")?;
     check_vmask(mask, w.size())?;
     let mut span = crate::trace::op_span(crate::trace::Op::Apply);
-    let (t_idx, t_val) = {
+    let t = {
         let g = u.read();
         if span.on() {
             span.arg("n", u.size());
@@ -40,7 +40,7 @@ where
         }
         apply_vec_entries(g.view(), |_, x| op.apply(x))
     };
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
 /// `w⟨mask⟩ ⊙= f(i, u(i))` — index-aware apply on a vector.
@@ -61,7 +61,7 @@ where
     check_dims(w.size() == u.size(), "apply: output and input lengths differ")?;
     check_vmask(mask, w.size())?;
     let mut span = crate::trace::op_span(crate::trace::Op::Apply);
-    let (t_idx, t_val) = {
+    let t = {
         let g = u.read();
         if span.on() {
             span.arg("n", u.size());
@@ -69,53 +69,25 @@ where
         }
         apply_vec_entries(g.view(), |i, x| op.apply(i, 0, x))
     };
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
-/// Map `f` over every stored entry of a vector view, in index order.
-/// Entries are independent, so both storage forms chunk cleanly: sparse
-/// over the entry list, dense over the index domain.
+/// Map `f` over every stored entry of a vector view. Entries are
+/// independent: a sparse view chunks over its entry list and keeps its
+/// index list, a full-length one maps in one pass over the index domain.
 fn apply_vec_entries<A: Scalar, T: Scalar>(
-    view: crate::vector::VView<'_, A>,
+    view: VView<'_, A>,
     f: impl Fn(Index, A) -> T + Sync,
-) -> (Vec<Index>, Vec<T>) {
-    use crate::vector::VView;
-    let chunks = match view {
-        VView::Sparse(idx, val) => par_chunks(idx.len(), idx.len(), |r| {
-            let out: Vec<T> =
-                idx[r.clone()].iter().zip(&val[r.clone()]).map(|(&i, &x)| f(i, x)).collect();
-            (idx[r].to_vec(), out)
-        }),
-        VView::Bitmap(val, bits) => par_chunks(val.len(), val.len(), |r| {
-            let mut idx = Vec::new();
-            let mut out = Vec::new();
-            for p in r {
-                if crate::vector::bitmap_get(bits, p) {
-                    idx.push(p);
-                    out.push(f(p, val[p]));
-                }
-            }
-            (idx, out)
-        }),
-        VView::Dense(val, present) => par_chunks(val.len(), val.len(), |r| {
-            let mut idx = Vec::new();
-            let mut out = Vec::new();
-            for p in r {
-                if present[p] {
-                    idx.push(p);
-                    out.push(f(p, val[p]));
-                }
-            }
-            (idx, out)
-        }),
-    };
-    let mut idx = Vec::new();
-    let mut val = Vec::new();
-    for (ci, cv) in chunks {
-        idx.extend(ci);
-        val.extend(cv);
+) -> VecResult<T> {
+    match view {
+        VView::Sparse(idx, val) => {
+            let chunks = par_chunks(idx.len(), idx.len(), |r| {
+                idx[r.clone()].iter().zip(&val[r]).map(|(&i, &x)| f(i, x)).collect::<Vec<T>>()
+            });
+            VecResult::Lists(idx.to_vec(), chunks.into_iter().flatten().collect())
+        }
+        VView::Full(val, _) => VecResult::filter_map(view, val.len(), |i, x| Some(f(i, x))),
     }
-    (idx, val)
 }
 
 /// `C⟨Mask⟩ ⊙= f(A)` (or `f(Aᵀ)` with the transpose descriptor).

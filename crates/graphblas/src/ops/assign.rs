@@ -15,7 +15,8 @@ use crate::parallel::par_chunks;
 use crate::types::{Index, Scalar};
 use crate::vector::Vector;
 
-use super::common::{check_dims, check_mmask, check_vmask, IndexSel, InverseSel, MMask, VMask};
+use super::common::{check_dims, check_mmask, check_vmask, IndexSel, InverseSel, MMask};
+use super::write::{write_vector, VecResult};
 
 /// `w(I)⟨mask⟩ ⊙= u`.
 pub fn assign<T, Acc>(
@@ -36,19 +37,24 @@ where
     check_vmask(mask, n)?;
     let mut span = crate::trace::op_span(crate::trace::Op::Assign);
     // Expand u into w-space: t[I[k]] = u[k].
-    let mut t: Vec<(Index, T)> = {
+    let t = {
         let g = u.read();
         if span.on() {
             span.arg("n", n);
             span.arg("u_nnz", g.nvals_assembled());
         }
-        let mut t = Vec::with_capacity(g.nvals_assembled());
-        g.view().for_each(|k, x| t.push((i_sel.nth(k), x)));
-        t
+        let view = g.view();
+        if matches!(i_sel, IndexSel::All) && view.is_full() {
+            VecResult::filter_map(view, n, |_, x| Some(x))
+        } else {
+            let mut t: Vec<(Index, T)> = Vec::with_capacity(g.nvals_assembled());
+            view.for_each(|k, x| t.push((i_sel.nth(k), x)));
+            t.sort_by_key(|&(i, _)| i);
+            let (idx, val) = t.into_iter().unzip();
+            VecResult::Lists(idx, val)
+        }
     };
-    t.sort_by_key(|&(i, _)| i);
-    let inv = i_sel.inverse(n);
-    merge_vector_region(w, mask, accum, desc, t, &inv)
+    write_vector(w, mask, accum, desc, t, &i_sel.inverse(n))
 }
 
 /// `w(I)⟨mask⟩ ⊙= x` — scalar expansion over the selected region.
@@ -69,113 +75,9 @@ where
     check_vmask(mask, n)?;
     let mut span = crate::trace::op_span(crate::trace::Op::Assign);
     span.arg("n", n);
-    let inv = i_sel.inverse(n);
-    // The expanded T is conceptually x at *every* region position. When a
-    // non-complemented mask is present, only mask-allowed positions can
-    // receive it, so enumerate the (usually much sparser) mask instead.
-    let mut t: Vec<(Index, T)> = Vec::new();
-    let enumerate_mask = mask.is_some() && !desc.mask_complement;
-    if enumerate_mask {
-        let g = mask.expect("checked").read();
-        let structural = desc.mask_structural;
-        g.view().for_each(|i, mv| {
-            if (structural || mv) && inv.pos(i).is_some() {
-                t.push((i, x));
-            }
-        });
-    } else {
-        for k in 0..i_sel.len(n) {
-            t.push((i_sel.nth(k), x));
-        }
-        t.sort_by_key(|&(i, _)| i);
-    }
-    merge_vector_region(w, mask, accum, desc, t, &inv)
-}
-
-/// Region-limited write rule for vectors. `t` must be sorted by index and
-/// contain only in-region positions.
-fn merge_vector_region<T: Scalar, Acc: BinaryOp<T, T, T>>(
-    w: &mut Vector<T>,
-    mask: Option<&Vector<bool>>,
-    accum: Option<Acc>,
-    desc: &Descriptor,
-    t: Vec<(Index, T)>,
-    inv: &InverseSel,
-) -> Result<()> {
-    debug_assert!(t.windows(2).all(|p| p[0].0 < p[1].0));
-    let mguard = mask.map(|m| m.read());
-    let meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
-    let old: Vec<(Index, T)> = {
-        let g = w.read();
-        let mut o = Vec::with_capacity(g.nvals_assembled());
-        g.view().for_each(|i, v| o.push((i, v)));
-        o
-    };
-    // Positions are decided independently, so chunk over the index domain:
-    // each worker binary-searches its slice of `old` and `t`, then runs the
-    // two-pointer merge + write rule; chunk-order stitching keeps the
-    // output sorted.
-    let n = w.size();
-    let chunks = par_chunks(n, old.len() + t.len(), |r| {
-        let (oa, ob) =
-            (old.partition_point(|p| p.0 < r.start), old.partition_point(|p| p.0 < r.end));
-        let (ta, tb) = (t.partition_point(|p| p.0 < r.start), t.partition_point(|p| p.0 < r.end));
-        let (old, t) = (&old[oa..ob], &t[ta..tb]);
-        let mut out_idx = Vec::with_capacity(old.len() + t.len());
-        let mut out_val = Vec::with_capacity(old.len() + t.len());
-        let (mut a, mut b) = (0, 0);
-        while a < old.len() || b < t.len() {
-            let (i, c, tv) = if a < old.len() && (b >= t.len() || old[a].0 <= t[b].0) {
-                if b < t.len() && old[a].0 == t[b].0 {
-                    let r = (old[a].0, Some(old[a].1), Some(t[b].1));
-                    a += 1;
-                    b += 1;
-                    r
-                } else {
-                    let r = (old[a].0, Some(old[a].1), None);
-                    a += 1;
-                    r
-                }
-            } else {
-                let r = (t[b].0, None, Some(t[b].1));
-                b += 1;
-                r
-            };
-            let result = if inv.pos(i).is_none() {
-                c // outside the region: untouched
-            } else {
-                let z = match &accum {
-                    Some(acc) => match (c, tv) {
-                        (Some(cv), Some(t)) => Some(acc.apply(cv, t)),
-                        (Some(cv), None) => Some(cv),
-                        (None, t) => t,
-                    },
-                    None => tv,
-                };
-                if meval.allowed(i) {
-                    z
-                } else if desc.replace {
-                    None
-                } else {
-                    c
-                }
-            };
-            if let Some(v) = result {
-                out_idx.push(i);
-                out_val.push(v);
-            }
-        }
-        (out_idx, out_val)
-    });
-    let mut out_idx = Vec::with_capacity(old.len() + t.len());
-    let mut out_val = Vec::with_capacity(old.len() + t.len());
-    for (ci, cv) in chunks {
-        out_idx.extend(ci);
-        out_val.extend(cv);
-    }
-    drop(mguard);
-    w.install(out_idx, out_val);
-    Ok(())
+    // The expanded T is x at every region position; the write rule
+    // visits only those the mask allows instead of spelling it out.
+    write_vector(w, mask, accum, desc, VecResult::Fill(x), &i_sel.inverse(n))
 }
 
 /// `C(I,J)⟨Mask⟩ ⊙= A`.

@@ -111,6 +111,28 @@ impl InverseSel {
             InverseSel::Map(m) => m.get(&i).copied(),
         }
     }
+
+    /// Number of selected positions in a dimension of size `n`.
+    pub fn len(&self, n: Index) -> usize {
+        match self {
+            InverseSel::All => n,
+            InverseSel::Range(r) => r.len(),
+            InverseSel::Map(m) => m.len(),
+        }
+    }
+
+    /// Visit the selected positions that lie in `r`, in increasing order.
+    pub fn for_each_in(&self, r: std::ops::Range<Index>, mut f: impl FnMut(Index)) {
+        match self {
+            InverseSel::All => r.for_each(f),
+            InverseSel::Range(sel) => (r.start.max(sel.start)..r.end.min(sel.end)).for_each(f),
+            InverseSel::Map(m) => {
+                let mut hit: Vec<Index> = m.keys().copied().filter(|i| r.contains(i)).collect();
+                hit.sort_unstable();
+                hit.into_iter().for_each(&mut f);
+            }
+        }
+    }
 }
 
 impl From<All> for IndexSel {
@@ -165,6 +187,27 @@ impl<'a> VMask<'a> {
     /// True when no mask narrows the write (no mask, no complement).
     pub fn is_transparent(&self) -> bool {
         self.view.is_none() && !self.complement
+    }
+
+    pub fn has_view(&self) -> bool {
+        self.view.is_some()
+    }
+
+    pub fn is_complement(&self) -> bool {
+        self.complement
+    }
+
+    /// Visit, in increasing order, the stored mask entries in `r` that
+    /// count as true (any entry when structural). Nothing without a mask
+    /// object; the complement flag plays no part.
+    pub fn for_each_true_in(&self, r: std::ops::Range<Index>, mut f: impl FnMut(Index)) {
+        if let Some(v) = &self.view {
+            v.for_each_in(r, |i, b| {
+                if self.structural || b {
+                    f(i);
+                }
+            });
+        }
     }
 }
 
@@ -302,52 +345,6 @@ pub(crate) fn check_mmask(mask: Option<&Matrix<bool>>, nrows: Index, ncols: Inde
         check_dims(m.nrows() == nrows && m.ncols() == ncols, "mask shape must match output")?;
     }
     Ok(())
-}
-
-/// A dense copy (or borrow) of a vector's contents for O(1) lookup in pull
-/// kernels.
-pub(crate) enum DenseVec<'a, T> {
-    Borrowed(&'a [T], &'a [bool]),
-    /// Borrowed full-length values with an unpacked (owned) presence
-    /// array — the expansion of a bitmap-form vector.
-    BorrowedVal(&'a [T], Vec<bool>),
-    Owned(Vec<T>, Vec<bool>),
-}
-
-impl<'a, T: Scalar> DenseVec<'a, T> {
-    pub fn from_view(view: VView<'a, T>, n: Index) -> Self {
-        match view {
-            VView::Dense(val, present) => DenseVec::Borrowed(val, present),
-            VView::Sparse(idx, val) => {
-                let mut dval = vec![T::zero(); n];
-                let mut present = vec![false; n];
-                for (&i, &v) in idx.iter().zip(val.iter()) {
-                    dval[i] = v;
-                    present[i] = true;
-                }
-                DenseVec::Owned(dval, present)
-            }
-            // Bitmap values are already full-length; only the presence
-            // words need unpacking. Hot paths (rowdot) probe the packed
-            // words directly instead of going through here.
-            VView::Bitmap(val, bits) => {
-                let mut present = vec![false; n];
-                for (i, p) in present.iter_mut().enumerate() {
-                    *p = (bits[i >> 6] >> (i & 63)) & 1 == 1;
-                }
-                DenseVec::BorrowedVal(val, present)
-            }
-        }
-    }
-
-    #[inline]
-    pub fn parts(&self) -> (&[T], &[bool]) {
-        match self {
-            DenseVec::Borrowed(v, p) => (v, p),
-            DenseVec::BorrowedVal(v, p) => (v, p),
-            DenseVec::Owned(v, p) => (v, p),
-        }
-    }
 }
 
 /// Snapshot a matrix's rows as per-row `(row, idx, val)` segments.

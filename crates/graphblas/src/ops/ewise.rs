@@ -14,10 +14,11 @@ use crate::parallel::par_chunks;
 use crate::sparse::{transpose_dyn, MatData, SparseView};
 use crate::trace;
 use crate::types::{Index, Scalar};
-use crate::vector::Vector;
+use crate::vector::{VView, Vector};
+use std::borrow::Cow;
 
-use super::common::{check_dims, check_mmask, check_vmask};
-use super::write::{write_matrix, write_vector};
+use super::common::{check_dims, check_mmask, check_vmask, InverseSel};
+use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= u ⊕ v` — union merge of two vectors.
 pub fn ewise_add<T, Op, Acc>(
@@ -38,7 +39,7 @@ where
     check_dims(w.size() == u.size(), "eWiseAdd: output length differs")?;
     check_vmask(mask, w.size())?;
     let mut span = trace::op_span(trace::Op::EwiseAdd);
-    let (t_idx, t_val) = {
+    let t = {
         let gu = u.read();
         let gv = v.read();
         if span.on() {
@@ -46,9 +47,33 @@ where
             span.arg("u_nnz", gu.nvals_assembled());
             span.arg("v_nnz", gv.nvals_assembled());
         }
-        union_merge(gu.view(), gv.view(), u.size(), &op)
+        let (uv, vv) = (gu.view(), gv.view());
+        if uv.is_full() && vv.is_full() {
+            // Straight into full-length arrays: u's entries, then v's
+            // folded in where they meet.
+            let n = u.size();
+            VecResult::full(n, 2 * n, |win| {
+                let mut stored = 0;
+                uv.for_each_in(win.range(), |i, a| {
+                    win.set(i, a);
+                    stored += 1;
+                });
+                vv.for_each_in(win.range(), |i, b| match win.get(i) {
+                    Some(a) => {
+                        win.set(i, op.apply(a, b));
+                    }
+                    None => {
+                        win.set(i, b);
+                        stored += 1;
+                    }
+                });
+                stored
+            })
+        } else {
+            union_merge(uv, vv, u.size(), &op)
+        }
     };
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
 /// `w⟨mask⟩ ⊙= u ⊗ v` — intersection merge of two vectors.
@@ -72,7 +97,7 @@ where
     check_dims(w.size() == u.size(), "eWiseMult: output length differs")?;
     check_vmask(mask, w.size())?;
     let mut span = trace::op_span(trace::Op::EwiseMult);
-    let (t_idx, t_val) = {
+    let t = {
         let gu = u.read();
         let gv = v.read();
         if span.on() {
@@ -80,51 +105,78 @@ where
             span.arg("u_nnz", gu.nvals_assembled());
             span.arg("v_nnz", gv.nvals_assembled());
         }
-        let (ui, uv) = sparse_parts(gu.view());
-        let vview = gv.view();
-        // The intersection is driven by u's entries, which chunk cleanly:
-        // each worker probes v independently and output order follows
-        // chunk order.
-        let chunks = par_chunks(ui.len(), ui.len(), |r| {
-            let mut idx = Vec::new();
-            let mut val = Vec::new();
-            for (i, x) in ui[r.clone()].iter().copied().zip(uv[r].iter().copied()) {
-                if let Some(y) = vview.get(i) {
-                    idx.push(i);
-                    val.push(op.apply(x, y));
-                }
+        // Walk the stored entries of one operand and probe the other: a
+        // sparse operand when there is one (the shorter of two), else
+        // every position of the index domain.
+        let (uv, vv) = (gu.view(), gv.view());
+        let by_u = |x, y| op.apply(x, y);
+        match (uv, vv) {
+            (VView::Sparse(ui, ux), VView::Sparse(vi, _)) if ui.len() <= vi.len() => {
+                intersect(ui, ux, vv, by_u)
             }
-            (idx, val)
-        });
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
-        for (ci, cv) in chunks {
-            idx.extend(ci);
-            val.extend(cv);
+            (_, VView::Sparse(vi, vx)) => intersect(vi, vx, uv, |y, x| op.apply(x, y)),
+            (VView::Sparse(ui, ux), _) => intersect(ui, ux, vv, by_u),
+            // Both full-length: the one with fewer entries is walked.
+            _ if gu.nvals_assembled() <= gv.nvals_assembled() => {
+                VecResult::filter_map(uv, u.size(), |i, x| Some(op.apply(x, vv.get(i)?)))
+            }
+            _ => VecResult::filter_map(vv, u.size(), |i, y| Some(op.apply(uv.get(i)?, y))),
         }
-        (idx, val)
     };
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
-fn sparse_parts<T: Scalar>(view: crate::vector::VView<'_, T>) -> (Vec<Index>, Vec<T>) {
+/// The entries of the sparse lists `(idx, val)` that `other` also holds,
+/// combined by `f(listed value, other's value)`. The list chunks cleanly:
+/// each worker probes `other` independently and output order follows
+/// chunk order.
+fn intersect<D: Scalar, O: Scalar, T: Scalar>(
+    idx: &[Index],
+    val: &[D],
+    other: VView<'_, O>,
+    f: impl Fn(D, O) -> T + Sync,
+) -> VecResult<T> {
+    let chunks = par_chunks(idx.len(), idx.len(), |r| {
+        let mut out_i = Vec::new();
+        let mut out_v = Vec::new();
+        for (&i, &x) in idx[r.clone()].iter().zip(&val[r]) {
+            if let Some(y) = other.get(i) {
+                out_i.push(i);
+                out_v.push(f(x, y));
+            }
+        }
+        (out_i, out_v)
+    });
+    let (mut out_i, mut out_v) = (Vec::new(), Vec::new());
+    for (ci, cv) in chunks {
+        out_i.extend(ci);
+        out_v.extend(cv);
+    }
+    VecResult::Lists(out_i, out_v)
+}
+
+/// A view's entries as index/value lists: borrowed when it is sparse.
+fn as_lists<'a, T: Scalar>(view: VView<'a, T>) -> (Cow<'a, [Index]>, Cow<'a, [T]>) {
+    if let VView::Sparse(idx, val) = view {
+        return (Cow::Borrowed(idx), Cow::Borrowed(val));
+    }
     let mut idx = Vec::new();
     let mut val = Vec::new();
     view.for_each(|i, x| {
         idx.push(i);
         val.push(x);
     });
-    (idx, val)
+    (Cow::Owned(idx), Cow::Owned(val))
 }
 
 fn union_merge<T: Scalar, Op: BinaryOp<T, T, T>>(
-    u: crate::vector::VView<'_, T>,
-    v: crate::vector::VView<'_, T>,
+    u: VView<'_, T>,
+    v: VView<'_, T>,
     n: usize,
     op: &Op,
-) -> (Vec<Index>, Vec<T>) {
-    let (ui, uv) = sparse_parts(u);
-    let (vi, vv) = sparse_parts(v);
+) -> VecResult<T> {
+    let (ui, uv) = as_lists(u);
+    let (vi, vv) = as_lists(v);
     // Chunk over the shared index domain [0, n): each worker locates its
     // slice of both inputs with a binary search, then runs the two-pointer
     // merge on disjoint index ranges. Stitching in chunk order reproduces
@@ -161,7 +213,7 @@ fn union_merge<T: Scalar, Op: BinaryOp<T, T, T>>(
         idx.extend(ci);
         val.extend(cv);
     }
-    (idx, val)
+    VecResult::Lists(idx, val)
 }
 
 /// Resolve a (possibly transposed) matrix operand to a dynamic row view.

@@ -8,11 +8,11 @@ use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
 use crate::parallel::par_chunks;
 use crate::types::{Index, Scalar};
-use crate::vector::Vector;
+use crate::vector::{Vector, DENSE_LIMIT};
 
-use super::common::{check_dims, check_mmask, check_vmask, IndexSel};
+use super::common::{check_dims, check_mmask, check_vmask, IndexSel, InverseSel};
 use super::ewise::EffView;
-use super::write::{write_matrix, write_vector};
+use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= u(I)`.
 pub fn extract<T, Acc>(
@@ -31,34 +31,50 @@ where
     check_dims(w.size() == i_sel.len(u.size()), "extract: output length != |I|")?;
     check_vmask(mask, w.size())?;
     let mut span = crate::trace::op_span(crate::trace::Op::Extract);
-    let (t_idx, t_val) = {
+    let t = {
         let g = u.read();
         if span.on() {
             span.arg("n", u.size());
             span.arg("u_nnz", g.nvals_assembled());
         }
         let view = g.view();
-        // Output positions look up independently: chunk over 0..|I|.
-        let chunks = par_chunks(i_sel.len(g.n), i_sel.len(g.n), |r| {
+        let n_out = i_sel.len(g.n);
+        if view.is_full() && n_out <= DENSE_LIMIT {
+            // O(1) probes into a source at least 1/32 full: the result is
+            // about as dense, so it is built full-length.
+            VecResult::full(n_out, n_out, |win| {
+                let mut stored = 0;
+                for k in win.range() {
+                    if let Some(x) = view.get(i_sel.nth(k)) {
+                        win.set(k, x);
+                        stored += 1;
+                    }
+                }
+                stored
+            })
+        } else {
+            // Output positions look up independently: chunk over 0..|I|.
+            let chunks = par_chunks(n_out, n_out, |r| {
+                let mut idx = Vec::new();
+                let mut val = Vec::new();
+                for k in r {
+                    if let Some(x) = view.get(i_sel.nth(k)) {
+                        idx.push(k);
+                        val.push(x);
+                    }
+                }
+                (idx, val)
+            });
             let mut idx = Vec::new();
             let mut val = Vec::new();
-            for k in r {
-                if let Some(x) = view.get(i_sel.nth(k)) {
-                    idx.push(k);
-                    val.push(x);
-                }
+            for (ci, cv) in chunks {
+                idx.extend(ci);
+                val.extend(cv);
             }
-            (idx, val)
-        });
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
-        for (ci, cv) in chunks {
-            idx.extend(ci);
-            val.extend(cv);
+            VecResult::Lists(idx, val)
         }
-        (idx, val)
     };
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
 /// `C⟨Mask⟩ ⊙= A(I, J)` (rows I, columns J of `A`, or of `Aᵀ` with the
@@ -188,7 +204,7 @@ where
     drop(ga);
     check_dims(w.size() == n_out, "extract_col: output length != |I|")?;
     check_vmask(mask, w.size())?;
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, VecResult::Lists(t_idx, t_val), &InverseSel::All)
 }
 
 #[cfg(test)]

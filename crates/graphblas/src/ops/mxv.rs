@@ -36,11 +36,13 @@ use crate::semiring::Semiring;
 use crate::sparse::SparseView;
 use crate::trace;
 use crate::types::{Index, Scalar};
-use crate::vector::{DenseAcc, Slot, VView, Vector};
+use crate::vector::{
+    bitmap_get, par_windows, DenseAcc, FullMut, Slot, VView, Vector, DENSE_LIMIT, SPARSIFY_RATIO,
+};
 
-use super::common::{check_dims, check_vmask, DenseVec, VMask};
+use super::common::{check_dims, check_vmask, InverseSel, VMask};
 use super::spec::{self, SemiringSpec};
-use super::write::write_vector;
+use super::write::{write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= A ⊕.⊗ u` (or `Aᵀ ⊕.⊗ u` with the transpose descriptor).
 pub fn mxv<A, U, T, SA, SM, Acc>(
@@ -229,7 +231,7 @@ where
         // make that visible next to the kernel tag.
         span.arg("storage", "compressed");
     }
-    let (t_idx, t_val, actual) = if transposed {
+    let (t, actual) = if transposed {
         if want_push {
             span.kernel(push_kernel);
             scatter(rows, uview, n_out, add, &f, &meval, sp)
@@ -279,7 +281,7 @@ where
     drop(mguard);
     drop(gu);
     drop(ga);
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
 /// The specialized per-row reduction shape for a resolved semiring (see
@@ -297,12 +299,18 @@ enum PullShape<T> {
 /// Pull kernel: `out(i) = ⊕ f(row_i(j), u(j))` over the intersection of
 /// row `i`'s pattern with `u`'s. Rows the mask excludes are skipped, and
 /// each dot product stops at the monoid's terminal value. Returns the
-/// result lists plus the flops actually performed (products computed, plus
+/// result plus the flops actually performed (products computed, plus
 /// the dense-view build when `u` arrived sparse) for misprediction checks.
 ///
-/// A bitmap-form `u` is probed through its packed words directly — no
-/// dense bool view is built, which is what makes the pull side free to
-/// enter for bitmap frontiers (`dense_build = 0` in the cost estimate).
+/// A pull visits every nonempty row, so when those are a fair share of
+/// the output (1/32, the density a full-length vector keeps) workers write
+/// the result straight into full-length arrays — disjoint row windows,
+/// nothing to stitch, and no more than the kernel already spends per row;
+/// a hypersparse matrix keeps per-chunk lists concatenated in chunk order.
+///
+/// A full-length `u` is probed through its packed words directly — no
+/// dense view is built, which is what makes the pull side free to enter
+/// for full-length frontiers (`dense_build = 0` in the cost estimate).
 fn rowdot<A, U, T, SA, F>(
     mat: &dyn SparseView<A>,
     u: VView<'_, U>,
@@ -311,7 +319,7 @@ fn rowdot<A, U, T, SA, F>(
     f: &F,
     mask: &VMask<'_>,
     sp: Option<SemiringSpec>,
-) -> (Vec<Index>, Vec<T>, usize)
+) -> (VecResult<T>, usize)
 where
     A: Scalar,
     U: Scalar,
@@ -319,32 +327,27 @@ where
     SA: Monoid<T>,
     F: Fn(A, U) -> T + Sync,
 {
-    match u {
-        VView::Bitmap(uval, ubits) => rowdot_probe(mat, add, f, mask, sp, 0, &|j: Index| {
-            if (ubits[j >> 6] >> (j & 63)) & 1 == 1 {
-                Some(uval[j])
-            } else {
-                None
+    // Probes go through packed presence words either way: a full-length
+    // `u` as it stands, a sparse one scattered into a full-length copy.
+    let owned;
+    let (uval, ubits, build_flops) = match u {
+        VView::Full(val, bits) => (val, bits, 0),
+        VView::Sparse(idx, val) => {
+            let mut dval = vec![U::zero(); n_in];
+            let mut dbits = vec![0u64; n_in.div_ceil(64)];
+            for (&i, &v) in idx.iter().zip(val) {
+                dval[i] = v;
+                dbits[i >> 6] |= 1 << (i & 63);
             }
-        }),
-        _ => {
-            let build_flops = if matches!(u, VView::Sparse(..)) { n_in } else { 0 };
-            let dense = DenseVec::from_view(u, n_in);
-            let (uval, upresent) = dense.parts();
-            rowdot_probe(mat, add, f, mask, sp, build_flops, &|j: Index| {
-                if upresent[j] {
-                    Some(uval[j])
-                } else {
-                    None
-                }
-            })
+            owned = (dval, dbits);
+            (&owned.0[..], &owned.1[..], n_in)
         }
-    }
+    };
+    let probe = |j: Index| bitmap_get(ubits, j).then(|| uval[j]);
+    rowdot_probe(mat, add, f, mask, sp, build_flops, &probe)
 }
 
-/// The row-loop core of [`rowdot`], generic over the input-vector probe
-/// (dense bool view or packed bitmap) so each probe gets its own
-/// monomorphized copy of every loop shape.
+/// The row-loop core of [`rowdot`], generic over the input-vector probe.
 fn rowdot_probe<A, U, T, SA, F, P>(
     mat: &dyn SparseView<A>,
     add: &SA,
@@ -353,7 +356,7 @@ fn rowdot_probe<A, U, T, SA, F, P>(
     sp: Option<SemiringSpec>,
     build_flops: usize,
     probe: &P,
-) -> (Vec<Index>, Vec<T>, usize)
+) -> (VecResult<T>, usize)
 where
     A: Scalar,
     U: Scalar,
@@ -374,12 +377,12 @@ where
     let majors = mat.nonempty_majors();
     let terminal = add.terminal();
     let is_any = add.is_any();
-    let chunks = par_chunks(majors.len(), mat.nvals(), |range| {
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
+    // The dot products of `rows`, handing each result to `emit`; returns
+    // the flops performed.
+    let dot_rows = |rows: &[Index], emit: &mut dyn FnMut(Index, T)| {
         let mut flops = 0usize;
         let mut scratch = crate::sparse::RowScratch::default();
-        for &i in &majors[range] {
+        for &i in rows {
             if !mask.allowed(i) {
                 continue;
             }
@@ -461,14 +464,44 @@ where
                 }
             };
             if let Some(v) = acc {
-                idx.push(i);
-                val.push(v);
+                emit(i, v);
             }
         }
-        (idx, val, flops)
-    });
-    let (idx, val, flops) = concat_chunks(chunks);
-    (idx, val, flops.saturating_add(build_flops))
+        flops
+    };
+    let n_out = mat.nmajor();
+    let (t, flops) = if n_out <= DENSE_LIMIT && majors.len().saturating_mul(SPARSIFY_RATIO) >= n_out
+    {
+        let mut val = vec![T::zero(); n_out];
+        let mut bits = vec![0u64; n_out.div_ceil(64)];
+        let parts = par_windows(FullMut::new(&mut val, &mut bits), mat.nvals(), |win| {
+            let r = win.range();
+            let rows = &majors
+                [majors.partition_point(|&i| i < r.start)..majors.partition_point(|&i| i < r.end)];
+            let mut stored = 0usize;
+            let flops = dot_rows(rows, &mut |i, v| {
+                win.set(i, v);
+                stored += 1;
+            });
+            (stored, flops)
+        });
+        let (nvals, flops) =
+            parts.into_iter().fold((0, 0usize), |(n, fl), (s, f)| (n + s, fl.saturating_add(f)));
+        (VecResult::Full { val, bits, nvals }, flops)
+    } else {
+        let chunks = par_chunks(majors.len(), mat.nvals(), |range| {
+            let mut idx = Vec::new();
+            let mut val = Vec::new();
+            let flops = dot_rows(&majors[range], &mut |i, v| {
+                idx.push(i);
+                val.push(v);
+            });
+            (idx, val, flops)
+        });
+        let (idx, val, flops) = concat_chunks(chunks);
+        (VecResult::Lists(idx, val), flops)
+    };
+    (t, flops.saturating_add(build_flops))
 }
 
 /// Push kernel: scatter matrix rows selected by `u`'s entries into dense
@@ -497,7 +530,7 @@ fn scatter<A, U, T, SA, F>(
     f: &F,
     mask: &VMask<'_>,
     sp: Option<SemiringSpec>,
-) -> (Vec<Index>, Vec<T>, usize)
+) -> (VecResult<T>, usize)
 where
     A: Scalar,
     U: Scalar,
@@ -516,6 +549,11 @@ where
         Fold,
         Terminal(T),
         FirstHit,
+    }
+    /// What one chunk of the frontier scattered into.
+    enum Part<T> {
+        Acc(DenseAcc<T>),
+        Lists(Vec<Index>, Vec<T>),
     }
     const DENSE_ACC_LIMIT: usize = 1 << 26;
     let mut entries: Vec<(Index, U)> = Vec::new();
@@ -632,8 +670,7 @@ where
                     }
                 }
             }
-            let (idx, val) = acc.drain_sorted();
-            (idx, val, flops)
+            (Part::Acc(acc), flops)
         } else {
             // Tree accumulator for huge dimensions; `None` marks a probed,
             // mask-blocked position.
@@ -671,13 +708,28 @@ where
                     val.push(v);
                 }
             }
-            (idx, val, flops)
+            (Part::Lists(idx, val), flops)
         }
     });
-    let total_flops = chunks.iter().fold(0usize, |s, (_, _, fl)| s.saturating_add(*fl));
-    let parts: Vec<(Vec<Index>, Vec<T>)> = chunks.into_iter().map(|(i, v, _)| (i, v)).collect();
+    let total_flops = chunks.iter().fold(0usize, |s, (_, fl)| s.saturating_add(*fl));
+    // One chunk whose accumulator filled a fair share of its slots is the
+    // full-length result already: hand it over unsorted, as it stands.
+    if let [(Part::Acc(acc), _)] = &chunks[..] {
+        if acc.touched().len().saturating_mul(SPARSIFY_RATIO) >= n_out {
+            let Some((Part::Acc(acc), _)) = chunks.into_iter().next() else { unreachable!() };
+            let (val, bits, nvals) = acc.into_full();
+            return (VecResult::Full { val, bits, nvals }, total_flops);
+        }
+    }
+    let parts = chunks
+        .into_iter()
+        .map(|(part, _)| match part {
+            Part::Acc(mut acc) => acc.drain_sorted(),
+            Part::Lists(idx, val) => (idx, val),
+        })
+        .collect();
     let (idx, val) = merge_scatter_chunks(parts, |a, b| add.apply(a, b));
-    (idx, val, total_flops)
+    (VecResult::Lists(idx, val), total_flops)
 }
 
 fn concat_chunks<T>(chunks: Vec<(Vec<Index>, Vec<T>, usize)>) -> (Vec<Index>, Vec<T>, usize) {

@@ -10,9 +10,9 @@ use crate::parallel::{par_chunks, par_reduce};
 use crate::types::Scalar;
 use crate::vector::Vector;
 
-use super::common::{check_dims, check_vmask};
+use super::common::{check_dims, check_vmask, InverseSel};
 use super::ewise::EffView;
-use super::write::write_vector;
+use super::write::{write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= ⊕ⱼ A(:, j)` — reduce each row of `A` (each column with the
 /// transpose descriptor) to a scalar. Rows with no entries produce no
@@ -66,7 +66,7 @@ where
     drop(ga);
     check_dims(w.size() == n_out, "reduce: output length must match rows")?;
     check_vmask(mask, w.size())?;
-    write_vector(w, mask, accum, desc, t_idx, t_val)
+    write_vector(w, mask, accum, desc, VecResult::Lists(t_idx, t_val), &InverseSel::All)
 }
 
 /// `s = ⊕ᵢⱼ A(i,j)` — reduce all entries of a matrix to one scalar.
@@ -129,11 +129,8 @@ where
             // within it, `par_reduce` short-circuits across chunks.
             fold(monoid, val[range].iter().copied())
         }),
-        VView::Bitmap(val, bits) => par_reduce(val.len(), val.len(), monoid, |range, _| {
+        VView::Full(val, bits) => par_reduce(val.len(), val.len(), monoid, |range, _| {
             fold(monoid, range.filter(|&i| crate::vector::bitmap_get(bits, i)).map(|i| val[i]))
-        }),
-        VView::Dense(val, present) => par_reduce(val.len(), val.len(), monoid, |range, _| {
-            fold(monoid, range.filter(|&i| present[i]).map(|i| val[i]))
         }),
     };
     r.unwrap_or_else(|| monoid.identity())

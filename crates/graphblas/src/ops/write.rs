@@ -20,49 +20,354 @@ use crate::error::Result;
 use crate::matrix::{Matrix, Store};
 use crate::parallel::par_chunks;
 use crate::types::{Index, Scalar};
-use crate::vector::Vector;
+use crate::vector::{
+    full_bits, par_windows, FullMut, VInner, VStore, VView, Vector, VectorFormat, DENSE_LIMIT,
+};
+use std::ops::Range;
 
-use super::common::{matrix_row_vecs, MMask, VMask};
+use super::common::{matrix_row_vecs, InverseSel, MMask, VMask};
 
-/// Merge a computed sparse vector result into `w`.
+/// A computed vector result `T`, in the form its kernel produced.
+pub(crate) enum VecResult<T> {
+    /// Sorted, deduplicated index/value lists.
+    Lists(Vec<Index>, Vec<T>),
+    /// Full-length values with packed presence words and the entry count:
+    /// what a pull or an element-wise pass over full-length operands
+    /// writes directly (see [`VecResult::full`]).
+    Full { val: Vec<T>, bits: Vec<u64>, nvals: usize },
+    /// The same value at every position of the region (scalar assign),
+    /// never spelled out: the write rule visits the positions the mask
+    /// allows.
+    Fill(T),
+}
+
+impl<T: Scalar> VecResult<T> {
+    /// Compute a full-length result in one chunked pass: `fill` stores the
+    /// entries of its window of the output and returns how many.
+    pub fn full(
+        n: Index,
+        est_work: usize,
+        fill: impl Fn(&mut FullMut<'_, T>) -> usize + Sync,
+    ) -> Self {
+        let mut val = vec![T::zero(); n];
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        let nvals =
+            par_windows(FullMut::new(&mut val, &mut bits), est_work, fill).into_iter().sum();
+        VecResult::Full { val, bits, nvals }
+    }
+
+    /// A full-length operand's entries mapped (or dropped) by `f`, each at
+    /// its own position: a walk of `u`'s entries, not of the index domain.
+    pub fn filter_map<A: Scalar>(
+        u: VView<'_, A>,
+        n: Index,
+        f: impl Fn(Index, A) -> Option<T> + Sync,
+    ) -> Self {
+        Self::full(n, n, |win| {
+            let mut stored = 0;
+            u.for_each_in(win.range(), |i, x| {
+                if let Some(y) = f(i, x) {
+                    win.set(i, y);
+                    stored += 1;
+                }
+            });
+            stored
+        })
+    }
+
+    /// Spell a [`VecResult::Fill`] out over the positions of the region
+    /// the mask allows; other forms pass through.
+    fn expand_fill(self, n: Index, mask: &VMask<'_>, region: &InverseSel) -> Self {
+        let VecResult::Fill(x) = self else { return self };
+        if matches!(region, InverseSel::All) && mask.is_transparent() && n <= DENSE_LIMIT {
+            return VecResult::Full { val: vec![x; n], bits: full_bits(n), nvals: n };
+        }
+        let mut idx = Vec::new();
+        for_each_allowed_in(0..n, mask, region, |i| idx.push(i));
+        let val = vec![x; idx.len()];
+        VecResult::Lists(idx, val)
+    }
+
+    /// Drop the entries the mask does not allow.
+    fn restricted_to(mut self, mask: &VMask<'_>) -> Self {
+        if mask.is_transparent() {
+            return self;
+        }
+        match &mut self {
+            VecResult::Lists(idx, val) => {
+                let mut kept = 0;
+                for k in 0..idx.len() {
+                    if mask.allowed(idx[k]) {
+                        (idx[kept], val[kept]) = (idx[k], val[k]);
+                        kept += 1;
+                    }
+                }
+                idx.truncate(kept);
+                val.truncate(kept);
+            }
+            VecResult::Full { val, bits, nvals } => {
+                *nvals -= par_windows(FullMut::new(val, bits), *nvals, |win| {
+                    win.clear_where(|i| !mask.allowed(i))
+                })
+                .into_iter()
+                .sum::<usize>();
+            }
+            // A fill is spelled out over allowed positions only.
+            VecResult::Fill(_) => {}
+        }
+        self
+    }
+
+    fn into_lists(self) -> (Vec<Index>, Vec<T>) {
+        match self {
+            VecResult::Lists(idx, val) => (idx, val),
+            VecResult::Full { val, bits, nvals } => {
+                let mut idx = Vec::with_capacity(nvals);
+                let mut out = Vec::with_capacity(nvals);
+                VView::Full(&val, &bits).for_each(|i, x| {
+                    idx.push(i);
+                    out.push(x);
+                });
+                (idx, out)
+            }
+            VecResult::Fill(_) => unreachable!("a fill is expanded before it is listed"),
+        }
+    }
+}
+
+/// Visit, in increasing order, the positions of `r` that lie in the region
+/// and that the mask allows — walking the mask's stored entries when they
+/// are the allowed ones, else the region's positions.
+fn for_each_allowed_in(
+    r: Range<Index>,
+    mask: &VMask<'_>,
+    region: &InverseSel,
+    mut f: impl FnMut(Index),
+) {
+    if mask.has_view() && !mask.is_complement() {
+        mask.for_each_true_in(r, |i| {
+            if region.pos(i).is_some() {
+                f(i);
+            }
+        });
+    } else {
+        region.for_each_in(r, |i| {
+            if mask.allowed(i) {
+                f(i);
+            }
+        });
+    }
+}
+
+/// Merge a computed vector result into `w`: the one write rule every
+/// vector-output operation ends in. `region` is the selection an `assign`
+/// restricts the write to (`InverseSel::All` for every other operation);
+/// `t` holds in-region entries only, and positions outside the region are
+/// never touched.
+///
+/// Three paths, chosen from what the output holds (reported as the
+/// span's `path` argument):
+///
+/// * `install` — nothing to merge against: the whole vector is written
+///   and either the output is empty or there is neither mask nor
+///   accumulator. What the mask allows of `T` becomes the output, in
+///   `T`'s own arrays.
+/// * `inplace` — the output is in the full-length form: `T` is scattered
+///   into the output's own arrays, see [`write_in_place`].
+/// * `merge` — the output is sparse: a two-pointer merge of its lists with
+///   `T`'s builds new lists, O(|w| + |T|).
 pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
     w: &mut Vector<T>,
     mask: Option<&Vector<bool>>,
     accum: Option<Acc>,
     desc: &Descriptor,
-    t_idx: Vec<Index>,
-    t_val: Vec<T>,
+    t: VecResult<T>,
+    region: &InverseSel,
 ) -> Result<()> {
-    debug_assert!(t_idx.windows(2).all(|p| p[0] < p[1]), "result must be sorted");
     let mut span = crate::trace::op_span(crate::trace::Op::Write);
-    span.arg("t_nnz", t_idx.len());
     let mguard = mask.map(|m| m.read());
     let meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
+    let inner = w.inner.get_mut();
+    let n = inner.n;
 
-    // Fast path: nothing to merge against.
-    if meval.is_transparent() && accum.is_none() {
+    let replaces_all = meval.is_transparent() && accum.is_none();
+    if matches!(region, InverseSel::All) && (replaces_all || inner.is_empty()) {
+        span.arg("path", "install");
+        span.arg("w_form", inner.format().name());
+        let t = t.expand_fill(n, &meval, region).restricted_to(&meval);
         drop(mguard);
-        w.install(t_idx, t_val);
+        match t {
+            VecResult::Lists(idx, val) => {
+                span.arg("work", idx.len());
+                w.install(idx, val);
+            }
+            VecResult::Full { val, bits, nvals } => {
+                span.arg("work", nvals);
+                w.install_full(val, bits, nvals);
+            }
+            VecResult::Fill(_) => unreachable!("expanded above"),
+        }
         return Ok(());
     }
 
-    let (old_idx, old_val): (Vec<Index>, Vec<T>) = {
-        let g = w.read();
-        let mut oi = Vec::with_capacity(g.nvals_assembled());
-        let mut ov = Vec::with_capacity(g.nvals_assembled());
-        g.view().for_each(|i, v| {
-            oi.push(i);
-            ov.push(v);
-        });
-        (oi, ov)
+    inner.assemble();
+    span.arg("w_form", inner.format().name());
+    let work = if inner.format() == VectorFormat::Sparse {
+        span.arg("path", "merge");
+        let (t_idx, t_val) = t.expand_fill(n, &meval, region).into_lists();
+        let work = inner.nvals_assembled() + t_idx.len();
+        let (idx, val) = merge_sparse(inner, &meval, &accum, desc.replace, &t_idx, &t_val, region);
+        inner.store = VStore::Sparse { idx, val };
+        work
+    } else {
+        span.arg("path", "inplace");
+        let mask_nvals = mguard.as_ref().map_or(0, |g| g.nvals_assembled());
+        write_in_place(inner, &meval, mask_nvals, &accum, desc.replace, &t, region)
     };
+    span.arg("work", work);
+    inner.optimize_form();
+    Ok(())
+}
 
+/// The in-place arm of the write rule, for an output in a full-length
+/// form. Per position `i` of the region, with `A(i)` = "the mask allows
+/// `i`": where `A`, the result is `T(i)` (no accumulator) or `w(i) ⊙ T(i)`
+/// over the union pattern; elsewhere `w(i)` stays, or goes under
+/// `replace`. Done in two steps over disjoint windows of the output:
+///
+/// 1. *delete* the old entries the rule does not keep — those where `A`
+///    holds when there is no accumulator (`T`'s pattern replaces them;
+///    a fill covers them all, so nothing to delete), and those where it
+///    does not under `replace`. Deleting on the side of the mask its
+///    stored entries enumerate walks those entries, O(|stored mask|); the
+///    other side, or both, sweeps the output's presence, a word per 64
+///    positions;
+/// 2. *scatter* `T`'s allowed entries, combining with what is still there
+///    under an accumulator: O(|T|), or for a fill the allowed positions.
+///
+/// The entry count is kept exact from the insertions and deletions
+/// actually made. Returns the number of positions examined.
+fn write_in_place<T: Scalar, Acc: BinaryOp<T, T, T>>(
+    inner: &mut VInner<T>,
+    mask: &VMask<'_>,
+    mask_nvals: usize,
+    accum: &Option<Acc>,
+    replace: bool,
+    t: &VecResult<T>,
+    region: &InverseSel,
+) -> usize {
+    /// Which of the output's old entries step 1 deletes.
+    #[derive(Clone, Copy)]
+    enum Sweep {
+        Nothing,
+        /// Every stored entry in the region.
+        Stored,
+        /// Those under a stored mask entry that passes the value test.
+        MaskEntries,
+        /// Those on the side of the mask its entries do not enumerate:
+        /// probe the mask at each stored entry, delete where "allowed"
+        /// equals the flag.
+        Probe(bool),
+    }
+    let clear_allowed = accum.is_none() && !matches!(t, VecResult::Fill(_));
+    let sweep = match (clear_allowed, replace) {
+        (false, false) => Sweep::Nothing,
+        (true, true) => Sweep::Stored,
+        // One side only. A position is allowed when its mask entry is true
+        // XOR complement, so the side to delete is the stored-entry side
+        // exactly when `clear_allowed != complement`; with no mask object
+        // every position counts as a true entry.
+        _ => match (mask.has_view(), clear_allowed != mask.is_complement()) {
+            (true, true) => Sweep::MaskEntries,
+            (true, false) => Sweep::Probe(clear_allowed),
+            (false, true) => Sweep::Stored,
+            (false, false) => Sweep::Nothing,
+        },
+    };
+    let n = inner.n;
+    let (full, nvals) = inner.full_mut().expect("in-place arm needs a full-length output");
+    let swept = match sweep {
+        Sweep::Nothing => 0,
+        Sweep::MaskEntries => mask_nvals,
+        Sweep::Stored | Sweep::Probe(_) => *nvals,
+    };
+    let t_work = match t {
+        VecResult::Lists(idx, _) => idx.len(),
+        VecResult::Full { .. } => n,
+        VecResult::Fill(_) if mask.has_view() && !mask.is_complement() => mask_nvals,
+        VecResult::Fill(_) => region.len(n),
+    };
+    let deltas = par_windows(full, t_work + swept, |win| {
+        let mut removed = 0;
+        match sweep {
+            Sweep::Nothing => {}
+            Sweep::Stored => removed = win.clear_where(|i| region.pos(i).is_some()),
+            Sweep::MaskEntries => mask.for_each_true_in(win.range(), |i| {
+                if region.pos(i).is_some() && win.clear(i) {
+                    removed += 1;
+                }
+            }),
+            Sweep::Probe(side) => {
+                removed = win.clear_where(|i| region.pos(i).is_some() && mask.allowed(i) == side)
+            }
+        }
+        let r = win.range();
+        let mut added = 0;
+        let mut put = |i: Index, tv: T| {
+            let z = match (accum, win.get(i)) {
+                (Some(acc), Some(c)) => acc.apply(c, tv),
+                _ => tv,
+            };
+            if win.set(i, z) {
+                added += 1;
+            }
+        };
+        match t {
+            VecResult::Fill(x) => for_each_allowed_in(r, mask, region, |i| put(i, *x)),
+            VecResult::Lists(idx, val) => {
+                let (a, b) =
+                    (idx.partition_point(|&i| i < r.start), idx.partition_point(|&i| i < r.end));
+                for (&i, &tv) in idx[a..b].iter().zip(&val[a..b]) {
+                    debug_assert!(region.pos(i).is_some(), "T must lie inside the region");
+                    if mask.allowed(i) {
+                        put(i, tv);
+                    }
+                }
+            }
+            VecResult::Full { val, bits, .. } => VView::Full(val, bits).for_each_in(r, |i, tv| {
+                if mask.allowed(i) {
+                    put(i, tv);
+                }
+            }),
+        }
+        (added, removed)
+    });
+    for (added, removed) in deltas {
+        *nvals = *nvals + added - removed;
+    }
+    t_work + swept
+}
+
+/// The merge arm of the write rule, for a sparse output: returns the new
+/// index/value lists.
+fn merge_sparse<T: Scalar, Acc: BinaryOp<T, T, T>>(
+    inner: &VInner<T>,
+    mask: &VMask<'_>,
+    accum: &Option<Acc>,
+    replace: bool,
+    t_idx: &[Index],
+    t_val: &[T],
+    region: &InverseSel,
+) -> (Vec<Index>, Vec<T>) {
+    debug_assert!(t_idx.windows(2).all(|p| p[0] < p[1]), "result must be sorted");
+    let VStore::Sparse { idx: old_idx, val: old_val } = &inner.store else {
+        unreachable!("merge arm needs a sparse output")
+    };
     // Positions are decided independently, so chunk over the index domain:
     // each worker binary-searches its slice of both inputs and runs the
     // two-pointer merge + write rule; chunk-order stitching keeps the
     // output sorted.
-    let n = w.size();
-    let chunks = par_chunks(n, t_idx.len() + old_idx.len(), |r| {
+    let chunks = par_chunks(inner.n, t_idx.len() + old_idx.len(), |r| {
         let (oa, ob) =
             (old_idx.partition_point(|&i| i < r.start), old_idx.partition_point(|&i| i < r.end));
         let (ta, tb) =
@@ -71,49 +376,27 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
         let (t_idx, t_val) = (&t_idx[ta..tb], &t_val[ta..tb]);
         let mut out_idx = Vec::with_capacity(t_idx.len() + old_idx.len());
         let mut out_val = Vec::with_capacity(t_idx.len() + old_idx.len());
-        let mut a = 0; // cursor into old
-        let mut b = 0; // cursor into t
+        let (mut a, mut b) = (0, 0);
         while a < old_idx.len() || b < t_idx.len() {
-            let (i, c, t) = match (old_idx.get(a), t_idx.get(b)) {
-                (Some(&oi), Some(&ti)) if oi == ti => {
-                    let r = (oi, Some(old_val[a]), Some(t_val[b]));
-                    a += 1;
-                    b += 1;
-                    r
-                }
-                (Some(&oi), Some(&ti)) if oi < ti => {
-                    let r = (oi, Some(old_val[a]), None);
-                    a += 1;
-                    r
-                }
-                (Some(_), Some(&ti)) => {
-                    let r = (ti, None, Some(t_val[b]));
-                    b += 1;
-                    r
-                }
-                (Some(&oi), None) => {
-                    let r = (oi, Some(old_val[a]), None);
-                    a += 1;
-                    r
-                }
-                (None, Some(&ti)) => {
-                    let r = (ti, None, Some(t_val[b]));
-                    b += 1;
-                    r
-                }
-                (None, None) => unreachable!(),
+            let (i, c, t) = if a < old_idx.len() && (b >= t_idx.len() || old_idx[a] <= t_idx[b]) {
+                let both = b < t_idx.len() && old_idx[a] == t_idx[b];
+                let r = (old_idx[a], Some(old_val[a]), both.then(|| t_val[b]));
+                a += 1;
+                b += usize::from(both);
+                r
+            } else {
+                b += 1;
+                (t_idx[b - 1], None, Some(t_val[b - 1]))
             };
-            let z = match &accum {
-                Some(acc) => match (c, t) {
-                    (Some(c), Some(t)) => Some(acc.apply(c, t)),
-                    (Some(c), None) => Some(c),
-                    (None, t) => t,
-                },
-                None => t,
-            };
-            let result = if meval.allowed(i) {
-                z
-            } else if desc.replace {
+            let result = if region.pos(i).is_none() {
+                c // outside the region: untouched
+            } else if mask.allowed(i) {
+                match (accum, c, t) {
+                    (Some(acc), Some(c), Some(t)) => Some(acc.apply(c, t)),
+                    (Some(_), Some(c), None) => Some(c),
+                    (_, _, t) => t,
+                }
+            } else if replace {
                 None
             } else {
                 c
@@ -131,9 +414,7 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
         out_idx.extend(ci);
         out_val.extend(cv);
     }
-    drop(mguard);
-    w.install(out_idx, out_val);
-    Ok(())
+    (out_idx, out_val)
 }
 
 /// Merge a computed sparse matrix result (per-row segments, sorted by row)

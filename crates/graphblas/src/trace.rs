@@ -271,6 +271,14 @@ impl Event {
             _ => None,
         })
     }
+
+    /// Look up a string argument by key.
+    pub fn arg_str(&self, key: &str) -> Option<&'static str> {
+        self.args.iter().find_map(|(k, v)| match v {
+            ArgValue::Str(s) if *k == key => Some(*s),
+            _ => None,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -666,6 +674,28 @@ pub(crate) fn mxv_mispredict(
             ("est_chosen", ArgValue::U64(est_chosen as u64)),
             ("est_other", ArgValue::U64(est_other as u64)),
             ("actual", ArgValue::U64(actual as u64)),
+        ],
+    });
+}
+
+/// Record a vector changing storage form (sparse / bitmap / dense): an
+/// O(n) rebuild, so a loop that converts every iteration shows up as a
+/// per-iteration count in [`RunAggregate::vector_conversions`].
+pub(crate) fn vector_convert(from: &'static str, to: &'static str, n: usize) {
+    if !enabled() {
+        return;
+    }
+    push_event(Event {
+        name: "vector.convert",
+        cat: Cat::Runtime,
+        kernel: None,
+        t0_ns: epoch().elapsed().as_nanos() as u64,
+        dur_ns: 0,
+        tid: tid(),
+        args: vec![
+            ("from", ArgValue::Str(from)),
+            ("to", ArgValue::Str(to)),
+            ("n", ArgValue::U64(n as u64)),
         ],
     });
 }
@@ -1163,8 +1193,9 @@ pub struct RunAggregate {
     /// Spans aggregated (instant events are counted separately below).
     pub spans: u64,
     /// Summed wall time of GraphBLAS-op spans ([`Cat::Op`]), in
-    /// nanoseconds. Algorithm and runtime spans are excluded so nested
-    /// spans are not double-counted.
+    /// nanoseconds. Algorithm and runtime spans, and the `write` span
+    /// nested in every op that has an output, are excluded so no interval
+    /// is counted twice.
     pub op_wall_ns: u64,
     /// Accumulated flops-order work estimate over spans carrying a
     /// `flops` argument.
@@ -1205,6 +1236,14 @@ pub struct RunAggregate {
     /// attach the post-rebuild [`crate::MemoryUsage`] total) — the
     /// peak resident matrix footprint observed during the run.
     pub peak_resident_bytes: u64,
+    /// Vector `write` spans that took the in-place arm (`path=inplace`:
+    /// a full-length output updated in O(|T|)).
+    pub writes_inplace: u64,
+    /// Vector `write` spans that took the merge arm (`path=merge`: a
+    /// sparse output rebuilt by a two-pointer merge with `T`).
+    pub writes_merge: u64,
+    /// `vector.convert` instants: vectors rebuilt in another storage form.
+    pub vector_conversions: u64,
 }
 
 impl RunAggregate {
@@ -1223,12 +1262,14 @@ impl RunAggregate {
             match e.name {
                 "mxv.mispredict" => self.mispredicts += 1,
                 "reduce.early_exit" => self.early_exits += 1,
+                "vector.convert" => self.vector_conversions += 1,
                 _ => {}
             }
             return;
         }
         self.spans += 1;
-        if e.cat == Cat::Op {
+        // A `write` span always runs inside the span of the op it ends.
+        if e.cat == Cat::Op && e.name != "write" {
             self.op_wall_ns += e.dur_ns;
         }
         if let Some(f) = e.arg_u64("flops") {
@@ -1239,6 +1280,11 @@ impl RunAggregate {
         }
         if let Some(b) = e.arg_u64("resident_bytes") {
             self.peak_resident_bytes = self.peak_resident_bytes.max(b);
+        }
+        match e.arg_str("path") {
+            Some("inplace") => self.writes_inplace += 1,
+            Some("merge") => self.writes_merge += 1,
+            _ => {}
         }
         match e.kernel {
             Some("push") | Some("push(masked)") => self.push += 1,
@@ -1311,10 +1357,18 @@ mod aggregate_tests {
         let mis = span("mxv.mispredict", Cat::Runtime, Some("push"), 0);
         let ee = span("reduce.early_exit", Cat::Runtime, None, 0);
         let algo = span("bfs", Cat::Algo, None, 1000);
+        let mut in_place = span("write", Cat::Op, None, 7);
+        in_place.args.push(("path", ArgValue::Str("inplace")));
+        let mut merged = span("write", Cat::Op, None, 9);
+        merged.args.push(("path", ArgValue::Str("merge")));
+        let convert = span("vector.convert", Cat::Runtime, None, 0);
 
-        let agg = RunAggregate::from_events(&[push, pull, asm_small, asm_big, mis, ee, algo]);
-        assert_eq!(agg.spans, 5);
-        assert_eq!(agg.op_wall_ns, 30, "only Cat::Op spans count toward op wall");
+        let agg = RunAggregate::from_events(&[
+            push, pull, asm_small, asm_big, mis, ee, algo, in_place, merged, convert,
+        ]);
+        assert_eq!(agg.spans, 7);
+        assert_eq!(agg.op_wall_ns, 30, "op spans only, without the writes nested in them");
+        assert_eq!((agg.writes_inplace, agg.writes_merge, agg.vector_conversions), (1, 1, 1));
         assert_eq!(agg.total_flops, 150);
         assert_eq!((agg.push, agg.pull), (1, 1));
         assert_eq!(agg.direction_fallbacks, 1);

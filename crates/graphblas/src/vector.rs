@@ -2,47 +2,63 @@
 //!
 //! Following the GraphBLAST design the paper highlights (Fig. 3), a vector
 //! is stored **sparse** (sorted indices + values — the form "push"
-//! kernels iterate), **dense** (a value array plus presence bytes — the
-//! form "pull" kernels index in O(1)), or **bitmap** (a value array plus
-//! packed presence words — the mid-density compromise: O(1) probes like
-//! dense at an 8× smaller presence footprint, population counts by
-//! `popcnt`). The representation switches automatically as the number of
-//! entries crosses density thresholds (with hysteresis between the
-//! neighboring forms), which is the enabling mechanism for push/pull
-//! direction optimization.
+//! kernels iterate) or **full-length** (a value array plus packed presence
+//! words — the form "pull" kernels and masks probe in O(1); population
+//! counts by `popcnt`, entry walks by `trailing_zeros`, so a random
+//! pattern costs a short loop per entry, not a mispredicted branch per
+//! position). The representation switches automatically as the number of
+//! entries crosses density thresholds, with hysteresis so a frontier
+//! whose size hovers near the boundary does not thrash; this is the
+//! enabling mechanism for push/pull direction optimization.
+//! [`VectorFormat`] names the full-length layout `Bitmap` below a quarter
+//! full and `Dense` from there up: two density bands of one layout.
 //!
 //! Like [`crate::Matrix`], sparse vectors support deferred updates (pending
 //! tuples and zombies) resolved by a lazy assembly step.
 
+use std::ops::Range;
+use std::sync::Mutex;
+
 use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{Error, Result};
-use crate::matrix::{unflip, ZOMBIE};
+use crate::matrix::{merge_edits, unflip, ZOMBIE};
+use crate::parallel::{par_chunks, par_threshold, threads};
 use crate::types::{Index, Scalar};
 
-/// Become dense when more than 1/DENSIFY_RATIO of positions are filled.
+/// A full-length vector is labelled dense from 1/DENSIFY_RATIO full.
 const DENSIFY_RATIO: usize = 4;
-/// A sparse vector becomes a bitmap when more than 1/BITMAPIFY_RATIO of
-/// positions are filled (but fewer than the dense threshold).
+/// A sparse vector becomes full-length when more than 1/BITMAPIFY_RATIO
+/// of positions are filled.
 const BITMAPIFY_RATIO: usize = 16;
 /// Become sparse when fewer than 1/SPARSIFY_RATIO are filled. The gap
 /// between this and BITMAPIFY_RATIO is the hysteresis band that stops a
 /// frontier oscillating between forms across iterations.
-const SPARSIFY_RATIO: usize = 32;
-/// Never allocate a dense or bitmap form longer than this.
-const DENSE_LIMIT: usize = 1 << 26;
+pub(crate) const SPARSIFY_RATIO: usize = 32;
+/// Never allocate a full-length form longer than this.
+pub(crate) const DENSE_LIMIT: usize = 1 << 26;
 
 /// The representation currently held by a vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VectorFormat {
     /// Sorted index/value lists.
     Sparse,
-    /// Full-length value array with packed presence words — the
-    /// mid-density frontier form between [`VectorFormat::Sparse`] and
-    /// [`VectorFormat::Dense`].
+    /// Full-length value array with packed presence words, less than a
+    /// quarter full — the mid-density frontier band.
     Bitmap,
-    /// Full-length value array with a presence bitmap.
+    /// The same full-length layout, at least a quarter full.
     Dense,
+}
+
+impl VectorFormat {
+    /// The label trace events carry for this form.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            VectorFormat::Sparse => "sparse",
+            VectorFormat::Bitmap => "bitmap",
+            VectorFormat::Dense => "dense",
+        }
+    }
 }
 
 /// Number of `u64` presence words covering `n` positions.
@@ -57,6 +73,15 @@ pub(crate) fn bitmap_get(bits: &[u64], i: Index) -> bool {
     (bits[i >> 6] >> (i & 63)) & 1 == 1
 }
 
+/// Presence words with the first `n` bits set.
+pub(crate) fn full_bits(n: usize) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; bitmap_words(n)];
+    if !n.is_multiple_of(64) {
+        bits[n / 64] = (1u64 << (n % 64)) - 1;
+    }
+    bits
+}
+
 #[derive(Debug, Clone)]
 pub(crate) enum VStore<T> {
     Sparse {
@@ -64,15 +89,11 @@ pub(crate) enum VStore<T> {
         idx: Vec<Index>,
         val: Vec<T>,
     },
-    Bitmap {
+    Full {
         val: Vec<T>,
-        /// Packed presence words, little-endian within each `u64`.
+        /// Packed presence words, little-endian within each `u64`; bits
+        /// past the vector's length stay clear.
         bits: Vec<u64>,
-        nvals: usize,
-    },
-    Dense {
-        val: Vec<T>,
-        present: Vec<bool>,
         nvals: usize,
     },
 }
@@ -81,7 +102,11 @@ pub(crate) enum VStore<T> {
 pub(crate) struct VInner<T> {
     pub n: Index,
     pub store: VStore<T>,
-    pub pending: Vec<(Index, T)>,
+    /// Deferred writes in submission order, resolved by assembly: `Some`
+    /// stores a value, `None` is the tombstone `remove_element` leaves for
+    /// a position that may hold an earlier pending insertion. Only the
+    /// sparse form defers; full-length forms update in place.
+    pub pending: Vec<(Index, Option<T>)>,
     pub nzombies: usize,
 }
 
@@ -89,8 +114,8 @@ pub(crate) struct VInner<T> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum VView<'a, T> {
     Sparse(&'a [Index], &'a [T]),
-    Bitmap(&'a [T], &'a [u64]),
-    Dense(&'a [T], &'a [bool]),
+    /// Full-length values and packed presence words.
+    Full(&'a [T], &'a [u64]),
 }
 
 impl<'a, T: Scalar> VView<'a, T> {
@@ -98,49 +123,173 @@ impl<'a, T: Scalar> VView<'a, T> {
     pub fn nvals(&self) -> usize {
         match self {
             VView::Sparse(idx, _) => idx.len(),
-            VView::Bitmap(_, bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
-            VView::Dense(_, present) => present.iter().filter(|&&p| p).count(),
+            VView::Full(_, bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
 
-    /// O(1) for dense and bitmap, O(log nvals) for sparse.
+    /// O(1) for the full-length form, O(log nvals) for sparse.
     pub fn get(&self, i: Index) -> Option<T> {
         match self {
             VView::Sparse(idx, val) => idx.binary_search(&i).ok().map(|p| val[p]),
-            VView::Bitmap(val, bits) => bitmap_get(bits, i).then(|| val[i]),
-            VView::Dense(val, present) => present[i].then(|| val[i]),
+            VView::Full(val, bits) => bitmap_get(bits, i).then(|| val[i]),
         }
     }
 
+    /// True for the full-length form: O(1) probes at any position.
+    pub fn is_full(&self) -> bool {
+        matches!(self, VView::Full(..))
+    }
+
     /// Visit entries in increasing index order.
-    pub fn for_each(&self, mut f: impl FnMut(Index, T)) {
+    pub fn for_each(&self, f: impl FnMut(Index, T)) {
+        self.for_each_in(0..Index::MAX, f);
+    }
+
+    /// Visit the entries whose index lies in `r`, in increasing order.
+    pub fn for_each_in(&self, r: Range<Index>, mut f: impl FnMut(Index, T)) {
         match self {
             VView::Sparse(idx, val) => {
-                for (&i, &v) in idx.iter().zip(val.iter()) {
+                let (a, b) =
+                    (idx.partition_point(|&i| i < r.start), idx.partition_point(|&i| i < r.end));
+                for (&i, &v) in idx[a..b].iter().zip(&val[a..b]) {
                     f(i, v);
                 }
             }
-            VView::Bitmap(val, bits) => {
+            VView::Full(val, bits) => {
                 // Word-at-a-time scan: empty words cost one test, set bits
                 // are walked by trailing_zeros / clear-lowest.
-                for (w, &word) in bits.iter().enumerate() {
-                    let mut word = word;
+                let end = r.end.min(val.len());
+                for w in (r.start >> 6)..end.div_ceil(64) {
+                    let mut word = bits[w];
                     while word != 0 {
                         let i = (w << 6) | word.trailing_zeros() as usize;
-                        f(i, val[i]);
+                        if i >= r.start && i < end {
+                            f(i, val[i]);
+                        }
                         word &= word - 1;
                     }
                 }
             }
-            VView::Dense(val, present) => {
-                for (i, (&v, &p)) in val.iter().zip(present.iter()).enumerate() {
-                    if p {
-                        f(i, v);
-                    }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mutable full-length windows
+// ---------------------------------------------------------------------------
+
+/// A mutable window `[base, base + len)` onto full-length storage (a
+/// vector's own, or an op's full-length result under construction): what
+/// the in-place write arm and the full-length kernels scatter into.
+/// `base` is a multiple of 64, so two windows never share a presence word
+/// and [`par_windows`] can hand them to different workers.
+pub(crate) struct FullMut<'a, T> {
+    base: Index,
+    val: &'a mut [T],
+    bits: &'a mut [u64],
+}
+
+impl<'a, T: Scalar> FullMut<'a, T> {
+    /// A window over whole value/presence arrays.
+    pub fn new(val: &'a mut [T], bits: &'a mut [u64]) -> Self {
+        debug_assert_eq!(bits.len(), bitmap_words(val.len()));
+        FullMut { base: 0, val, bits }
+    }
+
+    /// The index range this window covers.
+    pub fn range(&self) -> Range<Index> {
+        self.base..self.base + self.val.len()
+    }
+
+    #[inline]
+    pub fn get(&self, i: Index) -> Option<T> {
+        let k = i - self.base;
+        bitmap_get(self.bits, k).then(|| self.val[k])
+    }
+
+    /// Store `x` at `i`; true when the position held no entry before.
+    #[inline]
+    pub fn set(&mut self, i: Index, x: T) -> bool {
+        let k = i - self.base;
+        self.val[k] = x;
+        let (w, bit) = (k >> 6, 1u64 << (k & 63));
+        let fresh = self.bits[w] & bit == 0;
+        self.bits[w] |= bit;
+        fresh
+    }
+
+    /// Delete the entry at `i`; true when there was one.
+    #[inline]
+    pub fn clear(&mut self, i: Index) -> bool {
+        let k = i - self.base;
+        let (w, bit) = (k >> 6, 1u64 << (k & 63));
+        let was = self.bits[w] & bit != 0;
+        self.bits[w] &= !bit;
+        was
+    }
+
+    /// Delete every stored entry whose index `pred` selects and return how
+    /// many went. Presence is swept a word at a time, so an empty stretch
+    /// costs one test per 64 positions.
+    pub fn clear_where(&mut self, mut pred: impl FnMut(Index) -> bool) -> usize {
+        let base = self.base;
+        let mut removed = 0;
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if pred(base + ((w << 6) | b)) {
+                    *word &= !(1u64 << b);
+                    removed += 1;
                 }
             }
         }
+        removed
     }
+
+    /// Cut into at most `parts` windows of equal length, each a whole
+    /// number of presence words.
+    fn split(self, parts: usize) -> Vec<FullMut<'a, T>> {
+        let FullMut { base, val, bits } = self;
+        let chunk = val.len().div_ceil(parts.max(1)).next_multiple_of(64);
+        // Path syntax moves the `&'a mut` slices in (a method call would
+        // reborrow them for less than `'a`).
+        <[T]>::chunks_mut(val, chunk)
+            .zip(<[u64]>::chunks_mut(bits, chunk / 64))
+            .enumerate()
+            .map(|(k, (val, bits))| FullMut { base: base + k * chunk, val, bits })
+            .collect()
+    }
+}
+
+/// Run `work` over `full` cut into one window per thread and return the
+/// results in index order: the mutable-output counterpart of
+/// [`par_chunks`], with the same sequential cutoff on `est_work`. Windows
+/// are disjoint slices, so workers write their part of the output
+/// directly and nothing is stitched afterwards.
+pub(crate) fn par_windows<T: Scalar, R: Send>(
+    full: FullMut<'_, T>,
+    est_work: usize,
+    work: impl Fn(&mut FullMut<'_, T>) -> R + Sync,
+) -> Vec<R> {
+    let parts = if est_work < par_threshold() { 1 } else { threads() };
+    let slots: Vec<Mutex<Option<FullMut<'_, T>>>> =
+        full.split(parts).into_iter().map(|w| Mutex::new(Some(w))).collect();
+    par_chunks(slots.len(), est_work, |r| {
+        r.map(|k| {
+            let mut win = slots[k]
+                .lock()
+                .expect("window lock")
+                .take()
+                .expect("each window is claimed by exactly one chunk");
+            work(&mut win)
+        })
+        .collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -256,12 +405,32 @@ impl<T: Scalar> DenseAcc<T> {
         self.touched.sort_unstable();
     }
 
-    /// Consume this round: sorted indices plus their values.
+    /// Consume this round: sorted indices plus their values. A round that
+    /// touched a fair share of the slots reads them off the stamps in
+    /// index order, O(n), instead of sorting the touch list.
     pub fn drain_sorted(&mut self) -> (Vec<Index>, Vec<T>) {
-        self.touched.sort_unstable();
-        let idx = std::mem::take(&mut self.touched);
+        let mut idx = std::mem::take(&mut self.touched);
+        if idx.len() * 8 >= self.stamp.len() {
+            let gen = self.gen;
+            idx.clear();
+            idx.extend(self.stamp.iter().enumerate().filter(|&(_, &s)| s == gen).map(|(j, _)| j));
+        } else {
+            idx.sort_unstable();
+        }
         let val = idx.iter().map(|&j| self.val[j]).collect();
         (idx, val)
+    }
+
+    /// Consume this round as a full-length result — the value array as it
+    /// stands, presence words packed off the stamps, and the entry count.
+    pub fn into_full(mut self) -> (Vec<T>, Vec<u64>, usize) {
+        let gen = self.gen;
+        let bits = self
+            .stamp
+            .chunks(64)
+            .map(|c| c.iter().enumerate().fold(0u64, |w, (b, &s)| w | (u64::from(s == gen) << b)))
+            .collect();
+        (std::mem::take(&mut self.val), bits, self.touched.len())
     }
 }
 
@@ -285,16 +454,14 @@ impl<T: Scalar> VInner<T> {
 
     /// Resident bytes of the current state, without forcing assembly.
     /// `idx_bytes` covers whatever presence structure the form carries:
-    /// sorted indices (sparse), packed presence words (bitmap), or the
-    /// presence flags (dense).
+    /// sorted indices (sparse) or packed presence words (full-length).
     fn memory_usage(&self) -> crate::MemoryUsage {
         fn vb<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
         let (idx_bytes, val_bytes) = match &self.store {
             VStore::Sparse { idx, val } => (vb(idx), vb(val)),
-            VStore::Bitmap { val, bits, .. } => (vb(bits), vb(val)),
-            VStore::Dense { val, present, .. } => (vb(present), vb(val)),
+            VStore::Full { val, bits, .. } => (vb(bits), vb(val)),
         };
         crate::MemoryUsage {
             ptr_bytes: 0,
@@ -314,15 +481,16 @@ impl<T: Scalar> VInner<T> {
             self.pending.len(),
             self.nzombies,
         );
+        // Stable sort, then keep the last write at each index: a later
+        // tombstone cancels an earlier insertion and the other way round.
         self.pending.sort_by_key(|&(i, _)| i);
         let mut pend = std::mem::take(&mut self.pending);
         pend.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                earlier.1 = later.1;
-                true
-            } else {
-                false
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1.take();
             }
+            same
         });
         self.nzombies = 0;
         if let VStore::Sparse { idx, val } = &self.store {
@@ -331,7 +499,7 @@ impl<T: Scalar> VInner<T> {
             // search (both sorted), so chunk-order stitching reproduces
             // the sequential merge exactly.
             let n = self.n;
-            let chunks = crate::parallel::par_chunks(n, idx.len() + pend.len(), |r| {
+            let chunks = par_chunks(n, idx.len() + pend.len(), |r| {
                 let (sa, sb) = (
                     idx.partition_point(|&j| unflip(j) < r.start),
                     idx.partition_point(|&j| unflip(j) < r.end),
@@ -340,38 +508,19 @@ impl<T: Scalar> VInner<T> {
                     pend.partition_point(|p| p.0 < r.start),
                     pend.partition_point(|p| p.0 < r.end),
                 );
-                let (idx, val) = (&idx[sa..sb], &val[sa..sb]);
-                let mut out_i = Vec::with_capacity(idx.len() + (pb - pa));
-                let mut out_v = Vec::with_capacity(idx.len() + (pb - pa));
-                let mut pi = pend[pa..pb].iter().peekable();
-                for (&j, &x) in idx.iter().zip(val.iter()) {
-                    while let Some(&&(pj, px)) = pi.peek() {
-                        if pj < unflip(j) {
-                            out_i.push(pj);
-                            out_v.push(px);
-                            pi.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    let is_zombie = j & ZOMBIE != 0;
-                    if let Some(&&(pj, px)) = pi.peek() {
-                        if pj == unflip(j) {
-                            out_i.push(pj);
-                            out_v.push(px);
-                            pi.next();
-                            continue;
-                        }
-                    }
-                    if !is_zombie {
+                let mut out_i = Vec::with_capacity(sb - sa + (pb - pa));
+                let mut out_v = Vec::with_capacity(sb - sa + (pb - pa));
+                merge_edits(
+                    idx[sa..sb]
+                        .iter()
+                        .zip(&val[sa..sb])
+                        .map(|(&j, &x)| (unflip(j), j & ZOMBIE == 0, x)),
+                    pend[pa..pb].iter().copied(),
+                    |j, x| {
                         out_i.push(j);
                         out_v.push(x);
-                    }
-                }
-                for &(pj, px) in pi {
-                    out_i.push(pj);
-                    out_v.push(px);
-                }
+                    },
+                );
                 (out_i, out_v)
             });
             let mut out_i = Vec::with_capacity(idx.len() + pend.len());
@@ -389,71 +538,68 @@ impl<T: Scalar> VInner<T> {
     }
 
     /// Pick the representation the current density calls for. The
-    /// promotion thresholds (sparse → bitmap at 1/16, anything → dense at
-    /// 1/4) sit above the demotion threshold (→ sparse below 1/32), so a
-    /// frontier whose size hovers near a boundary does not thrash.
+    /// promotion threshold (sparse → full-length at 1/16) sits above the
+    /// demotion threshold (→ sparse below 1/32), so a frontier whose size
+    /// hovers near a boundary does not thrash.
     pub(crate) fn optimize_form(&mut self) {
         debug_assert!(!self.needs_assembly());
         let n = self.n;
+        let before = self.format();
         match &self.store {
             VStore::Sparse { idx, .. } => {
-                if n <= DENSE_LIMIT && idx.len() * DENSIFY_RATIO >= n && n > 0 {
-                    self.densify();
-                } else if n <= DENSE_LIMIT && idx.len() * BITMAPIFY_RATIO >= n && n > 0 {
-                    self.bitmapify();
+                if n <= DENSE_LIMIT && idx.len() * BITMAPIFY_RATIO >= n {
+                    self.fill_out();
                 }
             }
-            VStore::Bitmap { nvals, .. } => {
-                if *nvals * DENSIFY_RATIO >= n {
-                    self.densify();
-                } else if nvals * SPARSIFY_RATIO < n {
-                    self.sparsify();
-                }
-            }
-            VStore::Dense { nvals, .. } => {
+            VStore::Full { nvals, .. } => {
                 if nvals * SPARSIFY_RATIO < n {
                     self.sparsify();
                 }
             }
         }
-    }
-
-    fn densify(&mut self) {
-        match &mut self.store {
-            VStore::Sparse { idx, val } => {
-                let mut dval = vec![T::zero(); self.n];
-                let mut present = vec![false; self.n];
-                for (&i, &v) in idx.iter().zip(val.iter()) {
-                    dval[i] = v;
-                    present[i] = true;
-                }
-                let nvals = idx.len();
-                self.store = VStore::Dense { val: dval, present, nvals };
-            }
-            VStore::Bitmap { val, bits, nvals } => {
-                // Values are already full-length: move them, unpack bits.
-                let mut present = vec![false; self.n];
-                for (i, p) in present.iter_mut().enumerate() {
-                    *p = bitmap_get(bits, i);
-                }
-                let val = std::mem::take(val);
-                let nvals = *nvals;
-                self.store = VStore::Dense { val, present, nvals };
-            }
-            VStore::Dense { .. } => {}
+        let after = self.format();
+        if (after == VectorFormat::Sparse) != (before == VectorFormat::Sparse) {
+            crate::trace::vector_convert(before.name(), after.name(), n);
         }
     }
 
-    fn bitmapify(&mut self) {
+    /// True when the vector holds no entry, deferred updates counted.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+            && match &self.store {
+                VStore::Sparse { idx, .. } => idx.len() == self.nzombies,
+                VStore::Full { nvals, .. } => *nvals == 0,
+            }
+    }
+
+    pub(crate) fn format(&self) -> VectorFormat {
+        match &self.store {
+            VStore::Sparse { .. } => VectorFormat::Sparse,
+            VStore::Full { nvals, .. } if nvals * DENSIFY_RATIO >= self.n => VectorFormat::Dense,
+            VStore::Full { .. } => VectorFormat::Bitmap,
+        }
+    }
+
+    /// The full-length storage as a mutable window plus its entry counter;
+    /// `None` in the sparse form.
+    pub(crate) fn full_mut(&mut self) -> Option<(FullMut<'_, T>, &mut usize)> {
+        match &mut self.store {
+            VStore::Sparse { .. } => None,
+            VStore::Full { val, bits, nvals } => Some((FullMut::new(val, bits), nvals)),
+        }
+    }
+
+    /// Sparse → full-length.
+    fn fill_out(&mut self) {
         if let VStore::Sparse { idx, val } = &self.store {
-            let mut bval = vec![T::zero(); self.n];
+            let mut fval = vec![T::zero(); self.n];
             let mut bits = vec![0u64; bitmap_words(self.n)];
             for (&i, &v) in idx.iter().zip(val.iter()) {
-                bval[i] = v;
+                fval[i] = v;
                 bits[i >> 6] |= 1 << (i & 63);
             }
             let nvals = idx.len();
-            self.store = VStore::Bitmap { val: bval, bits, nvals };
+            self.store = VStore::Full { val: fval, bits, nvals };
         }
     }
 
@@ -471,8 +617,7 @@ impl<T: Scalar> VInner<T> {
         debug_assert!(!self.needs_assembly());
         match &self.store {
             VStore::Sparse { idx, val } => VView::Sparse(idx, val),
-            VStore::Bitmap { val, bits, .. } => VView::Bitmap(val, bits),
-            VStore::Dense { val, present, .. } => VView::Dense(val, present),
+            VStore::Full { val, bits, .. } => VView::Full(val, bits),
         }
     }
 
@@ -480,8 +625,7 @@ impl<T: Scalar> VInner<T> {
         debug_assert!(!self.needs_assembly());
         match &self.store {
             VStore::Sparse { idx, .. } => idx.len(),
-            VStore::Bitmap { nvals, .. } => *nvals,
-            VStore::Dense { nvals, .. } => *nvals,
+            VStore::Full { nvals, .. } => *nvals,
         }
     }
 }
@@ -559,7 +703,7 @@ impl<T: Scalar> Vector<T> {
         Ok(Vector {
             inner: RwLock::new(VInner {
                 n,
-                store: VStore::Dense { val: vec![value; n], present: vec![true; n], nvals: n },
+                store: VStore::Full { val: vec![value; n], bits: full_bits(n), nvals: n },
                 pending: Vec::new(),
                 nzombies: 0,
             }),
@@ -578,11 +722,7 @@ impl<T: Scalar> Vector<T> {
 
     /// The current representation.
     pub fn vector_format(&self) -> VectorFormat {
-        match &self.inner.read().store {
-            VStore::Sparse { .. } => VectorFormat::Sparse,
-            VStore::Bitmap { .. } => VectorFormat::Bitmap,
-            VStore::Dense { .. } => VectorFormat::Dense,
-        }
+        self.inner.read().format()
     }
 
     /// Force completion of deferred updates (`GrB_Vector_wait`).
@@ -592,8 +732,8 @@ impl<T: Scalar> Vector<T> {
 
     /// Resident heap footprint of the vector, by component — the vector
     /// analogue of [`crate::Matrix::memory_usage`]. `idx_bytes` reports
-    /// the form's presence structure (sparse indices, bitmap words, or
-    /// dense presence flags). Does not force assembly.
+    /// the form's presence structure (sparse indices, or the packed
+    /// presence words of the full-length form). Does not force assembly.
     pub fn memory_usage(&self) -> crate::MemoryUsage {
         self.inner.read().memory_usage()
     }
@@ -604,22 +744,10 @@ impl<T: Scalar> Vector<T> {
         if i >= inner.n {
             return Err(Error::oob(i, inner.n));
         }
-        match &mut inner.store {
-            VStore::Dense { val, present, nvals } => {
-                if !present[i] {
-                    *nvals += 1;
-                }
-                val[i] = x;
-                present[i] = true;
-            }
-            VStore::Bitmap { val, bits, nvals } => {
-                if !bitmap_get(bits, i) {
-                    *nvals += 1;
-                    bits[i >> 6] |= 1 << (i & 63);
-                }
-                val[i] = x;
-            }
-            VStore::Sparse { idx, val } => match idx.binary_search_by_key(&i, |&x| unflip(x)) {
+        if let Some((mut full, nvals)) = inner.full_mut() {
+            *nvals += usize::from(full.set(i, x));
+        } else if let VStore::Sparse { idx, val } = &mut inner.store {
+            match idx.binary_search_by_key(&i, |&x| unflip(x)) {
                 Ok(p) => {
                     if idx[p] & ZOMBIE != 0 {
                         idx[p] = i;
@@ -627,39 +755,35 @@ impl<T: Scalar> Vector<T> {
                     }
                     val[p] = x;
                 }
-                Err(_) => inner.pending.push((i, x)),
-            },
+                Err(_) => inner.pending.push((i, Some(x))),
+            }
         }
         Ok(())
     }
 
     /// Remove one entry (`GrB_Vector_removeElement`); no-op if absent.
+    /// O(1) beyond the slot lookup: a stored entry becomes a zombie, and a
+    /// position that may hold a pending insertion gets a pending tombstone
+    /// that assembly resolves.
     pub fn remove_element(&mut self, i: Index) -> Result<()> {
         let inner = self.inner.get_mut();
         if i >= inner.n {
             return Err(Error::oob(i, inner.n));
         }
-        if !inner.pending.is_empty() {
-            inner.pending.retain(|&(pi, _)| pi != i);
-        }
-        match &mut inner.store {
-            VStore::Dense { present, nvals, .. } => {
-                if present[i] {
-                    present[i] = false;
-                    *nvals -= 1;
-                }
-            }
-            VStore::Bitmap { bits, nvals, .. } => {
-                if bitmap_get(bits, i) {
-                    bits[i >> 6] &= !(1 << (i & 63));
-                    *nvals -= 1;
-                }
-            }
-            VStore::Sparse { idx, .. } => {
-                if let Ok(p) = idx.binary_search_by_key(&i, |&x| unflip(x)) {
+        if let Some((mut full, nvals)) = inner.full_mut() {
+            *nvals -= usize::from(full.clear(i));
+        } else if let VStore::Sparse { idx, .. } = &mut inner.store {
+            match idx.binary_search_by_key(&i, |&x| unflip(x)) {
+                Ok(p) => {
                     if idx[p] & ZOMBIE == 0 {
                         idx[p] |= ZOMBIE;
                         inner.nzombies += 1;
+                    }
+                }
+                // No slot, so any write to `i` sits in the pending list.
+                Err(_) => {
+                    if !inner.pending.is_empty() {
+                        inner.pending.push((i, None));
                     }
                 }
             }
@@ -673,20 +797,12 @@ impl<T: Scalar> Vector<T> {
         if i >= inner.n {
             return Err(Error::oob(i, inner.n));
         }
-        for &(pi, px) in inner.pending.iter().rev() {
-            if pi == i {
-                return Ok(px);
-            }
+        // Later pending writes shadow assembled data; scan from the back.
+        if let Some(&(_, x)) = inner.pending.iter().rev().find(|p| p.0 == i) {
+            return x.ok_or(Error::NoValue);
         }
         match &inner.store {
-            VStore::Dense { val, present, .. } => {
-                if present[i] {
-                    Ok(val[i])
-                } else {
-                    Err(Error::NoValue)
-                }
-            }
-            VStore::Bitmap { val, bits, .. } => {
+            VStore::Full { val, bits, .. } => {
                 if bitmap_get(bits, i) {
                     Ok(val[i])
                 } else {
@@ -786,6 +902,19 @@ impl<T: Scalar> Vector<T> {
         let inner = self.inner.get_mut();
         debug_assert!(idx.last().is_none_or(|&l| l < inner.n));
         inner.store = VStore::Sparse { idx, val };
+        inner.pending.clear();
+        inner.nzombies = 0;
+        inner.optimize_form();
+    }
+
+    /// Replace contents with full-length arrays — a result its kernel
+    /// already produced in that form, so nothing is converted unless it
+    /// turns out sparse enough to demote.
+    pub(crate) fn install_full(&mut self, val: Vec<T>, bits: Vec<u64>, nvals: usize) {
+        let inner = self.inner.get_mut();
+        debug_assert!(val.len() == inner.n && bits.len() == bitmap_words(inner.n));
+        debug_assert_eq!(nvals, VView::Full(&val, &bits).nvals());
+        inner.store = VStore::Full { val, bits, nvals };
         inner.pending.clear();
         inner.nzombies = 0;
         inner.optimize_form();
@@ -977,6 +1106,41 @@ mod tests {
         v.inner.write().optimize_form();
         assert_eq!(v.vector_format(), VectorFormat::Bitmap);
         assert_eq!(v.nvals(), 3);
+    }
+
+    #[test]
+    fn removals_of_pending_entries_are_tombstones_not_scans() {
+        // 64 k deferred insertions, then 16 k removals (of pending
+        // entries, of absent positions, some re-set afterwards), one
+        // assembly. Each removal used to `retain` over the whole pending
+        // list — a billion steps here; a tombstone is O(1).
+        let n = 1 << 24; // stays sparse: 64 k < n/16
+        let mut v = Vector::<u64>::new(n).expect("new");
+        let mut oracle = std::collections::BTreeMap::new();
+        let at = |k: u64| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as Index;
+        for k in 0..65_536u64 {
+            v.set_element(at(k), k).expect("set");
+            oracle.insert(at(k), k);
+        }
+        let t0 = std::time::Instant::now();
+        for k in 0..16_384u64 {
+            // Three in four hit a pending insertion, the rest nothing.
+            let i = if k % 4 == 3 { at(k) ^ 1 } else { at(k * 3) };
+            v.remove_element(i).expect("remove");
+            oracle.remove(&i);
+            if k % 8 == 0 {
+                v.set_element(i, k + 1_000_000).expect("set again");
+                oracle.insert(i, k + 1_000_000);
+            }
+            if k % 1024 == 0 {
+                assert_eq!(v.get(i), oracle.get(&i).copied(), "read through the pending list");
+            }
+        }
+        v.wait();
+        let took = t0.elapsed();
+        assert_eq!(v.vector_format(), VectorFormat::Sparse);
+        assert_eq!(v.extract_tuples(), oracle.into_iter().collect::<Vec<_>>());
+        assert!(took.as_millis() < 1500, "16 k removals + assembly took {took:?}");
     }
 
     #[test]
