@@ -10,12 +10,11 @@
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
 use lagraph::bfs_level_matrix;
-use lagraph_bench::{criterion_config, profile_once, report_stats};
+use lagraph_bench::{criterion_config, profile_once};
 use lagraph_io::{rmat, RmatParams};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
-    graphblas::stats::reset();
 
     // Dual storage on/off: identical BFS, with and without the cached
     // transpose that enables pull.
@@ -25,55 +24,35 @@ fn bench(c: &mut Criterion) {
     let mut dual = plain.clone();
     dual.set_dual_storage(true);
     dual.wait();
-    group.bench_with_input(BenchmarkId::new("bfs", "dual_storage"), &dual, |bencher, a| {
-        bencher.iter(|| bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals())
-    });
-    report_stats("ablation/bfs/dual_storage");
-    group.bench_with_input(BenchmarkId::new("bfs", "single_storage"), &plain, |bencher, a| {
-        bencher.iter(|| bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals())
-    });
-    report_stats("ablation/bfs/single_storage");
-    // One traced run of the dual-storage BFS: the per-span profile shows
-    // where the iterations spend their time, not just end-to-end medians.
-    profile_once("ablation/bfs/dual_storage", || {
-        bfs_level_matrix(&dual, 0, Direction::Auto).expect("bfs").nvals()
-    });
+    for (name, a) in [("dual_storage", &dual), ("single_storage", &plain)] {
+        let bfs = || bfs_level_matrix(a, 0, Direction::Auto).expect("bfs").nvals();
+        group.bench_function(BenchmarkId::new("bfs", name), |bencher| bencher.iter(bfs));
+        // One traced run: which direction each level took (every pull
+        // the model wants falls back to push without the transpose) and
+        // where the iterations spend their time, not just medians.
+        profile_once(&format!("ablation/bfs/{name}"), bfs);
+    }
 
     // Pending tuples vs eager assembly on a mixed update stream.
     let n = 1 << 12;
     let updates: Vec<(Index, Index, f64)> =
         (0..20_000).map(|k| ((k * 37) % n, (k * 101) % n, k as f64)).collect();
-    group.bench_with_input(
-        BenchmarkId::new("updates", "nonblocking"),
-        &updates,
-        |bencher, updates| {
-            bencher.iter(|| {
-                let mut m = Matrix::<f64>::new(n, n).expect("new");
-                for &(i, j, x) in updates {
-                    m.set_element(i, j, x).expect("set");
+    for (name, flush_every) in [("nonblocking", None), ("eager_every_64", Some(64))] {
+        let build = || {
+            let mut m = Matrix::<f64>::new(n, n).expect("new");
+            for (k, &(i, j, x)) in updates.iter().enumerate() {
+                m.set_element(i, j, x).expect("set");
+                if flush_every.is_some_and(|every| k % every == 0) {
+                    m.wait();
                 }
-                m.nvals()
-            })
-        },
-    );
-    report_stats("ablation/updates/nonblocking");
-    group.bench_with_input(
-        BenchmarkId::new("updates", "eager_every_64"),
-        &updates,
-        |bencher, updates| {
-            bencher.iter(|| {
-                let mut m = Matrix::<f64>::new(n, n).expect("new");
-                for (k, &(i, j, x)) in updates.iter().enumerate() {
-                    m.set_element(i, j, x).expect("set");
-                    if k % 64 == 0 {
-                        m.wait();
-                    }
-                }
-                m.nvals()
-            })
-        },
-    );
-    report_stats("ablation/updates/eager_every_64");
+            }
+            m.nvals()
+        };
+        group.bench_function(BenchmarkId::new("updates", name), |bencher| bencher.iter(build));
+        // How many assemblies the stream cost, and how large the backlog
+        // each resolved was.
+        profile_once(&format!("ablation/updates/{name}"), build);
+    }
 
     // Opacity cost: point reads on a fully assembled matrix must be as
     // cheap as the underlying binary search.
@@ -96,7 +75,6 @@ fn bench(c: &mut Criterion) {
             hits
         })
     });
-    report_stats("ablation/point_reads_assembled");
     group.finish();
 }
 

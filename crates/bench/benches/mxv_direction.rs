@@ -4,40 +4,30 @@
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
 use graphblas::semiring::LOR_LAND;
-use lagraph_bench::{criterion_config, frontier, profile_once, report_stats, rmat_structure_dual};
+use lagraph_bench::{criterion_config, frontier, profile_once, rmat_structure_dual};
 
 fn bench(c: &mut Criterion) {
     let a = rmat_structure_dual(11, 16, 42);
     let n = a.nrows();
     let mut group = c.benchmark_group("mxv_direction");
-    graphblas::stats::reset();
     // Distinct frontier sizes from very sparse to half-dense (n = 2048).
     for k in [4usize, 64, 512, n / 2] {
         let q = frontier(n, k);
         for (name, dir) in
             [("push", Direction::Push), ("pull", Direction::Pull), ("auto", Direction::Auto)]
         {
-            group.bench_with_input(BenchmarkId::new(name, k), &(&a, &q), |bencher, (a, q)| {
-                bencher.iter(|| {
-                    let mut w = Vector::<bool>::new(n).expect("w");
-                    mxv(&mut w, None, NOACC, &LOR_LAND, a, q, &Descriptor::new().direction(dir))
-                        .expect("mxv");
-                    w.nvals()
-                })
-            });
-            // Which direction actually ran (the auto row shows where the
-            // push/pull heuristic lands at this frontier density).
-            report_stats(&format!("mxv/{name}/{k}"));
+            let product = || {
+                let mut w = Vector::<bool>::new(n).expect("w");
+                mxv(&mut w, None, NOACC, &LOR_LAND, &a, &q, &Descriptor::new().direction(dir))
+                    .expect("mxv");
+                w.nvals()
+            };
+            group.bench_function(BenchmarkId::new(name, k), |bencher| bencher.iter(product));
+            // One traced run: the kernel that actually ran and its span
+            // profile (the auto row shows where the cost model lands at
+            // this frontier density, plus any mxv.mispredict instants).
+            profile_once(&format!("mxv/{name}/{k}"), product);
         }
-        // A traced auto run at this density: the span profile records
-        // which kernel the cost model picked and its latency distribution
-        // (plus any mxv.mispredict instants).
-        let q = frontier(n, k);
-        profile_once(&format!("mxv/auto/{k}"), || {
-            let mut w = Vector::<bool>::new(n).expect("w");
-            mxv(&mut w, None, NOACC, &LOR_LAND, &a, &q, &Descriptor::default()).expect("mxv");
-            w.nvals()
-        });
     }
 
     // The BFS-shaped masked rows: frontier expansion under a complemented
@@ -49,27 +39,24 @@ fn bench(c: &mut Criterion) {
         for (name, dir) in
             [("push", Direction::Push), ("pull", Direction::Pull), ("auto", Direction::Auto)]
         {
-            group.bench_with_input(
-                BenchmarkId::new(format!("masked_{name}"), k),
-                &(&a, &q, &visited),
-                |bencher, (a, q, visited)| {
-                    bencher.iter(|| {
-                        let mut w = Vector::<bool>::new(n).expect("w");
-                        mxv(
-                            &mut w,
-                            Some(visited),
-                            NOACC,
-                            &LOR_LAND,
-                            a,
-                            q,
-                            &Descriptor::new().direction(dir).complement().structural().replace(),
-                        )
-                        .expect("mxv");
-                        w.nvals()
-                    })
-                },
-            );
-            report_stats(&format!("mxv/masked_{name}/{k}"));
+            let product = || {
+                let mut w = Vector::<bool>::new(n).expect("w");
+                mxv(
+                    &mut w,
+                    Some(&visited),
+                    NOACC,
+                    &LOR_LAND,
+                    &a,
+                    &q,
+                    &Descriptor::new().direction(dir).complement().structural().replace(),
+                )
+                .expect("mxv");
+                w.nvals()
+            };
+            group.bench_function(BenchmarkId::new(format!("masked_{name}"), k), |bencher| {
+                bencher.iter(product)
+            });
+            profile_once(&format!("mxv/masked_{name}/{k}"), product);
         }
     }
     group.finish();

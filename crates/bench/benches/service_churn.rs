@@ -29,9 +29,10 @@
 //! repair-vs-rebuild split — the numbers that say whether incremental
 //! maintenance is actually absorbing the churn.
 
-use graphblas::metrics;
+use graphblas::{env, metrics};
 use lagraph::service::{GraphService, Query, ServiceConfig, ViewKind, ViewsConfig};
 use lagraph::{bfs_level, pagerank, triangle_count, PageRankOptions, TriCountMethod};
+use lagraph_bench::json::Value;
 use lagraph_bench::rmat_graph;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -216,7 +217,7 @@ fn run_closed_loop(
     // In views mode, pull the per-view repair split and the repair
     // latency percentiles (from the rendered histogram companions) into
     // the report and the artifact.
-    let mut views_json = String::new();
+    let mut view_fields: Vec<(String, Value)> = Vec::new();
     if views {
         let page = metrics::render();
         let mut repairs_total = 0u64;
@@ -235,51 +236,71 @@ fn run_closed_loop(
                  repair p50={rp50:.1}us p95={rp95:.1}us p99={rp99:.1}us",
                 vs.repairs, vs.rebuilds, vs.served,
             );
-            views_json.push_str(&format!(
-                ",\n  \"view_{name}_repairs\": {},\n  \"view_{name}_rebuilds\": {},\n  \
-                 \"view_{name}_served\": {},\n  \"view_{name}_repair_p50_us\": {rp50:.1},\n  \
-                 \"view_{name}_repair_p95_us\": {rp95:.1},\n  \
-                 \"view_{name}_repair_p99_us\": {rp99:.1}",
-                vs.repairs, vs.rebuilds, vs.served,
-            ));
+            view_fields.extend([
+                (format!("view_{name}_repairs"), vs.repairs.into()),
+                (format!("view_{name}_rebuilds"), vs.rebuilds.into()),
+                (format!("view_{name}_served"), vs.served.into()),
+                (format!("view_{name}_repair_p50_us"), rounded(rp50, 1)),
+                (format!("view_{name}_repair_p95_us"), rounded(rp95, 1)),
+                (format!("view_{name}_repair_p99_us"), rounded(rp99, 1)),
+            ]);
         }
         let ratio =
             if refreshes_total > 0 { repairs_total as f64 / refreshes_total as f64 } else { 0.0 };
         println!("view repair ratio: {ratio:.3} ({repairs_total}/{refreshes_total} refreshes)");
-        views_json.push_str(&format!(
-            ",\n  \"view_hits\": {},\n  \"view_repair_ratio\": {ratio:.3}",
-            adm.view_hits,
-        ));
+        view_fields.extend([
+            ("view_hits".to_string(), adm.view_hits.into()),
+            ("view_repair_ratio".to_string(), rounded(ratio, 3)),
+        ]);
     }
 
     if let Ok(path) = std::env::var("SERVICE_CHURN_OUT") {
-        // Hand-rolled JSON (no serde in the bench tree): flat scalar
-        // fields only, stable key order for easy diffing in CI.
-        let json = format!(
-            "{{\n  \"bench\": \"service_churn\",\n  \"mode\": \"closed-loop\",\n  \
-             \"views\": {views},\n  \
-             \"shards\": {shards},\n  \"threads\": {threads},\n  \"secs\": {secs},\n  \
-             \"queries\": {queries},\n  \"qps\": {qps:.1},\n  \"p50_us\": {},\n  \
-             \"p95_us\": {},\n  \"p99_us\": {},\n  \"updates\": {},\n  \"epochs\": {epochs},\n  \
-             \"batches\": {},\n  \"batched_queries\": {},\n  \"cache_hits\": {},\n  \
-             \"cache_misses\": {}{views_json}\n}}\n",
-            p50.as_micros(),
-            p95.as_micros(),
-            p99.as_micros(),
-            writes.load(Relaxed),
-            adm.batches,
-            adm.batched_queries,
-            adm.cache_hits,
-            adm.cache_misses,
-        );
-        std::fs::write(&path, json).expect("write SERVICE_CHURN_OUT artifact");
+        // Flat scalar fields only, in a stable key order for easy
+        // diffing in CI.
+        let micros = |d: Duration| Value::from(d.as_micros() as u64);
+        let mut fields: Vec<(String, Value)> = [
+            ("bench", "service_churn".into()),
+            ("mode", "closed-loop".into()),
+            ("views", Value::Bool(views)),
+            ("shards", shards.into()),
+            ("threads", threads.into()),
+            ("secs", secs.into()),
+            ("queries", queries.into()),
+            ("qps", rounded(qps, 1)),
+            ("p50_us", micros(p50)),
+            ("p95_us", micros(p95)),
+            ("p99_us", micros(p99)),
+            ("updates", writes.load(Relaxed).into()),
+            ("epochs", epochs.into()),
+            ("batches", adm.batches.into()),
+            ("batched_queries", adm.batched_queries.into()),
+            ("cache_hits", adm.cache_hits.into()),
+            ("cache_misses", adm.cache_misses.into()),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        fields.extend(view_fields);
+        std::fs::write(&path, Value::Obj(fields).pretty())
+            .expect("write SERVICE_CHURN_OUT artifact");
         println!("closed-loop: wrote {path}");
     }
 }
 
+/// `x` to `digits` decimals, as the artifact records rates and latencies.
+fn rounded(x: f64, digits: i32) -> Value {
+    let scale = 10f64.powi(digits);
+    Value::Num((x * scale).round() / scale)
+}
+
+/// A numeric `SERVICE_CHURN_*` knob, validated like every other
+/// environment variable the workspace reads.
+fn env_num<T: std::str::FromStr>(name: &'static str) -> Option<T> {
+    env::var(name, "a non-negative integer", |v| v.parse().ok())
+}
+
 fn main() {
-    let secs: u64 =
-        std::env::var("SERVICE_CHURN_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
+    let secs: u64 = env_num("SERVICE_CHURN_SECS").unwrap_or(4);
     let scale = 12; // 4096 vertices, ~64k edges: big enough to make
                     // assembly and queries non-trivial, small enough for CI
     let graph = rmat_graph(scale, 16, 42);
@@ -289,14 +310,14 @@ fn main() {
     // Shard count: SERVICE_CHURN_SHARDS wins, then the service-level
     // LAGRAPH_SERVICE_* env knobs, then the config default.
     let mut config = ServiceConfig::from_env();
-    if let Some(s) = std::env::var("SERVICE_CHURN_SHARDS").ok().and_then(|v| v.parse().ok()) {
-        config.shards = std::cmp::max(1, s);
+    if let Some(s) = env_num::<usize>("SERVICE_CHURN_SHARDS") {
+        config.shards = s.max(1);
     }
     let shards = config.shards;
 
     // Views mode: register every materialized view and turn the metrics
     // registry on so the repair-latency histograms record.
-    let views = std::env::var("SERVICE_CHURN_VIEWS").map(|v| v == "1").unwrap_or(false);
+    let views = env::var("SERVICE_CHURN_VIEWS", "off or on", env::boolean).unwrap_or(false);
     if views {
         metrics::set_enabled(true);
         if config.views.is_none() {
@@ -311,9 +332,7 @@ fn main() {
 
     let service = Arc::new(GraphService::new(graph, config).expect("service"));
 
-    if let Some(threads) =
-        std::env::var("SERVICE_CHURN_CLOSED").ok().and_then(|v| v.parse::<usize>().ok())
-    {
+    if let Some(threads) = env_num::<usize>("SERVICE_CHURN_CLOSED") {
         run_closed_loop(service, threads.max(1), secs, shards, views);
         return;
     }

@@ -54,48 +54,39 @@ pub fn frontier(n: Index, k: usize) -> Vector<bool> {
     Vector::from_tuples(n, tuples, |_, b| b).expect("frontier dims")
 }
 
-/// Snapshot-and-reset the graphblas perf counters, printing one compact
-/// report line so a bench run shows *which* kernels and dispatch paths the
-/// measured region actually took. Prints nothing when every counter is
-/// zero (counters are compiled in via the `stats` feature).
-pub fn report_stats(label: &str) {
-    let s = graphblas::stats::snapshot();
-    graphblas::stats::reset();
-    if s == graphblas::stats::Snapshot::default() {
-        return;
-    }
-    eprintln!(
-        "stats[{label}]: mxm g/d/h={}/{}/{} mxv push/pull/fallback={}/{}/{} \
-         flops~{} dispatch par/seq={}/{} chunks={} early_exits={} assemblies={}",
-        s.mxm_gustavson,
-        s.mxm_dot,
-        s.mxm_heap,
-        s.mxv_push,
-        s.mxv_pull,
-        s.mxv_dual_fallback,
-        s.flops_est,
-        s.par_calls,
-        s.seq_calls,
-        s.chunks_spawned,
-        s.reduce_early_exits,
-        s.assembles,
-    );
-}
-
-/// Run `f` once with tracing in record mode and print the aggregated
-/// [`trace::Profile`] table (per-span counts, latency quantiles, flops)
-/// for that single invocation. The previous trace mode is restored, so
-/// the timed criterion loops stay untraced: benches profile one
-/// representative run instead of diffing raw counter snapshots.
+/// Run `f` once with tracing in record mode and print what that single
+/// invocation did: the [`trace::Profile`] table (per-span counts,
+/// latency quantiles, flops) and one [`trace::RunAggregate`] line naming
+/// the kernels and dispatch paths it took. The previous trace mode is
+/// restored, so the timed criterion loops stay untraced: benches profile
+/// one representative run of each configuration.
 pub fn profile_once<R>(label: &str, f: impl FnOnce() -> R) -> R {
     let prev = trace::mode();
     trace::clear();
     trace::set_mode(trace::Mode::Record);
     let r = f();
     trace::set_mode(prev);
-    let profile = trace::Profile::collect();
+    let events = trace::drain();
+    let profile = trace::Profile::from_events(&events);
     if !profile.ops.is_empty() {
+        let a = trace::RunAggregate::from_events(&events);
         eprint!("profile[{label}]\n{}", profile.report());
+        eprintln!(
+            "aggregate[{label}]: mxm g/d/h/fused={}/{}/{}/{} mxv push/pull/fallback={}/{}/{} \
+             mispredicts={} flops~{} chunks={} early_exits={} assemblies={}",
+            a.mxm_gustavson,
+            a.mxm_dot,
+            a.mxm_heap,
+            a.mxm_fused,
+            a.push,
+            a.pull,
+            a.direction_fallbacks,
+            a.mispredicts,
+            a.total_flops,
+            a.chunks,
+            a.early_exits,
+            a.assemblies,
+        );
     }
     r
 }

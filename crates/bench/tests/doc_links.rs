@@ -1,14 +1,19 @@
-//! Relative-link checker for the repository documentation.
+//! Drift checks for the repository documentation: relative links, and
+//! the README's environment-variable table against the code.
 //!
-//! Walks `README.md`, `DESIGN.md`, and everything under `docs/`,
+//! The link checker walks `README.md`, `DESIGN.md`, and everything under `docs/`,
 //! extracts every inline Markdown link, and verifies that each
 //! repo-relative target resolves: the file must exist, and a `#anchor`
 //! fragment must match a heading in the target file under GitHub's
 //! slugging rules (lowercase, punctuation stripped, spaces → dashes).
 //! External links (`http…`) are skipped — CI must not depend on the
 //! network — but in-repo drift fails the build instead of rotting.
+//!
+//! The environment table check holds the README's "Environment
+//! variables" rows to exactly the `GRAPHBLAS_*` / `LAGRAPH_*` /
+//! `SERVICE_CHURN_*` names that source under `crates/` reads.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Repository root, two levels up from the bench crate.
@@ -160,4 +165,62 @@ fn slugs_match_github_rules() {
         "15-incremental-views--epoch-deltas"
     );
     assert_eq!(slug("### `LAGRAPH_VIEWS` (env)"), "lagraph_views-env");
+}
+
+const ENV_PREFIXES: [&str; 3] = ["GRAPHBLAS_", "LAGRAPH_", "SERVICE_CHURN_"];
+
+/// Every environment-variable name in `text` that directly follows
+/// `open` and is directly followed by `close`.
+fn env_names(text: &str, open: char, close: char, out: &mut BTreeSet<String>) {
+    for (at, _) in text.match_indices(open) {
+        let rest = &text[at + open.len_utf8()..];
+        let len = rest
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(rest.len());
+        let name = &rest[..len];
+        if rest[len..].starts_with(close)
+            && ENV_PREFIXES.iter().any(|p| name.starts_with(p) && name.len() > p.len())
+        {
+            out.insert(name.to_string());
+        }
+    }
+}
+
+/// The names the code reads: every string literal under `crates/` that
+/// is exactly one variable name (messages and doc comments that merely
+/// mention a variable are not).
+fn env_names_read(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir").filter_map(|e| e.ok()) {
+        let path = entry.path();
+        if path.is_dir() {
+            env_names_read(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            env_names(&std::fs::read_to_string(&path).expect("read source"), '"', '"', out);
+        }
+    }
+}
+
+#[test]
+fn readme_environment_table_matches_the_code() {
+    let root = repo_root();
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let section = readme
+        .split_once("## Environment variables")
+        .map(|(_, rest)| rest.split("\n## ").next().unwrap_or(rest))
+        .expect("README has an Environment variables section");
+    let mut documented = BTreeSet::new();
+    // The variable is the first cell of its row; later cells may mention others.
+    for cell in section.lines().filter_map(|row| row.strip_prefix('|')?.split('|').next()) {
+        env_names(cell, '`', '`', &mut documented);
+    }
+    let mut read = BTreeSet::new();
+    env_names_read(&root.join("crates"), &mut read);
+    assert!(read.len() >= 10, "found only {read:?} — source scan broken?");
+    let undocumented: Vec<_> = read.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&read).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "README environment table drift: read but not documented {undocumented:?}, \
+         documented but not read {stale:?}"
+    );
 }

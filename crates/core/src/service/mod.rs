@@ -367,17 +367,10 @@ fn policy_label(p: BackpressurePolicy) -> &'static str {
     }
 }
 
-/// Parse an environment knob, warning once (and falling back to the
-/// default) on malformed values.
+/// Parse an environment knob through [`graphblas::env::var`]: unset is
+/// the default, a malformed value warns once and is the default too.
 pub(crate) fn env_parse<T: std::str::FromStr>(name: &'static str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            trace::warn_once(name, &format!("ignoring malformed {name}={raw}"));
-            None
-        }
-    }
+    graphblas::env::var(name, std::any::type_name::<T>(), |v| v.parse().ok())
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -165,32 +165,30 @@ impl Default for ViewsConfig {
 }
 
 impl ViewsConfig {
-    /// Read `LAGRAPH_VIEWS` (unset/`0`/`off` → no views; `1`/`all` →
+    /// Read `LAGRAPH_VIEWS` (unset or off → no views; on or `all` →
     /// every view; otherwise a comma-separated list of view names) and
-    /// `LAGRAPH_VIEWS_STALENESS` (the repair budget). Unknown view
-    /// names warn once and are skipped.
+    /// `LAGRAPH_VIEWS_STALENESS` (the repair budget). A list naming an
+    /// unknown view warns once and registers no views.
     pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("LAGRAPH_VIEWS").ok()?;
-        let t = raw.trim();
-        if t.is_empty() || t == "0" || t.eq_ignore_ascii_case("off") {
-            return None;
-        }
-        let views: Vec<ViewKind> = if t == "1" || t.eq_ignore_ascii_case("all") {
-            ViewKind::ALL.to_vec()
-        } else {
-            let mut v = Vec::new();
-            for part in t.split(',') {
-                match ViewKind::parse(part) {
-                    Some(k) if !v.contains(&k) => v.push(k),
-                    Some(_) => {}
-                    None => trace::warn_once(
-                        "LAGRAPH_VIEWS",
-                        &format!("ignoring unknown view {:?} in LAGRAPH_VIEWS", part.trim()),
-                    ),
+        let views = graphblas::env::var(
+            "LAGRAPH_VIEWS",
+            "off, on, all, or a comma-separated list of cc, pagerank, degree, tricount, kcore",
+            |t| match graphblas::env::boolean(t) {
+                Some(false) => Some(Vec::new()),
+                Some(true) => Some(ViewKind::ALL.to_vec()),
+                None if t.eq_ignore_ascii_case("all") => Some(ViewKind::ALL.to_vec()),
+                None => {
+                    let mut v = Vec::new();
+                    for part in t.split(',') {
+                        let k = ViewKind::parse(part)?;
+                        if !v.contains(&k) {
+                            v.push(k);
+                        }
+                    }
+                    Some(v)
                 }
-            }
-            v
-        };
+            },
+        )?;
         if views.is_empty() {
             return None;
         }

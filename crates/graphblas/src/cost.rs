@@ -67,34 +67,22 @@ impl CostModel {
 pub fn model() -> &'static CostModel {
     static MODEL: OnceLock<CostModel> = OnceLock::new();
     MODEL.get_or_init(|| {
-        if let Some(m) = parse_env(std::env::var("GRAPHBLAS_COST_MODEL").ok().as_deref()) {
-            return m;
-        }
-        calibrate()
+        crate::env::var("GRAPHBLAS_COST_MODEL", COST_MODEL_SYNTAX, parse_env)
+            .unwrap_or_else(calibrate)
     })
 }
 
-/// Parse a `GRAPHBLAS_COST_MODEL="<push_ns>,<pull_ns>"` override. Unset is
-/// silently "calibrate"; a set-but-invalid value warns once and falls back
-/// to calibration instead of being silently ignored.
-fn parse_env(raw: Option<&str>) -> Option<CostModel> {
-    let raw = raw?;
-    let parsed = raw.split_once(',').and_then(|(p, q)| {
-        let push_ns: f64 = p.trim().parse().ok()?;
-        let pull_ns: f64 = q.trim().parse().ok()?;
-        (push_ns.is_finite() && push_ns > 0.0 && pull_ns.is_finite() && pull_ns > 0.0)
-            .then_some(CostModel { push_ns, pull_ns })
-    });
-    if parsed.is_none() {
-        trace::warn_once(
-            "GRAPHBLAS_COST_MODEL",
-            &format!(
-                "ignoring invalid GRAPHBLAS_COST_MODEL={raw:?} (expected \
-                 '<push_ns>,<pull_ns>' with positive numbers); calibrating instead"
-            ),
-        );
-    }
-    parsed
+const COST_MODEL_SYNTAX: &str = "'<push_ns>,<pull_ns>' with positive numbers";
+
+/// Parse a `GRAPHBLAS_COST_MODEL="<push_ns>,<pull_ns>"` override. An
+/// invalid value falls back to calibration after [`crate::env::var`]'s
+/// warning.
+fn parse_env(v: &str) -> Option<CostModel> {
+    let (p, q) = v.split_once(',')?;
+    let push_ns: f64 = p.trim().parse().ok()?;
+    let pull_ns: f64 = q.trim().parse().ok()?;
+    (push_ns.is_finite() && push_ns > 0.0 && pull_ns.is_finite() && pull_ns > 0.0)
+        .then_some(CostModel { push_ns, pull_ns })
 }
 
 /// Bounds on a believable per-flop cost; timings outside them (clock
@@ -241,14 +229,16 @@ mod tests {
 
     #[test]
     fn env_override_parsing() {
-        assert_eq!(parse_env(None), None);
-        let m = parse_env(Some("0.5, 2.0")).expect("valid override");
+        let env =
+            |raw| crate::env::check("GRAPHBLAS_COST_MODEL", raw, COST_MODEL_SYNTAX, parse_env);
+        assert_eq!(env(None), None);
+        let m = env(Some("0.5, 2.0")).expect("valid override");
         assert_eq!(m, CostModel { push_ns: 0.5, pull_ns: 2.0 });
-        assert_eq!(parse_env(Some("1.0")), None);
-        assert_eq!(parse_env(Some("0,1")), None);
-        assert_eq!(parse_env(Some("-1,1")), None);
-        assert_eq!(parse_env(Some("nan,1")), None);
-        assert_eq!(parse_env(Some("fast,slow")), None);
+        assert_eq!(env(Some("1.0")), None);
+        assert_eq!(env(Some("0,1")), None);
+        assert_eq!(env(Some("-1,1")), None);
+        assert_eq!(env(Some("nan,1")), None);
+        assert_eq!(env(Some("fast,slow")), None);
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! | §II.E direction optimization | push/pull choice, measured cost model | [`cost`], `ops::mxv` |
 //! | §IV O(1) data movement | import/export of raw arrays | [`import`] |
 //! | §III testing methodology | the dense "MATLAB mimic" reference | [`mimic`] |
-//! | (SuiteSparse "burble") | runtime tracing, profiling, Chrome traces | [`trace`], [`stats`] |
-//! | (serving telemetry) | live counters/gauges/histograms, Prometheus `/metrics` | [`metrics`] |
+//! | (SuiteSparse "burble") | the event pipeline: spans and instants fanned out to the ring, the burble, and the registry; profiles, Chrome traces | [`trace`] |
+//! | (serving telemetry) | live counters/gauges/histograms, Prometheus `/metrics` — one sink of `trace` | [`metrics`] |
+//! | (configuration) | the one reader of `GRAPHBLAS_*` / `LAGRAPH_*` environment knobs | [`mod@env`] |
 //! | (execution substrate) | the chunked worker pool every kernel uses | [`parallel`] |
 //! | (C API `GrB_Info`) | typed error codes | [`error`] |
 //!
@@ -49,12 +50,12 @@ pub mod binaryop;
 pub mod compressed;
 pub mod cost;
 pub mod descriptor;
+pub mod env;
 pub mod error;
 pub mod metrics;
 pub mod monoid;
 pub mod parallel;
 pub mod semiring;
-pub mod stats;
 pub mod trace;
 pub mod types;
 pub mod unaryop;

@@ -65,51 +65,10 @@ const HYPER_DIM_LIMIT: usize = 1 << 22;
 const HYPER_RATIO: usize = 16;
 const HYPER_MIN_DIM: usize = 4096;
 
-/// Under `GRAPHBLAS_STORAGE=compressed`, matrices smaller than this stay
-/// CSR — compressing tiny kernel intermediates costs more than it saves.
-/// Matrices opted in per-object with [`Matrix::set_compressed`] compress
-/// regardless of size.
-const COMPRESS_MIN_NVALS: usize = 4096;
-
-/// Process-wide storage policy from `GRAPHBLAS_STORAGE`:
-/// `csr` forces the classic forms even for opted-in matrices,
-/// `compressed` compresses every large matrix at assembly, and
-/// `auto` (default) honors the per-matrix [`Matrix::set_compressed`] flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StorageMode {
-    Auto,
-    Csr,
-    Compressed,
-}
-
-pub(crate) fn storage_mode() -> StorageMode {
-    static MODE: std::sync::OnceLock<StorageMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("GRAPHBLAS_STORAGE").as_deref() {
-        Ok("csr") => StorageMode::Csr,
-        Ok("compressed") => StorageMode::Compressed,
-        Ok("auto") | Ok("") | Err(_) => StorageMode::Auto,
-        Ok(other) => {
-            crate::trace::warn_once(
-                "graphblas_storage_env",
-                &format!(
-                    "GRAPHBLAS_STORAGE={other} not recognized (auto|csr|compressed); using auto"
-                ),
-            );
-            StorageMode::Auto
-        }
-    })
-}
-
 /// Pending-tuple backlog at which a compressed matrix is eagerly
 /// recompacted (re-assembled and re-encoded on the `par_chunks` pool)
-/// instead of letting deferred updates pile up. `GRAPHBLAS_RECOMPACT`
-/// overrides; 0 disables eager recompaction.
-pub(crate) fn recompact_threshold() -> usize {
-    static T: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("GRAPHBLAS_RECOMPACT").ok().and_then(|v| v.parse().ok()).unwrap_or(65536)
-    })
-}
+/// instead of letting deferred updates pile up.
+const RECOMPACT_PENDING: usize = 65536;
 
 /// The storage format of a matrix, as reported by [`Matrix::format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,7 +272,7 @@ pub(crate) struct Inner<T> {
     /// Whether the performance-oriented dual storage is requested.
     pub dual_enabled: bool,
     /// Whether this matrix opts into the compressed read-optimized form
-    /// (see [`Matrix::set_compressed`] and `GRAPHBLAS_STORAGE`).
+    /// (see [`Matrix::set_compressed`]).
     pub compress_enabled: bool,
 }
 
@@ -445,23 +404,11 @@ impl<T: Scalar> Inner<T> {
         }
     }
 
-    /// True when this matrix should end up in the compressed form —
-    /// either opted in per-object or forced by `GRAPHBLAS_STORAGE`
-    /// (which also gates opted-in matrices off under `csr`).
-    pub(crate) fn compression_engaged(&self, nvals: usize) -> bool {
-        match storage_mode() {
-            StorageMode::Csr => false,
-            StorageMode::Compressed => self.compress_enabled || nvals >= COMPRESS_MIN_NVALS,
-            StorageMode::Auto => self.compress_enabled,
-        }
-    }
-
     /// Re-encode assembled standard CSR into the compressed form when the
-    /// storage policy asks for it. Values that don't survive the exact
-    /// round-trip leave the matrix in CSR (with a one-time warning).
+    /// matrix opted in. Values that don't survive the exact round-trip
+    /// leave the matrix in CSR (with a one-time warning).
     pub(crate) fn maybe_compress(&mut self) {
-        let nvals = self.store.nvals_raw();
-        if !self.compression_engaged(nvals) {
+        if !self.compress_enabled {
             return;
         }
         if let Store::Csr(cs) = &self.store {
@@ -569,11 +516,9 @@ impl<T: Scalar> Inner<T> {
         }
         // Recompaction: don't let the write backlog dwarf the compressed
         // form's savings — rebuild it eagerly past the threshold.
-        if matches!(self.store, Store::CompressedCsr(_)) {
-            let t = recompact_threshold();
-            if t > 0 && self.pending.len() >= t {
-                self.assemble();
-            }
+        if matches!(self.store, Store::CompressedCsr(_)) && self.pending.len() >= RECOMPACT_PENDING
+        {
+            self.assemble();
         }
         Ok(())
     }
@@ -1079,7 +1024,7 @@ impl<T: Scalar> Matrix<T> {
                 let mut d = crate::sparse::transpose_dyn(rows_of(&w));
                 // Under compression, the cached transpose is encoded too —
                 // otherwise dual storage would forfeit half the savings.
-                if w.compression_engaged(w.store.nvals_raw()) {
+                if w.compress_enabled {
                     if let MatData::Cs(cs) = &d {
                         if let Some(cm) = CompressedMat::encode(cs) {
                             d = MatData::Compressed(cm);
@@ -1113,9 +1058,7 @@ impl<T: Scalar> Matrix<T> {
     /// Elias-Fano row offsets (see [`crate::compressed`]). Enabling
     /// assembles and encodes immediately; disabling expands back to CSR.
     /// Writes keep working through the deferred pending-tuple path, with
-    /// eager recompaction past `GRAPHBLAS_RECOMPACT` pending entries.
-    /// `GRAPHBLAS_STORAGE=csr` vetoes the flag process-wide;
-    /// `GRAPHBLAS_STORAGE=compressed` applies it to every large matrix.
+    /// eager recompaction past 65 536 pending entries.
     pub fn set_compressed(&mut self, enabled: bool) {
         let inner = self.inner.get_mut();
         inner.compress_enabled = enabled;

@@ -8,13 +8,14 @@
 //! scheme) that the serving layer's SLOs hang off. Three producer layers
 //! feed it without a second instrumentation pass:
 //!
-//! * **spans** — every [`crate::trace::Span`] close is consumed by a
-//!   metrics sink, so ops, kernels, and algorithms populate
-//!   `graphblas_span_seconds{cat,span}` latency histograms (and
-//!   `graphblas_span_flops` work histograms) even when the trace ring is
-//!   off;
-//! * **runtime** — [`crate::parallel`] records dispatch decisions and
-//!   chunk counts, and exposes the pool width;
+//! * **spans** — the registry is one sink of the [`crate::trace`]
+//!   fan-out, so every [`crate::trace::Span`] that ops, kernels, and
+//!   algorithms close populates `graphblas_span_seconds{cat,span}`
+//!   latency histograms (and `graphblas_span_flops` work histograms)
+//!   even when the trace ring is off;
+//! * **runtime** — [`crate::parallel`]'s `dispatch` events arrive the
+//!   same way and count dispatch decisions and chunks; the pool width is
+//!   a gauge;
 //! * **systems above the library** — `lagraph::service` registers queue
 //!   depth, backpressure, epoch lag, and resident-bytes series through
 //!   the same public constructors.
@@ -24,9 +25,10 @@
 //! The registry is always compiled and off by default. Enable with the
 //! `GRAPHBLAS_METRICS=on` environment variable or [`set_enabled`]; the
 //! `GRAPHBLAS_METRICS_ADDR=host:port` variable additionally starts the
-//! exposition endpoint (and implies `on`). Disabled, every recording
-//! call costs **one relaxed atomic load** — no clock reads, no
-//! allocation — the same contract the trace layer proves. Enabled,
+//! exposition endpoint (and implies `on`). On/off is one bit of the sink
+//! mask the trace layer keeps, so disabled, every recording call costs
+//! **one relaxed atomic load** — no clock reads, no allocation — the
+//! same load a span constructor pays. Enabled,
 //! counters are striped across cache-line-padded atomics so concurrent
 //! writers don't share a line, and histograms touch one bucket atomic
 //! plus a sum; nothing on the hot path takes a lock (registration does,
@@ -62,13 +64,13 @@
 //! assert_eq!(hits.value(), 1);
 //! ```
 
-use crate::trace::{bucket, HIST_BUCKETS};
+use crate::trace::{self, bucket, quantile_bucket, Event, HIST_BUCKETS};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -76,67 +78,33 @@ use std::time::{Duration, Instant};
 // On/off state
 // ---------------------------------------------------------------------------
 
-const STATE_UNINIT: u8 = u8::MAX;
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// True when metric recording is on. One relaxed atomic load; the first
-/// call resolves the `GRAPHBLAS_METRICS` / `GRAPHBLAS_METRICS_ADDR`
-/// environment (and starts the exposition endpoint if an address is
-/// configured).
+/// True when metric recording is on: one relaxed atomic load of the
+/// sink mask [`crate::trace`] keeps. The first call in a process resolves
+/// the `GRAPHBLAS_METRICS` / `GRAPHBLAS_METRICS_ADDR` environment (and
+/// starts the exposition endpoint if an address is configured).
 #[inline]
 pub fn enabled() -> bool {
-    let s = STATE.load(Relaxed);
-    if s == STATE_UNINIT {
-        init_from_env() != 0
-    } else {
-        s != 0
-    }
+    trace::sinks() & trace::METRICS != 0
 }
 
 /// Turn recording on or off at runtime, overriding the environment.
 /// Registered series and their accumulated values are kept either way.
 pub fn set_enabled(on: bool) {
-    STATE.store(on as u8, Relaxed);
+    trace::set_sinks(trace::METRICS, if on { trace::METRICS } else { 0 });
 }
 
-/// First-use initialization from the environment. Runs at most a few
-/// times (racing threads), settles via compare-exchange, mirroring
-/// `GRAPHBLAS_TRACE`.
-#[cold]
-fn init_from_env() -> u8 {
-    let addr = std::env::var("GRAPHBLAS_METRICS_ADDR").ok();
-    let raw = std::env::var("GRAPHBLAS_METRICS").ok();
-    let (on, bad) = match raw.as_deref().map(|v| v.trim().to_ascii_lowercase()) {
-        // An exposition address alone implies recording on.
-        None => (u8::from(addr.is_some()), None),
-        Some(v) => match v.as_str() {
-            "" | "0" | "off" | "false" | "no" => (0, None),
-            "1" | "on" | "true" | "yes" => (1, None),
-            _ => (0, Some(v)),
-        },
-    };
-    let settled = match STATE.compare_exchange(STATE_UNINIT, on, Relaxed, Relaxed) {
-        Ok(_) => on,
-        Err(cur) => cur,
-    };
-    if let Some(v) = bad {
-        crate::trace::warn_once(
-            "GRAPHBLAS_METRICS",
-            &format!("ignoring unrecognized GRAPHBLAS_METRICS={v:?} (expected off or on)"),
-        );
-    }
-    if let Some(a) = addr {
-        static SERVER: OnceLock<()> = OnceLock::new();
-        SERVER.get_or_init(|| {
-            if let Err(e) = serve(&a) {
-                crate::trace::warn_once(
-                    "GRAPHBLAS_METRICS_ADDR",
-                    &format!("failed to start metrics endpoint on {a:?}: {e}"),
-                );
-            }
-        });
-    }
-    settled
+/// The environment's say on the metrics sink, read when the sink mask is
+/// first resolved: `GRAPHBLAS_METRICS`, or — when that is unset — whether
+/// `GRAPHBLAS_METRICS_ADDR` named an address the endpoint could bind.
+pub(crate) fn env_enabled() -> bool {
+    static SERVING: OnceLock<bool> = OnceLock::new();
+    let serving = *SERVING.get_or_init(|| {
+        crate::env::var("GRAPHBLAS_METRICS_ADDR", "a host:port the endpoint can bind", |a| {
+            serve(a).ok()
+        })
+        .is_some()
+    });
+    crate::env::var("GRAPHBLAS_METRICS", "off or on", crate::env::boolean).unwrap_or(serving)
 }
 
 // ---------------------------------------------------------------------------
@@ -284,20 +252,8 @@ impl HistCore {
     /// Upper bound of the bucket holding the nearest-rank `q`-quantile
     /// sample, in raw (unscaled) units; 0 when empty.
     fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(HIST_BUCKETS - 1)
+        let counts = std::array::from_fn(|b| self.buckets[b].load(Relaxed));
+        quantile_bucket(&counts, q).map_or(0, bucket_upper)
     }
 }
 
@@ -843,8 +799,20 @@ fn handle_conn(stream: &mut TcpStream, deadline: Duration) -> std::io::Result<()
 }
 
 // ---------------------------------------------------------------------------
-// Producer hooks (trace spans, parallel dispatch)
+// The metrics sink (trace spans, parallel dispatch)
 // ---------------------------------------------------------------------------
+
+/// The registry's end of the [`crate::trace`] fan-out, called only when
+/// this sink is on: a closed span feeds its `{cat, span}` histograms, a
+/// `dispatch` instant the dispatch counters. Other instants are the
+/// ring's business.
+pub(crate) fn consume(e: &Event) {
+    if e.dur_ns > 0 {
+        observe_span(e.cat.name(), e.name, e.dur_ns, e.arg_u64("flops"));
+    } else if e.name == "dispatch" {
+        record_dispatch(e.arg_u64("chunks").unwrap_or(1));
+    }
+}
 
 struct SpanSink {
     seconds: Histogram,
@@ -876,14 +844,10 @@ fn span_sinks() -> &'static RwLock<BTreeMap<(&'static str, &'static str), SpanSi
     SINKS.get_or_init(|| RwLock::new(BTreeMap::new()))
 }
 
-/// The trace layer's metrics sink: every [`crate::trace::Span`] close
-/// lands here, feeding per-span latency (and flops) histograms keyed by
-/// `{cat, span}`. Span names are a fixed vocabulary, so cardinality is
-/// bounded by the instrumentation itself.
-pub(crate) fn observe_span(cat: &'static str, span: &'static str, dur_ns: u64, flops: Option<u64>) {
-    if !enabled() {
-        return;
-    }
+/// Per-span latency (and flops) histograms keyed by `{cat, span}`. Span
+/// names are a fixed vocabulary, so cardinality is bounded by the
+/// instrumentation itself.
+fn observe_span(cat: &'static str, span: &'static str, dur_ns: u64, flops: Option<u64>) {
     let sinks = span_sinks();
     {
         let r = sinks.read();
@@ -905,12 +869,9 @@ pub(crate) fn observe_span(cat: &'static str, span: &'static str, dur_ns: u64, f
     s.record(cat, span, dur_ns, flops);
 }
 
-/// [`crate::parallel`]'s dispatch hook: counts sequential vs parallel
-/// kernel dispatches and total chunks spawned.
-pub(crate) fn record_dispatch(chunks: usize) {
-    if !enabled() {
-        return;
-    }
+/// Counts sequential vs parallel kernel dispatches and total chunks
+/// spawned.
+fn record_dispatch(chunks: u64) {
     static PAR: OnceLock<Counter> = OnceLock::new();
     static SEQ: OnceLock<Counter> = OnceLock::new();
     static CHUNKS: OnceLock<Counter> = OnceLock::new();
@@ -927,7 +888,7 @@ pub(crate) fn record_dispatch(chunks: usize) {
             .get_or_init(|| {
                 counter("graphblas_chunks_total", "Parallel work chunks handed to the worker pool.")
             })
-            .add(chunks as u64);
+            .add(chunks);
     } else {
         SEQ.get_or_init(|| {
             counter_with(

@@ -39,25 +39,12 @@ use crate::monoid::Monoid;
 use crate::types::{Index, Scalar};
 
 /// Global escape hatch: `GRAPHBLAS_SPECIALIZE=0` (also `false`/`off`/`no`)
-/// forces every call onto the generic kernels. Read once per process.
+/// forces every call onto the generic kernels. Read once per process; an
+/// unrecognized value leaves specialization enabled.
 pub(crate) fn enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("GRAPHBLAS_SPECIALIZE") {
-        Err(_) => true,
-        Ok(v) => match v.trim() {
-            "0" | "false" | "off" | "no" => false,
-            "" | "1" | "true" | "on" | "yes" => true,
-            other => {
-                crate::trace::warn_once(
-                    "spec.env",
-                    &format!(
-                        "GRAPHBLAS_SPECIALIZE: unrecognized value {other:?}; \
-                         specialization stays enabled"
-                    ),
-                );
-                true
-            }
-        },
+    *ON.get_or_init(|| {
+        crate::env::var("GRAPHBLAS_SPECIALIZE", "off or on", crate::env::boolean).unwrap_or(true)
     })
 }
 

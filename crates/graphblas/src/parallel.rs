@@ -74,31 +74,15 @@ pub fn threads() -> usize {
     // hosts); resolve it — and the environment hook — once.
     static AUTO: OnceLock<usize> = OnceLock::new();
     *AUTO.get_or_init(|| {
-        if let Some(n) = parse_threads_env(std::env::var("GRAPHBLAS_THREADS").ok().as_deref()) {
-            return n;
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        crate::env::var("GRAPHBLAS_THREADS", "a positive integer", parse_threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
 }
 
-/// Parse a `GRAPHBLAS_THREADS` value. An unset variable is silently
-/// auto; a set-but-invalid value (unparsable, or zero) warns once
-/// through the trace/burble layer instead of being silently ignored.
-fn parse_threads_env(raw: Option<&str>) -> Option<usize> {
-    let raw = raw?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            trace::warn_once(
-                "GRAPHBLAS_THREADS",
-                &format!(
-                    "ignoring invalid GRAPHBLAS_THREADS={raw:?} (expected a positive integer); \
-                     using hardware parallelism"
-                ),
-            );
-            None
-        }
-    }
+/// A `GRAPHBLAS_THREADS` value: unparsable or zero is invalid, and falls
+/// back to the hardware parallelism after [`crate::env::var`]'s warning.
+fn parse_threads(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -391,14 +375,16 @@ mod tests {
 
     #[test]
     fn invalid_threads_env_warns_and_falls_back_to_auto() {
-        assert_eq!(parse_threads_env(None), None);
-        assert_eq!(parse_threads_env(Some("4")), Some(4));
-        assert_eq!(parse_threads_env(Some(" 8 ")), Some(8));
+        let env =
+            |raw| crate::env::check("GRAPHBLAS_THREADS", raw, "a positive integer", parse_threads);
+        assert_eq!(env(None), None);
+        assert_eq!(env(Some("4")), Some(4));
+        assert_eq!(env(Some(" 8 ")), Some(8));
         // Invalid values return None (→ hardware parallelism) after the
         // one-shot diagnostic instead of being silently ignored.
-        assert_eq!(parse_threads_env(Some("0")), None);
-        assert_eq!(parse_threads_env(Some("-2")), None);
-        assert_eq!(parse_threads_env(Some("lots")), None);
+        assert_eq!(env(Some("0")), None);
+        assert_eq!(env(Some("-2")), None);
+        assert_eq!(env(Some("lots")), None);
     }
 
     #[test]

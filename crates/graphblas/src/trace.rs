@@ -1,4 +1,4 @@
-//! Runtime tracing & profiling — the library's observability layer.
+//! Runtime tracing & profiling — the library's observability spine.
 //!
 //! SuiteSparse:GraphBLAS ships a "burble" diagnostic mode that narrates
 //! which kernel each operation chose and what it cost; the LAGraph
@@ -15,37 +15,40 @@
 //! * algorithms in the `lagraph` crate add iteration-level spans
 //!   (frontier size, residual, …) through the same API.
 //!
-//! Events land in a fixed-capacity **lock-light ring buffer** (one
-//! relaxed `fetch_add` to claim a slot plus one uncontended per-slot
-//! mutex), drained with [`drain`] and consumed by:
+//! # One event, three sinks
 //!
-//! * [`Profile`] — per-op aggregation: counts, latency and work
-//!   histograms (log₂ buckets), totals;
-//! * [`chrome_trace`] — Chrome trace-event JSON, loadable in
-//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
-//! * [`format_burble`] / burble mode — human-readable log lines,
-//!   printed live to stderr when `GRAPHBLAS_TRACE=burble`.
+//! Every producer ends in one [`Event`] handed to one fan-out, which
+//! passes it to each sink that is on:
+//!
+//! * the **ring** — a fixed-capacity lock-light buffer (one relaxed
+//!   `fetch_add` to claim a slot plus one uncontended per-slot mutex),
+//!   drained with [`drain`] and consumed by [`Profile`] (per-span counts,
+//!   log₂ latency and work histograms), [`RunAggregate`] (the flat
+//!   per-run roll-up benchmark reports persist), [`chrome_trace`]
+//!   (Chrome trace-event JSON, loadable in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev)) and [`format_burble`];
+//! * the **burble** — one human-readable line per event on stderr as it
+//!   completes;
+//! * the **metrics registry** ([`crate::metrics`]) — live
+//!   `graphblas_span_seconds` / `graphblas_span_flops` histograms and
+//!   dispatch counters.
 //!
 //! # Toggling
 //!
 //! Set the environment variable `GRAPHBLAS_TRACE` to `on` (record into
 //! the ring), `burble` (record *and* narrate each event to stderr), or
 //! `off` (default), or call [`set_mode`]/[`enable`]/[`disable`] at
-//! runtime. The ring capacity defaults to 65 536 events and can be set
-//! with `GRAPHBLAS_TRACE_CAPACITY` or [`set_capacity`] before the first
-//! event is recorded.
+//! runtime; `GRAPHBLAS_METRICS` and [`crate::metrics::set_enabled`] do
+//! the same for the registry. The ring holds 65 536 events unless
+//! [`set_capacity`] is called before the first one is recorded.
 //!
 //! # Overhead budget
 //!
-//! With tracing disabled the per-operation cost is **one relaxed atomic
-//! load** in the span constructor (plus one per parallel dispatch) — no
-//! clock reads, no allocation, no branches on the data path. The
-//! compile-time [`crate::stats`] counters are one *consumer* of these
-//! hooks: every recording function here forwards to the corresponding
-//! counter (an empty inline stub unless the `stats` feature is on), so
-//! kernels call a single API and the two mechanisms cannot drift apart.
+//! Which sinks are on is one process-wide bit mask. With every sink off,
+//! a span constructor — and a parallel dispatch, and a metric handle —
+//! costs **one relaxed atomic load** of that mask: no clock reads, no
+//! allocation, no branches on the data path.
 
-use crate::stats;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -54,7 +57,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Mode
+// The sink mask
 // ---------------------------------------------------------------------------
 
 /// What the tracing subsystem does with events.
@@ -69,66 +72,86 @@ pub enum Mode {
     Burble = 2,
 }
 
-const MODE_UNINIT: u8 = u8::MAX;
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
-
-#[inline]
-fn mode_u8() -> u8 {
-    let m = MODE.load(Relaxed);
-    if m == MODE_UNINIT {
-        init_mode_from_env()
-    } else {
-        m
+impl Mode {
+    fn bits(self) -> u8 {
+        match self {
+            Mode::Off => 0,
+            Mode::Record => RING,
+            Mode::Burble => RING | BURBLE,
+        }
     }
 }
 
-/// First-use initialization from `GRAPHBLAS_TRACE`. Runs at most a few
-/// times (racing threads), settles via compare-exchange.
-#[cold]
-fn init_mode_from_env() -> u8 {
-    let raw = std::env::var("GRAPHBLAS_TRACE").ok();
-    let (m, bad) = match raw.as_deref().map(|v| v.trim().to_ascii_lowercase()) {
-        None => (Mode::Off as u8, None),
-        Some(v) => match v.as_str() {
-            "" | "0" | "off" | "false" => (Mode::Off as u8, None),
-            "1" | "on" | "true" | "record" | "ring" => (Mode::Record as u8, None),
-            "2" | "burble" => (Mode::Burble as u8, None),
-            _ => (Mode::Off as u8, Some(v)),
-        },
-    };
-    // set_mode or a racing thread may have won; keep the winner. Warn
-    // only after the mode is settled so warn_once cannot recurse here.
-    let settled = match MODE.compare_exchange(MODE_UNINIT, m, Relaxed, Relaxed) {
-        Ok(_) => m,
-        Err(cur) => cur,
-    };
-    if let Some(v) = bad {
-        warn_once(
-            "GRAPHBLAS_TRACE",
-            &format!("ignoring unrecognized GRAPHBLAS_TRACE={v:?} (expected off, on, or burble)"),
-        );
+const RING: u8 = 1;
+const BURBLE: u8 = 2;
+/// The trace-mode sinks, as opposed to the metrics registry.
+const TRACE: u8 = RING | BURBLE;
+pub(crate) const METRICS: u8 = 4;
+/// The mask before the environment has been read.
+const UNRESOLVED: u8 = 0x80;
+
+static SINKS: AtomicU8 = AtomicU8::new(UNRESOLVED);
+
+/// The sinks that are on — the one relaxed load every producer pays.
+#[inline]
+pub(crate) fn sinks() -> u8 {
+    let s = SINKS.load(Relaxed);
+    if s == UNRESOLVED {
+        resolve_env()
+    } else {
+        s
     }
-    settled
+}
+
+/// First-use resolution of `GRAPHBLAS_TRACE` and `GRAPHBLAS_METRICS*`.
+/// Runs at most a few times (racing threads), settles via
+/// compare-exchange. A malformed value warns through [`warn_once`],
+/// which reads the mask raw and so cannot come back in here.
+#[cold]
+fn resolve_env() -> u8 {
+    let mode = crate::env::var("GRAPHBLAS_TRACE", "off, on, or burble", |v| {
+        match crate::env::boolean(v) {
+            Some(on) => Some(if on { Mode::Record } else { Mode::Off }),
+            None => v.eq_ignore_ascii_case("burble").then_some(Mode::Burble),
+        }
+    });
+    let metrics = if crate::metrics::env_enabled() { METRICS } else { 0 };
+    let bits = mode.unwrap_or(Mode::Off).bits() | metrics;
+    // An accessor or a racing thread may have settled first; keep the winner.
+    match SINKS.compare_exchange(UNRESOLVED, bits, Relaxed, Relaxed) {
+        Ok(_) => bits,
+        Err(settled) => settled,
+    }
+}
+
+/// Replace the sink bits under `mask` with `bits`, leaving the rest.
+pub(crate) fn set_sinks(mask: u8, bits: u8) {
+    // Settle the environment first, so it cannot overwrite this later.
+    sinks();
+    let _ = SINKS.fetch_update(Relaxed, Relaxed, |s| Some((s & !mask) | bits));
 }
 
 /// Set the trace mode, overriding the `GRAPHBLAS_TRACE` environment.
 pub fn set_mode(m: Mode) {
-    MODE.store(m as u8, Relaxed);
+    set_sinks(TRACE, m.bits());
 }
 
 /// The current trace mode.
 pub fn mode() -> Mode {
-    match mode_u8() {
-        1 => Mode::Record,
-        2 => Mode::Burble,
-        _ => Mode::Off,
+    let s = sinks();
+    if s & BURBLE != 0 {
+        Mode::Burble
+    } else if s & RING != 0 {
+        Mode::Record
+    } else {
+        Mode::Off
     }
 }
 
 /// True when events are being recorded (`Record` or `Burble`).
 #[inline]
 pub fn enabled() -> bool {
-    mode_u8() != Mode::Off as u8
+    sinks() & TRACE != 0
 }
 
 /// Shorthand for `set_mode(Mode::Record)`.
@@ -281,8 +304,42 @@ impl Event {
     }
 }
 
+/// The fan-out: the one place a finished event reaches the sinks in `to`.
+fn emit(to: u8, e: Event) {
+    if to & METRICS != 0 {
+        crate::metrics::consume(&e);
+    }
+    if to & BURBLE != 0 {
+        eprintln!("[graphblas] {}", burble_line(&e));
+    }
+    if to & RING != 0 {
+        let r = ring();
+        let seq = r.head.fetch_add(1, Relaxed);
+        let slot = &r.slots[seq % r.slots.len()];
+        if slot.lock().replace(e).is_some() {
+            DROPPED.fetch_add(1, Relaxed);
+        }
+    }
+}
+
+/// The one constructor of instant events (`dur_ns == 0`), emitted to the
+/// sinks in `to`; `args` is only built when one of them is on.
+fn instant(
+    to: u8,
+    name: &'static str,
+    cat: Cat,
+    kernel: Option<&'static str>,
+    args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+) {
+    if to == 0 {
+        return;
+    }
+    let t0_ns = epoch().elapsed().as_nanos() as u64;
+    emit(to, Event { name, cat, kernel, t0_ns, dur_ns: 0, tid: tid(), args: args() });
+}
+
 // ---------------------------------------------------------------------------
-// Op / kernel vocabulary (stats routing)
+// Op / kernel vocabulary
 // ---------------------------------------------------------------------------
 
 /// The instrumented operations. Every entry point in [`crate::ops`] opens
@@ -355,107 +412,87 @@ impl Op {
             Op::AssembleVector => "assemble.vector",
         }
     }
-
-    /// The per-op stats counter this op feeds, if any (mxm/mxv/vxm are
-    /// counted by their kernel/direction counters instead).
-    fn counter(self) -> Option<stats::OpTag> {
-        match self {
-            Op::EwiseAdd | Op::EwiseMult => Some(stats::OpTag::Ewise),
-            Op::Apply => Some(stats::OpTag::Apply),
-            Op::Select => Some(stats::OpTag::Select),
-            Op::Reduce => Some(stats::OpTag::Reduce),
-            Op::Transpose => Some(stats::OpTag::Transpose),
-            Op::Assign => Some(stats::OpTag::Assign),
-            Op::Extract => Some(stats::OpTag::Extract),
-            Op::Kron => Some(stats::OpTag::Kron),
-            _ => None,
-        }
-    }
 }
 
-/// Which kernel / direction an op chose. Routed to the corresponding
-/// stats counters and recorded on the span.
+/// The [`RunAggregate`] counter a kernel's spans are tallied under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kernel {
+enum Family {
     Gustavson,
     Dot,
     Heap,
     Push,
+    Pull,
+    Fused,
+}
+
+/// What the trace layer knows about one [`Kernel`].
+struct KernelRow {
+    /// The `kernel` tag its spans carry.
+    name: &'static str,
+    family: Family,
+    /// Ran a specialized (hot-semiring or fused) inner loop.
+    specialized: bool,
+    /// Ran because the cost model's preferred direction lacked dual
+    /// storage.
+    fallback: bool,
+}
+
+/// Declares [`Kernel`] and its [`KERNELS`] table from one list, so the
+/// two cannot disagree: adding a kernel is one row.
+macro_rules! kernels {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $family:ident, $specialized:literal, $fallback:literal;)*) => {
+        /// Which kernel / direction an op chose, recorded on its span.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Kernel {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// One row per [`Kernel`], in declaration order.
+        const KERNELS: &[KernelRow] = &[$(KernelRow {
+            name: $name,
+            family: Family::$family,
+            specialized: $specialized,
+            fallback: $fallback,
+        },)*];
+    };
+}
+
+kernels! {
+    // variant     = span tag,                   family,    specialized, fallback
+    Gustavson      = "gustavson",                Gustavson, false, false;
+    Dot            = "dot",                      Dot,       false, false;
+    Heap           = "heap",                     Heap,      false, false;
+    Push           = "push",                     Push,      false, false;
     /// Push with a non-transparent mask: the scatter kernel filtered
     /// masked-out positions itself instead of deferring to the write rule.
-    PushMasked,
-    Pull,
+    PushMasked     = "push(masked)",             Push,      false, false;
+    Pull           = "pull",                     Pull,      false, false;
     /// Ran push because the cost model's pull choice lacked dual storage.
-    PushFallback,
+    PushFallback   = "push(fallback)",           Push,      false, true;
     /// Ran pull because the cost model's push choice lacked dual storage.
-    PullFallback,
+    PullFallback   = "pull(fallback)",           Pull,      false, true;
     /// Gustavson with a specialized (hot-semiring) inner loop.
-    GustavsonSpec,
+    GustavsonSpec  = "gustavson(specialized)",   Gustavson, true,  false;
     /// Dot-product method with a specialized inner loop.
-    DotSpec,
+    DotSpec        = "dot(specialized)",         Dot,       true,  false;
     /// Dot-product method where an operand is decoded on the fly from the
     /// compressed (gap-encoded) storage form.
-    CompressedDot,
+    CompressedDot  = "dot(compressed)",          Dot,       false, false;
     /// Push with a specialized scatter loop.
-    PushSpec,
+    PushSpec       = "push(specialized)",        Push,      true,  false;
     /// Masked push with a specialized scatter loop.
-    PushMaskedSpec,
+    PushMaskedSpec = "push(masked,specialized)", Push,      true,  false;
     /// Pull with a specialized row-dot loop.
-    PullSpec,
+    PullSpec       = "pull(specialized)",        Pull,      true,  false;
     /// Fused masked dot product folding straight into a reduction.
-    FusedReduce,
+    FusedReduce    = "fused(dot+reduce)",        Fused,     true,  false;
     /// Fused masked dot product filtered by a select predicate.
-    FusedSelect,
+    FusedSelect    = "fused(dot+select)",        Fused,     true,  false;
 }
 
 impl Kernel {
     fn name(self) -> &'static str {
-        match self {
-            Kernel::Gustavson => "gustavson",
-            Kernel::Dot => "dot",
-            Kernel::Heap => "heap",
-            Kernel::Push => "push",
-            Kernel::PushMasked => "push(masked)",
-            Kernel::Pull => "pull",
-            Kernel::PushFallback => "push(fallback)",
-            Kernel::PullFallback => "pull(fallback)",
-            Kernel::GustavsonSpec => "gustavson(specialized)",
-            Kernel::DotSpec => "dot(specialized)",
-            Kernel::CompressedDot => "dot(compressed)",
-            Kernel::PushSpec => "push(specialized)",
-            Kernel::PushMaskedSpec => "push(masked,specialized)",
-            Kernel::PullSpec => "pull(specialized)",
-            Kernel::FusedReduce => "fused(dot+reduce)",
-            Kernel::FusedSelect => "fused(dot+select)",
-        }
-    }
-
-    fn route_stats(self) {
-        use stats::{MxmKernel, MxvPath};
-        match self {
-            Kernel::Gustavson | Kernel::GustavsonSpec => {
-                stats::record_mxm_kernel(MxmKernel::Gustavson)
-            }
-            // The fused kernels are masked dot products at heart.
-            Kernel::Dot
-            | Kernel::DotSpec
-            | Kernel::CompressedDot
-            | Kernel::FusedReduce
-            | Kernel::FusedSelect => stats::record_mxm_kernel(MxmKernel::Dot),
-            Kernel::Heap => stats::record_mxm_kernel(MxmKernel::Heap),
-            Kernel::Push | Kernel::PushMasked | Kernel::PushSpec | Kernel::PushMaskedSpec => {
-                stats::record_mxv_path(MxvPath::Push)
-            }
-            Kernel::Pull | Kernel::PullSpec => stats::record_mxv_path(MxvPath::Pull),
-            Kernel::PushFallback => {
-                stats::record_mxv_dual_fallback();
-                stats::record_mxv_path(MxvPath::Push);
-            }
-            Kernel::PullFallback => {
-                stats::record_mxv_dual_fallback();
-                stats::record_mxv_path(MxvPath::Pull);
-            }
-        }
+        KERNELS[self as usize].name
     }
 }
 
@@ -463,10 +500,9 @@ impl Kernel {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// A RAII span: created at op entry, pushed to the ring on drop with the
-/// measured wall time (and fed to the [`crate::metrics`] sink when that
-/// layer is on). When both tracing and metrics are off the constructor
-/// costs two relaxed atomic loads and every method is a no-op.
+/// A RAII span: created at op entry, handed to the sinks on drop with the
+/// measured wall time. With every sink off the constructor costs one
+/// relaxed atomic load and every method is a no-op.
 #[derive(Debug)]
 #[must_use = "a span records its wall time when dropped"]
 pub struct Span {
@@ -482,18 +518,14 @@ struct SpanRec {
     t0_ns: u64,
     t0: Instant,
     chunks0: u64,
-    /// Tracing was on at creation: push the event to the ring on drop.
-    /// (A span can be live for the metrics sink alone, leaving the ring
-    /// untouched.)
-    ring: bool,
+    /// The sinks that were on at creation; the close goes to these.
+    sinks: u8,
 }
 
 impl Span {
     fn new(name: &'static str, cat: Cat) -> Span {
-        let ring = enabled();
-        // The metrics layer consumes span closes too, so a span is live
-        // when either consumer is on; both off keeps the two-load cost.
-        if !ring && !crate::metrics::enabled() {
+        let sinks = sinks();
+        if sinks == 0 {
             return Span { rec: None };
         }
         let t0 = Instant::now();
@@ -506,12 +538,12 @@ impl Span {
                 t0_ns: t0.saturating_duration_since(epoch()).as_nanos() as u64,
                 t0,
                 chunks0: CHUNKS.with(|c| c.get()),
-                ring,
+                sinks,
             }),
         }
     }
 
-    /// True when this span is live (tracing was on at creation). Lets
+    /// True when this span is live (a sink was on at creation). Lets
     /// callers skip computing expensive details for dead spans.
     #[inline]
     pub fn on(&self) -> bool {
@@ -526,22 +558,16 @@ impl Span {
         }
     }
 
-    /// Record the kernel/direction chosen, and count it in the stats
-    /// counters (the single call sites for those counters).
+    /// Record the kernel/direction chosen.
     pub(crate) fn kernel(&mut self, k: Kernel) {
-        k.route_stats();
         if let Some(r) = &mut self.rec {
             r.kernel = Some(k.name());
         }
     }
 
-    /// Record the op's work estimate (order of flops), also accumulated
-    /// into the stats flops counter.
+    /// Record the op's work estimate (order of flops).
     pub(crate) fn flops(&mut self, n: usize) {
-        stats::add_flops(n);
-        if let Some(r) = &mut self.rec {
-            r.args.push(("flops", ArgValue::U64(n as u64)));
-        }
+        self.arg("flops", n);
     }
 }
 
@@ -549,37 +575,28 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(rec) = self.rec.take() else { return };
         let dur_ns = (rec.t0.elapsed().as_nanos() as u64).max(1);
-        let flops = rec.args.iter().find_map(|(k, v)| match v {
-            ArgValue::U64(n) if *k == "flops" => Some(*n),
-            _ => None,
-        });
-        crate::metrics::observe_span(rec.cat.name(), rec.name, dur_ns, flops);
-        if !rec.ring {
-            return;
-        }
         let chunks = CHUNKS.with(|c| c.get()).wrapping_sub(rec.chunks0);
         let mut args = rec.args;
         if chunks > 0 {
             args.push(("chunks", ArgValue::U64(chunks)));
         }
-        push_event(Event {
-            name: rec.name,
-            cat: rec.cat,
-            kernel: rec.kernel,
-            t0_ns: rec.t0_ns,
-            dur_ns,
-            tid: tid(),
-            args,
-        });
+        emit(
+            rec.sinks,
+            Event {
+                name: rec.name,
+                cat: rec.cat,
+                kernel: rec.kernel,
+                t0_ns: rec.t0_ns,
+                dur_ns,
+                tid: tid(),
+                args,
+            },
+        );
     }
 }
 
-/// Open a span for a GraphBLAS operation; counts the op in the stats
-/// layer regardless of trace mode.
+/// Open a span for a GraphBLAS operation.
 pub(crate) fn op_span(op: Op) -> Span {
-    if let Some(tag) = op.counter() {
-        stats::record_op(tag);
-    }
     Span::new(op.name(), Cat::Op)
 }
 
@@ -600,127 +617,9 @@ pub(crate) fn runtime_span(name: &'static str) -> Span {
     Span::new(name, Cat::Runtime)
 }
 
-// ---------------------------------------------------------------------------
-// Runtime hooks (parallel dispatch, assembly, diagnostics)
-// ---------------------------------------------------------------------------
-
-/// Record one `par_chunks` dispatch: `chunks == 1` means the work stayed
-/// on the calling thread. Counted in stats always; when tracing is on the
-/// chunk count is accumulated for the enclosing span and parallel
-/// dispatches emit an instant event.
-pub(crate) fn dispatch(chunks: usize, est_work: usize) {
-    stats::record_dispatch(chunks);
-    crate::metrics::record_dispatch(chunks);
-    if !enabled() {
-        return;
-    }
-    CHUNKS.with(|c| c.set(c.get() + chunks as u64));
-    if chunks > 1 {
-        push_event(Event {
-            name: "dispatch",
-            cat: Cat::Runtime,
-            kernel: None,
-            t0_ns: epoch().elapsed().as_nanos() as u64,
-            dur_ns: 0,
-            tid: tid(),
-            args: vec![
-                ("chunks", ArgValue::U64(chunks as u64)),
-                ("est_work", ArgValue::U64(est_work as u64)),
-            ],
-        });
-    }
-}
-
-/// Record a reduction that short-circuited on a terminal value.
-pub(crate) fn early_exit() {
-    stats::record_early_exit();
-    if !enabled() {
-        return;
-    }
-    push_event(Event {
-        name: "reduce.early_exit",
-        cat: Cat::Runtime,
-        kernel: None,
-        t0_ns: epoch().elapsed().as_nanos() as u64,
-        dur_ns: 0,
-        tid: tid(),
-        args: Vec::new(),
-    });
-}
-
-/// Record a direction misprediction: after the kernel ran, the measured
-/// flop count priced higher than the cost model's estimate for the
-/// direction it rejected. Counted in stats; when tracing is on an instant
-/// event (tagged with the chosen kernel and both estimates) makes the
-/// mispredicted products visible in the Chrome trace.
-pub(crate) fn mxv_mispredict(
-    chosen: &'static str,
-    est_chosen: usize,
-    est_other: usize,
-    actual: usize,
-) {
-    stats::record_mxv_mispredict();
-    if !enabled() {
-        return;
-    }
-    push_event(Event {
-        name: "mxv.mispredict",
-        cat: Cat::Runtime,
-        kernel: Some(chosen),
-        t0_ns: epoch().elapsed().as_nanos() as u64,
-        dur_ns: 0,
-        tid: tid(),
-        args: vec![
-            ("est_chosen", ArgValue::U64(est_chosen as u64)),
-            ("est_other", ArgValue::U64(est_other as u64)),
-            ("actual", ArgValue::U64(actual as u64)),
-        ],
-    });
-}
-
-/// Record a vector changing storage form (sparse / bitmap / dense): an
-/// O(n) rebuild, so a loop that converts every iteration shows up as a
-/// per-iteration count in [`RunAggregate::vector_conversions`].
-pub(crate) fn vector_convert(from: &'static str, to: &'static str, n: usize) {
-    if !enabled() {
-        return;
-    }
-    push_event(Event {
-        name: "vector.convert",
-        cat: Cat::Runtime,
-        kernel: None,
-        t0_ns: epoch().elapsed().as_nanos() as u64,
-        dur_ns: 0,
-        tid: tid(),
-        args: vec![
-            ("from", ArgValue::Str(from)),
-            ("to", ArgValue::Str(to)),
-            ("n", ArgValue::U64(n as u64)),
-        ],
-    });
-}
-
-/// Record the cost model's calibrated per-flop constants (once per
-/// process) so traces show which numbers every direction choice used.
-pub(crate) fn cost_calibrated(push_ns: f64, pull_ns: f64) {
-    if !enabled() {
-        return;
-    }
-    push_event(Event {
-        name: "cost.calibrate",
-        cat: Cat::Runtime,
-        kernel: None,
-        t0_ns: epoch().elapsed().as_nanos() as u64,
-        dur_ns: 0,
-        tid: tid(),
-        args: vec![("push_ns", ArgValue::F64(push_ns)), ("pull_ns", ArgValue::F64(pull_ns))],
-    });
-}
-
 /// Open a span around a lazy assembly, tagged with the deferred-update
-/// backlog it resolves. Counts the assembly in the stats layer.
+/// backlog it resolves.
 pub(crate) fn assemble_span(op: Op, pending: usize, zombies: usize) -> Span {
-    stats::record_assemble();
     let mut s = Span::new(op.name(), Cat::Runtime);
     s.arg("pending", pending);
     s.arg("zombies", zombies);
@@ -729,28 +628,83 @@ pub(crate) fn assemble_span(op: Op, pending: usize, zombies: usize) -> Span {
 
 /// Open a serving-layer span ([`Cat::Service`]): epoch publication,
 /// update-log drains, and similar machinery in systems built on top of
-/// the library. Like every span, it is free when tracing is off and
+/// the library. Like every span, it is free when every sink is off and
 /// records wall time plus any attached [`Span::arg`]s on drop.
 pub fn service_span(name: &'static str) -> Span {
     Span::new(name, Cat::Service)
+}
+
+// ---------------------------------------------------------------------------
+// Instants (parallel dispatch, diagnostics)
+// ---------------------------------------------------------------------------
+
+/// Record one `par_chunks` dispatch: `chunks == 1` means the work stayed
+/// on the calling thread. The chunk count is accumulated for the
+/// enclosing span. The metrics registry counts every dispatch; the trace
+/// sinks see only the parallel ones.
+pub(crate) fn dispatch(chunks: usize, est_work: usize) {
+    let on = sinks();
+    if on == 0 {
+        return;
+    }
+    CHUNKS.with(|c| c.set(c.get() + chunks as u64));
+    let to = if chunks > 1 { on } else { on & METRICS };
+    instant(to, "dispatch", Cat::Runtime, None, || {
+        vec![("chunks", ArgValue::U64(chunks as u64)), ("est_work", ArgValue::U64(est_work as u64))]
+    });
+}
+
+/// Record a reduction that short-circuited on a terminal value.
+pub(crate) fn early_exit() {
+    instant(sinks() & TRACE, "reduce.early_exit", Cat::Runtime, None, Vec::new);
+}
+
+/// Record a direction misprediction: after the kernel ran, the measured
+/// flop count priced higher than the cost model's estimate for the
+/// direction it rejected. The instant (tagged with the chosen kernel and
+/// both estimates) makes the mispredicted products visible in the Chrome
+/// trace and countable in [`RunAggregate::mispredicts`].
+pub(crate) fn mxv_mispredict(
+    chosen: &'static str,
+    est_chosen: usize,
+    est_other: usize,
+    actual: usize,
+) {
+    instant(sinks() & TRACE, "mxv.mispredict", Cat::Runtime, Some(chosen), || {
+        vec![
+            ("est_chosen", ArgValue::U64(est_chosen as u64)),
+            ("est_other", ArgValue::U64(est_other as u64)),
+            ("actual", ArgValue::U64(actual as u64)),
+        ]
+    });
+}
+
+/// Record a vector changing storage form (sparse / bitmap / dense): an
+/// O(n) rebuild, so a loop that converts every iteration shows up as a
+/// per-iteration count in [`RunAggregate::vector_conversions`].
+pub(crate) fn vector_convert(from: &'static str, to: &'static str, n: usize) {
+    instant(sinks() & TRACE, "vector.convert", Cat::Runtime, None, || {
+        vec![
+            ("from", ArgValue::Str(from)),
+            ("to", ArgValue::Str(to)),
+            ("n", ArgValue::U64(n as u64)),
+        ]
+    });
+}
+
+/// Record the cost model's calibrated per-flop constants (once per
+/// process) so traces show which numbers every direction choice used.
+pub(crate) fn cost_calibrated(push_ns: f64, pull_ns: f64) {
+    instant(sinks() & TRACE, "cost.calibrate", Cat::Runtime, None, || {
+        vec![("push_ns", ArgValue::F64(push_ns)), ("pull_ns", ArgValue::F64(pull_ns))]
+    });
 }
 
 /// Record a serving-layer instant event (duration 0) with structured
 /// arguments — queue-depth samples, backpressure rejections, coalesced
 /// writes. No-op when tracing is off.
 pub fn service_instant(name: &'static str, args: Vec<(&'static str, ArgValue)>) {
-    if !enabled() {
-        return;
-    }
-    push_event(Event {
-        name,
-        cat: Cat::Service,
-        kernel: None,
-        t0_ns: epoch().elapsed().as_nanos() as u64,
-        dur_ns: 0,
-        tid: tid(),
-        args,
-    });
+    instant(sinks() & TRACE, name, Cat::Service, None, || args);
 }
 
 /// One-shot diagnostic: print `msg` to stderr the first time `key` is
@@ -765,17 +719,11 @@ pub fn warn_once(key: &'static str, msg: &str) {
         return;
     }
     eprintln!("[graphblas] warning: {msg}");
-    if enabled() {
-        push_event(Event {
-            name: "warn",
-            cat: Cat::Runtime,
-            kernel: None,
-            t0_ns: epoch().elapsed().as_nanos() as u64,
-            dur_ns: 0,
-            tid: tid(),
-            args: vec![("key", ArgValue::Str(key))],
-        });
-    }
+    // The mask is read raw: a warning raised while the environment is
+    // being resolved must not resolve it again (it is printed only).
+    instant(SINKS.load(Relaxed) & TRACE, "warn", Cat::Runtime, None, || {
+        vec![("key", ArgValue::Str(key))]
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -784,7 +732,7 @@ pub fn warn_once(key: &'static str, msg: &str) {
 
 const DEFAULT_CAPACITY: usize = 1 << 16;
 
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 struct Ring {
@@ -794,26 +742,15 @@ struct Ring {
 
 fn ring() -> &'static Ring {
     static RING: OnceLock<Ring> = OnceLock::new();
-    RING.get_or_init(|| {
-        let cap = match CAPACITY.load(Relaxed) {
-            0 => std::env::var("GRAPHBLAS_TRACE_CAPACITY")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_CAPACITY),
-            n => n,
-        };
-        Ring {
-            slots: (0..cap).map(|_| Mutex::new(None)).collect::<Vec<_>>().into_boxed_slice(),
-            head: AtomicUsize::new(0),
-        }
+    RING.get_or_init(|| Ring {
+        slots: (0..CAPACITY.load(Relaxed)).map(|_| Mutex::new(None)).collect(),
+        head: AtomicUsize::new(0),
     })
 }
 
 /// Set the ring capacity (events retained before the oldest are
-/// overwritten). Effective only before the first event is recorded; the
-/// `GRAPHBLAS_TRACE_CAPACITY` environment variable is the env-level
-/// equivalent.
+/// overwritten; default 65 536). Effective only before the first event is
+/// recorded.
 pub fn set_capacity(n: usize) {
     CAPACITY.store(n.max(1), Relaxed);
 }
@@ -823,18 +760,6 @@ pub fn set_capacity(n: usize) {
 /// which starts a fresh measurement window.
 pub fn dropped() -> u64 {
     DROPPED.load(Relaxed)
-}
-
-fn push_event(e: Event) {
-    if mode_u8() == Mode::Burble as u8 {
-        eprintln!("[graphblas] {}", burble_line(&e));
-    }
-    let r = ring();
-    let seq = r.head.fetch_add(1, Relaxed);
-    let slot = &r.slots[seq % r.slots.len()];
-    if slot.lock().replace(e).is_some() {
-        DROPPED.fetch_add(1, Relaxed);
-    }
 }
 
 /// Take every buffered event, oldest first, leaving the ring empty.
@@ -1043,6 +968,23 @@ pub(crate) fn bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
+/// The nearest-rank quantile rule over log₂ buckets, shared by
+/// [`OpProfile`] and [`crate::metrics::Histogram`]: the index of the
+/// bucket holding the `⌈q·total⌉`-th smallest sample (`0.0 < q <= 1.0`),
+/// or `None` when the histogram is empty.
+pub(crate) fn quantile_bucket(counts: &[u64; HIST_BUCKETS], q: f64) -> Option<usize> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let target = ((total as f64) * q).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    counts.iter().position(|&c| {
+        seen += c;
+        seen >= target
+    })
+}
+
 /// Aggregated statistics for one span name.
 #[derive(Debug, Clone)]
 pub struct OpProfile {
@@ -1091,24 +1033,13 @@ impl OpProfile {
     /// Upper bound of the histogram bucket containing the `q`-quantile
     /// sample (`0.0 < q <= 1.0`) — within 2× of the true quantile.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &c) in self.latency_hist.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return 1u64 << b;
-            }
-        }
-        self.max_ns
+        quantile_bucket(&self.latency_hist, q).map_or(0, |b| 1u64 << b)
     }
 }
 
 /// Per-op aggregation of a batch of span events: counts, latency and
-/// work histograms. This replaces diffing raw [`stats::Snapshot`]s as
-/// the way benches and tools summarize *what ran and what it cost*.
+/// work histograms — how benches and tools summarize *what ran and what
+/// it cost*.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Aggregates keyed by span name, sorted for stable reports.
@@ -1286,41 +1217,17 @@ impl RunAggregate {
             Some("merge") => self.writes_merge += 1,
             _ => {}
         }
-        match e.kernel {
-            Some("push") | Some("push(masked)") => self.push += 1,
-            Some("pull") => self.pull += 1,
-            Some("push(fallback)") => {
-                self.push += 1;
-                self.direction_fallbacks += 1;
-            }
-            Some("pull(fallback)") => {
-                self.pull += 1;
-                self.direction_fallbacks += 1;
-            }
-            Some("gustavson") => self.mxm_gustavson += 1,
-            Some("dot") => self.mxm_dot += 1,
-            Some("heap") => self.mxm_heap += 1,
-            Some("push(specialized)") | Some("push(masked,specialized)") => {
-                self.push += 1;
-                self.specialized += 1;
-            }
-            Some("pull(specialized)") => {
-                self.pull += 1;
-                self.specialized += 1;
-            }
-            Some("gustavson(specialized)") => {
-                self.mxm_gustavson += 1;
-                self.specialized += 1;
-            }
-            Some("dot(specialized)") => {
-                self.mxm_dot += 1;
-                self.specialized += 1;
-            }
-            Some("fused(dot+reduce)") | Some("fused(dot+select)") => {
-                self.mxm_fused += 1;
-                self.specialized += 1;
-            }
-            _ => {}
+        if let Some(k) = e.kernel.and_then(|name| KERNELS.iter().find(|k| k.name == name)) {
+            *match k.family {
+                Family::Gustavson => &mut self.mxm_gustavson,
+                Family::Dot => &mut self.mxm_dot,
+                Family::Heap => &mut self.mxm_heap,
+                Family::Push => &mut self.push,
+                Family::Pull => &mut self.pull,
+                Family::Fused => &mut self.mxm_fused,
+            } += 1;
+            self.specialized += u64::from(k.specialized);
+            self.direction_fallbacks += u64::from(k.fallback);
         }
         if matches!(e.name, "assemble.matrix" | "assemble.vector") {
             self.assemblies += 1;
@@ -1389,6 +1296,21 @@ mod aggregate_tests {
         assert_eq!(agg.spans, 6);
     }
 
+    /// The kernel vocabulary is total: whatever tag a [`Kernel`] puts on
+    /// its span, the roll-up books it under exactly one family counter.
+    #[test]
+    fn every_kernel_tag_lands_in_exactly_one_family_counter() {
+        for k in KERNELS {
+            let agg = RunAggregate::from_events(&[span("mxm", Cat::Op, Some(k.name), 7)]);
+            let families =
+                [agg.mxm_gustavson, agg.mxm_dot, agg.mxm_heap, agg.push, agg.pull, agg.mxm_fused];
+            assert_eq!(families.iter().sum::<u64>(), 1, "{} is counted {families:?}", k.name);
+            assert_eq!(agg.specialized, u64::from(k.specialized), "{}", k.name);
+            assert_eq!(agg.direction_fallbacks, u64::from(k.fallback), "{}", k.name);
+        }
+        assert_eq!(Kernel::CompressedDot.name(), "dot(compressed)");
+    }
+
     #[test]
     fn run_aggregate_counts_specialized_and_fused_kernels() {
         let events = vec![
@@ -1412,83 +1334,13 @@ mod aggregate_tests {
 }
 
 // ---------------------------------------------------------------------------
-// Tests (run under `--features trace`: they toggle process-global trace
-// state, so the dedicated CI feature job runs them while default test
-// runs — which share the process with unrelated concurrent tests — skip
-// them; tests/trace.rs covers the integration surface unconditionally).
+// Tests (pure: the ones that flip the process-global sink mask or drain the
+// ring live in tests/trace.rs, a process of their own).
 // ---------------------------------------------------------------------------
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that flip the global mode or drain the ring.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    #[test]
-    fn disabled_spans_record_nothing() {
-        let _g = lock();
-        disable();
-        clear();
-        {
-            let mut s = algo_span("test.off");
-            s.arg("x", 1u64);
-            assert!(!s.on());
-        }
-        assert!(drain().iter().all(|e| e.name != "test.off"));
-    }
-
-    #[test]
-    fn spans_record_args_kernel_and_duration() {
-        let _g = lock();
-        enable();
-        clear();
-        {
-            let mut s = op_span(Op::Mxv);
-            s.kernel(Kernel::Pull);
-            s.arg("u_nnz", 7u64);
-            s.flops(42);
-            assert!(s.on());
-        }
-        let evs = drain();
-        disable();
-        let e = evs.iter().find(|e| e.name == "mxv").expect("mxv span recorded");
-        assert_eq!(e.kernel, Some("pull"));
-        assert_eq!(e.arg_u64("u_nnz"), Some(7));
-        assert_eq!(e.arg_u64("flops"), Some(42));
-        assert!(e.dur_ns > 0);
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        let _g = lock();
-        set_mode(Mode::Burble);
-        assert_eq!(mode(), Mode::Burble);
-        assert!(enabled());
-        set_mode(Mode::Off);
-        assert_eq!(mode(), Mode::Off);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn warn_once_is_one_shot() {
-        let _g = lock();
-        enable();
-        clear();
-        warn_once("trace-test-warn", "first");
-        warn_once("trace-test-warn", "second");
-        let warns = drain()
-            .into_iter()
-            .filter(|e| {
-                e.name == "warn" && e.args.contains(&("key", ArgValue::Str("trace-test-warn")))
-            })
-            .count();
-        disable();
-        assert_eq!(warns, 1);
-    }
 
     #[test]
     fn chrome_trace_serializes_spans_and_instants() {

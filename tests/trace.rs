@@ -1,14 +1,15 @@
 //! Integration tests for the runtime tracing layer: zero events when
 //! tracing is off, well-formed span nesting under a multi-threaded pool,
 //! and Chrome trace-event JSON that round-trips through a real JSON
-//! parser (a small recursive-descent one, written here — the workspace
-//! deliberately has no serde).
+//! parser (`lagraph_bench::json`, the workspace's one — it deliberately
+//! has no serde).
 //!
 //! Trace mode and the ring buffer are process-wide, so every test takes
 //! `GLOBALS` and leaves tracing off with the ring empty.
 
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::trace;
+use lagraph_bench::json::{parse as parse_json, Value as Json};
 use lagraph_suite::prelude::*;
 use std::sync::Mutex;
 
@@ -115,7 +116,7 @@ fn chrome_trace_round_trips_through_a_json_parser() {
     sorted.sort_by_key(|e| e.t0_ns);
     for (src, rec) in sorted.iter().zip(list) {
         assert_eq!(rec.get("name").and_then(Json::as_str), Some(src.name));
-        assert_eq!(rec.get("tid").and_then(Json::as_num), Some(src.tid as f64));
+        assert_eq!(rec.get("tid").and_then(Json::as_f64), Some(src.tid as f64));
         let ph = rec.get("ph").and_then(Json::as_str).expect("ph");
         assert_eq!(ph, if src.dur_ns > 0 { "X" } else { "i" });
         let args = rec.get("args").expect("args object");
@@ -125,10 +126,10 @@ fn chrome_trace_round_trips_through_a_json_parser() {
         for (key, val) in &src.args {
             match val {
                 trace::ArgValue::U64(n) => {
-                    assert_eq!(args.get(key).and_then(Json::as_num), Some(*n as f64), "arg {key}")
+                    assert_eq!(args.get(key).and_then(Json::as_f64), Some(*n as f64), "arg {key}")
                 }
                 trace::ArgValue::F64(x) if x.is_finite() => {
-                    assert_eq!(args.get(key).and_then(Json::as_num), Some(*x), "arg {key}")
+                    assert_eq!(args.get(key).and_then(Json::as_f64), Some(*x), "arg {key}")
                 }
                 trace::ArgValue::F64(_) => assert_eq!(args.get(key), Some(&Json::Null)),
                 trace::ArgValue::Str(s) => {
@@ -145,7 +146,7 @@ fn chrome_trace_round_trips_through_a_json_parser() {
     assert!(!mxv.is_empty(), "no mxv spans in the trace");
     for r in &mxv {
         let args = r.get("args").expect("args");
-        assert!(args.get("u_nnz").and_then(Json::as_num).is_some(), "mxv span lacks frontier nnz");
+        assert!(args.get("u_nnz").and_then(Json::as_f64).is_some(), "mxv span lacks frontier nnz");
         let kernel = args.get("kernel").and_then(Json::as_str).expect("mxv span lacks kernel tag");
         assert!(kernel.starts_with("push") || kernel.starts_with("pull"), "kernel = {kernel}");
     }
@@ -153,7 +154,7 @@ fn chrome_trace_round_trips_through_a_json_parser() {
 
 /// String args can carry arbitrary content; both exporters must escape
 /// it. The Chrome trace must round-trip a hostile value byte-for-byte
-/// through the JSON parser below, and the burble line must quote it
+/// through the JSON parser, and the burble line must quote it
 /// without leaking raw control characters into the one-line format.
 #[test]
 fn hostile_string_args_are_escaped_by_both_exporters() {
@@ -206,223 +207,4 @@ fn ring_overflow_is_counted_and_clear_resets_it() {
     trace::clear();
     assert_eq!(trace::dropped(), 0, "clear() must reset the dropped counter");
     assert!(trace::drain().is_empty(), "clear() must empty the ring");
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON parser (objects, arrays, strings with escapes, numbers,
-// literals) — enough to verify the exporter emits real JSON.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-type PResult<T> = std::result::Result<T, String>;
-
-fn parse_json(s: &str) -> PResult<Json> {
-    let mut p = Parser { b: s.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing bytes at {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> PResult<()> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> PResult<Json> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> PResult<Json> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> PResult<Json> {
-        self.expect(b'{')?;
-        let mut kvs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(kvs));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            kvs.push((k, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(kvs));
-                }
-                _ => return Err(format!("expected , or }} at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> PResult<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> PResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("truncated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex =
-                                self.b.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        c => return Err(format!("bad escape \\{}", c as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.b.len() && (self.b[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.b[start..self.pos]).expect("utf-8"));
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> PResult<Json> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
 }
