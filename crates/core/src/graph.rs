@@ -54,7 +54,8 @@ struct Cached {
 /// panicking while the cache lock is held.
 pub struct Graph {
     /// The adjacency matrix; `A(i, j)` is the weight of edge `i → j`.
-    a: Matrix<f64>,
+    /// Shared, because an undirected graph's cached `Aᵀ` is this matrix.
+    a: Arc<Matrix<f64>>,
     kind: GraphKind,
     cache: Mutex<Cached>,
     /// Monotone modification tag: bumped whenever the adjacency (and so
@@ -73,7 +74,7 @@ impl Graph {
                 a.ncols()
             )));
         }
-        Ok(Graph { a, kind, cache: Mutex::new(Cached::default()), epoch: 0 })
+        Ok(Graph { a: Arc::new(a), kind, cache: Mutex::new(Cached::default()), epoch: 0 })
     }
 
     /// Build an unweighted graph from an edge list (weights set to 1).
@@ -121,7 +122,11 @@ impl Graph {
     /// Cached properties are untouched — they re-encode on their own
     /// next rebuild if the process-wide policy asks for it.
     pub fn set_compressed(&mut self, enabled: bool) {
-        self.a.set_compressed(enabled);
+        // An `Aᵀ` that is the adjacency itself stood for the uncompressed
+        // form; the next `at()` decides again.
+        let a = &self.a;
+        self.cache.get_mut().at.take_if(|at| Arc::ptr_eq(at, a));
+        Arc::make_mut(&mut self.a).set_compressed(enabled);
     }
 
     /// The adjacency matrix.
@@ -146,12 +151,13 @@ impl Graph {
 
     /// Resident heap bytes of the graph: the adjacency matrix plus every
     /// cached property currently materialized (transpose, structure,
-    /// degrees). Polling it does not populate any cache, so it is safe
-    /// to call from a metrics gauge on the serving path.
+    /// degrees). An undirected graph's `Aᵀ` that is the adjacency itself
+    /// is counted once. Polling it does not populate any cache, so it is
+    /// safe to call from a metrics gauge on the serving path.
     pub fn resident_bytes(&self) -> usize {
         let mut total = self.a.memory_usage().total();
         let c = self.cache.lock();
-        if let Some(at) = &c.at {
+        if let Some(at) = c.at.as_ref().filter(|at| !Arc::ptr_eq(at, &self.a)) {
             total += at.memory_usage().total();
         }
         if let Some(st) = &c.structure {
@@ -166,16 +172,24 @@ impl Graph {
         total
     }
 
-    /// The cached transpose `Aᵀ` (the matrix itself for undirected
-    /// graphs would be equal; we still materialize it so algorithms can
-    /// rely on row access to in-edges). Errors from the underlying
-    /// transpose propagate instead of panicking under the cache lock.
+    /// The cached transpose `Aᵀ`. An undirected graph whose adjacency is
+    /// plain CSR and passes the one-pass symmetry walk
+    /// ([`Matrix::is_symmetric`]) *is* its transpose, pattern and values,
+    /// and gets the adjacency back (as LAGraph uses `G->A` for `G->AT`);
+    /// a directed graph, a compressed or hypersparse adjacency, or an
+    /// "undirected" one that is not in fact symmetric materialises `Aᵀ`.
+    /// Errors from the underlying transpose propagate instead of
+    /// panicking under the cache lock.
     pub fn at(&self) -> Result<Arc<Matrix<f64>>> {
         let mut c = self.cache.lock();
         if let Some(at) = &c.at {
             return Ok(at.clone());
         }
-        let at = Arc::new(transpose_new(&self.a)?);
+        let at = if self.kind == GraphKind::Undirected && self.a.is_symmetric() == Some(true) {
+            self.a.clone()
+        } else {
+            Arc::new(transpose_new(&self.a)?)
+        };
         c.at = Some(at.clone());
         Ok(at)
     }
@@ -272,7 +286,7 @@ impl Graph {
             &self.a,
             &Descriptor::default(),
         )?;
-        self.a = cleaned;
+        self.a = Arc::new(cleaned);
         self.invalidate_caches();
         Ok(())
     }
@@ -302,11 +316,13 @@ impl Graph {
     /// The snapshot that follows this one: `a_next` is this adjacency
     /// with the netted `delta` (mirror arcs included) applied. Whatever
     /// this snapshot had materialised is carried forward by the same
-    /// delta — the structure (dual and all) and `Aᵀ` through the
-    /// deferred-update path and one assembly, the degrees by patching
-    /// the touched rows — and whatever it had not stays lazy.
+    /// delta — the structure (dual and all) and a materialised `Aᵀ`
+    /// through the deferred-update path and one assembly, an `Aᵀ` that is
+    /// the adjacency itself as the same alias of `a_next`, the degrees by
+    /// patching the touched rows — and whatever it had not stays lazy.
     /// [`Graph::new`] on `a_next` is the from-scratch oracle.
     pub(crate) fn advance(&self, a_next: Matrix<f64>, delta: &[Edit<f64>]) -> Result<Graph> {
+        let a_next = Arc::new(a_next);
         let prev = self.cache.lock().clone();
         let mut next = Cached::default();
         if let Some(st) = prev.structure {
@@ -314,7 +330,16 @@ impl Graph {
             next.structure = Some(replayed(&st, pattern)?);
         }
         if let Some(at) = prev.at {
-            next.at = Some(replayed(&at, delta.iter().map(|&(i, j, x)| (j, i, x)))?);
+            if !Arc::ptr_eq(&at, &self.a) {
+                next.at = Some(replayed(&at, delta.iter().map(|&(i, j, x)| (j, i, x)))?);
+            } else if a_next.format() == Format::Csr
+                && delta.iter().all(|&(i, j, x)| a_next.get(j, i) == x)
+            {
+                // A symmetric matrix stays symmetric exactly when every
+                // position the delta wrote reads the same as its mirror.
+                // Otherwise `at` stays lazy and the next call decides.
+                next.at = Some(a_next.clone());
+            }
         }
         if prev.out_degree.is_some() || prev.in_degree.is_some() {
             // Net change per row and per column: +1 for an arc the delta
@@ -430,6 +455,36 @@ mod tests {
         assert_eq!(at.get(2, 1), Some(1.0));
         // Cached: same Arc returned.
         assert!(Arc::ptr_eq(&at, &g.at().expect("transpose")));
+    }
+
+    #[test]
+    fn undirected_transpose_is_the_adjacency_itself() {
+        let g = Graph::from_weighted_edges(3, &[(0, 1, 2.5), (1, 2, 1.5)], GraphKind::Undirected)
+            .expect("graph");
+        let before = g.resident_bytes();
+        let at = g.at().expect("transpose");
+        assert!(std::ptr::eq(&*at, g.a()), "a symmetric adjacency must not be copied");
+        assert_eq!(g.resident_bytes(), before, "the alias is counted once");
+        assert_eq!(at.extract_tuples(), g.a().extract_tuples());
+    }
+
+    #[test]
+    fn unsymmetric_or_compressed_undirected_graphs_materialise_the_transpose() {
+        // Declared undirected, but (0, 1) has no mirror and (1, 2) / (2, 1)
+        // disagree on the weight: neither may alias.
+        for tuples in [vec![(0, 1, 1.0)], vec![(1, 2, 1.0), (2, 1, 2.0)]] {
+            let a = Matrix::from_tuples(3, 3, tuples, |_, b| b).expect("a");
+            let g = Graph::new(a, GraphKind::Undirected).expect("construct");
+            let at = g.at().expect("transpose");
+            assert!(!std::ptr::eq(&*at, g.a()));
+            assert_eq!(at.extract_tuples(), transpose_new(g.a()).expect("oracle").extract_tuples());
+        }
+        let mut g = triangle();
+        assert!(std::ptr::eq(&*g.at().expect("alias"), g.a()));
+        g.set_compressed(true);
+        let at = g.at().expect("transpose of the compressed form");
+        assert!(!std::ptr::eq(&*at, g.a()));
+        assert_eq!(at.extract_tuples(), g.a().extract_tuples());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 
-use graphblas::parallel::set_threads;
+use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::trace::{self, Cat, Event, RunAggregate};
 use lagraph::algorithms::{
     bfs_level, connected_components, pagerank, sssp_delta_stepping, PageRankOptions,
@@ -40,19 +40,27 @@ static GLOBALS: Mutex<()> = Mutex::new(());
 /// Run `f` at one thread under the pinned cost model with tracing on and
 /// return what it recorded, oldest first.
 fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    traced_at(1, f)
+}
+
+/// [`traced`] at `threads` threads; above one, the sequential cutoff is
+/// forced down so that every dispatch the 2^12 graph makes is chunked.
+fn traced_at<R>(threads: usize, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     if std::env::var_os("GRAPHBLAS_COST_MODEL").is_none() {
         // Read once, at the first direction choice of the process; every
         // test takes the lock above before its first operation.
         std::env::set_var("GRAPHBLAS_COST_MODEL", "3,1");
     }
-    set_threads(1);
+    set_threads(threads);
+    set_par_threshold(usize::from(threads > 1));
     trace::set_capacity(1 << 20);
     trace::clear();
     trace::enable();
     let out = f();
     trace::disable();
     set_threads(0);
+    set_par_threshold(0);
     let mut events = trace::drain();
     events.sort_by_key(|e| e.t0_ns);
     (out, events)
@@ -202,4 +210,55 @@ fn bfs_write_cost_follows_the_frontier() {
     let (reached, work, depth) = bfs_write_work(&path, 0);
     assert_eq!((reached, depth), (n, n as u64));
     assert!(work <= 24 * n as u64, "bfs on a path examined {work} positions");
+}
+
+/// How many op spans of each name ran, and how many writes took each path
+/// into each output form.
+fn op_census(events: &[Event]) -> std::collections::BTreeMap<String, usize> {
+    let mut census = std::collections::BTreeMap::new();
+    for e in events.iter().filter(|e| is_op(e)) {
+        let key = match (e.arg_str("w_form"), e.arg_str("path")) {
+            (Some(form), Some(path)) => format!("{} {path} into {form}", e.name),
+            _ => e.name.to_string(),
+        };
+        *census.entry(key).or_insert(0) += 1;
+    }
+    census
+}
+
+#[test]
+fn two_threads_keep_the_one_thread_budgets() {
+    // A push cut in two used to come back as sorted lists: the write that
+    // followed merged them (or installed a sparse frontier the next level
+    // had to promote again), so the loops above did more at 2 threads than
+    // at 1. Chunked, each traversal must record exactly the op spans, write
+    // paths and form conversions of its 1-thread run — the same answers go
+    // without saying.
+    let g = rmat();
+    let source = g.out_degree().expect("degrees").iter().next().expect("a vertex with edges").0;
+    type Run = fn(&Graph, usize) -> Vec<(usize, u64)>;
+    let bfs: Run = |g, s| {
+        let levels = bfs_level(g, s).expect("bfs").extract_tuples();
+        levels.into_iter().map(|(v, l)| (v, l as u64)).collect()
+    };
+    let sssp: Run = |g, s| {
+        let dist = sssp_delta_stepping(g, s, 64.0).expect("sssp").extract_tuples();
+        dist.into_iter().map(|(v, d)| (v, d.to_bits())).collect()
+    };
+    for (what, run) in [("bfs", bfs), ("delta-stepping", sssp)] {
+        let (one, events_one) = traced(|| run(&g, source));
+        let (two, events_two) = traced_at(2, || run(&g, source));
+        assert_eq!(one, two, "{what}: answers differ");
+        let chunked = events_two.iter().filter(|e| e.name == "chunk").count();
+        assert!(chunked > 0, "{what}: nothing was chunked at 2 threads");
+        assert_full_length_outputs_written_in_place(&events_two, what);
+        assert_eq!(op_census(&events_one), op_census(&events_two), "{what}: op spans differ");
+        let (agg_one, agg_two) =
+            (RunAggregate::from_events(&events_one), RunAggregate::from_events(&events_two));
+        assert_eq!(
+            (agg_one.writes_merge, agg_one.vector_conversions, agg_one.push, agg_one.pull),
+            (agg_two.writes_merge, agg_two.vector_conversions, agg_two.push, agg_two.pull),
+            "{what}: merges, form conversions or directions differ"
+        );
+    }
 }

@@ -904,6 +904,10 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
             prev = v;
         });
     }
+    fn entries_before(&self, major: Index) -> usize {
+        // One Elias-Fano select: no gap is decoded.
+        self.ptr.get(major) as usize
+    }
     fn nonempty_majors(&self) -> Vec<Index> {
         let ptr = self.ptr_vec();
         (0..self.nrows).filter(|&i| ptr[i + 1] > ptr[i]).collect()

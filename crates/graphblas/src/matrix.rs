@@ -1193,6 +1193,17 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_store(g.nrows, g.ncols, Store::row_major_from_vecs(g.nrows, g.ncols, vecs))
     }
 
+    /// Whether `A = Aᵀ`, pattern and values, decided in O(nvals) without
+    /// building the transpose (one cursor walk over the rows). Answered for plain
+    /// CSR storage only: `None` for the hypersparse and compressed forms,
+    /// whose callers fall back to comparing against a materialised `Aᵀ`.
+    pub fn is_symmetric(&self) -> Option<bool> {
+        match &self.read_rows().store {
+            Store::Csr(cs) => Some(cs.is_symmetric()),
+            _ => None,
+        }
+    }
+
     /// Stored entries per row as an `i64` vector, with no entry for an
     /// empty row: `reduce(+, apply(one, A))`, read off the row pointers
     /// (the Elias-Fano offsets of the compressed form) without touching

@@ -5,13 +5,13 @@ use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
-use crate::parallel::par_chunks;
+use crate::parallel::{par_chunks, Chunking};
 use crate::sparse::transpose_dyn;
 use crate::types::{Index, Scalar};
 use crate::unaryop::{IndexUnaryOp, UnaryOp};
 use crate::vector::{VView, Vector};
 
-use super::common::{check_dims, check_mmask, check_vmask, InverseSel};
+use super::common::{check_dims, check_mmask, check_vmask, par_rows, InverseSel};
 use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= f(u)` — apply `f` to every stored entry of `u`.
@@ -165,10 +165,10 @@ fn rows_apply<A: Scalar, T: Scalar, Op: IndexUnaryOp<A, T>>(
     op: &Op,
 ) -> Vec<(Index, Vec<Index>, Vec<T>)> {
     let majors = v.nonempty_majors();
-    let chunks = par_chunks(majors.len(), v.nvals(), |range| {
-        let mut part = Vec::with_capacity(range.len());
+    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
+        let mut part = Vec::with_capacity(rows.len());
         let mut scratch = crate::sparse::RowScratch::default();
-        for &i in &majors[range] {
+        for &i in rows {
             let (idx, val) = v.row(i, &mut scratch);
             let out: Vec<T> = idx.iter().zip(val).map(|(&j, &x)| op.apply(i, j, x)).collect();
             part.push((i, idx.to_vec(), out));

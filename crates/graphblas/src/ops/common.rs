@@ -4,6 +4,7 @@
 use crate::descriptor::Descriptor;
 use crate::error::{Error, Result};
 use crate::matrix::{with_rows, Matrix};
+use crate::parallel::{par_chunks_weighted, prefix_sums, Chunking};
 use crate::sparse::SparseView;
 use crate::types::{All, Index, Scalar};
 use crate::vector::{VView, Vector};
@@ -12,6 +13,42 @@ use crate::vector::{VView, Vector};
 /// sites can write `NOACC` without a turbofish. (The operator inside is
 /// never invoked.)
 pub const NOACC: Option<crate::binaryop::Second> = None;
+
+/// Run `work` over `majors` — rows of `v`, ascending — in chunks that each
+/// walk an equal share of `v`'s stored entries, and return the results in
+/// row order. The row loop of every kernel whose cost is the entries of
+/// the rows it visits; `est_work` is the usual sequential-cutoff estimate.
+pub(crate) fn par_rows<T: Scalar, R: Send>(
+    v: &dyn SparseView<T>,
+    majors: &[Index],
+    est_work: usize,
+    chunking: Chunking,
+    work: impl Fn(&[Index]) -> R + Sync,
+) -> Vec<R> {
+    par_chunks_weighted(
+        majors.len(),
+        est_work,
+        chunking,
+        |k| majors.get(k).map_or(v.nvals(), |&i| v.entries_before(i)),
+        |r| work(&majors[r]),
+    )
+}
+
+/// Run `work` over `mrows` — a mask's stored entries grouped by row — in
+/// chunks that each hold an equal share of the mask entries (one dot
+/// product each, for the masked-dot kernels), several chunks per thread:
+/// what a dot costs varies a hundredfold with the rows it intersects, and
+/// only the cursor can even that out.
+pub(crate) fn par_mask_rows<R: Send>(
+    mrows: &[(Index, Vec<Index>)],
+    est_work: usize,
+    work: impl Fn(&[(Index, Vec<Index>)]) -> R + Sync,
+) -> Vec<R> {
+    let entries = std::cell::OnceCell::new();
+    let before =
+        |k: usize| entries.get_or_init(|| prefix_sums(mrows.iter().map(|(_, js)| js.len())))[k];
+    par_chunks_weighted(mrows.len(), est_work, Chunking::Oversplit, before, |r| work(&mrows[r]))
+}
 
 /// An index selection for extract/assign: the C API's `GrB_ALL`, an
 /// explicit list, or a contiguous range.

@@ -10,14 +10,14 @@ use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
-use crate::parallel::par_chunks;
+use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
 use crate::sparse::{transpose_dyn, MatData, SparseView};
 use crate::trace;
 use crate::types::{Index, Scalar};
 use crate::vector::{VView, Vector};
 use std::borrow::Cow;
 
-use super::common::{check_dims, check_mmask, check_vmask, InverseSel};
+use super::common::{check_dims, check_mmask, check_vmask, par_rows, InverseSel};
 use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= u ⊕ v` — union merge of two vectors.
@@ -319,11 +319,12 @@ where
     // Rows intersect independently: chunk over A's nonempty majors and let
     // each worker run the two-pointer intersection for its rows.
     let amaj = av.nonempty_majors();
-    let chunks = par_chunks(amaj.len(), av.nvals() + bv.nvals(), |range| {
+    let est = av.nvals() + bv.nvals();
+    let chunks = par_rows(av, &amaj, est, Chunking::Oversplit, |rows| {
         let mut part = Vec::new();
         let mut sa = crate::sparse::RowScratch::default();
         let mut sb = crate::sparse::RowScratch::default();
-        for &i in &amaj[range] {
+        for &i in rows {
             let (aidx, aval) = av.row(i, &mut sa);
             let (bidx, bval) = bv.row(i, &mut sb);
             if bidx.is_empty() {
@@ -387,7 +388,13 @@ fn merge_matrix_union<T: Scalar, Op: BinaryOp<T, T, T>>(
         }
         rows.push(row);
     }
-    let chunks = par_chunks(rows.len(), av.nvals() + bv.nvals(), |range| {
+    // Each row costs the entries both operands store in it.
+    let before = |k: usize| match rows.get(k) {
+        Some(&row) => av.entries_before(row) + bv.entries_before(row),
+        None => av.nvals() + bv.nvals(),
+    };
+    let est = av.nvals() + bv.nvals();
+    let chunks = par_chunks_weighted(rows.len(), est, Chunking::Oversplit, before, |range| {
         let mut part = Vec::with_capacity(range.len());
         let mut sa = crate::sparse::RowScratch::default();
         let mut sb = crate::sparse::RowScratch::default();

@@ -6,7 +6,7 @@ use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
-use crate::parallel::par_chunks;
+use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
 use crate::types::{Index, Scalar};
 use crate::vector::{Vector, DENSE_LIMIT};
 
@@ -105,7 +105,18 @@ where
     j_sel.check(v.nminor())?;
     let (nr, nc) = (i_sel.len(v.nmajor()), j_sel.len(v.nminor()));
     // Output rows extract independently: chunk over 0..nr.
-    let chunks = par_chunks(nr, v.nvals(), |range| {
+    // A contiguous selection is cut by the entries its rows store; a list
+    // may permute and repeat rows, so it has no prefix sum to search.
+    let first = match i_sel {
+        IndexSel::All => Some(0),
+        IndexSel::Range(r) => Some(r.start),
+        IndexSel::List(_) => None,
+    };
+    let before = |k: usize| match first {
+        Some(first) => v.entries_before(first + k) - v.entries_before(first),
+        None => k,
+    };
+    let chunks = par_chunks_weighted(nr, v.nvals(), Chunking::Oversplit, before, |range| {
         let mut part = Vec::new();
         let mut scratch = crate::sparse::RowScratch::default();
         for k in range {

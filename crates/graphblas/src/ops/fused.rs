@@ -27,13 +27,12 @@ use crate::descriptor::Descriptor;
 use crate::error::{Error, Result};
 use crate::matrix::{rows_of, Matrix};
 use crate::monoid::Monoid;
-use crate::parallel::par_chunks;
 use crate::semiring::Semiring;
 use crate::sparse::SparseView;
 use crate::types::{Index, Scalar};
 use crate::vector::Vector;
 
-use super::common::{check_dims, check_mmask, MMask, NOACC};
+use super::common::{check_dims, check_mmask, par_mask_rows, MMask, NOACC};
 use super::ewise::EffView;
 use super::spec::{self, SemiringSpec};
 use super::write::write_matrix;
@@ -111,13 +110,13 @@ where
         }
     });
     let per_dot = av.nvals() / av.nmajor().max(1) + btv.nvals() / btv.nmajor().max(1) + 1;
-    par_chunks(mrows.len(), total.saturating_mul(per_dot), |range| {
+    par_mask_rows(&mrows, total.saturating_mul(per_dot), |mrows| {
         let mut st = St::default();
         let mut ridx: Vec<Index> = Vec::new();
         let mut rval: Vec<T> = Vec::new();
         let mut sa = crate::sparse::RowScratch::default();
         let mut sb = crate::sparse::RowScratch::default();
-        for (i, js) in &mrows[range] {
+        for (i, js) in mrows {
             let (aidx, aval) = av.row(*i, &mut sa);
             if aidx.is_empty() {
                 continue;

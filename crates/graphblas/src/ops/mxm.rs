@@ -17,13 +17,13 @@ use crate::descriptor::{Descriptor, MxmMethod};
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
 use crate::monoid::Monoid;
-use crate::parallel::par_chunks;
+use crate::parallel::Chunking;
 use crate::semiring::Semiring;
 use crate::sparse::SparseView;
 use crate::types::{Index, Scalar};
 use crate::vector::{DenseAcc, Slot};
 
-use super::common::{check_dims, check_mmask, MMask};
+use super::common::{check_dims, check_mmask, par_mask_rows, par_rows, MMask};
 use super::ewise::EffView;
 use super::spec::{self, SemiringSpec};
 use super::write::write_matrix;
@@ -190,7 +190,8 @@ where
     let majors = av.nonempty_majors();
     let ncols = bv.nminor();
     let flops_estimate = cost::mxm_gustavson_flops(av.nvals(), bv.nvals(), bv.nmajor());
-    let chunks = par_chunks(majors.len(), flops_estimate, |range| {
+    // Each chunk sets up an accumulator as long as a row of `B`: one per thread.
+    let chunks = par_rows(av, &majors, flops_estimate, Chunking::PerThread, |rows| {
         let mut out = Vec::new();
         let mut sa = crate::sparse::RowScratch::default();
         let mut sb = crate::sparse::RowScratch::default();
@@ -200,7 +201,7 @@ where
             // makes per-row reset O(touched), and the stamp array itself is
             // pooled per worker thread across kernel invocations.
             let mut acc = DenseAcc::<T>::new(ncols);
-            for &i in &majors[range] {
+            for &i in rows {
                 acc.begin();
                 let (aidx, aval) = av.row(i, &mut sa);
                 match mode {
@@ -258,7 +259,7 @@ where
                 }
             }
         } else {
-            for &i in &majors[range] {
+            for &i in rows {
                 let mut acc = std::collections::BTreeMap::<Index, T>::new();
                 let (aidx, aval) = av.row(i, &mut sa);
                 for (&k, &aik) in aidx.iter().zip(aval) {
@@ -323,11 +324,12 @@ where
             }
         });
         let per_dot = av.nvals() / av.nmajor().max(1) + btv.nvals() / btv.nmajor().max(1) + 1;
-        let chunks = par_chunks(mrows.len(), total.saturating_mul(per_dot), |range| {
+        let est = total.saturating_mul(per_dot);
+        let chunks = par_mask_rows(&mrows, est, |mrows| {
             let mut out: Vec<(Index, Vec<Index>, Vec<T>)> = Vec::new();
             let mut sa = crate::sparse::RowScratch::default();
             let mut sb = crate::sparse::RowScratch::default();
-            for (i, js) in &mrows[range] {
+            for (i, js) in mrows {
                 let (aidx, aval) = av.row(*i, &mut sa);
                 if aidx.is_empty() {
                     continue;
@@ -354,33 +356,33 @@ where
         // automatically.
         let amaj = av.nonempty_majors();
         let bmaj = btv.nonempty_majors();
-        let chunks =
-            par_chunks(amaj.len(), av.nvals().saturating_mul(bmaj.len().max(1)), |range| {
-                let mut out = Vec::new();
-                let mut sa = crate::sparse::RowScratch::default();
-                let mut sb = crate::sparse::RowScratch::default();
-                let mut ms = crate::sparse::RowScratch::default();
-                for &i in &amaj[range] {
-                    let rmask = mask.row(i, &mut ms);
-                    let (aidx, aval) = av.row(i, &mut sa);
-                    let mut ridx = Vec::new();
-                    let mut rval = Vec::new();
-                    for &j in &bmaj {
-                        if !rmask.allowed(j) {
-                            continue;
-                        }
-                        let (bidx, bval) = btv.row(j, &mut sb);
-                        if let Some(v) = dot(aidx, aval, bidx, bval) {
-                            ridx.push(j);
-                            rval.push(v);
-                        }
+        let est = av.nvals().saturating_mul(bmaj.len().max(1));
+        let chunks = par_rows(av, &amaj, est, Chunking::Oversplit, |rows| {
+            let mut out = Vec::new();
+            let mut sa = crate::sparse::RowScratch::default();
+            let mut sb = crate::sparse::RowScratch::default();
+            let mut ms = crate::sparse::RowScratch::default();
+            for &i in rows {
+                let rmask = mask.row(i, &mut ms);
+                let (aidx, aval) = av.row(i, &mut sa);
+                let mut ridx = Vec::new();
+                let mut rval = Vec::new();
+                for &j in &bmaj {
+                    if !rmask.allowed(j) {
+                        continue;
                     }
-                    if !ridx.is_empty() {
-                        out.push((i, ridx, rval));
+                    let (bidx, bval) = btv.row(j, &mut sb);
+                    if let Some(v) = dot(aidx, aval, bidx, bval) {
+                        ridx.push(j);
+                        rval.push(v);
                     }
                 }
-                out
-            });
+                if !ridx.is_empty() {
+                    out.push((i, ridx, rval));
+                }
+            }
+            out
+        });
         chunks.into_iter().flatten().collect()
     }
 }
@@ -407,11 +409,11 @@ where
     // independent: chunk over the nonempty majors.
     let majors = av.nonempty_majors();
     let est = av.nvals() + bv.nvals();
-    let chunks = par_chunks(majors.len(), est, |range| {
+    let chunks = par_rows(av, &majors, est, Chunking::Oversplit, |rows| {
         let mut out = Vec::new();
         let mut sa = crate::sparse::RowScratch::default();
         let mut ms = crate::sparse::RowScratch::default();
-        for &i in &majors[range] {
+        for &i in rows {
             let (aidx, aval) = av.row(i, &mut sa);
             // The merge keeps every selected B row live at once, which a
             // shared decode scratch can't back — decode them into a

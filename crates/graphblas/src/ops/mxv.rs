@@ -8,12 +8,16 @@
 //!   monoid's terminal value — the early-exit trick that makes pull BFS
 //!   fast. Parallelized over rows.
 //! * **push** (`scatter`): partition the (sparse) vector's entries
-//!   across the [`par_chunks`] pool; each chunk scatters its matrix rows
-//!   into a private stamped accumulator (`DenseAcc`, or a tree for huge
-//!   dimensions), skipping mask-excluded positions and short-circuiting
-//!   terminal/ANY slots, and the per-chunk touched lists are k-way merged
-//!   in chunk order ([`merge_scatter_chunks`]). Work stays proportional
-//!   to the frontier, and both directions now scale with the pool.
+//!   across the pool, one chunk per thread, cut by the matrix rows the
+//!   entries expand ([`par_chunks_weighted`]); each chunk scatters its
+//!   rows into a private stamped accumulator (`DenseAcc`, or a tree for
+//!   huge dimensions), skipping mask-excluded positions and
+//!   short-circuiting terminal/ANY slots. Accumulators that filled a fair
+//!   share of the output are folded by output window, in chunk order, into
+//!   a full-length result — no sort; a small result keeps sorted lists,
+//!   merged in the same order ([`merge_scatter_chunks`]). Work stays
+//!   proportional to the frontier, and both directions scale with the
+//!   pool.
 //!
 //! `mxv(A, u)` pulls naturally (rows of `A` are what CSR stores);
 //! `mxv(Aᵀ, u)` and `vxm(u, A)` push naturally. The *other* direction
@@ -31,13 +35,14 @@ use crate::descriptor::{Descriptor, Direction};
 use crate::error::Result;
 use crate::matrix::{dual_of, rows_of, Matrix};
 use crate::monoid::Monoid;
-use crate::parallel::{merge_scatter_chunks, par_chunks};
+use crate::parallel::{merge_scatter_chunks, par_chunks_weighted, prefix_sums, Chunking};
 use crate::semiring::Semiring;
 use crate::sparse::SparseView;
 use crate::trace;
 use crate::types::{Index, Scalar};
 use crate::vector::{
-    bitmap_get, par_windows, DenseAcc, FullMut, Slot, VView, Vector, DENSE_LIMIT, SPARSIFY_RATIO,
+    bitmap_get, par_windows, par_windows_weighted, DenseAcc, FullMut, Slot, VView, Vector,
+    DENSE_LIMIT, SPARSIFY_RATIO,
 };
 
 use super::common::{check_dims, check_vmask, InverseSel, VMask};
@@ -284,6 +289,10 @@ where
     write_vector(w, mask, accum, desc, t, &InverseSel::All)
 }
 
+/// The fixed part of a pull's per-row cost (mask test, row look-up, the
+/// store of the result), in units of one multiplied entry.
+const ROW_COST: usize = 4;
+
 /// The specialized per-row reduction shape for a resolved semiring (see
 /// [`spec`]): `NoTerminal` sheds the `Option` accumulator and the
 /// per-product terminal compare, `Terminal` compares plain `T` against a
@@ -470,11 +479,27 @@ where
         flops
     };
     let n_out = mat.nmajor();
+    // What the cut weighs a stretch of rows by. A dot that multiplies every
+    // entry costs its row's length on top of a fixed part (mask test, row
+    // look-up, the store). One that stops at its first hit — a terminal or
+    // ANY monoid, every pull of a BFS — costs about the same whatever the
+    // row holds, and cutting it by entries would leave the long sparse tail
+    // of a skewed graph to whoever claims the last chunk.
+    let first_hit = terminal.is_some() || is_any;
+    let weight = |rows: usize, entries: usize| {
+        if first_hit {
+            rows
+        } else {
+            entries + ROW_COST * rows
+        }
+    };
     let (t, flops) = if n_out <= DENSE_LIMIT && majors.len().saturating_mul(SPARSIFY_RATIO) >= n_out
     {
         let mut val = vec![T::zero(); n_out];
         let mut bits = vec![0u64; n_out.div_ceil(64)];
-        let parts = par_windows(FullMut::new(&mut val, &mut bits), mat.nvals(), |win| {
+        let before = |i| weight(i, mat.entries_before(i));
+        let full = FullMut::new(&mut val, &mut bits);
+        let parts = par_windows_weighted(full, mat.nvals(), before, |win| {
             let r = win.range();
             let rows = &majors
                 [majors.partition_point(|&i| i < r.start)..majors.partition_point(|&i| i < r.end)];
@@ -489,7 +514,10 @@ where
             parts.into_iter().fold((0, 0usize), |(n, fl), (s, f)| (n + s, fl.saturating_add(f)));
         (VecResult::Full { val, bits, nvals }, flops)
     } else {
-        let chunks = par_chunks(majors.len(), mat.nvals(), |range| {
+        let before =
+            |k| weight(k, majors.get(k).map_or(mat.nvals(), |&i: &Index| mat.entries_before(i)));
+        let oversplit = Chunking::Oversplit;
+        let chunks = par_chunks_weighted(majors.len(), mat.nvals(), oversplit, before, |range| {
             let mut idx = Vec::new();
             let mut val = Vec::new();
             let flops = dot_rows(&majors[range], &mut |i, v| {
@@ -507,13 +535,14 @@ where
 /// Push kernel: scatter matrix rows selected by `u`'s entries into dense
 /// (or tree, for huge dimensions) accumulators, in parallel.
 ///
-/// The frontier is partitioned across the [`par_chunks`] pool; each chunk
-/// owns a private [`DenseAcc`] sized to `n_out` (stamp arrays are pooled
-/// per worker thread, so only the first call pays the O(n) zero fill) and
-/// the per-chunk sorted touched lists are combined by
-/// [`merge_scatter_chunks`], which folds duplicate indices in ascending
-/// chunk order — the exact order the sequential loop would have used, so
-/// results are bitwise identical at every thread count.
+/// The frontier is partitioned across the pool; each chunk owns a private
+/// [`DenseAcc`] sized to `n_out` (stamp arrays are pooled per thread) and
+/// the chunks are combined position by position in ascending chunk order
+/// — by output window into a full-length result ([`full_from_accs`]), or,
+/// for a result too sparse for that, as sorted lists
+/// ([`merge_scatter_chunks`]). That is the order the sequential loop would
+/// have used, so results are bitwise identical at every thread count for
+/// an associative monoid.
 ///
 /// Two skips keep the inner loop tight:
 /// * **mask**: a position the mask excludes is probed once, marked
@@ -555,11 +584,31 @@ where
         Acc(DenseAcc<T>),
         Lists(Vec<Index>, Vec<T>),
     }
+    impl<T> Part<T> {
+        fn acc(&self) -> Option<&DenseAcc<T>> {
+            match self {
+                Part::Acc(acc) => Some(acc),
+                Part::Lists(..) => None,
+            }
+        }
+        fn into_acc(self) -> Option<DenseAcc<T>> {
+            match self {
+                Part::Acc(acc) => Some(acc),
+                Part::Lists(..) => None,
+            }
+        }
+    }
     const DENSE_ACC_LIMIT: usize = 1 << 26;
     let mut entries: Vec<(Index, U)> = Vec::new();
     u.for_each(|k, uk| entries.push((k, uk)));
     let deg = (mat.nvals() / mat.nmajor().max(1)).max(1);
     let est = entries.len().saturating_mul(deg);
+    // The cut weighs each frontier entry by the row it expands — a hub in
+    // the frontier is a chunk's worth of work by itself. One O(frontier)
+    // pass over the row pointers, made only when the push goes parallel.
+    let expanded = std::cell::OnceCell::new();
+    let row_len = |&(r, _): &(Index, U)| mat.entries_before(r + 1) - mat.entries_before(r);
+    let before = |k: usize| expanded.get_or_init(|| prefix_sums(entries.iter().map(row_len)))[k];
     let terminal = add.terminal();
     let is_any = add.is_any();
     let mode: ScatterMode<T> = match sp {
@@ -571,7 +620,9 @@ where
         },
         Some(SemiringSpec::PlusTimes | SemiringSpec::PlusPair) => ScatterMode::Fold,
     };
-    let chunks = par_chunks(entries.len(), est, |range| {
+    // One dense accumulator per chunk costs O(n_out) to set up, so the
+    // frontier is cut into exactly one chunk per thread.
+    let chunks = par_chunks_weighted(entries.len(), est, Chunking::PerThread, before, |range| {
         let mut flops = 0usize;
         let mut scratch = crate::sparse::RowScratch::default();
         if n_out <= DENSE_ACC_LIMIT {
@@ -712,14 +763,14 @@ where
         }
     });
     let total_flops = chunks.iter().fold(0usize, |s, (_, fl)| s.saturating_add(*fl));
-    // One chunk whose accumulator filled a fair share of its slots is the
-    // full-length result already: hand it over unsorted, as it stands.
-    if let [(Part::Acc(acc), _)] = &chunks[..] {
-        if acc.touched().len().saturating_mul(SPARSIFY_RATIO) >= n_out {
-            let Some((Part::Acc(acc), _)) = chunks.into_iter().next() else { unreachable!() };
-            let (val, bits, nvals) = acc.into_full();
-            return (VecResult::Full { val, bits, nvals }, total_flops);
-        }
+    // Accumulators that together filled a fair share of the output's slots
+    // are the full-length result already: hand it over unsorted. The share
+    // is of *distinct* slots — what one chunk would have touched — so the
+    // form of the result does not depend on the thread count either.
+    let accs: Option<Vec<&DenseAcc<T>>> = chunks.iter().map(|(part, _)| part.acc()).collect();
+    if accs.is_some_and(|accs| distinct_touched(&accs, n_out.div_ceil(SPARSIFY_RATIO))) {
+        let accs = chunks.into_iter().filter_map(|(part, _)| part.into_acc()).collect();
+        return (full_from_accs(accs, add), total_flops);
     }
     let parts = chunks
         .into_iter()
@@ -730,6 +781,58 @@ where
         .collect();
     let (idx, val) = merge_scatter_chunks(parts, |a, b| add.apply(a, b));
     (VecResult::Lists(idx, val), total_flops)
+}
+
+/// Whether the accumulators touched at least `want` distinct slots between
+/// them. The largest and the summed touch counts bound the answer from
+/// below and above; only a push that lands between the two is counted, one
+/// probe of the earlier chunks per touched slot.
+fn distinct_touched<T: Scalar>(accs: &[&DenseAcc<T>], want: usize) -> bool {
+    let counts = accs.iter().map(|acc| acc.touched().len());
+    if counts.clone().max().unwrap_or(0) >= want {
+        return true;
+    }
+    if counts.sum::<usize>() < want {
+        return false;
+    }
+    let fresh = |c: usize, j: Index| accs[..c].iter().all(|acc| acc.slot(j) != Slot::Active);
+    let distinct = accs
+        .iter()
+        .enumerate()
+        .map(|(c, acc)| acc.touched().iter().filter(|&&j| fresh(c, j)).count());
+    distinct.sum::<usize>() >= want
+}
+
+/// The full-length result of a push from its chunks' accumulators. One
+/// chunk's value array is the result as it stands. Several are folded by
+/// output window, in parallel: each position combines the chunks that
+/// reached it in chunk order — the order [`merge_scatter_chunks`] defines
+/// — so first-touch (ANY), terminal and floating-point results are
+/// bit-identical to the sorted-list merge, without a sort.
+fn full_from_accs<T: Scalar, SA: Monoid<T>>(mut accs: Vec<DenseAcc<T>>, add: &SA) -> VecResult<T> {
+    if accs.len() == 1 {
+        let (val, bits, nvals) = accs.pop().expect("one accumulator").into_full();
+        return VecResult::Full { val, bits, nvals };
+    }
+    let n = accs[0].len();
+    let mut val = vec![T::zero(); n];
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    let stored =
+        par_windows(FullMut::new(&mut val, &mut bits), n.saturating_mul(accs.len()), |win| {
+            let mut stored = 0usize;
+            for j in win.range() {
+                let mut reached = accs.iter().filter(|acc| acc.slot(j) == Slot::Active);
+                if let Some(first) = reached.next() {
+                    win.set(
+                        j,
+                        reached.fold(first.value(j), |cur, acc| add.apply(cur, acc.value(j))),
+                    );
+                    stored += 1;
+                }
+            }
+            stored
+        });
+    VecResult::Full { val, bits, nvals: stored.into_iter().sum() }
 }
 
 fn concat_chunks<T>(chunks: Vec<(Vec<Index>, Vec<T>, usize)>) -> (Vec<Index>, Vec<T>, usize) {

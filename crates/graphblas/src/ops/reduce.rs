@@ -6,11 +6,11 @@ use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
 use crate::monoid::{fold, Monoid};
-use crate::parallel::{par_chunks, par_reduce};
+use crate::parallel::{par_reduce, Chunking};
 use crate::types::Scalar;
 use crate::vector::Vector;
 
-use super::common::{check_dims, check_vmask, InverseSel};
+use super::common::{check_dims, check_vmask, par_rows, InverseSel};
 use super::ewise::EffView;
 use super::write::{write_vector, VecResult};
 
@@ -43,11 +43,11 @@ where
     // Rows reduce independently: chunk over the nonempty majors; each
     // row's fold keeps its own terminal early exit.
     let majors = v.nonempty_majors();
-    let chunks = par_chunks(majors.len(), v.nvals(), |r| {
-        let mut idx = Vec::with_capacity(r.len());
-        let mut val = Vec::with_capacity(r.len());
+    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
+        let mut idx = Vec::with_capacity(rows.len());
+        let mut val = Vec::with_capacity(rows.len());
         let mut scratch = crate::sparse::RowScratch::default();
-        for &i in &majors[r] {
+        for &i in rows {
             let (_, vals) = v.row(i, &mut scratch);
             if let Some(x) = fold(monoid, vals.iter().copied()) {
                 idx.push(i);

@@ -6,13 +6,13 @@ use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix, Store};
-use crate::parallel::par_chunks;
+use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
 use crate::sparse::{transpose_dyn, Cs};
 use crate::types::{Index, Scalar};
 use crate::unaryop::IndexUnaryOp;
 use crate::vector::Vector;
 
-use super::common::{check_dims, check_mmask, check_vmask, InverseSel};
+use super::common::{check_dims, check_mmask, check_vmask, par_rows, InverseSel};
 use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= select(u, pred)` — keep entries of `u` where
@@ -110,10 +110,10 @@ where
         };
         // Rows filter independently: chunk over the nonempty majors.
         let majors = v.nonempty_majors();
-        let chunks = par_chunks(majors.len(), v.nvals(), |range| {
-            let mut part = Vec::with_capacity(range.len());
+        let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
+            let mut part = Vec::with_capacity(rows.len());
             let mut scratch = crate::sparse::RowScratch::default();
-            for &i in &majors[range] {
+            for &i in rows {
                 let (idx, val) = v.row(i, &mut scratch);
                 let mut ridx = Vec::new();
                 let mut rval = Vec::new();
@@ -145,33 +145,35 @@ where
 /// row, size the arrays from the total, fill them — and the blocks are
 /// laid end to end; a single chunk's arrays are the result as they stand.
 fn select_csr<T: Scalar, Op: IndexUnaryOp<T, bool>>(cs: &Cs<T>, pred: &Op) -> Store<T> {
-    let blocks = par_chunks(cs.nmajor, cs.idx.len(), |rows| {
-        let mut counts = Vec::with_capacity(rows.len());
-        for i in rows.clone() {
-            let r = cs.ptr[i]..cs.ptr[i + 1];
-            let kept = cs.idx[r.clone()].iter().zip(&cs.val[r]);
-            counts.push(kept.filter(|&(&j, &x)| pred.apply(i, j, x)).count());
-        }
-        let total: usize = counts.iter().sum();
-        // Fill without a branch on the predicate: every entry is written
-        // at the cursor and the cursor advances only past the kept ones
-        // (a data-dependent filter mispredicts on most entries otherwise).
-        // The spare slot takes the writes that follow the last kept entry.
-        let mut idx = vec![0 as Index; total + 1];
-        let mut val = vec![T::zero(); total + 1];
-        let mut at = 0;
-        for i in rows {
-            let r = cs.ptr[i]..cs.ptr[i + 1];
-            for (&j, &x) in cs.idx[r.clone()].iter().zip(&cs.val[r]) {
-                (idx[at], val[at]) = (j, x);
-                at += usize::from(pred.apply(i, j, x));
+    let before = |i: usize| cs.ptr[i];
+    let blocks =
+        par_chunks_weighted(cs.nmajor, cs.idx.len(), Chunking::Oversplit, before, |rows| {
+            let mut counts = Vec::with_capacity(rows.len());
+            for i in rows.clone() {
+                let r = cs.ptr[i]..cs.ptr[i + 1];
+                let kept = cs.idx[r.clone()].iter().zip(&cs.val[r]);
+                counts.push(kept.filter(|&(&j, &x)| pred.apply(i, j, x)).count());
             }
-        }
-        debug_assert_eq!(at, total);
-        idx.truncate(total);
-        val.truncate(total);
-        (counts, idx, val)
-    });
+            let total: usize = counts.iter().sum();
+            // Fill without a branch on the predicate: every entry is written
+            // at the cursor and the cursor advances only past the kept ones
+            // (a data-dependent filter mispredicts on most entries otherwise).
+            // The spare slot takes the writes that follow the last kept entry.
+            let mut idx = vec![0 as Index; total + 1];
+            let mut val = vec![T::zero(); total + 1];
+            let mut at = 0;
+            for i in rows {
+                let r = cs.ptr[i]..cs.ptr[i + 1];
+                for (&j, &x) in cs.idx[r.clone()].iter().zip(&cs.val[r]) {
+                    (idx[at], val[at]) = (j, x);
+                    at += usize::from(pred.apply(i, j, x));
+                }
+            }
+            debug_assert_eq!(at, total);
+            idx.truncate(total);
+            val.truncate(total);
+            (counts, idx, val)
+        });
     let mut ptr = Vec::with_capacity(cs.nmajor + 1);
     ptr.push(0);
     let mut occupied = 0;

@@ -6,10 +6,10 @@ use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
 use crate::matrix::{rows_of, Matrix};
-use crate::parallel::par_chunks;
+use crate::parallel::Chunking;
 use crate::types::Scalar;
 
-use super::common::{check_dims, check_mmask};
+use super::common::{check_dims, check_mmask, par_rows};
 use super::ewise::EffView;
 use super::write::write_matrix;
 
@@ -40,10 +40,9 @@ where
     // in `sparse::transpose_dyn`); copying out the rows chunks over the
     // nonempty majors.
     let majors = v.nonempty_majors();
-    let chunks = par_chunks(majors.len(), v.nvals(), |range| {
+    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
         let mut scratch = crate::sparse::RowScratch::default();
-        majors[range]
-            .iter()
+        rows.iter()
             .map(|&i| {
                 let (idx, val) = v.row(i, &mut scratch);
                 (i, idx.to_vec(), val.to_vec())

@@ -11,6 +11,7 @@
 //! operates on standard and hypersparse operands in any combination.
 
 use crate::compressed::CompressedMat;
+use crate::parallel::{run_cut, weighted_cut};
 use crate::types::{Index, Scalar};
 
 /// A (row, column, value) tuple, the exchange currency of `build` and
@@ -49,6 +50,10 @@ pub trait SparseView<T: Scalar>: Sync {
         // Slice-backed forms hand out their vectors for free.
         self.for_each_vec(&mut |maj, idx, _| f(maj, idx.len()));
     }
+    /// Stored entries in the vectors before `major`, for `major` in
+    /// `0..=nmajor`: the row-pointer prefix sum a work-balanced cut over
+    /// rows is searched on ([`crate::parallel::par_chunks_weighted`]).
+    fn entries_before(&self, major: Index) -> usize;
     /// The majors of all non-empty vectors, in increasing order.
     fn nonempty_majors(&self) -> Vec<Index>;
     /// True when rows must be decoded rather than borrowed — kernels use
@@ -168,32 +173,22 @@ pub fn transpose_dyn<T: Scalar>(v: &dyn SparseView<T>) -> MatData<T> {
         //      order, so output vectors come out sorted exactly as the
         //      sequential transpose produces them.
         let majors = v.nonempty_majors();
-        let k = crate::parallel::threads().min(majors.len()).max(1);
-        let (per, rem) = (majors.len() / k, majors.len() % k);
-        let mut bounds = Vec::with_capacity(k);
-        let mut at = 0;
-        for c in 0..k {
-            let len = per + usize::from(c < rem);
-            bounds.push(at..at + len);
-            at += len;
-        }
-        let mut counts: Vec<Vec<usize>> = crate::parallel::par_chunks(k, v.nvals(), |r| {
+        // One chunk per thread (each owns a histogram as long as the
+        // output has rows), cut so each holds an equal share of the entries.
+        let cut = weighted_cut(majors.len(), crate::parallel::threads(), 1, |k| {
+            majors.get(k).map_or(v.nvals(), |&maj| v.entries_before(maj))
+        });
+        let mut counts: Vec<Vec<usize>> = run_cut(&cut, v.nvals(), |_, rows| {
             let mut scratch = RowScratch::default();
-            r.map(|c| {
-                let mut h = vec![0usize; nmajor_out];
-                for &maj in &majors[bounds[c].clone()] {
-                    let (idx, _) = v.row(maj, &mut scratch);
-                    for &j in idx {
-                        h[j] += 1;
-                    }
+            let mut h = vec![0usize; nmajor_out];
+            for &maj in &majors[rows] {
+                let (idx, _) = v.row(maj, &mut scratch);
+                for &j in idx {
+                    h[j] += 1;
                 }
-                h
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            }
+            h
+        });
         let mut ptr = vec![0usize; nmajor_out + 1];
         for h in &counts {
             for j in 0..nmajor_out {
@@ -219,22 +214,20 @@ pub fn transpose_dyn<T: Scalar>(v: &dyn SparseView<T>) -> MatData<T> {
         {
             let islots = SharedSlots(idx_out.as_mut_ptr());
             let vslots = SharedSlots(val_out.as_mut_ptr());
-            crate::parallel::par_chunks(k, v.nvals(), |r| {
+            run_cut(&cut, v.nvals(), |c, rows| {
                 let mut scratch = RowScratch::default();
-                for c in r {
-                    let mut cur = counts[c].clone();
-                    for &maj in &majors[bounds[c].clone()] {
-                        let (idx, val) = v.row(maj, &mut scratch);
-                        for (&j, &x) in idx.iter().zip(val) {
-                            let q = cur[j];
-                            cur[j] += 1;
-                            // SAFETY: the prefix sum gives each
-                            // (chunk, column) pair a disjoint slot range,
-                            // so no two workers ever write the same index.
-                            unsafe {
-                                islots.write(q, maj);
-                                vslots.write(q, x);
-                            }
+                let mut cur = counts[c].clone();
+                for &maj in &majors[rows] {
+                    let (idx, val) = v.row(maj, &mut scratch);
+                    for (&j, &x) in idx.iter().zip(val) {
+                        let q = cur[j];
+                        cur[j] += 1;
+                        // SAFETY: the prefix sum gives each (chunk, column)
+                        // pair a disjoint slot range, so no two workers
+                        // ever write the same index.
+                        unsafe {
+                            islots.write(q, maj);
+                            vslots.write(q, x);
                         }
                     }
                 }
@@ -365,6 +358,32 @@ impl<T: Scalar> Cs<T> {
         Cs { nmajor: self.nminor, nminor: self.nmajor, ptr, idx, val }
     }
 
+    /// Whether the structure equals its own transpose, pattern and values,
+    /// in one pass over the entries and without building the transpose.
+    /// Rows are walked in ascending order with one cursor per row: entry
+    /// `(i, j)` must find `(j, i)` — same value — at row `j`'s cursor,
+    /// which then moves on. Row `j`'s entries are sorted by column and the
+    /// rows that name it come in ascending order, so a symmetric structure
+    /// consumes every cursor exactly; any entry without its mirror leaves a
+    /// cursor stuck on it, and the next look-up at that row fails.
+    pub fn is_symmetric(&self) -> bool {
+        if self.nmajor != self.nminor {
+            return false;
+        }
+        let mut cursor = self.ptr[..self.nmajor].to_vec();
+        for i in 0..self.nmajor {
+            for p in self.ptr[i]..self.ptr[i + 1] {
+                let j = self.idx[p];
+                let q = cursor[j];
+                if q == self.ptr[j + 1] || self.idx[q] != i || self.val[q] != self.val[p] {
+                    return false;
+                }
+                cursor[j] = q + 1;
+            }
+        }
+        true
+    }
+
     /// Convert to hypersparse form, dropping empty vectors.
     pub fn to_hyper(&self) -> Hyper<T> {
         let mut heads = Vec::new();
@@ -444,6 +463,9 @@ impl<T: Scalar> SparseView<T> for Cs<T> {
                 f(i, &self.idx[a..b], &self.val[a..b]);
             }
         }
+    }
+    fn entries_before(&self, major: Index) -> usize {
+        self.ptr[major]
     }
     fn nonempty_majors(&self) -> Vec<Index> {
         (0..self.nmajor).filter(|&i| self.ptr[i + 1] > self.ptr[i]).collect()
@@ -627,6 +649,9 @@ impl<T: Scalar> SparseView<T> for Hyper<T> {
             f(h, &self.idx[a..b], &self.val[a..b]);
         }
     }
+    fn entries_before(&self, major: Index) -> usize {
+        self.ptr[self.heads.partition_point(|&h| h < major)]
+    }
     fn nonempty_majors(&self) -> Vec<Index> {
         self.heads.clone()
     }
@@ -722,6 +747,48 @@ mod tests {
         t.check().expect("valid");
         assert_eq!(t.get(9, 5), Some(1));
         assert_eq!(t.get(5, 9), Some(2));
+    }
+
+    #[test]
+    fn entries_before_is_the_prefix_sum_of_for_each_len_in_every_form() {
+        // Rows 0, 3, 4 and 9 occupied out of 12 — empty rows before, between
+        // and after — in the standard, hypersparse and compressed forms.
+        let t = vec![(0, 1, 1.0), (0, 5, 2.0), (3, 0, 3.0), (4, 2, 4.0), (4, 3, 5.0), (9, 9, 6.0)];
+        let cs = Cs::from_tuples(12, 12, t, |_, b| b);
+        let hyper = cs.to_hyper();
+        let packed = CompressedMat::encode(&cs).expect("encodable");
+        let forms: [&dyn SparseView<f64>; 3] = [&cs, &hyper, &packed];
+        for (f, v) in forms.into_iter().enumerate() {
+            let mut lens = vec![0usize; v.nmajor()];
+            v.for_each_len(&mut |i, len| lens[i] = len);
+            let mut sum = 0;
+            for (i, len) in lens.iter().enumerate() {
+                assert_eq!(v.entries_before(i), sum, "form {f}, row {i}");
+                sum += len;
+            }
+            assert_eq!(v.entries_before(v.nmajor()), v.nvals(), "form {f}, end");
+        }
+    }
+
+    #[test]
+    fn symmetry_walk_agrees_with_the_transpose() {
+        let sym = vec![(0, 1, 2.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 3.0), (3, 3, 7.0)];
+        assert!(Cs::from_tuples(4, 4, sym.clone(), |_, b| b).is_symmetric());
+        assert!(Cs::<f64>::empty(5, 5).is_symmetric());
+        // A missing mirror, a mirror with another value, an extra entry in
+        // the last row, a rectangular shape: each one is caught.
+        let mut missing = sym.clone();
+        missing.remove(1);
+        let mut reweighted = sym.clone();
+        reweighted[3].2 = 3.5;
+        let mut extra = sym.clone();
+        extra.push((3, 0, 1.0));
+        for (label, t) in [("missing", missing), ("reweighted", reweighted), ("extra", extra)] {
+            let cs = Cs::from_tuples(4, 4, t, |_, b| b);
+            assert!(!cs.is_symmetric(), "{label}");
+            assert_ne!(cs.transpose(), cs, "{label}: the oracle agrees");
+        }
+        assert!(!Cs::from_tuples(2, 3, vec![(0, 1, 1.0), (1, 0, 1.0)], |_, b| b).is_symmetric());
     }
 
     #[test]

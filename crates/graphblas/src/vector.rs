@@ -23,7 +23,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::error::{Error, Result};
 use crate::matrix::{merge_edits, unflip, ZOMBIE};
-use crate::parallel::{par_chunks, par_threshold, threads};
+use crate::parallel::{fanout, par_chunks, run_cut, uniform_cut, weighted_cut, Chunking};
 use crate::types::{Index, Scalar};
 
 /// A full-length vector is labelled dense from 1/DENSIFY_RATIO full.
@@ -248,48 +248,77 @@ impl<'a, T: Scalar> FullMut<'a, T> {
         removed
     }
 
-    /// Cut into at most `parts` windows of equal length, each a whole
-    /// number of presence words.
-    fn split(self, parts: usize) -> Vec<FullMut<'a, T>> {
-        let FullMut { base, val, bits } = self;
-        let chunk = val.len().div_ceil(parts.max(1)).next_multiple_of(64);
-        // Path syntax moves the `&'a mut` slices in (a method call would
-        // reborrow them for less than `'a`).
-        <[T]>::chunks_mut(val, chunk)
-            .zip(<[u64]>::chunks_mut(bits, chunk / 64))
-            .enumerate()
-            .map(|(k, (val, bits))| FullMut { base: base + k * chunk, val, bits })
-            .collect()
+    /// Cut at `bounds` (`0`, …, the window's length, ascending, the inner
+    /// ones multiples of 64) into one window per interval.
+    fn split_at(self, bounds: &[usize]) -> Vec<FullMut<'a, T>> {
+        let FullMut { base, mut val, mut bits } = self;
+        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
+        for w in bounds.windows(2) {
+            debug_assert!(w[0] % 64 == 0, "windows must not share a presence word");
+            // `mem::take` moves the `&'a mut` slices out (a method call on
+            // them would reborrow for less than `'a`).
+            let (v, vrest) = std::mem::take(&mut val).split_at_mut(w[1] - w[0]);
+            let (b, brest) = std::mem::take(&mut bits).split_at_mut(bitmap_words(w[1] - w[0]));
+            out.push(FullMut { base: base + w[0], val: v, bits: b });
+            (val, bits) = (vrest, brest);
+        }
+        out
     }
 }
 
-/// Run `work` over `full` cut into one window per thread and return the
-/// results in index order: the mutable-output counterpart of
-/// [`par_chunks`], with the same sequential cutoff on `est_work`. Windows
-/// are disjoint slices, so workers write their part of the output
-/// directly and nothing is stitched afterwards.
+/// Run `work` over `full` cut into one equal window per thread and return
+/// the results in index order: the mutable-output counterpart of
+/// [`par_chunks`](crate::parallel::par_chunks), with the same sequential
+/// cutoff on `est_work`. Windows are disjoint slices, so workers write
+/// their part of the output directly and nothing is stitched afterwards.
 pub(crate) fn par_windows<T: Scalar, R: Send>(
     full: FullMut<'_, T>,
     est_work: usize,
     work: impl Fn(&mut FullMut<'_, T>) -> R + Sync,
 ) -> Vec<R> {
-    let parts = if est_work < par_threshold() { 1 } else { threads() };
+    let n = full.val.len();
+    windows_at(full, &uniform_cut(n, fanout(n, est_work), 64), est_work, work)
+}
+
+/// [`par_windows`] for a loop whose cost per position is uneven — a pull
+/// over matrix rows: `before(i)` is the cumulative work of the positions
+/// before `i`, and the windows are cut to equal work, 64-aligned, several
+/// per thread ([`crate::parallel::par_chunks_weighted`]).
+pub(crate) fn par_windows_weighted<T: Scalar, R: Send>(
+    full: FullMut<'_, T>,
+    est_work: usize,
+    before: impl Fn(usize) -> usize,
+    work: impl Fn(&mut FullMut<'_, T>) -> R + Sync,
+) -> Vec<R> {
+    let n = full.val.len();
+    let bounds = match fanout(n, est_work) {
+        1 => vec![0, n],
+        nt => weighted_cut(n, Chunking::Oversplit.parts(nt), 64, before),
+    };
+    windows_at(full, &bounds, est_work, work)
+}
+
+fn windows_at<T: Scalar, R: Send>(
+    mut full: FullMut<'_, T>,
+    bounds: &[usize],
+    est_work: usize,
+    work: impl Fn(&mut FullMut<'_, T>) -> R + Sync,
+) -> Vec<R> {
+    if bounds.len() == 2 {
+        // One window: the whole output, where it stands.
+        crate::trace::dispatch(1, est_work);
+        return vec![work(&mut full)];
+    }
     let slots: Vec<Mutex<Option<FullMut<'_, T>>>> =
-        full.split(parts).into_iter().map(|w| Mutex::new(Some(w))).collect();
-    par_chunks(slots.len(), est_work, |r| {
-        r.map(|k| {
-            let mut win = slots[k]
-                .lock()
-                .expect("window lock")
-                .take()
-                .expect("each window is claimed by exactly one chunk");
-            work(&mut win)
-        })
-        .collect::<Vec<R>>()
+        full.split_at(bounds).into_iter().map(|w| Mutex::new(Some(w))).collect();
+    run_cut(bounds, est_work, |k, _| {
+        let mut win = slots[k]
+            .lock()
+            .expect("window lock")
+            .take()
+            .expect("each window is claimed by exactly one chunk");
+        work(&mut win)
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +338,16 @@ pub(crate) enum Slot {
 
 thread_local! {
     /// Reusable stamp arrays (paired with the last generation they used),
-    /// so repeated scatter calls on one worker thread skip the O(n) zero
-    /// fill. Values arrays are *not* pooled — they are type-erased per call.
+    /// so repeated scatter calls on one thread skip the O(n) zero fill.
+    /// Under cursor claiming any thread — the dispatching one or any pool
+    /// worker — may run the chunk that builds an accumulator, and takes the
+    /// array from its *own* pool; the array returns to the pool of the
+    /// thread that drops the accumulator. A Gustavson chunk drops where it
+    /// ran, so every thread keeps its array. A push's accumulators are all
+    /// dropped by the dispatching thread, which folds them: arrays drift to
+    /// dispatching threads (each keeps at most `STAMP_POOL_LIMIT`, the rest
+    /// are freed), and a worker that claims a push chunk zero-fills a fresh
+    /// one. Values arrays are *not* pooled — they are type-erased per call.
     static STAMP_POOL: std::cell::RefCell<Vec<(Vec<u32>, u32)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -345,6 +382,11 @@ impl<T: Scalar> DenseAcc<T> {
         };
         stamp.resize(n, 0);
         DenseAcc { val: vec![T::zero(); n], stamp, gen, touched: Vec::new() }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.stamp.len()
     }
 
     /// Start a fresh round over the same allocation (per-row reuse).

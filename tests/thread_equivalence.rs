@@ -383,3 +383,115 @@ proptest! {
         });
     }
 }
+
+/// A skewed operand — a scale-10 RMAT adjacency, whose low-numbered rows
+/// hold most of the entries — so the work-balanced cut lands somewhere the
+/// even row cut never did, at thread counts that divide the rows unevenly
+/// too. Weights are small integers, so every `f64` sum below is exact and
+/// the comparison is bit for bit. The cutoff is forced down, so each
+/// kernel really is chunked: pull (full-length windows), push (dense
+/// accumulators folded into a full-length result, and the sorted-list
+/// merge of a small frontier), masked dot, fused reduce, `select_matrix`.
+#[test]
+fn skewed_operand_cut_by_weight() {
+    use graphblas::binaryop;
+    use graphblas::descriptor::MxmMethod;
+    use graphblas::semiring::PLUS_PAIR;
+
+    const SCALE: u32 = 10;
+    let n = 1usize << SCALE;
+    let mut a = lagraph::gen::Workload::Rmat.weighted(SCALE, 16, 7, 255).expect("rmat");
+    let degrees = a.row_degrees();
+    let first_half: i64 = degrees.iter().filter(|&(i, _)| i < n / 2).map(|(_, d)| d).sum();
+    assert!(
+        first_half as f64 > 0.6 * a.nvals() as f64,
+        "operand is not skewed: rows 0..n/2 hold {first_half} of {} entries",
+        a.nvals()
+    );
+    a.set_dual_storage(true);
+    let l = tril(&a).expect("tril");
+    let l_pattern = l.pattern();
+
+    let dense = Vector::dense(n, 2.0f64).expect("dense u");
+    // A frontier holding the hubs (one hub row is a chunk's worth of work)
+    // plus a tail, and a small one whose result stays a sorted list.
+    let wide: Vec<(usize, f64)> = (0..n).step_by(3).map(|i| (i, 1.0 + (i % 5) as f64)).collect();
+    let wide = Vector::from_tuples(n, wide, |_, b| b).expect("wide frontier");
+    let narrow = Vector::from_tuples(n, vec![(900, 1.0), (901, 2.0), (1000, 3.0)], |_, b| b)
+        .expect("narrow frontier");
+    let mask = Vector::from_tuples(n, (0..n).step_by(2).map(|i| (i, true)).collect(), |_, b| b)
+        .expect("mask");
+
+    assert_thread_equivalent_across(&[1, 2, 3, 8], || {
+        let pull = Descriptor::new().direction(Direction::Pull);
+        let push = Descriptor::new().direction(Direction::Push);
+        let mut pulled = Vector::<f64>::new(n).expect("w");
+        mxv(&mut pulled, None, NOACC, &PLUS_TIMES, &a, &dense, &pull).expect("pull");
+        let mut pushed = Vec::new();
+        for frontier in [&wide, &narrow] {
+            let mut plus = Vector::<f64>::new(n).expect("w");
+            vxm(&mut plus, None, NOACC, &PLUS_TIMES, frontier, &a, &push).expect("push");
+            let mut min = Vector::<f64>::new(n).expect("w");
+            vxm(
+                &mut min,
+                Some(&mask),
+                NOACC,
+                &MIN_PLUS,
+                frontier,
+                &a,
+                &Descriptor::new().direction(Direction::Push).complement().structural().replace(),
+            )
+            .expect("masked push");
+            // With dual storage the same product is available as a pull.
+            let mut check = Vector::<f64>::new(n).expect("w");
+            vxm(&mut check, None, NOACC, &PLUS_TIMES, frontier, &a, &pull).expect("pull");
+            assert_eq!(plus.extract_tuples(), check.extract_tuples(), "push must agree with pull");
+            pushed.push((plus.extract_tuples(), min.extract_tuples()));
+        }
+        let mut dots = Matrix::<f64>::new(n, n).expect("c");
+        mxm(
+            &mut dots,
+            Some(&l_pattern),
+            NOACC,
+            &PLUS_PAIR,
+            &l,
+            &l,
+            &Descriptor::new().structural().transpose_b().method(MxmMethod::Dot),
+        )
+        .expect("masked dot");
+        let triangles: f64 = fused_mxm_reduce_scalar(
+            &binaryop::Plus,
+            &l_pattern,
+            &PLUS_PAIR,
+            &l,
+            &l,
+            &Descriptor::new().structural().transpose_b().method(MxmMethod::Dot),
+        )
+        .expect("fused reduce");
+        // `tril` is the unmasked filter (flat CSR blocks laid end to end),
+        // the masked one goes through the per-row lists.
+        let lower = tril(&a).expect("tril");
+        let mut heavy = Matrix::<f64>::new(n, n).expect("c");
+        select_matrix(
+            &mut heavy,
+            Some(&l_pattern),
+            NOACC,
+            |_: Index, _: Index, x: f64| x > 100.0,
+            &a,
+            &Descriptor::default(),
+        )
+        .expect("masked select");
+        let to_bits = |v: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+            v.into_iter().map(|(i, x)| (i, x.to_bits())).collect()
+        };
+        (
+            to_bits(pulled.extract_tuples()),
+            pushed.into_iter().map(|(p, m)| (to_bits(p), to_bits(m))).collect::<Vec<_>>(),
+            dots.extract_tuples().len(),
+            dots.extract_tuples().iter().map(|&(_, _, x)| x).sum::<f64>().to_bits(),
+            triangles.to_bits(),
+            lower.extract_tuples() == l.extract_tuples(),
+            heavy.extract_tuples().len(),
+        )
+    });
+}
