@@ -6,23 +6,25 @@
 //!   pseudocode (`frontier⟨¬levels, replace⟩ = graphᵀ ⊕.⊗ frontier` over
 //!   the logical semiring).
 //! * [`bfs_parent`] — parent-pointer BFS using the `ANY_SECOND` semiring.
-//! * [`bfs_level_batch`] — multi-source BFS: k searches advance together
-//!   as one masked `mxm` over a k×n frontier *matrix* per level
-//!   (GraphBLAST's batched-traversal trick); the serving layer's query
-//!   admission folds concurrent BFS queries into this kernel.
+//! * [`bfs_level_batch`] — multi-source BFS, bit-parallel: one `u64` of
+//!   source bits per vertex, so up to 64 searches advance together as one
+//!   masked `mxv` over `BOR_SECOND` per level (the MS-BFS of Then et al.)
+//!   and a batch costs one traversal, push/pull and early exit included;
+//!   the serving layer's query admission folds concurrent BFS queries into
+//!   this kernel.
 //! * [`bfs_level_direction`] — the direction-optimized (push/pull) BFS of
 //!   Beamer et al. that §II.A and §II.E describe, with an explicit
 //!   [`Direction`] override for the benchmark harness.
 //!
 //! All variants run in O(n + e) work over the visited component
 //! (direction optimization lowers the constant on scale-free graphs, not
-//! the bound) using the `LOR_LAND` logical semiring for levels and
-//! `ANY_SECOND` for parents. BFS is GAP benchmark kernel #1; the
+//! the bound) using the `LOR_LAND` logical semiring for levels (`BOR_SECOND`
+//! for a batch of them) and `ANY_SECOND` for parents. BFS is GAP benchmark kernel #1; the
 //! `lagraph-bench` harness times [`bfs_level_matrix`] with `Auto`
 //! direction from multiple sources, GAP-style.
 
 use graphblas::prelude::*;
-use graphblas::semiring::{ANY_SECOND, LOR_LAND};
+use graphblas::semiring::{ANY_SECOND, BOR_SECOND, LOR_LAND};
 use graphblas::trace;
 
 use crate::graph::Graph;
@@ -102,13 +104,17 @@ pub fn bfs_level_matrix(
 
 /// Multi-source level BFS: one traversal for a whole batch of sources.
 ///
-/// The k frontiers ride in one k×n Boolean *frontier matrix* (row k is
-/// source k's frontier), so every level of every search advances with a
-/// **single masked `mxm`** — GraphBLAST's batched-traversal formulation,
-/// and the kernel the service admission layer folds k concurrent BFS
-/// queries into. Row `k` of the result is bit-identical to
-/// `bfs_level(graph, sources[k])`: levels are depths, which no kernel
-/// schedule can perturb.
+/// Bit-parallel (the MS-BFS of Then et al., VLDB 2014): every vertex
+/// carries one `u64` whose bit `b` belongs to `sources[b]`, so the frontier
+/// and the visited set of up to 64 searches are two `Vector<u64>`s and
+/// every level of every search advances with a **single `mxv`** over
+/// [`BOR_SECOND`] — push or pull by the cost model, stopping a pull at the
+/// monoid's all-ones terminal, exactly as [`bfs_level`] does over
+/// `LOR_LAND`. Five vector ops a level whatever the width; more than 64
+/// sources run as further words, one traversal each. This is the kernel the
+/// service admission layer folds k concurrent BFS queries into. Row `k` of
+/// the result is bit-identical to `bfs_level(graph, sources[k])`: levels are
+/// depths, which no kernel schedule can perturb.
 ///
 /// Duplicate sources are allowed (their rows are computed independently
 /// and come out equal); an out-of-bounds source fails the whole batch.
@@ -116,6 +122,9 @@ pub fn bfs_level_batch(graph: &Graph, sources: &[Index]) -> Result<Vec<Vector<i3
     let a = graph.structure()?;
     bfs_level_batch_matrix(&a, sources)
 }
+
+/// Searches one traversal carries: the bits of the per-vertex word.
+const WORD: usize = u64::BITS as usize;
 
 /// [`bfs_level_batch`] over any Boolean adjacency matrix.
 pub fn bfs_level_batch_matrix(a: &Matrix<bool>, sources: &[Index]) -> Result<Vec<Vector<i32>>> {
@@ -125,56 +134,88 @@ pub fn bfs_level_batch_matrix(a: &Matrix<bool>, sources: &[Index]) -> Result<Vec
             return Err(Error::oob(s, n));
         }
     }
-    let k = sources.len();
-    if k == 0 {
+    if sources.is_empty() {
         return Ok(Vec::new());
+    }
+    // The traversal keeps a word per vertex; a hypersparse graph too long
+    // for any full-length vector is searched source by source.
+    if n > Vector::<u64>::FULL_LENGTH_LIMIT {
+        return sources.iter().map(|&s| bfs_level_matrix(a, s, Direction::Auto)).collect();
     }
     let mut algo = trace::algo_span("bfs.batch");
     algo.arg("n", n);
-    algo.arg("sources", k);
-    // levels: k×n, row k holds source k's depth labeling.
-    let mut levels = Matrix::<i32>::new(k, n)?;
-    let mut frontier = Matrix::<bool>::new(k, n)?;
-    for (row, &s) in sources.iter().enumerate() {
-        frontier.set_element(row, s, true)?;
+    algo.arg("sources", sources.len());
+    algo.arg("words", sources.len().div_ceil(WORD));
+    let mut levels = Vec::with_capacity(sources.len());
+    let mut depth = 0;
+    for word in sources.chunks(WORD) {
+        depth = depth.max(bfs_level_word(a, word, &mut levels)?);
     }
+    algo.arg("depth", depth as u64);
+    Ok(levels)
+}
+
+/// One bit-parallel traversal from at most [`WORD`] sources: appends their
+/// level vectors to `levels` and returns the deepest level reached.
+fn bfs_level_word(
+    a: &Matrix<bool>,
+    sources: &[Index],
+    levels: &mut Vec<Vector<i32>>,
+) -> Result<i32> {
+    let n = a.nrows();
+    let k = sources.len();
+    // Bits k..64 stand for no search. Held set in `seen` and in every
+    // frontier word they never reach a level row, and they let BOR's stock
+    // terminal fire: a vertex all k searches reach at once ORs to all-ones.
+    let spare = if k == WORD { 0 } else { u64::MAX << k };
+    let by_default = Descriptor::default();
+    // rows[b][v]: the depth search b reached v at, 0 while it has not.
+    let mut rows: Vec<Vec<i32>> = (0..k).map(|_| vec![0; n]).collect();
+    // seen(v): the searches that have reached v. done(v): all of them have.
+    let mut seen = Vector::dense(n, spare)?;
+    let mut done = Vector::dense(n, false)?;
+    let starts = sources.iter().enumerate().map(|(b, &s)| (s, 1u64 << b | spare)).collect();
+    let mut frontier = Vector::from_tuples(n, starts, |x, y| x | y)?;
     let mut depth = 0;
     while frontier.nvals() > 0 {
         depth += 1;
         let mut iter = trace::iter_span("bfs.iter", depth as u64);
         iter.arg("frontier_nnz", frontier.nvals());
-        // levels<frontier> = depth, for every search at once.
-        assign_matrix_scalar(
-            &mut levels,
-            Some(&frontier),
+        for (v, word) in frontier.iter() {
+            let mut arrived = word & !spare;
+            while arrived != 0 {
+                rows[arrived.trailing_zeros() as usize][v] = depth;
+                arrived &= arrived - 1;
+            }
+        }
+        // seen |= frontier, then done ∨= (seen is all-ones) where it changed.
+        apply(&mut seen, None, Some(binaryop::Bor), unaryop::Identity, &frontier, &by_default)?;
+        let all = |_: u64, s: u64| s == u64::MAX;
+        ewise_mult(&mut done, None, Some(binaryop::Lor), all, &frontier, &seen, &by_default)?;
+        // reach<¬done,replace> = graphᵀ bor.second frontier
+        let mut reach = Vector::new(n)?;
+        mxv(
+            &mut reach,
+            Some(&done),
             NOACC,
-            depth,
-            &IndexSel::All,
-            &IndexSel::All,
-            &Descriptor::new().structural(),
-        )?;
-        // frontier<¬levels,replace> = frontier ⊕.⊗ graph — one mxm
-        // advances all k frontiers (A is applied on the right, so no
-        // transpose is needed: row k stays search k).
-        let visited = levels.pattern();
-        let q = std::mem::replace(&mut frontier, Matrix::new(k, n)?);
-        mxm(
-            &mut frontier,
-            Some(&visited),
-            NOACC,
-            &LOR_LAND,
-            &q,
+            &BOR_SECOND,
             a,
-            &Descriptor::new().complement().structural().replace(),
+            &frontier,
+            &Descriptor::new().transpose_a().complement().replace(),
         )?;
+        // frontier = the searches new to each reached vertex, where any are.
+        let new = move |r: u64, s: u64| if r & !s == 0 { 0 } else { r & !s | spare };
+        let mut fresh = Vector::new(n)?;
+        ewise_mult(&mut fresh, None, NOACC, new, &reach, &seen, &by_default)?;
+        frontier = Vector::new(n)?;
+        select(&mut frontier, None, NOACC, unaryop::ValueNe(0), &fresh, &by_default)?;
     }
-    algo.arg("depth", depth as u64);
-    // Unbundle the rows into per-source level vectors.
-    let mut rows: Vec<Vec<(Index, i32)>> = vec![Vec::new(); k];
-    for (row, v, l) in levels.iter() {
-        rows[row].push((v, l));
+    for row in rows {
+        let present = |c: &[i32]| c.iter().rev().fold(0u64, |w, &d| w << 1 | u64::from(d != 0));
+        let bits = row.chunks(WORD).map(present).collect();
+        levels.push(Vector::import_bitmap(row, bits)?);
     }
-    rows.into_iter().map(|tuples| Vector::from_tuples(n, tuples, |_, b| b)).collect()
+    Ok(depth)
 }
 
 /// Parent BFS: returns `parents(v) = u` where `u` is the vertex that
@@ -308,6 +349,50 @@ mod tests {
                 "source {s} diverged from the single-source oracle"
             );
         }
+    }
+
+    /// Every row of the batch against the single-source run it stands for.
+    fn assert_rows_match(g: &Graph, sources: &[Index], what: &str) {
+        let batch = bfs_level_batch(g, sources).expect("batch");
+        assert_eq!(batch.len(), sources.len(), "{what}");
+        for (row, &s) in batch.iter().zip(sources) {
+            let single = bfs_level(g, s).expect("single");
+            assert_eq!(row.extract_tuples(), single.extract_tuples(), "{what}: source {s}");
+        }
+    }
+
+    #[test]
+    fn batch_rows_match_at_every_width() {
+        // An RMAT (hubs, isolated vertices, small components beside the big
+        // one), a long path (one vertex a level, two components), and a
+        // directed graph whose arcs mostly have no reverse.
+        let rmat = crate::gen::Workload::Rmat.graph(10, 16, 7, 255).expect("rmat");
+        let n = rmat.nvertices();
+        let degrees = rmat.out_degree().expect("degrees");
+        let isolated = (0..n).find(|&v| degrees.get(v).is_none()).expect("an isolated vertex");
+        let chain: Vec<(Index, Index)> =
+            (0..199).filter(|&v| v != 120).map(|v| (v, v + 1)).collect();
+        let path = Graph::from_edges(200, &chain, GraphKind::Undirected).expect("path");
+        let arcs: Vec<(Index, Index)> =
+            (0..1500).map(|t| (t * 7919 % 300, (t * 104_729 + t / 300 + 1) % 300)).collect();
+        let directed = Graph::from_edges(300, &arcs, GraphKind::Directed).expect("directed");
+        assert!(
+            arcs.iter().any(|&(i, j)| directed.a().get(j, i).is_none()),
+            "the directed graph must have one-way arcs"
+        );
+        for k in [1usize, 2, 63, 64, 65, 130] {
+            // A stride that wraps: k = 130 repeats sources across words.
+            let spread = |m: usize| (0..k).map(|j| (j * 37 + 5) % m).collect::<Vec<Index>>();
+            let mut on_rmat = spread(n.min(97));
+            on_rmat[k / 2] = isolated;
+            assert_rows_match(&rmat, &on_rmat, &format!("rmat, k = {k}"));
+            assert_rows_match(&path, &spread(200), &format!("path, k = {k}"));
+            assert_rows_match(&directed, &spread(300), &format!("directed, k = {k}"));
+        }
+        // The same source under several bits of one word, and in two words.
+        let mut repeated = vec![3; 70];
+        repeated[1] = 150;
+        assert_rows_match(&path, &repeated, "duplicates");
     }
 
     #[test]

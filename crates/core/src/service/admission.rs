@@ -6,11 +6,13 @@
 //!
 //! * **Batching** — concurrent BFS-level queries are folded into one
 //!   multi-source traversal: the first arrival becomes the *leader*,
-//!   waits one `batch_window` for followers, then runs all k collected
-//!   sources as a single k×n frontier-matrix BFS
-//!   ([`crate::algorithms::bfs_level_batch`]) — one
-//!   masked `mxm` per level advances every search at once, so k queries
-//!   cost one traversal of the shared structure instead of k.
+//!   waits for the other BFS queries in flight to queue behind it — at
+//!   most one `batch_window`, and not at all when it is alone — then runs
+//!   all k collected sources as a single bit-parallel BFS
+//!   ([`crate::algorithms::bfs_level_batch`]): one `u64` of source bits
+//!   per vertex and one masked `mxv` per level advance every search at
+//!   once, so k queries cost one traversal of the shared structure
+//!   instead of k.
 //! * **Caching** — results land in an epoch-keyed [`QueryCache`]; a
 //!   repeat of a canonicalized [`Query`] within the same epoch is a
 //!   clone, and every epoch advance invalidates wholesale.
@@ -46,12 +48,14 @@ use crate::algorithms::{
 };
 
 /// Tuning knobs for the admission layer. Defaults suit tests and modest
-/// concurrency; serving deployments mostly tune `batch_window` (latency
-/// sacrificed to widen batches) and `cache_capacity`.
+/// concurrency; serving deployments mostly tune `cache_capacity`, and
+/// `batch_window` only as the most latency a leader may give up to widen
+/// a batch — a single client never pays it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// How long a batch leader waits for same-algorithm followers before
-    /// executing. Zero disables the wait (batches still form from
+    /// The longest a batch leader waits for the other BFS queries in
+    /// flight to queue behind it before executing; a leader that is alone
+    /// does not wait. Zero disables the wait (batches still form from
     /// queries that arrive while an earlier batch is executing).
     pub batch_window: Duration,
     /// Widest multi-source BFS one execution runs; a wider collection is
@@ -110,7 +114,7 @@ impl AdmissionConfig {
 /// let service = GraphService::new(g, ServiceConfig::default())?;
 ///
 /// // Three sources, one traversal: the admission layer runs them as a
-/// // single k×n frontier-matrix BFS.
+/// // single bit-parallel multi-source BFS.
 /// let queries = [Query::bfs_level(0), Query::bfs_level(1), Query::bfs_level(2)];
 /// let results = service.query_many(&queries)?;
 /// assert_eq!(results.len(), 3);
@@ -336,6 +340,12 @@ struct AdmState {
     /// Whether a leader is collecting `pending` right now. Invariant:
     /// `pending` non-empty ⟹ a leader is active and will take it all.
     leader_active: bool,
+    /// BFS queries inside `bfs_batched`, from admission to their answer.
+    bfs_in_flight: usize,
+    /// Those of them queued on `pending` (duplicates of a source count
+    /// each): what the leader will answer. The rest are waiting on an
+    /// earlier batch and may come back with a query of their own.
+    bfs_queued: usize,
     /// Non-batchable queries currently executing, for dedup.
     inflight: HashMap<Query, Arc<Slot>>,
 }
@@ -408,7 +418,8 @@ pub(crate) struct Admission {
     config: AdmissionConfig,
     cache: QueryCache,
     state: Mutex<AdmState>,
-    /// Signals `pending` shrinking (for `max_pending` backpressure).
+    /// Signals `pending` shrinking (for `max_pending` backpressure) and
+    /// the BFS counts moving (for the leader's wait).
     state_cv: Condvar,
     stats: StatsInner,
     metrics: AdmissionMetrics,
@@ -422,6 +433,8 @@ impl Admission {
             state: Mutex::new(AdmState {
                 pending: Vec::new(),
                 leader_active: false,
+                bfs_in_flight: 0,
+                bfs_queued: 0,
                 inflight: HashMap::new(),
             }),
             state_cv: Condvar::new(),
@@ -482,21 +495,25 @@ impl Admission {
     /// snapshot: all BFS-level queries run as one multi-source
     /// traversal (chunked at `max_batch_width`), everything else
     /// executes directly. Results come back in input order, all
-    /// answered at the same epoch.
+    /// answered at the same epoch. As in [`Admission::query`], a current
+    /// view answers before the failure check, so a slice of view-served
+    /// queries keeps answering after a drainer failure; the call's
+    /// latency is observed once, on the same terms as a single query's.
     pub(crate) fn query_many(
         &self,
         shared: &Shared,
         queries: &[Query],
     ) -> Result<Vec<QueryResult>, ServiceError> {
-        if let Some(err) = shared.failure() {
-            return Err(err);
-        }
+        let t0 = Instant::now();
         self.stats.queries.fetch_add(queries.len() as u64, Relaxed);
         let snap = shared.snapshot.read().clone();
         let epoch = snap.epoch();
+        let failure = shared.failure();
         let mut out: Vec<Option<QueryResult>> = vec![None; queries.len()];
-        // Unique BFS sources still needing execution, with the output
-        // positions each answers.
+        // What the views and the cache leave to execute: the direct
+        // queries, and the unique BFS sources with the output positions
+        // each answers.
+        let mut direct: Vec<usize> = Vec::new();
         let mut sources: Vec<Index> = Vec::new();
         let mut positions: Vec<Vec<usize>> = Vec::new();
         for (idx, q) in queries.iter().enumerate() {
@@ -505,6 +522,9 @@ impl Admission {
                 self.stats.view_hits.fetch_add(1, Relaxed);
                 out[idx] = Some(hit);
                 continue;
+            }
+            if let Some(err) = &failure {
+                return Err(err.clone());
             }
             if let Some(hit) = self.cache.get(epoch, q) {
                 self.stats.cache_hits.fetch_add(1, Relaxed);
@@ -523,23 +543,29 @@ impl Admission {
                         positions.push(vec![idx]);
                     }
                 }
-                _ => {
-                    let r = self.execute_dedup(*q, &snap)?;
-                    out[idx] = Some(r);
-                }
+                _ => direct.push(idx),
             }
         }
-        let width = self.config.max_batch_width.max(1);
-        for (chunk, pos_chunk) in sources.chunks(width).zip(positions.chunks(width)) {
-            let levels = self.run_bfs_chunk(&snap, chunk)?;
-            for ((src, lv), targets) in chunk.iter().zip(levels).zip(pos_chunk) {
-                let r = QueryResult::Levels(Arc::new(lv));
-                self.cache.insert(epoch, Query::bfs_level(*src), r.clone());
-                for &idx in targets {
-                    out[idx] = Some(r.clone());
+        let execute = || -> Result<(), ServiceError> {
+            for idx in direct {
+                out[idx] = Some(self.execute_dedup(queries[idx], &snap)?);
+            }
+            let width = self.config.max_batch_width.max(1);
+            for (chunk, pos_chunk) in sources.chunks(width).zip(positions.chunks(width)) {
+                let levels = self.run_bfs_chunk(&snap, chunk)?;
+                for ((src, lv), targets) in chunk.iter().zip(levels).zip(pos_chunk) {
+                    let r = QueryResult::Levels(Arc::new(lv));
+                    self.cache.insert(epoch, Query::bfs_level(*src), r.clone());
+                    for &idx in targets {
+                        out[idx] = Some(r.clone());
+                    }
                 }
             }
-        }
+            Ok(())
+        };
+        let executed = execute();
+        self.metrics.query_seconds.observe(t0.elapsed().as_nanos() as u64);
+        executed?;
         Ok(out.into_iter().map(|r| r.expect("every query answered")).collect())
     }
 
@@ -547,6 +573,14 @@ impl Admission {
     fn bfs_batched(&self, shared: &Shared, source: Index) -> Result<QueryResult, ServiceError> {
         if source >= shared.nvertices {
             return Err(ServiceError::Graph(GrbError::oob(source, shared.nvertices)));
+        }
+        /// Counts its query out of `bfs_in_flight` however it leaves.
+        struct InFlight<'a>(&'a Admission);
+        impl Drop for InFlight<'_> {
+            fn drop(&mut self) {
+                self.0.state.lock().unwrap_or_else(|e| e.into_inner()).bfs_in_flight -= 1;
+                self.0.state_cv.notify_all();
+            }
         }
         let (slot, leader) = {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -563,6 +597,8 @@ impl Admission {
                     return Err(err);
                 }
             }
+            st.bfs_in_flight += 1;
+            st.bfs_queued += 1;
             if let Some((_, s)) = st.pending.iter().find(|(s0, _)| *s0 == source) {
                 (s.clone(), false)
             } else {
@@ -575,17 +611,28 @@ impl Admission {
                 (s, lead)
             }
         };
+        let _in_flight = InFlight(self);
         if leader {
-            if !self.config.batch_window.is_zero() {
-                std::thread::sleep(self.config.batch_window);
+            // Wait for someone, not for nobody: only a query in flight and
+            // not yet queued — one still waiting on the batch before this
+            // — can come back as a follower before the window closes.
+            let deadline = Instant::now() + self.config.batch_window;
+            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            while st.bfs_queued < st.bfs_in_flight {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                st = self.state_cv.wait_timeout(st, left).unwrap_or_else(|e| e.into_inner()).0;
             }
-            let taken = {
-                let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                st.leader_active = false;
-                std::mem::take(&mut st.pending)
-            };
+            st.leader_active = false;
+            st.bfs_queued = 0;
+            let taken = std::mem::take(&mut st.pending);
+            drop(st);
             self.state_cv.notify_all();
             self.execute_bfs_batch(shared, taken);
+        } else {
+            self.state_cv.notify_all();
         }
         slot.wait()
     }

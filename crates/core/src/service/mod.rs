@@ -13,7 +13,7 @@
 //! ```text
 //!  queries ──▶ admission layer ──────────────┐
 //!              batch · cache · dedup · shed  │ k queued BFS sources →
-//!                                            │ one k×n multi-source BFS
+//!                                            │ one bit-parallel k-source BFS
 //!                                            ▼
 //!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
 //!                                            ▲  caches inherited from e-1
@@ -51,7 +51,7 @@
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
-//!   k×n frontier-matrix traversal), serves repeats from an epoch-keyed
+//!   bit-parallel multi-source traversal), serves repeats from an epoch-keyed
 //!   result cache, deduplicates identical in-flight queries, and sheds
 //!   load under the service's backpressure policy. Queries never block
 //!   behind assembly and never observe a torn batch.

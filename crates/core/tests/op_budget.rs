@@ -15,7 +15,8 @@ use std::sync::Mutex;
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::trace::{self, Cat, Event, RunAggregate};
 use lagraph::algorithms::{
-    bfs_level, connected_components, pagerank, sssp_delta_stepping, PageRankOptions,
+    bfs_level, bfs_level_batch, connected_components, pagerank, sssp_delta_stepping,
+    PageRankOptions,
 };
 use lagraph::gen::Workload;
 use lagraph::graph::{Graph, GraphKind};
@@ -33,6 +34,12 @@ const DELTA_RELAXATION_SPANS: usize = 8;
 /// A non-empty bucket outside its relaxations: the two bucket scans
 /// (`select` + write) and the heavy `vxm` + write.
 const DELTA_BUCKET_SPANS: usize = 6;
+
+/// One level of the batched BFS, whatever its width: `apply` (seen),
+/// `ewise_mult` (done), `mxv`, `ewise_mult` and `select` (the next
+/// frontier), each with its write. The frontier-matrix loop it replaced ran
+/// an `mxm` and a matrix assign per level and cost 4 k single traversals.
+const BATCH_LEVEL_SPANS: usize = 10;
 
 /// The trace ring, the thread count and the cost model are process-wide.
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -210,6 +217,32 @@ fn bfs_write_cost_follows_the_frontier() {
     let (reached, work, depth) = bfs_write_work(&path, 0);
     assert_eq!((reached, depth), (n, n as u64));
     assert!(work <= 24 * n as u64, "bfs on a path examined {work} positions");
+}
+
+#[test]
+fn batch_bfs_costs_one_traversal() {
+    let g = Workload::Rmat.graph(10, 16, 7, 255).expect("rmat scale 10");
+    let pool: Vec<usize> = g.out_degree().expect("degrees").iter().map(|(v, _)| v).collect();
+    for k in [4usize, 64] {
+        let sources: Vec<usize> = (0..k).map(|j| pool[j * 13 % pool.len()]).collect();
+        let (batch, events) = traced(|| bfs_level_batch(&g, &sources).expect("batch"));
+        // The ring is process-wide: the oracle runs under the lock too.
+        let single = |&s: &usize| bfs_level(&g, s).expect("single");
+        let (singles, _) = traced(|| sources.iter().map(single).collect::<Vec<_>>());
+        for (row, single) in batch.iter().zip(singles) {
+            assert_eq!(row.extract_tuples(), single.extract_tuples(), "k = {k}");
+        }
+        let per_level = ops_per(&events, "bfs.iter");
+        for (d, ops) in per_level.iter().enumerate() {
+            let names: Vec<_> = ops.iter().map(|e| e.name).collect();
+            assert_eq!(ops.len(), BATCH_LEVEL_SPANS, "k = {k}, level {}: {names:?}", d + 1);
+        }
+        let products = events.iter().filter(|e| is_op(e) && e.name == "mxv").count();
+        assert_eq!(products, per_level.len(), "k = {k}: one mxv a level, one traversal a batch");
+        assert!(events.iter().all(|e| e.name != "mxm"), "k = {k}: the batch ran an mxm");
+        let algo = events.iter().find(|e| e.name == "bfs.batch").expect("algo span");
+        assert_eq!((algo.arg_u64("sources"), algo.arg_u64("words")), (Some(k as u64), Some(1)));
+    }
 }
 
 /// How many op spans of each name ran, and how many writes took each path

@@ -191,9 +191,15 @@ fn sharded_serving_series_render_clean() {
     s.query(Query::bfs_level(0)).expect("miss");
     s.query(Query::bfs_level(0)).expect("hit");
     let batch: Vec<Query> = (1..5).map(Query::bfs_level).collect();
+    let before_batch = snap();
     s.query_many(&batch).expect("batched queries");
 
     let after = snap();
+    assert_eq!(
+        delta(&after, &before_batch, "lagraph_service_query_seconds_count"),
+        1.0,
+        "a query_many call is one observation of the latency histogram"
+    );
     for shard in ["0", "1"] {
         let key = format!("lagraph_service_shard_processed_total{{shard=\"{shard}\"}}");
         assert!(

@@ -11,9 +11,11 @@
 //! failed shard drainer turns into errors, not hangs.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lagraph::service::{
-    EdgeHash, GraphService, Grid2D, Partitioner, Query, ServiceConfig, ServiceError, Update,
+    AdmissionConfig, EdgeHash, GraphService, Grid2D, Partitioner, Query, ServiceConfig,
+    ServiceError, Update,
 };
 use lagraph::{bfs_level, Graph, GraphKind, PageRankOptions};
 
@@ -174,6 +176,28 @@ fn concurrent_bfs_queries_are_correct_under_batching() {
         assert_eq!(got, single.extract_tuples(), "concurrent query from {src} diverged");
     }
     assert_eq!(s.admission_stats().queries, sources.len() as u64);
+}
+
+#[test]
+fn a_lone_client_never_waits_out_the_batch_window() {
+    // The window is an upper bound on waiting for queries in flight; one
+    // client has nobody to wait for. Sleeping it out would cost 20 × 50 ms.
+    let admission =
+        AdmissionConfig { batch_window: Duration::from_millis(50), ..AdmissionConfig::default() };
+    let s = GraphService::new(
+        seed(GraphKind::Undirected),
+        ServiceConfig { admission, ..ServiceConfig::default() },
+    )
+    .expect("service");
+    let t0 = Instant::now();
+    for src in 0..20 {
+        let r = s.query(Query::bfs_level(src)).expect("query");
+        assert_eq!(r.levels().expect("levels").get(src), Some(1));
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "20 sequential BFS queries took {took:?}");
+    let st = s.admission_stats();
+    assert_eq!((st.batches, st.batched_queries), (20, 0), "each ran alone: {st:?}");
 }
 
 #[test]

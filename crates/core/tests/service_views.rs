@@ -347,3 +347,35 @@ fn views_keep_serving_last_good_epoch_after_drainer_failure() {
     );
     assert!(matches!(s.query(Query::bfs_level(0)), Err(ServiceError::DrainerFailed { .. })));
 }
+
+#[test]
+fn query_many_serves_views_after_drainer_failure_like_query() {
+    let s = GraphService::new(
+        seed_graph(),
+        ServiceConfig {
+            shards: 2,
+            views: Some(ViewsConfig::default()),
+            fail_epoch: Some(1),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service");
+    let alone = s.query(Query::connected_components()).expect("cc at epoch 0");
+    s.insert_edge(1, 3, 1.0).expect("accepted before the failure");
+    assert!(matches!(s.flush(), Err(ServiceError::DrainerFailed { .. })));
+    // The same query answers alone and in a slice: both paths consult the
+    // views before the failure check.
+    let sliced = s
+        .query_many(&[Query::connected_components(), Query::degrees()])
+        .expect("a slice of view-served queries keeps answering after the failure");
+    assert_eq!(
+        sliced[0].components().expect("components").extract_tuples(),
+        alone.components().expect("components").extract_tuples(),
+    );
+    assert!(sliced[1].degrees().is_some());
+    // One query the views cannot answer fails the slice, as it fails alone.
+    assert!(matches!(
+        s.query_many(&[Query::connected_components(), Query::bfs_level(0)]),
+        Err(ServiceError::DrainerFailed { .. })
+    ));
+}

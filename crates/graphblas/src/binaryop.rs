@@ -5,6 +5,9 @@
 //! MINUS, TIMES, DIV, the six comparisons, and the Boolean ops) plus the
 //! SuiteSparse extensions (ISEQ..ISLE, LOR/LAND/LXOR on all types, PAIR,
 //! RMINUS, RDIV) that the paper's "960 built-in semirings" figure counts.
+//! The C API's bitwise family (BOR, BAND, BXOR, BXNOR over the unsigned
+//! integer domains) came after that count; it is here for the bit-parallel
+//! traversals, one machine word of independent Boolean searches per vertex.
 //!
 //! Operators are zero-sized unit structs; a generic `impl` per domain plays
 //! the role of SuiteSparse's code generator — the compiler monomorphizes a
@@ -159,6 +162,22 @@ unit_op!(
 unit_op!(
     /// Logical XOR of the truth values of x and y (`GrB_LXOR`).
     Lxor
+);
+unit_op!(
+    /// `z = x | y` on an unsigned integer domain (`GrB_BOR`).
+    Bor
+);
+unit_op!(
+    /// `z = x & y` on an unsigned integer domain (`GrB_BAND`).
+    Band
+);
+unit_op!(
+    /// `z = x ^ y` on an unsigned integer domain (`GrB_BXOR`).
+    Bxor
+);
+unit_op!(
+    /// `z = !(x ^ y)` on an unsigned integer domain (`GrB_BXNOR`).
+    Bxnor
 );
 unit_op!(
     /// `z = (x == y)` as BOOL (`GrB_EQ`).
@@ -361,6 +380,33 @@ impl<T: Num> BinaryOp<T, T, T> for Lxor {
     }
 }
 
+macro_rules! bitwise_ops {
+    ($($t:ty),*) => {$(
+        impl BinaryOp<$t, $t, $t> for Bor {
+            fn apply(&self, a: $t, b: $t) -> $t {
+                a | b
+            }
+        }
+        impl BinaryOp<$t, $t, $t> for Band {
+            fn apply(&self, a: $t, b: $t) -> $t {
+                a & b
+            }
+        }
+        impl BinaryOp<$t, $t, $t> for Bxor {
+            fn apply(&self, a: $t, b: $t) -> $t {
+                a ^ b
+            }
+        }
+        impl BinaryOp<$t, $t, $t> for Bxnor {
+            fn apply(&self, a: $t, b: $t) -> $t {
+                !(a ^ b)
+            }
+        }
+    )*};
+}
+
+bitwise_ops!(u8, u16, u32, u64);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +450,17 @@ mod tests {
         assert_eq!(BinaryOp::<i32, i32, i32>::apply(&Land, 2, 0), 0);
         assert_eq!(BinaryOp::<i32, i32, i32>::apply(&Lxor, 2, 0), 1);
         assert!(BinaryOp::<bool, bool, bool>::apply(&Lor, false, true));
+    }
+
+    #[test]
+    fn bitwise_ops_on_unsigned_domains() {
+        assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Bor, 0b0101, 0b0011), 0b0111);
+        assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Band, 0b0101, 0b0011), 0b0001);
+        assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Bxor, 0b0101, 0b0011), 0b0110);
+        assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Bxnor, 0b0101, 0b0011), 0b1111_1001);
+        assert_eq!(BinaryOp::<u64, u64, u64>::apply(&Bxnor, 7, 7), u64::MAX);
+        // The generic kernels carry them: no specialized loop is keyed on these.
+        assert_eq!(BinaryOp::<u64, u64, u64>::op_id(&Bor), None);
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! problem of the C API disappears.
 //!
 //! Contrast with [`crate::Matrix::extract_tuples`], which is `Ω(e)`.
+//!
+//! Vectors have the one import an algorithm needs to hand back a result it
+//! computed in plain arrays: [`Vector::import_bitmap`], the full-length
+//! form's value array and presence words taken as they are.
 
 use crate::error::{Error, Result};
 use crate::matrix::{Matrix, Store};
 use crate::sparse::{Cs, Hyper};
 use crate::types::{Index, Scalar};
+use crate::vector::Vector;
 
 /// The raw arrays of a standard compressed matrix: `(nmajor, nminor, ptr,
 /// idx, val)` with `ptr` of length `nmajor + 1`.
@@ -172,9 +177,60 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+impl<T: Scalar> Vector<T> {
+    /// Import a full-length value array and its packed presence words,
+    /// taking ownership (`GxB_Vector_import_Bitmap`): position `i` holds an
+    /// entry when bit `i % 64` of `bits[i / 64]` is set, and `val[i]` is
+    /// then its value. No sort and no copy — one pass over the
+    /// `val.len() / 64` presence words counts the entries; a result sparse
+    /// enough for the list form is converted to it, as after any write.
+    pub fn import_bitmap(val: Vec<T>, bits: Vec<u64>) -> Result<Self> {
+        let n = val.len();
+        if n > Self::FULL_LENGTH_LIMIT {
+            return Err(Error::invalid("import: longer than the full-length form holds"));
+        }
+        if bits.len() != n.div_ceil(64) {
+            return Err(Error::invalid("import: one presence word per 64 positions"));
+        }
+        if !n.is_multiple_of(64) && bits[n / 64] >> (n % 64) != 0 {
+            return Err(Error::invalid("import: presence bits past the vector's length"));
+        }
+        let nvals = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let mut v = Vector::new(n)?;
+        v.install_full(val, bits, nvals);
+        Ok(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitmap_import_takes_the_arrays_as_they_are() {
+        let mut val = vec![0i32; 70];
+        let mut bits = vec![0u64; 2];
+        for i in [0usize, 3, 64, 69] {
+            val[i] = i as i32 + 1;
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        let v = Vector::import_bitmap(val, bits).expect("import");
+        assert_eq!(v.size(), 70);
+        assert_eq!(v.extract_tuples(), vec![(0, 1), (3, 4), (64, 65), (69, 70)]);
+        // Dense enough to stay full-length; a lone entry goes to the list form.
+        let dense = Vector::import_bitmap(vec![7u8; 64], vec![u64::MAX]).expect("dense");
+        assert_eq!(dense.vector_format(), crate::VectorFormat::Dense);
+        let lone = Vector::import_bitmap(vec![7u8; 64], vec![1]).expect("lone");
+        assert_eq!(lone.vector_format(), crate::VectorFormat::Sparse);
+        assert_eq!(lone.extract_tuples(), vec![(0, 7)]);
+    }
+
+    #[test]
+    fn bitmap_import_validates_the_presence_words() {
+        assert!(Vector::import_bitmap(vec![0i32; 70], vec![0u64; 1]).is_err(), "too few words");
+        assert!(Vector::import_bitmap(vec![0i32; 70], vec![0, 1 << 6]).is_err(), "bit 70 of 70");
+        assert!(Vector::<i32>::import_bitmap(Vec::new(), Vec::new()).is_err(), "empty vector");
+    }
 
     #[test]
     fn csr_round_trip_is_lossless() {

@@ -7,7 +7,7 @@
 //! direction-optimizing BFS competitive. Our dot-product kernels honor
 //! [`Monoid::terminal`].
 
-use crate::binaryop::{BinaryOp, Land, Lor, Lxor, Max, Min, Plus, Times};
+use crate::binaryop::{Band, BinaryOp, Bor, Bxnor, Bxor, Land, Lor, Lxor, Max, Min, Plus, Times};
 use crate::types::{Num, Scalar};
 
 /// An associative, commutative binary operator with an identity element.
@@ -90,6 +90,43 @@ impl Monoid<bool> for Lxor {
         false
     }
 }
+
+/// The bitwise monoids over the unsigned integer domains. BOR and BAND
+/// have terminals (all-ones and 0): a word whose every bit is decided stops
+/// a dot product the way `true` stops LOR's, which is what lets a
+/// bit-parallel traversal keep the pull direction's early exit.
+macro_rules! bitwise_monoids {
+    ($($t:ty),*) => {$(
+        impl Monoid<$t> for Bor {
+            fn identity(&self) -> $t {
+                0
+            }
+            fn terminal(&self) -> Option<$t> {
+                Some(<$t>::MAX)
+            }
+        }
+        impl Monoid<$t> for Band {
+            fn identity(&self) -> $t {
+                <$t>::MAX
+            }
+            fn terminal(&self) -> Option<$t> {
+                Some(0)
+            }
+        }
+        impl Monoid<$t> for Bxor {
+            fn identity(&self) -> $t {
+                0
+            }
+        }
+        impl Monoid<$t> for Bxnor {
+            fn identity(&self) -> $t {
+                <$t>::MAX
+            }
+        }
+    )*};
+}
+
+bitwise_monoids!(u8, u16, u32, u64);
 
 /// The ANY monoid (`GxB_ANY`): returns one of its operands, unspecified
 /// which. Every value is terminal, so reductions may stop at the first
@@ -174,6 +211,33 @@ mod tests {
         assert_eq!(Monoid::<f64>::terminal(&Max), Some(f64::INFINITY));
         assert_eq!(Monoid::<i32>::terminal(&Plus), None);
         assert_eq!(Monoid::<bool>::terminal(&Lxor), None);
+    }
+
+    #[test]
+    fn bitwise_monoid_laws() {
+        for x in [0u8, 0b1010_0101, u8::MAX] {
+            assert_eq!(Bor.apply(Monoid::<u8>::identity(&Bor), x), x);
+            assert_eq!(Band.apply(Monoid::<u8>::identity(&Band), x), x);
+            assert_eq!(Bxor.apply(Monoid::<u8>::identity(&Bxor), x), x);
+            assert_eq!(Bxnor.apply(Monoid::<u8>::identity(&Bxnor), x), x);
+            assert_eq!(Bor.apply(u8::MAX, x), u8::MAX, "all-ones annihilates BOR");
+            assert_eq!(Band.apply(0, x), 0, "zero annihilates BAND");
+        }
+        assert_eq!(Monoid::<u64>::terminal(&Bor), Some(u64::MAX));
+        assert_eq!(Monoid::<u64>::terminal(&Band), Some(0));
+        assert_eq!(Monoid::<u64>::terminal(&Bxor), None);
+        assert_eq!(Monoid::<u64>::terminal(&Bxnor), None);
+        // A fold stops at the terminal: the entry after it is never read.
+        let mut seen = 0;
+        let vals = [0x0fu8, 0xf0, 0x55];
+        let folded = fold(
+            &Bor,
+            vals.iter().map(|&v| {
+                seen += 1;
+                v
+            }),
+        );
+        assert_eq!((folded, seen), (Some(u8::MAX), 2));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! domain. The named constructors below cover the semirings used by the
 //! LAGraph algorithm collection.
 
-use crate::binaryop::{First, Land, Lor, Max, Min, Pair, Plus, SaturatingPlus, Second, Times};
+use crate::binaryop::{Bor, First, Land, Lor, Max, Min, Pair, Plus, SaturatingPlus, Second, Times};
 use crate::monoid::Any;
 
 /// A GraphBLAS semiring: `add` is a monoid over the output domain, `mul`
@@ -99,6 +99,16 @@ pub const PLUS_PLUS: Semiring<Plus, Plus> = Semiring::new(Plus, Plus);
 /// LOR's own terminal.
 pub const LOR_PAIR: Semiring<Lor, Pair> = Semiring::new(Lor, Pair);
 
+/// `(bor, second)` on an unsigned integer domain: every stored matrix
+/// entry passes the vector's word through and the words are OR-ed — one
+/// `mxv` advances as many Boolean searches as the word has bits
+/// (multi-source BFS). BOR's all-ones terminal is the early exit.
+pub const BOR_SECOND: Semiring<Bor, Second> = Semiring::new(Bor, Second);
+
+/// `(bor, first)`: [`BOR_SECOND`] for `vxm`, where the vector is the left
+/// operand.
+pub const BOR_FIRST: Semiring<Bor, First> = Semiring::new(Bor, First);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +146,16 @@ mod tests {
         let s = PLUS_PAIR;
         let one: u64 = s.mul.apply(123.0f64, 456.0f64);
         assert_eq!(one, 1);
+    }
+
+    #[test]
+    fn bor_second_unions_the_vector_words() {
+        let s = BOR_SECOND;
+        let through: u64 = s.mul.apply(true, 0b0110u64);
+        assert_eq!(s.add.apply(0b0001, through), 0b0111);
+        assert_eq!(Monoid::<u64>::terminal(&s.add), Some(u64::MAX));
+        let through: u8 = BOR_FIRST.mul.apply(0b1000u8, true);
+        assert_eq!(through, 0b1000);
     }
 
     #[test]

@@ -685,6 +685,10 @@ impl<T: Scalar> Clone for Vector<T> {
 }
 
 impl<T: Scalar> Vector<T> {
+    /// The longest vector the full-length form holds; [`Vector::dense`]
+    /// refuses anything longer, and longer vectors stay sparse.
+    pub const FULL_LENGTH_LIMIT: Index = DENSE_LIMIT;
+
     /// Create an empty vector of length `n` (`GrB_Vector_new`).
     pub fn new(n: Index) -> Result<Self> {
         if n == 0 {

@@ -78,8 +78,95 @@ fn same_vector<T: Scalar>(fast: &Vector<T>, reference: &DVec<T>) -> bool {
     fast.extract_tuples() == reference.to_vector().extract_tuples()
 }
 
+/// Words that meet the bitwise terminals often: complementary halves OR to
+/// all-ones and AND to zero within two or three entries, so the kernels'
+/// early exits (pull dots, push slots, reduce folds) fire on most cases.
+const PALETTE: [u64; 6] =
+    [0, u64::MAX, 0x0f0f_0f0f_0f0f_0f0f, 0xf0f0_f0f0_f0f0_f0f0, 0x00ff_00ff_00ff_00ff, 1];
+
+/// Matrix entries, two vectors and an output as palette picks; `as` turns
+/// a pick into either word width (truncation keeps the halves' pattern).
+type BitwiseCase = (Vec<((Index, Index), usize)>, [Vec<(Index, usize)>; 3]);
+
+fn arb_bitwise_case() -> impl Strategy<Value = BitwiseCase> {
+    let pick = 0..PALETTE.len();
+    let vector = || proptest::collection::vec((0..N, pick.clone()), 0..N);
+    (proptest::collection::vec(((0..N, 0..N), pick.clone()), 0..24), vector(), vector(), vector())
+        .prop_map(|(a, u, v, w)| (a, [u, v, w]))
+}
+
+/// `ewise_add`, `reduce` and `mxv` (push and pull, over the pattern of `a`
+/// as BFS uses it) under one bitwise monoid against the dense mimic, which
+/// folds every entry and knows no early exit.
+fn bitwise_conforms<T: Scalar, M: Monoid<T>>(
+    add: M,
+    word: impl Fn(usize) -> T,
+    (a, [u, v, w0]): &BitwiseCase,
+    mask: Option<&Vector<bool>>,
+    desc: &Descriptor,
+) -> std::result::Result<(), TestCaseError> {
+    let tuples = a.iter().map(|&((i, j), k)| (i, j, word(k))).collect();
+    let a = Matrix::from_tuples(N, N, tuples, |_, b| b).expect("valid dims");
+    let vector = |picks: &Vec<(Index, usize)>| {
+        let tuples = picks.iter().map(|&(i, k)| (i, word(k))).collect();
+        Vector::from_tuples(N, tuples, |_, b| b).expect("valid dims")
+    };
+    let (u, v, w0) = (vector(u), vector(v), vector(w0));
+    let dmask = mask.map(DVec::from_vector);
+    let (da, du, dw0) = (DMat::from_matrix(&a), DVec::from_vector(&u), DVec::from_vector(&w0));
+
+    let mut w = w0.clone();
+    ewise_add(&mut w, mask, Some(add), add, &u, &v, desc).expect("ewise_add");
+    let want = mimic::ewise_add_vec(
+        &dw0,
+        dmask.as_ref(),
+        &Some(add),
+        &add,
+        &du,
+        &DVec::from_vector(&v),
+        desc,
+    );
+    prop_assert!(same_vector(&w, &want), "ewise_add");
+
+    let mut w = w0.clone();
+    reduce_matrix(&mut w, mask, NOACC, &add, &a, desc).expect("reduce");
+    let want = mimic::reduce_mat_to_vec(&dw0, dmask.as_ref(), &NOACC, &add, &da, desc);
+    prop_assert!(same_vector(&w, &want), "reduce to vector");
+    prop_assert_eq!(reduce_matrix_scalar(&add, &a), mimic::reduce_mat_to_scalar(&add, &da));
+
+    let mut pattern = a.pattern();
+    pattern.set_dual_storage(true);
+    let second = Semiring::new(add, binaryop::Second);
+    for direction in [Direction::Push, Direction::Pull] {
+        let mut w = w0.clone();
+        mxv(&mut w, mask, NOACC, &second, &pattern, &u, &desc.direction(direction)).expect("mxv");
+        let want = mimic::mxv(
+            &dw0,
+            dmask.as_ref(),
+            &NOACC,
+            &second,
+            &DMat::from_matrix(&pattern),
+            &du,
+            desc,
+        );
+        prop_assert!(same_vector(&w, &want), "mxv {:?}", direction);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn bitwise_family_conforms(case in arb_bitwise_case(), mask in arb_mask_v(), desc in arb_desc()) {
+        let mask = mask.as_ref();
+        bitwise_conforms(binaryop::Bor, |k| PALETTE[k] as u8, &case, mask, &desc)?;
+        bitwise_conforms(binaryop::Band, |k| PALETTE[k] as u8, &case, mask, &desc)?;
+        bitwise_conforms(binaryop::Bxor, |k| PALETTE[k] as u8, &case, mask, &desc)?;
+        bitwise_conforms(binaryop::Bor, |k| PALETTE[k], &case, mask, &desc)?;
+        bitwise_conforms(binaryop::Band, |k| PALETTE[k], &case, mask, &desc)?;
+        bitwise_conforms(binaryop::Bxor, |k| PALETTE[k], &case, mask, &desc)?;
+    }
 
     #[test]
     fn mxm_conforms(

@@ -495,3 +495,26 @@ fn skewed_operand_cut_by_weight() {
         )
     });
 }
+
+/// The bit-parallel batch BFS chains five chunked vector ops a level over
+/// `u64` words under BOR, whose pull stops at all-ones; its rows must be
+/// the single-source levels at every thread count — on a graph with one
+/// search word and with three (130 sources).
+#[test]
+fn batch_bfs_rows_at_every_thread_count() {
+    let g = lagraph::gen::Workload::Rmat.graph(10, 16, 7, 255).expect("rmat");
+    let pool: Vec<usize> = g.out_degree().expect("degrees").iter().map(|(v, _)| v).collect();
+    for k in [4usize, 130] {
+        let sources: Vec<usize> = (0..k).map(|j| pool[j * 13 % pool.len()]).collect();
+        let singles: Vec<_> = sources
+            .iter()
+            .map(|&s| lagraph::bfs_level(&g, s).expect("single").extract_tuples())
+            .collect();
+        assert_thread_equivalent_across(&[1, 2, 3, 8], || {
+            let batch = lagraph::bfs_level_batch(&g, &sources).expect("batch");
+            let rows: Vec<_> = batch.iter().map(|row| row.extract_tuples()).collect();
+            assert_eq!(rows, singles, "batch of {k} diverged from the single-source runs");
+            rows
+        });
+    }
+}
