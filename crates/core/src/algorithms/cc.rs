@@ -12,7 +12,6 @@ use graphblas::prelude::*;
 use graphblas::semiring::MIN_SECOND;
 use graphblas::trace;
 
-use super::AdjacencyView;
 use crate::graph::Graph;
 
 /// Connected components of an undirected graph: returns `comp(v)` = the
@@ -63,10 +62,10 @@ pub fn connected_components(graph: &Graph) -> Result<Vector<u64>> {
 }
 
 /// Incrementally repair a connected-components labeling after one batch
-/// of structural edge changes, without touching the matrix.
+/// of structural edge changes, reading only the rows the repair visits.
 ///
-/// * `adj` — adjacency of the graph **after** the batch is applied
-///   (symmetric; undirected graphs only).
+/// * `after` — the graph **after** the batch is applied (undirected);
+///   its rows are read under one lock for the whole call.
 /// * `prev` — dense labels of the graph before the batch, one per
 ///   vertex, each equal to its component's minimum vertex id (the
 ///   invariant [`connected_components`] establishes).
@@ -83,7 +82,7 @@ pub fn connected_components(graph: &Graph) -> Result<Vector<u64>> {
 /// over endpoints covers all of them — the result is exact, never an
 /// approximation, and matches [`connected_components`] bit for bit.
 pub fn connected_components_delta(
-    adj: &dyn AdjacencyView,
+    after: &Graph,
     prev: &[u64],
     inserts: &[(Index, Index)],
     deletes: &[(Index, Index)],
@@ -111,6 +110,7 @@ pub fn connected_components_delta(
 
     // Targeted re-runs for deletes, on the new adjacency. `fixed[v]`
     // marks vertices already exactly relabeled by an exhaustive BFS.
+    let adj = after.a().rows();
     let mut fixed = vec![false; n];
     let mut visited = vec![false; n];
     let mut queue: Vec<Index> = Vec::new();
@@ -123,7 +123,7 @@ pub fn connected_components_delta(
         visited[start] = true;
         let mut hit_target = false;
         while let Some(w) = queue.pop() {
-            adj.for_each_neighbor(w, &mut |x| {
+            adj.for_each(w, |x| {
                 if !visited[x] {
                     visited[x] = true;
                     reached.push(x);
@@ -230,37 +230,6 @@ mod tests {
         }
     }
 
-    /// Symmetric adjacency-set oracle for the delta entry point.
-    struct Adj(Vec<std::collections::BTreeSet<Index>>);
-
-    impl Adj {
-        fn from_edges(n: usize, edges: &[(Index, Index)]) -> Self {
-            let mut sets = vec![std::collections::BTreeSet::new(); n];
-            for &(u, v) in edges {
-                sets[u].insert(v);
-                sets[v].insert(u);
-            }
-            Adj(sets)
-        }
-    }
-
-    impl AdjacencyView for Adj {
-        fn nvertices(&self) -> Index {
-            self.0.len()
-        }
-        fn has_edge(&self, u: Index, v: Index) -> bool {
-            self.0[u].contains(&v)
-        }
-        fn degree(&self, u: Index) -> usize {
-            self.0[u].len()
-        }
-        fn for_each_neighbor(&self, u: Index, f: &mut dyn FnMut(Index)) {
-            for &v in &self.0[u] {
-                f(v);
-            }
-        }
-    }
-
     fn dense_labels(g: &Graph) -> Vec<u64> {
         connected_components(g).expect("cc").iter().map(|(_, c)| c).collect()
     }
@@ -271,10 +240,9 @@ mod tests {
         let before =
             Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)], GraphKind::Undirected).expect("graph");
         let prev = dense_labels(&before);
-        let adj = Adj::from_edges(6, &[(0, 1), (1, 2), (3, 4), (2, 3)]);
-        let got = connected_components_delta(&adj, &prev, &[(2, 3)], &[]);
         let after = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (2, 3)], GraphKind::Undirected)
             .expect("graph");
+        let got = connected_components_delta(&after, &prev, &[(2, 3)], &[]);
         assert_eq!(got, dense_labels(&after));
     }
 
@@ -284,8 +252,9 @@ mod tests {
         let before = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)], GraphKind::Undirected)
             .expect("graph");
         let prev = dense_labels(&before);
-        let adj = Adj::from_edges(5, &[(0, 1), (2, 3), (3, 4)]);
-        let got = connected_components_delta(&adj, &prev, &[], &[(1, 2)]);
+        let after =
+            Graph::from_edges(5, &[(0, 1), (2, 3), (3, 4)], GraphKind::Undirected).expect("graph");
+        let got = connected_components_delta(&after, &prev, &[], &[(1, 2)]);
         assert_eq!(got, vec![0, 0, 2, 2, 2]);
     }
 
@@ -295,8 +264,9 @@ mod tests {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
         let before = Graph::from_edges(4, &edges, GraphKind::Undirected).expect("graph");
         let prev = dense_labels(&before);
-        let adj = Adj::from_edges(4, &[(1, 2), (2, 3), (3, 0)]);
-        let got = connected_components_delta(&adj, &prev, &[], &[(0, 1)]);
+        let after =
+            Graph::from_edges(4, &[(1, 2), (2, 3), (3, 0)], GraphKind::Undirected).expect("graph");
+        let got = connected_components_delta(&after, &prev, &[], &[(0, 1)]);
         assert_eq!(got, vec![0, 0, 0, 0]);
     }
 
@@ -307,9 +277,8 @@ mod tests {
             Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)], GraphKind::Undirected).expect("graph");
         let prev = dense_labels(&before);
         let final_edges = [(1, 2), (3, 4), (2, 3)];
-        let adj = Adj::from_edges(6, &final_edges);
-        let got = connected_components_delta(&adj, &prev, &[(2, 3)], &[(0, 1)]);
         let after = Graph::from_edges(6, &final_edges, GraphKind::Undirected).expect("graph");
+        let got = connected_components_delta(&after, &prev, &[(2, 3)], &[(0, 1)]);
         assert_eq!(got, dense_labels(&after));
     }
 

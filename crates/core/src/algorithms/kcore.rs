@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use graphblas::prelude::*;
 use graphblas::semiring::PLUS_SECOND;
 
-use super::AdjacencyView;
 use crate::graph::Graph;
 
 /// The k-core of an undirected graph: returns the Boolean membership
@@ -85,8 +84,9 @@ pub fn core_numbers(graph: &Graph) -> Result<Vector<i64>> {
 /// k-core decomposition). Deletions have no comparably local repair
 /// rule here; the service falls back to [`core_numbers`] for them.
 ///
-/// * `base` — symmetric adjacency of the graph **before** the batch.
-/// * `core` — dense core numbers on `base`, updated in place.
+/// * `before` — the graph **before** the batch (undirected); its rows
+///   are read under one lock for the whole call.
+/// * `core` — dense core numbers on `before`, updated in place.
 /// * `inserts` — the real structural insertions, in application order.
 ///
 /// Each insertion of `(u, v)` can raise core numbers by at most one,
@@ -97,12 +97,13 @@ pub fn core_numbers(graph: &Graph) -> Result<Vector<i64>> {
 /// of them (cascading), and promotes the survivors to `k + 1` — exact,
 /// matching [`core_numbers`] on the patched graph bit for bit.
 /// Self-loop inserts are ignored.
-pub fn core_numbers_insert(base: &dyn AdjacencyView, core: &mut [i64], inserts: &[(Index, Index)]) {
+pub fn core_numbers_insert(before: &Graph, core: &mut [i64], inserts: &[(Index, Index)]) {
     let n = core.len();
+    let base = before.a().rows();
     // Insert-only patch over `base`: per-vertex added neighbor lists.
     let mut added: HashMap<Index, Vec<Index>> = HashMap::new();
     let neighbors = |added: &HashMap<Index, Vec<Index>>, u: Index, f: &mut dyn FnMut(Index)| {
-        base.for_each_neighbor(u, f);
+        base.for_each(u, &mut *f);
         if let Some(extra) = added.get(&u) {
             for &w in extra {
                 f(w);
@@ -120,7 +121,7 @@ pub fn core_numbers_insert(base: &dyn AdjacencyView, core: &mut [i64], inserts: 
             continue;
         }
         // The new edge is part of the graph the subcore is computed on.
-        let dup = base.has_edge(u, v) || added.get(&u).is_some_and(|s| s.contains(&v));
+        let dup = base.contains(u, v) || added.get(&u).is_some_and(|s| s.contains(&v));
         if !dup {
             added.entry(u).or_default().push(v);
             added.entry(v).or_default().push(u);
@@ -245,37 +246,6 @@ mod tests {
         assert_eq!(core.get(5), Some(1));
     }
 
-    /// Symmetric adjacency-set oracle for the delta entry point.
-    struct Adj(Vec<std::collections::BTreeSet<Index>>);
-
-    impl Adj {
-        fn from_edges(n: usize, edges: &[(Index, Index)]) -> Self {
-            let mut sets = vec![std::collections::BTreeSet::new(); n];
-            for &(u, v) in edges {
-                sets[u].insert(v);
-                sets[v].insert(u);
-            }
-            Adj(sets)
-        }
-    }
-
-    impl AdjacencyView for Adj {
-        fn nvertices(&self) -> Index {
-            self.0.len()
-        }
-        fn has_edge(&self, u: Index, v: Index) -> bool {
-            self.0[u].contains(&v)
-        }
-        fn degree(&self, u: Index) -> usize {
-            self.0[u].len()
-        }
-        fn for_each_neighbor(&self, u: Index, f: &mut dyn FnMut(Index)) {
-            for &v in &self.0[u] {
-                f(v);
-            }
-        }
-    }
-
     fn dense_cores(g: &Graph) -> Vec<i64> {
         core_numbers(g).expect("cores").iter().map(|(_, c)| c).collect()
     }
@@ -288,18 +258,17 @@ mod tests {
             vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)];
         let inserts: Vec<(Index, Index)> = vec![(4, 0), (4, 1), (4, 2), (5, 0), (2, 5)];
         let g0 = Graph::from_edges(6, &start, GraphKind::Undirected).expect("graph");
-        let base = Adj::from_edges(6, &start);
         let mut core = dense_cores(&g0);
         for upto in 1..=inserts.len() {
             let mut core_step = dense_cores(&g0);
-            core_numbers_insert(&base, &mut core_step, &inserts[..upto]);
+            core_numbers_insert(&g0, &mut core_step, &inserts[..upto]);
             let mut edges = start.clone();
             edges.extend_from_slice(&inserts[..upto]);
             let oracle =
                 dense_cores(&Graph::from_edges(6, &edges, GraphKind::Undirected).expect("graph"));
             assert_eq!(core_step, oracle, "after {upto} inserts");
         }
-        core_numbers_insert(&base, &mut core, &inserts);
+        core_numbers_insert(&g0, &mut core, &inserts);
         let mut edges = start;
         edges.extend_from_slice(&inserts);
         let oracle =
@@ -313,9 +282,8 @@ mod tests {
         // lifts every vertex to 2 in one subcore cascade.
         let path: Vec<(Index, Index)> = (0..5).map(|i| (i, i + 1)).collect();
         let g = Graph::from_edges(6, &path, GraphKind::Undirected).expect("graph");
-        let base = Adj::from_edges(6, &path);
         let mut core = dense_cores(&g);
-        core_numbers_insert(&base, &mut core, &[(5, 0)]);
+        core_numbers_insert(&g, &mut core, &[(5, 0)]);
         assert_eq!(core, vec![2; 6]);
     }
 

@@ -6,30 +6,13 @@
 //! A few algorithms additionally expose *incremental* (`*_delta` /
 //! `*_warm`) entry points that repair a previous answer from a batch of
 //! edge changes instead of recomputing — the engine behind
-//! [`crate::service::views`]. They take adjacency through the
-//! [`AdjacencyView`] trait so callers can supply an O(1)-updatable
-//! overlay rather than re-extracting the matrix structure per epoch.
+//! [`crate::service::views`]. Like every other entry point they take a
+//! [`Graph`](crate::Graph) — the one before the batch or the one after
+//! it, as each documents — and read just the rows the repair visits
+//! through [`graphblas::Matrix::rows`], so a caller needs no copy of the
+//! graph beside the snapshots it already holds.
 
 use graphblas::Index;
-
-/// Read-only adjacency access for the incremental entry points
-/// ([`cc::connected_components_delta`], [`tricount::triangle_count_delta`],
-/// [`kcore::core_numbers_insert`]).
-///
-/// Implementors expose the graph as it stands *at a known point in the
-/// update stream*; the incremental algorithms document which point they
-/// expect (before or after the batch is applied). For undirected graphs
-/// the view must be symmetric: `has_edge(u, v) == has_edge(v, u)`.
-pub trait AdjacencyView {
-    /// Number of vertices (all indices below are `< nvertices()`).
-    fn nvertices(&self) -> Index;
-    /// Whether the arc `u → v` is present.
-    fn has_edge(&self, u: Index, v: Index) -> bool;
-    /// Out-degree of `u` (equals degree on a symmetric view).
-    fn degree(&self, u: Index) -> usize;
-    /// Visit every out-neighbor of `u` (order unspecified).
-    fn for_each_neighbor(&self, u: Index, f: &mut dyn FnMut(Index));
-}
 
 /// One structural edge change, in application order. Produced by the
 /// service's delta classifier (weight overwrites and redundant deletes

@@ -16,7 +16,7 @@ use graphblas::prelude::*;
 use graphblas::semiring::PLUS_PAIR;
 use graphblas::trace;
 
-use super::{AdjacencyView, EdgeEvent};
+use super::EdgeEvent;
 use crate::graph::Graph;
 
 /// Which formulation to run.
@@ -95,18 +95,19 @@ pub fn triangle_count(graph: &Graph, method: TriCountMethod) -> Result<u64> {
 /// O(Σ min(deg u, deg v)) intersections instead of a masked `mxm` over
 /// the full graph.
 ///
-/// * `base` — symmetric adjacency of the graph **before** the batch
-///   (same precondition as [`triangle_count`]: undirected, no
-///   self-loops among the counted edges).
-/// * `prev` — the exact count on `base`.
+/// * `before` — the graph **before** the batch (same precondition as
+///   [`triangle_count`]: undirected, no self-loops among the counted
+///   edges); its rows are read under one lock for the whole call.
+/// * `prev` — the exact count on `before`.
 /// * `events` — the real structural changes, in application order.
 ///
-/// Events apply sequentially against an internal patch over `base`, so
+/// Events apply sequentially against an internal patch over `before`, so
 /// a triangle formed by two edges inserted in the same batch is counted
 /// exactly once; the final value equals [`triangle_count`] on the
 /// patched graph bit for bit, at any interleaving of the same per-edge
 /// event sequence. Self-loop events are ignored (they form no triangle).
-pub fn triangle_count_delta(base: &dyn AdjacencyView, prev: u64, events: &[EdgeEvent]) -> u64 {
+pub fn triangle_count_delta(before: &Graph, prev: u64, events: &[EdgeEvent]) -> u64 {
+    let base = before.a().rows();
     // Patch over `base`: per-vertex inserted and removed neighbor sets.
     let mut added: HashMap<Index, HashSet<Index>> = HashMap::new();
     let mut removed: HashMap<Index, HashSet<Index>> = HashMap::new();
@@ -117,7 +118,7 @@ pub fn triangle_count_delta(base: &dyn AdjacencyView, prev: u64, events: &[EdgeE
         if added.get(&u).is_some_and(|s| s.contains(&v)) {
             return true;
         }
-        base.has_edge(u, v) && !removed.get(&u).is_some_and(|s| s.contains(&v))
+        base.contains(u, v) && !removed.get(&u).is_some_and(|s| s.contains(&v))
     };
     // |N(u) ∩ N(v)| on the patched graph: iterate the cheaper endpoint's
     // current neighborhood, membership-test against the other.
@@ -125,8 +126,8 @@ pub fn triangle_count_delta(base: &dyn AdjacencyView, prev: u64, events: &[EdgeE
                   removed: &HashMap<Index, HashSet<Index>>,
                   u: Index,
                   v: Index| {
-        let (a, b) = if base.degree(u) + added.get(&u).map_or(0, HashSet::len)
-            <= base.degree(v) + added.get(&v).map_or(0, HashSet::len)
+        let (a, b) = if base.len(u) + added.get(&u).map_or(0, HashSet::len)
+            <= base.len(v) + added.get(&v).map_or(0, HashSet::len)
         {
             (u, v)
         } else {
@@ -134,7 +135,7 @@ pub fn triangle_count_delta(base: &dyn AdjacencyView, prev: u64, events: &[EdgeE
         };
         let mut count = 0i64;
         let rem_a = removed.get(&a);
-        base.for_each_neighbor(a, &mut |w| {
+        base.for_each(a, |w| {
             if w != a
                 && w != b
                 && !rem_a.is_some_and(|s| s.contains(&w))
@@ -160,12 +161,12 @@ pub fn triangle_count_delta(base: &dyn AdjacencyView, prev: u64, events: &[EdgeE
         for (x, y) in [(u, v), (v, u)] {
             if present {
                 removed.entry(x).or_default().remove(&y);
-                if !base.has_edge(x, y) {
+                if !base.contains(x, y) {
                     added.entry(x).or_default().insert(y);
                 }
             } else {
                 added.entry(x).or_default().remove(&y);
-                if base.has_edge(x, y) {
+                if base.contains(x, y) {
                     removed.entry(x).or_default().insert(y);
                 }
             }
@@ -260,48 +261,16 @@ mod tests {
         }
     }
 
-    /// Symmetric adjacency-set oracle for the delta entry point.
-    struct Adj(Vec<std::collections::BTreeSet<Index>>);
-
-    impl Adj {
-        fn from_edges(n: usize, edges: &[(Index, Index)]) -> Self {
-            let mut sets = vec![std::collections::BTreeSet::new(); n];
-            for &(u, v) in edges {
-                sets[u].insert(v);
-                sets[v].insert(u);
-            }
-            Adj(sets)
-        }
-    }
-
-    impl AdjacencyView for Adj {
-        fn nvertices(&self) -> Index {
-            self.0.len()
-        }
-        fn has_edge(&self, u: Index, v: Index) -> bool {
-            self.0[u].contains(&v)
-        }
-        fn degree(&self, u: Index) -> usize {
-            self.0[u].len()
-        }
-        fn for_each_neighbor(&self, u: Index, f: &mut dyn FnMut(Index)) {
-            for &v in &self.0[u] {
-                f(v);
-            }
-        }
-    }
-
     #[test]
     fn delta_insert_and_delete_track_the_oracle() {
         // Start with one triangle plus a dangling path.
         let start = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)];
-        let base = Adj::from_edges(5, &start);
         let g0 = Graph::from_edges(5, &start, GraphKind::Undirected).expect("graph");
         let prev = triangle_count(&g0, TriCountMethod::Sandia).expect("tc");
         assert_eq!(prev, 1);
         // Close 2-3-4 into a triangle, then break the original one.
         let events = [EdgeEvent::Insert(2, 4), EdgeEvent::Delete(0, 1)];
-        let got = triangle_count_delta(&base, prev, &events);
+        let got = triangle_count_delta(&g0, prev, &events);
         let g1 =
             Graph::from_edges(5, &[(1, 2), (0, 2), (2, 3), (3, 4), (2, 4)], GraphKind::Undirected)
                 .expect("graph");
@@ -312,7 +281,7 @@ mod tests {
     #[test]
     fn delta_counts_triangles_formed_within_one_batch() {
         // Empty triangle closed by three same-batch inserts: exactly 1.
-        let base = Adj::from_edges(3, &[]);
+        let base = Graph::from_edges(3, &[], GraphKind::Undirected).expect("graph");
         let events = [EdgeEvent::Insert(0, 1), EdgeEvent::Insert(1, 2), EdgeEvent::Insert(0, 2)];
         assert_eq!(triangle_count_delta(&base, 0, &events), 1);
         // Insert-then-delete of the same edge is a net no-op.

@@ -130,7 +130,7 @@ pub(crate) fn shard_loop(
 /// delete a `None`; undirected graphs mirror both arcs (into the same
 /// shard, which owns the edge). Sorted by position, and netted so only
 /// the last write to each arc survives.
-fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
+pub(super) fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
     let mirror = kind == GraphKind::Undirected;
     let mut delta = Vec::with_capacity(batch.len() * (1 + usize::from(mirror)));
     for u in batch {
@@ -251,16 +251,6 @@ pub(crate) fn coordinator_loop(
         span.arg("shards", workers.len());
         shared.metrics.batch_updates.observe(total as u64);
         let shard_counts: Vec<usize> = batches.iter().map(Vec::len).collect();
-        // Capture the epoch's whole delta for the view engine before the
-        // batches are consumed. Shard order here is not submission order
-        // across edges, but per-edge order is preserved (one shard owns
-        // each edge) and every view's final value is order-independent
-        // across distinct edges, so the concatenation is sound.
-        let views_delta: Option<Vec<Update>> = if shared.views.wants_deltas() {
-            Some(batches.iter().flatten().copied().collect())
-        } else {
-            None
-        };
 
         // Fan out. Every shard gets a command (empty batches included)
         // so the barrier below is uniform.
@@ -313,7 +303,8 @@ pub(crate) fn coordinator_loop(
                 // that observes epoch e also observes views at e; a
                 // failed epoch never reaches this point, leaving the
                 // views at the last good epoch alongside the snapshot.
-                shared.views.on_epoch(&graph, epoch, views_delta.as_deref());
+                // They repair from the same two graphs and the same Δ.
+                shared.views.on_epoch(&prev, &graph, &delta);
                 *shared.snapshot.write() = Arc::new(Snapshot { epoch, nedges, graph });
                 let now_ns = now_unix_ns();
                 shared.metrics.publish_unix_ns.store(now_ns, Relaxed);

@@ -3,10 +3,15 @@
 //! A view is a precomputed whole-graph answer — connected components,
 //! PageRank, out-degrees, the global triangle count, core numbers —
 //! kept *current* against the served snapshot. Instead of recomputing
-//! from scratch every epoch, the engine receives the epoch's edge-delta
-//! batch from the epoch coordinator (`drainer.rs`), classifies it into
-//! real structural changes (weight overwrites and redundant deletes
-//! drop out), and applies each view's algebraic update rule:
+//! from scratch every epoch, the engine is handed what the epoch
+//! coordinator (`drainer.rs`) already holds — the graph before the
+//! epoch, the graph after it, and the netted delta that turned one into
+//! the other — filters the delta against the graph before it into real
+//! structural changes (weight overwrites and redundant deletes drop
+//! out), and applies each view's algebraic update rule, reading the
+//! snapshots' own rows ([`graphblas::Matrix::rows`]) wherever a rule
+//! needs adjacency. The engine keeps no copy of the graph: its state is
+//! one O(n) answer array per view.
 //!
 //! * **Connected components** — inserts are component merges
 //!   (min-wins union-find over the old labels); a delete that might
@@ -16,12 +21,14 @@
 //! * **PageRank** — warm-restart from the previous rank vector
 //!   ([`pagerank_warm`]): the same iteration, a much closer starting
 //!   point, so the residual is already near tolerance.
-//! * **Degree counts** — an O(Δ) fold of the classified events.
+//! * **Degree counts** — an O(Δ) fold of the changed arcs.
 //! * **Triangle count** — per-edge common-neighbor deltas over a patch
-//!   overlay ([`triangle_count_delta`]), exact by telescoping.
+//!   on the pre-epoch graph ([`triangle_count_delta`]), exact by
+//!   telescoping.
 //! * **Core numbers** — the traversal insertion rule
-//!   ([`core_numbers_insert`]) for insert-only epochs; any delete falls
-//!   back to a full peel (deletion has no comparably local rule).
+//!   ([`core_numbers_insert`], on the pre-epoch graph) for insert-only
+//!   epochs; any delete falls back to a full peel (deletion has no
+//!   comparably local rule).
 //!
 //! When an epoch's structural-change count exceeds the staleness budget
 //! ([`ViewsConfig::staleness`], env `LAGRAPH_VIEWS_STALENESS`), repair
@@ -41,27 +48,26 @@
 //! last good epoch, exactly like the snapshot.
 //!
 //! The differential suite (`tests/service_views.rs`) replays hundreds of
-//! mixed insert/delete updates at S∈{1,2,4} shards and compares every
-//! epoch's view against a from-scratch oracle — bit-for-bit for the
-//! discrete views, within tolerance for warm-restarted PageRank (and
-//! bit-for-bit for PageRank too when `staleness = 0` forces cold
-//! rebuilds).
+//! mixed insert/delete updates at S∈{1,2,4} shards (and over compressed
+//! snapshots at S∈{1,2}) and compares every epoch's view against a
+//! from-scratch oracle — bit-for-bit for the discrete views, within
+//! tolerance for warm-restarted PageRank (and bit-for-bit for PageRank
+//! too when `staleness = 0` forces cold rebuilds).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use graphblas::metrics;
 use graphblas::trace;
-use graphblas::{Error as GrbError, Index, Vector};
+use graphblas::{Edit, Error as GrbError, Index, Vector};
 use parking_lot::RwLock;
 
 use super::admission::{canon_bits, QueryKind, QueryResult};
-use super::{env_parse, ServiceError, Update};
+use super::{env_parse, ServiceError};
 use crate::algorithms::{
     connected_components, connected_components_delta, core_numbers, core_numbers_insert, pagerank,
-    pagerank_warm, triangle_count, triangle_count_delta, AdjacencyView, EdgeEvent, PageRankOptions,
+    pagerank_warm, triangle_count, triangle_count_delta, EdgeEvent, PageRankOptions,
     TriCountMethod,
 };
 use crate::graph::{Graph, GraphKind};
@@ -210,88 +216,39 @@ pub struct ViewStat {
     /// Epochs absorbed by incremental repair.
     pub repairs: u64,
     /// Epochs that fell back to a full recompute (staleness budget
-    /// exceeded, un-captured delta, or a rule with no local repair —
-    /// e.g. core numbers under deletes).
+    /// exceeded, or a rule with no local repair — e.g. core numbers
+    /// under deletes).
     pub rebuilds: u64,
     /// Queries answered from this view.
     pub served: u64,
 }
 
-/// The symmetric (for undirected graphs) adjacency overlay the engine
-/// keeps alongside the views: O(e) to build once at registration, O(Δ)
-/// to advance per epoch, O(1) membership tests for delta
-/// classification, and the [`AdjacencyView`] the incremental algorithms
-/// traverse.
-struct Adjacency {
-    mirror: bool,
-    sets: Vec<HashSet<Index>>,
+/// The structural changes of an epoch: the arcs of the netted `delta`
+/// whose write changes the pattern of `before`, the graph it was applied
+/// to — a `Some` over an absent arc is an insert, a `None` over a present
+/// one a delete, and anything else (a reweight, a delete of an absent
+/// arc) no event. A netted delta holds one write per arc, so the events
+/// of distinct arcs commute.
+fn classify(before: &Graph, delta: &[Edit<f64>]) -> Vec<EdgeEvent> {
+    let rows = before.a().rows();
+    delta
+        .iter()
+        .filter_map(|&(i, j, x)| match (x.is_some(), rows.contains(i, j)) {
+            (true, false) => Some(EdgeEvent::Insert(i, j)),
+            (false, true) => Some(EdgeEvent::Delete(i, j)),
+            _ => None,
+        })
+        .collect()
 }
 
-impl Adjacency {
-    fn from_graph(g: &Graph) -> Result<Self, GrbError> {
-        let s = g.structure()?;
-        let mut sets = vec![HashSet::new(); g.nvertices()];
-        for (i, j, _) in s.iter() {
-            sets[i].insert(j);
-        }
-        Ok(Adjacency { mirror: g.kind() == GraphKind::Undirected, sets })
-    }
-
-    fn apply(&mut self, e: &EdgeEvent) {
-        match *e {
-            EdgeEvent::Insert(u, v) => {
-                self.sets[u].insert(v);
-                if self.mirror && u != v {
-                    self.sets[v].insert(u);
-                }
-            }
-            EdgeEvent::Delete(u, v) => {
-                self.sets[u].remove(&v);
-                if self.mirror && u != v {
-                    self.sets[v].remove(&u);
-                }
-            }
-        }
-    }
-}
-
-impl AdjacencyView for Adjacency {
-    fn nvertices(&self) -> Index {
-        self.sets.len()
-    }
-    fn has_edge(&self, u: Index, v: Index) -> bool {
-        self.sets[u].contains(&v)
-    }
-    fn degree(&self, u: Index) -> usize {
-        self.sets[u].len()
-    }
-    fn for_each_neighbor(&self, u: Index, f: &mut dyn FnMut(Index)) {
-        for &v in &self.sets[u] {
-            f(v);
-        }
-    }
-}
-
-/// Classify a raw epoch batch into *structural* events against the
-/// pre-epoch adjacency: an insert of a present edge is a reweight (no
-/// event), a delete of an absent edge is a no-op. Later updates to the
-/// same edge see the earlier ones through the override map, so a
-/// within-batch insert-then-delete nets out to the right event pair.
-fn classify(adj: &Adjacency, batch: &[Update]) -> Vec<EdgeEvent> {
-    let mut over: HashMap<(Index, Index), bool> = HashMap::new();
-    let mut events = Vec::new();
-    for u in batch {
-        let (i, j, insert) = match *u {
-            Update::Insert(i, j, _) => (i, j, true),
-            Update::Delete(i, j) => (i, j, false),
-        };
-        let present = over.get(&(i, j)).copied().unwrap_or_else(|| adj.has_edge(i, j));
-        if insert != present {
-            events.push(if insert { EdgeEvent::Insert(i, j) } else { EdgeEvent::Delete(i, j) });
-            over.insert((i, j), insert);
-        }
-    }
-    events
+/// One event per changed edge: every arc on a directed graph, the
+/// `i ≤ j` half on an undirected one, whose delta carries both arcs of
+/// every edge it writes.
+fn edges_of(kind: GraphKind, arcs: &[EdgeEvent]) -> Vec<EdgeEvent> {
+    let canonical = |e: &EdgeEvent| match *e {
+        EdgeEvent::Insert(u, v) | EdgeEvent::Delete(u, v) => u <= v,
+    };
+    arcs.iter().copied().filter(|e| kind == GraphKind::Directed || canonical(e)).collect()
 }
 
 /// The atomically published answer table: readers clone `Arc`s, never
@@ -316,10 +273,10 @@ impl ViewTable {
 struct EngineState {
     epoch: u64,
     /// The graph of `epoch` — registration materializes from this, not
-    /// the service snapshot, so a view is never ahead of or behind the
-    /// engine's own adjacency overlay.
+    /// the service snapshot, so a view registered while an epoch is in
+    /// flight starts from the graph that epoch's repair reads as its
+    /// "before".
     latest: Arc<Graph>,
-    adj: Option<Adjacency>,
     cc: Option<Vec<u64>>,
     degree: Option<Vec<i64>>,
     tricount: Option<u64>,
@@ -328,15 +285,12 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn structural_registered(&self) -> bool {
+    fn any_registered(&self) -> bool {
         self.cc.is_some()
             || self.degree.is_some()
             || self.tricount.is_some()
             || self.cores.is_some()
-    }
-
-    fn any_registered(&self) -> bool {
-        self.structural_registered() || self.ranks.is_some()
+            || self.ranks.is_some()
     }
 }
 
@@ -386,8 +340,8 @@ pub(crate) struct ViewEngine {
     kind: GraphKind,
     staleness: usize,
     pr_opts: PageRankOptions,
-    /// Whether any view has ever been registered — the coordinator's
-    /// cheap "should I capture the delta at all" check.
+    /// Whether any view has ever been registered — the serve path's
+    /// cheap "is there anything to look up" check.
     active: AtomicBool,
     state: Mutex<EngineState>,
     published: RwLock<Arc<ViewTable>>,
@@ -405,7 +359,6 @@ impl ViewEngine {
             state: Mutex::new(EngineState {
                 epoch,
                 latest,
-                adj: None,
                 cc: None,
                 degree: None,
                 tricount: None,
@@ -415,12 +368,6 @@ impl ViewEngine {
             published: RwLock::new(Arc::new(ViewTable::empty(epoch))),
             slots: ViewKind::ALL.map(kind_slot),
         }
-    }
-
-    /// Whether the coordinator should hand [`ViewEngine::on_epoch`] the
-    /// epoch's update batch.
-    pub(crate) fn wants_deltas(&self) -> bool {
-        self.active.load(Relaxed)
     }
 
     /// Register (and materialize) one view at the engine's current
@@ -435,26 +382,22 @@ impl ViewEngine {
         }
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let graph = st.latest.clone();
-        if kind != ViewKind::PageRank && st.adj.is_none() {
-            st.adj = Some(Adjacency::from_graph(&graph)?);
-        }
         let n = graph.nvertices();
         match kind {
             ViewKind::ConnectedComponents if st.cc.is_none() => {
-                st.cc = Some(dense_u64(&connected_components(&graph)?, n));
+                st.cc = Some(dense(&connected_components(&graph)?, n));
             }
             ViewKind::DegreeCounts if st.degree.is_none() => {
-                st.degree = Some(dense_degree(&graph)?);
+                st.degree = Some(dense(&*graph.out_degree()?, n));
             }
             ViewKind::TriangleCount if st.tricount.is_none() => {
                 st.tricount = Some(triangle_count(&graph, TriCountMethod::Sandia)?);
             }
             ViewKind::CoreNumbers if st.cores.is_none() => {
-                st.cores = Some(dense_i64(&core_numbers(&graph)?, n));
+                st.cores = Some(dense(&core_numbers(&graph)?, n));
             }
             ViewKind::PageRank if st.ranks.is_none() => {
-                let (r, iters) = pagerank(&graph, &self.pr_opts)?;
-                st.ranks = Some((Arc::new(r), iters));
+                st.ranks = Some(self.cold_ranks(&graph)?);
             }
             _ => return Ok(()), // already registered
         }
@@ -463,243 +406,146 @@ impl ViewEngine {
         Ok(())
     }
 
-    /// Advance every registered view to `epoch`. Called by the epoch
-    /// coordinator after the shard barrier and *before* the snapshot
-    /// swap — a failed epoch never reaches here, so views only ever
-    /// reflect successfully published graphs. `delta` is the epoch's
-    /// full update batch in replay order; `None` means it was not
-    /// captured (a view registered mid-cut) and forces a rebuild.
-    pub(crate) fn on_epoch(&self, graph: &Arc<Graph>, epoch: u64, delta: Option<&[Update]>) {
+    /// Advance every registered view from `before`, the graph of the
+    /// engine's current epoch, to `after`, the graph the coordinator
+    /// built by applying the netted `delta` (mirror arcs included) to it.
+    /// Called after the shard barrier and *before* the snapshot swap — a
+    /// failed epoch never reaches here, so views only ever reflect
+    /// successfully published graphs.
+    pub(crate) fn on_epoch(&self, before: &Graph, after: &Arc<Graph>, delta: &[Edit<f64>]) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.any_registered() {
-            st.epoch = epoch;
-            st.latest = graph.clone();
-            return;
-        }
-        let structural = st.structural_registered();
-        let events: Option<Vec<EdgeEvent>> = match (structural, delta, st.adj.as_ref()) {
-            (true, Some(batch), Some(adj)) => Some(classify(adj, batch)),
-            _ => None,
-        };
-        // A batch of pure reweights / redundant ops changes nothing any
-        // view (all structure-only) can observe: keep every answer.
-        if events.as_ref().is_some_and(Vec::is_empty) {
-            st.epoch = epoch;
-            st.latest = graph.clone();
-            self.republish(&st);
-            return;
-        }
-        let over_budget = match (&events, delta) {
-            (Some(ev), _) => ev.len() > self.staleness,
-            (None, Some(batch)) => batch.len() > self.staleness,
-            (None, None) => true,
-        };
-        if over_budget || (structural && events.is_none()) {
-            // Repair would cost more than recomputing (or the delta was
-            // not captured): advance the overlay, then rebuild every
-            // registered view from the published graph.
-            if structural {
-                match (&events, st.adj.as_mut()) {
-                    (Some(ev), Some(adj)) => {
-                        for e in ev {
-                            adj.apply(e);
-                        }
-                    }
-                    _ => match Adjacency::from_graph(graph) {
-                        Ok(a) => st.adj = Some(a),
-                        Err(e) => {
-                            trace::warn_once(
-                                "service.views",
-                                &format!(
-                                    "dropping structural views, adjacency rebuild failed: {e}"
-                                ),
-                            );
-                            st.adj = None;
-                            st.cc = None;
-                            st.degree = None;
-                            st.tricount = None;
-                            st.cores = None;
-                        }
-                    },
-                }
+        debug_assert!(std::ptr::eq(before, &*st.latest), "views advance from their own epoch");
+        let registered = st.any_registered();
+        if registered {
+            let arcs = classify(before, delta);
+            let edges = edges_of(self.kind, &arcs);
+            if edges.len() > self.staleness {
+                // Repair would cost more than recomputing: rebuild every
+                // registered view from the published graph.
+                self.rebuild_registered(&mut st, after);
+            } else if !arcs.is_empty() {
+                self.repair_registered(&mut st, before, after, &arcs, &edges);
             }
-            self.rebuild_registered(&mut st, graph);
-        } else {
-            self.repair_registered(&mut st, graph, &events.unwrap_or_default());
+            // No event at all — a delta of reweights and redundant
+            // deletes — changes nothing any view (all structure-only)
+            // can observe: every answer stands.
         }
-        st.epoch = epoch;
-        st.latest = graph.clone();
-        self.republish(&st);
+        st.epoch = after.epoch();
+        st.latest = after.clone();
+        if registered {
+            self.republish(&st);
+        }
     }
 
-    /// Incremental path: apply each view's update rule to the classified
-    /// events. `events` is empty only when nothing structural is
-    /// registered (PageRank-only), whose warm restart runs regardless.
-    fn repair_registered(&self, st: &mut EngineState, graph: &Arc<Graph>, events: &[EdgeEvent]) {
-        let n = graph.nvertices();
+    /// Incremental path: apply each view's update rule to the epoch's
+    /// structural changes — `arcs` for the degree fold, `edges` (one
+    /// event per edge) for the rest.
+    fn repair_registered(
+        &self,
+        st: &mut EngineState,
+        before: &Graph,
+        after: &Arc<Graph>,
+        arcs: &[EdgeEvent],
+        edges: &[EdgeEvent],
+    ) {
+        let n = after.nvertices();
         let mut inserts: Vec<(Index, Index)> = Vec::new();
         let mut deletes: Vec<(Index, Index)> = Vec::new();
-        for e in events {
+        for e in edges {
             match *e {
                 EdgeEvent::Insert(u, v) => inserts.push((u, v)),
                 EdgeEvent::Delete(u, v) => deletes.push((u, v)),
             }
         }
-        let EngineState { adj, cc, degree, tricount, cores, ranks, .. } = st;
-        // Triangle count and core numbers read the *pre-epoch* adjacency
-        // (they overlay the events internally); components read the
-        // committed one. Each final value is order-independent, so the
-        // sequencing here is about which graph each rule documents.
+        let EngineState { cc, degree, tricount, cores, ranks, .. } = st;
+        // Triangle count and core numbers read the graph *before* the
+        // epoch (they patch the events over it internally); components
+        // read the one after it. Each final value is order-independent
+        // across distinct edges.
         if let Some(prev) = *tricount {
-            let adj = adj.as_ref().expect("structural views keep an adjacency overlay");
             let t0 = Instant::now();
-            *tricount = Some(triangle_count_delta(adj, prev, events));
+            *tricount = Some(triangle_count_delta(before, prev, edges));
             self.refreshed(ViewKind::TriangleCount, true, t0.elapsed());
         }
-        let mut kcore_rebuild = false;
-        if let Some(c) = cores.as_mut() {
-            if deletes.is_empty() {
-                let adj = adj.as_ref().expect("structural views keep an adjacency overlay");
+        if deletes.is_empty() {
+            if let Some(c) = cores.as_mut() {
                 let t0 = Instant::now();
-                core_numbers_insert(adj, c, &inserts);
+                core_numbers_insert(before, c, &inserts);
                 self.refreshed(ViewKind::CoreNumbers, true, t0.elapsed());
-            } else {
-                // Deletion has no local repair rule for core numbers;
-                // recompute this one view (the others still repair).
-                kcore_rebuild = true;
             }
-        }
-        if let Some(adj) = adj.as_mut() {
-            for e in events {
-                adj.apply(e);
-            }
+        } else {
+            // Deletion has no local repair rule for core numbers;
+            // recompute this one view (the others still repair).
+            self.rebuild(ViewKind::CoreNumbers, cores, || Ok(dense(&core_numbers(after)?, n)));
         }
         if let Some(prev) = cc.as_ref() {
-            let adj = adj.as_ref().expect("structural views keep an adjacency overlay");
             let t0 = Instant::now();
-            let next = connected_components_delta(adj, prev, &inserts, &deletes);
+            let next = connected_components_delta(after, prev, &inserts, &deletes);
             *cc = Some(next);
             self.refreshed(ViewKind::ConnectedComponents, true, t0.elapsed());
         }
         if let Some(d) = degree.as_mut() {
             let t0 = Instant::now();
-            let mirror = self.kind == GraphKind::Undirected;
-            for e in events {
+            for e in arcs {
                 match *e {
-                    EdgeEvent::Insert(u, v) => {
-                        d[u] += 1;
-                        if mirror && u != v {
-                            d[v] += 1;
-                        }
-                    }
-                    EdgeEvent::Delete(u, v) => {
-                        d[u] -= 1;
-                        if mirror && u != v {
-                            d[v] -= 1;
-                        }
-                    }
+                    EdgeEvent::Insert(u, _) => d[u] += 1,
+                    EdgeEvent::Delete(u, _) => d[u] -= 1,
                 }
             }
             self.refreshed(ViewKind::DegreeCounts, true, t0.elapsed());
         }
-        if kcore_rebuild {
-            let t0 = Instant::now();
-            match core_numbers(graph) {
-                Ok(c) => *cores = Some(dense_i64(&c, n)),
-                Err(e) => {
-                    trace::warn_once("service.views", &format!("core-number rebuild failed: {e}"));
-                    *cores = None;
-                }
-            }
-            self.refreshed(ViewKind::CoreNumbers, false, t0.elapsed());
-        }
         if let Some((warm, _)) = ranks.clone() {
             let t0 = Instant::now();
-            match pagerank_warm(graph, &self.pr_opts, &warm) {
+            match pagerank_warm(after, &self.pr_opts, &warm) {
                 Ok((r, iters)) => {
                     *ranks = Some((Arc::new(r), iters));
                     self.refreshed(ViewKind::PageRank, true, t0.elapsed());
                 }
-                Err(_) => match pagerank(graph, &self.pr_opts) {
-                    Ok((r, iters)) => {
-                        *ranks = Some((Arc::new(r), iters));
-                        self.refreshed(ViewKind::PageRank, false, t0.elapsed());
-                    }
-                    Err(e) => {
-                        trace::warn_once("service.views", &format!("pagerank view failed: {e}"));
-                        *ranks = None;
-                    }
-                },
+                Err(_) => self.rebuild(ViewKind::PageRank, ranks, || self.cold_ranks(after)),
             }
         }
     }
 
-    /// Recompute every registered view from the published graph. A view
-    /// whose recompute fails is dropped (served queries fall back to
-    /// the normal execution path) rather than left stale.
+    /// Recompute every registered view from the published graph.
     fn rebuild_registered(&self, st: &mut EngineState, graph: &Arc<Graph>) {
         let n = graph.nvertices();
-        if st.cc.is_some() {
-            let t0 = Instant::now();
-            match connected_components(graph) {
-                Ok(l) => st.cc = Some(dense_u64(&l, n)),
-                Err(e) => {
-                    trace::warn_once("service.views", &format!("cc view rebuild failed: {e}"));
-                    st.cc = None;
-                }
-            }
-            self.refreshed(ViewKind::ConnectedComponents, false, t0.elapsed());
+        self.rebuild(ViewKind::ConnectedComponents, &mut st.cc, || {
+            Ok(dense(&connected_components(graph)?, n))
+        });
+        self.rebuild(ViewKind::DegreeCounts, &mut st.degree, || {
+            Ok(dense(&*graph.out_degree()?, n))
+        });
+        self.rebuild(ViewKind::TriangleCount, &mut st.tricount, || {
+            triangle_count(graph, TriCountMethod::Sandia)
+        });
+        self.rebuild(ViewKind::CoreNumbers, &mut st.cores, || Ok(dense(&core_numbers(graph)?, n)));
+        self.rebuild(ViewKind::PageRank, &mut st.ranks, || self.cold_ranks(graph));
+    }
+
+    /// Recompute one view, if registered. A view whose recompute fails
+    /// is dropped (served queries fall back to the normal execution
+    /// path) rather than left stale.
+    fn rebuild<T>(
+        &self,
+        kind: ViewKind,
+        view: &mut Option<T>,
+        compute: impl FnOnce() -> Result<T, GrbError>,
+    ) {
+        if view.is_none() {
+            return;
         }
-        if st.degree.is_some() {
-            let t0 = Instant::now();
-            match dense_degree(graph) {
-                Ok(d) => st.degree = Some(d),
-                Err(e) => {
-                    trace::warn_once("service.views", &format!("degree view rebuild failed: {e}"));
-                    st.degree = None;
-                }
-            }
-            self.refreshed(ViewKind::DegreeCounts, false, t0.elapsed());
-        }
-        if st.tricount.is_some() {
-            let t0 = Instant::now();
-            match triangle_count(graph, TriCountMethod::Sandia) {
-                Ok(t) => st.tricount = Some(t),
-                Err(e) => {
-                    trace::warn_once(
-                        "service.views",
-                        &format!("tricount view rebuild failed: {e}"),
-                    );
-                    st.tricount = None;
-                }
-            }
-            self.refreshed(ViewKind::TriangleCount, false, t0.elapsed());
-        }
-        if st.cores.is_some() {
-            let t0 = Instant::now();
-            match core_numbers(graph) {
-                Ok(c) => st.cores = Some(dense_i64(&c, n)),
-                Err(e) => {
-                    trace::warn_once("service.views", &format!("kcore view rebuild failed: {e}"));
-                    st.cores = None;
-                }
-            }
-            self.refreshed(ViewKind::CoreNumbers, false, t0.elapsed());
-        }
-        if st.ranks.is_some() {
-            let t0 = Instant::now();
-            match pagerank(graph, &self.pr_opts) {
-                Ok((r, iters)) => st.ranks = Some((Arc::new(r), iters)),
-                Err(e) => {
-                    trace::warn_once(
-                        "service.views",
-                        &format!("pagerank view rebuild failed: {e}"),
-                    );
-                    st.ranks = None;
-                }
-            }
-            self.refreshed(ViewKind::PageRank, false, t0.elapsed());
-        }
+        let t0 = Instant::now();
+        *view = compute()
+            .map_err(|e| {
+                let msg = format!("{} view rebuild failed: {e}", kind.name());
+                trace::warn_once("service.views", &msg);
+            })
+            .ok();
+        self.refreshed(kind, false, t0.elapsed());
+    }
+
+    fn cold_ranks(&self, graph: &Graph) -> Result<(Arc<Vector<f64>>, usize), GrbError> {
+        pagerank(graph, &self.pr_opts).map(|(r, iters)| (Arc::new(r), iters))
     }
 
     fn refreshed(&self, kind: ViewKind, repair: bool, dt: Duration) {
@@ -823,42 +669,24 @@ fn materialize_dense<T: graphblas::Scalar>(
     Vector::from_tuples(n, tuples, |_, b| b).ok().map(Arc::new)
 }
 
-fn dense_u64(v: &Vector<u64>, n: Index) -> Vec<u64> {
-    let mut out = vec![0u64; n];
+/// A vector as a dense working array, absent entries 0.
+fn dense<T: graphblas::Scalar>(v: &Vector<T>, n: Index) -> Vec<T> {
+    let mut out = vec![T::zero(); n];
     for (i, x) in v.iter() {
         out[i] = x;
     }
     out
-}
-
-fn dense_i64(v: &Vector<i64>, n: Index) -> Vec<i64> {
-    let mut out = vec![0i64; n];
-    for (i, x) in v.iter() {
-        out[i] = x;
-    }
-    out
-}
-
-fn dense_degree(g: &Graph) -> Result<Vec<i64>, GrbError> {
-    let d = g.out_degree()?;
-    let mut out = vec![0i64; g.nvertices()];
-    for (i, x) in d.iter() {
-        out[i] = x;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::Update;
 
-    fn adj_of(n: usize, edges: &[(Index, Index)]) -> Adjacency {
-        let mut sets = vec![HashSet::new(); n];
-        for &(u, v) in edges {
-            sets[u].insert(v);
-            sets[v].insert(u);
-        }
-        Adjacency { mirror: true, sets }
+    /// The netted delta the coordinator builds for `batch` on a graph of
+    /// `kind`: both arcs of an undirected edge, the last write per arc.
+    fn netted(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
+        super::super::drainer::shard_delta(batch, kind)
     }
 
     #[test]
@@ -870,29 +698,61 @@ mod tests {
     }
 
     #[test]
-    fn classify_filters_reweights_and_redundant_deletes() {
-        let adj = adj_of(4, &[(0, 1)]);
+    fn classify_keeps_the_writes_that_change_the_pattern() {
+        let before =
+            Graph::from_edges(5, &[(0, 1), (0, 3), (4, 4)], GraphKind::Undirected).expect("graph");
         let batch = [
             Update::Insert(0, 1, 9.0), // present: reweight, no event
-            Update::Delete(2, 3),      // absent: no-op, no event
+            Update::Delete(2, 3),      // absent: redundant delete, no event
             Update::Insert(1, 2, 1.0), // absent: real insert
-            Update::Delete(0, 1),      // present: real delete
+            Update::Delete(0, 3),      // present: real delete
+            Update::Insert(2, 2, 1.0), // a self-loop: one arc
+            Update::Delete(4, 4),      // a present self-loop goes
         ];
-        let ev = classify(&adj, &batch);
-        assert_eq!(ev, vec![EdgeEvent::Insert(1, 2), EdgeEvent::Delete(0, 1)]);
+        let arcs = classify(&before, &netted(&batch, GraphKind::Undirected));
+        assert_eq!(
+            arcs,
+            vec![
+                EdgeEvent::Delete(0, 3),
+                EdgeEvent::Insert(1, 2),
+                EdgeEvent::Insert(2, 1),
+                EdgeEvent::Insert(2, 2),
+                EdgeEvent::Delete(3, 0),
+                EdgeEvent::Delete(4, 4),
+            ]
+        );
+        // The two arcs of one undirected edge are one event.
+        assert_eq!(
+            edges_of(GraphKind::Undirected, &arcs),
+            vec![
+                EdgeEvent::Delete(0, 3),
+                EdgeEvent::Insert(1, 2),
+                EdgeEvent::Insert(2, 2),
+                EdgeEvent::Delete(4, 4),
+            ]
+        );
     }
 
     #[test]
-    fn classify_tracks_within_batch_overrides() {
-        let adj = adj_of(4, &[]);
+    fn classify_sees_only_the_last_write_to_each_arc() {
+        let before = Graph::from_edges(4, &[(2, 3)], GraphKind::Undirected).expect("graph");
         let batch = [
             Update::Insert(0, 1, 1.0),
-            Update::Insert(0, 1, 2.0), // second submit: reweight of the queued insert
-            Update::Delete(0, 1),      // present (via override): real delete
-            Update::Delete(0, 1),      // already gone: no event
+            Update::Delete(0, 1), // inserted and deleted again: nets to no event
+            Update::Insert(1, 2, 1.0),
+            Update::Insert(1, 2, 2.0), // a reweight of the queued insert: one insert
+            Update::Delete(2, 3),
+            Update::Insert(2, 3, 5.0), // deleted and put back: a reweight, no event
         ];
-        let ev = classify(&adj, &batch);
-        assert_eq!(ev, vec![EdgeEvent::Insert(0, 1), EdgeEvent::Delete(0, 1)]);
+        let arcs = classify(&before, &netted(&batch, GraphKind::Undirected));
+        assert_eq!(arcs, vec![EdgeEvent::Insert(1, 2), EdgeEvent::Insert(2, 1)]);
+        assert_eq!(edges_of(GraphKind::Undirected, &arcs), vec![EdgeEvent::Insert(1, 2)]);
+        // On a directed graph every arc is an edge of its own.
+        let before = Graph::from_edges(4, &[(1, 0)], GraphKind::Directed).expect("graph");
+        let batch = [Update::Insert(0, 1, 1.0), Update::Insert(1, 0, 1.0)];
+        let arcs = classify(&before, &netted(&batch, GraphKind::Directed));
+        assert_eq!(arcs, vec![EdgeEvent::Insert(0, 1)]);
+        assert_eq!(edges_of(GraphKind::Directed, &arcs), arcs);
     }
 
     #[test]

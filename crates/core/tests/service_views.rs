@@ -178,14 +178,17 @@ fn view_service(shards: usize, staleness: usize) -> GraphService {
 /// Replay one script, checking every epoch differentially; returns the
 /// service for stats assertions.
 fn run_differential(mix: Mix, shards: usize, staleness: usize, label: &str) -> GraphService {
-    let s = view_service(shards, staleness);
-    check_epoch(&s, label, staleness == 0); // registration itself, at epoch 0
+    replay(view_service(shards, staleness), mix, label, staleness == 0)
+}
+
+fn replay(s: GraphService, mix: Mix, label: &str, bitwise_pagerank: bool) -> GraphService {
+    check_epoch(&s, label, bitwise_pagerank); // registration itself, at epoch 0
     for round in script(mix) {
         for u in &round {
             s.submit(*u).expect("submit");
         }
         s.flush().expect("flush");
-        check_epoch(&s, label, staleness == 0);
+        check_epoch(&s, label, bitwise_pagerank);
     }
     // Every check above must have been answered by the view, not the
     // fallback kernel: 5 view-servable queries per checked epoch.
@@ -241,6 +244,47 @@ fn mixed_views_track_oracle() {
         let label = format!("mixed S={shards}");
         run_differential(Mix::Mixed, shards, 4096, &label);
     }
+}
+
+#[test]
+fn mixed_views_track_oracle_over_compressed_snapshots() {
+    // Every published snapshot after the first is in the compressed form,
+    // so each repair reads rows the row reader decodes.
+    for shards in [1usize, 2] {
+        let label = format!("mixed compressed S={shards}");
+        let config = ServiceConfig {
+            shards,
+            compressed: true,
+            views: Some(ViewsConfig::default()),
+            ..ServiceConfig::default()
+        };
+        let s = GraphService::new(seed_graph(), config).expect("service with views");
+        let s = replay(s, Mix::Mixed, &label, false);
+        assert!(s.snapshot().graph().a().is_compressed(), "{label}: snapshot not compressed");
+    }
+}
+
+#[test]
+fn degree_and_pagerank_views_add_no_copy_of_the_graph() {
+    // Neither view reads adjacency beyond what its own algorithm caches
+    // on the snapshot: out-degrees (O(n)) and, on a symmetric adjacency,
+    // an Aᵀ that is the adjacency itself.
+    let n = 512;
+    let edges: Vec<(usize, usize)> =
+        (0..n).flat_map(|i| (1..=16).map(move |d| (i, (i + d * 7) % n))).collect();
+    let g = Graph::from_edges(n, &edges, GraphKind::Undirected).expect("graph");
+    let s = GraphService::new(g, ServiceConfig::default()).expect("service");
+    let before = s.snapshot().graph().resident_bytes();
+    s.register_view(ViewKind::DegreeCounts).expect("degree view");
+    s.register_view(ViewKind::PageRank).expect("pagerank view");
+    let after = s.snapshot().graph().resident_bytes();
+    let nedges = s.snapshot().graph().nedges();
+    assert!(nedges >= 16 * n, "the graph must be much denser than n ({nedges} arcs)");
+    assert!(
+        after - before <= 32 * n,
+        "registration grew the snapshot by {} bytes for {n} vertices and {nedges} arcs",
+        after - before
+    );
 }
 
 #[test]

@@ -73,7 +73,7 @@ pub use binaryop::BinaryOp;
 pub use compressed::CompressedMat;
 pub use descriptor::{Descriptor, Direction, MxmMethod};
 pub use error::{Error, Result};
-pub use matrix::{net_edits, Edit, Format, Matrix, MemoryUsage};
+pub use matrix::{net_edits, Edit, Format, Matrix, MemoryUsage, Rows};
 pub use monoid::Monoid;
 pub use ops::spec::specialization_enabled;
 pub use semiring::Semiring;

@@ -24,7 +24,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::compressed::CompressedMat;
 use crate::error::{Error, Result};
-use crate::sparse::{Cs, Hyper, MatData, SparseView, Tuple};
+use crate::sparse::{Cs, Hyper, MatData, RowScratch, SparseView, Tuple};
 use crate::types::{Index, Scalar};
 
 /// Zombie flag: a deleted entry keeps its slot with this bit set on its
@@ -1222,6 +1222,67 @@ impl<T: Scalar> Matrix<T> {
     pub fn iter(&self) -> impl Iterator<Item = Tuple<T>> {
         self.extract_tuples().into_iter()
     }
+
+    /// Pattern-only read access to the rows, in the spirit of
+    /// SuiteSparse's `GxB_rowIterator`: deferred updates are resolved and
+    /// one read lock is taken here, and every visit through the returned
+    /// [`Rows`] reads under it. Writers (the `*_sync` entry points) wait
+    /// until it is dropped, so a caller must not write to this matrix
+    /// while holding it.
+    ///
+    /// ```
+    /// use graphblas::Matrix;
+    ///
+    /// let m = Matrix::from_tuples(3, 3, vec![(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], |_, b| b)?;
+    /// let rows = m.rows();
+    /// assert_eq!((rows.len(0), rows.len(1)), (2, 0));
+    /// assert!(rows.contains(2, 0) && !rows.contains(1, 0));
+    /// let mut cols = Vec::new();
+    /// rows.for_each(0, |j| cols.push(j));
+    /// assert_eq!(cols, [1, 2]);
+    /// # Ok::<(), graphblas::Error>(())
+    /// ```
+    pub fn rows(&self) -> Rows<'_, T> {
+        Rows { inner: self.read_rows() }
+    }
+}
+
+/// A read-locked view of an assembled matrix's row patterns, from
+/// [`Matrix::rows`]. Works on every row-major form: the CSR and
+/// hypersparse forms hand out their rows as slices, and the compressed
+/// form decodes each visited row into a buffer that visit owns, so a
+/// [`Rows::contains`] may nest inside a [`Rows::for_each`]. Row indices
+/// must be below the row count (checked, as slice indexing is).
+pub struct Rows<'a, T: Scalar> {
+    inner: RwLockReadGuard<'a, Inner<T>>,
+}
+
+impl<T: Scalar> Rows<'_, T> {
+    /// The row-major storage, once `i` is checked to be a row.
+    fn view(&self, i: Index) -> &dyn SparseView<T> {
+        assert!(i < self.inner.nrows, "row {i} out of range for {} rows", self.inner.nrows);
+        rows_of(&self.inner)
+    }
+
+    /// Number of stored entries in row `i`, read off the row pointers
+    /// without touching a column index.
+    pub fn len(&self, i: Index) -> usize {
+        let v = self.view(i);
+        v.entries_before(i + 1) - v.entries_before(i)
+    }
+
+    /// Whether `(i, j)` holds an entry.
+    pub fn contains(&self, i: Index, j: Index) -> bool {
+        self.view(i).get(i, j).is_some()
+    }
+
+    /// Visit the column of every entry in row `i`, in increasing order.
+    pub fn for_each(&self, i: Index, mut f: impl FnMut(Index)) {
+        let mut scratch = RowScratch::default();
+        for &j in self.view(i).row(i, &mut scratch).0 {
+            f(j);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1473,6 +1534,54 @@ mod tests {
         let b = a.clone();
         a.set_element(0, 0, 99).expect("set");
         assert_eq!(b.get(0, 0), Some(1));
+    }
+
+    #[test]
+    fn row_reader_agrees_with_tuples_and_get_in_every_row_major_form() {
+        // A symmetric pattern with empty rows before, between and after
+        // the occupied ones, a diagonal entry, and the last row occupied.
+        let pattern = |n: Index| {
+            let last = n - 1;
+            let edges = [(0, 3), (0, last), (3, last), (4, 4), (3, 5)];
+            edges.iter().flat_map(|&(i, j)| [(i, j, 1.0), (j, i, 1.0)]).collect::<Vec<_>>()
+        };
+        let csr = Matrix::from_tuples(12, 12, pattern(12), |_, b| b).expect("csr");
+        let hyper = Matrix::from_tuples(5000, 5000, pattern(5000), |_, b| b).expect("hyper");
+        let mut packed = csr.clone();
+        packed.set_compressed(true);
+        let mut csc = csr.clone();
+        csc.set_col_major();
+        let forms = [
+            (csr, Format::Csr),
+            (hyper, Format::HyperCsr),
+            (packed, Format::Compressed),
+            (csc, Format::Csc), // read_rows turns it row-major first
+        ];
+        for (m, form) in &forms {
+            assert_eq!(m.format(), *form);
+            let n = m.nrows();
+            let tuples = m.extract_tuples();
+            let probes: Vec<(Index, Index, bool)> = (0..n)
+                .flat_map(|i| [0, 1, 3, 4, 5, n - 1].map(|j| (i, j, m.get(i, j).is_some())))
+                .collect();
+            let rows = m.rows();
+            let mut seen = Vec::new();
+            for i in 0..n {
+                let mut cols = Vec::new();
+                rows.for_each(i, |j| {
+                    cols.push(j);
+                    // Nested reads inside a visit: the mirror of every entry.
+                    assert!(rows.contains(j, i), "{form:?}: ({j}, {i}) mirrors ({i}, {j})");
+                    rows.for_each(j, |_| {});
+                });
+                assert_eq!(rows.len(i), cols.len(), "{form:?}: row {i}");
+                seen.extend(cols.into_iter().map(|j| (i, j, 1.0)));
+            }
+            assert_eq!(seen, tuples, "{form:?}");
+            for (i, j, present) in probes {
+                assert_eq!(rows.contains(i, j), present, "{form:?}: ({i}, {j})");
+            }
+        }
     }
 
     #[test]
