@@ -1,23 +1,19 @@
-//! A minimal JSON value, writer, and parser — enough for the
-//! `lagraph-bench` report files without an external dependency (the
-//! build environment is offline, so serde is not available).
+//! A minimal JSON parser: enough to check the documents the workspace
+//! emits (the Chrome trace exporter's output in `tests/trace.rs`) without
+//! an external dependency (the build environment is offline, so serde is
+//! not available).
 //!
-//! Scope: UTF-8 text, objects preserve insertion order, numbers are
-//! `f64` (every quantity the harness records fits in 53 bits), and the
-//! writer pretty-prints with two-space indentation so the committed
-//! `BENCH_*.json` files diff cleanly.
-
-use std::fmt::Write as _;
+//! Scope: UTF-8 text, objects preserve insertion order, numbers are `f64`.
 
 /// A JSON value. Objects keep insertion order (a `Vec` of pairs, not a
-/// map) so emitted reports are stable and reviewable.
+/// map).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; integral values round-trip exactly up to 2⁵³.
+    /// Any number.
     Num(f64),
     /// A string.
     Str(String),
@@ -44,24 +40,6 @@ impl Value {
         }
     }
 
-    /// The value as an unsigned integer (rejects negatives/fractions).
-    /// The boolean if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -77,146 +55,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The value as the ordered pair list of an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Pretty-print with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => write_num(out, *n),
-            Value::Str(s) => write_str(out, s),
-            Value::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                // Short numeric arrays (trial lists) stay on one line.
-                if items.len() <= 8 && items.iter().all(|v| matches!(v, Value::Num(_))) {
-                    out.push('[');
-                    for (k, v) in items.iter().enumerate() {
-                        if k > 0 {
-                            out.push_str(", ");
-                        }
-                        v.write(out, indent);
-                    }
-                    out.push(']');
-                    return;
-                }
-                out.push_str("[\n");
-                for (k, v) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    v.write(out, indent + 1);
-                    if k + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-            Value::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (k, (key, v)) in pairs.iter().enumerate() {
-                    pad(out, indent + 1);
-                    write_str(out, key);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if k + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Value {
-        Value::Num(v as f64)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Value {
-        Value::Num(v as f64)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Value {
-        Value::Num(v as f64)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::Num(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::Str(v)
-    }
-}
-
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        // JSON has no NaN/Inf; the harness never produces them, but a
-        // hostile input must not emit invalid JSON.
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse a JSON document. Errors carry a byte offset and description.
@@ -420,34 +258,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_a_report_shaped_document() {
-        let v = Value::Obj(vec![
-            ("schema".into(), Value::from("lagraph-bench/1")),
-            ("scale".into(), Value::from(16u64)),
-            ("trials_ns".into(), Value::Arr(vec![Value::from(10u64), Value::from(20u64)])),
-            (
-                "algos".into(),
-                Value::Obj(vec![(
-                    "bfs".into(),
-                    Value::Obj(vec![("p50_ns".into(), Value::from(123456789u64))]),
-                )]),
-            ),
-            ("note".into(), Value::from("quotes \" and \\ and\nnewlines")),
-            ("none".into(), Value::Null),
-            ("ok".into(), Value::Bool(true)),
-            ("frac".into(), Value::from(0.125)),
-        ]);
-        let text = v.pretty();
-        let back = parse(&text).expect("parse emitted JSON");
-        assert_eq!(back, v);
-    }
-
-    #[test]
     fn parses_hand_written_json() {
         let v = parse(r#" { "a" : [1, 2.5, -3e2, true, false, null], "b": { } } "#).expect("parse");
         assert_eq!(v.get("a").and_then(|a| a.as_arr()).map(|a| a.len()), Some(6));
         assert_eq!(v.get("b"), Some(&Value::Obj(vec![])));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.0));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
     }
 
@@ -460,13 +275,7 @@ mod tests {
 
     #[test]
     fn unicode_and_escapes_survive() {
-        let v = parse(r#""caf\u00e9 – naïve""#).expect("parse");
-        assert_eq!(v.as_str(), Some("café – naïve"));
-    }
-
-    #[test]
-    fn integers_print_without_exponent() {
-        assert_eq!(Value::from(2_000_000_000_000u64).pretty().trim(), "2000000000000");
-        assert_eq!(Value::from(0.5).pretty().trim(), "0.5");
+        let v = parse(r#""caf\u00e9 – naïve \" \\ \n""#).expect("parse");
+        assert_eq!(v.as_str(), Some("café – naïve \" \\ \n"));
     }
 }

@@ -1,10 +1,8 @@
-//! Shared helpers for the benchmark harness: graph construction,
-//! criterion configuration, and simple wall-clock measurement for the
-//! table/figure regeneration binaries. The [`harness`] module is the
-//! GAP-style end-to-end harness behind the `lagraph-bench` binary, and
-//! [`json`] its dependency-free report format.
+//! Shared helpers for the paper's table/figure binaries and the criterion
+//! benches: graph construction, criterion configuration, and simple
+//! wall-clock measurement. [`json`] is the workspace's dependency-free
+//! JSON parser.
 
-pub mod harness;
 pub mod json;
 
 use graphblas::prelude::*;

@@ -10,8 +10,8 @@
 //! network — but in-repo drift fails the build instead of rotting.
 //!
 //! The environment table check holds the README's "Environment
-//! variables" rows to exactly the `GRAPHBLAS_*` / `LAGRAPH_*` /
-//! `SERVICE_CHURN_*` names that source under `crates/` reads.
+//! variables" rows to exactly the `GRAPHBLAS_*` / `LAGRAPH_*` names that
+//! source under `crates/` reads.
 
 use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
@@ -167,7 +167,7 @@ fn slugs_match_github_rules() {
     assert_eq!(slug("### `LAGRAPH_VIEWS` (env)"), "lagraph_views-env");
 }
 
-const ENV_PREFIXES: [&str; 3] = ["GRAPHBLAS_", "LAGRAPH_", "SERVICE_CHURN_"];
+const ENV_PREFIXES: [&str; 2] = ["GRAPHBLAS_", "LAGRAPH_"];
 
 /// Every environment-variable name in `text` that directly follows
 /// `open` and is directly followed by `close`.

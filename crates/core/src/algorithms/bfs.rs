@@ -14,14 +14,13 @@
 //!   this kernel.
 //! * [`bfs_level_direction`] — the direction-optimized (push/pull) BFS of
 //!   Beamer et al. that §II.A and §II.E describe, with an explicit
-//!   [`Direction`] override for the benchmark harness.
+//!   [`Direction`] override for benchmarks and tests.
 //!
 //! All variants run in O(n + e) work over the visited component
 //! (direction optimization lowers the constant on scale-free graphs, not
 //! the bound) using the `LOR_LAND` logical semiring for levels (`BOR_SECOND`
-//! for a batch of them) and `ANY_SECOND` for parents. BFS is GAP benchmark kernel #1; the
-//! `lagraph-bench` harness times [`bfs_level_matrix`] with `Auto`
-//! direction from multiple sources, GAP-style.
+//! for a batch of them) and `ANY_SECOND` for parents. BFS is GAP benchmark
+//! kernel #1, one of the six the repo benchmark (`benchmark/`) times.
 
 use graphblas::prelude::*;
 use graphblas::semiring::{ANY_SECOND, BOR_SECOND, LOR_LAND};

@@ -1,5 +1,5 @@
-//! Seeded, deterministic workload generation — the measurement backbone
-//! for the benchmark harness.
+//! Seeded, deterministic workload generation — the inputs of the repo
+//! benchmark (`benchmark/`) and of the tests that pin kernel outputs.
 //!
 //! The LAGraph benchmarking methodology (Szárnyas et al., the follow-up
 //! to the position paper this crate reproduces) and GraphBLAST both
@@ -22,8 +22,9 @@
 //! Three generator families cover the benchmark configurations:
 //! [`rmat`] (skewed, Graph500 parameters), [`erdos_renyi`] (uniform
 //! random), and [`uniform_degree`] (fixed out-degree), plus weighted
-//! variants for shortest-path workloads and the [`Workload`] enum the
-//! `lagraph-bench` harness selects between.
+//! variants for shortest-path workloads and the [`Workload`] enum that
+//! names a family. A scale whose vertex or edge-draw count does not fit in
+//! `usize` is an error, not a panic or a wrapped size.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
@@ -114,18 +115,20 @@ impl Default for RmatConfig {
     }
 }
 
+/// The vertex count `2^scale` and the edge draws `edge_factor · 2^scale`
+/// (before self-loop removal and duplicate collapse), or an error when
+/// either does not fit in `usize`.
+fn checked_size(scale: u32, edge_factor: usize) -> Result<(Index, usize)> {
+    let too_big = || {
+        Error::invalid(format!(
+            "scale {scale} with edge factor {edge_factor} does not fit in usize"
+        ))
+    };
+    let n = 1usize.checked_shl(scale).ok_or_else(too_big)?;
+    Ok((n, n.checked_mul(edge_factor).ok_or_else(too_big)?))
+}
+
 impl RmatConfig {
-    /// Vertex count `2^scale`.
-    pub fn nvertices(&self) -> Index {
-        1usize << self.scale
-    }
-
-    /// Edge draws `edge_factor · 2^scale` (before self-loop removal and
-    /// duplicate collapse).
-    pub fn nedges(&self) -> usize {
-        self.edge_factor << self.scale
-    }
-
     /// The endpoints of edge draw `k`: one descent through `scale`
     /// levels of the recursive quadrant matrix, consuming draws from the
     /// per-edge stream only. Pure in `(self.seed, k)`.
@@ -187,8 +190,8 @@ fn par_edges<T: Send + Copy>(
 /// Duplicate edge draws collapse; self-loop draws are dropped, matching
 /// the Graph500 kernel-input convention.
 pub fn rmat(cfg: &RmatConfig) -> Result<Matrix<bool>> {
-    let n = cfg.nvertices();
-    let tuples = par_edges(cfg.nedges(), cfg.scale as usize, |k, out| {
+    let (n, nedges) = checked_size(cfg.scale, cfg.edge_factor)?;
+    let tuples = par_edges(nedges, cfg.scale as usize, |k, out| {
         let (i, j) = cfg.edge(k);
         if i != j {
             out.push((i, j, true));
@@ -201,8 +204,8 @@ pub fn rmat(cfg: &RmatConfig) -> Result<Matrix<bool>> {
 /// A directed RMAT adjacency structure (no symmetrization), for
 /// direction-optimization studies.
 pub fn rmat_directed(cfg: &RmatConfig) -> Result<Matrix<bool>> {
-    let n = cfg.nvertices();
-    let tuples = par_edges(cfg.nedges(), cfg.scale as usize, |k, out| {
+    let (n, nedges) = checked_size(cfg.scale, cfg.edge_factor)?;
+    let tuples = par_edges(nedges, cfg.scale as usize, |k, out| {
         let (i, j) = cfg.edge(k);
         if i != j {
             out.push((i, j, true));
@@ -217,9 +220,9 @@ pub fn rmat_directed(cfg: &RmatConfig) -> Result<Matrix<bool>> {
 /// weights. Duplicate draws keep the *last* draw's weight on both
 /// orientations, so the matrix stays symmetric.
 pub fn rmat_weighted(cfg: &RmatConfig, max_weight: u64) -> Result<Matrix<f64>> {
-    let n = cfg.nvertices();
+    let (n, nedges) = checked_size(cfg.scale, cfg.edge_factor)?;
     let max_weight = max_weight.max(1);
-    let tuples = par_edges(cfg.nedges(), cfg.scale as usize, |k, out| {
+    let tuples = par_edges(nedges, cfg.scale as usize, |k, out| {
         let (i, j) = cfg.edge(k);
         if i != j {
             let w = cfg.weight(k, max_weight);
@@ -361,8 +364,8 @@ pub fn uniform_degree_undirected(n: Index, d: usize, seed: u64) -> Result<Matrix
 
 /// A seeded uniform permutation of `0..n` (Fisher–Yates over the
 /// SplitMix64 stream). Deterministic in `seed`; scanning a prefix gives
-/// distinct uniform draws with guaranteed full coverage — the benchmark
-/// harness walks this to pick source vertices.
+/// distinct uniform draws with guaranteed full coverage, which is how
+/// source vertices are picked.
 pub fn permutation(n: Index, seed: u64) -> Vec<Index> {
     let mut out: Vec<Index> = (0..n).collect();
     let mut s = Stream::new(seed, 0x5EED50_u64);
@@ -400,11 +403,11 @@ pub fn sample_distinct(n: Index, k: usize, seed: u64) -> Vec<Index> {
 }
 
 // ---------------------------------------------------------------------------
-// Workload selection (the harness vocabulary)
+// Workload selection
 // ---------------------------------------------------------------------------
 
-/// The workload families the `lagraph-bench` harness generates, all
-/// parameterized by `(scale, edge_factor, seed)` with `n = 2^scale`.
+/// The workload families, all parameterized by `(scale, edge_factor,
+/// seed)` with `n = 2^scale`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Graph500 RMAT: scale-free, heavy-hub degree distribution.
@@ -416,29 +419,10 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Parse a workload name as the CLI spells it (`rmat`, `er` /
-    /// `erdos-renyi`, `uniform`).
-    pub fn parse(s: &str) -> Option<Workload> {
-        match s.to_ascii_lowercase().as_str() {
-            "rmat" | "kron" | "kronecker" => Some(Workload::Rmat),
-            "er" | "erdos-renyi" | "erdos_renyi" => Some(Workload::ErdosRenyi),
-            "uniform" | "uniform-degree" | "uniform_degree" => Some(Workload::UniformDegree),
-            _ => None,
-        }
-    }
-
-    /// The canonical name used in reports and filenames.
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::Rmat => "rmat",
-            Workload::ErdosRenyi => "erdos-renyi",
-            Workload::UniformDegree => "uniform-degree",
-        }
-    }
-
     /// Generate the undirected weighted adjacency (weights uniform in
     /// `1..=max_weight`; pass 1 for unit weights) for this workload at
-    /// the given scale.
+    /// the given scale. Errors when `2^scale` or `edge_factor · 2^scale`
+    /// does not fit in `usize`.
     pub fn weighted(
         self,
         scale: u32,
@@ -446,17 +430,19 @@ impl Workload {
         seed: u64,
         max_weight: u64,
     ) -> Result<Matrix<f64>> {
-        let n: Index = 1usize << scale;
+        let (n, nedges) = checked_size(scale, edge_factor)?;
         match self {
             Workload::Rmat => rmat_weighted(
                 &RmatConfig { scale, edge_factor, seed, ..Default::default() },
                 max_weight,
             ),
-            Workload::ErdosRenyi => erdos_renyi_weighted(n, n * edge_factor, max_weight, seed),
+            Workload::ErdosRenyi => erdos_renyi_weighted(n, nedges, max_weight, seed),
             Workload::UniformDegree => {
                 // Mirror the Boolean structure and stamp unit-or-uniform
-                // weights per arc, keeping symmetry.
-                let s = uniform_degree_undirected(n, edge_factor.clamp(1, n - 1), seed)?;
+                // weights per arc, keeping symmetry. At n = 1 the degree is
+                // 1, which `uniform_degree_undirected` rejects as d ≥ n.
+                let d = edge_factor.min(n - 1).max(1);
+                let s = uniform_degree_undirected(n, d, seed)?;
                 let mut w = Matrix::<f64>::new(n, n)?;
                 if max_weight <= 1 {
                     apply_matrix(&mut w, None, NOACC, unaryop::One, &s, &Descriptor::default())?;
@@ -595,22 +581,32 @@ mod tests {
     }
 
     #[test]
-    fn workload_parse_round_trips() {
-        for w in [Workload::Rmat, Workload::ErdosRenyi, Workload::UniformDegree] {
-            assert_eq!(Workload::parse(w.name()), Some(w));
-        }
-        assert_eq!(Workload::parse("nope"), None);
-    }
-
-    #[test]
     fn workload_graphs_are_undirected_and_weighted() {
         for w in [Workload::Rmat, Workload::ErdosRenyi, Workload::UniformDegree] {
             let g = w.graph(6, 4, 11, 8).expect("graph");
             g.check().expect("structurally valid");
             for (i, j, x) in g.a().iter() {
-                assert!((1.0..=8.0).contains(&x), "{}: weight {x} at ({i},{j})", w.name());
+                assert!((1.0..=8.0).contains(&x), "{w:?}: weight {x} at ({i},{j})");
                 assert_eq!(g.a().get(j, i), Some(x));
             }
         }
+    }
+
+    #[test]
+    fn uniform_degree_at_scale_zero_is_an_error() {
+        assert!(Workload::UniformDegree.weighted(0, 4, 1, 1).is_err());
+    }
+
+    #[test]
+    fn scales_that_do_not_fit_are_errors() {
+        let cfg = RmatConfig { scale: 64, ..Default::default() };
+        assert!(rmat(&cfg).is_err());
+        assert!(rmat_directed(&cfg).is_err());
+        assert!(rmat_weighted(&cfg, 8).is_err());
+        for w in [Workload::Rmat, Workload::ErdosRenyi, Workload::UniformDegree] {
+            assert!(w.weighted(64, 16, 1, 8).is_err(), "{w:?} at scale 64");
+        }
+        // 2^63 vertices fit, 16 draws for each of them do not.
+        assert!(Workload::Rmat.weighted(63, 16, 1, 8).is_err());
     }
 }

@@ -15,8 +15,8 @@
 //! read queries over epoch-tagged immutable snapshots while a background
 //! drainer batches streaming edge updates through the GraphBLAS
 //! pending-tuple/zombie machinery. The [`gen`] module generates the
-//! seeded Graph500-style synthetic workloads the `lagraph-bench` harness
-//! (and any reproducible experiment) measures against.
+//! seeded Graph500-style synthetic workloads the repo benchmark
+//! (`benchmark/`) and any reproducible experiment measure against.
 
 #![warn(missing_docs)]
 

@@ -86,7 +86,7 @@ fn uniform_degree_is_thread_count_independent() {
 #[test]
 fn workloads_are_thread_count_independent() {
     for w in [Workload::Rmat, Workload::ErdosRenyi, Workload::UniformDegree] {
-        assert_thread_independent(w.name(), || {
+        assert_thread_independent(&format!("{w:?}"), || {
             w.weighted(8, 8, 42, 64)
                 .expect("workload")
                 .extract_tuples()

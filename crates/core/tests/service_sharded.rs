@@ -175,7 +175,13 @@ fn concurrent_bfs_queries_are_correct_under_batching() {
         let single = bfs_level(oracle_snap.graph(), src).expect("oracle");
         assert_eq!(got, single.extract_tuples(), "concurrent query from {src} diverged");
     }
-    assert_eq!(s.admission_stats().queries, sources.len() as u64);
+    let st = s.admission_stats();
+    assert_eq!(st.queries, sources.len() as u64);
+    assert_eq!(
+        st.cache_hits + st.cache_misses,
+        st.queries,
+        "a query neither hit nor missed: {st:?}"
+    );
 }
 
 #[test]

@@ -674,8 +674,7 @@ pub fn render() -> String {
 /// A flat snapshot of every registered series as `(name{labels}, value)`
 /// pairs, sorted: counters and gauges sample directly, histograms
 /// contribute `_count` and `_sum` (scaled), callbacks contribute their
-/// current value when available. This is what `lagraph-bench` embeds in
-/// its JSON reports.
+/// current value when available.
 pub fn snapshot() -> Vec<(String, f64)> {
     let reg = registry().read();
     let mut out = Vec::new();

@@ -49,9 +49,9 @@ pub(crate) fn enabled() -> bool {
 }
 
 /// Whether the kernel-specialization table is active for this process
-/// (the resolved `GRAPHBLAS_SPECIALIZE` state). Public so harnesses can
-/// record which side of the A/B they measured — `lagraph-bench` stamps
-/// it into every `BENCH_*.json` report.
+/// (the resolved `GRAPHBLAS_SPECIALIZE` state). Public so a benchmark can
+/// record which side of the A/B it measured, and a test which side it
+/// checked.
 pub fn specialization_enabled() -> bool {
     enabled()
 }

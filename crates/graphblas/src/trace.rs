@@ -1112,9 +1112,9 @@ impl Profile {
 /// scalar facts a benchmark run wants to persist: accumulated work
 /// estimate, direction-choice counts, mispredictions, and the peak
 /// deferred-update backlog any single assembly resolved. Unlike
-/// [`Profile`] (per-span histograms for humans) this is flat and
-/// schema-friendly — `lagraph-bench` writes one `RunAggregate` per
-/// algorithm into its `BENCH_*.json` reports.
+/// [`Profile`] (per-span histograms for humans) this is flat: one
+/// `RunAggregate` per algorithm run is what a benchmark records and a test
+/// compares.
 ///
 /// Build incrementally with [`record`](RunAggregate::record) across
 /// several [`drain`] calls (e.g. once per trial), or in one shot with
