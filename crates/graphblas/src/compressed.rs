@@ -14,9 +14,8 @@
 //! [`Words`] sections straight into the mapping — startup cost is O(1)
 //! in the number of edges, not a parse-and-assemble.
 //!
-//! Kernels never see borrowed row slices from this form (`SparseView::vec`
-//! panics); they iterate rows through the decode-cursor methods
-//! `row`/`row_copy` added to `SparseView`, decoding into caller scratch.
+//! Kernels read this form's rows as they read every form's, through
+//! `SparseView::row`, which here decodes into caller scratch.
 
 use std::io::{self, Read as _, Write};
 use std::ops::Deref;
@@ -836,12 +835,6 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
             count
         })
     }
-    fn vec(&self, _major: Index) -> (&[Index], &[T]) {
-        panic!(
-            "CompressedMat::vec: compressed storage has no borrowed row slices; \
-             kernels must use SparseView::row/row_copy (this is a kernel bug)"
-        );
-    }
     fn is_compressed(&self) -> bool {
         true
     }
@@ -851,12 +844,6 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
         let (a, b) = (self.ptr.get(major) as usize, self.ptr.get(major + 1) as usize);
         self.decode_row_into(major, a, b - a, &mut scratch.idx, &mut scratch.val);
         (&scratch.idx, &scratch.val)
-    }
-    fn row_copy(&self, major: Index, idx: &mut Vec<Index>, val: &mut Vec<T>) {
-        idx.clear();
-        val.clear();
-        let (a, b) = (self.ptr.get(major) as usize, self.ptr.get(major + 1) as usize);
-        self.decode_row_into(major, a, b - a, idx, val);
     }
     fn get(&self, major: Index, minor: Index) -> Option<T> {
         let (a, b) = (self.ptr.get(major) as usize, self.ptr.get(major + 1) as usize);
@@ -907,10 +894,6 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
     fn entries_before(&self, major: Index) -> usize {
         // One Elias-Fano select: no gap is decoded.
         self.ptr.get(major) as usize
-    }
-    fn nonempty_majors(&self) -> Vec<Index> {
-        let ptr = self.ptr_vec();
-        (0..self.nrows).filter(|&i| ptr[i + 1] > ptr[i]).collect()
     }
 }
 
@@ -1312,14 +1295,14 @@ mod tests {
         let cs = ladder(128, 257, 7);
         let cm = CompressedMat::encode(&cs).expect("compress");
         assert!(cm.is_compressed());
-        let mut scratch = RowScratch::default();
+        let (mut scratch, mut unused) = (RowScratch::default(), RowScratch::default());
         for i in 0..cs.nmajor {
-            let (ci, cv) = cs.vec(i);
+            let (ci, cv) = cs.row(i, &mut unused);
             let (ki, kv) = cm.row(i, &mut scratch);
             assert_eq!(ki, ci);
             assert_eq!(kv, cv);
         }
-        assert_eq!(cm.nonempty_majors(), cs.nonempty_majors());
+        assert!(cm.majors().eq(0..cs.nmajor));
         assert_eq!(cm.nvecs(), cs.nvecs());
         assert_eq!(SparseView::tuples(&cm), SparseView::tuples(&cs));
         for i in 0..cs.nmajor {

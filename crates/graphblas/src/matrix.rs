@@ -291,28 +291,33 @@ pub(crate) fn dual_of<T: Scalar>(inner: &Inner<T>) -> Option<&dyn crate::sparse:
     inner.dual.as_ref().map(|d| d.view())
 }
 
-/// Dispatch a row-major `Inner` onto its [`SparseView`] implementation.
-/// The inner value must already be in row-major form (`ensure_row_major`).
-macro_rules! with_rows {
-    ($inner:expr, |$v:ident| $body:expr) => {
-        match &$inner.store {
-            $crate::matrix::Store::Csr(cs) => {
-                let $v = cs;
-                $body
-            }
-            $crate::matrix::Store::HyperCsr(h) => {
-                let $v = h;
-                $body
-            }
-            $crate::matrix::Store::CompressedCsr(c) => {
-                let $v = c;
-                $body
-            }
-            _ => unreachable!("operand not assembled to row-major form"),
-        }
-    };
+/// A kernel operand under the descriptor's transpose flag, resolved from
+/// the read guard (`Matrix::read_rows`): the rows as stored, or — on the
+/// flag — the dual the guard holds, which `read_rows` has made exact.
+/// Only a matrix without a dual is transposed here, for this one call.
+// One per operand, on a kernel's stack: the size skew costs nothing.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum EffView<'a, T: Scalar> {
+    Borrowed(&'a dyn SparseView<T>),
+    Transposed(MatData<T>),
 }
-pub(crate) use with_rows;
+
+impl<'a, T: Scalar> EffView<'a, T> {
+    pub fn new(inner: &'a Inner<T>, transpose: bool) -> Self {
+        match (transpose, dual_of(inner)) {
+            (false, _) => EffView::Borrowed(rows_of(inner)),
+            (true, Some(dual)) => EffView::Borrowed(dual),
+            (true, None) => EffView::Transposed(crate::sparse::transpose_dyn(rows_of(inner))),
+        }
+    }
+
+    pub fn view(&self) -> &dyn SparseView<T> {
+        match self {
+            EffView::Borrowed(v) => *v,
+            EffView::Transposed(d) => d.view(),
+        }
+    }
+}
 
 impl<T: Scalar> Inner<T> {
     pub(crate) fn needs_assembly(&self) -> bool {
@@ -937,8 +942,7 @@ impl<T: Scalar> Matrix<T> {
     /// order (`GrB_Matrix_extractTuples`). `Ω(e)` — compare with the O(1)
     /// export (§IV).
     pub fn extract_tuples(&self) -> Vec<Tuple<T>> {
-        let g = self.read_rows();
-        with_rows!(&*g, |v| v.tuples())
+        rows_of(&self.read_rows()).tuples()
     }
 
     /// Change the dimensions (`GrB_Matrix_resize`). Entries outside the new
@@ -950,7 +954,8 @@ impl<T: Scalar> Matrix<T> {
         let inner = self.inner.get_mut();
         inner.assemble();
         inner.ensure_row_major();
-        let tuples: Vec<Tuple<T>> = with_rows!(&*inner, |v| v.tuples())
+        let tuples: Vec<Tuple<T>> = rows_of(inner)
+            .tuples()
             .into_iter()
             .filter(|&(i, j, _)| i < nrows && j < ncols)
             .collect();
@@ -1001,7 +1006,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Lock the matrix for reading with all deferred updates resolved and
     /// row-major storage — the form every kernel consumes. When dual
-    /// storage is enabled, the cached transpose is (re)built here.
+    /// storage is enabled, the cached transpose is exact under the guard:
+    /// patched by assembly, or (re)built here.
     pub(crate) fn read_rows(&self) -> RwLockReadGuard<'_, Inner<T>> {
         loop {
             {
@@ -1037,9 +1043,13 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Enable or disable performance-oriented dual storage: keeping a
-    /// second, transposed copy of the matrix so matrix-vector products can
-    /// choose push or pull freely (§II.E). Doubles memory; GraphBLAST
-    /// gates the same trade-off behind an environment variable.
+    /// second, transposed copy of the matrix (§II.E). Matrix-vector
+    /// products use it to choose push or pull freely, and every op that
+    /// reads this matrix transposed — `mxm`, the fused products, `eWise`,
+    /// `reduce`, `apply`, `select`, `kronecker`, `extract`, `transpose` —
+    /// reads the copy instead of transposing per call. Writes patch it at
+    /// the next assembly. Doubles memory; GraphBLAST gates the same
+    /// trade-off behind an environment variable.
     pub fn set_dual_storage(&mut self, enabled: bool) {
         let inner = self.inner.get_mut();
         inner.dual_enabled = enabled;
@@ -1183,12 +1193,10 @@ impl<T: Scalar> Matrix<T> {
     /// stored entry (`GxB` idiom `apply(ONE)`), commonly used as a mask.
     pub fn pattern(&self) -> Matrix<bool> {
         let g = self.read_rows();
-        let vecs = with_rows!(&*g, |v| {
-            let mut vecs = Vec::with_capacity(v.nvecs());
-            v.for_each_vec(&mut |maj, idx, val| {
-                vecs.push((maj, idx.to_vec(), vec![true; val.len()]));
-            });
-            vecs
+        let v = rows_of(&g);
+        let mut vecs = Vec::with_capacity(v.nvecs());
+        v.for_each_vec(&mut |maj, idx, val| {
+            vecs.push((maj, idx.to_vec(), vec![true; val.len()]));
         });
         Matrix::from_store(g.nrows, g.ncols, Store::row_major_from_vecs(g.nrows, g.ncols, vecs))
     }

@@ -4,9 +4,9 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{EffView, Matrix};
 use crate::parallel::{par_chunks, Chunking};
-use crate::sparse::transpose_dyn;
+use crate::sparse::RowScratch;
 use crate::types::{Index, Scalar};
 use crate::unaryop::{IndexUnaryOp, UnaryOp};
 use crate::vector::{VView, Vector};
@@ -130,52 +130,33 @@ where
         span.arg("ncols", ga.ncols);
         span.arg("a_nnz", ga.nvals_assembled());
     }
-    let eff = effective_vecs_indexed(rows_of(&ga), desc.transpose_a, &op);
+    // Per the C API, the operator is applied *after* transposition, so it
+    // sees the coordinates of Aᵀ. Rows are independent: chunk over them.
+    let eff = EffView::new(&ga, desc.transpose_a);
+    let v = eff.view();
+    let chunks = par_rows(v, v.nvals(), Chunking::Oversplit, |rows| {
+        let mut part = Vec::new();
+        let mut scratch = RowScratch::default();
+        for i in rows {
+            let (idx, val) = v.row(i, &mut scratch);
+            if idx.is_empty() {
+                continue;
+            }
+            let out: Vec<T> = idx.iter().zip(val).map(|(&j, &x)| op.apply(i, j, x)).collect();
+            part.push((i, idx.to_vec(), out));
+        }
+        part
+    });
+    let vecs: Vec<_> = chunks.into_iter().flatten().collect();
     let (nr, nc) = if desc.transpose_a { (ga.ncols, ga.nrows) } else { (ga.nrows, ga.ncols) };
+    drop(eff);
     drop(ga);
     check_dims(
         c.nrows() == nr && c.ncols() == nc,
         "apply: output shape must match (possibly transposed) input",
     )?;
     check_mmask(mask, nr, nc)?;
-    write_matrix(c, mask, accum, desc, eff)
-}
-
-/// Apply an index-unary op over (possibly transposed) rows, producing
-/// per-row segments in the *output* orientation.
-fn effective_vecs_indexed<A: Scalar, T: Scalar, Op: IndexUnaryOp<A, T>>(
-    v: &dyn crate::sparse::SparseView<A>,
-    transpose: bool,
-    op: &Op,
-) -> Vec<(Index, Vec<Index>, Vec<T>)> {
-    // Per the C API, the operator is applied *after* transposition, so it
-    // sees the coordinates of Aᵀ.
-    if transpose {
-        let td = transpose_dyn(v);
-        rows_apply(td.view(), op)
-    } else {
-        rows_apply(v, op)
-    }
-}
-
-/// Apply an index-unary op row by row; rows are independent so they chunk
-/// over the nonempty majors.
-fn rows_apply<A: Scalar, T: Scalar, Op: IndexUnaryOp<A, T>>(
-    v: &dyn crate::sparse::SparseView<A>,
-    op: &Op,
-) -> Vec<(Index, Vec<Index>, Vec<T>)> {
-    let majors = v.nonempty_majors();
-    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
-        let mut part = Vec::with_capacity(rows.len());
-        let mut scratch = crate::sparse::RowScratch::default();
-        for &i in rows {
-            let (idx, val) = v.row(i, &mut scratch);
-            let out: Vec<T> = idx.iter().zip(val).map(|(&j, &x)| op.apply(i, j, x)).collect();
-            part.push((i, idx.to_vec(), out));
-        }
-        part
-    });
-    chunks.into_iter().flatten().collect()
+    write_matrix(c, mask, accum, desc, vecs)
 }
 
 #[cfg(test)]

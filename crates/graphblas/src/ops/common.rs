@@ -3,9 +3,9 @@
 
 use crate::descriptor::Descriptor;
 use crate::error::{Error, Result};
-use crate::matrix::{with_rows, Matrix};
+use crate::matrix::{rows_of, Matrix};
 use crate::parallel::{par_chunks_weighted, prefix_sums, Chunking};
-use crate::sparse::SparseView;
+use crate::sparse::{Majors, SparseView};
 use crate::types::{All, Index, Scalar};
 use crate::vector::{VView, Vector};
 
@@ -14,23 +14,24 @@ use crate::vector::{VView, Vector};
 /// never invoked.)
 pub const NOACC: Option<crate::binaryop::Second> = None;
 
-/// Run `work` over `majors` — rows of `v`, ascending — in chunks that each
-/// walk an equal share of `v`'s stored entries, and return the results in
-/// row order. The row loop of every kernel whose cost is the entries of
-/// the rows it visits; `est_work` is the usual sequential-cutoff estimate.
+/// Run `work` over the majors of `v` ([`SparseView::majors`]) in chunks
+/// that each walk an equal share of `v`'s stored entries, and return the
+/// results in row order. The row loop of every kernel whose cost is the
+/// entries of the rows it visits; the loop skips a row that reads empty.
+/// `est_work` is the usual sequential-cutoff estimate.
 pub(crate) fn par_rows<T: Scalar, R: Send>(
     v: &dyn SparseView<T>,
-    majors: &[Index],
     est_work: usize,
     chunking: Chunking,
-    work: impl Fn(&[Index]) -> R + Sync,
+    work: impl Fn(Majors<'_>) -> R + Sync,
 ) -> Vec<R> {
+    let majors = v.majors();
     par_chunks_weighted(
         majors.len(),
         est_work,
         chunking,
-        |k| majors.get(k).map_or(v.nvals(), |&i| v.entries_before(i)),
-        |r| work(&majors[r]),
+        |k| majors.get(k).map_or(v.nvals(), |i| v.entries_before(i)),
+        |r| work(majors.slice(r)),
     )
 }
 
@@ -287,19 +288,6 @@ impl<'a> MMask<'a> {
         self.complement
     }
 
-    #[inline]
-    #[allow(dead_code)]
-    pub fn allowed(&self, i: Index, j: Index) -> bool {
-        let base = match self.view {
-            None => true,
-            Some(v) => match v.get(i, j) {
-                None => false,
-                Some(b) => self.structural || b,
-            },
-        };
-        base != self.complement
-    }
-
     /// A per-row evaluator that reuses the row slices. `scratch` backs the
     /// row when the mask matrix sits in compressed storage; callers keep
     /// one per worker and the borrow ties the returned mask to it.
@@ -327,11 +315,6 @@ impl<'a> MMask<'a> {
                 }
             }
         }
-    }
-
-    #[allow(dead_code)]
-    pub fn is_transparent(&self) -> bool {
-        self.view.is_none() && !self.complement
     }
 }
 
@@ -387,11 +370,10 @@ pub(crate) fn check_mmask(mask: Option<&Matrix<bool>>, nrows: Index, ncols: Inde
 /// Snapshot a matrix's rows as per-row `(row, idx, val)` segments.
 pub(crate) fn matrix_row_vecs<T: Scalar>(m: &Matrix<T>) -> Vec<(Index, Vec<Index>, Vec<T>)> {
     let g = m.read_rows();
-    with_rows!(&*g, |v| {
-        let mut vecs = Vec::with_capacity(v.nvecs());
-        v.for_each_vec(&mut |i, idx, val| vecs.push((i, idx.to_vec(), val.to_vec())));
-        vecs
-    })
+    let v = rows_of(&g);
+    let mut vecs = Vec::with_capacity(v.nvecs());
+    v.for_each_vec(&mut |i, idx, val| vecs.push((i, idx.to_vec(), val.to_vec())));
+    vecs
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{EffView, Matrix};
 use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
-use crate::sparse::{transpose_dyn, MatData, SparseView};
+use crate::sparse::{Majors, RowScratch, SparseView};
 use crate::trace;
 use crate::types::{Index, Scalar};
 use crate::vector::{VView, Vector};
@@ -216,29 +216,6 @@ fn union_merge<T: Scalar, Op: BinaryOp<T, T, T>>(
     VecResult::Lists(idx, val)
 }
 
-/// Resolve a (possibly transposed) matrix operand to a dynamic row view.
-pub(crate) struct EffView<'a, T: Scalar> {
-    owned: Option<MatData<T>>,
-    base: &'a dyn SparseView<T>,
-}
-
-impl<'a, T: Scalar> EffView<'a, T> {
-    pub fn new(base: &'a dyn SparseView<T>, transpose: bool) -> Self {
-        if transpose {
-            EffView { owned: Some(transpose_dyn(base)), base }
-        } else {
-            EffView { owned: None, base }
-        }
-    }
-
-    pub fn view(&self) -> &dyn SparseView<T> {
-        match &self.owned {
-            Some(d) => d.view(),
-            None => self.base,
-        }
-    }
-}
-
 /// `C⟨Mask⟩ ⊙= A ⊕ B` — union merge of two matrices (with optional
 /// transposes).
 pub fn ewise_add_matrix<T, Op, Acc>(
@@ -257,8 +234,8 @@ where
 {
     let ga = a.read_rows();
     let gb = b.read_rows();
-    let ea = EffView::new(rows_of(&ga), desc.transpose_a);
-    let eb = EffView::new(rows_of(&gb), desc.transpose_b);
+    let ea = EffView::new(&ga, desc.transpose_a);
+    let eb = EffView::new(&gb, desc.transpose_b);
     let (av, bv) = (ea.view(), eb.view());
     check_dims(
         av.nmajor() == bv.nmajor() && av.nminor() == bv.nminor(),
@@ -301,8 +278,8 @@ where
 {
     let ga = a.read_rows();
     let gb = b.read_rows();
-    let ea = EffView::new(rows_of(&ga), desc.transpose_a);
-    let eb = EffView::new(rows_of(&gb), desc.transpose_b);
+    let ea = EffView::new(&ga, desc.transpose_a);
+    let eb = EffView::new(&gb, desc.transpose_b);
     let (av, bv) = (ea.view(), eb.view());
     check_dims(
         av.nmajor() == bv.nmajor() && av.nminor() == bv.nminor(),
@@ -316,16 +293,18 @@ where
         span.arg("a_nnz", av.nvals());
         span.arg("b_nnz", bv.nvals());
     }
-    // Rows intersect independently: chunk over A's nonempty majors and let
-    // each worker run the two-pointer intersection for its rows.
-    let amaj = av.nonempty_majors();
+    // Rows intersect independently: chunk over A's rows and let each
+    // worker run the two-pointer intersection for its rows.
     let est = av.nvals() + bv.nvals();
-    let chunks = par_rows(av, &amaj, est, Chunking::Oversplit, |rows| {
+    let chunks = par_rows(av, est, Chunking::Oversplit, |rows| {
         let mut part = Vec::new();
-        let mut sa = crate::sparse::RowScratch::default();
-        let mut sb = crate::sparse::RowScratch::default();
-        for &i in rows {
+        let mut sa = RowScratch::default();
+        let mut sb = RowScratch::default();
+        for i in rows {
             let (aidx, aval) = av.row(i, &mut sa);
+            if aidx.is_empty() {
+                continue;
+            }
             let (bidx, bval) = bv.row(i, &mut sb);
             if bidx.is_empty() {
                 continue;
@@ -366,41 +345,36 @@ fn merge_matrix_union<T: Scalar, Op: BinaryOp<T, T, T>>(
     bv: &dyn SparseView<T>,
     op: &Op,
 ) -> Vec<(Index, Vec<Index>, Vec<T>)> {
-    let amaj = av.nonempty_majors();
-    let bmaj = bv.nonempty_majors();
-    // Merge the two sorted major lists up front (cheap, O(rows)), then the
-    // per-row union merges chunk over the combined list — rows are
-    // independent and chunk-order stitching keeps the output sorted.
-    let mut rows = Vec::with_capacity(amaj.len() + bmaj.len());
-    let (mut x, mut y) = (0, 0);
-    while x < amaj.len() || y < bmaj.len() {
-        let row = match (amaj.get(x), bmaj.get(y)) {
-            (Some(&ra), Some(&rb)) => ra.min(rb),
-            (Some(&ra), None) => ra,
-            (None, Some(&rb)) => rb,
-            (None, None) => unreachable!(),
-        };
-        if amaj.get(x) == Some(&row) {
-            x += 1;
+    // The rows either operand may occupy: every row when one of them has a
+    // pointer array, else the merge of the two hypersparse lists. The
+    // per-row union merges chunk over them — rows are independent and
+    // chunk-order stitching keeps the output sorted.
+    let mut merged: Vec<Index>;
+    let rows = match (av.majors(), bv.majors()) {
+        (Majors::List(a), Majors::List(b)) => {
+            merged = [a, b].concat();
+            merged.sort_unstable();
+            merged.dedup();
+            Majors::List(&merged)
         }
-        if bmaj.get(y) == Some(&row) {
-            y += 1;
-        }
-        rows.push(row);
-    }
+        _ => Majors::Rows(None, 0..av.nmajor()),
+    };
     // Each row costs the entries both operands store in it.
     let before = |k: usize| match rows.get(k) {
-        Some(&row) => av.entries_before(row) + bv.entries_before(row),
+        Some(row) => av.entries_before(row) + bv.entries_before(row),
         None => av.nvals() + bv.nvals(),
     };
     let est = av.nvals() + bv.nvals();
     let chunks = par_chunks_weighted(rows.len(), est, Chunking::Oversplit, before, |range| {
         let mut part = Vec::with_capacity(range.len());
-        let mut sa = crate::sparse::RowScratch::default();
-        let mut sb = crate::sparse::RowScratch::default();
-        for &row in &rows[range] {
+        let mut sa = RowScratch::default();
+        let mut sb = RowScratch::default();
+        for row in rows.slice(range) {
             let (aidx, aval) = av.row(row, &mut sa);
             let (bidx, bval) = bv.row(row, &mut sb);
+            if aidx.is_empty() && bidx.is_empty() {
+                continue;
+            }
             let mut ridx = Vec::with_capacity(aidx.len() + bidx.len());
             let mut rval = Vec::with_capacity(aidx.len() + bidx.len());
             let (mut p, mut q) = (0, 0);

@@ -5,13 +5,12 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{EffView, Matrix};
 use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
 use crate::types::{Index, Scalar};
 use crate::vector::{Vector, DENSE_LIMIT};
 
 use super::common::{check_dims, check_mmask, check_vmask, IndexSel, InverseSel};
-use super::ewise::EffView;
 use super::write::{write_matrix, write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= u(I)`.
@@ -99,7 +98,7 @@ where
         span.arg("ncols", ga.ncols);
         span.arg("a_nnz", ga.nvals_assembled());
     }
-    let eff = EffView::new(rows_of(&ga), desc.transpose_a);
+    let eff = EffView::new(&ga, desc.transpose_a);
     let v = eff.view();
     i_sel.check(v.nmajor())?;
     j_sel.check(v.nminor())?;
@@ -185,7 +184,7 @@ where
         span.arg("ncols", ga.ncols);
         span.arg("a_nnz", ga.nvals_assembled());
     }
-    let eff = EffView::new(rows_of(&ga), desc.transpose_a);
+    let eff = EffView::new(&ga, desc.transpose_a);
     let v = eff.view();
     i_sel.check(v.nmajor())?;
     if j >= v.nminor() {

@@ -25,7 +25,7 @@ use crate::binaryop::BinaryOp;
 use crate::cost;
 use crate::descriptor::Descriptor;
 use crate::error::{Error, Result};
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{rows_of, EffView, Matrix};
 use crate::monoid::Monoid;
 use crate::semiring::Semiring;
 use crate::sparse::SparseView;
@@ -33,7 +33,6 @@ use crate::types::{Index, Scalar};
 use crate::vector::Vector;
 
 use super::common::{check_dims, check_mmask, par_mask_rows, MMask, NOACC};
-use super::ewise::EffView;
 use super::spec::{self, SemiringSpec};
 use super::write::write_matrix;
 
@@ -171,9 +170,9 @@ where
     span.kernel(crate::trace::Kernel::FusedReduce);
     let ga = a.read_rows();
     let gb = b.read_rows();
-    let ea = EffView::new(rows_of(&ga), desc.transpose_a);
+    let ea = EffView::new(&ga, desc.transpose_a);
     let av = ea.view();
-    let ebt = EffView::new(rows_of(&gb), !desc.transpose_b);
+    let ebt = EffView::new(&gb, !desc.transpose_b);
     let btv = ebt.view();
     let mguard = mask.read_rows();
     let meval = MMask::new(Some(rows_of(&*mguard)), desc);
@@ -262,9 +261,9 @@ where
     let (t_entries, pat_vecs) = {
         let ga = a.read_rows();
         let gb = b.read_rows();
-        let ea = EffView::new(rows_of(&ga), desc.transpose_a);
+        let ea = EffView::new(&ga, desc.transpose_a);
         let av = ea.view();
-        let ebt = EffView::new(rows_of(&gb), !desc.transpose_b);
+        let ebt = EffView::new(&gb, !desc.transpose_b);
         let btv = ebt.view();
         let mguard = mask.read_rows();
         let meval = MMask::new(Some(rows_of(&*mguard)), desc);
@@ -335,9 +334,9 @@ where
     let vecs = {
         let ga = a.read_rows();
         let gb = b.read_rows();
-        let ea = EffView::new(rows_of(&ga), desc.transpose_a);
+        let ea = EffView::new(&ga, desc.transpose_a);
         let av = ea.view();
-        let ebt = EffView::new(rows_of(&gb), !desc.transpose_b);
+        let ebt = EffView::new(&gb, !desc.transpose_b);
         let btv = ebt.view();
         let mguard = mask.read_rows();
         let meval = MMask::new(Some(rows_of(&*mguard)), desc);

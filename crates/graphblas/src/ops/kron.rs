@@ -4,13 +4,13 @@
 
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
-use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
-use crate::parallel::par_chunks;
+use crate::error::{Error, Result};
+use crate::matrix::{EffView, Matrix};
+use crate::parallel::Chunking;
+use crate::sparse::RowScratch;
 use crate::types::{Index, Scalar};
 
-use super::common::{check_dims, check_mmask};
-use super::ewise::EffView;
+use super::common::{check_dims, check_mmask, par_rows};
 use super::write::write_matrix;
 
 /// `C⟨Mask⟩ ⊙= kron(A, B)` with `C((i1·rB + i2), (j1·cB + j2)) =
@@ -38,28 +38,37 @@ where
         span.arg("a_nnz", ga.nvals_assembled());
         span.arg("b_nnz", gb.nvals_assembled());
     }
-    let ea = EffView::new(rows_of(&ga), desc.transpose_a);
-    let eb = EffView::new(rows_of(&gb), desc.transpose_b);
+    let ea = EffView::new(&ga, desc.transpose_a);
+    let eb = EffView::new(&gb, desc.transpose_b);
     let (av, bv) = (ea.view(), eb.view());
     let (ra, ca) = (av.nmajor(), av.nminor());
     let (rb, cb) = (bv.nmajor(), bv.nminor());
-    let (nr, nc) = (ra * rb, ca * cb);
-    let amaj = av.nonempty_majors();
-    let bmaj = bv.nonempty_majors();
+    // Every output index below is at most `nr - 1` or `nc - 1`, so a shape
+    // that fits makes the whole product fit.
+    let (Some(nr), Some(nc)) = (ra.checked_mul(rb), ca.checked_mul(cb)) else {
+        return Err(Error::invalid(format!(
+            "kronecker: a {ra}x{ca} by {rb}x{cb} product overflows the index type"
+        )));
+    };
     // Every output row is one (A-row, B-row) pair, so rows of A chunk the
     // work; each worker emits its block rows in the same (i1, i2) order as
     // the sequential double loop.
     let est = av.nvals().saturating_mul(bv.nvals());
     span.flops(est);
-    let chunks = par_chunks(amaj.len(), est, |range| {
-        let mut part: Vec<(Index, Vec<Index>, Vec<T>)> =
-            Vec::with_capacity(range.len() * bmaj.len());
-        let mut sa = crate::sparse::RowScratch::default();
-        let mut sb = crate::sparse::RowScratch::default();
-        for &i1 in &amaj[range] {
+    let chunks = par_rows(av, est, Chunking::Oversplit, |rows| {
+        let mut part: Vec<(Index, Vec<Index>, Vec<T>)> = Vec::new();
+        let mut sa = RowScratch::default();
+        let mut sb = RowScratch::default();
+        for i1 in rows {
             let (aidx, aval) = av.row(i1, &mut sa);
-            for &i2 in &bmaj {
+            if aidx.is_empty() {
+                continue;
+            }
+            for i2 in bv.majors() {
                 let (bidx, bval) = bv.row(i2, &mut sb);
+                if bidx.is_empty() {
+                    continue;
+                }
                 let row = i1 * rb + i2;
                 let mut ridx = Vec::with_capacity(aidx.len() * bidx.len());
                 let mut rval = Vec::with_capacity(aidx.len() * bidx.len());

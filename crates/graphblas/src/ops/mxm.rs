@@ -15,16 +15,15 @@ use crate::binaryop::BinaryOp;
 use crate::cost;
 use crate::descriptor::{Descriptor, MxmMethod};
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{rows_of, EffView, Matrix};
 use crate::monoid::Monoid;
 use crate::parallel::Chunking;
 use crate::semiring::Semiring;
-use crate::sparse::SparseView;
+use crate::sparse::{RowScratch, SparseView};
 use crate::types::{Index, Scalar};
 use crate::vector::{DenseAcc, Slot};
 
 use super::common::{check_dims, check_mmask, par_mask_rows, par_rows, MMask};
-use super::ewise::EffView;
 use super::spec::{self, SemiringSpec};
 use super::write::write_matrix;
 
@@ -53,7 +52,7 @@ where
     let mut span = crate::trace::op_span(crate::trace::Op::Mxm);
     let ga = a.read_rows();
     let gb = b.read_rows();
-    let ea = EffView::new(rows_of(&ga), desc.transpose_a);
+    let ea = EffView::new(&ga, desc.transpose_a);
     let av = ea.view();
     // Shapes of the *effective* operands.
     let (bm, bn) = if desc.transpose_b { (gb.ncols, gb.nrows) } else { (gb.nrows, gb.ncols) };
@@ -119,15 +118,15 @@ where
         MxmMethod::Dot => {
             // Needs rows of (effective B)ᵀ = Bᵀ if no transpose flag, or B
             // itself when transpose_b is set.
-            let ebt = EffView::new(rows_of(&gb), !desc.transpose_b);
+            let ebt = EffView::new(&gb, !desc.transpose_b);
             dot_kernel(sp, av, ebt.view(), &semiring.add, &semiring.mul, &meval)
         }
         MxmMethod::Heap => {
-            let eb = EffView::new(rows_of(&gb), desc.transpose_b);
+            let eb = EffView::new(&gb, desc.transpose_b);
             heap_kernel(av, eb.view(), &semiring.add, &semiring.mul, &meval)
         }
         _ => {
-            let eb = EffView::new(rows_of(&gb), desc.transpose_b);
+            let eb = EffView::new(&gb, desc.transpose_b);
             gustavson_kernel(sp, av, eb.view(), &semiring.add, &semiring.mul, &meval)
         }
     };
@@ -187,23 +186,25 @@ where
         Some(SemiringSpec::AnyFirst) | Some(SemiringSpec::AnySecond) => GusMode::FirstHit,
         _ => GusMode::Generic,
     };
-    let majors = av.nonempty_majors();
     let ncols = bv.nminor();
     let flops_estimate = cost::mxm_gustavson_flops(av.nvals(), bv.nvals(), bv.nmajor());
     // Each chunk sets up an accumulator as long as a row of `B`: one per thread.
-    let chunks = par_rows(av, &majors, flops_estimate, Chunking::PerThread, |rows| {
+    let chunks = par_rows(av, flops_estimate, Chunking::PerThread, |rows| {
         let mut out = Vec::new();
-        let mut sa = crate::sparse::RowScratch::default();
-        let mut sb = crate::sparse::RowScratch::default();
-        let mut ms = crate::sparse::RowScratch::default();
+        let mut sa = RowScratch::default();
+        let mut sb = RowScratch::default();
+        let mut ms = RowScratch::default();
         if ncols <= DENSE_ACC_LIMIT {
             // Stamped accumulator shared across this chunk's rows; begin()
             // makes per-row reset O(touched), and the stamp array itself is
             // pooled per worker thread across kernel invocations.
             let mut acc = DenseAcc::<T>::new(ncols);
-            for &i in rows {
-                acc.begin();
+            for i in rows {
                 let (aidx, aval) = av.row(i, &mut sa);
+                if aidx.is_empty() {
+                    continue;
+                }
+                acc.begin();
                 match mode {
                     GusMode::Generic => {
                         for (&k, &aik) in aidx.iter().zip(aval) {
@@ -259,9 +260,12 @@ where
                 }
             }
         } else {
-            for &i in rows {
-                let mut acc = std::collections::BTreeMap::<Index, T>::new();
+            for i in rows {
                 let (aidx, aval) = av.row(i, &mut sa);
+                if aidx.is_empty() {
+                    continue;
+                }
+                let mut acc = std::collections::BTreeMap::<Index, T>::new();
                 for (&k, &aik) in aidx.iter().zip(aval) {
                     let (bidx, bval) = bv.row(k, &mut sb);
                     for (&j, &bkj) in bidx.iter().zip(bval) {
@@ -327,8 +331,8 @@ where
         let est = total.saturating_mul(per_dot);
         let chunks = par_mask_rows(&mrows, est, |mrows| {
             let mut out: Vec<(Index, Vec<Index>, Vec<T>)> = Vec::new();
-            let mut sa = crate::sparse::RowScratch::default();
-            let mut sb = crate::sparse::RowScratch::default();
+            let mut sa = RowScratch::default();
+            let mut sb = RowScratch::default();
             for (i, js) in mrows {
                 let (aidx, aval) = av.row(*i, &mut sa);
                 if aidx.is_empty() {
@@ -354,24 +358,28 @@ where
         // Unmasked (or complemented): all-pairs of non-empty rows. Only
         // sensible for small outputs; the chooser never picks this
         // automatically.
-        let amaj = av.nonempty_majors();
-        let bmaj = btv.nonempty_majors();
-        let est = av.nvals().saturating_mul(bmaj.len().max(1));
-        let chunks = par_rows(av, &amaj, est, Chunking::Oversplit, |rows| {
+        let est = av.nvals().saturating_mul(btv.nvecs().max(1));
+        let chunks = par_rows(av, est, Chunking::Oversplit, |rows| {
             let mut out = Vec::new();
-            let mut sa = crate::sparse::RowScratch::default();
-            let mut sb = crate::sparse::RowScratch::default();
-            let mut ms = crate::sparse::RowScratch::default();
-            for &i in rows {
-                let rmask = mask.row(i, &mut ms);
+            let mut sa = RowScratch::default();
+            let mut sb = RowScratch::default();
+            let mut ms = RowScratch::default();
+            for i in rows {
                 let (aidx, aval) = av.row(i, &mut sa);
+                if aidx.is_empty() {
+                    continue;
+                }
+                let rmask = mask.row(i, &mut ms);
                 let mut ridx = Vec::new();
                 let mut rval = Vec::new();
-                for &j in &bmaj {
+                for j in btv.majors() {
                     if !rmask.allowed(j) {
                         continue;
                     }
                     let (bidx, bval) = btv.row(j, &mut sb);
+                    if bidx.is_empty() {
+                        continue;
+                    }
                     if let Some(v) = dot(aidx, aval, bidx, bval) {
                         ridx.push(j);
                         rval.push(v);
@@ -389,8 +397,8 @@ where
 
 /// Heap method: per row of `A`, a k-way merge of the selected rows of `B`
 /// using a binary heap. `O(flops · log k)` time but only `O(k)` working
-/// memory, independent of the output dimension — the right choice for
-/// hypersparse operands.
+/// memory (plus the k rows a compressed `B` decodes), independent of the
+/// output dimension — the right choice for hypersparse operands.
 fn heap_kernel<A, B, T, SA, SM>(
     av: &dyn SparseView<A>,
     bv: &dyn SparseView<B>,
@@ -406,35 +414,28 @@ where
     SM: BinaryOp<A, B, T>,
 {
     // The k-way merge within a row is inherently sequential, but rows are
-    // independent: chunk over the nonempty majors.
-    let majors = av.nonempty_majors();
+    // independent: chunk over the rows of A.
     let est = av.nvals() + bv.nvals();
-    let chunks = par_rows(av, &majors, est, Chunking::Oversplit, |rows| {
+    let chunks = par_rows(av, est, Chunking::Oversplit, |rows| {
         let mut out = Vec::new();
-        let mut sa = crate::sparse::RowScratch::default();
-        let mut ms = crate::sparse::RowScratch::default();
-        for &i in rows {
+        let mut sa = RowScratch::default();
+        let mut ms = RowScratch::default();
+        // The merge keeps every selected B row live at once: one scratch
+        // per cursor backs a row the storage form has to decode.
+        let mut sb: Vec<RowScratch<B>> = Vec::new();
+        for i in rows {
             let (aidx, aval) = av.row(i, &mut sa);
-            // The merge keeps every selected B row live at once, which a
-            // shared decode scratch can't back — decode them into a
-            // per-row arena when B is compressed.
-            let arena: Vec<(Vec<Index>, Vec<B>)> = if bv.is_compressed() {
-                aidx.iter()
-                    .map(|&k| {
-                        let (mut bi, mut bx) = (Vec::new(), Vec::new());
-                        bv.row_copy(k, &mut bi, &mut bx);
-                        (bi, bx)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            if aidx.is_empty() {
+                continue;
+            }
+            if sb.len() < aidx.len() {
+                sb.resize_with(aidx.len(), RowScratch::default);
+            }
             // One cursor per (k, A(i,k)) with a non-empty B row.
             let mut cursors: Vec<(&[Index], &[B], usize, A)> = Vec::with_capacity(aidx.len());
             let mut heap: BinaryHeap<Reverse<(Index, usize)>> = BinaryHeap::new();
-            for (t, (&k, &aik)) in aidx.iter().zip(aval).enumerate() {
-                let (bidx, bval): (&[Index], &[B]) =
-                    if bv.is_compressed() { (&arena[t].0, &arena[t].1) } else { bv.vec(k) };
+            for ((&k, &aik), scratch) in aidx.iter().zip(aval).zip(&mut sb) {
+                let (bidx, bval) = bv.row(k, scratch);
                 if !bidx.is_empty() {
                     let c = cursors.len();
                     cursors.push((bidx, bval, 0, aik));

@@ -37,7 +37,7 @@ use crate::matrix::{dual_of, rows_of, Matrix};
 use crate::monoid::Monoid;
 use crate::parallel::{merge_scatter_chunks, par_chunks_weighted, prefix_sums, Chunking};
 use crate::semiring::Semiring;
-use crate::sparse::SparseView;
+use crate::sparse::{Majors, SparseView};
 use crate::trace;
 use crate::types::{Index, Scalar};
 use crate::vector::{
@@ -311,11 +311,14 @@ enum PullShape<T> {
 /// result plus the flops actually performed (products computed, plus
 /// the dense-view build when `u` arrived sparse) for misprediction checks.
 ///
-/// A pull visits every nonempty row, so when those are a fair share of
-/// the output (1/32, the density a full-length vector keeps) workers write
-/// the result straight into full-length arrays — disjoint row windows,
-/// nothing to stitch, and no more than the kernel already spends per row;
-/// a hypersparse matrix keeps per-chunk lists concatenated in chunk order.
+/// A pull walks the matrix's majors in place — every row of a CSR or
+/// compressed matrix, an empty one skipped at a compare, the occupied ones
+/// of a hypersparse one — and never lists them first. When the non-empty
+/// rows are a fair share of the output (1/32, the density a full-length
+/// vector keeps) workers write the result straight into full-length
+/// arrays — disjoint row windows, nothing to stitch, and no more than the
+/// kernel already spends per row; otherwise (a hypersparse matrix) the
+/// per-chunk lists are concatenated in chunk order.
 ///
 /// A full-length `u` is probed through its packed words directly — no
 /// dense view is built, which is what makes the pull side free to enter
@@ -383,19 +386,22 @@ where
         },
         Some(SemiringSpec::PlusTimes | SemiringSpec::PlusPair) => PullShape::NoTerminal,
     };
-    let majors = mat.nonempty_majors();
+    let majors = mat.majors();
     let terminal = add.terminal();
     let is_any = add.is_any();
     // The dot products of `rows`, handing each result to `emit`; returns
     // the flops performed.
-    let dot_rows = |rows: &[Index], emit: &mut dyn FnMut(Index, T)| {
+    let dot_rows = |rows: Majors<'_>, emit: &mut dyn FnMut(Index, T)| {
         let mut flops = 0usize;
         let mut scratch = crate::sparse::RowScratch::default();
-        for &i in rows {
+        for i in rows {
             if !mask.allowed(i) {
                 continue;
             }
             let (ridx, rval) = mat.row(i, &mut scratch);
+            if ridx.is_empty() {
+                continue;
+            }
             let acc: Option<T> = match shape {
                 PullShape::Generic => {
                     let mut acc: Option<T> = None;
@@ -493,18 +499,15 @@ where
             entries + ROW_COST * rows
         }
     };
-    let (t, flops) = if n_out <= DENSE_LIMIT && majors.len().saturating_mul(SPARSIFY_RATIO) >= n_out
+    let (t, flops) = if n_out <= DENSE_LIMIT && mat.nvecs().saturating_mul(SPARSIFY_RATIO) >= n_out
     {
         let mut val = vec![T::zero(); n_out];
         let mut bits = vec![0u64; n_out.div_ceil(64)];
         let before = |i| weight(i, mat.entries_before(i));
         let full = FullMut::new(&mut val, &mut bits);
         let parts = par_windows_weighted(full, mat.nvals(), before, |win| {
-            let r = win.range();
-            let rows = &majors
-                [majors.partition_point(|&i| i < r.start)..majors.partition_point(|&i| i < r.end)];
             let mut stored = 0usize;
-            let flops = dot_rows(rows, &mut |i, v| {
+            let flops = dot_rows(majors.within(win.range()), &mut |i, v| {
                 win.set(i, v);
                 stored += 1;
             });
@@ -514,13 +517,12 @@ where
             parts.into_iter().fold((0, 0usize), |(n, fl), (s, f)| (n + s, fl.saturating_add(f)));
         (VecResult::Full { val, bits, nvals }, flops)
     } else {
-        let before =
-            |k| weight(k, majors.get(k).map_or(mat.nvals(), |&i: &Index| mat.entries_before(i)));
+        let before = |k| weight(k, majors.get(k).map_or(mat.nvals(), |i| mat.entries_before(i)));
         let oversplit = Chunking::Oversplit;
         let chunks = par_chunks_weighted(majors.len(), mat.nvals(), oversplit, before, |range| {
             let mut idx = Vec::new();
             let mut val = Vec::new();
-            let flops = dot_rows(&majors[range], &mut |i, v| {
+            let flops = dot_rows(majors.slice(range), &mut |i, v| {
                 idx.push(i);
                 val.push(v);
             });

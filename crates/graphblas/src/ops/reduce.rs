@@ -4,14 +4,14 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{rows_of, EffView, Matrix};
 use crate::monoid::{fold, Monoid};
 use crate::parallel::{par_reduce, Chunking};
+use crate::sparse::RowScratch;
 use crate::types::Scalar;
 use crate::vector::Vector;
 
 use super::common::{check_dims, check_vmask, par_rows, InverseSel};
-use super::ewise::EffView;
 use super::write::{write_vector, VecResult};
 
 /// `w⟨mask⟩ ⊙= ⊕ⱼ A(:, j)` — reduce each row of `A` (each column with the
@@ -37,18 +37,20 @@ where
         span.arg("ncols", ga.ncols);
         span.arg("a_nnz", ga.nvals_assembled());
     }
-    let eff = EffView::new(rows_of(&ga), desc.transpose_a);
+    let eff = EffView::new(&ga, desc.transpose_a);
     let v = eff.view();
     let n_out = v.nmajor();
-    // Rows reduce independently: chunk over the nonempty majors; each
-    // row's fold keeps its own terminal early exit.
-    let majors = v.nonempty_majors();
-    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
-        let mut idx = Vec::with_capacity(rows.len());
-        let mut val = Vec::with_capacity(rows.len());
-        let mut scratch = crate::sparse::RowScratch::default();
-        for &i in rows {
+    // Rows reduce independently: chunk over the majors; each row's fold
+    // keeps its own terminal early exit.
+    let chunks = par_rows(v, v.nvals(), Chunking::Oversplit, |rows| {
+        let mut idx = Vec::new();
+        let mut val = Vec::new();
+        let mut scratch = RowScratch::default();
+        for i in rows {
             let (_, vals) = v.row(i, &mut scratch);
+            if vals.is_empty() {
+                continue;
+            }
             if let Some(x) = fold(monoid, vals.iter().copied()) {
                 idx.push(i);
                 val.push(x);
@@ -56,8 +58,8 @@ where
         }
         (idx, val)
     });
-    let mut t_idx = Vec::with_capacity(majors.len());
-    let mut t_val = Vec::with_capacity(majors.len());
+    let mut t_idx = Vec::with_capacity(v.nvecs());
+    let mut t_val = Vec::with_capacity(v.nvecs());
     for (idx, val) in chunks {
         t_idx.extend(idx);
         t_val.extend(val);
@@ -84,16 +86,19 @@ where
         span.arg("a_nnz", ga.nvals_assembled());
     }
     let v = rows_of(&ga);
-    let majors = v.nonempty_majors();
+    let majors = v.majors();
     let terminal = monoid.terminal();
     let r = par_reduce(majors.len(), v.nvals(), monoid, |range, exit| {
         let mut acc: Option<T> = None;
-        let mut scratch = crate::sparse::RowScratch::default();
-        for &i in &majors[range] {
+        let mut scratch = RowScratch::default();
+        for i in majors.slice(range) {
             if exit.stop() {
                 break;
             }
             let (_, vals) = v.row(i, &mut scratch);
+            if vals.is_empty() {
+                continue;
+            }
             if let Some(x) = fold(monoid, vals.iter().copied()) {
                 acc = Some(match acc {
                     Some(a) => monoid.apply(a, x),

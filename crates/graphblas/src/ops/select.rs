@@ -5,9 +5,9 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix, Store};
+use crate::matrix::{EffView, Matrix, Store};
 use crate::parallel::{par_chunks, par_chunks_weighted, Chunking};
-use crate::sparse::{transpose_dyn, Cs};
+use crate::sparse::{Cs, RowScratch};
 use crate::types::{Index, Scalar};
 use crate::unaryop::IndexUnaryOp;
 use crate::vector::Vector;
@@ -100,21 +100,17 @@ where
         return Ok(());
     }
     let vecs = {
-        let base = rows_of(&ga);
-        let owned;
-        let v: &dyn crate::sparse::SparseView<T> = if desc.transpose_a {
-            owned = transpose_dyn(base);
-            owned.view()
-        } else {
-            base
-        };
-        // Rows filter independently: chunk over the nonempty majors.
-        let majors = v.nonempty_majors();
-        let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
-            let mut part = Vec::with_capacity(rows.len());
-            let mut scratch = crate::sparse::RowScratch::default();
-            for &i in rows {
+        let eff = EffView::new(&ga, desc.transpose_a);
+        let v = eff.view();
+        // Rows filter independently: chunk over the majors.
+        let chunks = par_rows(v, v.nvals(), Chunking::Oversplit, |rows| {
+            let mut part = Vec::new();
+            let mut scratch = RowScratch::default();
+            for i in rows {
                 let (idx, val) = v.row(i, &mut scratch);
+                if idx.is_empty() {
+                    continue;
+                }
                 let mut ridx = Vec::new();
                 let mut rval = Vec::new();
                 for (&j, &x) in idx.iter().zip(val) {

@@ -5,12 +5,12 @@
 use crate::binaryop::BinaryOp;
 use crate::descriptor::Descriptor;
 use crate::error::Result;
-use crate::matrix::{rows_of, Matrix};
+use crate::matrix::{EffView, Matrix};
 use crate::parallel::Chunking;
+use crate::sparse::RowScratch;
 use crate::types::Scalar;
 
 use super::common::{check_dims, check_mmask, par_rows};
-use super::ewise::EffView;
 use super::write::write_matrix;
 
 /// `C⟨Mask⟩ ⊙= Aᵀ`.
@@ -33,21 +33,22 @@ where
         span.arg("a_nnz", ga.nvals_assembled());
     }
     // transpose(A) with transpose_a set = plain A.
-    let eff = EffView::new(rows_of(&ga), !desc.transpose_a);
+    let eff = EffView::new(&ga, !desc.transpose_a);
     let v = eff.view();
     let (nr, nc) = (v.nmajor(), v.nminor());
-    // The transpose itself happens in `EffView` (parallel bucket transpose
-    // in `sparse::transpose_dyn`); copying out the rows chunks over the
-    // nonempty majors.
-    let majors = v.nonempty_majors();
-    let chunks = par_rows(v, &majors, v.nvals(), Chunking::Oversplit, |rows| {
-        let mut scratch = crate::sparse::RowScratch::default();
-        rows.iter()
-            .map(|&i| {
-                let (idx, val) = v.row(i, &mut scratch);
-                (i, idx.to_vec(), val.to_vec())
-            })
-            .collect::<Vec<_>>()
+    // The transpose itself is the held dual, or happens in `EffView`
+    // (parallel bucket transpose in `sparse::transpose_dyn`); copying out
+    // the rows chunks over the majors.
+    let chunks = par_rows(v, v.nvals(), Chunking::Oversplit, |rows| {
+        let mut scratch = RowScratch::default();
+        let mut part = Vec::new();
+        for i in rows {
+            let (idx, val) = v.row(i, &mut scratch);
+            if !idx.is_empty() {
+                part.push((i, idx.to_vec(), val.to_vec()));
+            }
+        }
+        part
     });
     let vecs: Vec<_> = chunks.into_iter().flatten().collect();
     drop(eff);

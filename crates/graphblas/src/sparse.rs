@@ -8,10 +8,15 @@
 //! take no space, so matrices with enormous dimensions cost only `O(e)`.
 //!
 //! Kernels are written against the [`SparseView`] trait so the same code
-//! operates on standard and hypersparse operands in any combination.
+//! operates on standard, hypersparse and compressed operands in any
+//! combination. A kernel reads a row one way, [`SparseView::row`], and
+//! walks the majors [`SparseView::majors`] hands it, skipping a row that
+//! comes back empty.
+
+use std::ops::Range;
 
 use crate::compressed::CompressedMat;
-use crate::parallel::{run_cut, weighted_cut};
+use crate::parallel::{fanout, run_cut, weighted_cut};
 use crate::types::{Index, Scalar};
 
 /// A (row, column, value) tuple, the exchange currency of `build` and
@@ -27,8 +32,75 @@ pub struct RowScratch<T> {
     pub val: Vec<T>,
 }
 
-/// Read access to sparse data along the major axis. Implemented by both
-/// storage forms; all kernels are generic over it.
+/// The majors a row loop walks, from [`SparseView::majors`], by position.
+/// Iterating yields them in increasing order.
+#[derive(Debug, Clone)]
+pub(crate) enum Majors<'a> {
+    /// Every major in the range, of a form with a pointer array. Given the
+    /// pointers, iterating skips an empty major at one compare; without them
+    /// (the compressed form codes its own) the loop finds it by reading it.
+    Rows(Option<&'a [usize]>, Range<Index>),
+    /// The occupied majors of a hypersparse form.
+    List(&'a [Index]),
+}
+
+impl<'a> Majors<'a> {
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        match self {
+            Majors::Rows(_, r) => r.len(),
+            Majors::List(l) => l.len(),
+        }
+    }
+
+    /// The major at position `k`, `None` past the end.
+    pub fn get(&self, k: usize) -> Option<Index> {
+        match self {
+            Majors::Rows(_, r) => (k < r.len()).then(|| r.start + k),
+            Majors::List(l) => l.get(k).copied(),
+        }
+    }
+
+    /// The majors at positions `at`.
+    pub fn slice(&self, at: Range<usize>) -> Majors<'a> {
+        match self {
+            Majors::Rows(p, r) => Majors::Rows(*p, r.start + at.start..r.start + at.end),
+            Majors::List(l) => Majors::List(&l[at]),
+        }
+    }
+
+    /// The majors that lie in `r`.
+    pub fn within(&self, r: Range<Index>) -> Majors<'a> {
+        match self {
+            Majors::Rows(p, all) => {
+                let start = all.start.max(r.start);
+                Majors::Rows(*p, start..all.end.min(r.end).max(start))
+            }
+            Majors::List(l) => {
+                let at = |m: Index| l.partition_point(|&i| i < m);
+                Majors::List(&l[at(r.start)..at(r.end)])
+            }
+        }
+    }
+}
+
+impl Iterator for Majors<'_> {
+    type Item = Index;
+
+    fn next(&mut self) -> Option<Index> {
+        match self {
+            Majors::Rows(p, r) => r.find(|&i| p.is_none_or(|p| p[i + 1] > p[i])),
+            Majors::List(l) => {
+                let (&i, rest) = l.split_first()?;
+                *l = rest;
+                Some(i)
+            }
+        }
+    }
+}
+
+/// Read access to sparse data along the major axis. Implemented by every
+/// storage form; all kernels are generic over it.
 pub trait SparseView<T: Scalar>: Sync {
     /// Number of major-axis vectors (rows for CSR).
     fn nmajor(&self) -> Index;
@@ -38,9 +110,6 @@ pub trait SparseView<T: Scalar>: Sync {
     fn nvals(&self) -> usize;
     /// Number of non-empty major vectors (exact).
     fn nvecs(&self) -> usize;
-    /// The sorted indices and values of vector `major`; empty slices if the
-    /// vector has no entries.
-    fn vec(&self, major: Index) -> (&[Index], &[T]);
     /// Visit every non-empty vector in increasing major order.
     #[allow(clippy::type_complexity)]
     fn for_each_vec(&self, f: &mut dyn FnMut(Index, &[Index], &[T]));
@@ -54,33 +123,25 @@ pub trait SparseView<T: Scalar>: Sync {
     /// `0..=nmajor`: the row-pointer prefix sum a work-balanced cut over
     /// rows is searched on ([`crate::parallel::par_chunks_weighted`]).
     fn entries_before(&self, major: Index) -> usize;
-    /// The majors of all non-empty vectors, in increasing order.
-    fn nonempty_majors(&self) -> Vec<Index>;
-    /// True when rows must be decoded rather than borrowed — kernels use
-    /// this to pick copy-based strategies and tag compressed trace spans.
+    /// The majors a row loop walks, in increasing order: `0..nmajor` for
+    /// the forms with a pointer array, the occupied ones for the
+    /// hypersparse form. Every non-empty vector is among them.
+    fn majors(&self) -> Majors<'_> {
+        Majors::Rows(None, 0..self.nmajor())
+    }
+    /// True for the gap-encoded form, which decodes its rows: trace spans
+    /// carry it as a tag.
     fn is_compressed(&self) -> bool {
         false
     }
-    /// The sorted indices and values of vector `major`, decoding into
-    /// `scratch` when the storage form has no borrowable slices. This is
-    /// the decode-cursor kernels iterate compressed rows through; for
-    /// slice-backed forms it is exactly [`SparseView::vec`].
-    fn row<'s>(&'s self, major: Index, scratch: &'s mut RowScratch<T>) -> (&'s [Index], &'s [T]) {
-        let _ = scratch;
-        self.vec(major)
-    }
-    /// Copy vector `major` into caller-owned buffers (cleared first).
-    /// For kernels that must hold many rows live at once (heap merge).
-    fn row_copy(&self, major: Index, idx: &mut Vec<Index>, val: &mut Vec<T>) {
-        idx.clear();
-        val.clear();
-        let (i, v) = self.vec(major);
-        idx.extend_from_slice(i);
-        val.extend_from_slice(v);
-    }
+    /// The sorted indices and values of vector `major` (empty slices if it
+    /// has no entries). Slice-backed forms borrow them and ignore
+    /// `scratch`; the compressed form decodes into it.
+    fn row<'s>(&'s self, major: Index, scratch: &'s mut RowScratch<T>) -> (&'s [Index], &'s [T]);
     /// Point lookup.
     fn get(&self, major: Index, minor: Index) -> Option<T> {
-        let (idx, val) = self.vec(major);
+        let mut scratch = RowScratch::default();
+        let (idx, val) = self.row(major, &mut scratch);
         idx.binary_search(&minor).ok().map(|p| val[p])
     }
     /// Copy out all entries as (major, minor, value) tuples.
@@ -131,57 +192,30 @@ pub fn transpose_dyn<T: Scalar>(v: &dyn SparseView<T>) -> MatData<T> {
             }
         });
         MatData::Hyper(Hyper::from_tuples(nmajor_out, v.nmajor(), tuples, |_, b| b))
-    } else if crate::parallel::threads() <= 1
-        || v.nvals() < crate::parallel::par_threshold()
-        || nmajor_out > TRANSPOSE_HIST_CAP
-    {
-        // Sequential bucket transpose: too little work to amortize the
-        // pool, or the output major dimension is large enough that
-        // per-worker histograms (threads × nmajor_out words) would cost
-        // more memory than the transpose itself.
-        let mut ptr = vec![0usize; nmajor_out + 1];
-        v.for_each_vec(&mut |_, idx, _| {
-            for &j in idx {
-                ptr[j + 1] += 1;
-            }
-        });
-        for j in 0..nmajor_out {
-            ptr[j + 1] += ptr[j];
-        }
-        let mut cursor = ptr.clone();
-        let nvals = v.nvals();
-        let mut idx_out = vec![0 as Index; nvals];
-        let mut val_out = vec![T::zero(); nvals];
-        v.for_each_vec(&mut |maj, idx, val| {
-            for (&j, &x) in idx.iter().zip(val) {
-                let q = cursor[j];
-                cursor[j] += 1;
-                idx_out[q] = maj;
-                val_out[q] = x;
-            }
-        });
-        MatData::Cs(Cs { nmajor: nmajor_out, nminor: v.nmajor(), ptr, idx: idx_out, val: val_out })
     } else {
-        // Parallel bucket transpose. Three phases:
+        // Bucket transpose, in three phases:
         //   1. each chunk of input rows counts its minors into a private
-        //      histogram (parallel);
+        //      histogram (in parallel);
         //   2. a prefix sum over (chunk, column) turns the histograms into
         //      disjoint starting cursors and the global `ptr` (sequential,
-        //      O(threads × nmajor_out));
+        //      O(chunks × nmajor_out));
         //   3. each chunk scatters its entries into its reserved slots
-        //      (parallel). Within a column, chunk order = input major
-        //      order, so output vectors come out sorted exactly as the
-        //      sequential transpose produces them.
-        let majors = v.nonempty_majors();
-        // One chunk per thread (each owns a histogram as long as the
-        // output has rows), cut so each holds an equal share of the entries.
-        let cut = weighted_cut(majors.len(), crate::parallel::threads(), 1, |k| {
-            majors.get(k).map_or(v.nvals(), |&maj| v.entries_before(maj))
+        //      (in parallel). Within a column, chunk order = input major
+        //      order, so output vectors come out sorted whatever the cut.
+        let majors = v.majors();
+        // One chunk per thread, cut so each holds an equal share of the
+        // entries — or a single chunk when the pool would not pay, or when
+        // a histogram per thread (threads × nmajor_out words) would cost
+        // more memory than the transpose itself.
+        let parts =
+            if nmajor_out > TRANSPOSE_HIST_CAP { 1 } else { fanout(majors.len(), v.nvals()) };
+        let cut = weighted_cut(majors.len(), parts, 1, |k| {
+            majors.get(k).map_or(v.nvals(), |maj| v.entries_before(maj))
         });
         let mut counts: Vec<Vec<usize>> = run_cut(&cut, v.nvals(), |_, rows| {
             let mut scratch = RowScratch::default();
             let mut h = vec![0usize; nmajor_out];
-            for &maj in &majors[rows] {
+            for maj in majors.slice(rows) {
                 let (idx, _) = v.row(maj, &mut scratch);
                 for &j in idx {
                     h[j] += 1;
@@ -217,14 +251,23 @@ pub fn transpose_dyn<T: Scalar>(v: &dyn SparseView<T>) -> MatData<T> {
             run_cut(&cut, v.nvals(), |c, rows| {
                 let mut scratch = RowScratch::default();
                 let mut cur = counts[c].clone();
-                for &maj in &majors[rows] {
+                for maj in majors.slice(rows) {
                     let (idx, val) = v.row(maj, &mut scratch);
                     for (&j, &x) in idx.iter().zip(val) {
                         let q = cur[j];
                         cur[j] += 1;
-                        // SAFETY: the prefix sum gives each (chunk, column)
-                        // pair a disjoint slot range, so no two workers
-                        // ever write the same index.
+                        // SAFETY: phase 2 gave chunk `c` the slots from
+                        // `counts[c][j]` on for exactly the entries phase 1
+                        // counted for it in column `j`, the chunks' ranges
+                        // laid end to end inside `ptr[j]..ptr[j + 1]`. This
+                        // pass reads the same rows of the same immutable view
+                        // under the same cut, so `q` stays in its range: in
+                        // bounds, and written by no other chunk. The arrays
+                        // are read only after `run_cut` has returned, which
+                        // is after every chunk has finished. Held by
+                        // `thread_equivalence::bucket_transpose_matches_the_
+                        // sequential_one`: 2 and 8 threads against one, above
+                        // `par_threshold()` and below `TRANSPOSE_HIST_CAP`.
                         unsafe {
                             islots.write(q, maj);
                             vslots.write(q, x);
@@ -237,21 +280,31 @@ pub fn transpose_dyn<T: Scalar>(v: &dyn SparseView<T>) -> MatData<T> {
     }
 }
 
-/// Above this output-major dimension the parallel transpose's per-worker
-/// histograms stop being worth their memory; fall back to sequential.
+/// Above this output-major dimension the transpose's per-worker histograms
+/// stop being worth their memory; it runs as one chunk.
 const TRANSPOSE_HIST_CAP: usize = 1 << 18;
 
 /// Raw output cursor shared across transpose workers; sound because the
 /// prefix sum hands every worker disjoint slot indices.
 struct SharedSlots<T>(*mut T);
-unsafe impl<T> Sync for SharedSlots<T> {}
+
+// SAFETY: the pointer is only ever used through `write`, whose contract
+// puts concurrent calls on disjoint, in-bounds slots, so sharing it races
+// on nothing; a `T` written from a worker crosses threads, hence `T: Send`.
+// The array outlives every worker: it belongs to the frame of the
+// `run_cut` call the workers serve, which returns only once they are done.
+// Exercised by `thread_equivalence::bucket_transpose_matches_the_sequential_one`
+// at 2 and 8 threads.
+unsafe impl<T: Send> Sync for SharedSlots<T> {}
 
 impl<T> SharedSlots<T> {
     /// # Safety
-    /// Callers must guarantee `q` is in bounds and no other thread writes
-    /// slot `q`.
+    /// `q` must be in bounds of the array the pointer came from, that array
+    /// must be alive and not otherwise accessed during the call, and no
+    /// other thread may write slot `q` concurrently. The old value is
+    /// overwritten without being dropped.
     unsafe fn write(&self, q: usize, x: T) {
-        *self.0.add(q) = x;
+        self.0.add(q).write(x);
     }
 }
 
@@ -450,9 +503,9 @@ impl<T: Scalar> SparseView<T> for Cs<T> {
         self.idx.len()
     }
     fn nvecs(&self) -> usize {
-        (0..self.nmajor).filter(|&i| self.ptr[i + 1] > self.ptr[i]).count()
+        self.ptr.windows(2).filter(|w| w[1] > w[0]).count()
     }
-    fn vec(&self, major: Index) -> (&[Index], &[T]) {
+    fn row<'s>(&'s self, major: Index, _: &'s mut RowScratch<T>) -> (&'s [Index], &'s [T]) {
         let (a, b) = (self.ptr[major], self.ptr[major + 1]);
         (&self.idx[a..b], &self.val[a..b])
     }
@@ -467,8 +520,8 @@ impl<T: Scalar> SparseView<T> for Cs<T> {
     fn entries_before(&self, major: Index) -> usize {
         self.ptr[major]
     }
-    fn nonempty_majors(&self) -> Vec<Index> {
-        (0..self.nmajor).filter(|&i| self.ptr[i + 1] > self.ptr[i]).collect()
+    fn majors(&self) -> Majors<'_> {
+        Majors::Rows(Some(&self.ptr), 0..self.nmajor)
     }
 }
 
@@ -634,7 +687,7 @@ impl<T: Scalar> SparseView<T> for Hyper<T> {
     fn nvecs(&self) -> usize {
         self.heads.len()
     }
-    fn vec(&self, major: Index) -> (&[Index], &[T]) {
+    fn row<'s>(&'s self, major: Index, _: &'s mut RowScratch<T>) -> (&'s [Index], &'s [T]) {
         match self.heads.binary_search(&major) {
             Ok(k) => {
                 let (a, b) = (self.ptr[k], self.ptr[k + 1]);
@@ -652,8 +705,8 @@ impl<T: Scalar> SparseView<T> for Hyper<T> {
     fn entries_before(&self, major: Index) -> usize {
         self.ptr[self.heads.partition_point(|&h| h < major)]
     }
-    fn nonempty_majors(&self) -> Vec<Index> {
-        self.heads.clone()
+    fn majors(&self) -> Majors<'_> {
+        Majors::List(&self.heads)
     }
 }
 
@@ -665,14 +718,21 @@ mod tests {
         vec![(2, 1, 30), (0, 0, 10), (0, 2, 11), (2, 0, 31), (1, 1, 20)]
     }
 
+    /// Row `i` of a slice-backed view, as owned lists.
+    fn row_of<T: Scalar>(v: &dyn SparseView<T>, i: Index) -> (Vec<Index>, Vec<T>) {
+        let mut scratch = RowScratch::default();
+        let (idx, val) = v.row(i, &mut scratch);
+        (idx.to_vec(), val.to_vec())
+    }
+
     #[test]
     fn cs_from_tuples_sorts_and_indexes() {
         let cs = Cs::from_tuples(3, 3, sample(), |_, b| b);
         cs.check().expect("valid");
         assert_eq!(cs.nvals(), 5);
-        assert_eq!(cs.vec(0), (&[0, 2][..], &[10, 11][..]));
-        assert_eq!(cs.vec(1), (&[1][..], &[20][..]));
-        assert_eq!(cs.vec(2), (&[0, 1][..], &[31, 30][..]));
+        assert_eq!(row_of(&cs, 0), (vec![0, 2], vec![10, 11]));
+        assert_eq!(row_of(&cs, 1), (vec![1], vec![20]));
+        assert_eq!(row_of(&cs, 2), (vec![0, 1], vec![31, 30]));
         assert_eq!(cs.get(2, 1), Some(30));
         assert_eq!(cs.get(1, 2), None);
     }
@@ -704,7 +764,7 @@ mod tests {
         cs.check().expect("valid");
         assert_eq!(cs.nvals(), 0);
         assert_eq!(cs.nvecs(), 0);
-        assert_eq!(cs.vec(3), (&[][..], &[][..]));
+        assert_eq!(row_of(&cs, 3), (vec![], vec![]));
     }
 
     #[test]
@@ -767,6 +827,42 @@ mod tests {
                 sum += len;
             }
             assert_eq!(v.entries_before(v.nmajor()), v.nvals(), "form {f}, end");
+            // The majors a row loop walks: by position, all of them where a
+            // pointer array exists and the occupied ones in the hypersparse
+            // form. Every row `for_each_len` visits is walked; the CSR walk
+            // skips the empty ones on its pointers, the compressed one
+            // leaves them to the loop.
+            let m = v.majors();
+            let want: Vec<Index> = if f == 1 { hyper.heads.clone() } else { (0..12).collect() };
+            let positions: Vec<Option<Index>> = (0..=m.len()).map(|k| m.get(k)).collect();
+            assert_eq!(positions, want.iter().map(|&i| Some(i)).chain([None]).collect::<Vec<_>>());
+            let mut occupied = Vec::new();
+            v.for_each_len(&mut |i, _| occupied.push(i));
+            let walked: Vec<Index> = m.collect();
+            assert_eq!(walked, if f == 2 { want } else { occupied }, "form {f}: walk");
+        }
+    }
+
+    #[test]
+    fn majors_slice_and_window_in_every_shape() {
+        // Rows 3..11 of a matrix whose rows 4, 7 and 8 are empty.
+        let ptr = [0, 1, 2, 3, 4, 4, 5, 6, 6, 6, 7, 8, 9];
+        let heads = [2, 5, 9, 14];
+        let shapes =
+            [Majors::Rows(None, 3..11), Majors::Rows(Some(&ptr), 3..11), Majors::List(&heads)];
+        for m in shapes {
+            let positions: Vec<Index> = (0..m.len()).map(|k| m.get(k).expect("in range")).collect();
+            assert_eq!(m.get(m.len()), None);
+            let occupied = |&i: &Index| !matches!(m, Majors::Rows(Some(p), _) if p[i + 1] == p[i]);
+            let walked: Vec<Index> = m.clone().collect();
+            assert_eq!(walked, positions.iter().copied().filter(occupied).collect::<Vec<_>>());
+            let at: Vec<Index> = m.slice(1..3).collect();
+            assert_eq!(at, positions[1..3].iter().copied().filter(occupied).collect::<Vec<_>>());
+            for (lo, hi) in [(0, 4), (4, 10), (9, 20), (12, 12), (30, 40)] {
+                let want: Vec<Index> =
+                    walked.iter().copied().filter(|i| (lo..hi).contains(i)).collect();
+                assert_eq!(m.within(lo..hi).collect::<Vec<_>>(), want, "{m:?} within {lo}..{hi}");
+            }
         }
     }
 

@@ -6,7 +6,9 @@
 //! broke the old fixed-ratio choosers in debug builds: `mxv`'s
 //! `u_nvals * PUSH_PULL_RATIO` and `mxm`'s `mask.nvals() <= 4 * out_rows`
 //! both multiplied unchecked. The cost-model estimators saturate instead;
-//! these tests pin that down (run with `-C overflow-checks=on` in CI).
+//! these tests pin that down (run with `-C overflow-checks=on` in CI). An
+//! output shape that is a product of dimensions (`kronecker`) is checked
+//! and refused with an error when it does not fit.
 
 use graphblas::prelude::*;
 use graphblas::semiring::PLUS_TIMES;
@@ -86,4 +88,18 @@ fn masked_mxm_auto_on_huge_dimensions() {
     let mut c = Matrix::<f64>::new(HUGE, HUGE).expect("c");
     mxm(&mut c, Some(&mask), NOACC, &PLUS_TIMES, &a, &b, &Descriptor::default()).expect("mxm");
     assert_eq!(c.extract_tuples(), vec![(0, 7, 20.0)]);
+}
+
+#[test]
+fn kronecker_with_an_unrepresentable_shape_fails_closed() {
+    // HUGE·3 rows do not fit an Index: the product has no shape, so it is
+    // refused with a typed error before any work, whatever the build's
+    // overflow checks.
+    let a = Matrix::from_tuples(HUGE, HUGE, vec![(0, 1, 2.0f64), (HUGE - 1, 0, 5.0)], |_, b| b)
+        .expect("hypersparse build is O(e)");
+    let b = Matrix::from_tuples(3, 3, vec![(0, 0, 1.0f64), (2, 1, 4.0)], |_, b| b).expect("b");
+    let mut c = Matrix::<f64>::new(HUGE, HUGE).expect("c");
+    let r = kronecker(&mut c, None, NOACC, binaryop::Times, &a, &b, &Descriptor::default());
+    assert!(matches!(r, Err(Error::InvalidValue { .. })), "{r:?}");
+    assert_eq!(c.nvals(), 0, "the output is left untouched");
 }

@@ -9,13 +9,17 @@
 //!
 //! This is the contract that lets `GRAPHBLAS_SPECIALIZE=0` serve as a
 //! true escape hatch: flipping it can change speed, never answers.
+//!
+//! Storage is held to the same contract: compressed operands against CSR,
+//! and an operand's held dual against a per-call transpose, for every op
+//! that takes a transpose flag.
 
 use graphblas::binaryop::Plus;
 use graphblas::descriptor::Descriptor;
 use graphblas::ops::*;
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::semiring::{ANY_SECOND, LOR_LAND, MIN_PLUS, PLUS_PAIR, PLUS_TIMES};
-use graphblas::{Matrix, MxmMethod, Vector};
+use graphblas::{Format, Matrix, MxmMethod, Vector};
 use lagraph::algorithms::{triangle_count, TriCountMethod};
 use lagraph::{Graph, GraphKind};
 use proptest::prelude::*;
@@ -73,6 +77,119 @@ fn arb_vec_tuples() -> impl Strategy<Value = Vec<(usize, i64)>> {
 /// structural mask, complemented mask.
 fn mask_descs(base: Descriptor) -> [(Option<()>, Descriptor); 4] {
     [(None, base), (Some(()), base), (Some(()), base.structural()), (Some(()), base.complement())]
+}
+
+fn arb_edits() -> impl Strategy<Value = Vec<(usize, usize, Option<i64>)>> {
+    proptest::collection::vec((0..N, 0..N, proptest::option::of(-8i64..8)), 0..24)
+}
+
+/// The storage forms an operand holding a dual is checked in, as
+/// `(label, rows, compressed)`: CSR; hypersparse rows (5000 rows hold at
+/// most 72 entries), whose 16-row dual is CSR; and the compressed form,
+/// whose dual is compressed too. Operands are `rows × N`.
+const FORMS: [(&str, usize, bool); 3] =
+    [("csr", N, false), ("hypersparse", 5000, false), ("compressed", N, true)];
+
+/// An operand in one storage form, with dual storage on or off: built,
+/// read once — which builds the dual — and then hit by a write burst. A
+/// CSR dual logs the burst and takes it through the assembly splice at the
+/// next read; a compressed one is dropped and rebuilt. Row `i` of the
+/// sample lands on row `i · rows / N`.
+fn operand<T: graphblas::Scalar>(
+    tuples: &[(usize, usize, i64)],
+    edits: &[(usize, usize, Option<i64>)],
+    (rows, compressed): (usize, bool),
+    dual: bool,
+    cast: impl Fn(i64) -> T,
+) -> Matrix<T> {
+    let spread = rows / N;
+    let at = |&(i, j, x): &(usize, usize, i64)| (i * spread, j, cast(x));
+    let mut m =
+        Matrix::from_tuples(rows, N, tuples.iter().map(at).collect(), |_, b| b).expect("operand");
+    m.set_compressed(compressed);
+    m.set_dual_storage(dual);
+    m.extract_tuples();
+    m.apply_edits(edits.iter().map(|&(i, j, x)| (i * spread, j, x.map(&cast)))).expect("burst");
+    m
+}
+
+/// Every op that takes a transpose flag, on `a` (and its pattern `p`),
+/// each result rendered exactly.
+fn transposing_ops(
+    a: &Matrix<i64>,
+    p: &Matrix<bool>,
+    mask: &Matrix<bool>,
+    d: Descriptor,
+) -> Vec<String> {
+    let (m, n) = (a.nrows(), a.ncols());
+    let mut out = Vec::new();
+    let new = |r: usize, c: usize| Matrix::<i64>::new(r, c).expect("output");
+    for method in [MxmMethod::Gustavson, MxmMethod::Dot, MxmMethod::Heap] {
+        // Aᵀ·A reads the dual as A (and as Bᵀ for the dot); A·Aᵀ as B.
+        let mut ata = new(n, n);
+        mxm(&mut ata, None, NOACC, &PLUS_TIMES, a, a, &d.method(method).transpose_a())
+            .expect("AᵀA");
+        let mut aat = new(m, m);
+        mxm(&mut aat, None, NOACC, &PLUS_TIMES, a, a, &d.method(method).transpose_b())
+            .expect("AAᵀ");
+        out.push(format!("{method:?} {:?} {:?}", ata.extract_tuples(), aat.extract_tuples()));
+    }
+    let fd = d.structural().transpose_a();
+    let scalar: u64 = fused_mxm_reduce_scalar(&Plus, mask, &PLUS_PAIR, p, p, &fd).expect("scalar");
+    let (rows, pat): (Vector<u64>, _) =
+        fused_mxm_row_reduce_pattern(&Plus, mask, &PLUS_PAIR, p, p, &fd).expect("rows");
+    let kept = fused_mxm_select(|v: u64| v >= 2, mask, &PLUS_PAIR, p, p, &fd).expect("select");
+    out.push(format!(
+        "fused {scalar} {:?} {:?} {:?}",
+        rows.extract_tuples(),
+        pat.extract_tuples(),
+        kept.extract_tuples()
+    ));
+    let tt = d.transpose_a().transpose_b();
+    let mut add = new(n, m);
+    ewise_add_matrix(&mut add, None, NOACC, Plus, a, a, &tt).expect("add");
+    let mut mult = new(n, m);
+    ewise_mult_matrix(&mut mult, None, NOACC, graphblas::binaryop::Times, a, a, &tt).expect("mult");
+    let mut kron = new(n * n, m * m);
+    kronecker(&mut kron, None, NOACC, graphblas::binaryop::Times, a, a, &tt).expect("kron");
+    out.push(format!(
+        "{:?} {:?} {:?}",
+        add.extract_tuples(),
+        mult.extract_tuples(),
+        kron.extract_tuples()
+    ));
+    let t = d.transpose_a();
+    let mut cols = Vector::<i64>::new(n).expect("w");
+    reduce_matrix(&mut cols, None, NOACC, &Plus, a, &t).expect("reduce");
+    let mut applied = new(n, m);
+    let op = |i: usize, j: usize, x: i64| 7 * x + (3 * i + j) as i64;
+    apply_matrix_indexed(&mut applied, None, NOACC, op, a, &t).expect("apply");
+    let mut selected = new(n, m);
+    let keep = |i: usize, j: usize, x: i64| x > 0 || i < j;
+    select_matrix(&mut selected, None, NOACC, keep, a, &t).expect("select");
+    out.push(format!(
+        "{:?} {:?} {:?}",
+        cols.extract_tuples(),
+        applied.extract_tuples(),
+        selected.extract_tuples()
+    ));
+    let picks = IndexSel::List(vec![5, 0, 5, 9]);
+    let mut sub = new(4, m);
+    extract_matrix(&mut sub, None, NOACC, a, &picks, &IndexSel::All, &t).expect("extract");
+    let mut row = Vector::<i64>::new(n).expect("w");
+    extract_col(&mut row, None, NOACC, a, &IndexSel::All, 3 * (m / N), &t).expect("extract col");
+    let mut at = new(n, m);
+    transpose(&mut at, None, NOACC, a, &d).expect("transpose");
+    let mut copy = new(m, n);
+    transpose(&mut copy, None, NOACC, a, &t).expect("copy");
+    out.push(format!(
+        "{:?} {:?} {:?} {:?}",
+        sub.extract_tuples(),
+        row.extract_tuples(),
+        at.extract_tuples(),
+        copy.extract_tuples()
+    ));
+    out
 }
 
 proptest! {
@@ -264,6 +381,37 @@ proptest! {
                 counts.push(comp);
             }
             counts
+        });
+    }
+
+    #[test]
+    fn held_dual_matches_a_fresh_transpose(at in arb_mat_tuples(), edits in arb_edits(),
+                                           mt in arb_mat_tuples()) {
+        // Every op that takes a transpose flag reads a held dual where the
+        // operand has one and transposes per call where it does not: the
+        // two must agree bit for bit, in every storage form, after a write
+        // burst the dual absorbed. A stale dual is a wrong answer here.
+        assert_paths_equivalent(Descriptor::new(), |desc| {
+            let mask = mat(&mt).pattern();
+            let mut out = Vec::new();
+            for (label, rows, compressed) in FORMS {
+                let form = (rows, compressed);
+                let per_dual = [false, true].map(|dual| {
+                    let a = operand(&at, &edits, form, dual, |x| x);
+                    let p = operand(&at, &edits, form, dual, |_| true);
+                    let want = match (compressed, rows > N) {
+                        (true, _) => Format::Compressed,
+                        (false, true) => Format::HyperCsr,
+                        (false, false) => Format::Csr,
+                    };
+                    assert!(a.nvals() == 0 || a.format() == want, "{label}: {:?}", a.format());
+                    assert_eq!(a.dual_storage(), dual);
+                    transposing_ops(&a, &p, &mask, *desc)
+                });
+                assert_eq!(per_dual[0], per_dual[1], "{label}: held dual != fresh transpose");
+                out.push(per_dual.into_iter().nth(1));
+            }
+            out
         });
     }
 

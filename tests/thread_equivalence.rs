@@ -496,6 +496,35 @@ fn skewed_operand_cut_by_weight() {
     });
 }
 
+/// The parallel bucket transpose (`sparse::transpose_dyn`: per-chunk
+/// histograms, then disjoint scatters through raw slots) against the
+/// sequential one. The cutoff is forced down, so the scale-10 RMAT is above
+/// `par_threshold()`, and its 1024 columns are far below
+/// `TRANSPOSE_HIST_CAP`: one thread takes the sequential branch, two and
+/// eight the parallel one. Both a per-call transpose of CSR rows and of
+/// decoded compressed rows, and the dual built at the first read.
+#[test]
+fn bucket_transpose_matches_the_sequential_one() {
+    let a = lagraph::gen::Workload::Rmat.weighted(10, 16, 7, 255).expect("rmat");
+    let mut packed = a.clone();
+    packed.set_compressed(true);
+    let u = Vector::dense(a.nrows(), 1.0f64).expect("u");
+    assert_thread_equivalent_across(&[1, 2, 8], || {
+        let t = transpose_new(&a).expect("transpose").extract_tuples();
+        let tp = transpose_new(&packed).expect("transpose").extract_tuples();
+        assert_eq!(t, tp, "compressed rows transpose alike");
+        // A fresh dual per run, read by a pull over the columns.
+        let mut d = a.clone();
+        d.set_dual_storage(true);
+        let mut w = Vector::<f64>::new(a.ncols()).expect("w");
+        let pull = Descriptor::new().direction(Direction::Pull);
+        vxm(&mut w, None, NOACC, &PLUS_TIMES, &u, &d, &pull).expect("pull over the dual");
+        let bits: Vec<(usize, u64)> =
+            w.extract_tuples().into_iter().map(|(i, x)| (i, x.to_bits())).collect();
+        (t, bits)
+    });
+}
+
 /// The bit-parallel batch BFS chains five chunked vector ops a level over
 /// `u64` words under BOR, whose pull stops at all-ones; its rows must be
 /// the single-source levels at every thread count — on a graph with one
