@@ -4,7 +4,7 @@
 //! flow through a processing pipeline (§IV of the paper).
 
 use graphblas::prelude::*;
-use graphblas::Edit;
+use graphblas::{net_edits, Edit};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -316,9 +316,9 @@ impl Graph {
     /// The snapshot that follows this one: `a_next` is this adjacency
     /// with the netted `delta` (mirror arcs included) applied. Whatever
     /// this snapshot had materialised is carried forward by the same
-    /// delta — the structure (dual and all) and a materialised `Aᵀ`
-    /// through the deferred-update path and one assembly, an `Aᵀ` that is
-    /// the adjacency itself as the same alias of `a_next`, the degrees by
+    /// delta — the structure (dual and all) and a materialised `Aᵀ` by
+    /// one splice each ([`Matrix::with_edits`]), an `Aᵀ` that is the
+    /// adjacency itself as the same alias of `a_next`, the degrees by
     /// patching the touched rows — and whatever it had not stays lazy.
     /// [`Graph::new`] on `a_next` is the from-scratch oracle.
     pub(crate) fn advance(&self, a_next: Matrix<f64>, delta: &[Edit<f64>]) -> Result<Graph> {
@@ -326,17 +326,17 @@ impl Graph {
         let prev = self.cache.lock().clone();
         let mut next = Cached::default();
         if let Some(st) = prev.structure {
-            let pattern = delta.iter().map(|&(i, j, x)| (i, j, x.map(|_| true)));
-            next.structure = Some(replayed(&st, pattern)?);
+            let pattern: Vec<Edit<bool>> =
+                delta.iter().map(|&(i, j, x)| (i, j, x.map(|_| true))).collect();
+            next.structure = Some(Arc::new(st.with_edits(&pattern)?));
         }
         if let Some(at) = prev.at {
             if !Arc::ptr_eq(&at, &self.a) {
-                next.at = Some(replayed(&at, delta.iter().map(|&(i, j, x)| (j, i, x)))?);
-            } else if a_next.format() == Format::Csr
-                && delta.iter().all(|&(i, j, x)| a_next.get(j, i) == x)
-            {
-                // A symmetric matrix stays symmetric exactly when every
-                // position the delta wrote reads the same as its mirror.
+                let flipped: Vec<Edit<f64>> = delta.iter().map(|&(i, j, x)| (j, i, x)).collect();
+                next.at = Some(Arc::new(at.with_edits(&flipped)?));
+            } else if a_next.format() == Format::Csr && self_transposed(delta) {
+                // The rule `with_edits` keeps a symmetric matrix's dual by:
+                // a delta equal to its own transpose keeps it symmetric.
                 // Otherwise `at` stays lazy and the next call decides.
                 next.at = Some(a_next.clone());
             }
@@ -371,17 +371,25 @@ impl Graph {
     }
 }
 
-/// A copy of `m` with `edits` replayed through the deferred-update path
-/// (pending tuples, in-place updates, zombies) and resolved by one
-/// assembly, which also patches a built dual.
-fn replayed<T: Scalar>(
-    m: &Matrix<T>,
-    edits: impl Iterator<Item = Edit<T>>,
-) -> Result<Arc<Matrix<T>>> {
-    let mut next = m.clone();
-    next.apply_edits(edits)?;
-    next.wait();
-    Ok(Arc::new(next))
+/// Whether `delta`, netted, equals its own transpose bit for bit
+/// ([`Scalar::same_bits`]): the last write to `(i, j)` and the last write
+/// to `(j, i)` are the same. Under such a delta a symmetric matrix stays
+/// symmetric, so an alias of it to its transpose may stay.
+fn self_transposed(delta: &[Edit<f64>]) -> bool {
+    let netted = |flip: bool| {
+        let mut d: Vec<Edit<f64>> =
+            delta.iter().map(|&(i, j, x)| if flip { (j, i, x) } else { (i, j, x) }).collect();
+        net_edits(&mut d);
+        d
+    };
+    let (fwd, rev) = (netted(false), netted(true));
+    fwd.iter().zip(&rev).all(|(&(i, j, x), &(k, l, y))| {
+        (i, j) == (k, l)
+            && match (x, y) {
+                (Some(x), Some(y)) => x.same_bits(y),
+                (x, y) => x.is_none() && y.is_none(),
+            }
+    })
 }
 
 /// A copy of the degree vector `d` with each vertex's net `changes`
@@ -485,6 +493,34 @@ mod tests {
         let at = g.at().expect("transpose of the compressed form");
         assert!(!std::ptr::eq(&*at, g.a()));
         assert_eq!(at.extract_tuples(), g.a().extract_tuples());
+    }
+
+    #[test]
+    fn signed_zero_mirrors_are_not_symmetric_so_at_is_materialised() {
+        // `0.0 == -0.0`, but the transpose holds the other bits at each.
+        let a = Matrix::from_tuples(2, 2, vec![(0, 1, 0.0), (1, 0, -0.0)], |_, b| b).expect("a");
+        let g = Graph::new(a, GraphKind::Undirected).expect("construct");
+        let at = g.at().expect("transpose");
+        assert!(!std::ptr::eq(&*at, g.a()));
+        let oracle = transpose_new(g.a()).expect("oracle");
+        for (i, j) in [(0, 1), (1, 0)] {
+            assert_eq!(at.get(i, j).map(f64::to_bits), oracle.get(i, j).map(f64::to_bits));
+        }
+        assert_eq!(at.get(1, 0).map(f64::to_bits), Some(0));
+    }
+
+    #[test]
+    fn a_delta_is_self_transposed_by_its_last_writes_bit_for_bit() {
+        assert!(self_transposed(&[]));
+        assert!(self_transposed(&[(0, 1, Some(2.0)), (1, 0, Some(2.0)), (3, 3, None)]));
+        assert!(!self_transposed(&[(0, 1, Some(2.0))]));
+        assert!(!self_transposed(&[(0, 1, Some(0.0)), (1, 0, Some(-0.0))]));
+        assert!(!self_transposed(&[(0, 1, None), (1, 0, Some(1.0))]));
+        // Last write wins on each side: (0, 1) ends at 3, (1, 0) at 3.
+        let rewritten = [(0, 1, Some(1.0)), (1, 0, Some(3.0)), (0, 1, Some(3.0))];
+        assert!(self_transposed(&rewritten));
+        let diverged = [(0, 1, Some(1.0)), (1, 0, Some(1.0)), (0, 1, Some(3.0))];
+        assert!(!self_transposed(&diverged));
     }
 
     #[test]

@@ -147,25 +147,18 @@ pub(super) fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
     delta
 }
 
-/// Epoch e+1 from epoch e: a copy of the *published* adjacency takes the
-/// delta through the deferred-update path (inserts become pending tuples
-/// or in-place updates, deletes zombies) and one assembly resolves it;
-/// the snapshot's materialised caches follow by the same delta.
-/// Returns the graph with the `(pending, zombies)` the assembly resolved.
-fn next_graph(
-    prev: &Graph,
-    delta: &[Edit<f64>],
-    compressed: bool,
-) -> Result<(Graph, (usize, usize)), GrbError> {
-    let mut a = prev.a().clone();
-    a.apply_edits(delta.iter().copied())?;
-    let deferred = a.deferred();
+/// Epoch e+1 from epoch e: the delta is spliced from the *published*
+/// adjacency's arrays straight into the next one's, one write pass
+/// ([`graphblas::Matrix::with_edits`]); the snapshot's materialised caches
+/// follow by the same delta.
+fn next_graph(prev: &Graph, delta: &[Edit<f64>], compressed: bool) -> Result<Graph, GrbError> {
+    let mut a = prev.a().with_edits(delta)?;
     if compressed {
-        // Assembles, and (re-)encodes the result on the parallel pool.
+        // Encodes the first epoch's result on the parallel pool; a
+        // compressed adjacency comes out of the splice re-encoded.
         a.set_compressed(true);
     }
-    a.wait();
-    Ok((prev.advance(a, delta)?, deferred))
+    prev.advance(a, delta)
 }
 
 /// Mark the service failed (shard `shard` died with `message`), wake
@@ -289,11 +282,8 @@ pub(crate) fn coordinator_loop(
         // atomically on their next snapshot().
         let prev = shared.snapshot.read().graph.clone();
         match next_graph(&prev, &delta, compressed) {
-            Ok((mut g, (pending, zombies))) => {
-                span.arg("pending", pending);
-                span.arg("zombies", zombies);
-                shared.metrics.pending_peak.set_max(pending as f64);
-                shared.metrics.zombies_peak.set_max(zombies as f64);
+            Ok(mut g) => {
+                span.arg("delta", delta.len());
                 g.set_epoch(epoch);
                 let nedges = g.nedges();
                 span.arg("nedges", nedges);

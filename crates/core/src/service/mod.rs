@@ -2,8 +2,8 @@
 //! stream of edge updates, scaled out across shards.
 //!
 //! The paper's incremental-update machinery (§II.A pending tuples and
-//! zombies) makes a stream of `e` `set_element` calls as cheap as one
-//! `build` of `e` tuples — but only if something *batches* the stream.
+//! zombies) makes a stream of `e` `set_element` calls cost one assembly
+//! — but only if something *batches* the stream.
 //! [`GraphService`] is that something, shaped for the serving workload the
 //! ROADMAP targets: many readers running the algorithm suite concurrently
 //! with many writers mutating the graph.
@@ -17,7 +17,7 @@
 //!                                            ▼
 //!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
 //!                                            ▲  caches inherited from e-1
-//!                    copy of epoch e-1's adjacency + Δ, one assembly
+//!                epoch e-1's arrays + Δ, one splice into new arrays
 //!                                            │ barrier: all shards at e
 //!              ┌── shard 0 drainer ──▶ Δ₀ (sorted, last write wins)
 //!  epoch ──────┤── shard 1 drainer ──▶ Δ₁       ⋮
@@ -39,15 +39,17 @@
 //!   shard**, each netting its slice into a small sorted delta (the last
 //!   write to an arc wins; undirected edges carry both arcs). Shards
 //!   hold no copy of the graph. A barrier holds until every shard
-//!   reaches the epoch; the coordinator then replays the disjoint deltas
-//!   into a copy of the *published* adjacency through the
-//!   deferred-update entry points — insertions become pending tuples,
-//!   deletions become zombies — resolves them with a single assembly,
-//!   and carries the previous snapshot's materialised caches (structure
-//!   and its dual, transpose, degrees) forward by the same delta. One
-//!   coordinated drain = one **epoch**; a snapshot never mixes shards
-//!   from different epochs. What remains O(E) per epoch is one
-//!   memcpy-speed pass over each matrix the snapshot holds.
+//!   reaches the epoch; the coordinator then splices the disjoint
+//!   deltas from the *published* adjacency's arrays straight into the
+//!   next snapshot's ([`graphblas::Matrix::with_edits`]: the assembly
+//!   splice, without a copy to assemble), and carries the previous
+//!   snapshot's materialised caches (structure and its dual, transpose,
+//!   degrees) forward by the same delta. One coordinated drain = one
+//!   **epoch**; a snapshot never mixes shards from different epochs.
+//!   What remains O(E) per epoch is one memcpy-speed write pass over
+//!   each matrix the snapshot holds. An undirected graph holds two: the
+//!   adjacency, which is its own transpose, and the structure, whose
+//!   rows are its own dual.
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
@@ -74,7 +76,7 @@
 //!
 //! Every epoch opens a `service.epoch` span ([`graphblas::trace`],
 //! category `service`) tagged with the epoch number, batch size, shard
-//! count, and the pending-tuple/zombie backlog the assemblies resolved;
+//! count, and the netted delta the splices applied;
 //! each batched query execution opens a `service.batch` span tagged with
 //! its width and epoch. `GRAPHBLAS_TRACE=burble` narrates the serving
 //! loop live.
@@ -83,8 +85,8 @@
 //! per-shard queue-depth gauges and processed counters, update counters
 //! by outcome, backpressure events by policy, batch-size and
 //! batch-width histograms, query counters by algorithm, cache hit/miss
-//! counters, query latency, epoch counters, pending/zombie high-water
-//! marks, epoch lag, and resident-bytes gauges. Set
+//! counters, query latency, epoch counters, epoch lag, and
+//! resident-bytes gauges. Set
 //! `GRAPHBLAS_METRICS_ADDR` to scrape them from a running replica
 //! (`examples/metrics_service.rs` shows the whole loop).
 //!
@@ -407,8 +409,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) batch_updates: metrics::Histogram,
     pub(crate) epochs: metrics::Counter,
     pub(crate) epoch: metrics::Gauge,
-    pub(crate) pending_peak: metrics::Gauge,
-    pub(crate) zombies_peak: metrics::Gauge,
     pub(crate) last_publish: metrics::Gauge,
     /// Wall clock of the last snapshot publish, in unix nanoseconds —
     /// the `lagraph_service_epoch_lag_seconds` callback reads it at
@@ -492,14 +492,6 @@ impl ServiceMetrics {
                 "Epochs published since process start.",
             ),
             epoch: metrics::gauge("lagraph_service_epoch", "Epoch of the served snapshot."),
-            pending_peak: metrics::gauge(
-                "lagraph_service_pending_peak",
-                "Largest pending-tuple backlog any single epoch assembly resolved.",
-            ),
-            zombies_peak: metrics::gauge(
-                "lagraph_service_zombies_peak",
-                "Largest zombie count any single epoch assembly resolved.",
-            ),
             last_publish: metrics::gauge(
                 "lagraph_service_last_publish_unixtime_seconds",
                 "Wall-clock time of the last snapshot publish.",

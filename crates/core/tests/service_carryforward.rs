@@ -12,6 +12,7 @@
 
 use std::collections::BTreeSet;
 
+use graphblas::ops::transpose_new;
 use graphblas::Direction;
 use lagraph::service::{GraphService, ServiceConfig, Update};
 use lagraph::{bfs_level_direction, Graph, GraphKind};
@@ -196,6 +197,38 @@ fn mixed_epochs_inherit_exact_caches() {
     for kind in [GraphKind::Undirected, GraphKind::Directed] {
         for shards in [1, 2, 4] {
             run_carried(Mix::Mixed, kind, shards);
+        }
+    }
+}
+
+#[test]
+fn undirected_snapshots_hold_one_copy_of_the_structure() {
+    // An undirected structure is symmetric and every epoch's delta is
+    // mirrored, so each snapshot's structure serves its own dual: no
+    // transposed copy is held, and the snapshot is smaller than one that
+    // held it by exactly the bytes of that copy.
+    for mix in [Mix::InsertOnly, Mix::DeleteHeavy, Mix::Mixed] {
+        for shards in [1, 2] {
+            let s = service(GraphKind::Undirected, shards);
+            touch(s.snapshot().graph());
+            for round in script(mix) {
+                for u in &round {
+                    s.submit(*u).expect("submit");
+                }
+                let snap = s.flush().expect("flush");
+                let g = snap.graph();
+                let label = format!("{mix:?} S={shards} epoch {}", snap.epoch());
+                let st = g.structure().expect("structure");
+                let held = st.memory_usage();
+                assert_eq!(held.dual_bytes, 0, "{label}: the structure holds a transposed copy");
+                // What the structure's dual costs as a copy: its transpose.
+                let copy = transpose_new(&st).expect("transpose").memory_usage().total();
+                let degrees = g.out_degree().expect("out_degree").memory_usage().total();
+                let with_copy = g.a().memory_usage().total() + held.total() + copy + degrees;
+                assert!(copy > 0, "{label}");
+                assert!(g.resident_bytes() + copy <= with_copy, "{label}: a copy too many");
+                assert_caches_match_oracle(g, &label);
+            }
         }
     }
 }

@@ -14,7 +14,12 @@
 //! `O(p log p)` plus one bulk copy of the untouched rows — and a built
 //! CSR dual is patched by the same splice. This is why a sequence of `e`
 //! `set_element` calls costs the same as one `build` of `e` tuples
-//! (reproduced by the `incremental` benchmark).
+//! (reproduced by the `incremental` benchmark). [`Matrix::with_edits`]
+//! runs the same splice from a published matrix straight into a new one,
+//! for a caller that keeps both.
+//!
+//! A CSR matrix equal to its own transpose holds no second copy as its
+//! dual: its rows serve.
 //!
 //! Reads acquire the object through an internal lock and assemble lazily,
 //! so the Rust API can keep the C API's convention that reading a matrix
@@ -39,7 +44,8 @@ pub(crate) fn unflip(i: usize) -> usize {
 
 /// One deferred write: `Some(x)` stores `x` at `(row, col)`, `None`
 /// deletes whatever is there. The currency of the pending list, of
-/// [`Matrix::apply_edits`], and of the serving layer's epoch deltas.
+/// [`Matrix::apply_edits`] and [`Matrix::with_edits`], and of the serving
+/// layer's epoch deltas.
 pub type Edit<T> = (Index, Index, Option<T>);
 
 /// Sort edits by position and keep only the last write at each one. The
@@ -245,6 +251,21 @@ impl<T: Scalar> Store<T> {
     }
 }
 
+/// A built dual: the transpose that kernels read through [`dual_of`].
+// One per matrix, like `Store`: the size skew costs nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub(crate) enum Dual<T> {
+    /// The matrix is plain CSR and equals its own transpose bit for bit
+    /// (`Cs::is_symmetric`), so its rows are the transpose: no second
+    /// copy. Any write drops this state and the next read decides again;
+    /// [`Matrix::with_edits`] keeps it under netted edits that equal their
+    /// own transpose.
+    Rows,
+    /// A second copy of the transpose, in row-major form.
+    Copy(MatData<T>),
+}
+
 /// The assembled + deferred state of a matrix.
 #[derive(Debug, Clone)]
 pub(crate) struct Inner<T> {
@@ -262,11 +283,11 @@ pub(crate) struct Inner<T> {
     /// (unsorted, repeats allowed): where the splice must look for them.
     pub zombie_majors: Vec<Index>,
     /// When dual storage is enabled (§II.E: GraphBLAST keeps "two copies
-    /// of each GrB_Matrix object" for push/pull), the cached transpose in
-    /// row-major form. A write marks it stale by logging itself in
-    /// `dual_edits`; assembly patches a CSR dual with the log, and any
-    /// other form is dropped and rebuilt lazily.
-    pub dual: Option<MatData<T>>,
+    /// of each GrB_Matrix object" for push/pull), the cached transpose;
+    /// `None` until a kernel read builds it. A write marks a CSR copy stale
+    /// by logging itself in `dual_edits`, and assembly patches the copy
+    /// with the log; any other dual is dropped and rebuilt lazily.
+    pub dual: Option<Dual<T>>,
     /// Writes since `dual` was last exact, as `(col, row, _)`.
     pub dual_edits: Vec<Edit<T>>,
     /// Whether the performance-oriented dual storage is requested.
@@ -286,9 +307,13 @@ pub(crate) fn rows_of<T: Scalar>(inner: &Inner<T>) -> &dyn crate::sparse::Sparse
     }
 }
 
-/// Borrow the cached transpose (column access), if dual storage is built.
+/// Borrow the cached transpose (column access), if dual storage is built:
+/// the copy, or the rows themselves for a matrix that is its own.
 pub(crate) fn dual_of<T: Scalar>(inner: &Inner<T>) -> Option<&dyn crate::sparse::SparseView<T>> {
-    inner.dual.as_ref().map(|d| d.view())
+    match inner.dual.as_ref()? {
+        Dual::Rows => Some(rows_of(inner)),
+        Dual::Copy(d) => Some(d.view()),
+    }
 }
 
 /// A kernel operand under the descriptor's transpose flag, resolved from
@@ -333,16 +358,16 @@ impl<T: Scalar> Inner<T> {
             Store::CompressedCsr(c) => c.section_bytes(),
         };
         let dual_bytes = match &self.dual {
-            None => 0,
-            Some(MatData::Cs(c)) => {
+            None | Some(Dual::Rows) => 0,
+            Some(Dual::Copy(MatData::Cs(c))) => {
                 let (p, i, v) = cs_bytes(c);
                 p + i + v
             }
-            Some(MatData::Hyper(h)) => {
+            Some(Dual::Copy(MatData::Hyper(h))) => {
                 let (p, i, v) = hyper_bytes(h);
                 p + i + v
             }
-            Some(MatData::Compressed(c)) => c.bytes(),
+            Some(Dual::Copy(MatData::Compressed(c))) => c.bytes(),
         };
         MemoryUsage {
             ptr_bytes,
@@ -374,7 +399,7 @@ impl<T: Scalar> Inner<T> {
         // The cached transpose takes the same writes, transposed, through
         // the same splice (only a CSR dual survives a write to get here).
         let mut dual_edits = std::mem::take(&mut self.dual_edits);
-        if let Some(MatData::Cs(d)) = &mut self.dual {
+        if let Some(Dual::Copy(MatData::Cs(d))) = &mut self.dual {
             net_edits(&mut dual_edits);
             *d = splice(d, &dual_edits, &[]);
         }
@@ -476,14 +501,36 @@ impl<T: Scalar> Inner<T> {
         self.store.nvals_raw()
     }
 
-    /// Mark the cached transpose stale by one write: a CSR dual is
-    /// patched with the logged writes at assembly, any other form is
-    /// dropped now and rebuilt by the next kernel read.
+    /// Mark the cached transpose stale by one write: a CSR copy is
+    /// patched with the logged writes at assembly, any other dual — the
+    /// rows themselves included, since one write may break the symmetry —
+    /// is dropped now and rebuilt by the next kernel read.
     fn stale_dual(&mut self, i: Index, j: Index, x: Option<T>) {
         match self.dual {
-            Some(MatData::Cs(_)) => self.dual_edits.push((j, i, x)),
+            Some(Dual::Copy(MatData::Cs(_))) => self.dual_edits.push((j, i, x)),
             _ => self.dual = None,
         }
+    }
+
+    /// The dual a kernel read builds: the rows themselves when the store
+    /// is plain CSR and passes the symmetry walk, else a transposed copy
+    /// (encoded too under compression, or dual storage would forfeit half
+    /// the savings).
+    fn build_dual(&self) -> Dual<T> {
+        if let Store::Csr(cs) = &self.store {
+            if cs.is_symmetric() {
+                return Dual::Rows;
+            }
+        }
+        let mut d = crate::sparse::transpose_dyn(rows_of(self));
+        if self.compress_enabled {
+            if let MatData::Cs(cs) = &d {
+                if let Some(cm) = CompressedMat::encode(cs) {
+                    d = MatData::Compressed(cm);
+                }
+            }
+        }
+        Dual::Copy(d)
     }
 
     fn check_bounds(&self, i: Index, j: Index) -> Result<()> {
@@ -582,6 +629,20 @@ pub(crate) fn merge_edits<K: Ord + Copy, T: Copy>(
         }
     }
     edits.for_each(write);
+}
+
+/// Whether two netted edit lists write the same positions with the same
+/// bits ([`Scalar::same_bits`]). Given a list and its transpose, whether
+/// the writes keep a symmetric matrix symmetric.
+fn same_edits<T: Scalar>(a: &[Edit<T>], b: &[Edit<T>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(&(i, j, x), &(k, l, y))| {
+            (i, j) == (k, l)
+                && match (x, y) {
+                    (Some(x), Some(y)) => x.same_bits(y),
+                    (x, y) => x.is_none() && y.is_none(),
+                }
+        })
 }
 
 /// Row `row` of `cs` (zombie flags still set) merged with its edits.
@@ -900,11 +961,90 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
+    /// This matrix with `edits` applied, as a new matrix: what `clone` +
+    /// [`Matrix::apply_edits`] + [`Matrix::wait`] would give, but written
+    /// in one pass from this matrix's arrays into the new one's, under one
+    /// read lock. For a caller that keeps both, such as a snapshot and its
+    /// successor.
+    ///
+    /// Every edit is bounds-checked first. An out-of-bounds one returns the
+    /// error `apply_edits` gives, and this matrix is never changed. The
+    /// edits are netted (the last write to a position wins) and spliced:
+    /// the standard forms row by row, the hypersparse forms as a tuple
+    /// merge, and the compressed form decoded, spliced and re-encoded. A
+    /// dual held as a CSR copy takes the transposed edits through the same
+    /// splice. A symmetric matrix whose rows serve as its dual keeps that
+    /// state when the netted edits equal their own transpose bit for bit,
+    /// as an undirected graph's mirrored arcs do. Any other dual is left to
+    /// the next kernel read to rebuild.
+    ///
+    /// ```
+    /// use graphblas::Matrix;
+    ///
+    /// let a = Matrix::from_tuples(3, 3, vec![(0, 1, 1.0), (2, 2, 4.0)], |_, b| b)?;
+    /// let b = a.with_edits(&[(1, 0, Some(2.0)), (2, 2, None), (1, 0, Some(3.0))])?;
+    /// assert_eq!(b.extract_tuples(), [(0, 1, 1.0), (1, 0, 3.0)]);
+    /// assert_eq!(a.nvals(), 2); // the source is untouched
+    /// assert!(a.with_edits(&[(3, 0, None)]).is_err());
+    /// # Ok::<(), graphblas::Error>(())
+    /// ```
+    pub fn with_edits(&self, edits: &[Edit<T>]) -> Result<Matrix<T>> {
+        let g = self.read();
+        for &(i, j, _) in edits {
+            g.check_bounds(i, j)?;
+        }
+        let mut span =
+            crate::trace::assemble_span(crate::trace::Op::AssembleMatrix, edits.len(), 0);
+        let mut delta = edits.to_vec();
+        net_edits(&mut delta);
+        // The same writes in (col, row) order: what a column-major store
+        // and a dual take. The positions are distinct, so this only sorts.
+        let mut transposed: Vec<Edit<T>> = delta.iter().map(|&(i, j, x)| (j, i, x)).collect();
+        net_edits(&mut transposed);
+        // `read` resolved every deferred update: no zombies to drop.
+        let store = match &g.store {
+            Store::Csr(cs) => Store::Csr(splice(cs, &delta, &[])),
+            Store::Csc(cs) => Store::Csc(splice(cs, &transposed, &[])),
+            Store::HyperCsr(h) => Store::HyperCsr(splice_hyper(h, &delta)),
+            Store::HyperCsc(h) => Store::HyperCsc(splice_hyper(h, &transposed)),
+            Store::CompressedCsr(cm) => Store::Csr(splice(&cm.decode(), &delta, &[])),
+        };
+        let dual = match &g.dual {
+            Some(Dual::Copy(MatData::Cs(d))) => {
+                Some(Dual::Copy(MatData::Cs(splice(d, &transposed, &[]))))
+            }
+            Some(Dual::Rows) if same_edits(&delta, &transposed) => Some(Dual::Rows),
+            _ => None,
+        };
+        let mut next = Inner {
+            nrows: g.nrows,
+            ncols: g.ncols,
+            store,
+            pending: Vec::new(),
+            nzombies: 0,
+            zombie_majors: Vec::new(),
+            dual,
+            dual_edits: Vec::new(),
+            dual_enabled: g.dual_enabled,
+            compress_enabled: g.compress_enabled,
+        };
+        next.maybe_hypersparse();
+        next.maybe_compress();
+        // The rows serve as the dual of plain CSR only.
+        if !matches!(next.store, Store::Csr(_)) {
+            next.dual.take_if(|d| matches!(d, Dual::Rows));
+        }
+        if span.on() {
+            span.arg("resident_bytes", next.memory_usage().total() as u64);
+        }
+        Ok(Matrix { inner: RwLock::new(next) })
+    }
+
     /// The deferred-update backlog: `(pending writes, zombies)` not yet
     /// resolved by assembly. `(0, 0)` means the matrix is fully assembled.
-    /// A monitoring hook for systems (like `lagraph::service`) that batch
-    /// updates into the non-blocking state and want to observe how much
-    /// work the next assembly will resolve.
+    /// A monitoring hook for callers that batch updates into the
+    /// non-blocking state and want to observe how much work the next
+    /// assembly will resolve.
     pub fn deferred(&self) -> (usize, usize) {
         let g = self.inner.read();
         (g.pending.len(), g.nzombies)
@@ -1027,17 +1167,7 @@ impl<T: Scalar> Matrix<T> {
             w.ensure_row_major();
             w.maybe_compress();
             if w.dual_enabled && w.dual.is_none() {
-                let mut d = crate::sparse::transpose_dyn(rows_of(&w));
-                // Under compression, the cached transpose is encoded too —
-                // otherwise dual storage would forfeit half the savings.
-                if w.compress_enabled {
-                    if let MatData::Cs(cs) = &d {
-                        if let Some(cm) = CompressedMat::encode(cs) {
-                            d = MatData::Compressed(cm);
-                        }
-                    }
-                }
-                w.dual = Some(d);
+                w.dual = Some(w.build_dual());
             }
         }
     }
@@ -1048,8 +1178,12 @@ impl<T: Scalar> Matrix<T> {
     /// reads this matrix transposed — `mxm`, the fused products, `eWise`,
     /// `reduce`, `apply`, `select`, `kronecker`, `extract`, `transpose` —
     /// reads the copy instead of transposing per call. Writes patch it at
-    /// the next assembly. Doubles memory; GraphBLAST gates the same
-    /// trade-off behind an environment variable.
+    /// the next assembly. Doubles memory, except for a plain-CSR matrix
+    /// that equals its own transpose bit for bit (an undirected graph's
+    /// structure): the read that would build the copy finds that in one
+    /// walk over the entries, and the rows serve as the transpose with no
+    /// second copy, until a write. GraphBLAST gates the same trade-off
+    /// behind an environment variable.
     pub fn set_dual_storage(&mut self, enabled: bool) {
         let inner = self.inner.get_mut();
         inner.dual_enabled = enabled;
@@ -1590,6 +1724,83 @@ mod tests {
                 assert_eq!(rows.contains(i, j), present, "{form:?}: ({i}, {j})");
             }
         }
+    }
+
+    fn holds_rows_dual<T: Scalar>(m: &Matrix<T>) -> bool {
+        matches!(m.inner.read().dual, Some(Dual::Rows))
+    }
+
+    fn symmetric() -> Matrix<f64> {
+        let t = vec![(0, 1, 2.0), (1, 0, 2.0), (1, 3, 0.5), (3, 1, 0.5), (2, 2, 7.0)];
+        let mut m = Matrix::from_tuples(4, 4, t, |_, b| b).expect("build");
+        m.set_dual_storage(true);
+        m
+    }
+
+    #[test]
+    fn a_symmetric_csr_matrix_is_its_own_dual_until_a_write() {
+        let mut m = symmetric();
+        m.extract_tuples(); // the kernel read that builds the dual
+        assert!(holds_rows_dual(&m));
+        assert_eq!(m.memory_usage().dual_bytes, 0, "no second copy");
+        // A write, mirrored or not, drops the state; the next read decides.
+        m.set_element(0, 3, 1.0).expect("set");
+        assert!(m.inner.read().dual.is_none());
+        m.extract_tuples();
+        assert!(!holds_rows_dual(&m) && m.memory_usage().dual_bytes > 0);
+        m.set_element(3, 0, 1.0).expect("mirror");
+        m.extract_tuples();
+        assert!(m.memory_usage().dual_bytes > 0, "a patched copy stays a copy");
+    }
+
+    #[test]
+    fn signed_zeros_are_not_mirrors_so_the_dual_is_a_copy() {
+        // `0.0 == -0.0`, but a transpose holds the other bits: the rows
+        // must not serve as the dual.
+        let mut m =
+            Matrix::from_tuples(2, 2, vec![(0, 1, 0.0), (1, 0, -0.0)], |_, b| b).expect("build");
+        m.set_dual_storage(true);
+        let g = m.read_rows();
+        assert!(matches!(g.dual, Some(Dual::Copy(_))));
+        let dual = dual_of(&g).expect("built");
+        assert_eq!(dual.get(1, 0).map(f64::to_bits), Some(0.0f64.to_bits()));
+        assert_eq!(dual.get(0, 1).map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn with_edits_keeps_the_rows_dual_exactly_under_a_self_transposed_delta() {
+        let m = symmetric();
+        m.extract_tuples();
+        let mirrored = [(0, 3, Some(1.5)), (3, 0, Some(1.5)), (0, 1, None), (1, 0, None)];
+        let next = m.with_edits(&mirrored).expect("mirrored");
+        assert!(holds_rows_dual(&next));
+        assert!(holds_rows_dual(&m), "the source is untouched");
+        // One-sided, or mirrored with other bits (the two signed zeros):
+        // the state goes, and the next read builds a copy.
+        let one_sided = [(0, 3, Some(1.5))];
+        let other_bits = [(0, 3, Some(0.0)), (3, 0, Some(-0.0))];
+        for delta in [&one_sided[..], &other_bits[..]] {
+            let next = m.with_edits(delta).expect("edits");
+            assert!(next.inner.read().dual.is_none(), "{delta:?}");
+            next.extract_tuples();
+            assert!(matches!(next.inner.read().dual, Some(Dual::Copy(_))), "{delta:?}");
+        }
+        // An empty delta is its own transpose: a copy, still aliased.
+        let same = m.with_edits(&[]).expect("empty delta");
+        assert!(holds_rows_dual(&same));
+        assert_eq!(same.extract_tuples(), m.extract_tuples());
+    }
+
+    #[test]
+    fn with_edits_splices_a_held_copy_of_the_dual() {
+        let mut m = symmetric();
+        m.set_element(0, 2, 3.0).expect("break the symmetry");
+        m.extract_tuples();
+        let next = m.with_edits(&[(2, 0, Some(3.0)), (1, 3, None)]).expect("edits");
+        assert!(matches!(next.inner.read().dual, Some(Dual::Copy(MatData::Cs(_)))));
+        let g = next.read_rows();
+        let fresh = crate::sparse::transpose_dyn(rows_of(&g));
+        assert_eq!(dual_of(&g).expect("dual").tuples(), fresh.view().tuples());
     }
 
     #[test]

@@ -411,8 +411,10 @@ impl<T: Scalar> Cs<T> {
         Cs { nmajor: self.nminor, nminor: self.nmajor, ptr, idx, val }
     }
 
-    /// Whether the structure equals its own transpose, pattern and values,
-    /// in one pass over the entries and without building the transpose.
+    /// Whether the structure equals its own transpose, pattern and values
+    /// bit for bit ([`Scalar::same_bits`]: `-0.0` is not the mirror of
+    /// `0.0`), in one pass over the entries and without building the
+    /// transpose.
     /// Rows are walked in ascending order with one cursor per row: entry
     /// `(i, j)` must find `(j, i)` — same value — at row `j`'s cursor,
     /// which then moves on. Row `j`'s entries are sorted by column and the
@@ -428,7 +430,7 @@ impl<T: Scalar> Cs<T> {
             for p in self.ptr[i]..self.ptr[i + 1] {
                 let j = self.idx[p];
                 let q = cursor[j];
-                if q == self.ptr[j + 1] || self.idx[q] != i || self.val[q] != self.val[p] {
+                if q == self.ptr[j + 1] || self.idx[q] != i || !self.val[q].same_bits(self.val[p]) {
                     return false;
                 }
                 cursor[j] = q + 1;
@@ -885,6 +887,17 @@ mod tests {
             assert_ne!(cs.transpose(), cs, "{label}: the oracle agrees");
         }
         assert!(!Cs::from_tuples(2, 3, vec![(0, 1, 1.0), (1, 0, 1.0)], |_, b| b).is_symmetric());
+    }
+
+    #[test]
+    fn symmetry_walk_compares_values_bit_for_bit() {
+        // A signed zero is not the mirror of the other one (the transpose
+        // holds different bits), and a NaN is the mirror of the same NaN.
+        let zeros = Cs::from_tuples(2, 2, vec![(0, 1, 0.0f64), (1, 0, -0.0)], |_, b| b);
+        assert!(!zeros.is_symmetric());
+        assert_ne!(zeros.transpose().val[0].to_bits(), zeros.val[0].to_bits());
+        let nan = vec![(0, 1, f64::NAN), (1, 0, f64::NAN)];
+        assert!(Cs::from_tuples(2, 2, nan, |_, b| b).is_symmetric());
     }
 
     #[test]

@@ -39,6 +39,14 @@ pub trait Scalar: Copy + Send + Sync + PartialEq + std::fmt::Debug + Default + '
 
     /// Cast to `f64` (for checks, norms, and printing).
     fn to_f64(self) -> f64;
+
+    /// Whether two values are the same bits: `==` for every domain but the
+    /// floats, where `+0.0 == -0.0` and `NaN != NaN` would make two
+    /// different stored values equal and one stored value unequal to
+    /// itself. What "a matrix is its own transpose" is decided by.
+    fn same_bits(self, other: Self) -> bool {
+        self == other
+    }
 }
 
 macro_rules! impl_scalar_int {
@@ -54,8 +62,20 @@ macro_rules! impl_scalar_int {
 impl_scalar_int!(
     i8 => "INT8", i16 => "INT16", i32 => "INT32", i64 => "INT64",
     u8 => "UINT8", u16 => "UINT16", u32 => "UINT32", u64 => "UINT64",
-    f32 => "FP32", f64 => "FP64",
 );
+
+macro_rules! impl_scalar_float {
+    ($($t:ty => $name:literal),* $(,)?) => {$(
+        impl Scalar for $t {
+            const NAME: &'static str = $name;
+            fn from_f64(v: f64) -> Self { v as $t }
+            fn to_f64(self) -> f64 { self as f64 }
+            fn same_bits(self, other: Self) -> bool { self.to_bits() == other.to_bits() }
+        }
+    )*};
+}
+
+impl_scalar_float!(f32 => "FP32", f64 => "FP64");
 
 impl Scalar for bool {
     const NAME: &'static str = "BOOL";
@@ -286,6 +306,14 @@ mod tests {
         assert_eq!(<i32 as Num>::max_value(), i32::MAX);
         assert_eq!(<f64 as Num>::max_value(), f64::INFINITY);
         assert_eq!(<f32 as Num>::min_value(), f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart_and_matches_a_nan_to_itself() {
+        assert!(!0.0f64.same_bits(-0.0) && !0.0f32.same_bits(-0.0));
+        assert!(f64::NAN.same_bits(f64::NAN) && f32::NAN.same_bits(f32::NAN));
+        assert!(1.5f64.same_bits(1.5) && 3i32.same_bits(3) && true.same_bits(true));
+        assert!(!3i32.same_bits(4));
     }
 
     #[test]

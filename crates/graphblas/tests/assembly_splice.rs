@@ -9,7 +9,9 @@
 //! storage on, a kernel read builds the cached transpose mid-script;
 //! later writes mark it stale and assembly patches it, and push and pull
 //! products over the patched dual must equal the same products over a
-//! matrix built from scratch.
+//! matrix built from scratch. `Matrix::with_edits`, the same splice from
+//! one matrix into a new one, is held to the oracle and to the three-step
+//! replay it replaces.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -240,6 +242,138 @@ fn delete_cancels_pending_and_reinsert_resurrects() {
         Op::Remove(5, 5), // killed twice.
         Op::Remove(7, 2), // nothing there at all.
     ]));
+}
+
+/// The dual a source matrix holds when `with_edits` runs on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DualState {
+    /// Dual storage off.
+    Off,
+    /// A second copy (a CSR one on CSR storage): the base is not symmetric.
+    Copy,
+    /// The rows themselves: the base is symmetric plain CSR.
+    Rows,
+}
+
+/// A `with_edits` source: a symmetric pattern (plus, unless the dual is to
+/// be the rows, one unmirrored entry) in `form`, or compressed. With dual
+/// storage on it is read once, which builds the dual (and turns a
+/// column-major form row-major); with it off it stays in its form.
+fn splice_source(form: Form, compressed: bool, dual: DualState) -> (Matrix<i64>, Model) {
+    let mut model = Model::new();
+    for i in 0..N {
+        for j in [i, (i + 3) % N] {
+            let v = (i * j) as i64 + 1;
+            model.insert((i, j), v);
+            model.insert((j, i), v);
+        }
+    }
+    if dual != DualState::Rows {
+        model.insert((0, N - 1), -5);
+    }
+    let mut m = form.new_matrix(dual != DualState::Off);
+    m.apply_edits(model.iter().map(|(&(i, j), &v)| (form.at(i), form.at(j), Some(v))))
+        .expect("source");
+    if compressed {
+        m.set_compressed(true);
+    }
+    if dual != DualState::Off {
+        m.extract_tuples();
+    }
+    (m, model)
+}
+
+/// Every entry of `m` by point reads, which leave its form as it is.
+fn entries(m: &Matrix<i64>, form: Form) -> Vec<(Index, Index, i64)> {
+    (0..N * N)
+        .filter_map(|k| Some((k / N, k % N, m.get(form.at(k / N), form.at(k % N))?)))
+        .collect()
+}
+
+/// The deltas each source takes: mirrored (the last write to each arc
+/// equals the last write to its mirror, as an undirected service epoch's
+/// are) and one-sided; both re-write, insert, delete, delete an absent
+/// entry and write a position twice.
+fn splice_deltas() -> [(&'static str, Vec<(Index, Index, Option<i64>)>); 2] {
+    let one_sided = vec![
+        (1, 2, Some(40)),
+        (0, 3, None),
+        (5, 5, Some(9)),
+        (6, 1, None),
+        (2, 7, Some(1)),
+        (2, 7, Some(11)),
+    ];
+    let mirrored = one_sided.iter().flat_map(|&(i, j, x)| [(i, j, x), (j, i, x)]).collect();
+    [("mirrored", mirrored), ("one-sided", one_sided)]
+}
+
+#[test]
+fn with_edits_equals_the_map_oracle_and_the_replay_it_replaces() {
+    // Every storage form and compression, with no dual, a held copy and the
+    // rows as the dual, under a mirrored and a one-sided delta, at 1 and 8
+    // threads: the one write pass must equal the oracle, and clone +
+    // `apply_edits` + `wait`, and leave its source untouched; products over
+    // whatever dual the result carries must equal those over a fresh build.
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_par_threshold(1);
+    let storages = FORMS.iter().map(|&f| (f, false)).chain([(Form::Csr, true)]);
+    for threads in [1, 8] {
+        set_threads(threads);
+        for (form, compressed) in storages.clone() {
+            for dual in [DualState::Off, DualState::Copy, DualState::Rows] {
+                let (src, base) = splice_source(form, compressed, dual);
+                let (before, format) = (entries(&src, form), src.format());
+                assert_eq!(src.is_compressed(), compressed);
+                if dual != DualState::Off && !form.hyper() && !compressed {
+                    let rows = src.memory_usage().dual_bytes == 0;
+                    assert_eq!(rows, dual == DualState::Rows, "{form:?} {dual:?}");
+                }
+                for (label, delta) in splice_deltas() {
+                    let what = format!(
+                        "{form:?} compressed={compressed} {dual:?} {label} threads={threads}"
+                    );
+                    let edits: Vec<_> =
+                        delta.iter().map(|&(i, j, x)| (form.at(i), form.at(j), x)).collect();
+                    let next = src.with_edits(&edits).expect("with_edits");
+                    let mut model = base.clone();
+                    for &(i, j, x) in &delta {
+                        match x {
+                            Some(v) => model.insert((i, j), v),
+                            None => model.remove(&(i, j)),
+                        };
+                    }
+                    let mut replay = src.clone();
+                    replay.apply_edits(edits.iter().copied()).expect("replay");
+                    replay.wait();
+                    assert_eq!(next.format(), replay.format(), "{what}: form");
+                    assert_eq!(next.dual_storage(), dual != DualState::Off, "{what}");
+                    assert_eq!(next.extract_tuples(), replay.extract_tuples(), "{what}: replay");
+                    check_against(&next, &model, form, &what);
+                    assert_eq!((entries(&src, form), src.format()), (before.clone(), format));
+                }
+            }
+        }
+    }
+    set_threads(0);
+    set_par_threshold(0);
+}
+
+#[test]
+fn with_edits_fails_closed_on_an_out_of_bounds_edit() {
+    for (form, compressed) in FORMS.iter().map(|&f| (f, false)).chain([(Form::Csr, true)]) {
+        let (src, _) = splice_source(form, compressed, DualState::Copy);
+        let before = (entries(&src, form), src.memory_usage());
+        let dim = form.dim();
+        for bad in [(dim, 0), (0, dim), (usize::MAX, usize::MAX)] {
+            // A good edit ahead of the bad one must not land either.
+            let edits = [(0, 0, Some(77)), (bad.0, bad.1, Some(1))];
+            let err = src.with_edits(&edits).expect_err("out of bounds");
+            let mut replay = src.clone();
+            let want = replay.apply_edits(edits).expect_err("apply_edits agrees");
+            assert_eq!(err, want, "{form:?} {bad:?}");
+            assert_eq!((entries(&src, form), src.memory_usage()), before, "{form:?} {bad:?}");
+        }
+    }
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {

@@ -416,6 +416,38 @@ proptest! {
     }
 
     #[test]
+    fn rows_as_the_dual_match_a_fresh_transpose(at in arb_mat_tuples(), mt in arb_mat_tuples()) {
+        // A symmetric CSR operand holds no copy of its transpose: its rows
+        // serve. Every op that takes a transpose flag must read them as it
+        // would a fresh transpose; then one unmirrored write must take the
+        // state away, and the copy built in its place must agree as well.
+        let mirrored: Vec<_> = at.iter().flat_map(|&(i, j, x)| [(i, j, x), (j, i, x)]).collect();
+        assert_paths_equivalent(Descriptor::new(), |desc| {
+            let mask = mat(&mt).pattern();
+            let build = |dual: bool| {
+                let mut a = operand(&mirrored, &[], (N, false), dual, |x| x);
+                let mut p = operand(&mirrored, &[], (N, false), dual, |_| true);
+                if dual {
+                    assert_eq!(a.memory_usage().dual_bytes, 0, "the rows serve as the dual");
+                    assert_eq!(p.memory_usage().dual_bytes, 0, "the rows serve as the dual");
+                }
+                let aliased = transposing_ops(&a, &p, &mask, *desc);
+                a.set_element(0, 1, a.get(1, 0).map_or(1, |x| x + 1)).expect("unmirrored");
+                p.set_element(0, 1, p.get(1, 0).is_none()).expect("unmirrored");
+                let broken = transposing_ops(&a, &p, &mask, *desc);
+                if dual {
+                    assert!(a.memory_usage().dual_bytes > 0, "a write left the rows as the dual");
+                    assert!(p.memory_usage().dual_bytes > 0, "a write left the rows as the dual");
+                }
+                (aliased, broken)
+            };
+            let (held, fresh) = (build(true), build(false));
+            assert_eq!(held, fresh, "rows as the dual != fresh transpose");
+            held
+        });
+    }
+
+    #[test]
     fn fused_kernels_match_materialized_composition(at in arb_mat_tuples(),
                                                     bt in arb_mat_tuples(),
                                                     mt in arb_mat_tuples()) {
