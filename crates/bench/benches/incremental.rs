@@ -4,6 +4,12 @@
 //! GrB_Matrix_build" — because set_element defers to pending tuples and
 //! assembly is one O(n + e + p log p) step. The naive comparator (eager
 //! insertion into sorted storage) shows the O(e·n) cliff being avoided.
+//!
+//! The `publish` group is the serving side of the same claim: what one
+//! 64-update epoch costs a `GraphService` to publish, over RMAT graphs of
+//! scale 14, 16 and 18 (edge factor 16, 2 shards). A publish that rewrote
+//! the graph grows with E; one that writes only the rows an epoch touches
+//! over a shared base does not (EXPERIMENTS.md §P30).
 
 use criterion::{BenchmarkId, Criterion};
 use graphblas::prelude::*;
@@ -61,8 +67,59 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
+/// Updates per epoch, as `serve-epochs` submits them.
+const EPOCH_UPDATES: usize = 64;
+/// Epochs timed per scale: the group's samples.
+const EPOCHS: usize = 64;
+
+fn publish(c: &mut Criterion) {
+    use lagraph::gen::Workload;
+    use lagraph::service::{GraphService, Query, ServiceConfig, Update};
+
+    let mut group = c.benchmark_group("publish");
+    group.sample_size(EPOCHS);
+    for scale in [14u32, 16, 18] {
+        let graph = Workload::Rmat.graph(scale, 16, 42, 255).expect("rmat");
+        // The `serve-epochs` mix: seven in eight updates insert an edge
+        // between two uniform vertices — the edges of an Erdős–Rényi draw —
+        // and the eighth deletes an edge the graph holds.
+        let held: Vec<(Index, Index)> = graph
+            .a()
+            .extract_tuples()
+            .into_iter()
+            .filter(|t| t.0 < t.1)
+            .map(|t| (t.0, t.1))
+            .collect();
+        let fresh =
+            Workload::ErdosRenyi.weighted(scale, 1, 7, 255).expect("update draw").extract_tuples();
+        let mut updates = (0..).map(|k: usize| {
+            if k.is_multiple_of(8) {
+                let (i, j) = held[(k / 8).wrapping_mul(7919) % held.len()];
+                Update::Delete(i, j)
+            } else {
+                let (i, j, w) = fresh[k.wrapping_mul(104_729) % fresh.len()];
+                Update::Insert(i, j, w)
+            }
+        });
+        let config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
+        let service = GraphService::new(graph, config).expect("service");
+        // A BFS materialises the structure, which every epoch then carries.
+        service.query(Query::bfs_level(0)).expect("bfs");
+        group.bench_with_input(BenchmarkId::new("epoch", scale), &scale, |bencher, _| {
+            bencher.iter(|| {
+                for u in updates.by_ref().take(EPOCH_UPDATES) {
+                    service.submit(u).expect("submit");
+                }
+                service.flush().expect("flush").epoch()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = criterion_config();
     bench(&mut c);
+    publish(&mut c);
     c.final_summary();
 }

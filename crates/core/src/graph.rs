@@ -173,7 +173,7 @@ impl Graph {
     }
 
     /// The cached transpose `Aᵀ`. An undirected graph whose adjacency is
-    /// plain CSR and passes the one-pass symmetry walk
+    /// CSR (plain or layered) and passes the one-pass symmetry walk
     /// ([`Matrix::is_symmetric`]) *is* its transpose, pattern and values,
     /// and gets the adjacency back (as LAGraph uses `G->A` for `G->AT`);
     /// a directed graph, a compressed or hypersparse adjacency, or an
@@ -317,7 +317,8 @@ impl Graph {
     /// with the netted `delta` (mirror arcs included) applied. Whatever
     /// this snapshot had materialised is carried forward by the same
     /// delta — the structure (dual and all) and a materialised `Aᵀ` by
-    /// one splice each ([`Matrix::with_edits`]), an `Aᵀ` that is the
+    /// one [`Matrix::with_edits`] each, which shares their base arrays and
+    /// rewrites only the touched rows, an `Aᵀ` that is the
     /// adjacency itself as the same alias of `a_next`, the degrees by
     /// patching the touched rows — and whatever it had not stays lazy.
     /// [`Graph::new`] on `a_next` is the from-scratch oracle.

@@ -147,9 +147,10 @@ pub(super) fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
     delta
 }
 
-/// Epoch e+1 from epoch e: the delta is spliced from the *published*
-/// adjacency's arrays straight into the next one's, one write pass
-/// ([`graphblas::Matrix::with_edits`]); the snapshot's materialised caches
+/// Epoch e+1 from epoch e: the next adjacency shares the *published*
+/// one's base arrays and writes only the rows the delta touches into its
+/// overlay ([`graphblas::Matrix::with_edits`]), folding the overlay into a
+/// fresh base once it crosses its cut; the snapshot's materialised caches
 /// follow by the same delta.
 fn next_graph(prev: &Graph, delta: &[Edit<f64>], compressed: bool) -> Result<Graph, GrbError> {
     let mut a = prev.a().with_edits(delta)?;
@@ -288,6 +289,17 @@ pub(crate) fn coordinator_loop(
                 let nedges = g.nedges();
                 span.arg("nedges", nedges);
                 span.arg("queue_depth", shared.depth());
+                if span.on() {
+                    // What the publish wrote: the overlay it carries, and
+                    // whether it folded that into a fresh base instead — the
+                    // O(E) epochs a `publish_p95` outlier traces back to.
+                    let layers = g.a().layers();
+                    if let Some(l) = layers {
+                        span.arg("overlay_rows", l.overlay_rows);
+                        span.arg("overlay_entries", l.overlay_entries);
+                    }
+                    span.arg("folded", u64::from(layers.is_some_and(|l| l.folded)));
+                }
                 let graph = Arc::new(g);
                 // Views advance *before* the snapshot swap, so a flush
                 // that observes epoch e also observes views at e; a

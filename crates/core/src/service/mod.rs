@@ -17,7 +17,7 @@
 //!                                            ▼
 //!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
 //!                                            ▲  caches inherited from e-1
-//!                epoch e-1's arrays + Δ, one splice into new arrays
+//!          epoch e-1's base, shared + Δ's rows in a new overlay segment
 //!                                            │ barrier: all shards at e
 //!              ┌── shard 0 drainer ──▶ Δ₀ (sorted, last write wins)
 //!  epoch ──────┤── shard 1 drainer ──▶ Δ₁       ⋮
@@ -39,17 +39,16 @@
 //!   shard**, each netting its slice into a small sorted delta (the last
 //!   write to an arc wins; undirected edges carry both arcs). Shards
 //!   hold no copy of the graph. A barrier holds until every shard
-//!   reaches the epoch; the coordinator then splices the disjoint
-//!   deltas from the *published* adjacency's arrays straight into the
-//!   next snapshot's ([`graphblas::Matrix::with_edits`]: the assembly
-//!   splice, without a copy to assemble), and carries the previous
-//!   snapshot's materialised caches (structure and its dual, transpose,
-//!   degrees) forward by the same delta. One coordinated drain = one
-//!   **epoch**; a snapshot never mixes shards from different epochs.
-//!   What remains O(E) per epoch is one memcpy-speed write pass over
-//!   each matrix the snapshot holds. An undirected graph holds two: the
-//!   adjacency, which is its own transpose, and the structure, whose
-//!   rows are its own dual.
+//!   reaches the epoch; the coordinator then writes the next snapshot
+//!   over the *published* one ([`graphblas::Matrix::with_edits`]): it
+//!   shares the published base arrays and writes only the rows the
+//!   disjoint deltas touch, folding its overlay into a fresh base every
+//!   few dozen epochs, and carries the previous snapshot's materialised
+//!   caches (structure and its dual, transpose, degrees) forward by the
+//!   same delta. One coordinated drain = one **epoch**; a snapshot never
+//!   mixes shards from different epochs. An undirected graph holds two
+//!   matrices: the adjacency, which is its own transpose, and the
+//!   structure, whose rows are its own dual.
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
@@ -76,10 +75,11 @@
 //!
 //! Every epoch opens a `service.epoch` span ([`graphblas::trace`],
 //! category `service`) tagged with the epoch number, batch size, shard
-//! count, and the netted delta the splices applied;
-//! each batched query execution opens a `service.batch` span tagged with
-//! its width and epoch. `GRAPHBLAS_TRACE=burble` narrates the serving
-//! loop live.
+//! count, and the netted delta the publish applied, plus the adjacency's
+//! overlay (`overlay_rows`, `overlay_entries`) and whether the publish
+//! `folded` it into a fresh base; each batched query execution opens a
+//! `service.batch` span tagged with its width and epoch.
+//! `GRAPHBLAS_TRACE=burble` narrates the serving loop live.
 //!
 //! For *live* visibility the service also feeds [`graphblas::metrics`]:
 //! per-shard queue-depth gauges and processed counters, update counters

@@ -8,7 +8,9 @@
 //! 3,1`, set below when the caller has not): op spans per PageRank
 //! iteration, FastSV round and Δ-stepping light relaxation; which path
 //! each vector `write` took; how many vectors changed storage form; and,
-//! for BFS, the positions its writes examined.
+//! for BFS, the positions its writes examined. Two budgets use graphs of
+//! their own: a push from a star's hub, judged on the entries it scanned,
+//! and the epochs at which a service's publishes fold their overlay.
 
 use std::sync::Mutex;
 
@@ -294,4 +296,114 @@ fn two_threads_keep_the_one_thread_budgets() {
             "{what}: merges, form conversions or directions differ"
         );
     }
+}
+
+#[test]
+fn a_push_that_expands_a_hub_is_judged_on_the_entries_it_scanned() {
+    use graphblas::prelude::*;
+    use graphblas::semiring::LOR_LAND;
+    // A star: hub 0 and 999 leaves, every vertex already visited. The
+    // frontier {hub} looks cheap to push (est_push 1 against est_pull
+    // 2000), and the push scans all 999 leaves of the hub's row, but each
+    // lands on a masked-out slot and books no flop: only the scanned count
+    // shows it cost 3 · 999 against the pull's 2000.
+    let n = 1000;
+    let star = (1..n).flat_map(|j| [(0, j, true), (j, 0, true)]).collect();
+    let mut a = Matrix::from_tuples(n, n, star, |_, b| b).expect("star");
+    a.set_dual_storage(true);
+    let visited = Vector::dense(n, true).expect("visited");
+    let frontier = Vector::from_tuples(n, vec![(0, true)], |_, b| b).expect("frontier");
+    let (_, events) = traced(|| {
+        let mut next = Vector::<bool>::new(n).expect("next");
+        let desc = DESC_TRAN_COMP_REPLACE;
+        mxv(&mut next, Some(&visited), NOACC, &LOR_LAND, &a, &frontier, &desc).expect("mxv");
+        assert_eq!(next.nvals(), 0);
+    });
+    let span = events.iter().find(|e| e.name == "mxv").expect("mxv span");
+    assert!(span.kernel.is_some_and(|k| k.starts_with("push")), "{span:?}");
+    assert_eq!((span.arg_u64("flops"), span.arg_u64("scanned")), (Some(0), Some(n as u64 - 1)));
+    let mispredicts: Vec<_> = events.iter().filter(|e| e.name == "mxv.mispredict").collect();
+    assert_eq!(mispredicts.len(), 1, "{mispredicts:?}");
+    assert_eq!(mispredicts[0].arg_u64("actual"), Some(n as u64 - 1));
+}
+
+#[test]
+fn an_epoch_folds_exactly_when_its_overlay_crosses_the_cut() {
+    use lagraph::service::{GraphService, ServiceConfig};
+    // A 256-ring, and 64 epochs of one chord each, (e, e + 128): every
+    // epoch writes two fresh rows of three entries. The first publish
+    // writes a base of its own from the plain-CSR adjacency; after that
+    // each publish writes six entries and copies one handle per overlay
+    // segment before its own, and the overlay folds into a fresh base as
+    // soon as that adds up to more than an eighth of the base it sits on.
+    const N: usize = 256;
+    const EPOCHS: usize = 64;
+    let mut want = Vec::new();
+    let (mut base, mut spent, mut segments) = (2 * N, 0, 0);
+    for e in 1..=EPOCHS {
+        spent += 6 + segments;
+        segments += 1;
+        if e == 1 || spent * 8 > base {
+            want.push(e as u64);
+            (base, spent, segments) = (2 * N + 2 * e, 0, 0);
+        }
+    }
+    assert_eq!(want, [1, 9, 17, 25, 33, 41, 49, 58]);
+    let ring: Vec<(usize, usize)> = (0..N).map(|i| (i, (i + 1) % N)).collect();
+    let g = Graph::from_edges(N, &ring, GraphKind::Undirected).expect("ring");
+    let (_, events) = traced(|| {
+        let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
+        let s = GraphService::new(g, config).expect("service");
+        for e in 0..EPOCHS {
+            s.insert_edge(e, e + N / 2, 1.0).expect("insert");
+            s.flush().expect("flush");
+        }
+    });
+    let epochs: Vec<&Event> = events.iter().filter(|e| e.name == "service.epoch").collect();
+    assert_eq!(epochs.len(), EPOCHS);
+    let folded: Vec<u64> = epochs
+        .iter()
+        .filter(|e| e.arg_u64("folded") == Some(1))
+        .map(|e| e.arg_u64("epoch").expect("epoch"))
+        .collect();
+    assert_eq!(folded, want);
+    // Between folds the overlay holds the two rows of every epoch since.
+    for e in &epochs {
+        let epoch = e.arg_u64("epoch").expect("epoch");
+        let since = epoch - want.iter().rev().find(|&&f| f <= epoch).expect("a fold before");
+        assert_eq!(e.arg_u64("overlay_rows"), Some(2 * since), "epoch {epoch}");
+        assert_eq!(e.arg_u64("overlay_entries"), Some(6 * since), "epoch {epoch}");
+    }
+    // Only the adjacency is materialised, so each fold is one tagged span.
+    let tagged =
+        events.iter().filter(|e| e.name == "assemble.matrix" && e.arg_u64("fold") == Some(1));
+    assert_eq!(tagged.count(), want.len());
+}
+
+#[test]
+fn a_fold_on_a_publish_that_writes_nothing_is_tagged() {
+    use graphblas::prelude::*;
+    // A 128-entry base and 21 empty publishes: the m-th since a fold
+    // copies m - 1 segment handles, and 21 · 8 > 128 first at m = 7.
+    let ring = (0..64).flat_map(|i| [(i, (i + 1) % 64, 1.0), ((i + 1) % 64, i, 1.0)]).collect();
+    let source = Matrix::from_tuples(64, 64, ring, |_, b| b).expect("ring");
+    let (folded, events) = traced(|| {
+        let mut m = source.with_edits(&[]).expect("first publish");
+        let mut folded = Vec::new();
+        for p in 1..=21 {
+            m = m.with_edits(&[]).expect("publish");
+            if m.layers().expect("layered").folded {
+                folded.push(p);
+            }
+        }
+        folded
+    });
+    assert_eq!(folded, [7, 14, 21]);
+    let publishes: Vec<bool> = events
+        .iter()
+        .filter(|e| e.name == "assemble.matrix" && e.arg_u64("overlay_rows").is_some())
+        .map(|e| e.arg_u64("fold") == Some(1))
+        .collect();
+    let want: Vec<bool> = (0..=21).map(|p| p % 7 == 0).collect();
+    assert_eq!(publishes, want);
 }

@@ -8,7 +8,8 @@
 //! `service_views.rs`), directed and undirected, at S ∈ {1, 2, 4} shards,
 //! each inherited cache must equal the one `Graph::new` derives from
 //! scratch on the same adjacency — and an epoch whose predecessor had
-//! nothing materialised must materialise nothing.
+//! nothing materialised must materialise nothing. Snapshots are layered:
+//! between two folds, consecutive ones share their base arrays.
 
 use std::collections::BTreeSet;
 
@@ -272,4 +273,43 @@ fn only_what_was_materialised_is_carried() {
     g.structure().expect("structure");
     assert!(g.resident_bytes() > inherited, "structure was carried though never materialised");
     assert_caches_match_oracle(g, "partial carry");
+}
+
+#[test]
+fn layered_snapshots_share_their_base_until_a_fold() {
+    // One update an epoch, so each flush turns exactly one epoch and the
+    // snapshot it replaced is its predecessor. Every publish either layers
+    // its rows over the predecessor's base or folds its overlay into a
+    // fresh base; both must happen, the structure must fold when `A` does
+    // (they hold one pattern), serve as its own dual throughout, and `at()`
+    // must stay `A` itself.
+    let updates: Vec<Update> = script(Mix::Mixed).concat().into_iter().take(96).collect();
+    for shards in [1, 2] {
+        let s = service(GraphKind::Undirected, shards);
+        touch(s.snapshot().graph());
+        let (mut shared, mut folded) = (0, 0);
+        for u in &updates {
+            let prev = s.snapshot();
+            s.submit(*u).expect("submit");
+            let snap = s.flush().expect("flush");
+            assert_eq!(snap.epoch(), prev.epoch() + 1);
+            let (g, before) = (snap.graph(), prev.graph());
+            let label = format!("S={shards} epoch {}", snap.epoch());
+            let layers = g.a().layers().expect("a layered adjacency");
+            let shares = g.a().shares_base(before.a());
+            assert_eq!(shares, !layers.folded, "{label}: {layers:?}");
+            let st = g.structure().expect("structure");
+            let st_before = before.structure().expect("structure");
+            assert_eq!(st.shares_base(&st_before), shares, "{label}: the structure's base");
+            assert_eq!(st.memory_usage().dual_bytes, 0, "{label}: the structure holds a copy");
+            assert!(std::ptr::eq(&*g.at().expect("at"), g.a()), "{label}: at() is not A");
+            if shares {
+                shared += 1;
+            } else {
+                folded += 1;
+            }
+            assert_caches_match_oracle(g, &label);
+        }
+        assert!(shared > 10 && folded > 10, "S={shards}: shared {shared}, folded {folded}");
+    }
 }

@@ -143,6 +143,8 @@ impl<T: Scalar> Matrix<T> {
             // The read-optimized form has no raw arrays to move out;
             // exporting it pays one decode.
             Store::CompressedCsr(cm) => cm.decode(),
+            // Neither are the shared base and its overlay's.
+            Store::Layered(l) => l.fold(),
             _ => unreachable!("ensure_row_major"),
         };
         (inner.nrows, inner.ncols, cs.ptr, cs.idx, cs.val)
@@ -171,6 +173,7 @@ impl<T: Scalar> Matrix<T> {
             Store::HyperCsr(h) => h,
             Store::Csr(cs) => cs.to_hyper(),
             Store::CompressedCsr(cm) => cm.decode().to_hyper(),
+            Store::Layered(l) => l.fold().to_hyper(),
             _ => unreachable!("ensure_row_major"),
         };
         (inner.nrows, inner.ncols, h.heads, h.ptr, h.idx, h.val)

@@ -60,6 +60,7 @@ pub mod trace;
 pub mod types;
 pub mod unaryop;
 
+mod layered;
 mod matrix;
 mod sparse;
 mod vector;
@@ -73,7 +74,7 @@ pub use binaryop::BinaryOp;
 pub use compressed::CompressedMat;
 pub use descriptor::{Descriptor, Direction, MxmMethod};
 pub use error::{Error, Result};
-pub use matrix::{net_edits, Edit, Format, Matrix, MemoryUsage, Rows};
+pub use matrix::{net_edits, Edit, Format, Layers, Matrix, MemoryUsage, Rows};
 pub use monoid::Monoid;
 pub use ops::spec::specialization_enabled;
 pub use semiring::Semiring;

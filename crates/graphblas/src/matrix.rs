@@ -15,8 +15,10 @@
 //! CSR dual is patched by the same splice. This is why a sequence of `e`
 //! `set_element` calls costs the same as one `build` of `e` tuples
 //! (reproduced by the `incremental` benchmark). [`Matrix::with_edits`]
-//! runs the same splice from a published matrix straight into a new one,
-//! for a caller that keeps both.
+//! writes a published matrix's successor without touching the published
+//! arrays, into the layered form ([`crate::layered`]): a shared CSR base
+//! plus one overlay of the rows the edits touched, so a snapshot and its
+//! successor share every row the edits leave alone.
 //!
 //! A CSR matrix equal to its own transpose holds no second copy as its
 //! dual: its rows serve.
@@ -29,6 +31,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::compressed::CompressedMat;
 use crate::error::{Error, Result};
+use crate::layered::Layered;
 use crate::sparse::{Cs, Hyper, MatData, RowScratch, SparseView, Tuple};
 use crate::types::{Index, Scalar};
 
@@ -160,6 +163,10 @@ pub(crate) enum Store<T> {
     /// Row-major gap-encoded read-optimized form. Always assembled
     /// (zombies never exist here; writes go through pending tuples).
     CompressedCsr(CompressedMat<T>),
+    /// Row-major CSR as a shared base plus a replacement-row overlay, what
+    /// [`Matrix::with_edits`] publishes. Read-only: every write folds it
+    /// back to `Csr` first, so it never holds zombies or pending tuples.
+    Layered(Layered<T>),
 }
 
 impl<T: Scalar> Store<T> {
@@ -204,13 +211,16 @@ impl<T: Scalar> Store<T> {
             Store::Csr(c) | Store::Csc(c) => c.idx.len(),
             Store::HyperCsr(h) | Store::HyperCsc(h) => h.idx.len(),
             Store::CompressedCsr(c) => c.nvals(),
+            Store::Layered(l) => l.nvals(),
         }
     }
 
     /// `(row, col)` in this store's (major, minor) order.
     fn major_minor(&self, i: Index, j: Index) -> (Index, Index) {
         match self {
-            Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) => (i, j),
+            Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) | Store::Layered(_) => {
+                (i, j)
+            }
             Store::Csc(_) | Store::HyperCsc(_) => (j, i),
         }
     }
@@ -227,6 +237,7 @@ impl<T: Scalar> Store<T> {
                 (&h.idx, h.ptr[k], h.ptr[k + 1])
             }
             Store::CompressedCsr(_) => return None,
+            Store::Layered(_) => unreachable!("writes fold the layered form first"),
         };
         idx[a..b].binary_search_by_key(&min, |&x| unflip(x)).ok().map(|off| a + off)
     }
@@ -237,6 +248,7 @@ impl<T: Scalar> Store<T> {
             Store::Csr(c) | Store::Csc(c) => (&c.idx, &c.val),
             Store::HyperCsr(h) | Store::HyperCsc(h) => (&h.idx, &h.val),
             Store::CompressedCsr(c) => return SparseView::get(c, maj, min),
+            Store::Layered(l) => return SparseView::get(l, maj, min),
         };
         self.slot(maj, min).filter(|&p| idx[p] & ZOMBIE == 0).map(|p| val[p])
     }
@@ -247,6 +259,7 @@ impl<T: Scalar> Store<T> {
             Store::Csr(c) | Store::Csc(c) => (&mut c.idx, &mut c.val),
             Store::HyperCsr(h) | Store::HyperCsc(h) => (&mut h.idx, &mut h.val),
             Store::CompressedCsr(_) => unreachable!("the compressed form has no slots"),
+            Store::Layered(_) => unreachable!("writes fold the layered form first"),
         }
     }
 }
@@ -256,8 +269,8 @@ impl<T: Scalar> Store<T> {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum Dual<T> {
-    /// The matrix is plain CSR and equals its own transpose bit for bit
-    /// (`Cs::is_symmetric`), so its rows are the transpose: no second
+    /// The matrix is plain or layered CSR and equals its own transpose bit for bit
+    /// (`sparse::is_symmetric`), so its rows are the transpose: no second
     /// copy. Any write drops this state and the next read decides again;
     /// [`Matrix::with_edits`] keeps it under netted edits that equal their
     /// own transpose.
@@ -303,6 +316,7 @@ pub(crate) fn rows_of<T: Scalar>(inner: &Inner<T>) -> &dyn crate::sparse::Sparse
         Store::Csr(cs) => cs,
         Store::HyperCsr(h) => h,
         Store::CompressedCsr(c) => c,
+        Store::Layered(l) => l,
         _ => unreachable!("operand not assembled to row-major form"),
     }
 }
@@ -356,6 +370,7 @@ impl<T: Scalar> Inner<T> {
             Store::Csr(c) | Store::Csc(c) => cs_bytes(c),
             Store::HyperCsr(h) | Store::HyperCsc(h) => hyper_bytes(h),
             Store::CompressedCsr(c) => c.section_bytes(),
+            Store::Layered(l) => l.section_bytes(),
         };
         let dual_bytes = match &self.dual {
             None | Some(Dual::Rows) => 0,
@@ -368,6 +383,10 @@ impl<T: Scalar> Inner<T> {
                 p + i + v
             }
             Some(Dual::Copy(MatData::Compressed(c))) => c.bytes(),
+            Some(Dual::Copy(MatData::Layered(l))) => {
+                let (p, i, v) = l.section_bytes();
+                p + i + v
+            }
         };
         MemoryUsage {
             ptr_bytes,
@@ -425,6 +444,7 @@ impl<T: Scalar> Inner<T> {
                 Store::Csr(cs) | Store::Csc(cs) => *cs = splice(cs, &pend, &zombie_majors),
                 Store::HyperCsr(h) | Store::HyperCsc(h) => *h = splice_hyper(h, &pend),
                 Store::CompressedCsr(_) => unreachable!("expanded to CSR above"),
+                Store::Layered(_) => unreachable!("writes fold the layered form first"),
             }
             self.maybe_hypersparse();
             self.maybe_compress();
@@ -459,6 +479,9 @@ impl<T: Scalar> Inner<T> {
     fn maybe_hypersparse(&mut self) {
         let nvals = self.store.nvals_raw();
         match &self.store {
+            Store::Layered(l) if l.nmajor() > HYPER_MIN_DIM && nvals < l.nmajor() / HYPER_RATIO => {
+                self.store = Store::HyperCsr(l.fold().to_hyper());
+            }
             Store::Csr(cs) if cs.nmajor > HYPER_MIN_DIM && nvals < cs.nmajor / HYPER_RATIO => {
                 if let Store::Csr(cs) =
                     std::mem::replace(&mut self.store, Store::Csr(Cs::empty(1, 1)))
@@ -482,7 +505,7 @@ impl<T: Scalar> Inner<T> {
         debug_assert!(!self.needs_assembly());
         let placeholder = Store::Csr(Cs::empty(1, 1));
         match &self.store {
-            Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) => {}
+            Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_) | Store::Layered(_) => {}
             Store::Csc(_) => {
                 if let Store::Csc(cs) = std::mem::replace(&mut self.store, placeholder) {
                     self.store = Store::Csr(cs.transpose());
@@ -501,6 +524,18 @@ impl<T: Scalar> Inner<T> {
         self.store.nvals_raw()
     }
 
+    /// Flatten the layered form — the store, and a dual copy held layered
+    /// — into plain CSR. Every write path runs this first, so pending
+    /// tuples and zombies only ever live on slotted arrays.
+    fn fold_layers(&mut self) {
+        if let Store::Layered(l) = &self.store {
+            self.store = Store::Csr(l.fold());
+        }
+        if let Some(Dual::Copy(MatData::Layered(d))) = &self.dual {
+            self.dual = Some(Dual::Copy(MatData::Cs(d.fold())));
+        }
+    }
+
     /// Mark the cached transpose stale by one write: a CSR copy is
     /// patched with the logged writes at assembly, any other dual — the
     /// rows themselves included, since one write may break the symmetry —
@@ -513,14 +548,12 @@ impl<T: Scalar> Inner<T> {
     }
 
     /// The dual a kernel read builds: the rows themselves when the store
-    /// is plain CSR and passes the symmetry walk, else a transposed copy
-    /// (encoded too under compression, or dual storage would forfeit half
-    /// the savings).
+    /// is plain or layered CSR and passes the symmetry walk, else a
+    /// transposed copy (encoded too under compression, or dual storage
+    /// would forfeit half the savings).
     fn build_dual(&self) -> Dual<T> {
-        if let Store::Csr(cs) = &self.store {
-            if cs.is_symmetric() {
-                return Dual::Rows;
-            }
+        if self.symmetric() == Some(true) {
+            return Dual::Rows;
         }
         let mut d = crate::sparse::transpose_dyn(rows_of(self));
         if self.compress_enabled {
@@ -531,6 +564,16 @@ impl<T: Scalar> Inner<T> {
             }
         }
         Dual::Copy(d)
+    }
+
+    /// The symmetry walk ([`crate::sparse::is_symmetric`]) over plain or
+    /// layered CSR; `None` for every other form.
+    fn symmetric(&self) -> Option<bool> {
+        match &self.store {
+            Store::Csr(cs) => Some(crate::sparse::is_symmetric(cs)),
+            Store::Layered(l) => Some(crate::sparse::is_symmetric(l)),
+            _ => None,
+        }
     }
 
     fn check_bounds(&self, i: Index, j: Index) -> Result<()> {
@@ -547,6 +590,7 @@ impl<T: Scalar> Inner<T> {
     /// and lock-taking (`&self`) public entry points.
     fn set_element_inner(&mut self, i: Index, j: Index, x: T) -> Result<()> {
         self.check_bounds(i, j)?;
+        self.fold_layers();
         self.stale_dual(i, j, Some(x));
         let (maj, min) = self.store.major_minor(i, j);
         match self.store.slot(maj, min) {
@@ -578,6 +622,7 @@ impl<T: Scalar> Inner<T> {
     /// The `remove_element` write path, shared by both public entry points.
     fn remove_element_inner(&mut self, i: Index, j: Index) -> Result<()> {
         self.check_bounds(i, j)?;
+        self.fold_layers();
         self.stale_dual(i, j, None);
         let (maj, min) = self.store.major_minor(i, j);
         match self.store.slot(maj, min) {
@@ -658,12 +703,13 @@ fn merge_row<T: Scalar>(cs: &Cs<T>, row: Index, edits: &[Edit<T>], emit: impl Fn
 /// Assembly of a standard form, array to array: `cs` with the netted,
 /// major-sorted `edits` applied and the zombies in the (sorted) rows
 /// `zombie_majors` dropped. Only rows named by either are merged; their
-/// new sizes are counted first, the row pointers follow by prefix sum,
-/// and the fill — chunked by row range, so the result is the same at any
-/// thread count — copies every run of untouched rows in bulk.
+/// new sizes are counted first, the row pointers follow
+/// ([`resized_ptr`]), and the fill ([`bulk_fill`]) copies every run of
+/// untouched rows in bulk.
 fn splice<T: Scalar>(cs: &Cs<T>, edits: &[Edit<T>], zombie_majors: &[Index]) -> Cs<T> {
-    // (row, its range of `edits`, its new length), in row order.
-    let mut touched: Vec<(Index, std::ops::Range<usize>, usize)> = Vec::new();
+    // The touched rows, in order, with their range of `edits` and their
+    // new length.
+    let (mut rows, mut ranges, mut lens) = (Vec::new(), Vec::new(), Vec::new());
     let (mut e, mut z) = (0, 0);
     while e < edits.len() || z < zombie_majors.len() {
         let row = match (edits.get(e), zombie_majors.get(z)) {
@@ -677,38 +723,65 @@ fn splice<T: Scalar>(cs: &Cs<T>, edits: &[Edit<T>], zombie_majors: &[Index]) -> 
         z += zombie_majors[z..].partition_point(|&zrow| zrow == row);
         let mut len = 0;
         merge_row(cs, row, &edits[start..e], |_, _| len += 1);
-        touched.push((row, start..e, len));
+        rows.push(row);
+        ranges.push(start..e);
+        lens.push(len);
     }
+    let ptr = resized_ptr(&cs.ptr, rows.iter().copied().zip(lens));
+    let (idx, val) = bulk_fill(cs, &ptr, &rows, |k, idx, val| {
+        merge_row(cs, rows[k], &edits[ranges[k].clone()], |j, x| {
+            idx.push(j);
+            val.push(x);
+        });
+    });
+    Cs { nmajor: cs.nmajor, nminor: cs.nminor, ptr, idx, val }
+}
 
-    // Every old pointer moves by the net growth of the touched rows
-    // before it (a wrapping offset: rows shrink as well as grow).
-    let mut ptr = Vec::with_capacity(cs.nmajor + 1);
-    ptr.push(0);
+/// The row pointers of `ptr` with the ascending `touched` rows resized to
+/// their new lengths: every old pointer moves by the net growth of the
+/// touched rows before it (a wrapping offset: rows shrink as well as
+/// grow).
+pub(crate) fn resized_ptr(
+    ptr: &[usize],
+    touched: impl IntoIterator<Item = (Index, usize)>,
+) -> Vec<usize> {
+    let mut out = Vec::with_capacity(ptr.len());
+    out.push(0);
     let (mut from, mut shift) = (0, 0usize);
-    for &(row, _, len) in &touched {
-        ptr.extend(cs.ptr[from + 1..=row].iter().map(|&p| p.wrapping_add(shift)));
-        shift = shift.wrapping_add(len).wrapping_sub(cs.ptr[row + 1] - cs.ptr[row]);
-        ptr.push(cs.ptr[row + 1].wrapping_add(shift));
+    for (row, len) in touched {
+        out.extend(ptr[from + 1..=row].iter().map(|&p| p.wrapping_add(shift)));
+        shift = shift.wrapping_add(len).wrapping_sub(ptr[row + 1] - ptr[row]);
+        out.push(ptr[row + 1].wrapping_add(shift));
         from = row + 1;
     }
-    ptr.extend(cs.ptr[from + 1..].iter().map(|&p| p.wrapping_add(shift)));
-    let total = ptr[cs.nmajor];
+    out.extend(ptr[from + 1..].iter().map(|&p| p.wrapping_add(shift)));
+    out
+}
 
+/// The index and value arrays of the CSR with row pointers `ptr` that
+/// holds `cs`'s rows, except the ascending `touched` rows: `write(k, ..)`
+/// appends row `touched[k]`. Chunked by row range — so the result is the
+/// same at any thread count — and every run of untouched rows between two
+/// touched ones is one bulk copy.
+pub(crate) fn bulk_fill<T: Scalar>(
+    cs: &Cs<T>,
+    ptr: &[usize],
+    touched: &[Index],
+    write: impl Fn(usize, &mut Vec<Index>, &mut Vec<T>) + Sync,
+) -> (Vec<Index>, Vec<T>) {
+    let total = ptr[cs.nmajor];
     let chunks = crate::parallel::par_chunks(cs.nmajor, total, |r| {
         // The first chunk's arrays become the result: size them for it.
         let cap = if r.start == 0 { total } else { ptr[r.end] - ptr[r.start] };
         let (mut idx, mut val) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
         let mut from = r.start;
-        let mine =
-            touched.partition_point(|t| t.0 < r.start)..touched.partition_point(|t| t.0 < r.end);
-        for (row, edits_of, _) in &touched[mine] {
-            let untouched = cs.ptr[from]..cs.ptr[*row];
+        let first = touched.partition_point(|&t| t < r.start);
+        let mine = &touched[first..touched.partition_point(|&t| t < r.end)];
+        for (k, &row) in (first..).zip(mine) {
+            let untouched = cs.ptr[from]..cs.ptr[row];
             idx.extend_from_slice(&cs.idx[untouched.clone()]);
             val.extend_from_slice(&cs.val[untouched]);
-            merge_row(cs, *row, &edits[edits_of.clone()], |j, x| {
-                idx.push(j);
-                val.push(x);
-            });
+            write(k, &mut idx, &mut val);
             from = row + 1;
         }
         let untouched = cs.ptr[from]..cs.ptr[r.end];
@@ -722,7 +795,7 @@ fn splice<T: Scalar>(cs: &Cs<T>, edits: &[Edit<T>], zombie_majors: &[Index]) -> 
         idx.extend_from_slice(&ci);
         val.extend_from_slice(&cv);
     }
-    Cs { nmajor: cs.nmajor, nminor: cs.nminor, ptr, idx, val }
+    (idx, val)
 }
 
 /// Assembly of a hypersparse form: the stored tuples (zombie flags still
@@ -873,10 +946,12 @@ impl<T: Scalar> Matrix<T> {
         self.read().nvals_assembled()
     }
 
-    /// The current storage format.
+    /// The current storage format. The layered form of
+    /// [`Matrix::with_edits`] is row-major CSR with some rows replaced,
+    /// and reports [`Format::Csr`].
     pub fn format(&self) -> Format {
         match &self.inner.read().store {
-            Store::Csr(_) => Format::Csr,
+            Store::Csr(_) | Store::Layered(_) => Format::Csr,
             Store::Csc(_) => Format::Csc,
             Store::HyperCsr(_) => Format::HyperCsr,
             Store::HyperCsc(_) => Format::HyperCsc,
@@ -962,21 +1037,36 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// This matrix with `edits` applied, as a new matrix: what `clone` +
-    /// [`Matrix::apply_edits`] + [`Matrix::wait`] would give, but written
-    /// in one pass from this matrix's arrays into the new one's, under one
-    /// read lock. For a caller that keeps both, such as a snapshot and its
+    /// [`Matrix::apply_edits`] + [`Matrix::wait`] would give, but built in
+    /// one pass under one read lock, and without writing to this matrix's
+    /// arrays. For a caller that keeps both, such as a snapshot and its
     /// successor.
     ///
     /// Every edit is bounds-checked first. An out-of-bounds one returns the
     /// error `apply_edits` gives, and this matrix is never changed. The
-    /// edits are netted (the last write to a position wins) and spliced:
-    /// the standard forms row by row, the hypersparse forms as a tuple
-    /// merge, and the compressed form decoded, spliced and re-encoded. A
-    /// dual held as a CSR copy takes the transposed edits through the same
-    /// splice. A symmetric matrix whose rows serve as its dual keeps that
-    /// state when the netted edits equal their own transpose bit for bit,
-    /// as an undirected graph's mirrored arcs do. Any other dual is left to
-    /// the next kernel read to rebuild.
+    /// edits are netted (the last write to a position wins). A row-major
+    /// CSR matrix then comes back in the *layered* form: it shares this
+    /// matrix's CSR base arrays, and holds the complete new contents of
+    /// every row written since that base in one overlay, whose earlier
+    /// parts it shares too. The pass costs the rows the edits touch, the
+    /// overlay's row list and one bit a row, not a copy of the graph.
+    /// Reads take a row from the base or the overlay and never merge, and
+    /// [`Matrix::format`] reports it as [`Format::Csr`]. Once the
+    /// publishes since the base have written more than an eighth of its
+    /// entries (rewritten rows counted each time, plus one per overlay
+    /// segment each copied), the overlay is folded into a fresh base (one
+    /// bulk copy, like an assembly), and so is a plain-CSR source's first
+    /// publish; [`Matrix::layers`] shows which. Any write to a layered
+    /// matrix, or a change of its storage form, folds it into plain CSR
+    /// first. The hypersparse forms take a tuple merge, the column-major
+    /// and compressed forms (and any matrix opted into compression) the
+    /// assembly splice, and the compressed form is re-encoded after it.
+    ///
+    /// A dual held as a CSR copy takes the transposed edits the same way.
+    /// A symmetric matrix whose rows serve as its dual keeps that state
+    /// when the netted edits equal their own transpose bit for bit, as an
+    /// undirected graph's mirrored arcs do. Any other dual is left to the
+    /// next kernel read to rebuild.
     ///
     /// ```
     /// use graphblas::Matrix;
@@ -1001,17 +1091,30 @@ impl<T: Scalar> Matrix<T> {
         // and a dual take. The positions are distinct, so this only sorts.
         let mut transposed: Vec<Edit<T>> = delta.iter().map(|&(i, j, x)| (j, i, x)).collect();
         net_edits(&mut transposed);
+        // Row-major CSR layers; a matrix opted into compression does not,
+        // as its next step is an encode of the whole thing anyway.
+        let layer =
+            |cs: &Cs<T>, edits: &[Edit<T>]| -> Layered<T> { Layered::new(splice(cs, edits, &[])) };
+        let layers = !g.compress_enabled;
         // `read` resolved every deferred update: no zombies to drop.
         let store = match &g.store {
+            Store::Csr(cs) if layers => Store::Layered(layer(cs, &delta)),
             Store::Csr(cs) => Store::Csr(splice(cs, &delta, &[])),
+            Store::Layered(l) => Store::Layered(l.with_edits(&delta)),
             Store::Csc(cs) => Store::Csc(splice(cs, &transposed, &[])),
             Store::HyperCsr(h) => Store::HyperCsr(splice_hyper(h, &delta)),
             Store::HyperCsc(h) => Store::HyperCsc(splice_hyper(h, &transposed)),
             Store::CompressedCsr(cm) => Store::Csr(splice(&cm.decode(), &delta, &[])),
         };
         let dual = match &g.dual {
+            Some(Dual::Copy(MatData::Cs(d))) if layers => {
+                Some(Dual::Copy(MatData::Layered(layer(d, &transposed))))
+            }
             Some(Dual::Copy(MatData::Cs(d))) => {
                 Some(Dual::Copy(MatData::Cs(splice(d, &transposed, &[]))))
+            }
+            Some(Dual::Copy(MatData::Layered(d))) => {
+                Some(Dual::Copy(MatData::Layered(d.with_edits(&transposed))))
             }
             Some(Dual::Rows) if same_edits(&delta, &transposed) => Some(Dual::Rows),
             _ => None,
@@ -1030,14 +1133,42 @@ impl<T: Scalar> Matrix<T> {
         };
         next.maybe_hypersparse();
         next.maybe_compress();
-        // The rows serve as the dual of plain CSR only.
-        if !matches!(next.store, Store::Csr(_)) {
+        // The rows serve as the dual of plain or layered CSR only.
+        if !matches!(next.store, Store::Csr(_) | Store::Layered(_)) {
             next.dual.take_if(|d| matches!(d, Dual::Rows));
         }
         if span.on() {
+            if let Store::Layered(l) = &next.store {
+                let l = l.layers();
+                span.arg("overlay_rows", l.overlay_rows);
+                span.arg("overlay_entries", l.overlay_entries);
+                if l.folded {
+                    span.arg("fold", 1u64);
+                }
+            }
             span.arg("resident_bytes", next.memory_usage().total() as u64);
         }
         Ok(Matrix { inner: RwLock::new(next) })
+    }
+
+    /// How a matrix in the layered form that [`Matrix::with_edits`]
+    /// publishes is laid out; `None` for every other storage form.
+    pub fn layers(&self) -> Option<Layers> {
+        match &self.inner.read().store {
+            Store::Layered(l) => Some(l.layers()),
+            _ => None,
+        }
+    }
+
+    /// Whether this matrix and `other` are both in the layered form and
+    /// read the same base arrays: two snapshots of one lineage between
+    /// two folds. For tests.
+    #[doc(hidden)]
+    pub fn shares_base(&self, other: &Matrix<T>) -> bool {
+        match (&self.inner.read().store, &other.inner.read().store) {
+            (Store::Layered(a), Store::Layered(b)) => a.shares_base(b),
+            _ => false,
+        }
     }
 
     /// The deferred-update backlog: `(pending writes, zombies)` not yet
@@ -1115,6 +1246,7 @@ impl<T: Scalar> Matrix<T> {
     /// Convert in place to row-major (CSR or hypersparse CSR) storage.
     pub fn set_row_major(&mut self) {
         let inner = self.inner.get_mut();
+        inner.fold_layers();
         inner.assemble();
         inner.ensure_row_major();
     }
@@ -1122,6 +1254,7 @@ impl<T: Scalar> Matrix<T> {
     /// Convert in place to column-major (CSC or hypersparse CSC) storage.
     pub fn set_col_major(&mut self) {
         let inner = self.inner.get_mut();
+        inner.fold_layers();
         inner.assemble();
         let placeholder = Store::Csr(Cs::empty(1, 1));
         match &inner.store {
@@ -1141,6 +1274,7 @@ impl<T: Scalar> Matrix<T> {
                     inner.store = Store::Csc(cm.decode().transpose());
                 }
             }
+            Store::Layered(_) => unreachable!("folded above"),
         }
     }
 
@@ -1155,7 +1289,10 @@ impl<T: Scalar> Matrix<T> {
                 if !g.needs_assembly()
                     && matches!(
                         g.store,
-                        Store::Csr(_) | Store::HyperCsr(_) | Store::CompressedCsr(_)
+                        Store::Csr(_)
+                            | Store::HyperCsr(_)
+                            | Store::CompressedCsr(_)
+                            | Store::Layered(_)
                     )
                     && (!g.dual_enabled || g.dual.is_some())
                 {
@@ -1206,6 +1343,7 @@ impl<T: Scalar> Matrix<T> {
     pub fn set_compressed(&mut self, enabled: bool) {
         let inner = self.inner.get_mut();
         inner.compress_enabled = enabled;
+        inner.fold_layers();
         // Assemble first either way: pending writes over a compressed
         // store may shadow stored entries, which no slotted form allows.
         inner.assemble();
@@ -1245,6 +1383,13 @@ impl<T: Scalar> Matrix<T> {
                 )),
             },
             Store::HyperCsr(h) => match CompressedMat::encode(&h.to_cs()) {
+                Some(cm) => cm.write_path(path),
+                None => Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "matrix values are not exactly representable in the .lagc codec",
+                )),
+            },
+            Store::Layered(l) => match CompressedMat::encode(&l.fold()) {
                 Some(cm) => cm.write_path(path),
                 None => Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -1336,14 +1481,12 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Whether `A = Aᵀ`, pattern and values, decided in O(nvals) without
-    /// building the transpose (one cursor walk over the rows). Answered for plain
-    /// CSR storage only: `None` for the hypersparse and compressed forms,
-    /// whose callers fall back to comparing against a materialised `Aᵀ`.
+    /// building the transpose (one cursor walk over the rows). Answered for
+    /// CSR storage, plain or layered: `None` for the hypersparse and
+    /// compressed forms, whose callers fall back to comparing against a
+    /// materialised `Aᵀ`.
     pub fn is_symmetric(&self) -> Option<bool> {
-        match &self.read_rows().store {
-            Store::Csr(cs) => Some(cs.is_symmetric()),
-            _ => None,
-        }
+        self.read_rows().symmetric()
     }
 
     /// Stored entries per row as an `i64` vector, with no entry for an
@@ -1389,9 +1532,25 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+/// How a matrix in the layered form is laid out, from [`Matrix::layers`]:
+/// a CSR base shared with the snapshots before it, plus an overlay holding
+/// the complete contents of every row written since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layers {
+    /// Entries of the shared base.
+    pub base_entries: usize,
+    /// Rows the overlay replaces. `0` right after a fold.
+    pub overlay_rows: usize,
+    /// Entries in those rows.
+    pub overlay_entries: usize,
+    /// Whether the publish that made this matrix wrote a fresh base: it
+    /// folded its source's overlay, or its source was not layered.
+    pub folded: bool,
+}
+
 /// A read-locked view of an assembled matrix's row patterns, from
-/// [`Matrix::rows`]. Works on every row-major form: the CSR and
-/// hypersparse forms hand out their rows as slices, and the compressed
+/// [`Matrix::rows`]. Works on every row-major form: the CSR (plain or
+/// layered) and hypersparse forms hand out their rows as slices, and the compressed
 /// form decodes each visited row into a buffer that visit owns, so a
 /// [`Rows::contains`] may nest inside a [`Rows::for_each`]. Row indices
 /// must be below the row count (checked, as slice indexing is).
@@ -1792,12 +1951,13 @@ mod tests {
     }
 
     #[test]
-    fn with_edits_splices_a_held_copy_of_the_dual() {
+    fn with_edits_layers_a_held_copy_of_the_dual() {
         let mut m = symmetric();
         m.set_element(0, 2, 3.0).expect("break the symmetry");
         m.extract_tuples();
         let next = m.with_edits(&[(2, 0, Some(3.0)), (1, 3, None)]).expect("edits");
-        assert!(matches!(next.inner.read().dual, Some(Dual::Copy(MatData::Cs(_)))));
+        assert!(matches!(next.inner.read().store, Store::Layered(_)));
+        assert!(matches!(next.inner.read().dual, Some(Dual::Copy(MatData::Layered(_)))));
         let g = next.read_rows();
         let fresh = crate::sparse::transpose_dyn(rows_of(&g));
         assert_eq!(dual_of(&g).expect("dual").tuples(), fresh.view().tuples());

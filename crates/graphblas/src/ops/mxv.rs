@@ -271,16 +271,26 @@ where
 
     // A misprediction is an *Auto* choice (with the alternative actually
     // available) whose measured work, under the model, costs more than the
-    // estimate of the direction we turned down.
-    if desc.direction == Direction::Auto && dual.is_some() {
+    // estimate of the direction we turned down. A push's work is the
+    // entries it scanned — its frontier's row lengths — not its flops,
+    // which skip mask-blocked and terminal-absorbed slots: a hub whose
+    // leaves are all visited scans its whole row and books nothing. Only
+    // the trace reads the verdict, so it is only reached with a sink on.
+    if let (true, Direction::Auto, Some(dv)) = (span.on(), desc.direction, dual) {
         let m = cost::model();
-        let (chosen, est_chosen, est_other, mis) = if want_push {
-            ("push", est_push, est_pull, m.pull_cost(est_pull) < m.push_cost(actual))
+        let (chosen, est_chosen, est_other, work, mis) = if want_push {
+            let pushed = if transposed { rows } else { dv };
+            let mut scanned = 0usize;
+            uview.for_each(|k, _| {
+                scanned += pushed.entries_before(k + 1) - pushed.entries_before(k);
+            });
+            span.arg("scanned", scanned);
+            ("push", est_push, est_pull, scanned, m.pull_cost(est_pull) < m.push_cost(scanned))
         } else {
-            ("pull", est_pull, est_push, m.push_cost(est_push) < m.pull_cost(actual))
+            ("pull", est_pull, est_push, actual, m.push_cost(est_push) < m.pull_cost(actual))
         };
         if mis {
-            trace::mxv_mispredict(chosen, est_chosen, est_other, actual);
+            trace::mxv_mispredict(chosen, est_chosen, est_other, work);
         }
     }
     drop(mguard);

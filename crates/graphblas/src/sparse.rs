@@ -16,6 +16,7 @@
 use std::ops::Range;
 
 use crate::compressed::CompressedMat;
+use crate::layered::Layered;
 use crate::parallel::{fanout, run_cut, weighted_cut};
 use crate::types::{Index, Scalar};
 
@@ -40,15 +41,25 @@ pub(crate) enum Majors<'a> {
     /// pointers, iterating skips an empty major at one compare; without them
     /// (the compressed form codes its own) the loop finds it by reading it.
     Rows(Option<&'a [usize]>, Range<Index>),
+    /// Every major in the range, of the layered form: one empty in the
+    /// base's pointers is skipped at one compare unless its bit in the
+    /// written-row words says the overlay holds it.
+    Layered(&'a [usize], &'a [u64], Range<Index>),
     /// The occupied majors of a hypersparse form.
     List(&'a [Index]),
+}
+
+/// Whether bit `i` of the packed words `w` is set.
+#[inline]
+pub(crate) fn bit(w: &[u64], i: usize) -> bool {
+    w[i / 64] >> (i % 64) & 1 == 1
 }
 
 impl<'a> Majors<'a> {
     /// Number of positions.
     pub fn len(&self) -> usize {
         match self {
-            Majors::Rows(_, r) => r.len(),
+            Majors::Rows(_, r) | Majors::Layered(_, _, r) => r.len(),
             Majors::List(l) => l.len(),
         }
     }
@@ -56,7 +67,7 @@ impl<'a> Majors<'a> {
     /// The major at position `k`, `None` past the end.
     pub fn get(&self, k: usize) -> Option<Index> {
         match self {
-            Majors::Rows(_, r) => (k < r.len()).then(|| r.start + k),
+            Majors::Rows(_, r) | Majors::Layered(_, _, r) => (k < r.len()).then(|| r.start + k),
             Majors::List(l) => l.get(k).copied(),
         }
     }
@@ -65,6 +76,7 @@ impl<'a> Majors<'a> {
     pub fn slice(&self, at: Range<usize>) -> Majors<'a> {
         match self {
             Majors::Rows(p, r) => Majors::Rows(*p, r.start + at.start..r.start + at.end),
+            Majors::Layered(p, w, r) => Majors::Layered(p, w, r.start + at.start..r.start + at.end),
             Majors::List(l) => Majors::List(&l[at]),
         }
     }
@@ -75,6 +87,10 @@ impl<'a> Majors<'a> {
             Majors::Rows(p, all) => {
                 let start = all.start.max(r.start);
                 Majors::Rows(*p, start..all.end.min(r.end).max(start))
+            }
+            Majors::Layered(p, w, all) => {
+                let start = all.start.max(r.start);
+                Majors::Layered(p, w, start..all.end.min(r.end).max(start))
             }
             Majors::List(l) => {
                 let at = |m: Index| l.partition_point(|&i| i < m);
@@ -90,6 +106,7 @@ impl Iterator for Majors<'_> {
     fn next(&mut self) -> Option<Index> {
         match self {
             Majors::Rows(p, r) => r.find(|&i| p.is_none_or(|p| p[i + 1] > p[i])),
+            Majors::Layered(p, w, r) => r.find(|&i| p[i + 1] > p[i] || bit(w, i)),
             Majors::List(l) => {
                 let (&i, rest) = l.split_first()?;
                 *l = rest;
@@ -167,6 +184,9 @@ pub enum MatData<T> {
     Hyper(Hyper<T>),
     /// Gap-encoded read-optimized form ([`crate::compressed`]).
     Compressed(CompressedMat<T>),
+    /// A shared CSR base plus a replacement-row overlay
+    /// ([`crate::layered`]): a dual that `Matrix::with_edits` carried.
+    Layered(Layered<T>),
 }
 
 impl<T: Scalar> MatData<T> {
@@ -176,6 +196,7 @@ impl<T: Scalar> MatData<T> {
             MatData::Cs(c) => c,
             MatData::Hyper(h) => h,
             MatData::Compressed(c) => c,
+            MatData::Layered(l) => l,
         }
     }
 }
@@ -308,6 +329,35 @@ impl<T> SharedSlots<T> {
     }
 }
 
+/// Whether a view equals its own transpose, pattern and values bit for bit
+/// ([`Scalar::same_bits`]: `-0.0` is not the mirror of `0.0`), in one pass
+/// over the entries and without building the transpose.
+/// Rows are walked in ascending order with one cursor per row: entry
+/// `(i, j)` must find `(j, i)` — same value — at row `j`'s cursor, which
+/// then moves on. Row `j`'s entries are sorted by column and the rows that
+/// name it come in ascending order, so a symmetric structure consumes
+/// every cursor exactly; any entry without its mirror leaves a cursor
+/// stuck on it, and the next look-up at that row fails.
+pub(crate) fn is_symmetric<T: Scalar, V: SparseView<T> + ?Sized>(v: &V) -> bool {
+    if v.nmajor() != v.nminor() {
+        return false;
+    }
+    let (mut outer, mut inner) = (RowScratch::default(), RowScratch::default());
+    let mut cursor = vec![0usize; v.nmajor()];
+    for i in v.majors() {
+        let (idx, val) = v.row(i, &mut outer);
+        for (&j, &x) in idx.iter().zip(val) {
+            let q = cursor[j];
+            let (mirror, mval) = v.row(j, &mut inner);
+            if mirror.get(q) != Some(&i) || !mval[q].same_bits(x) {
+                return false;
+            }
+            cursor[j] = q + 1;
+        }
+    }
+    true
+}
+
 /// Standard compressed form (CSR when the major axis is rows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cs<T> {
@@ -409,34 +459,6 @@ impl<T: Scalar> Cs<T> {
             }
         }
         Cs { nmajor: self.nminor, nminor: self.nmajor, ptr, idx, val }
-    }
-
-    /// Whether the structure equals its own transpose, pattern and values
-    /// bit for bit ([`Scalar::same_bits`]: `-0.0` is not the mirror of
-    /// `0.0`), in one pass over the entries and without building the
-    /// transpose.
-    /// Rows are walked in ascending order with one cursor per row: entry
-    /// `(i, j)` must find `(j, i)` — same value — at row `j`'s cursor,
-    /// which then moves on. Row `j`'s entries are sorted by column and the
-    /// rows that name it come in ascending order, so a symmetric structure
-    /// consumes every cursor exactly; any entry without its mirror leaves a
-    /// cursor stuck on it, and the next look-up at that row fails.
-    pub fn is_symmetric(&self) -> bool {
-        if self.nmajor != self.nminor {
-            return false;
-        }
-        let mut cursor = self.ptr[..self.nmajor].to_vec();
-        for i in 0..self.nmajor {
-            for p in self.ptr[i]..self.ptr[i + 1] {
-                let j = self.idx[p];
-                let q = cursor[j];
-                if q == self.ptr[j + 1] || self.idx[q] != i || !self.val[q].same_bits(self.val[p]) {
-                    return false;
-                }
-                cursor[j] = q + 1;
-            }
-        }
-        true
     }
 
     /// Convert to hypersparse form, dropping empty vectors.
@@ -871,8 +893,8 @@ mod tests {
     #[test]
     fn symmetry_walk_agrees_with_the_transpose() {
         let sym = vec![(0, 1, 2.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 3.0), (3, 3, 7.0)];
-        assert!(Cs::from_tuples(4, 4, sym.clone(), |_, b| b).is_symmetric());
-        assert!(Cs::<f64>::empty(5, 5).is_symmetric());
+        assert!(is_symmetric(&Cs::from_tuples(4, 4, sym.clone(), |_, b| b)));
+        assert!(is_symmetric(&Cs::<f64>::empty(5, 5)));
         // A missing mirror, a mirror with another value, an extra entry in
         // the last row, a rectangular shape: each one is caught.
         let mut missing = sym.clone();
@@ -883,10 +905,10 @@ mod tests {
         extra.push((3, 0, 1.0));
         for (label, t) in [("missing", missing), ("reweighted", reweighted), ("extra", extra)] {
             let cs = Cs::from_tuples(4, 4, t, |_, b| b);
-            assert!(!cs.is_symmetric(), "{label}");
+            assert!(!is_symmetric(&cs), "{label}");
             assert_ne!(cs.transpose(), cs, "{label}: the oracle agrees");
         }
-        assert!(!Cs::from_tuples(2, 3, vec![(0, 1, 1.0), (1, 0, 1.0)], |_, b| b).is_symmetric());
+        assert!(!is_symmetric(&Cs::from_tuples(2, 3, vec![(0, 1, 1.0), (1, 0, 1.0)], |_, b| b)));
     }
 
     #[test]
@@ -894,10 +916,10 @@ mod tests {
         // A signed zero is not the mirror of the other one (the transpose
         // holds different bits), and a NaN is the mirror of the same NaN.
         let zeros = Cs::from_tuples(2, 2, vec![(0, 1, 0.0f64), (1, 0, -0.0)], |_, b| b);
-        assert!(!zeros.is_symmetric());
+        assert!(!is_symmetric(&zeros));
         assert_ne!(zeros.transpose().val[0].to_bits(), zeros.val[0].to_bits());
         let nan = vec![(0, 1, f64::NAN), (1, 0, f64::NAN)];
-        assert!(Cs::from_tuples(2, 2, nan, |_, b| b).is_symmetric());
+        assert!(is_symmetric(&Cs::from_tuples(2, 2, nan, |_, b| b)));
     }
 
     #[test]

@@ -659,9 +659,10 @@ pub(crate) fn early_exit() {
     instant(sinks() & TRACE, "reduce.early_exit", Cat::Runtime, None, Vec::new);
 }
 
-/// Record a direction misprediction: after the kernel ran, the measured
-/// flop count priced higher than the cost model's estimate for the
-/// direction it rejected. The instant (tagged with the chosen kernel and
+/// Record a direction misprediction: after the kernel ran, its measured
+/// work (`actual`: the entries a push scanned, the flops of a pull)
+/// priced higher than the cost model's estimate for the direction it
+/// rejected. The instant (tagged with the chosen kernel and
 /// both estimates) makes the mispredicted products visible in the Chrome
 /// trace and countable in [`RunAggregate::mispredicts`].
 pub(crate) fn mxv_mispredict(

@@ -9,9 +9,11 @@
 //! storage on, a kernel read builds the cached transpose mid-script;
 //! later writes mark it stale and assembly patches it, and push and pull
 //! products over the patched dual must equal the same products over a
-//! matrix built from scratch. `Matrix::with_edits`, the same splice from
-//! one matrix into a new one, is held to the oracle and to the three-step
-//! replay it replaces.
+//! matrix built from scratch. `Matrix::with_edits`, which writes one
+//! matrix's successor without touching it, is held to the oracle and to the
+//! three-step replay it replaces: once from every storage form, and along
+//! chains of up to 300 publishes through the layered form it gives a CSR
+//! matrix, where overlays grow and fold into fresh bases.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -92,7 +94,8 @@ fn tuples_of(model: &Model, form: Form) -> Vec<(Index, Index, i64)> {
 /// `A·u` and `Aᵀ·u`, each pushed and pulled: between them they read the
 /// rows and the dual in both roles.
 fn products(m: &Matrix<i64>) -> Vec<Vec<(Index, i64)>> {
-    let u = Vector::from_tuples(N, (0..N).map(|k| (k, k as i64 + 1)).collect(), |_, b| b)
+    let n = m.nrows();
+    let u = Vector::from_tuples(n, (0..n).map(|k| (k, k as i64 + 1)).collect(), |_, b| b)
         .expect("input vector");
     let mut out = Vec::new();
     for transpose in [false, true] {
@@ -101,7 +104,7 @@ fn products(m: &Matrix<i64>) -> Vec<Vec<(Index, i64)>> {
             if transpose {
                 desc = desc.transpose_a();
             }
-            let mut w = Vector::<i64>::new(N).expect("output vector");
+            let mut w = Vector::<i64>::new(n).expect("output vector");
             mxv(&mut w, None, NOACC, &PLUS_TIMES, m, &u, &desc).expect("mxv");
             out.push(w.extract_tuples());
         }
@@ -294,7 +297,7 @@ fn entries(m: &Matrix<i64>, form: Form) -> Vec<(Index, Index, i64)> {
 /// equals the last write to its mirror, as an undirected service epoch's
 /// are) and one-sided; both re-write, insert, delete, delete an absent
 /// entry and write a position twice.
-fn splice_deltas() -> [(&'static str, Vec<(Index, Index, Option<i64>)>); 2] {
+fn splice_deltas() -> [(&'static str, Edits); 2] {
     let one_sided = vec![
         (1, 2, Some(40)),
         (0, 3, None),
@@ -398,5 +401,241 @@ proptest! {
     #[test]
     fn random_interleavings_match_the_map_model(ops in arb_ops()) {
         run_everywhere(&ops);
+    }
+}
+
+/// Dimension of the `with_edits` chains: a base of three entries a row
+/// keeps a one-edit epoch's rows under the fold cut (an eighth of the
+/// base) for a few epochs, and a chain of a few dozen crosses it.
+const CHAIN_N: Index = 24;
+
+type Edits = Vec<(Index, Index, Option<i64>)>;
+
+/// A chain source: a symmetric pattern of three entries a row (plus one
+/// unmirrored entry unless its rows are to serve as its dual), read once
+/// when dual storage is on so the dual exists.
+fn chain_source(dual: DualState) -> (Matrix<i64>, Model) {
+    let mut model = Model::new();
+    for i in 0..CHAIN_N {
+        let j = (i + 5) % CHAIN_N;
+        let v = (i * j) as i64 % 7 + 1;
+        model.insert((i, i), i as i64);
+        model.insert((i, j), v);
+        model.insert((j, i), v);
+    }
+    if dual != DualState::Rows {
+        model.insert((0, CHAIN_N - 1), -5);
+    }
+    let mut m = Matrix::new(CHAIN_N, CHAIN_N).expect("new");
+    m.set_dual_storage(dual != DualState::Off);
+    m.apply_edits(model.iter().map(|(&(i, j), &v)| (i, j, Some(v)))).expect("source");
+    m.extract_tuples();
+    (m, model)
+}
+
+fn model_tuples(model: &Model) -> Vec<(Index, Index, i64)> {
+    model.iter().map(|(&(i, j), &v)| (i, j, v)).collect()
+}
+
+/// Publish every epoch of `chain` in turn, each from the one before, and
+/// hold each to the oracle, to clone + `apply_edits` + `wait` of its
+/// predecessor, and — through products over its dual — to a fresh build;
+/// the predecessor must read as it did. Under the rows-as-dual state the
+/// epochs are mirrored, and the state must survive every one. Returns how
+/// many publishes shared their predecessor's base and how many folded.
+fn run_chain(chain: &[Edits], dual: DualState) -> (usize, usize) {
+    let (mut m, mut model) = chain_source(dual);
+    let (mut shared, mut folded) = (0, 0);
+    for (e, epoch) in chain.iter().enumerate() {
+        let what = format!("{dual:?} epoch {e}");
+        let delta: Edits = match dual {
+            DualState::Rows => epoch.iter().flat_map(|&(i, j, x)| [(i, j, x), (j, i, x)]).collect(),
+            _ => epoch.clone(),
+        };
+        let before = m.extract_tuples();
+        let next = m.with_edits(&delta).expect("with_edits");
+        for &(i, j, x) in &delta {
+            match x {
+                Some(v) => model.insert((i, j), v),
+                None => model.remove(&(i, j)),
+            };
+        }
+        let mut replay = m.clone();
+        replay.apply_edits(delta.iter().copied()).expect("replay");
+        replay.wait();
+        assert_eq!(next.extract_tuples(), model_tuples(&model), "{what}: oracle");
+        assert_eq!(next.extract_tuples(), replay.extract_tuples(), "{what}: replay");
+        assert_eq!(m.extract_tuples(), before, "{what}: the source changed");
+        let layers = next.layers().expect("a CSR matrix publishes layered");
+        assert_eq!(next.shares_base(&m), !layers.folded, "{what}: {layers:?}");
+        if layers.folded {
+            assert_eq!(layers.overlay_rows, 0, "{what}: a fold left an overlay");
+            folded += 1;
+        } else {
+            shared += 1;
+        }
+        if dual == DualState::Rows {
+            assert_eq!(next.memory_usage().dual_bytes, 0, "{what}: the rows stopped serving");
+        }
+        let mut fresh =
+            Matrix::from_tuples(CHAIN_N, CHAIN_N, model_tuples(&model), |_, b| b).expect("fresh");
+        fresh.set_dual_storage(dual != DualState::Off);
+        assert_eq!(products(&next), products(&fresh), "{what}: products over the dual");
+        m = next;
+    }
+    (shared, folded)
+}
+
+/// Every dual state at 1 and 8 threads, the parallel threshold forced to 1
+/// so the fold's bulk copy takes the chunked path. Returns the fewest
+/// shared and the fewest folded publishes any configuration saw.
+fn run_chain_everywhere(chain: &[Edits]) -> (usize, usize) {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_par_threshold(1);
+    let mut fewest = (usize::MAX, usize::MAX);
+    for threads in [1, 8] {
+        set_threads(threads);
+        for dual in [DualState::Off, DualState::Copy, DualState::Rows] {
+            let (shared, folded) = run_chain(chain, dual);
+            fewest = (fewest.0.min(shared), fewest.1.min(folded));
+        }
+    }
+    set_threads(0);
+    set_par_threshold(0);
+    fewest
+}
+
+#[test]
+fn a_chain_of_publishes_shares_bases_and_folds_at_the_cut() {
+    // One insert an epoch into a fresh row: each publish adds a row of four
+    // entries to the overlay (two, mirrored), which crosses an eighth of
+    // the 72-entry base within three epochs of a fold — and the first
+    // publish from plain CSR writes a base of its own. Both kinds must
+    // occur, in every configuration.
+    let chain: Vec<Edits> = (0..12).map(|i| vec![(i, (i + 12) % CHAIN_N, Some(3))]).collect();
+    let (shared, folded) = run_chain_everywhere(&chain);
+    assert!(shared >= 3 && folded >= 3, "shared {shared}, folded {folded}");
+}
+
+#[test]
+fn a_long_run_of_small_publishes_folds_on_the_handles_it_copies() {
+    // A 1024-entry base and 150 publishes that alternate an empty Δ with
+    // one re-weight of a two-entry row. The entries alone would cross an
+    // eighth of the base only after 128 publishes; each publish also
+    // copies one handle per overlay segment before its own, and those
+    // fold the overlay every 16 publishes or so.
+    const N: Index = 512;
+    let mut model = Model::new();
+    for i in 0..N {
+        model.insert((i, i), 1);
+        model.insert((i, (i + 1) % N), 2);
+    }
+    let mut m = Matrix::from_tuples(N, N, model_tuples(&model), |_, b| b).expect("source");
+    let (mut spent, mut segments, mut want, mut got) = (0, 0, Vec::new(), Vec::new());
+    for p in 1..=150usize {
+        let delta: Edits = match p % 2 {
+            0 => vec![(p % N, p % N, Some(p as i64))],
+            _ => Vec::new(),
+        };
+        let now = spent + 2 * delta.len() + segments;
+        if p == 1 || now * 8 > 2 * N {
+            want.push(p);
+            (spent, segments) = (0, 0);
+        } else {
+            (spent, segments) = (now, segments + 1);
+        }
+        let before = m.extract_tuples();
+        let next = m.with_edits(&delta).expect("with_edits");
+        for &(i, j, x) in &delta {
+            model.insert((i, j), x.expect("a re-weight"));
+        }
+        assert_eq!(next.extract_tuples(), model_tuples(&model), "publish {p}: oracle");
+        assert_eq!(m.extract_tuples(), before, "publish {p}: the source changed");
+        let layers = next.layers().expect("layered");
+        assert_eq!(next.shares_base(&m), !layers.folded, "publish {p}: {layers:?}");
+        if layers.folded {
+            assert_eq!(layers.overlay_rows, 0, "publish {p}: {layers:?}");
+            got.push(p);
+        }
+        m = next;
+    }
+    assert!(want.len() > 8 && want.windows(2).all(|w| w[1] - w[0] < 20), "{want:?}");
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_write_to_a_layered_matrix_folds_it_first() {
+    // A second publish holds an overlay; each write path, and each change
+    // of storage form, must fold it into plain CSR before it writes, and
+    // leave the snapshot it came from as it was.
+    type Write = fn(&mut Matrix<i64>, &mut Model);
+    let writes: [(&str, Write); 5] = [
+        ("set_element", |m, model| {
+            m.set_element(3, 20, 11).expect("set");
+            model.insert((3, 20), 11);
+        }),
+        ("remove_element", |m, model| {
+            m.remove_element(4, 9).expect("remove");
+            model.remove(&(4, 9));
+        }),
+        ("apply_edits", |m, model| {
+            m.apply_edits([(4, 4, None), (5, 1, Some(2))]).expect("apply");
+            model.remove(&(4, 4));
+            model.insert((5, 1), 2);
+        }),
+        ("set_compressed", |m, _| m.set_compressed(true)),
+        ("set_col_major", |m, _| m.set_col_major()),
+    ];
+    for dual in [DualState::Off, DualState::Copy, DualState::Rows] {
+        for (label, write) in writes {
+            let what = format!("{dual:?} {label}");
+            let (src, mut model) = chain_source(dual);
+            let first = src.with_edits(&[]).expect("first publish");
+            let layered = first.with_edits(&[(4, 9, Some(8)), (9, 4, Some(8))]).expect("second");
+            model.insert((4, 9), 8);
+            model.insert((9, 4), 8);
+            assert!(layered.layers().is_some_and(|l| l.overlay_rows == 2), "{what}");
+            let published = layered.extract_tuples();
+            let mut w = layered.clone();
+            write(&mut w, &mut model);
+            assert_eq!(w.layers(), None, "{what}: the write left the layers in place");
+            assert!(!w.shares_base(&layered), "{what}");
+            assert_eq!(w.extract_tuples(), model_tuples(&model), "{what}: oracle");
+            let mut fresh = Matrix::from_tuples(CHAIN_N, CHAIN_N, model_tuples(&model), |_, b| b)
+                .expect("fresh");
+            fresh.set_dual_storage(dual != DualState::Off);
+            assert_eq!(products(&w), products(&fresh), "{what}: products over the dual");
+            assert_eq!(layered.extract_tuples(), published, "{what}: the snapshot changed");
+            assert!(layered.shares_base(&first), "{what}");
+        }
+    }
+}
+
+/// One epoch of a chain: one to three writes, drawn from inserts and
+/// re-weights anywhere, deletes, the hub row 0, and the diagonal.
+fn arb_epoch() -> impl Strategy<Value = Edits> {
+    let n = CHAIN_N;
+    proptest::collection::vec(
+        prop_oneof![
+            ((0..n, 0..n), -50i64..50).prop_map(|((i, j), v)| (i, j, Some(v))),
+            (0..n, 0..n).prop_map(|(i, j)| (i, j, None)),
+            (0..n, -50i64..50).prop_map(|(j, v)| (0, j, Some(v))),
+            (0..n, proptest::option::of(-50i64..50)).prop_map(|(i, x)| (i, i, x)),
+        ],
+        1..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Chains of 1–300 publishes: overlays grow, rows are rewritten while
+    /// they sit in the overlay, hub and diagonal rows churn, and folds come
+    /// round — every epoch equal to the oracle and to the replay.
+    #[test]
+    fn random_publish_chains_match_the_map_model(
+        chain in proptest::collection::vec(arb_epoch(), 1..300)
+    ) {
+        run_chain_everywhere(&chain);
     }
 }

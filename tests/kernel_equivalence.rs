@@ -11,8 +11,9 @@
 //! true escape hatch: flipping it can change speed, never answers.
 //!
 //! Storage is held to the same contract: compressed operands against CSR,
-//! and an operand's held dual against a per-call transpose, for every op
-//! that takes a transpose flag.
+//! an operand's held dual against a per-call transpose, for every op that
+//! takes a transpose flag, and the layered form `Matrix::with_edits`
+//! publishes against the plain CSR it stands for.
 
 use graphblas::binaryop::Plus;
 use graphblas::descriptor::Descriptor;
@@ -188,6 +189,88 @@ fn transposing_ops(
         row.extract_tuples(),
         at.extract_tuples(),
         copy.extract_tuples()
+    ));
+    out
+}
+
+/// Dimension of the layered operands: a tridiagonal base of 190 entries,
+/// whose overlay stays under the fold cut (an eighth of the base) for the
+/// at most four rows, of at most five entries, the edits below write.
+const D: usize = 64;
+
+/// One or two writes anywhere in a `D × D` operand: inserts, re-weights,
+/// deletes, the diagonal.
+fn arb_layer_edits() -> impl Strategy<Value = Vec<(usize, usize, Option<i64>)>> {
+    proptest::collection::vec((0..D, 0..D, proptest::option::of(-8i64..8)), 1..3)
+}
+
+/// A mask over `D × D`: the `N × N` sample spread over it.
+fn spread_mask(tuples: &[(usize, usize, i64)]) -> Matrix<bool> {
+    let spread = tuples.iter().map(|&(i, j, _)| (i * (D / N), j * (D / N), true)).collect();
+    Matrix::from_tuples(D, D, spread, |_, b| b).expect("mask")
+}
+
+/// The layered matrix `with_edits` publishes, a publish after a
+/// tridiagonal source with dual storage on, and the flattened copy to hold
+/// it to: the source
+/// cloned, the same writes replayed, assembled. The source is symmetric —
+/// its rows serve as its dual — unless `rows_dual` is off, when one
+/// unmirrored entry makes its dual a copy.
+fn layered_and_flat<T: graphblas::Scalar>(
+    edits: &[(usize, usize, Option<i64>)],
+    rows_dual: bool,
+    cast: impl Fn(i64) -> T,
+) -> (Matrix<T>, Matrix<T>) {
+    let mut base: Vec<(usize, usize, T)> = (0..D)
+        .flat_map(|i| (i.saturating_sub(1)..(i + 2).min(D)).map(move |j| (i, j)))
+        .map(|(i, j)| (i, j, cast(((i + j) % 5) as i64 + 1)))
+        .collect();
+    if !rows_dual {
+        base.push((0, D - 1, cast(7)));
+    }
+    let mut src = Matrix::from_tuples(D, D, base, |_, b| b).expect("source");
+    src.set_dual_storage(true);
+    src.extract_tuples();
+    let edits: Vec<_> = edits.iter().map(|&(i, j, x)| (i, j, x.map(&cast))).collect();
+    // A plain-CSR source's first publish writes a fresh base; the second
+    // layers its rows over that base.
+    let first = src.with_edits(&[]).expect("first publish");
+    let layered = first.with_edits(&edits).expect("with_edits");
+    assert!(layered.shares_base(&first), "{:?}", layered.layers());
+    let mut flat = src.clone();
+    flat.apply_edits(edits).expect("replay");
+    flat.wait();
+    (layered, flat)
+}
+
+/// Ops that read an operand as stored, without a transpose flag: both
+/// product directions, a row reduce, a select (plain CSR takes its own
+/// fast path there), an indexed apply.
+fn untransposed_ops(a: &Matrix<i64>, d: Descriptor) -> Vec<String> {
+    use graphblas::descriptor::Direction;
+    let (m, n) = (a.nrows(), a.ncols());
+    let u =
+        Vector::from_tuples(n, (0..n).step_by(3).map(|j| (j, j as i64 - 9)).collect(), |_, b| b)
+            .expect("u");
+    let mut out = Vec::new();
+    for dir in [Direction::Push, Direction::Pull] {
+        let mut w = Vector::<i64>::new(m).expect("w");
+        mxv(&mut w, None, NOACC, &PLUS_TIMES, a, &u, &d.direction(dir)).expect("mxv");
+        out.push(format!("{dir:?} {:?}", w.extract_tuples()));
+    }
+    let mut rows = Vector::<i64>::new(m).expect("rows");
+    reduce_matrix(&mut rows, None, NOACC, &Plus, a, &d).expect("reduce");
+    let mut selected = Matrix::<i64>::new(m, n).expect("selected");
+    select_matrix(&mut selected, None, NOACC, |i: usize, j: usize, x: i64| x > 1 || i < j, a, &d)
+        .expect("select");
+    let mut applied = Matrix::<i64>::new(m, n).expect("applied");
+    let op = |i: usize, j: usize, x: i64| 7 * x + (3 * i + j) as i64;
+    apply_matrix_indexed(&mut applied, None, NOACC, op, a, &d).expect("apply");
+    out.push(format!(
+        "{:?} {:?} {:?}",
+        rows.extract_tuples(),
+        selected.extract_tuples(),
+        applied.extract_tuples()
     ));
     out
 }
@@ -444,6 +527,38 @@ proptest! {
             let (held, fresh) = (build(true), build(false));
             assert_eq!(held, fresh, "rows as the dual != fresh transpose");
             held
+        });
+    }
+
+    #[test]
+    fn layered_operand_matches_its_flattened_copy(edits in arb_layer_edits(),
+                                                  mt in arb_mat_tuples()) {
+        // What `with_edits` publishes — a CSR base shared with its source
+        // plus an overlay of the rows the edits touched — must read as the
+        // plain CSR its source becomes under the same writes, through every
+        // op that takes a transpose flag (with the flag and without), with
+        // its rows as its dual (a symmetric base under mirrored edits) and
+        // with a layered copy of its transpose as the dual.
+        let mask = spread_mask(&mt);
+        assert_paths_equivalent(Descriptor::new(), |desc| {
+            let mut out = Vec::new();
+            for rows_dual in [true, false] {
+                let edits: Vec<_> = if rows_dual {
+                    edits.iter().flat_map(|&(i, j, x)| [(i, j, x), (j, i, x)]).collect()
+                } else {
+                    edits.clone()
+                };
+                let (a, flat_a) = layered_and_flat(&edits, rows_dual, |x| x);
+                let (p, flat_p) = layered_and_flat(&edits, rows_dual, |_| true);
+                assert!(a.layers().is_some_and(|l| l.overlay_rows > 0), "{:?}", a.layers());
+                assert_eq!(a.memory_usage().dual_bytes == 0, rows_dual, "rows_dual={rows_dual}");
+                let layered = [transposing_ops(&a, &p, &mask, *desc), untransposed_ops(&a, *desc)];
+                let flat =
+                    [transposing_ops(&flat_a, &flat_p, &mask, *desc), untransposed_ops(&flat_a, *desc)];
+                assert_eq!(layered, flat, "rows_dual={rows_dual}: layered != flattened");
+                out.push(layered);
+            }
+            out
         });
     }
 
