@@ -10,9 +10,23 @@
 //! scale 14, 16 and 18 (edge factor 16, 2 shards). A publish that rewrote
 //! the graph grows with E; one that writes only the rows an epoch touches
 //! over a shared base does not (EXPERIMENTS.md §P30).
+//!
+//! The `repair` group times the two view repairs that read adjacency,
+//! `connected_components_delta` and `triangle_count_delta`, one epoch at
+//! a time on the scale-14 RMAT under the `serve-mixed` writer's mix: 256
+//! updates a tick, seven in eight inserting a uniform vertex pair and the
+//! eighth deleting an edge the graph holds (EXPERIMENTS.md §P31).
 
-use criterion::{BenchmarkId, Criterion};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+
+use criterion::{BatchSize, BenchmarkId, Criterion};
 use graphblas::prelude::*;
+use lagraph::gen::Workload;
+use lagraph::{
+    connected_components, connected_components_delta, triangle_count, triangle_count_delta,
+    EdgeEvent, Graph, GraphKind, TriCountMethod,
+};
 use lagraph_bench::criterion_config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,7 +87,6 @@ const EPOCH_UPDATES: usize = 64;
 const EPOCHS: usize = 64;
 
 fn publish(c: &mut Criterion) {
-    use lagraph::gen::Workload;
     use lagraph::service::{GraphService, Query, ServiceConfig, Update};
 
     let mut group = c.benchmark_group("publish");
@@ -117,9 +130,150 @@ fn publish(c: &mut Criterion) {
     group.finish();
 }
 
+/// Updates per `serve-mixed` writer tick.
+const TICK_UPDATES: usize = 256;
+
+/// The `serve-mixed` update stream over an undirected graph, and the
+/// graph it has reached.
+struct Stream {
+    graph: Arc<Graph>,
+    /// The edges the stream has left present (`i < j`), as a set and as
+    /// a list to draw deletes from.
+    present: HashSet<(Index, Index)>,
+    held: Vec<(Index, Index)>,
+    /// Uniform vertex pairs to draw inserts from.
+    fresh: Vec<(Index, Index, f64)>,
+    drawn: usize,
+}
+
+impl Stream {
+    fn new(graph: Graph, scale: u32) -> Self {
+        let held: Vec<(Index, Index)> = graph
+            .a()
+            .extract_tuples()
+            .into_iter()
+            .filter(|t| t.0 < t.1)
+            .map(|t| (t.0, t.1))
+            .collect();
+        let fresh =
+            Workload::ErdosRenyi.weighted(scale, 1, 7, 255).expect("update draw").extract_tuples();
+        Stream {
+            graph: Arc::new(graph),
+            present: held.iter().copied().collect(),
+            held,
+            fresh,
+            drawn: 0,
+        }
+    }
+
+    /// Draw one tick, net it (last write per edge) and advance the graph.
+    fn tick(&mut self) -> Tick {
+        let mut last = BTreeMap::new();
+        for _ in 0..TICK_UPDATES {
+            self.drawn += 1;
+            let k = self.drawn;
+            if k.is_multiple_of(8) && !self.held.is_empty() {
+                let e = self.held.swap_remove(k.wrapping_mul(7919) % self.held.len());
+                self.present.remove(&e);
+                last.insert(e, None);
+            } else {
+                let (i, j, w) = self.fresh[k.wrapping_mul(104_729) % self.fresh.len()];
+                if i == j {
+                    continue; // the writer draws two distinct vertices
+                }
+                let e = (i.min(j), i.max(j));
+                if self.present.insert(e) {
+                    self.held.push(e);
+                }
+                last.insert(e, Some(w));
+            }
+        }
+        let before = self.graph.clone();
+        let rows = before.a().rows();
+        let (mut events, mut delta) = (Vec::new(), Vec::new());
+        for ((i, j), x) in last {
+            match (x, rows.contains(i, j)) {
+                (Some(_), false) => events.push(EdgeEvent::Insert(i, j)),
+                (None, true) => events.push(EdgeEvent::Delete(i, j)),
+                _ => continue,
+            }
+            delta.extend([(i, j, x), (j, i, x)]);
+        }
+        drop(rows);
+        let a = before.a().with_edits(&delta).expect("publish");
+        self.graph = Arc::new(Graph::new(a, GraphKind::Undirected).expect("graph"));
+        Tick { before, after: self.graph.clone(), events }
+    }
+}
+
+/// One tick: the graphs before and after it, and its real changes, one
+/// event per edge as the view engine classifies them.
+struct Tick {
+    before: Arc<Graph>,
+    after: Arc<Graph>,
+    events: Vec<EdgeEvent>,
+}
+
+fn repair(c: &mut Criterion) {
+    const SCALE: u32 = 14;
+    let graph = || Workload::Rmat.graph(SCALE, 16, 42, 255).expect("rmat");
+    let split = |events: &[EdgeEvent]| {
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+        for e in events {
+            match *e {
+                EdgeEvent::Insert(u, v) => inserts.push((u, v)),
+                EdgeEvent::Delete(u, v) => deletes.push((u, v)),
+            }
+        }
+        (inserts, deletes)
+    };
+    let mut group = c.benchmark_group("repair");
+    group.sample_size(EPOCHS);
+
+    // Each sample repairs the next tick from the labels the one before
+    // left; the stream and the untimed label chain advance in the setup.
+    let g = graph();
+    let mut labels: Vec<u64> =
+        connected_components(&g).expect("cc").iter().map(|(_, c)| c).collect();
+    let mut stream = Stream::new(g, SCALE);
+    group.bench_function("cc", |bencher| {
+        bencher.iter_batched(
+            || {
+                let Tick { after, events, .. } = stream.tick();
+                let (inserts, deletes) = split(&events);
+                let prev = std::mem::take(&mut labels);
+                labels = connected_components_delta(&after, &prev, &inserts, &deletes);
+                (after, prev, inserts, deletes)
+            },
+            |(after, prev, inserts, deletes)| {
+                connected_components_delta(&after, &prev, &inserts, &deletes)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    let g = graph();
+    let mut count = triangle_count(&g, TriCountMethod::Sandia).expect("tricount");
+    let mut stream = Stream::new(g, SCALE);
+    group.bench_function("tricount", |bencher| {
+        bencher.iter_batched(
+            || {
+                let Tick { before, events, .. } = stream.tick();
+                let prev = count;
+                count = triangle_count_delta(&before, prev, &events);
+                (before, prev, events)
+            },
+            |(before, prev, events)| triangle_count_delta(&before, prev, &events),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn main() {
     let mut c = criterion_config();
     bench(&mut c);
     publish(&mut c);
+    repair(&mut c);
     c.final_summary();
 }

@@ -8,9 +8,12 @@
 //! the round count is O(log n) — in practice a handful even at large
 //! scale.
 
+use std::collections::HashMap;
+
 use graphblas::prelude::*;
 use graphblas::semiring::MIN_SECOND;
 use graphblas::trace;
+use graphblas::Rows;
 
 use crate::graph::Graph;
 
@@ -73,14 +76,27 @@ pub fn connected_components(graph: &Graph) -> Result<Vector<u64>> {
 ///   present edge or delete of an absent one must be filtered out).
 ///
 /// Inserts are pure label algebra: a min-wins union-find over the old
-/// labels merges components in O(Δ α). Deletes get a *targeted re-run*:
-/// a BFS from each deleted edge's endpoints on the new adjacency either
-/// proves the component stayed connected (early exit on meeting the
-/// other endpoint) or exhaustively discovers the split-off part, which
-/// is then exactly relabeled with its minimum. Every split part of a
-/// component contains at least one deleted-edge endpoint, so the sweep
-/// over endpoints covers all of them — the result is exact, never an
-/// approximation, and matches [`connected_components`] bit for bit.
+/// labels merges components in O(Δ α). Every vertex set sharing a label
+/// then was connected before the deletes, so a delete can only split it,
+/// and each part of a split set holds an endpoint of a delete into
+/// another of its parts. A delete runs a *bidirectional search* on the
+/// new adjacency from its two endpoints, one vertex at a time from
+/// whichever side would have scanned fewer row entries after the step.
+/// Either the sides meet (the edge separated nothing), or one side runs
+/// dry: it is a complete component, relabeled with its minimum and marked
+/// fixed, and the other endpoint goes on a pending list — as does the
+/// unfixed endpoint of a delete whose other endpoint is already fixed.
+/// A second pass searches each label's unfixed pending endpoints against
+/// one survivor and fixes whichever side runs dry, which leaves at most
+/// one unfixed part per label. That part keeps the label unless the
+/// label's own vertex was fixed; then one O(n) scan over the unfixed
+/// vertices finds its new minimum. A search reads at most about twice
+/// the entries of its smaller side, so the large surviving side of a
+/// split is never traversed, and the result matches
+/// [`connected_components`] bit for bit.
+///
+/// The `cc.delta` algorithm span carries `deletes`, `searches` (the
+/// bidirectional searches run) and `scanned` (the row entries they read).
 pub fn connected_components_delta(
     after: &Graph,
     prev: &[u64],
@@ -108,69 +124,142 @@ pub fn connected_components_delta(
     }
     let mut labels: Vec<u64> = (0..n).map(|v| find(&mut parent, v) as u64).collect();
 
-    // Targeted re-runs for deletes, on the new adjacency. `fixed[v]`
-    // marks vertices already exactly relabeled by an exhaustive BFS.
-    let adj = after.a().rows();
+    let mut algo = trace::algo_span("cc.delta");
+    algo.arg("deletes", deletes.len());
+    let rows = after.a().rows();
+    // `fixed[v]`: `v`'s component was found whole and relabeled exactly.
     let mut fixed = vec![false; n];
-    let mut visited = vec![false; n];
-    let mut queue: Vec<Index> = Vec::new();
-    // BFS from `start`; stops early (returning None) on reaching
-    // `target`, otherwise returns the full component of `start`.
-    let mut component = |start: Index, target: Option<Index>, visited: &mut Vec<bool>| {
-        queue.clear();
-        queue.push(start);
-        let mut reached = vec![start];
-        visited[start] = true;
-        let mut hit_target = false;
-        while let Some(w) = queue.pop() {
-            adj.for_each(w, |x| {
-                if !visited[x] {
-                    visited[x] = true;
-                    reached.push(x);
-                    queue.push(x);
-                }
-                if Some(x) == target {
-                    hit_target = true;
-                }
-            });
-            if hit_target {
-                break;
-            }
-        }
-        for &v in &reached {
-            visited[v] = false;
-        }
-        if hit_target {
-            None
-        } else {
-            Some(reached)
-        }
-    };
-    let relabel = |part: Vec<Index>, labels: &mut Vec<u64>, fixed: &mut Vec<bool>| {
-        let min = part.iter().copied().min().unwrap_or(0) as u64;
-        for &v in &part {
-            labels[v] = min;
-            fixed[v] = true;
-        }
-    };
+    let mut search = Bidirectional::new(n);
+    let mut pending: Vec<Index> = Vec::new();
     for &(u, v) in deletes {
-        let mut split = fixed[u]; // a fixed endpoint's component excludes the other
-        if !fixed[u] {
-            match component(u, Some(v), &mut visited) {
-                None => continue, // still connected: labels already exact
-                Some(part) => {
-                    relabel(part, &mut labels, &mut fixed);
-                    split = true;
+        match (fixed[u], fixed[v]) {
+            _ if u == v => {} // a self-loop connects nothing
+            (true, true) => {}
+            (true, false) => pending.push(v),
+            (false, true) => pending.push(u),
+            (false, false) => {
+                // `None`: still connected, labels already exact.
+                if let Some(dry) = search.split(&rows, [u, v], &mut labels, &mut fixed) {
+                    pending.push([u, v][1 - dry]);
                 }
-            }
-        }
-        if split && !fixed[v] {
-            if let Some(part) = component(v, None, &mut visited) {
-                relabel(part, &mut labels, &mut fixed);
             }
         }
     }
+
+    // Every unfixed part of a split label holds a pending endpoint:
+    // search them against one survivor per label until one part is left.
+    let mut pending: Vec<(u64, Index)> =
+        pending.into_iter().filter(|&v| !fixed[v]).map(|v| (labels[v], v)).collect();
+    pending.sort_unstable();
+    pending.dedup();
+    let mut stale = false;
+    for group in pending.chunk_by(|a, b| a.0 == b.0) {
+        let mut survivor = group[0].1;
+        for &(_, p) in &group[1..] {
+            if fixed[p] {
+                continue;
+            }
+            if search.split(&rows, [survivor, p], &mut labels, &mut fixed) == Some(0) {
+                survivor = p;
+            }
+        }
+        // The survivor's part keeps the label unless the label's vertex
+        // was fixed elsewhere.
+        stale |= fixed[group[0].0 as Index];
+    }
+    if stale {
+        // Ascending, so the first unfixed vertex seen under a fixed label
+        // is its remainder's minimum.
+        let mut remainder_min: HashMap<u64, u64> = HashMap::new();
+        for v in 0..n {
+            if !fixed[v] && fixed[labels[v] as Index] {
+                labels[v] = *remainder_min.entry(labels[v]).or_insert(v as u64);
+            }
+        }
+    }
+    algo.arg("searches", search.searches);
+    algo.arg("scanned", search.scanned);
     labels
+}
+
+/// The state of one repair's bidirectional searches, reused across them:
+/// which side reached each vertex, and each side's reached vertices in
+/// the order found (those past a side's cursor are not yet expanded).
+struct Bidirectional {
+    side: Vec<u8>,
+    reached: [Vec<Index>; 2],
+    searches: usize,
+    scanned: usize,
+}
+
+impl Bidirectional {
+    fn new(n: usize) -> Self {
+        Bidirectional {
+            side: vec![0; n],
+            reached: [Vec::new(), Vec::new()],
+            searches: 0,
+            scanned: 0,
+        }
+    }
+
+    /// Search from both `ends` at once, expanding one vertex at a time on
+    /// the side whose scanned entries plus its next row's length is the
+    /// smaller. Returns `None` when the sides meet. Otherwise one side ran
+    /// dry: its vertices are a whole component, relabeled with their
+    /// minimum and marked fixed, and the side's index into `ends` is
+    /// returned.
+    fn split<T: Scalar>(
+        &mut self,
+        rows: &Rows<'_, T>,
+        ends: [Index; 2],
+        labels: &mut [u64],
+        fixed: &mut [bool],
+    ) -> Option<usize> {
+        self.searches += 1;
+        let Bidirectional { side, reached, .. } = self;
+        for s in 0..2 {
+            reached[s].clear();
+            reached[s].push(ends[s]);
+            side[ends[s]] = s as u8 + 1;
+        }
+        let (mut head, mut cost) = ([0usize; 2], [0usize; 2]);
+        let outcome = loop {
+            if let Some(s) = (0..2).find(|&s| head[s] == reached[s].len()) {
+                break Some(s);
+            }
+            let next = |s: usize| cost[s] + rows.len(reached[s][head[s]]);
+            let s = usize::from(next(1) < next(0));
+            let w = reached[s][head[s]];
+            head[s] += 1;
+            let mine = s as u8 + 1;
+            let mut met = false;
+            rows.for_each(w, |x| {
+                cost[s] += 1;
+                match side[x] {
+                    0 => {
+                        side[x] = mine;
+                        reached[s].push(x);
+                    }
+                    m => met |= m != mine,
+                }
+            });
+            if met {
+                break None;
+            }
+        };
+        for &v in reached.iter().flatten() {
+            side[v] = 0;
+        }
+        if let Some(s) = outcome {
+            let min = reached[s].iter().copied().min().unwrap_or(0) as u64;
+            for &v in &reached[s] {
+                labels[v] = min;
+                fixed[v] = true;
+            }
+        }
+        self.scanned += cost[0] + cost[1];
+        outcome
+    }
 }
 
 /// The number of connected components.

@@ -14,10 +14,11 @@
 //! one O(n) answer array per view.
 //!
 //! * **Connected components** — inserts are component merges
-//!   (min-wins union-find over the old labels); a delete that might
-//!   split a component triggers a *targeted* traversal of exactly the
-//!   affected component ([`connected_components_delta`]) — never silent
-//!   staleness.
+//!   (min-wins union-find over the old labels); a delete runs a
+//!   bidirectional search from its two endpoints on the graph after the
+//!   epoch ([`connected_components_delta`]), which either meets (nothing
+//!   split) or exhausts the smaller side and relabels it exactly — the
+//!   larger side is never traversed, and nothing is ever left stale.
 //! * **PageRank** — warm-restart from the previous rank vector
 //!   ([`pagerank_warm`]): the same iteration, a much closer starting
 //!   point, so the residual is already near tolerance.
@@ -45,7 +46,14 @@
 //! batching, caching, and the query kernel entirely. A drainer failure
 //! never corrupts a view — the engine only advances on successfully
 //! barriered epochs, so after a failure the views keep answering at the
-//! last good epoch, exactly like the snapshot.
+//! last good epoch, exactly like the snapshot. The table's vectors are
+//! imported from the working arrays with their presence words
+//! ([`Vector::import_bitmap`]), not sorted from tuples.
+//!
+//! An epoch's view work runs under one `service.views` span (`events`,
+//! `inserts`, `deletes`) with a `service.view` child (`view`, `mode`) per
+//! view repaired or rebuilt, so its trace splits write-to-visible into
+//! the publish, the views and the swap.
 //!
 //! The differential suite (`tests/service_views.rs`) replays hundreds of
 //! mixed insert/delete updates at S∈{1,2,4} shards (and over compressed
@@ -416,9 +424,16 @@ impl ViewEngine {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(std::ptr::eq(before, &*st.latest), "views advance from their own epoch");
         let registered = st.any_registered();
+        let mut span = registered.then(|| trace::service_span("service.views"));
         if registered {
             let arcs = classify(before, delta);
             let edges = edges_of(self.kind, &arcs);
+            if let Some(span) = span.as_mut().filter(|s| s.on()) {
+                let inserts = edges.iter().filter(|e| matches!(e, EdgeEvent::Insert(..))).count();
+                span.arg("events", edges.len());
+                span.arg("inserts", inserts);
+                span.arg("deletes", edges.len() - inserts);
+            }
             if edges.len() > self.staleness {
                 // Repair would cost more than recomputing: rebuild every
                 // registered view from the published graph.
@@ -463,12 +478,14 @@ impl ViewEngine {
         // read the one after it. Each final value is order-independent
         // across distinct edges.
         if let Some(prev) = *tricount {
+            let _span = view_span(ViewKind::TriangleCount, "repair");
             let t0 = Instant::now();
             *tricount = Some(triangle_count_delta(before, prev, edges));
             self.refreshed(ViewKind::TriangleCount, true, t0.elapsed());
         }
         if deletes.is_empty() {
             if let Some(c) = cores.as_mut() {
+                let _span = view_span(ViewKind::CoreNumbers, "repair");
                 let t0 = Instant::now();
                 core_numbers_insert(before, c, &inserts);
                 self.refreshed(ViewKind::CoreNumbers, true, t0.elapsed());
@@ -479,12 +496,14 @@ impl ViewEngine {
             self.rebuild(ViewKind::CoreNumbers, cores, || Ok(dense(&core_numbers(after)?, n)));
         }
         if let Some(prev) = cc.as_ref() {
+            let _span = view_span(ViewKind::ConnectedComponents, "repair");
             let t0 = Instant::now();
             let next = connected_components_delta(after, prev, &inserts, &deletes);
             *cc = Some(next);
             self.refreshed(ViewKind::ConnectedComponents, true, t0.elapsed());
         }
         if let Some(d) = degree.as_mut() {
+            let _span = view_span(ViewKind::DegreeCounts, "repair");
             let t0 = Instant::now();
             for e in arcs {
                 match *e {
@@ -495,6 +514,7 @@ impl ViewEngine {
             self.refreshed(ViewKind::DegreeCounts, true, t0.elapsed());
         }
         if let Some((warm, _)) = ranks.clone() {
+            let _span = view_span(ViewKind::PageRank, "repair");
             let t0 = Instant::now();
             match pagerank_warm(after, &self.pr_opts, &warm) {
                 Ok((r, iters)) => {
@@ -534,6 +554,7 @@ impl ViewEngine {
         if view.is_none() {
             return;
         }
+        let _span = view_span(kind, "rebuild");
         let t0 = Instant::now();
         *view = compute()
             .map_err(|e| {
@@ -562,19 +583,14 @@ impl ViewEngine {
 
     /// Swap in a fresh answer table for the engine's current state.
     fn republish(&self, st: &EngineState) {
-        let n = st.latest.nvertices();
         let table = ViewTable {
             epoch: st.epoch,
-            cc: st.cc.as_ref().and_then(|l| materialize_dense(n, l.iter().copied())),
-            degree: st.degree.as_ref().and_then(|d| {
-                // Sparse like `Graph::out_degree`: entries only where a
-                // vertex has at least one arc.
-                let tuples: Vec<(Index, i64)> =
-                    d.iter().enumerate().filter(|(_, &x)| x != 0).map(|(i, &x)| (i, x)).collect();
-                Vector::from_tuples(n, tuples, |_, b| b).ok().map(Arc::new)
-            }),
+            cc: st.cc.as_deref().and_then(|l| import(l, |_| true)),
+            // Sparse like `Graph::out_degree`: entries only where a vertex
+            // has at least one arc.
+            degree: st.degree.as_deref().and_then(|d| import(d, |&x| x != 0)),
             tricount: st.tricount,
-            cores: st.cores.as_ref().and_then(|c| materialize_dense(n, c.iter().copied())),
+            cores: st.cores.as_deref().and_then(|c| import(c, |_| true)),
             ranks: st.ranks.clone(),
         };
         *self.published.write() = Arc::new(table);
@@ -660,13 +676,29 @@ impl ViewEngine {
     }
 }
 
-/// Materialize a dense working array as a fully populated vector.
-fn materialize_dense<T: graphblas::Scalar>(
-    n: Index,
-    values: impl Iterator<Item = T>,
+/// The span one view's repair or rebuild runs under, a child of the
+/// epoch's `service.views`.
+fn view_span(kind: ViewKind, mode: &'static str) -> trace::Span {
+    let mut span = trace::service_span("service.view");
+    span.arg("view", kind.name());
+    span.arg("mode", mode);
+    span
+}
+
+/// Publish a dense working array as a vector with an entry wherever
+/// `present` holds: the values and their presence words are imported as
+/// they are, with no sort.
+fn import<T: graphblas::Scalar>(
+    values: &[T],
+    present: impl Fn(&T) -> bool,
 ) -> Option<Arc<Vector<T>>> {
-    let tuples: Vec<(Index, T)> = values.take(n).enumerate().collect();
-    Vector::from_tuples(n, tuples, |_, b| b).ok().map(Arc::new)
+    let mut bits = vec![0u64; values.len().div_ceil(64)];
+    for (word, chunk) in bits.iter_mut().zip(values.chunks(64)) {
+        for (k, x) in chunk.iter().enumerate() {
+            *word |= u64::from(present(x)) << k;
+        }
+    }
+    Vector::import_bitmap(values.to_vec(), bits).ok().map(Arc::new)
 }
 
 /// A vector as a dense working array, absent entries 0.

@@ -8,9 +8,11 @@
 //! 3,1`, set below when the caller has not): op spans per PageRank
 //! iteration, FastSV round and Δ-stepping light relaxation; which path
 //! each vector `write` took; how many vectors changed storage form; and,
-//! for BFS, the positions its writes examined. Two budgets use graphs of
-//! their own: a push from a star's hub, judged on the entries it scanned,
-//! and the epochs at which a service's publishes fold their overlay.
+//! for BFS, the positions its writes examined. Three budgets use graphs
+//! of their own: a push from a star's hub, judged on the entries it
+//! scanned; the epochs at which a service's publishes fold their overlay;
+//! and the row entries a components repair reads to cut a leaf off a hub
+//! or to find a ring still joined.
 
 use std::sync::Mutex;
 
@@ -406,4 +408,38 @@ fn a_fold_on_a_publish_that_writes_nothing_is_tagged() {
         .collect();
     let want: Vec<bool> = (0..=21).map(|p| p % 7 == 0).collect();
     assert_eq!(publishes, want);
+}
+
+#[test]
+fn a_cc_repair_scans_the_side_it_cuts_off_not_the_graph() {
+    use lagraph::connected_components_delta;
+    // A 512-ring whose vertex 0 is also the hub of a 8192-leaf star.
+    const RING: usize = 512;
+    const LEAVES: usize = 8192;
+    let n = RING + LEAVES;
+    let ring = (0..RING).map(|i| (i, (i + 1) % RING));
+    let edges: Vec<_> = ring.chain((RING..n).map(|l| (0, l))).collect();
+    let repair = |cut: (usize, usize)| {
+        let after: Vec<_> = edges.iter().copied().filter(|&e| e != cut).collect();
+        let after = Graph::from_edges(n, &after, GraphKind::Undirected).expect("after");
+        let (labels, events) =
+            traced(|| connected_components_delta(&after, &vec![0; n], &[], &[cut]));
+        let span = events.iter().find(|e| e.name == "cc.delta").expect("cc.delta span");
+        let args = ["deletes", "searches", "scanned"].map(|k| span.arg_u64(k).expect(k));
+        (labels, args)
+    };
+    // A leaf's only edge: the leaf's empty row runs dry before any of the
+    // hub's 8193 remaining entries is read.
+    let leaf = RING + 5;
+    let (labels, [deletes, searches, scanned]) = repair((0, leaf));
+    assert_eq!((deletes, searches, scanned), (1, 1, 0));
+    assert!(labels.iter().enumerate().all(|(v, &l)| l == if v == leaf { leaf as u64 } else { 0 }));
+    // A ring edge: its endpoints are 511 hops apart the other way round.
+    // The two sides walk the ring towards each other, two entries a ring
+    // vertex, and meet at the hub without expanding it.
+    let (labels, [deletes, searches, scanned]) = repair((RING / 2, RING / 2 + 1));
+    assert_eq!((deletes, searches), (1, 1));
+    let distance = RING as u64 - 1;
+    assert!(scanned <= 2 * distance, "scanned {scanned} entries for a ring distance of {distance}");
+    assert!(labels.iter().all(|&l| l == 0));
 }

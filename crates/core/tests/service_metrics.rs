@@ -9,7 +9,9 @@
 //! `GLOBALS`, and assert on snapshot deltas.
 
 use graphblas::metrics;
-use lagraph::service::{BackpressurePolicy, GraphService, Query, ServiceConfig, ViewsConfig};
+use lagraph::service::{
+    BackpressurePolicy, GraphService, Query, ServiceConfig, ViewKind, ViewsConfig,
+};
 use lagraph::{bfs_level, Graph, GraphKind};
 use std::sync::Mutex;
 
@@ -302,6 +304,46 @@ fn view_repair_series_render_clean() {
         assert!(page.contains(family), "render() lacks {family}");
     }
     lint_exposition(&page).expect("view series break Prometheus exposition");
+
+    drop(s);
+    metrics::set_enabled(prev);
+}
+
+#[test]
+fn an_epochs_view_work_reaches_the_span_histograms() {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = metrics::enabled();
+    metrics::set_enabled(true);
+
+    let before = snap();
+    let n = 64;
+    let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    let g = Graph::from_edges(n, &edges, GraphKind::Undirected).expect("undirected ring");
+    let views = ViewsConfig {
+        views: vec![ViewKind::ConnectedComponents, ViewKind::DegreeCounts],
+        ..ViewsConfig::default()
+    };
+    let config = ServiceConfig { shards: 1, views: Some(views), ..ServiceConfig::default() };
+    let s = GraphService::new(g, config).expect("service with views");
+    // One epoch with an insert and a delete: both views repair, and the
+    // delete runs the components search.
+    s.insert_edge(0, n / 2, 1.0).expect("insert");
+    s.delete_edge(1, 2).expect("delete");
+    s.flush().expect("flush");
+
+    // The coordinator may cut the two updates into one epoch or two; each
+    // epoch runs one `service.views` with one `service.view` per view.
+    let after = snap();
+    let count = |cat: &str, span: &str| {
+        let key = format!("graphblas_span_seconds_count{{cat=\"{cat}\",span=\"{span}\"}}");
+        delta(&after, &before, &key)
+    };
+    let epochs = count("service", "service.epoch");
+    assert!(epochs >= 1.0, "no epoch span recorded");
+    assert_eq!(count("service", "service.views"), epochs);
+    assert_eq!(count("service", "service.view"), 2.0 * epochs);
+    assert_eq!(count("algo", "cc.delta"), epochs);
+    lint_exposition(&metrics::render()).expect("span series break Prometheus exposition");
 
     drop(s);
     metrics::set_enabled(prev);

@@ -288,6 +288,28 @@ fn degree_and_pagerank_views_add_no_copy_of_the_graph() {
 }
 
 #[test]
+fn the_degree_view_holds_no_entry_for_an_isolated_vertex() {
+    let s = view_service(1, 4096);
+    let v = N / 2 + 1;
+    let mut neighbours = Vec::new();
+    s.snapshot().graph().a().rows().for_each(v, |u| neighbours.push(u));
+    assert!(!neighbours.is_empty(), "vertex {v} starts with edges");
+    for u in neighbours {
+        s.delete_edge(v, u).expect("delete");
+    }
+    let snap = s.flush().expect("flush");
+    let served_before = s.admission_stats().view_hits;
+    let r = s.query(Query::degrees()).expect("degree query");
+    assert_eq!(s.admission_stats().view_hits, served_before + 1, "not served from the view");
+    let degrees = r.degrees().expect("degrees result");
+    let oracle = snap.graph().out_degree().expect("degree oracle");
+    assert_eq!(degrees.get(v), None, "isolated vertex {v} has a degree entry");
+    assert_eq!(degrees.nvals(), oracle.nvals());
+    assert_eq!(degrees.nvals(), N - 1, "every other vertex keeps an edge");
+    assert_eq!(degrees.extract_tuples(), oracle.extract_tuples());
+}
+
+#[test]
 fn zero_staleness_budget_rebuilds_bit_for_bit() {
     // staleness = 0: every epoch exceeds the repair budget, so every
     // view (PageRank included) is recomputed cold — the fully
