@@ -11,6 +11,12 @@
 //! the graph grows with E; one that writes only the rows an epoch touches
 //! over a shared base does not (EXPERIMENTS.md §P30).
 //!
+//! The `carry` group times `Graph::advance` itself on the scale-16 RMAT
+//! under the same mix, turned as `serve-epochs` turns it (a one-update
+//! epoch, then a 63-update one): once for a graph holding what the
+//! workload's BFS and degree queries leave on it, once holding component
+//! labels as well, which every epoch then repairs (EXPERIMENTS.md §P32).
+//!
 //! The `repair` group times the two view repairs that read adjacency,
 //! `connected_components_delta` and `triangle_count_delta`, one epoch at
 //! a time on the scale-14 RMAT under the `serve-mixed` writer's mix: 256
@@ -22,7 +28,9 @@ use std::sync::Arc;
 
 use criterion::{BatchSize, BenchmarkId, Criterion};
 use graphblas::prelude::*;
+use graphblas::{net_edits, Edit};
 use lagraph::gen::Workload;
+use lagraph::service::Update;
 use lagraph::{
     connected_components, connected_components_delta, triangle_count, triangle_count_delta,
     EdgeEvent, Graph, GraphKind, TriCountMethod,
@@ -86,34 +94,34 @@ const EPOCH_UPDATES: usize = 64;
 /// Epochs timed per scale: the group's samples.
 const EPOCHS: usize = 64;
 
+/// The `serve-epochs` update mix over `graph`, an RMAT of `scale`: seven
+/// in eight updates insert an edge between two uniform vertices — the
+/// edges of an Erdős–Rényi draw — and the eighth deletes an edge the graph
+/// holds.
+fn epoch_updates(graph: &Graph, scale: u32) -> impl Iterator<Item = Update> {
+    let held: Vec<(Index, Index)> =
+        graph.a().extract_tuples().into_iter().filter(|t| t.0 < t.1).map(|t| (t.0, t.1)).collect();
+    let fresh =
+        Workload::ErdosRenyi.weighted(scale, 1, 7, 255).expect("update draw").extract_tuples();
+    (0..).map(move |k: usize| {
+        if k.is_multiple_of(8) {
+            let (i, j) = held[(k / 8).wrapping_mul(7919) % held.len()];
+            Update::Delete(i, j)
+        } else {
+            let (i, j, w) = fresh[k.wrapping_mul(104_729) % fresh.len()];
+            Update::Insert(i, j, w)
+        }
+    })
+}
+
 fn publish(c: &mut Criterion) {
-    use lagraph::service::{GraphService, Query, ServiceConfig, Update};
+    use lagraph::service::{GraphService, Query, ServiceConfig};
 
     let mut group = c.benchmark_group("publish");
     group.sample_size(EPOCHS);
     for scale in [14u32, 16, 18] {
         let graph = Workload::Rmat.graph(scale, 16, 42, 255).expect("rmat");
-        // The `serve-epochs` mix: seven in eight updates insert an edge
-        // between two uniform vertices — the edges of an Erdős–Rényi draw —
-        // and the eighth deletes an edge the graph holds.
-        let held: Vec<(Index, Index)> = graph
-            .a()
-            .extract_tuples()
-            .into_iter()
-            .filter(|t| t.0 < t.1)
-            .map(|t| (t.0, t.1))
-            .collect();
-        let fresh =
-            Workload::ErdosRenyi.weighted(scale, 1, 7, 255).expect("update draw").extract_tuples();
-        let mut updates = (0..).map(|k: usize| {
-            if k.is_multiple_of(8) {
-                let (i, j) = held[(k / 8).wrapping_mul(7919) % held.len()];
-                Update::Delete(i, j)
-            } else {
-                let (i, j, w) = fresh[k.wrapping_mul(104_729) % fresh.len()];
-                Update::Insert(i, j, w)
-            }
-        });
+        let mut updates = epoch_updates(&graph, scale);
         let config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
         let service = GraphService::new(graph, config).expect("service");
         // A BFS materialises the structure, which every epoch then carries.
@@ -125,6 +133,61 @@ fn publish(c: &mut Criterion) {
                 }
                 service.flush().expect("flush").epoch()
             })
+        });
+    }
+    group.finish();
+}
+
+/// `updates` as the netted delta an undirected epoch publishes: both arcs
+/// of every edge, the last write to each arc.
+fn undirected_delta(updates: impl Iterator<Item = Update>) -> Vec<Edit<f64>> {
+    let mut delta = Vec::new();
+    for u in updates {
+        let (i, j, x) = match u {
+            Update::Insert(i, j, w) => (i, j, Some(w)),
+            Update::Delete(i, j) => (i, j, None),
+        };
+        delta.push((i, j, x));
+        if i != j {
+            delta.push((j, i, x));
+        }
+    }
+    net_edits(&mut delta);
+    delta
+}
+
+fn carry(c: &mut Criterion) {
+    const SCALE: u32 = 16;
+    let mut group = c.benchmark_group("carry");
+    group.sample_size(EPOCHS);
+    for labels in [false, true] {
+        let mut graph = Workload::Rmat.graph(SCALE, 16, 42, 255).expect("rmat");
+        // What `serve-epochs` queries leave on a snapshot: the structure
+        // (BFS) and the degrees, and the labels of a cc query.
+        graph.structure().expect("structure");
+        graph.out_degree().expect("degrees");
+        if labels {
+            graph.components().expect("components");
+        }
+        let mut updates = epoch_updates(&graph, SCALE);
+        let mut sizes = [1, EPOCH_UPDATES - 1].into_iter().cycle();
+        let id = BenchmarkId::new("advance", if labels { "labels" } else { "no_labels" });
+        // Each sample advances the graph the chain has reached by the next
+        // epoch; the chain itself moves on in the setup.
+        group.bench_function(id, |bencher| {
+            bencher.iter_batched(
+                || {
+                    let size = sizes.next().expect("cycle");
+                    let delta = undirected_delta(updates.by_ref().take(size));
+                    let next = graph.a().with_edits(&delta).expect("publish");
+                    let (next, _) = graph.advance(next, &delta).expect("advance");
+                    let prev = std::mem::replace(&mut graph, next);
+                    let a = prev.a().with_edits(&delta).expect("publish");
+                    (prev, a, delta)
+                },
+                |(prev, a, delta)| prev.advance(a, &delta).expect("advance"),
+                BatchSize::LargeInput,
+            )
         });
     }
     group.finish();
@@ -274,6 +337,7 @@ fn main() {
     let mut c = criterion_config();
     bench(&mut c);
     publish(&mut c);
+    carry(&mut c);
     repair(&mut c);
     c.final_summary();
 }

@@ -6,24 +6,15 @@
 //! A few algorithms additionally expose *incremental* (`*_delta` /
 //! `*_warm`) entry points that repair a previous answer from a batch of
 //! edge changes instead of recomputing — the engine behind
-//! [`crate::service::views`]. Like every other entry point they take a
+//! [`crate::service::views`], and behind the component labels
+//! [`Graph::advance`](crate::Graph::advance) carries from one graph to
+//! the next. Like every other entry point they take a
 //! [`Graph`](crate::Graph) — the one before the batch or the one after
 //! it, as each documents — and read just the rows the repair visits
 //! through [`graphblas::Matrix::rows`], so a caller needs no copy of the
 //! graph beside the snapshots it already holds.
 
-use graphblas::Index;
-
-/// One structural edge change, in application order. Produced by the
-/// service's delta classifier (weight overwrites and redundant deletes
-/// are filtered out before they reach the incremental algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeEvent {
-    /// The edge `(u, v)` was absent and is now present.
-    Insert(Index, Index),
-    /// The edge `(u, v)` was present and is now absent.
-    Delete(Index, Index),
-}
+pub use crate::graph::EdgeEvent;
 
 pub mod apsp;
 pub mod astar;

@@ -43,8 +43,8 @@ use graphblas::{Error as GrbError, Index, Vector};
 use super::cache::QueryCache;
 use super::{panic_message, BackpressurePolicy, ServiceError, Shared, Snapshot};
 use crate::algorithms::{
-    bfs_level, bfs_level_batch, connected_components, core_numbers, pagerank, triangle_count,
-    PageRankOptions, TriCountMethod,
+    bfs_level, bfs_level_batch, core_numbers, pagerank, triangle_count, PageRankOptions,
+    TriCountMethod,
 };
 
 /// Tuning knobs for the admission layer. Defaults suit tests and modest
@@ -751,10 +751,9 @@ fn run_query(q: &Query, snap: &Snapshot) -> Result<QueryResult, ServiceError> {
             let n = triangle_count(snap.graph(), TriCountMethod::Sandia)?;
             Ok(QueryResult::Count(n))
         }
-        QueryKind::ConnectedComponents => {
-            let v = connected_components(snap.graph())?;
-            Ok(QueryResult::Components(Arc::new(v)))
-        }
+        // The snapshot's own labels: carried from the epoch before when
+        // that one had them, else one FastSV run kept for the next query.
+        QueryKind::ConnectedComponents => Ok(QueryResult::Components(snap.graph().components()?)),
         QueryKind::Degrees => Ok(QueryResult::Degrees(snap.graph().out_degree()?)),
         QueryKind::CoreNumbers => {
             let v = core_numbers(snap.graph())?;

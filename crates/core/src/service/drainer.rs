@@ -32,7 +32,7 @@ use graphblas::trace;
 use graphblas::{net_edits, Edit, Error as GrbError};
 
 use super::{now_unix_ns, panic_message, Shared, Snapshot, Update};
-use crate::graph::{Graph, GraphKind};
+use crate::graph::{EdgeEvent, Graph, GraphKind};
 
 /// What the coordinator asks a shard worker to do next.
 pub(crate) enum SlotCmd {
@@ -151,8 +151,13 @@ pub(super) fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
 /// one's base arrays and writes only the rows the delta touches into its
 /// overlay ([`graphblas::Matrix::with_edits`]), folding the overlay into a
 /// fresh base once it crosses its cut; the snapshot's materialised caches
-/// follow by the same delta.
-fn next_graph(prev: &Graph, delta: &[Edit<f64>], compressed: bool) -> Result<Graph, GrbError> {
+/// follow by the same delta. Also returns the delta's structural changes,
+/// classified once for the caches and the views.
+fn next_graph(
+    prev: &Graph,
+    delta: &[Edit<f64>],
+    compressed: bool,
+) -> Result<(Graph, Vec<EdgeEvent>), GrbError> {
     let mut a = prev.a().with_edits(delta)?;
     if compressed {
         // Encodes the first epoch's result on the parallel pool; a
@@ -283,7 +288,7 @@ pub(crate) fn coordinator_loop(
         // atomically on their next snapshot().
         let prev = shared.snapshot.read().graph.clone();
         match next_graph(&prev, &delta, compressed) {
-            Ok(mut g) => {
+            Ok((mut g, events)) => {
                 span.arg("delta", delta.len());
                 g.set_epoch(epoch);
                 let nedges = g.nedges();
@@ -305,8 +310,9 @@ pub(crate) fn coordinator_loop(
                 // that observes epoch e also observes views at e; a
                 // failed epoch never reaches this point, leaving the
                 // views at the last good epoch alongside the snapshot.
-                // They repair from the same two graphs and the same Δ.
-                shared.views.on_epoch(&prev, &graph, &delta);
+                // They repair from the same two graphs and the same
+                // classified Δ.
+                shared.views.on_epoch(&prev, &graph, &events);
                 *shared.snapshot.write() = Arc::new(Snapshot { epoch, nedges, graph });
                 let now_ns = now_unix_ns();
                 shared.metrics.publish_unix_ns.store(now_ns, Relaxed);

@@ -12,7 +12,8 @@
 //! of their own: a push from a star's hub, judged on the entries it
 //! scanned; the epochs at which a service's publishes fold their overlay;
 //! and the row entries a components repair reads to cut a leaf off a hub
-//! or to find a ring still joined.
+//! or to find a ring still joined. A service snapshot's component labels
+//! cost one repair a publish and nothing a query.
 
 use std::sync::Mutex;
 
@@ -442,4 +443,82 @@ fn a_cc_repair_scans_the_side_it_cuts_off_not_the_graph() {
     let distance = RING as u64 - 1;
     assert!(scanned <= 2 * distance, "scanned {scanned} entries for a ring distance of {distance}");
     assert!(labels.iter().all(|&l| l == 0));
+}
+
+#[test]
+fn a_publish_repairs_the_components_once_and_a_query_reads_them() {
+    use lagraph::service::{GraphService, Query, ServiceConfig, Update};
+    use std::sync::Arc;
+    let g = rmat();
+    let n = g.nvertices();
+    // Inserts of absent edges and deletes of held ones: each is a
+    // structural event, so every epoch they turn repairs the labels.
+    let rows = g.a().rows();
+    let mut updates = Vec::new();
+    let mut touched = std::collections::BTreeSet::new();
+    for k in 0..24 {
+        let (i, j) = ((k * 131) % n, (k * 257 + n / 2) % n);
+        if i != j && !rows.contains(i, j) && touched.insert((i.min(j), i.max(j))) {
+            updates.push(Update::Insert(i, j, 1.0));
+        }
+    }
+    for i in (0..n).step_by(61) {
+        let mut first = None;
+        rows.for_each(i, |j| first = first.or((j != i).then_some(j)));
+        if let Some(j) = first.filter(|&j| touched.insert((i.min(j), i.max(j)))) {
+            updates.push(Update::Delete(i, j));
+        }
+    }
+    let absent = (1..n).map(|j| (0, j)).find(|&(i, j)| !rows.contains(i, j)).expect("a non-edge");
+    drop(rows);
+    let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
+    let (s, events) = traced(|| {
+        let s = GraphService::new(g, config).expect("service");
+        s.query(Query::connected_components()).expect("cc at epoch 0");
+        s
+    });
+    assert_eq!(events.iter().filter(|e| e.name == "cc.fastsv").count(), 1);
+
+    let (snap, events) = traced(|| {
+        for u in &updates {
+            s.submit(*u).expect("submit");
+        }
+        s.flush().expect("flush")
+    });
+    let epochs: Vec<&Event> = events.iter().filter(|e| e.name == "service.epoch").collect();
+    assert!(!epochs.is_empty());
+    for epoch in &epochs {
+        let repairs = events.iter().filter(|e| e.name == "cc.delta" && inside(e, epoch)).count();
+        assert_eq!(repairs, 1, "epoch {:?}: {repairs} cc.delta spans", epoch.arg_u64("epoch"));
+    }
+    assert!(events.iter().all(|e| e.name != "cc.fastsv"), "a publish ran FastSV");
+
+    let (answer, events) = traced(|| s.query(Query::connected_components()).expect("cc"));
+    let ops: Vec<_> = events.iter().filter(|e| is_op(e)).map(|e| e.name).collect();
+    assert!(ops.is_empty(), "a cc query on a snapshot with labels ran {ops:?}");
+    // The answer is the snapshot's own labels, not a copy.
+    let labels = snap.graph().components().expect("held labels");
+    assert!(std::ptr::eq(answer.components().expect("components"), &*labels));
+    let (oracle, _) = traced(|| {
+        let fresh = Graph::new(snap.graph().a().clone(), GraphKind::Undirected).expect("graph");
+        connected_components(&fresh).expect("fastsv")
+    });
+    assert_eq!(labels.extract_tuples(), oracle.extract_tuples());
+
+    // A re-weight of a held edge and a delete of an absent one: no event,
+    // no repair, and the successor holds the very same labels.
+    let (i, j) = match updates[0] {
+        Update::Insert(i, j, _) => (i, j),
+        Update::Delete(..) => unreachable!("the first update inserts"),
+    };
+    assert!(!touched.contains(&absent));
+    let (next, events) = traced(|| {
+        s.insert_edge(i, j, 3.5).expect("re-weight");
+        s.delete_edge(absent.0, absent.1).expect("delete of a non-edge");
+        s.flush().expect("flush")
+    });
+    assert!(next.epoch() > snap.epoch());
+    assert!(events.iter().all(|e| e.name != "cc.delta"), "an epoch without events repaired");
+    let carried = next.graph().components().expect("components");
+    assert!(Arc::ptr_eq(&carried, &labels), "an epoch without events copied the labels");
 }

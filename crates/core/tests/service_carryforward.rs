@@ -9,14 +9,18 @@
 //! each inherited cache must equal the one `Graph::new` derives from
 //! scratch on the same adjacency — and an epoch whose predecessor had
 //! nothing materialised must materialise nothing. Snapshots are layered:
-//! between two folds, consecutive ones share their base arrays.
+//! between two folds, consecutive ones share their base arrays. The
+//! component labels a cc query leaves on a snapshot follow every epoch of
+//! a churn of inserts, deletes, re-weights and self-loops, plain and
+//! compressed, equal bit for bit to FastSV from scratch; a directed
+//! graph's are recomputed instead.
 
 use std::collections::BTreeSet;
 
 use graphblas::ops::transpose_new;
 use graphblas::Direction;
-use lagraph::service::{GraphService, ServiceConfig, Update};
-use lagraph::{bfs_level_direction, Graph, GraphKind};
+use lagraph::service::{GraphService, Query, ServiceConfig, Update};
+use lagraph::{bfs_level_direction, connected_components, Graph, GraphKind};
 
 const N: usize = 64;
 const ROUNDS: usize = 8;
@@ -311,5 +315,107 @@ fn layered_snapshots_share_their_base_until_a_fold() {
             assert_caches_match_oracle(g, &label);
         }
         assert!(shared > 10 && folded > 10, "S={shards}: shared {shared}, folded {folded}");
+    }
+}
+
+/// Churn for the components carry, from `seed`: inserts of fresh edges,
+/// deletes of live ones (splits), re-weights of live ones (no event), and
+/// self-loops put in and taken out (events that join nothing), in rounds
+/// of 16 updates.
+fn churn(kind: GraphKind, seed: u64) -> Vec<Vec<Update>> {
+    let mut rng = Rng(seed);
+    let key = |i: usize, j: usize| match kind {
+        GraphKind::Undirected => (i.min(j), i.max(j)),
+        GraphKind::Directed => (i, j),
+    };
+    let seeded = seed_graph(kind).a().extract_tuples();
+    let mut live: BTreeSet<(usize, usize)> = seeded.iter().map(|&(i, j, _)| key(i, j)).collect();
+    let mut draw = || {
+        let pick = rng.next() % 16;
+        let (i, j) = ((rng.next() as usize) % N, (rng.next() as usize) % N);
+        let weight = (rng.next() % 1000) as f64 / 8.0;
+        match pick {
+            0..=5 if !live.is_empty() => {
+                let e = *live.iter().nth((rng.next() as usize) % live.len()).expect("live edge");
+                live.remove(&e);
+                Update::Delete(e.0, e.1)
+            }
+            6..=7 if !live.is_empty() => {
+                let e = *live.iter().nth((rng.next() as usize) % live.len()).expect("live edge");
+                Update::Insert(e.0, e.1, weight)
+            }
+            8 => Update::Insert(i, i, weight),
+            9 => Update::Delete(i, i),
+            _ => {
+                let j = if i == j { (j + 1) % N } else { j };
+                live.insert(key(i, j));
+                Update::Insert(i, j, weight)
+            }
+        }
+    };
+    (0..24).map(|_| (0..16).map(|_| draw()).collect()).collect()
+}
+
+#[test]
+fn carried_components_match_fastsv_at_every_epoch() {
+    for compressed in [false, true] {
+        for shards in [1, 2, 4] {
+            let label = format!("compressed={compressed} S={shards}");
+            let config = ServiceConfig { shards, compressed, ..ServiceConfig::default() };
+            let s = GraphService::new(seed_graph(GraphKind::Undirected), config).expect("service");
+            s.query(Query::connected_components()).expect("cc at epoch 0");
+            for (k, round) in
+                churn(GraphKind::Undirected, 0x5EED_0000 + shards as u64).iter().enumerate()
+            {
+                for u in round {
+                    s.submit(*u).expect("submit");
+                }
+                let snap = s.flush().expect("flush");
+                let g = snap.graph();
+                let label = format!("{label} round {k} epoch {}", snap.epoch());
+                // Carried, not derived: the getter adds nothing resident.
+                let held = g.resident_bytes();
+                let labels = g.components().expect("components");
+                assert_eq!(g.resident_bytes(), held, "{label}: the labels were not carried");
+                let oracle = Graph::new(g.a().clone(), GraphKind::Undirected).expect("oracle");
+                assert_eq!(
+                    labels.extract_tuples(),
+                    connected_components(&oracle).expect("fastsv").extract_tuples(),
+                    "{label}"
+                );
+                assert_eq!(g.a().is_compressed(), compressed, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_directed_graph_recomputes_its_components() {
+    for compressed in [false, true] {
+        for shards in [1, 2, 4] {
+            let label = format!("directed compressed={compressed} S={shards}");
+            let config = ServiceConfig { shards, compressed, ..ServiceConfig::default() };
+            let s = GraphService::new(seed_graph(GraphKind::Directed), config).expect("service");
+            s.query(Query::connected_components()).expect("cc at epoch 0");
+            for (k, round) in
+                churn(GraphKind::Directed, 0xD1_0000 + shards as u64).iter().enumerate()
+            {
+                for u in round {
+                    s.submit(*u).expect("submit");
+                }
+                let snap = s.flush().expect("flush");
+                let g = snap.graph();
+                let label = format!("{label} round {k} epoch {}", snap.epoch());
+                let held = g.resident_bytes();
+                let labels = g.components().expect("components");
+                assert!(g.resident_bytes() > held, "{label}: a directed graph carried its labels");
+                let oracle = Graph::new(g.a().clone(), GraphKind::Directed).expect("oracle");
+                assert_eq!(
+                    labels.extract_tuples(),
+                    connected_components(&oracle).expect("fastsv").extract_tuples(),
+                    "{label}"
+                );
+            }
+        }
     }
 }

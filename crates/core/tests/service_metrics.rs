@@ -350,6 +350,51 @@ fn an_epochs_view_work_reaches_the_span_histograms() {
 }
 
 #[test]
+fn a_registered_cc_view_and_the_carried_labels_repair_an_epoch_once() {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = metrics::enabled();
+    metrics::set_enabled(true);
+
+    let before = snap();
+    let n = 64;
+    let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    let g = Graph::from_edges(n, &edges, GraphKind::Undirected).expect("undirected ring");
+    let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
+    let s = GraphService::new(g, config).expect("service");
+    // The query leaves labels on the snapshot; the view registers on them.
+    s.query(Query::connected_components()).expect("cc");
+    s.register_view(ViewKind::ConnectedComponents).expect("cc view");
+    // One structural update a flush, so each flush turns one epoch: a
+    // chord in, then a ring edge out.
+    const EPOCHS: usize = 6;
+    for k in 0..EPOCHS {
+        if k % 2 == 0 {
+            s.insert_edge(k, k + n / 2, 1.0).expect("insert");
+        } else {
+            s.delete_edge(k, k + 1).expect("delete");
+        }
+        s.flush().expect("flush");
+    }
+    let served = s.query(Query::connected_components()).expect("cc from the view");
+    assert_eq!(
+        served.components().expect("components").extract_tuples(),
+        s.snapshot().graph().components().expect("labels").extract_tuples()
+    );
+
+    let after = snap();
+    let count = |cat: &str, span: &str| {
+        let key = format!("graphblas_span_seconds_count{{cat=\"{cat}\",span=\"{span}\"}}");
+        delta(&after, &before, &key)
+    };
+    assert_eq!(count("service", "service.epoch"), EPOCHS as f64);
+    assert_eq!(count("algo", "cc.delta"), EPOCHS as f64, "one repair an epoch, not one each");
+    assert_eq!(count("algo", "cc.fastsv"), 1.0, "the view registered on the query's labels");
+
+    drop(s);
+    metrics::set_enabled(prev);
+}
+
+#[test]
 fn reject_backpressure_is_counted_by_policy() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let prev = metrics::enabled();

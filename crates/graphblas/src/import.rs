@@ -12,15 +12,18 @@
 //!
 //! Contrast with [`crate::Matrix::extract_tuples`], which is `Ω(e)`.
 //!
-//! Vectors have the one import an algorithm needs to hand back a result it
+//! Vectors have the imports an algorithm needs to hand back a result it
 //! computed in plain arrays: [`Vector::import_bitmap`], the full-length
-//! form's value array and presence words taken as they are.
+//! form's value array and presence words taken as they are, and
+//! [`Vector::import_full`] for a value at every position. The matching
+//! read, [`Vector::to_full`], copies a full vector's value array out in
+//! one pass, for an algorithm that repairs a previous result in place.
 
 use crate::error::{Error, Result};
 use crate::matrix::{Matrix, Store};
 use crate::sparse::{Cs, Hyper};
 use crate::types::{Index, Scalar};
-use crate::vector::Vector;
+use crate::vector::{full_bits, VStore, Vector};
 
 /// The raw arrays of a standard compressed matrix: `(nmajor, nminor, ptr,
 /// idx, val)` with `ptr` of length `nmajor + 1`.
@@ -203,6 +206,27 @@ impl<T: Scalar> Vector<T> {
         v.install_full(val, bits, nvals);
         Ok(v)
     }
+
+    /// Import a value array with an entry at every position
+    /// (`GxB_Vector_import_Full`), taking ownership: no sort and no copy.
+    pub fn import_full(val: Vec<T>) -> Result<Self> {
+        let bits = full_bits(val.len());
+        Self::import_bitmap(val, bits)
+    }
+
+    /// A copy of the value array of a vector with an entry at every
+    /// position — what `GxB_Vector_export_Full` hands over, without giving
+    /// the vector up: one bulk copy, no walk over the entries. `None` when
+    /// some position is empty.
+    pub fn to_full(&self) -> Option<Vec<T>> {
+        let g = self.read();
+        match &g.store {
+            VStore::Full { val, nvals, .. } if *nvals == g.n => Some(val.clone()),
+            // Every position present: the indices are `0..n`, in order.
+            VStore::Sparse { idx, val } if idx.len() == g.n => Some(val.clone()),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +250,23 @@ mod tests {
         let lone = Vector::import_bitmap(vec![7u8; 64], vec![1]).expect("lone");
         assert_eq!(lone.vector_format(), crate::VectorFormat::Sparse);
         assert_eq!(lone.extract_tuples(), vec![(0, 7)]);
+    }
+
+    #[test]
+    fn a_full_vector_round_trips_through_its_value_array() {
+        let v = Vector::import_full((0..70u64).rev().collect()).expect("import");
+        assert_eq!(v.nvals(), 70);
+        assert_eq!(v.get(69), Some(0));
+        assert_eq!(v.to_full(), Some((0..70u64).rev().collect()));
+        // The list form with every position present reads the same.
+        let listed = Vector::from_tuples(3, vec![(0, 5u8), (1, 6), (2, 7)], |_, b| b).expect("v");
+        assert_eq!(listed.to_full(), Some(vec![5, 6, 7]));
+        // One empty position, in either form: no value array to hand out.
+        let mut holed = v.clone();
+        holed.remove_element(3).expect("remove");
+        assert_eq!(holed.to_full(), None);
+        let sparse = Vector::from_tuples(70, vec![(0, 1u64)], |_, b| b).expect("sparse");
+        assert_eq!(sparse.to_full(), None);
     }
 
     #[test]
