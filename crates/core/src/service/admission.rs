@@ -466,7 +466,7 @@ impl Admission {
         // check runs *before* the failure check on purpose: views only
         // ever reflect successfully published epochs, so — like raw
         // `snapshot()` reads — they keep answering at the last good
-        // epoch after a drainer failure.
+        // epoch after an epoch fails.
         if let Some(hit) = shared.views.serve(snap.epoch(), &q.0) {
             self.stats.view_hits.fetch_add(1, Relaxed);
             self.metrics.query_seconds.observe(t0.elapsed().as_nanos() as u64);
@@ -497,7 +497,7 @@ impl Admission {
     /// executes directly. Results come back in input order, all
     /// answered at the same epoch. As in [`Admission::query`], a current
     /// view answers before the failure check, so a slice of view-served
-    /// queries keeps answering after a drainer failure; the call's
+    /// queries keeps answering after an epoch fails; the call's
     /// latency is observed once, on the same terms as a single query's.
     pub(crate) fn query_many(
         &self,

@@ -18,11 +18,10 @@
 //!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
 //!                                            ▲  caches inherited from e-1
 //!          epoch e-1's base, shared + Δ's rows in a new overlay segment
-//!                                            │ barrier: all shards at e
-//!              ┌── shard 0 drainer ──▶ Δ₀ (sorted, last write wins)
-//!  epoch ──────┤── shard 1 drainer ──▶ Δ₁       ⋮
-//!  coordinator └── shard S-1 drainer ▶ Δ_{S-1}
-//!                   ▲ net own slice of the update log
+//!                                            │ Δ = Δ₀ ‖ Δ₁ ‖ … ‖ Δ_{S-1}
+//!  epoch coordinator (one thread): net each shard's slice in shard
+//!                                  order (sorted, last write wins)
+//!                                            ▲ cut: every queue at once
 //!  writers ──▶ per-shard bounded queues, routed by [`Partitioner`]
 //!              (block / coalesce / reject)
 //! ```
@@ -34,18 +33,19 @@
 //!   that shard's bounded queue is full the configured
 //!   [`BackpressurePolicy`] decides whether the writer blocks, coalesces
 //!   against a queued update to the same edge, or is rejected.
-//! * **The epoch coordinator** cuts a consistent batch across *all*
-//!   shard queues at once and fans it out to one **drainer thread per
-//!   shard**, each netting its slice into a small sorted delta (the last
-//!   write to an arc wins; undirected edges carry both arcs). Shards
-//!   hold no copy of the graph. A barrier holds until every shard
-//!   reaches the epoch; the coordinator then writes the next snapshot
-//!   over the *published* one ([`graphblas::Matrix::with_edits`]): it
-//!   shares the published base arrays and writes only the rows the
-//!   disjoint deltas touch, folding its overlay into a fresh base every
-//!   few dozen epochs, and carries the previous snapshot's materialised
-//!   caches (structure and its dual, transpose, degrees) forward by the
-//!   same delta. One coordinated drain = one **epoch**; a snapshot never
+//! * **The epoch coordinator**, the service's one drain thread, cuts a
+//!   consistent batch across *all* shard queues at once and nets each
+//!   shard's slice, in shard order, into a small sorted delta (the last
+//!   write to an arc wins; undirected edges carry both arcs). A shard is
+//!   one slice of the update log — a queue and its lock — not a thread,
+//!   and holds no copy of the graph. The coordinator then writes the
+//!   next snapshot over the *published* one
+//!   ([`graphblas::Matrix::with_edits`]): it shares the published base
+//!   arrays and writes only the rows the disjoint deltas touch, folding
+//!   its overlay into a fresh base every few dozen epochs, and carries
+//!   the previous snapshot's materialised caches (structure and its
+//!   dual, transpose, degrees, component labels) forward by the same
+//!   delta. One coordinated drain = one **epoch**; a snapshot never
 //!   mixes shards from different epochs. An undirected graph holds two
 //!   matrices: the adjacency, which is its own transpose, and the
 //!   structure, whose rows are its own dual.
@@ -62,11 +62,13 @@
 //!
 //! # Failure semantics
 //!
-//! A shard drainer that panics mid-replay *fails the service* instead of
-//! hanging it: the panic is caught, the coordinator stops publishing,
-//! and every subsequent [`submit`], [`flush`](GraphService::flush), or
+//! An epoch that fails — a panic or an error while the coordinator nets
+//! the shards' slices, builds the next snapshot, or advances the views —
+//! *fails the service* instead of hanging it: all three run under one
+//! guard, the coordinator stops publishing, and every subsequent
+//! [`submit`], [`flush`](GraphService::flush), or
 //! [`query`](GraphService::query) returns
-//! [`ServiceError::DrainerFailed`] carrying the shard and panic message.
+//! [`ServiceError::DrainerFailed`] carrying the shard and the message.
 //! The last successfully published snapshot remains available through
 //! [`snapshot`](GraphService::snapshot) for draining reads. See
 //! `docs/SERVING.md` for the operational playbook.
@@ -183,11 +185,12 @@ pub enum BackpressurePolicy {
 /// `queue_capacity`, and the [`BackpressurePolicy`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shards: per-shard update queues and drainer threads,
-    /// each netting its slice of an epoch into a delta. Routing defaults
-    /// to a [`RowBlock`] partitioner over this many shards; ignored when
-    /// `partitioner` is set (the partitioner's own shard count wins).
-    /// Clamped to ≥ 1.
+    /// Number of shards: slices of the update log, each a bounded queue
+    /// with its own lock, so writers to different shards do not contend.
+    /// The one drain thread nets every shard's slice at each epoch.
+    /// Routing defaults to a [`RowBlock`] partitioner over this many
+    /// shards; ignored when `partitioner` is set (the partitioner's own
+    /// shard count wins). Clamped to ≥ 1.
     pub shards: usize,
     /// Per-shard queue bound. A full shard triggers the backpressure
     /// policy, so `shards × queue_capacity` bounds service memory.
@@ -217,8 +220,9 @@ pub struct ServiceConfig {
     /// [`GraphService::register_view`]. Views inapplicable to the
     /// graph's kind are skipped with a warning.
     pub views: Option<ViewsConfig>,
-    /// Test failpoint: shard 0's drainer panics when it is asked to
-    /// drain this epoch, exercising the failure path end to end.
+    /// Test failpoint: the coordinator panics publishing this epoch,
+    /// after building its snapshot and before advancing the views,
+    /// exercising the failure path end to end (reported as shard 0).
     #[doc(hidden)]
     pub fail_epoch: Option<u64>,
 }
@@ -270,13 +274,17 @@ pub enum ServiceError {
     },
     /// The service is shutting down and no longer accepts updates.
     ShutDown,
-    /// A shard drainer panicked. The service stops ingesting (writes and
-    /// queries error instead of hanging on an epoch that will never
-    /// arrive); the last published snapshot keeps serving raw reads.
+    /// An epoch failed: the drain thread panicked or hit an error while
+    /// netting, publishing, or advancing the views. The service stops
+    /// ingesting (writes and queries error instead of hanging on an epoch
+    /// that will never arrive); the last published snapshot keeps serving
+    /// raw reads.
     DrainerFailed {
-        /// The shard whose drainer died.
+        /// The shard whose slice of the update log was being netted when
+        /// the epoch failed; 0 for a failure past the netting (building
+        /// the snapshot or advancing the views), which spans every shard.
         shard: usize,
-        /// The panic message, for the post-mortem.
+        /// The panic or error message, for the post-mortem.
         message: String,
     },
     /// An underlying GraphBLAS operation failed (bad index, bad
@@ -292,7 +300,7 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::ShutDown => write!(f, "graph service is shut down"),
             ServiceError::DrainerFailed { shard, message } => {
-                write!(f, "shard {shard} drainer failed: {message}")
+                write!(f, "epoch failed at shard {shard}: {message}")
             }
             ServiceError::Graph(e) => write!(f, "graph error: {e}"),
         }
@@ -395,7 +403,7 @@ pub(crate) struct ServiceMetrics {
     /// Per-shard queue depth, `lagraph_service_queue_depth{shard=…}`;
     /// indexed by shard, entries past [`SHARD_GAUGE_CAP`] share a series.
     pub(crate) queue_depth: Vec<metrics::Gauge>,
-    /// Per-shard replayed updates,
+    /// Per-shard published updates,
     /// `lagraph_service_shard_processed_total{shard=…}`; same capping.
     pub(crate) shard_processed: Vec<metrics::Counter>,
     pub(crate) submitted: metrics::Counter,
@@ -445,7 +453,7 @@ impl ServiceMetrics {
             .collect();
         let processed_overflow = metrics::counter_with(
             "lagraph_service_shard_processed_total",
-            "Updates replayed per shard drainer.",
+            "Updates cut from this shard's queue.",
             &[("shard", "other")],
         );
         let shard_processed = (0..shards)
@@ -453,7 +461,7 @@ impl ServiceMetrics {
                 if k < SHARD_GAUGE_CAP {
                     metrics::counter_with(
                         "lagraph_service_shard_processed_total",
-                        "Updates replayed per shard drainer.",
+                        "Updates cut from this shard's queue.",
                         &[("shard", &k.to_string())],
                     )
                 } else {
@@ -526,9 +534,9 @@ pub(crate) struct Shared {
     pub(crate) coalesced: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
-    /// Fast check for drainer failure; details live in `failed`.
+    /// Fast check for a failed epoch; details live in `failed`.
     pub(crate) failed_flag: AtomicBool,
-    /// `(shard, panic message)` of the first drainer failure.
+    /// `(shard, message)` of the failed epoch.
     pub(crate) failed: Mutex<Option<(usize, String)>>,
     /// Wakes the coordinator (new work or shutdown) and flushers
     /// (publish).
@@ -537,8 +545,7 @@ pub(crate) struct Shared {
     pub(crate) published: Condvar,
     /// Live-metric handles (no-ops while `graphblas::metrics` is off).
     pub(crate) metrics: ServiceMetrics,
-    /// The materialized-view engine; inert (and delta capture skipped)
-    /// until a view is registered.
+    /// The materialized-view engine; inert until a view is registered.
     pub(crate) views: Arc<views::ViewEngine>,
 }
 
@@ -547,7 +554,7 @@ impl Shared {
         self.submitted.load(SeqCst).saturating_sub(self.processed.load(SeqCst))
     }
 
-    /// The drainer-failure error, if a shard drainer has died.
+    /// The failed-epoch error, if an epoch has failed.
     pub(crate) fn failure(&self) -> Option<ServiceError> {
         if !self.failed_flag.load(SeqCst) {
             return None;
@@ -568,7 +575,6 @@ pub struct GraphService {
     shared: Arc<Shared>,
     admission: Arc<Admission>,
     coordinator: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 /// A point-in-time counter sample from [`GraphService::stats`].
@@ -591,11 +597,13 @@ pub struct ServiceStats {
 }
 
 impl GraphService {
-    /// Start serving `initial` as epoch 0: spawn one drainer thread per
-    /// shard of the partitioner plus the epoch coordinator, and stand up
-    /// the admission layer. The graph's kind
-    /// governs update semantics: on an undirected graph every
-    /// insert/delete is applied to both arcs atomically within one epoch.
+    /// Start serving `initial` as epoch 0: set up one update queue per
+    /// shard of the partitioner, spawn the epoch coordinator (the one
+    /// drain thread, at any shard count), and stand up the admission
+    /// layer. Errors if the partitioner routes across 0 shards. The
+    /// graph's kind governs update semantics: on an undirected graph
+    /// every insert/delete is applied to both arcs atomically within one
+    /// epoch.
     pub fn new(initial: Graph, config: ServiceConfig) -> Result<Self, ServiceError> {
         let capacity = config.queue_capacity.max(2);
         let max_batch = config.max_batch.max(1);
@@ -606,10 +614,14 @@ impl GraphService {
             None => Arc::new(RowBlock::new(nvertices, config.shards.max(1))),
         };
         let shards = partitioner.shards();
+        if shards == 0 {
+            return Err(ServiceError::Graph(GrbError::invalid(format!(
+                "partitioner {} routes across 0 shards",
+                partitioner.name()
+            ))));
+        }
         let compressed = config.compressed;
         let epoch = initial.epoch();
-        let workers_state: Arc<Vec<_>> =
-            Arc::new((0..shards).map(|_| drainer::ShardWorker::new(epoch)).collect());
         let nedges = initial.nedges();
         let initial = Arc::new(initial);
         let views_cfg = config.views.clone().unwrap_or_default();
@@ -649,41 +661,22 @@ impl GraphService {
                 move || weak.upgrade().map(|s| s.snapshot.read().graph.resident_bytes() as f64),
             );
         }
-        let spawn_err = |e: std::io::Error| {
-            ServiceError::Graph(GrbError::invalid(format!("failed to spawn service thread: {e}")))
-        };
-        let mut workers = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let ws = workers_state.clone();
-            let fail_epoch = config.fail_epoch;
-            let handle = std::thread::Builder::new()
-                .name(format!("lagraph-shard-drain-{s}"))
-                .spawn(move || drainer::shard_loop(ws, s, kind, fail_epoch))
-                .map_err(spawn_err);
-            match handle {
-                Ok(h) => workers.push(h),
-                Err(e) => {
-                    drainer::shutdown_workers(&workers_state);
-                    for h in workers {
-                        let _ = h.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
         let coordinator = {
             let shared = shared.clone();
-            let ws = workers_state.clone();
+            let fail_epoch = config.fail_epoch;
             std::thread::Builder::new()
                 .name("lagraph-service-drain".into())
-                .spawn(move || drainer::coordinator_loop(&shared, &ws, max_batch, compressed))
+                .spawn(move || {
+                    drainer::coordinator_loop(&shared, max_batch, compressed, fail_epoch)
+                })
                 .map_err(|e| {
-                    drainer::shutdown_workers(&workers_state);
-                    spawn_err(e)
+                    ServiceError::Graph(GrbError::invalid(format!(
+                        "failed to spawn service thread: {e}"
+                    )))
                 })?
         };
         let admission = Arc::new(Admission::new(config.admission));
-        let service = GraphService { shared, admission, coordinator: Some(coordinator), workers };
+        let service = GraphService { shared, admission, coordinator: Some(coordinator) };
         if let Some(vcfg) = &config.views {
             for &k in &vcfg.views {
                 if let Err(e) = service.register_view(k) {
@@ -746,11 +739,13 @@ impl GraphService {
     }
 
     /// Submit one update. Visibility is *eventual*: the update is
-    /// applied by its shard's drainer in a subsequent epoch ([`flush`]
+    /// queued on its shard and published in a subsequent epoch ([`flush`]
     /// forces that and waits). On undirected graphs the update is stored
-    /// once in canonical arc order and the owning shard replays *both*
-    /// arcs inside the same batch, so a snapshot never shows half an
-    /// undirected edge.
+    /// once in canonical arc order and the coordinator writes *both* arcs
+    /// inside the same epoch, so a snapshot never shows half an
+    /// undirected edge. Errors with [`ServiceError::Graph`] if an
+    /// endpoint is out of range or the partitioner routes the edge past
+    /// its last shard.
     ///
     /// [`flush`]: GraphService::flush
     pub fn submit(&self, update: Update) -> Result<(), ServiceError> {
@@ -765,9 +760,10 @@ impl GraphService {
         if i >= n || j >= n {
             return Err(ServiceError::Graph(GrbError::oob(i.max(j), n)));
         }
-        // Undirected graphs store one canonical arc per edge; the drainer
-        // mirrors it at replay time. This makes pair atomicity structural:
-        // there is no second queue entry a batch boundary could split off.
+        // Undirected graphs store one canonical arc per edge; the
+        // coordinator mirrors it when it nets the shard's slice. This makes
+        // pair atomicity structural: there is no second queue entry a batch
+        // boundary could split off.
         let update = if self.shared.kind == GraphKind::Undirected && i > j {
             match update {
                 Update::Insert(i, j, w) => Update::Insert(j, i, w),
@@ -780,7 +776,15 @@ impl GraphService {
         // Pure-function routing: every update to one edge goes through
         // one shard, so per-edge order is preserved at any shard count.
         let si = self.shared.partitioner.shard_of(key.0, key.1);
-        let shard = &self.shared.shards[si];
+        let Some(shard) = self.shared.shards.get(si) else {
+            return Err(ServiceError::Graph(GrbError::invalid(format!(
+                "partitioner {} routed edge ({}, {}) to shard {si} of {}",
+                self.shared.partitioner.name(),
+                key.0,
+                key.1,
+                self.shared.shards.len()
+            ))));
+        };
         let mut q = shard.queue.lock().expect("shard lock");
         let mut hit_backpressure = false;
         while q.len() >= self.shared.capacity {
@@ -852,7 +856,7 @@ impl GraphService {
 
     /// Block until every update accepted before this call is visible in
     /// the served snapshot, and return that snapshot. Errors instead of
-    /// hanging if the service shuts down or a shard drainer fails while
+    /// hanging if the service shuts down or an epoch fails while
     /// waiting.
     pub fn flush(&self) -> Result<Arc<Snapshot>, ServiceError> {
         if let Some(err) = self.shared.failure() {
@@ -896,7 +900,7 @@ impl GraphService {
     }
 
     /// Stop accepting updates, drain what was already accepted into a
-    /// final epoch, and join the coordinator and every shard drainer.
+    /// final epoch, and join the coordinator, the one drain thread.
     /// Called automatically on drop; explicit calls get the final
     /// snapshot back.
     pub fn shutdown(&mut self) -> Arc<Snapshot> {
@@ -910,9 +914,6 @@ impl GraphService {
             s.not_full.notify_all();
         }
         if let Some(h) = self.coordinator.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
         self.shared.published.notify_all();
@@ -1103,7 +1104,7 @@ mod tests {
         )
         .expect("service");
         s.insert_edge(2, 3, 1.0).expect("accepted before the failure");
-        let err = s.flush().expect_err("flush must surface the drainer panic");
+        let err = s.flush().expect_err("flush must surface the failed epoch");
         assert!(matches!(err, ServiceError::DrainerFailed { shard: 0, .. }), "got {err:?}");
         // Subsequent writes and queries error instead of hanging.
         let err = s.insert_edge(4, 5, 1.0).expect_err("submit after failure");

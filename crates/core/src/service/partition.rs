@@ -5,24 +5,30 @@
 //! Based Graph Streaming" (Jananthan et al.) argues for.
 //!
 //! A partitioner is a *routing policy*, not a storage constraint: shard
-//! `s` owns exactly the edges `shard_of` assigns to it, each shard
-//! drainer nets only its own slice of the update log into its own
-//! delta, and the published snapshot is the previous one plus the
-//! disjoint union of all shard deltas at one epoch. Because `shard_of`
+//! `s` owns exactly the edges `shard_of` assigns to it, so its slice of
+//! the update log (one queue, one lock) nets into a delta of its own,
+//! and the published snapshot is the previous one plus the disjoint
+//! union of all shard deltas at one epoch, netted by the one epoch
+//! coordinator in shard order. Because `shard_of`
 //! is a pure function of the (canonicalized) edge key, every update to
 //! one edge is serialized through one shard — per-edge last-write-wins
 //! order is preserved at any shard count, which is what makes the
 //! S∈{1,2,4} differential tests bit-identical.
 //!
 //! On undirected graphs the service canonicalizes each edge to
-//! `(min, max)` *before* routing, and the owning shard replays both
-//! arcs; a 2D partitioner therefore sees only canonical keys.
+//! `(min, max)` *before* routing, and the coordinator writes both arcs
+//! when it nets the owning shard's slice; a 2D partitioner therefore
+//! sees only canonical keys.
 
 use graphblas::Index;
 
 /// Maps edges to shards. Implementations must be pure functions of the
 /// edge key (same key → same shard, always) and total over
-/// `0..nvertices` so no update is unroutable.
+/// `0..nvertices` so no update is unroutable. The service refuses a
+/// partitioner over 0 shards at construction, and an update routed past
+/// the last shard at submission, with [`ServiceError::Graph`].
+///
+/// [`ServiceError::Graph`]: super::ServiceError::Graph
 ///
 /// # Examples
 ///

@@ -11,7 +11,7 @@
 //! update rule, reading the snapshots' own rows
 //! ([`graphblas::Matrix::rows`]) wherever a rule needs adjacency. The
 //! engine keeps no copy of the graph: its state is one O(n) answer array
-//! per view, and none for components.
+//! per view, and none for components or degrees.
 //!
 //! * **Connected components** — the snapshot's own labels
 //!   ([`Graph::components`]). Registration materialises them on the
@@ -23,7 +23,10 @@
 //! * **PageRank** — warm-restart from the previous rank vector
 //!   ([`pagerank_warm`]): the same iteration, a much closer starting
 //!   point, so the residual is already near tolerance.
-//! * **Degree counts** — an O(Δ) fold of the changed arcs.
+//! * **Degree counts** — the snapshot's own out-degrees
+//!   ([`Graph::out_degree`]), materialised at registration like the
+//!   components and patched by each epoch's changes in
+//!   [`Graph::advance`]; the view publishes that vector.
 //! * **Triangle count** — per-edge common-neighbor deltas over a patch
 //!   on the pre-epoch graph ([`triangle_count_delta`]), exact by
 //!   telescoping.
@@ -44,12 +47,12 @@
 //! the snapshot swap, so a [`flush`](super::GraphService::flush) that
 //! returns epoch `e` implies the views are current at `e`. The
 //! admission layer consults the view table first: a hit bypasses
-//! batching, caching, and the query kernel entirely. A drainer failure
-//! never corrupts a view — the engine only advances on successfully
-//! barriered epochs, so after a failure the views keep answering at the
-//! last good epoch, exactly like the snapshot. The table's vectors are
-//! imported from the working arrays with their presence words
-//! ([`Vector::import_bitmap`]), not sorted from tuples.
+//! batching, caching, and the query kernel entirely. A failed epoch
+//! never corrupts a view — the engine only advances on epochs whose
+//! netting and publish succeeded, so after a failure the views keep
+//! answering at the last good epoch, exactly like the snapshot. The core
+//! numbers are imported from their working array as they are
+//! ([`Vector::import_full`]), not sorted from tuples.
 //!
 //! An epoch's view work runs under one `service.views` span (`events`,
 //! `inserts`, `deletes`) with a `service.view` child (`view`, `mode`) per
@@ -257,10 +260,11 @@ struct EngineState {
     /// flight starts from the graph that epoch's repair reads as its
     /// "before".
     latest: Arc<Graph>,
-    /// Whether the cc view is registered. It holds no labels of its own:
-    /// it publishes `latest`'s, which its successors carry.
+    /// Whether the cc and degree views are registered. They hold no
+    /// arrays of their own: they publish `latest`'s labels and
+    /// out-degrees, which its successors carry.
     cc: bool,
-    degree: Option<Vec<i64>>,
+    degree: bool,
     tricount: Option<u64>,
     cores: Option<Vec<i64>>,
     ranks: Option<(Arc<Vector<f64>>, usize)>,
@@ -269,7 +273,7 @@ struct EngineState {
 impl EngineState {
     fn any_registered(&self) -> bool {
         self.cc
-            || self.degree.is_some()
+            || self.degree
             || self.tricount.is_some()
             || self.cores.is_some()
             || self.ranks.is_some()
@@ -342,7 +346,7 @@ impl ViewEngine {
                 epoch,
                 latest,
                 cc: false,
-                degree: None,
+                degree: false,
                 tricount: None,
                 cores: None,
                 ranks: None,
@@ -370,8 +374,9 @@ impl ViewEngine {
                 graph.components()?;
                 st.cc = true;
             }
-            ViewKind::DegreeCounts if st.degree.is_none() => {
-                st.degree = Some(dense(&*graph.out_degree()?, n));
+            ViewKind::DegreeCounts if !st.degree => {
+                graph.out_degree()?;
+                st.degree = true;
             }
             ViewKind::TriangleCount if st.tricount.is_none() => {
                 st.tricount = Some(triangle_count(&graph, TriCountMethod::Sandia)?);
@@ -393,7 +398,7 @@ impl ViewEngine {
     /// engine's current epoch, to `after`, the graph the coordinator
     /// built from it ([`Graph::advance`]), given `arcs`, the structural
     /// changes between the two (mirror arcs included).
-    /// Called after the shard barrier and *before* the snapshot swap — a
+    /// Called after the publish and *before* the snapshot swap — a
     /// failed epoch never reaches here, so views only ever reflect
     /// successfully published graphs.
     pub(crate) fn on_epoch(&self, before: &Graph, after: &Arc<Graph>, arcs: &[EdgeEvent]) {
@@ -414,7 +419,7 @@ impl ViewEngine {
                 // registered view from the published graph.
                 self.rebuild_registered(&mut st, after);
             } else if !arcs.is_empty() {
-                self.repair_registered(&mut st, before, after, arcs, &edges);
+                self.repair_registered(&mut st, before, after, &edges);
             }
             // No event at all — a delta of reweights and redundant
             // deletes — changes nothing any view (all structure-only)
@@ -428,14 +433,12 @@ impl ViewEngine {
     }
 
     /// Incremental path: apply each view's update rule to the epoch's
-    /// structural changes — `arcs` for the degree fold, `edges` (one
-    /// event per edge) for the rest.
+    /// structural changes, `edges` (one event per edge).
     fn repair_registered(
         &self,
         st: &mut EngineState,
         before: &Graph,
         after: &Arc<Graph>,
-        arcs: &[EdgeEvent],
         edges: &[EdgeEvent],
     ) {
         let n = after.nvertices();
@@ -471,18 +474,10 @@ impl ViewEngine {
                 Ok(dense(&core_numbers(after)?, n))
             });
         }
-        self.refresh_components(true, cc, after);
-        if let Some(d) = degree.as_mut() {
-            let _span = view_span(ViewKind::DegreeCounts, "repair");
-            let t0 = Instant::now();
-            for e in arcs {
-                match *e {
-                    EdgeEvent::Insert(u, _) => d[u] += 1,
-                    EdgeEvent::Delete(u, _) => d[u] -= 1,
-                }
-            }
-            self.refreshed(ViewKind::DegreeCounts, true, t0.elapsed());
-        }
+        self.refresh_carried(ViewKind::ConnectedComponents, true, cc, || {
+            after.components().map(drop)
+        });
+        self.refresh_carried(ViewKind::DegreeCounts, true, degree, || after.out_degree().map(drop));
         if let Some((warm, _)) = ranks.clone() {
             let _span = view_span(ViewKind::PageRank, "repair");
             let t0 = Instant::now();
@@ -499,9 +494,11 @@ impl ViewEngine {
     /// Recompute every registered view from the published graph.
     fn rebuild_registered(&self, st: &mut EngineState, graph: &Arc<Graph>) {
         let n = graph.nvertices();
-        self.refresh_components(false, &mut st.cc, graph);
-        self.refresh(ViewKind::DegreeCounts, false, &mut st.degree, || {
-            Ok(dense(&*graph.out_degree()?, n))
+        self.refresh_carried(ViewKind::ConnectedComponents, false, &mut st.cc, || {
+            graph.components().map(drop)
+        });
+        self.refresh_carried(ViewKind::DegreeCounts, false, &mut st.degree, || {
+            graph.out_degree().map(drop)
         });
         self.refresh(ViewKind::TriangleCount, false, &mut st.tricount, || {
             triangle_count(graph, TriCountMethod::Sandia)
@@ -538,14 +535,19 @@ impl ViewEngine {
         self.refreshed(kind, repair, t0.elapsed());
     }
 
-    /// [`Self::refresh`] for the cc view, if `registered`: the snapshot
-    /// carries its components, already repaired whatever the epoch's
-    /// size, so the view only has them materialised on `graph`.
-    fn refresh_components(&self, repair: bool, registered: &mut bool, graph: &Graph) {
+    /// [`Self::refresh`] for a view the snapshot carries itself (cc,
+    /// degree), if `registered`: the graph holds the answer, already
+    /// repaired whatever the epoch's size, so the view only has it
+    /// `materialise`d.
+    fn refresh_carried(
+        &self,
+        kind: ViewKind,
+        repair: bool,
+        registered: &mut bool,
+        materialise: impl FnOnce() -> Result<(), GrbError>,
+    ) {
         let mut view = registered.then_some(());
-        self.refresh(ViewKind::ConnectedComponents, repair, &mut view, || {
-            graph.components().map(drop)
-        });
+        self.refresh(kind, repair, &mut view, materialise);
         *registered = view.is_some();
     }
 
@@ -570,11 +572,9 @@ impl ViewEngine {
         let table = ViewTable {
             epoch: st.epoch,
             cc: st.cc.then(|| st.latest.components().ok()).flatten(),
-            // Sparse like `Graph::out_degree`: entries only where a vertex
-            // has at least one arc.
-            degree: st.degree.as_deref().and_then(|d| import(d, |&x| x != 0)),
+            degree: st.degree.then(|| st.latest.out_degree().ok()).flatten(),
             tricount: st.tricount,
-            cores: st.cores.as_deref().and_then(|c| import(c, |_| true)),
+            cores: st.cores.clone().and_then(|c| Vector::import_full(c).ok().map(Arc::new)),
             ranks: st.ranks.clone(),
         };
         *self.published.write() = Arc::new(table);
@@ -634,7 +634,7 @@ impl ViewEngine {
         let registered = |k: ViewKind| match k {
             ViewKind::ConnectedComponents => st.cc,
             ViewKind::PageRank => st.ranks.is_some(),
-            ViewKind::DegreeCounts => st.degree.is_some(),
+            ViewKind::DegreeCounts => st.degree,
             ViewKind::TriangleCount => st.tricount.is_some(),
             ViewKind::CoreNumbers => st.cores.is_some(),
         };
@@ -667,22 +667,6 @@ fn view_span(kind: ViewKind, mode: &'static str) -> trace::Span {
     span.arg("view", kind.name());
     span.arg("mode", mode);
     span
-}
-
-/// Publish a dense working array as a vector with an entry wherever
-/// `present` holds: the values and their presence words are imported as
-/// they are, with no sort.
-fn import<T: graphblas::Scalar>(
-    values: &[T],
-    present: impl Fn(&T) -> bool,
-) -> Option<Arc<Vector<T>>> {
-    let mut bits = vec![0u64; values.len().div_ceil(64)];
-    for (word, chunk) in bits.iter_mut().zip(values.chunks(64)) {
-        for (k, x) in chunk.iter().enumerate() {
-            *word |= u64::from(present(x)) << k;
-        }
-    }
-    Vector::import_bitmap(values.to_vec(), bits).ok().map(Arc::new)
 }
 
 /// A vector as a dense working array, absent entries 0.

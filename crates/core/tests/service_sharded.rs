@@ -8,7 +8,8 @@
 //! single-shard service as the oracle. On top of that sit the admission
 //! guarantees: a k-wide batched multi-source BFS answers exactly like k
 //! individual traversals, cached results never cross epochs, and a
-//! failed shard drainer turns into errors, not hangs.
+//! failed epoch or a partitioner that breaks its contract turns into
+//! errors, not hangs or panics.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -281,4 +282,47 @@ fn drainer_failure_errors_instead_of_hanging() {
     let snap = s.snapshot();
     assert_eq!(snap.epoch(), pre.epoch());
     bfs_level(snap.graph(), 0).expect("raw reads still work");
+}
+
+/// A partitioner that breaks its contract: it routes every edge out of
+/// row 0 to shard `shards`, one past the last.
+#[derive(Debug)]
+struct OutOfRange {
+    shards: usize,
+}
+
+impl Partitioner for OutOfRange {
+    fn shards(&self) -> usize {
+        self.shards
+    }
+
+    fn shard_of(&self, row: usize, _col: usize) -> usize {
+        if row == 0 {
+            self.shards
+        } else {
+            0
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "out-of-range"
+    }
+}
+
+#[test]
+fn a_partitioner_that_breaks_its_contract_is_a_typed_error() {
+    let config = |shards| ServiceConfig {
+        partitioner: Some(Arc::new(OutOfRange { shards }) as Arc<dyn Partitioner>),
+        ..ServiceConfig::default()
+    };
+    assert!(matches!(
+        GraphService::new(seed(GraphKind::Directed), config(0)),
+        Err(ServiceError::Graph(_))
+    ));
+    let s = GraphService::new(seed(GraphKind::Directed), config(2)).expect("service");
+    assert!(matches!(s.insert_edge(0, 5, 1.0), Err(ServiceError::Graph(_))));
+    // The refused update leaves the service up: routable ones publish.
+    s.insert_edge(1, 5, 1.0).expect("routable update");
+    assert_eq!(s.flush().expect("flush").graph().a().get(1, 5), Some(1.0));
+    assert_eq!(s.stats().submitted, 1);
 }
