@@ -13,9 +13,13 @@
 //!   per vertex and one masked `mxv` per level advance every search at
 //!   once, so k queries cost one traversal of the shared structure
 //!   instead of k.
-//! * **Caching** — results land in an epoch-keyed [`QueryCache`]; a
-//!   repeat of a canonicalized [`Query`] within the same epoch is a
-//!   clone, and every epoch advance invalidates wholesale.
+//! * **Caching** — every answer lives in the answer table of the
+//!   snapshot it was computed against: the registered views' answers are
+//!   pinned there when the snapshot is published, and an executed
+//!   result is kept beside them (first in, first out at
+//!   `cache_capacity`), so a repeat of a canonicalized [`Query`] within
+//!   the epoch is a clone. The next epoch's snapshot starts with only its
+//!   own pinned answers; nothing is looked up by epoch.
 //! * **Deduplication** — identical in-flight queries (same canonical
 //!   key) share one execution and one result, for the non-batchable
 //!   algorithms too.
@@ -40,12 +44,12 @@ use graphblas::metrics;
 use graphblas::trace;
 use graphblas::{Error as GrbError, Index, Vector};
 
-use super::cache::QueryCache;
-use super::{panic_message, BackpressurePolicy, ServiceError, Shared, Snapshot};
+use super::{panic_message, Answer, BackpressurePolicy, ServiceError, Shared, Snapshot};
 use crate::algorithms::{
     bfs_level, bfs_level_batch, core_numbers, pagerank, triangle_count, PageRankOptions,
     TriCountMethod,
 };
+use crate::graph::Graph;
 
 /// Tuning knobs for the admission layer. Defaults suit tests and modest
 /// concurrency; serving deployments mostly tune `cache_capacity`, and
@@ -61,7 +65,8 @@ pub struct AdmissionConfig {
     /// Widest multi-source BFS one execution runs; a wider collection is
     /// split into consecutive batches of at most this many sources.
     pub max_batch_width: usize,
-    /// Result-cache entries kept per epoch (0 disables caching).
+    /// Executed results a snapshot keeps for repeats, beside its pinned
+    /// view answers (0 keeps none; the views still answer).
     pub cache_capacity: usize,
     /// Queries queued for batching before the service's backpressure
     /// policy applies to *reads* as well.
@@ -137,7 +142,7 @@ pub(crate) enum QueryKind {
 
 /// Normalize a float for use in a hashable cache key: `-0.0` folds to
 /// `+0.0`, everything else keeps its exact bit pattern.
-pub(crate) fn canon_bits(x: f64) -> u64 {
+fn canon_bits(x: f64) -> u64 {
     (x + 0.0).to_bits()
 }
 
@@ -285,12 +290,12 @@ pub struct AdmissionStats {
     /// Queries answered by a batch of width ≥ 2 — the traversals saved
     /// by batching is `batched_queries − (their batches)`.
     pub batched_queries: u64,
-    /// Queries answered from the epoch-keyed result cache.
+    /// Queries answered from a result the snapshot kept.
     pub cache_hits: u64,
     /// Queries that missed the cache and executed.
     pub cache_misses: u64,
-    /// Queries answered directly from a materialized view (bypassing
-    /// cache, batching, and the query kernel).
+    /// Queries answered from a view's answer pinned on the snapshot
+    /// (bypassing batching and the query kernel).
     pub view_hits: u64,
 }
 
@@ -416,7 +421,6 @@ impl AdmissionMetrics {
 /// The admission layer: one per [`GraphService`](super::GraphService).
 pub(crate) struct Admission {
     config: AdmissionConfig,
-    cache: QueryCache,
     state: Mutex<AdmState>,
     /// Signals `pending` shrinking (for `max_pending` backpressure) and
     /// the BFS counts moving (for the leader's wait).
@@ -428,7 +432,6 @@ pub(crate) struct Admission {
 impl Admission {
     pub(crate) fn new(config: AdmissionConfig) -> Self {
         Admission {
-            cache: QueryCache::new(config.cache_capacity),
             config,
             state: Mutex::new(AdmState {
                 pending: Vec::new(),
@@ -454,35 +457,21 @@ impl Admission {
         }
     }
 
-    /// Admit one query: cache lookup, then either the BFS batching path
-    /// or direct (deduplicated) execution.
+    /// Admit one query: answer-table lookup, then either the BFS
+    /// batching path or direct (deduplicated) execution.
     pub(crate) fn query(&self, shared: &Shared, q: Query) -> Result<QueryResult, ServiceError> {
         let t0 = Instant::now();
         self.stats.queries.fetch_add(1, Relaxed);
         self.metrics.queries(&q).inc();
         let snap = shared.snapshot.read().clone();
-        // Materialized views answer first: a registered, epoch-current
-        // view bypasses the cache, batching, and the query kernel. The
-        // check runs *before* the failure check on purpose: views only
-        // ever reflect successfully published epochs, so — like raw
-        // `snapshot()` reads — they keep answering at the last good
-        // epoch after an epoch fails.
-        if let Some(hit) = shared.views.serve(snap.epoch(), &q.0) {
-            self.stats.view_hits.fetch_add(1, Relaxed);
+        // A pinned view answer comes first, bypassing batching and the
+        // query kernel, and *before* the failure check on purpose: a
+        // failed epoch is never published, so — like raw `snapshot()`
+        // reads — the views keep answering at the last good epoch.
+        if let Some(hit) = self.lookup(shared, &snap, &q)? {
             self.metrics.query_seconds.observe(t0.elapsed().as_nanos() as u64);
             return Ok(hit);
         }
-        if let Some(err) = shared.failure() {
-            return Err(err);
-        }
-        if let Some(hit) = self.cache.get(snap.epoch(), &q) {
-            self.stats.cache_hits.fetch_add(1, Relaxed);
-            self.metrics.cache_hit.inc();
-            self.metrics.query_seconds.observe(t0.elapsed().as_nanos() as u64);
-            return Ok(hit);
-        }
-        self.stats.cache_misses.fetch_add(1, Relaxed);
-        self.metrics.cache_miss.inc();
         let result = match q.0 {
             QueryKind::BfsLevel { source } => self.bfs_batched(shared, source),
             _ => self.execute_dedup(q, &snap),
@@ -507,55 +496,45 @@ impl Admission {
         let t0 = Instant::now();
         self.stats.queries.fetch_add(queries.len() as u64, Relaxed);
         let snap = shared.snapshot.read().clone();
-        let epoch = snap.epoch();
-        let failure = shared.failure();
         let mut out: Vec<Option<QueryResult>> = vec![None; queries.len()];
-        // What the views and the cache leave to execute: the direct
-        // queries, and the unique BFS sources with the output positions
-        // each answers.
-        let mut direct: Vec<usize> = Vec::new();
-        let mut sources: Vec<Index> = Vec::new();
-        let mut positions: Vec<Vec<usize>> = Vec::new();
+        // What the answer table leaves to execute: each unique query with
+        // the output positions it answers.
+        let mut misses: Vec<(Query, Vec<usize>)> = Vec::new();
         for (idx, q) in queries.iter().enumerate() {
             self.metrics.queries(q).inc();
-            if let Some(hit) = shared.views.serve(epoch, &q.0) {
-                self.stats.view_hits.fetch_add(1, Relaxed);
+            if let Some(hit) = self.lookup(shared, &snap, q)? {
                 out[idx] = Some(hit);
-                continue;
+            } else if let Some((_, targets)) = misses.iter_mut().find(|(m, _)| m == q) {
+                targets.push(idx);
+            } else {
+                misses.push((*q, vec![idx]));
             }
-            if let Some(err) = &failure {
-                return Err(err.clone());
-            }
-            if let Some(hit) = self.cache.get(epoch, q) {
-                self.stats.cache_hits.fetch_add(1, Relaxed);
-                self.metrics.cache_hit.inc();
-                out[idx] = Some(hit);
-                continue;
-            }
-            self.stats.cache_misses.fetch_add(1, Relaxed);
-            self.metrics.cache_miss.inc();
+        }
+        let mut sources: Vec<(Index, Vec<usize>)> = Vec::new();
+        let mut direct: Vec<(Query, Vec<usize>)> = Vec::new();
+        for (q, targets) in misses {
             match q.0 {
-                QueryKind::BfsLevel { source } => {
-                    if let Some(k) = sources.iter().position(|&s| s == source) {
-                        positions[k].push(idx);
-                    } else {
-                        sources.push(source);
-                        positions.push(vec![idx]);
-                    }
-                }
-                _ => direct.push(idx),
+                QueryKind::BfsLevel { source } => sources.push((source, targets)),
+                _ => direct.push((q, targets)),
             }
         }
         let execute = || -> Result<(), ServiceError> {
-            for idx in direct {
-                out[idx] = Some(self.execute_dedup(queries[idx], &snap)?);
+            for (q, targets) in direct {
+                let r = self.execute_dedup(q, &snap)?;
+                for idx in targets {
+                    out[idx] = Some(r.clone());
+                }
             }
-            let width = self.config.max_batch_width.max(1);
-            for (chunk, pos_chunk) in sources.chunks(width).zip(positions.chunks(width)) {
-                let levels = self.run_bfs_chunk(&snap, chunk)?;
-                for ((src, lv), targets) in chunk.iter().zip(levels).zip(pos_chunk) {
+            for chunk in sources.chunks(self.config.max_batch_width.max(1)) {
+                let batch: Vec<Index> = chunk.iter().map(|(src, _)| *src).collect();
+                let levels = self.run_bfs_chunk(&snap, &batch)?;
+                for ((src, targets), lv) in chunk.iter().zip(levels) {
                     let r = QueryResult::Levels(Arc::new(lv));
-                    self.cache.insert(epoch, Query::bfs_level(*src), r.clone());
+                    snap.answers.insert(
+                        Query::bfs_level(*src),
+                        r.clone(),
+                        self.config.cache_capacity,
+                    );
                     for &idx in targets {
                         out[idx] = Some(r.clone());
                     }
@@ -567,6 +546,37 @@ impl Admission {
         self.metrics.query_seconds.observe(t0.elapsed().as_nanos() as u64);
         executed?;
         Ok(out.into_iter().map(|r| r.expect("every query answered")).collect())
+    }
+
+    /// Look `q` up in the snapshot's answer table and count the outcome.
+    /// A pinned view answer returns before the failure check; a failed
+    /// service errors before an evictable answer or a miss.
+    fn lookup(
+        &self,
+        shared: &Shared,
+        snap: &Snapshot,
+        q: &Query,
+    ) -> Result<Option<QueryResult>, ServiceError> {
+        let cached = match snap.answers.get(q) {
+            Some(Answer::Pinned(r)) => {
+                self.stats.view_hits.fetch_add(1, Relaxed);
+                shared.views.served(q);
+                return Ok(Some(r));
+            }
+            Some(Answer::Evictable(r)) => Some(r),
+            None => None,
+        };
+        if let Some(err) = shared.failure() {
+            return Err(err);
+        }
+        if cached.is_some() {
+            self.stats.cache_hits.fetch_add(1, Relaxed);
+            self.metrics.cache_hit.inc();
+        } else {
+            self.stats.cache_misses.fetch_add(1, Relaxed);
+            self.metrics.cache_miss.inc();
+        }
+        Ok(cached)
     }
 
     /// The leader/follower BFS batching protocol (see module docs).
@@ -584,7 +594,7 @@ impl Admission {
         }
         let (slot, leader) = {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            while st.pending.len() >= self.config.max_pending {
+            while st.pending.len() >= self.config.max_pending.max(1) {
                 if shared.policy == BackpressurePolicy::Reject {
                     return Err(ServiceError::Backpressure { depth: st.pending.len() as u64 });
                 }
@@ -644,14 +654,17 @@ impl Admission {
             return;
         }
         let snap = shared.snapshot.read().clone();
-        let epoch = snap.epoch();
         for chunk in taken.chunks(self.config.max_batch_width.max(1)) {
             let sources: Vec<Index> = chunk.iter().map(|(s, _)| *s).collect();
             match self.run_bfs_chunk(&snap, &sources) {
                 Ok(levels) => {
                     for ((src, slot), lv) in chunk.iter().zip(levels) {
                         let r = QueryResult::Levels(Arc::new(lv));
-                        self.cache.insert(epoch, Query::bfs_level(*src), r.clone());
+                        snap.answers.insert(
+                            Query::bfs_level(*src),
+                            r.clone(),
+                            self.config.cache_capacity,
+                        );
                         slot.fill(Ok(r));
                     }
                 }
@@ -714,7 +727,7 @@ impl Admission {
         let mut span = trace::service_span("service.query");
         span.arg("algo", q.algorithm());
         span.arg("epoch", snap.epoch());
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_query(&q, snap)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_query(&q, snap.graph())));
         let result = match outcome {
             Ok(r) => r,
             Err(p) => Err(ServiceError::Graph(GrbError::invalid(format!(
@@ -723,7 +736,7 @@ impl Admission {
             )))),
         };
         if let Ok(r) = &result {
-            self.cache.insert(snap.epoch(), q, r.clone());
+            snap.answers.insert(q, r.clone(), self.config.cache_capacity);
         }
         slot.fill(result.clone());
         self.state.lock().unwrap_or_else(|e| e.into_inner()).inflight.remove(&q);
@@ -731,11 +744,11 @@ impl Admission {
     }
 }
 
-/// Execute a query against one snapshot (no caching, no batching).
-fn run_query(q: &Query, snap: &Snapshot) -> Result<QueryResult, ServiceError> {
+/// Execute a query against one graph (no caching, no batching).
+pub(crate) fn run_query(q: &Query, g: &Graph) -> Result<QueryResult, ServiceError> {
     match q.0 {
         QueryKind::BfsLevel { source } => {
-            let v = bfs_level(snap.graph(), source)?;
+            let v = bfs_level(g, source)?;
             Ok(QueryResult::Levels(Arc::new(v)))
         }
         QueryKind::PageRank { damping_bits, tolerance_bits, max_iters } => {
@@ -744,19 +757,19 @@ fn run_query(q: &Query, snap: &Snapshot) -> Result<QueryResult, ServiceError> {
                 tolerance: f64::from_bits(tolerance_bits),
                 max_iters,
             };
-            let (ranks, iterations) = pagerank(snap.graph(), &opts)?;
+            let (ranks, iterations) = pagerank(g, &opts)?;
             Ok(QueryResult::Ranks { ranks: Arc::new(ranks), iterations })
         }
         QueryKind::TriangleCount => {
-            let n = triangle_count(snap.graph(), TriCountMethod::Sandia)?;
+            let n = triangle_count(g, TriCountMethod::Sandia)?;
             Ok(QueryResult::Count(n))
         }
-        // The snapshot's own labels: carried from the epoch before when
+        // The graph's own labels: carried from the epoch before when
         // that one had them, else one FastSV run kept for the next query.
-        QueryKind::ConnectedComponents => Ok(QueryResult::Components(snap.graph().components()?)),
-        QueryKind::Degrees => Ok(QueryResult::Degrees(snap.graph().out_degree()?)),
+        QueryKind::ConnectedComponents => Ok(QueryResult::Components(g.components()?)),
+        QueryKind::Degrees => Ok(QueryResult::Degrees(g.out_degree()?)),
         QueryKind::CoreNumbers => {
-            let v = core_numbers(snap.graph())?;
+            let v = core_numbers(g)?;
             Ok(QueryResult::Cores(Arc::new(v)))
         }
     }

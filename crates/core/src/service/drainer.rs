@@ -154,11 +154,11 @@ pub(crate) fn coordinator_loop(
         span.arg("shards", batches.len());
         shared.metrics.batch_updates.observe(total as u64);
 
-        // Net, publish, advance the views — under one guard, so a panic
-        // or an error anywhere in here fails the service closed instead of
-        // killing this thread under a flush that waits for the epoch.
-        // `shard` is the slice being netted, 0 past the netting.
-        let prev = shared.snapshot.read().graph.clone();
+        // Net, build, advance the views and swap — under one guard, so a
+        // panic or an error anywhere in here fails the service closed
+        // instead of killing this thread under a flush that waits for the
+        // epoch. `shard` is the slice being netted, 0 past the netting.
+        let prev = shared.snapshot.read().clone();
         let mut shard = 0;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // The shard deltas are disjoint (one shard owns each edge), so
@@ -169,7 +169,7 @@ pub(crate) fn coordinator_loop(
                 delta.append(&mut shard_delta(b, shared.kind));
             }
             shard = 0;
-            let (mut g, events) = next_graph(&prev, &delta, compressed)
+            let (mut g, events) = next_graph(prev.graph(), &delta, compressed)
                 .map_err(|e| format!("epoch {epoch} publish failed: {e}"))?;
             if fail_epoch == Some(epoch) {
                 panic!("injected epoch-publish failure at epoch {epoch}");
@@ -189,31 +189,25 @@ pub(crate) fn coordinator_loop(
                 }
                 span.arg("folded", u64::from(layers.is_some_and(|l| l.folded)));
             }
+            // Publish: the views' answers, repaired from the snapshot this
+            // one replaces by the same classified Δ, are pinned on the new
+            // snapshot before readers swap over to it on their next
+            // snapshot(), so a flush that observes epoch e observes the
+            // views at e. A failed epoch never gets this far, leaving
+            // both at the last good epoch.
             let graph = Arc::new(g);
-            // Views advance *before* the snapshot swap, so a flush that
-            // observes epoch e also observes views at e; a failed epoch
-            // never gets past this guard, leaving the views at the last
-            // good epoch alongside the snapshot. They repair from the
-            // same two graphs and the same classified Δ.
-            shared.views.on_epoch(&prev, &graph, &events);
-            Ok(graph)
+            shared.views.on_epoch(&prev, &graph, &events, |pinned| {
+                *shared.snapshot.write() = Arc::new(Snapshot::new(graph.clone(), pinned));
+            });
+            Ok(())
         }))
         .unwrap_or_else(|p| Err(panic_message(&*p).to_string()));
-        let graph = match outcome {
-            Ok(graph) => graph,
-            Err(message) => {
-                span.arg("failed_shard", shard);
-                drop(span);
-                fail_service(shared, shard, message);
-                return;
-            }
-        };
-
-        // Publish: an immutable Graph that inherits the caches of the one
-        // it replaces, stamped with this epoch. Readers swap over
-        // atomically on their next snapshot().
-        let nedges = graph.nedges();
-        *shared.snapshot.write() = Arc::new(Snapshot { epoch, nedges, graph });
+        if let Err(message) = outcome {
+            span.arg("failed_shard", shard);
+            drop(span);
+            fail_service(shared, shard, message);
+            return;
+        }
         let now_ns = now_unix_ns();
         shared.metrics.publish_unix_ns.store(now_ns, Relaxed);
         shared.metrics.last_publish.set(now_ns as f64 / 1e9);

@@ -12,11 +12,12 @@
 //!
 //! ```text
 //!  queries ──▶ admission layer ──────────────┐
-//!              batch · cache · dedup · shed  │ k queued BFS sources →
+//!              answers · batch · dedup · shed│ k queued BFS sources →
 //!                                            │ one bit-parallel k-source BFS
 //!                                            ▼
-//!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e)
-//!                                            ▲  caches inherited from e-1
+//!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e) + its
+//!                                            ▲  answer table (views pinned)
+//!                                            │  caches inherited from e-1
 //!          epoch e-1's base, shared + Δ's rows in a new overlay segment
 //!                                            │ Δ = Δ₀ ‖ Δ₁ ‖ … ‖ Δ_{S-1}
 //!  epoch coordinator (one thread): net each shard's slice in shard
@@ -52,10 +53,12 @@
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
-//!   bit-parallel multi-source traversal), serves repeats from an epoch-keyed
-//!   result cache, deduplicates identical in-flight queries, and sheds
-//!   load under the service's backpressure policy. Queries never block
-//!   behind assembly and never observe a torn batch.
+//!   bit-parallel multi-source traversal), answers from the snapshot's
+//!   own answer table — the registered views' answers pinned at publish,
+//!   and the results executed against it kept beside them — deduplicates
+//!   identical in-flight queries, and sheds load under the service's
+//!   backpressure policy. Queries never block behind assembly and never
+//!   observe a torn batch.
 //!
 //! [`submit`]: GraphService::submit
 //! [`delete_edge`]: GraphService::delete_edge
@@ -120,14 +123,12 @@
 //! ```
 
 pub mod admission;
-pub mod cache;
 pub mod partition;
 pub mod views;
 
 mod drainer;
 
 pub use admission::{AdmissionConfig, AdmissionStats, Query, QueryResult};
-pub use cache::QueryCache;
 pub use partition::{EdgeHash, Grid2D, Partitioner, RowBlock};
 pub use views::{ViewKind, ViewStat, ViewsConfig};
 
@@ -137,7 +138,7 @@ use graphblas::metrics;
 use graphblas::trace::{self, ArgValue};
 use graphblas::{Error as GrbError, Index};
 use parking_lot::RwLock;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -317,16 +318,26 @@ impl From<GrbError> for ServiceError {
 
 /// An immutable, epoch-tagged view of the served graph. Cheap to clone
 /// (it is handed out as an `Arc`); holding one pins that epoch's fully
-/// assembled matrix and cached properties in memory, unaffected by any
-/// concurrent updates or later epochs.
+/// assembled matrix, cached properties and query answers in memory,
+/// unaffected by any concurrent updates or later epochs.
 #[derive(Debug)]
 pub struct Snapshot {
     pub(crate) epoch: u64,
     pub(crate) nedges: usize,
     pub(crate) graph: Arc<Graph>,
+    /// The only place a query answer for this epoch lives.
+    pub(crate) answers: Answers,
 }
 
 impl Snapshot {
+    /// A snapshot of `graph` at its own epoch, holding the views'
+    /// `pinned` answers.
+    pub(crate) fn new(graph: Arc<Graph>, pinned: Vec<(Query, QueryResult)>) -> Self {
+        let answers =
+            Answers(parking_lot::Mutex::new(AnswerTable { pinned, ..AnswerTable::default() }));
+        Snapshot { epoch: graph.epoch(), nedges: graph.nedges(), graph, answers }
+    }
+
     /// The epoch that produced this snapshot (0 = the initial graph).
     /// Equals [`Graph::epoch`] of [`Snapshot::graph`] — a reader that
     /// sees them disagree has found a torn publish, which the regression
@@ -351,6 +362,71 @@ impl Snapshot {
     /// snapshot borrow (e.g. spawned onto another thread).
     pub fn graph_arc(&self) -> Arc<Graph> {
         self.graph.clone()
+    }
+}
+
+/// A snapshot's answer table. Pinned entries are the registered views'
+/// answers, set when the snapshot is published or a view registered on
+/// it; evictable entries are results the admission layer computed
+/// against this snapshot, kept first in, first out up to
+/// [`AdmissionConfig::cache_capacity`]. Every entry dies with its
+/// snapshot, so no answer is ever looked up at an epoch but its own.
+#[derive(Debug)]
+pub(crate) struct Answers(parking_lot::Mutex<AnswerTable>);
+
+#[derive(Debug, Default)]
+struct AnswerTable {
+    pinned: Vec<(Query, QueryResult)>,
+    evictable: HashMap<Query, QueryResult>,
+    /// The evictable keys, oldest first.
+    order: VecDeque<Query>,
+}
+
+/// Which kind of entry answered a lookup.
+pub(crate) enum Answer {
+    Pinned(QueryResult),
+    Evictable(QueryResult),
+}
+
+impl Answers {
+    /// The answer to `q`, and which kind of entry held it.
+    pub(crate) fn get(&self, q: &Query) -> Option<Answer> {
+        let t = self.0.lock();
+        if let Some((_, r)) = t.pinned.iter().find(|(k, _)| k == q) {
+            return Some(Answer::Pinned(r.clone()));
+        }
+        t.evictable.get(q).cloned().map(Answer::Evictable)
+    }
+
+    /// The pinned answer to `q`, if a view holds one.
+    pub(crate) fn pinned(&self, q: &Query) -> Option<QueryResult> {
+        self.0.lock().pinned.iter().find(|(k, _)| k == q).map(|(_, r)| r.clone())
+    }
+
+    /// Pin a view's answer, replacing any evictable entry for `q`.
+    pub(crate) fn pin(&self, q: Query, r: QueryResult) {
+        let mut t = self.0.lock();
+        if t.evictable.remove(&q).is_some() {
+            t.order.retain(|k| *k != q);
+        }
+        t.pinned.push((q, r));
+    }
+
+    /// Keep an admitted result, evicting the oldest past `capacity`
+    /// (0 keeps nothing). A pinned answer is never shadowed.
+    pub(crate) fn insert(&self, q: Query, r: QueryResult, capacity: usize) {
+        let mut t = self.0.lock();
+        if capacity == 0 || t.pinned.iter().any(|(k, _)| *k == q) {
+            return;
+        }
+        if t.evictable.insert(q, r).is_none() {
+            t.order.push_back(q);
+            while t.order.len() > capacity {
+                if let Some(old) = t.order.pop_front() {
+                    t.evictable.remove(&old);
+                }
+            }
+        }
     }
 }
 
@@ -621,11 +697,7 @@ impl GraphService {
             ))));
         }
         let compressed = config.compressed;
-        let epoch = initial.epoch();
-        let nedges = initial.nedges();
-        let initial = Arc::new(initial);
         let views_cfg = config.views.clone().unwrap_or_default();
-        let views_engine = Arc::new(views::ViewEngine::new(kind, initial.clone(), &views_cfg));
         let shared = Arc::new(Shared {
             shards: (0..shards)
                 .map(|_| Shard { queue: Mutex::new(VecDeque::new()), not_full: Condvar::new() })
@@ -635,7 +707,7 @@ impl GraphService {
             kind,
             nvertices,
             partitioner,
-            snapshot: RwLock::new(Arc::new(Snapshot { epoch, nedges, graph: initial })),
+            snapshot: RwLock::new(Arc::new(Snapshot::new(Arc::new(initial), Vec::new()))),
             submitted: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -647,7 +719,7 @@ impl GraphService {
             work: Condvar::new(),
             published: Condvar::new(),
             metrics: ServiceMetrics::new(shards, config.policy),
-            views: views_engine,
+            views: Arc::new(views::ViewEngine::new(kind, &views_cfg)),
         });
         // Resident bytes of the *served* snapshot, sampled at scrape
         // time through a weak handle so a dropped service stops
@@ -721,14 +793,14 @@ impl GraphService {
         self.admission.stats()
     }
 
-    /// Register (and materialize) one analytic view; from the next
-    /// epoch on it is repaired incrementally from each epoch's deltas
-    /// and serves matching [`query`](GraphService::query) calls
-    /// directly. Errors if the view is undefined for the graph's kind
+    /// Register one analytic view: compute its answer on the served
+    /// snapshot and pin it there, so matching [`query`](GraphService::query)
+    /// calls are answered from it at once; every later snapshot is
+    /// published with the answer repaired from its predecessor's. Errors if the view is undefined for the graph's kind
     /// (e.g. [`ViewKind::TriangleCount`] on a directed graph);
     /// re-registering is a no-op. See [`views`] for the machinery.
     pub fn register_view(&self, kind: ViewKind) -> Result<(), ServiceError> {
-        self.shared.views.register(kind)
+        self.shared.views.register(kind, &self.shared.snapshot)
     }
 
     /// Per-view repair/rebuild/served counters for every registered

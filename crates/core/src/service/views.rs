@@ -4,29 +4,30 @@
 //! PageRank, out-degrees, the global triangle count, core numbers —
 //! kept *current* against the served snapshot. Instead of recomputing
 //! from scratch every epoch, the engine is handed what the epoch
-//! coordinator (`drainer.rs`) already holds — the graph before the
+//! coordinator (`drainer.rs`) already holds — the snapshot before the
 //! epoch, the graph after it, and the real structural changes between
 //! them (`Graph::classify` of the netted delta: weight overwrites and
 //! redundant deletes drop out) — and applies each view's algebraic
-//! update rule, reading the snapshots' own rows
-//! ([`graphblas::Matrix::rows`]) wherever a rule needs adjacency. The
-//! engine keeps no copy of the graph: its state is one O(n) answer array
-//! per view, and none for components or degrees.
+//! update rule to the answer pinned on the snapshot before, reading the
+//! snapshots' own rows ([`graphblas::Matrix::rows`]) wherever a rule
+//! needs adjacency. The engine keeps no copy of the graph and no answer:
+//! each answer is pinned in the answer table of the snapshot it
+//! describes, under the [`Query`] it answers.
 //!
 //! * **Connected components** — the snapshot's own labels
 //!   ([`Graph::components`]). Registration materialises them on the
-//!   engine's graph, and from then on every snapshot inherits them
+//!   served graph, and from then on every snapshot inherits them
 //!   repaired by its epoch's changes ([`Graph::advance`], which runs
 //!   [`connected_components_delta`](crate::connected_components_delta)'s
-//!   repair). The view publishes that
-//!   one array; it runs no repair of its own.
+//!   repair). The view pins that one array; it runs no repair of its
+//!   own.
 //! * **PageRank** — warm-restart from the previous rank vector
 //!   ([`pagerank_warm`]): the same iteration, a much closer starting
 //!   point, so the residual is already near tolerance.
 //! * **Degree counts** — the snapshot's own out-degrees
 //!   ([`Graph::out_degree`]), materialised at registration like the
 //!   components and patched by each epoch's changes in
-//!   [`Graph::advance`]; the view publishes that vector.
+//!   [`Graph::advance`]; the view pins that vector.
 //! * **Triangle count** — per-edge common-neighbor deltas over a patch
 //!   on the pre-epoch graph ([`triangle_count_delta`]), exact by
 //!   telescoping.
@@ -43,15 +44,17 @@
 //! `lagraph_service_view_refresh_total{view,mode}` and repair latency
 //! in `lagraph_service_view_repair_seconds{view}`.
 //!
-//! Views are epoch-tagged and published as one atomic table *before*
-//! the snapshot swap, so a [`flush`](super::GraphService::flush) that
-//! returns epoch `e` implies the views are current at `e`. The
-//! admission layer consults the view table first: a hit bypasses
-//! batching, caching, and the query kernel entirely. A failed epoch
-//! never corrupts a view — the engine only advances on epochs whose
-//! netting and publish succeeded, so after a failure the views keep
-//! answering at the last good epoch, exactly like the snapshot. The core
-//! numbers are imported from their working array as they are
+//! A snapshot is published with its views' answers already pinned, so a
+//! [`flush`](super::GraphService::flush) that returns epoch `e` sees the
+//! views at `e`, and no answer is ever looked up at another epoch. The
+//! admission layer answers a pinned query first: a hit bypasses
+//! batching and the query kernel entirely. A registered view with no
+//! answer on the snapshot before (its last compute failed) rebuilds
+//! cold. A failed epoch is never
+//! published, so after a failure the views keep answering at the last
+//! good epoch, pinned on the snapshot the service keeps serving. The
+//! core numbers repair in a copy of their array
+//! ([`Vector::to_full`]) and are imported from it as they are
 //! ([`Vector::import_full`]), not sorted from tuples.
 //!
 //! An epoch's view work runs under one `service.views` span (`events`,
@@ -66,20 +69,19 @@
 //! tolerance for warm-restarted PageRank (and bit-for-bit for PageRank
 //! too when `staleness = 0` forces cold rebuilds).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+use std::time::Instant;
 
 use graphblas::metrics;
 use graphblas::trace;
 use graphblas::{Error as GrbError, Index, Vector};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use super::admission::{canon_bits, QueryKind, QueryResult};
-use super::{env_parse, ServiceError};
+use super::admission::{run_query, Query, QueryResult};
+use super::{env_parse, ServiceError, Snapshot};
 use crate::algorithms::{
-    core_numbers, core_numbers_insert, pagerank, pagerank_warm, triangle_count,
-    triangle_count_delta, PageRankOptions, TriCountMethod,
+    core_numbers_insert, pagerank_warm, triangle_count_delta, PageRankOptions,
 };
 use crate::graph::{edges_of, EdgeEvent, Graph, GraphKind};
 
@@ -167,7 +169,8 @@ pub struct ViewsConfig {
     /// bit-for-bit-reproducible mode.
     pub staleness: usize,
     /// Options for the PageRank view; a PageRank query is served from
-    /// the view only when its canonicalized options match these.
+    /// the view only when its canonicalized options match these (the
+    /// options are part of the pinned answer's key).
     pub pagerank: PageRankOptions,
 }
 
@@ -227,57 +230,11 @@ pub struct ViewStat {
     /// Epochs absorbed by incremental repair.
     pub repairs: u64,
     /// Epochs that fell back to a full recompute (staleness budget
-    /// exceeded, or a rule with no local repair — e.g. core numbers
-    /// under deletes).
+    /// exceeded, a rule with no local repair — e.g. core numbers under
+    /// deletes — or no answer on the snapshot before to repair from).
     pub rebuilds: u64,
     /// Queries answered from this view.
     pub served: u64,
-}
-
-/// The atomically published answer table: readers clone `Arc`s, never
-/// blocking behind an in-progress repair.
-struct ViewTable {
-    epoch: u64,
-    cc: Option<Arc<Vector<u64>>>,
-    degree: Option<Arc<Vector<i64>>>,
-    tricount: Option<u64>,
-    cores: Option<Arc<Vector<i64>>>,
-    ranks: Option<(Arc<Vector<f64>>, usize)>,
-}
-
-impl ViewTable {
-    fn empty(epoch: u64) -> Self {
-        ViewTable { epoch, cc: None, degree: None, tricount: None, cores: None, ranks: None }
-    }
-}
-
-/// Mutable engine state, guarded by one mutex (taken by the epoch
-/// coordinator, registration, and stats — never by the serve path).
-struct EngineState {
-    epoch: u64,
-    /// The graph of `epoch` — registration materializes from this, not
-    /// the service snapshot, so a view registered while an epoch is in
-    /// flight starts from the graph that epoch's repair reads as its
-    /// "before".
-    latest: Arc<Graph>,
-    /// Whether the cc and degree views are registered. They hold no
-    /// arrays of their own: they publish `latest`'s labels and
-    /// out-degrees, which its successors carry.
-    cc: bool,
-    degree: bool,
-    tricount: Option<u64>,
-    cores: Option<Vec<i64>>,
-    ranks: Option<(Arc<Vector<f64>>, usize)>,
-}
-
-impl EngineState {
-    fn any_registered(&self) -> bool {
-        self.cc
-            || self.degree
-            || self.tricount.is_some()
-            || self.cores.is_some()
-            || self.ranks.is_some()
-    }
 }
 
 /// One view's counters and metric handles.
@@ -321,326 +278,213 @@ fn kind_slot(kind: ViewKind) -> KindSlot {
 }
 
 /// The engine: owned by [`super::Shared`], advanced by the epoch
-/// coordinator, consulted lock-free(ish) by the admission layer.
+/// coordinator. It holds no answers: those are pinned on the snapshots.
 pub(crate) struct ViewEngine {
     kind: GraphKind,
     staleness: usize,
     pr_opts: PageRankOptions,
-    /// Whether any view has ever been registered — the serve path's
-    /// cheap "is there anything to look up" check.
-    active: AtomicBool,
-    state: Mutex<EngineState>,
-    published: RwLock<Arc<ViewTable>>,
+    /// Which views are registered, by [`ViewKind::idx`]. Held by the
+    /// coordinator from reading a snapshot's answers to publishing the
+    /// next, and by registration, so a view registers on the snapshot
+    /// the next epoch repairs from.
+    registered: Mutex<[bool; 5]>,
     slots: [KindSlot; 5],
 }
 
 impl ViewEngine {
-    pub(crate) fn new(kind: GraphKind, latest: Arc<Graph>, config: &ViewsConfig) -> Self {
-        let epoch = latest.epoch();
+    pub(crate) fn new(kind: GraphKind, config: &ViewsConfig) -> Self {
         ViewEngine {
             kind,
             staleness: config.staleness,
             pr_opts: config.pagerank,
-            active: AtomicBool::new(false),
-            state: Mutex::new(EngineState {
-                epoch,
-                latest,
-                cc: false,
-                degree: false,
-                tricount: None,
-                cores: None,
-                ranks: None,
-            }),
-            published: RwLock::new(Arc::new(ViewTable::empty(epoch))),
+            registered: Mutex::new([false; 5]),
             slots: ViewKind::ALL.map(kind_slot),
         }
     }
 
-    /// Register (and materialize) one view at the engine's current
-    /// epoch. Errors if the view is undefined for the graph's kind;
-    /// re-registering is a no-op.
-    pub(crate) fn register(&self, kind: ViewKind) -> Result<(), ServiceError> {
+    /// The query a view answers: the key of its pinned entry.
+    fn query(&self, kind: ViewKind) -> Query {
+        match kind {
+            ViewKind::ConnectedComponents => Query::connected_components(),
+            ViewKind::PageRank => Query::pagerank(&self.pr_opts),
+            ViewKind::DegreeCounts => Query::degrees(),
+            ViewKind::TriangleCount => Query::triangle_count(),
+            ViewKind::CoreNumbers => Query::core_numbers(),
+        }
+    }
+
+    /// Register one view: compute its answer on the `published` snapshot
+    /// and pin it there. Errors if the view is undefined for the graph's
+    /// kind; re-registering is a no-op.
+    pub(crate) fn register(
+        &self,
+        kind: ViewKind,
+        published: &RwLock<Arc<Snapshot>>,
+    ) -> Result<(), ServiceError> {
         if kind.needs_undirected() && self.kind != GraphKind::Undirected {
             return Err(ServiceError::Graph(GrbError::invalid(format!(
                 "view {:?} is only defined on undirected graphs",
                 kind.name()
             ))));
         }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let graph = st.latest.clone();
-        let n = graph.nvertices();
-        match kind {
-            ViewKind::ConnectedComponents if !st.cc => {
-                graph.components()?;
-                st.cc = true;
-            }
-            ViewKind::DegreeCounts if !st.degree => {
-                graph.out_degree()?;
-                st.degree = true;
-            }
-            ViewKind::TriangleCount if st.tricount.is_none() => {
-                st.tricount = Some(triangle_count(&graph, TriCountMethod::Sandia)?);
-            }
-            ViewKind::CoreNumbers if st.cores.is_none() => {
-                st.cores = Some(dense(&core_numbers(&graph)?, n));
-            }
-            ViewKind::PageRank if st.ranks.is_none() => {
-                st.ranks = Some(self.cold_ranks(&graph)?);
-            }
-            _ => return Ok(()), // already registered
+        let mut registered = self.registered.lock();
+        if registered[kind.idx()] {
+            return Ok(());
         }
-        self.republish(&st);
-        self.active.store(true, Relaxed);
+        let snap = published.read().clone();
+        let q = self.query(kind);
+        snap.answers.pin(q, run_query(&q, snap.graph())?);
+        registered[kind.idx()] = true;
         Ok(())
     }
 
-    /// Advance every registered view from `before`, the graph of the
-    /// engine's current epoch, to `after`, the graph the coordinator
-    /// built from it ([`Graph::advance`]), given `arcs`, the structural
-    /// changes between the two (mirror arcs included).
-    /// Called after the publish and *before* the snapshot swap — a
-    /// failed epoch never reaches here, so views only ever reflect
-    /// successfully published graphs.
-    pub(crate) fn on_epoch(&self, before: &Graph, after: &Arc<Graph>, arcs: &[EdgeEvent]) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(std::ptr::eq(before, &*st.latest), "views advance from their own epoch");
-        let registered = st.any_registered();
-        let mut span = registered.then(|| trace::service_span("service.views"));
-        if registered {
-            let edges = edges_of(self.kind, arcs);
-            if let Some(span) = span.as_mut().filter(|s| s.on()) {
-                let inserts = edges.iter().filter(|e| matches!(e, EdgeEvent::Insert(..))).count();
-                span.arg("events", edges.len());
-                span.arg("inserts", inserts);
-                span.arg("deletes", edges.len() - inserts);
-            }
-            if edges.len() > self.staleness {
-                // Repair would cost more than recomputing: rebuild every
-                // registered view from the published graph.
-                self.rebuild_registered(&mut st, after);
-            } else if !arcs.is_empty() {
-                self.repair_registered(&mut st, before, after, &edges);
-            }
-            // No event at all — a delta of reweights and redundant
-            // deletes — changes nothing any view (all structure-only)
-            // can observe: every answer stands.
-        }
-        st.epoch = after.epoch();
-        st.latest = after.clone();
-        if registered {
-            self.republish(&st);
-        }
-    }
-
-    /// Incremental path: apply each view's update rule to the epoch's
-    /// structural changes, `edges` (one event per edge).
-    fn repair_registered(
+    /// Advance every registered view from `prev`, the served snapshot,
+    /// to `after`, the graph the coordinator built from it
+    /// ([`Graph::advance`]), given `arcs`, the structural changes between
+    /// the two (mirror arcs included), and hand the answers to `publish`,
+    /// which swaps in the snapshot that pins them. Runs after the
+    /// adjacency publish, so a failed epoch never reaches here.
+    pub(crate) fn on_epoch(
         &self,
-        st: &mut EngineState,
-        before: &Graph,
-        after: &Arc<Graph>,
-        edges: &[EdgeEvent],
+        prev: &Snapshot,
+        after: &Graph,
+        arcs: &[EdgeEvent],
+        publish: impl FnOnce(Vec<(Query, QueryResult)>),
     ) {
-        let n = after.nvertices();
-        let mut inserts: Vec<(Index, Index)> = Vec::new();
-        let mut deletes: Vec<(Index, Index)> = Vec::new();
-        for e in edges {
-            match *e {
-                EdgeEvent::Insert(u, v) => inserts.push((u, v)),
-                EdgeEvent::Delete(u, v) => deletes.push((u, v)),
-            }
+        let registered = self.registered.lock();
+        let kinds: Vec<ViewKind> =
+            ViewKind::ALL.into_iter().filter(|k| registered[k.idx()]).collect();
+        if kinds.is_empty() {
+            publish(Vec::new());
+            return;
         }
-        let EngineState { cc, degree, tricount, cores, ranks, .. } = st;
-        // Triangle count and core numbers read the graph *before* the
-        // epoch (they patch the events over it internally). Each final
-        // value is order-independent across distinct edges.
-        if let Some(prev) = *tricount {
-            let _span = view_span(ViewKind::TriangleCount, "repair");
-            let t0 = Instant::now();
-            *tricount = Some(triangle_count_delta(before, prev, edges));
-            self.refreshed(ViewKind::TriangleCount, true, t0.elapsed());
-        }
-        if deletes.is_empty() {
-            if let Some(c) = cores.as_mut() {
-                let _span = view_span(ViewKind::CoreNumbers, "repair");
-                let t0 = Instant::now();
-                core_numbers_insert(before, c, &inserts);
-                self.refreshed(ViewKind::CoreNumbers, true, t0.elapsed());
-            }
-        } else {
-            // Deletion has no local repair rule for core numbers;
-            // recompute this one view (the others still repair).
-            self.refresh(ViewKind::CoreNumbers, false, cores, || {
-                Ok(dense(&core_numbers(after)?, n))
-            });
-        }
-        self.refresh_carried(ViewKind::ConnectedComponents, true, cc, || {
-            after.components().map(drop)
-        });
-        self.refresh_carried(ViewKind::DegreeCounts, true, degree, || after.out_degree().map(drop));
-        if let Some((warm, _)) = ranks.clone() {
-            let _span = view_span(ViewKind::PageRank, "repair");
-            let t0 = Instant::now();
-            match pagerank_warm(after, &self.pr_opts, &warm) {
-                Ok((r, iters)) => {
-                    *ranks = Some((Arc::new(r), iters));
-                    self.refreshed(ViewKind::PageRank, true, t0.elapsed());
-                }
-                Err(_) => self.refresh(ViewKind::PageRank, false, ranks, || self.cold_ranks(after)),
-            }
-        }
+        let mut span = trace::service_span("service.views");
+        let edges = edges_of(self.kind, arcs);
+        let inserts: Vec<(Index, Index)> = edges
+            .iter()
+            .filter_map(|e| match *e {
+                EdgeEvent::Insert(u, v) => Some((u, v)),
+                EdgeEvent::Delete(..) => None,
+            })
+            .collect();
+        span.arg("events", edges.len());
+        span.arg("inserts", inserts.len());
+        span.arg("deletes", edges.len() - inserts.len());
+        // Past the staleness budget, repair would cost more than
+        // recomputing: rebuild every view from the published graph. An
+        // epoch with no event — reweights and redundant deletes only —
+        // changes nothing a view (all structure-only) can observe.
+        let rebuild = edges.len() > self.staleness;
+        let pinned = kinds
+            .into_iter()
+            .filter_map(|kind| {
+                let q = self.query(kind);
+                let answer = match prev.answers.pinned(&q) {
+                    Some(r) if !rebuild && edges.is_empty() => Some(r),
+                    Some(r) if !rebuild => {
+                        self.repair(kind, r, prev.graph(), after, &edges, &inserts)
+                    }
+                    // No answer to repair from: the view starts cold.
+                    _ => self.rebuild(kind, after),
+                };
+                answer.map(|r| (q, r))
+            })
+            .collect();
+        drop(span);
+        publish(pinned);
     }
 
-    /// Recompute every registered view from the published graph.
-    fn rebuild_registered(&self, st: &mut EngineState, graph: &Arc<Graph>) {
-        let n = graph.nvertices();
-        self.refresh_carried(ViewKind::ConnectedComponents, false, &mut st.cc, || {
-            graph.components().map(drop)
-        });
-        self.refresh_carried(ViewKind::DegreeCounts, false, &mut st.degree, || {
-            graph.out_degree().map(drop)
-        });
-        self.refresh(ViewKind::TriangleCount, false, &mut st.tricount, || {
-            triangle_count(graph, TriCountMethod::Sandia)
-        });
-        self.refresh(ViewKind::CoreNumbers, false, &mut st.cores, || {
-            Ok(dense(&core_numbers(graph)?, n))
-        });
-        self.refresh(ViewKind::PageRank, false, &mut st.ranks, || self.cold_ranks(graph));
+    /// One view's incremental step from its answer on `before`. The
+    /// triangle count and the core numbers read the graph *before* the
+    /// epoch (they patch the events over it); components and degrees are
+    /// the `after` graph's own, which [`Graph::advance`] repaired.
+    fn repair(
+        &self,
+        kind: ViewKind,
+        prev: QueryResult,
+        before: &Graph,
+        after: &Graph,
+        edges: &[EdgeEvent],
+        inserts: &[(Index, Index)],
+    ) -> Option<QueryResult> {
+        let insert_only = inserts.len() == edges.len();
+        let repaired = match (kind, prev) {
+            (ViewKind::TriangleCount, QueryResult::Count(t)) => self.refresh(kind, true, || {
+                Ok(QueryResult::Count(triangle_count_delta(before, t, edges)))
+            }),
+            // Deletion has no local repair rule for core numbers.
+            (ViewKind::CoreNumbers, QueryResult::Cores(c)) if insert_only => {
+                c.to_full().and_then(|mut c| {
+                    self.refresh(kind, true, move || {
+                        core_numbers_insert(before, &mut c, inserts);
+                        Ok(QueryResult::Cores(Arc::new(Vector::import_full(c)?)))
+                    })
+                })
+            }
+            (ViewKind::PageRank, QueryResult::Ranks { ranks, .. }) => {
+                self.refresh(kind, true, || {
+                    let (ranks, iterations) = pagerank_warm(after, &self.pr_opts, &ranks)?;
+                    Ok(QueryResult::Ranks { ranks: Arc::new(ranks), iterations })
+                })
+            }
+            (ViewKind::ConnectedComponents | ViewKind::DegreeCounts, _) => {
+                self.refresh(kind, true, || run_query(&self.query(kind), after))
+            }
+            _ => None,
+        };
+        repaired.or_else(|| self.rebuild(kind, after))
     }
 
-    /// Replace one view, if registered, with what `compute` gives,
-    /// counted as a repair or a rebuild. A view whose `compute` fails is
-    /// dropped (served queries fall back to the normal execution path)
-    /// rather than left stale.
-    fn refresh<T>(
+    /// One view recomputed from scratch on `graph`.
+    fn rebuild(&self, kind: ViewKind, graph: &Graph) -> Option<QueryResult> {
+        self.refresh(kind, false, || run_query(&self.query(kind), graph))
+    }
+
+    /// Run one view's repair or rebuild under its span and count it. A
+    /// failed compute leaves the view without an answer (its queries
+    /// execute, and the next epoch rebuilds it) rather than a stale one.
+    fn refresh(
         &self,
         kind: ViewKind,
         repair: bool,
-        view: &mut Option<T>,
-        compute: impl FnOnce() -> Result<T, GrbError>,
-    ) {
-        if view.is_none() {
-            return;
-        }
+        compute: impl FnOnce() -> Result<QueryResult, ServiceError>,
+    ) -> Option<QueryResult> {
         let mode = if repair { "repair" } else { "rebuild" };
         let _span = view_span(kind, mode);
         let t0 = Instant::now();
-        *view = compute()
+        let r = compute()
             .map_err(|e| {
                 let msg = format!("{} view {mode} failed: {e}", kind.name());
                 trace::warn_once("service.views", &msg);
             })
-            .ok();
-        self.refreshed(kind, repair, t0.elapsed());
-    }
-
-    /// [`Self::refresh`] for a view the snapshot carries itself (cc,
-    /// degree), if `registered`: the graph holds the answer, already
-    /// repaired whatever the epoch's size, so the view only has it
-    /// `materialise`d.
-    fn refresh_carried(
-        &self,
-        kind: ViewKind,
-        repair: bool,
-        registered: &mut bool,
-        materialise: impl FnOnce() -> Result<(), GrbError>,
-    ) {
-        let mut view = registered.then_some(());
-        self.refresh(kind, repair, &mut view, materialise);
-        *registered = view.is_some();
-    }
-
-    fn cold_ranks(&self, graph: &Graph) -> Result<(Arc<Vector<f64>>, usize), GrbError> {
-        pagerank(graph, &self.pr_opts).map(|(r, iters)| (Arc::new(r), iters))
-    }
-
-    fn refreshed(&self, kind: ViewKind, repair: bool, dt: Duration) {
+            .ok()?;
         let s = &self.slots[kind.idx()];
         if repair {
             s.repairs.fetch_add(1, Relaxed);
             s.m_repair.inc();
-            s.m_repair_seconds.observe(dt.as_nanos() as u64);
+            s.m_repair_seconds.observe(t0.elapsed().as_nanos() as u64);
         } else {
             s.rebuilds.fetch_add(1, Relaxed);
             s.m_rebuild.inc();
         }
+        Some(r)
     }
 
-    /// Swap in a fresh answer table for the engine's current state.
-    fn republish(&self, st: &EngineState) {
-        let table = ViewTable {
-            epoch: st.epoch,
-            cc: st.cc.then(|| st.latest.components().ok()).flatten(),
-            degree: st.degree.then(|| st.latest.out_degree().ok()).flatten(),
-            tricount: st.tricount,
-            cores: st.cores.clone().and_then(|c| Vector::import_full(c).ok().map(Arc::new)),
-            ranks: st.ranks.clone(),
-        };
-        *self.published.write() = Arc::new(table);
-    }
-
-    /// Answer a query from the published table, iff the table is at
-    /// exactly the requested epoch. PageRank only matches when the
-    /// query's canonicalized options equal the view's.
-    pub(crate) fn serve(&self, epoch: u64, q: &QueryKind) -> Option<QueryResult> {
-        if !self.active.load(Relaxed) {
-            return None;
-        }
-        let t = self.published.read().clone();
-        if t.epoch != epoch {
-            return None;
-        }
-        let (kind, result) = match *q {
-            QueryKind::ConnectedComponents => {
-                (ViewKind::ConnectedComponents, t.cc.clone().map(QueryResult::Components))
-            }
-            QueryKind::Degrees => {
-                (ViewKind::DegreeCounts, t.degree.clone().map(QueryResult::Degrees))
-            }
-            QueryKind::CoreNumbers => {
-                (ViewKind::CoreNumbers, t.cores.clone().map(QueryResult::Cores))
-            }
-            QueryKind::TriangleCount => {
-                (ViewKind::TriangleCount, t.tricount.map(QueryResult::Count))
-            }
-            QueryKind::PageRank { damping_bits, tolerance_bits, max_iters } => {
-                let o = &self.pr_opts;
-                let matches = damping_bits == canon_bits(o.damping)
-                    && tolerance_bits == canon_bits(o.tolerance)
-                    && max_iters == o.max_iters;
-                let r = if matches {
-                    t.ranks
-                        .clone()
-                        .map(|(ranks, iterations)| QueryResult::Ranks { ranks, iterations })
-                } else {
-                    None
-                };
-                (ViewKind::PageRank, r)
-            }
-            QueryKind::BfsLevel { .. } => return None,
-        };
-        if result.is_some() {
+    /// Count one query answered by a pinned entry.
+    pub(crate) fn served(&self, q: &Query) {
+        if let Some(kind) = ViewKind::ALL.into_iter().find(|&k| self.query(k) == *q) {
             let s = &self.slots[kind.idx()];
             s.served.fetch_add(1, Relaxed);
             s.m_served.inc();
         }
-        result
     }
 
     /// Per-view counters for every registered view.
     pub(crate) fn stats(&self) -> Vec<ViewStat> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let registered = |k: ViewKind| match k {
-            ViewKind::ConnectedComponents => st.cc,
-            ViewKind::PageRank => st.ranks.is_some(),
-            ViewKind::DegreeCounts => st.degree,
-            ViewKind::TriangleCount => st.tricount.is_some(),
-            ViewKind::CoreNumbers => st.cores.is_some(),
-        };
+        let registered = *self.registered.lock();
         ViewKind::ALL
             .into_iter()
-            .filter(|&k| registered(k))
+            .filter(|k| registered[k.idx()])
             .map(|k| {
                 let s = &self.slots[k.idx()];
                 ViewStat {
@@ -652,12 +496,6 @@ impl ViewEngine {
             })
             .collect()
     }
-
-    /// The epoch of the published answer table (tests).
-    #[cfg(test)]
-    pub(crate) fn table_epoch(&self) -> u64 {
-        self.published.read().epoch
-    }
 }
 
 /// The span one view's repair or rebuild runs under, a child of the
@@ -667,15 +505,6 @@ fn view_span(kind: ViewKind, mode: &'static str) -> trace::Span {
     span.arg("view", kind.name());
     span.arg("mode", mode);
     span
-}
-
-/// A vector as a dense working array, absent entries 0.
-fn dense<T: graphblas::Scalar>(v: &Vector<T>, n: Index) -> Vec<T> {
-    let mut out = vec![T::zero(); n];
-    for (i, x) in v.iter() {
-        out[i] = x;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -756,30 +585,42 @@ mod tests {
         assert_eq!(edges_of(GraphKind::Directed, &arcs), arcs);
     }
 
-    #[test]
-    fn engine_rejects_undirected_only_views_on_directed_graphs() {
-        let g = Graph::from_edges(4, &[(0, 1)], GraphKind::Directed).expect("graph");
-        let engine = ViewEngine::new(GraphKind::Directed, Arc::new(g), &ViewsConfig::default());
-        for k in [ViewKind::ConnectedComponents, ViewKind::TriangleCount, ViewKind::CoreNumbers] {
-            assert!(engine.register(k).is_err(), "{k:?} must be rejected on a directed graph");
-        }
-        engine.register(ViewKind::PageRank).expect("pagerank works on directed graphs");
-        engine.register(ViewKind::DegreeCounts).expect("degree works on directed graphs");
+    fn published(g: Graph) -> RwLock<Arc<Snapshot>> {
+        RwLock::new(Arc::new(Snapshot::new(Arc::new(g), Vec::new())))
     }
 
     #[test]
-    fn registration_is_idempotent_and_serves_at_the_current_epoch() {
+    fn engine_rejects_undirected_only_views_on_directed_graphs() {
+        let g = Graph::from_edges(4, &[(0, 1)], GraphKind::Directed).expect("graph");
+        let published = published(g);
+        let engine = ViewEngine::new(GraphKind::Directed, &ViewsConfig::default());
+        for k in [ViewKind::ConnectedComponents, ViewKind::TriangleCount, ViewKind::CoreNumbers] {
+            assert!(
+                engine.register(k, &published).is_err(),
+                "{k:?} must be rejected on a directed graph"
+            );
+        }
+        engine.register(ViewKind::PageRank, &published).expect("pagerank works on directed graphs");
+        engine
+            .register(ViewKind::DegreeCounts, &published)
+            .expect("degree works on directed graphs");
+    }
+
+    #[test]
+    fn registration_is_idempotent_and_pins_on_the_published_snapshot() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)], GraphKind::Undirected).expect("graph");
-        let engine = ViewEngine::new(GraphKind::Undirected, Arc::new(g), &ViewsConfig::default());
-        engine.register(ViewKind::TriangleCount).expect("register");
-        engine.register(ViewKind::TriangleCount).expect("re-register");
-        assert_eq!(engine.table_epoch(), 0);
-        let r = engine.serve(0, &QueryKind::TriangleCount).expect("served");
+        let published = published(g);
+        let engine = ViewEngine::new(GraphKind::Undirected, &ViewsConfig::default());
+        engine.register(ViewKind::TriangleCount, &published).expect("register");
+        engine.register(ViewKind::TriangleCount, &published).expect("re-register");
+        let snap = published.read().clone();
+        let r = snap.answers.pinned(&Query::triangle_count()).expect("pinned");
         assert_eq!(r.count(), Some(0));
-        // Wrong epoch: never served.
-        assert!(engine.serve(1, &QueryKind::TriangleCount).is_none());
-        // Unregistered view: not served.
-        assert!(engine.serve(0, &QueryKind::ConnectedComponents).is_none());
+        // A later snapshot holds only what its publish pins on it.
+        let next = Snapshot::new(snap.graph_arc(), Vec::new());
+        assert!(next.answers.get(&Query::triangle_count()).is_none());
+        // Unregistered view: nothing pinned.
+        assert!(snap.answers.get(&Query::connected_components()).is_none());
     }
 
     #[test]

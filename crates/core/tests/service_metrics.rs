@@ -261,7 +261,7 @@ fn view_repair_series_render_clean() {
     )
     .expect("service with views");
     // Insert-only churn within the default staleness budget: every view
-    // repairs in place, and the served queries hit the view table.
+    // repairs in place, and the served queries are answered by the views.
     for k in 0..24usize {
         s.insert_edge(k, (k + 5) % n, 1.0).expect("insert");
     }

@@ -7,16 +7,17 @@
 //! matrices — and therefore bit-identical query results — with the
 //! single-shard service as the oracle. On top of that sit the admission
 //! guarantees: a k-wide batched multi-source BFS answers exactly like k
-//! individual traversals, cached results never cross epochs, and a
-//! failed epoch or a partitioner that breaks its contract turns into
-//! errors, not hangs or panics.
+//! individual traversals, cached results never cross epochs and stay
+//! within the snapshot's capacity, a query repeated in one slice runs
+//! once, and a failed epoch or a partitioner that breaks its contract
+//! turns into errors, not hangs or panics.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use lagraph::service::{
-    AdmissionConfig, EdgeHash, GraphService, Grid2D, Partitioner, Query, ServiceConfig,
-    ServiceError, Update,
+    AdmissionConfig, BackpressurePolicy, EdgeHash, GraphService, Grid2D, Partitioner, Query,
+    QueryResult, ServiceConfig, ServiceError, Update, ViewKind, ViewsConfig,
 };
 use lagraph::{bfs_level, Graph, GraphKind, PageRankOptions};
 
@@ -254,6 +255,105 @@ fn non_bfs_queries_cache_and_answer() {
     assert!(tri.count().is_some());
     let st = s.admission_stats();
     assert!(st.cache_hits >= 1, "identical pagerank options must share a cache entry");
+}
+
+#[test]
+fn a_snapshot_keeps_its_executed_answers_first_in_first_out() {
+    let admission = AdmissionConfig { cache_capacity: 2, ..AdmissionConfig::default() };
+    let s = GraphService::new(
+        seed(GraphKind::Undirected),
+        ServiceConfig { admission, ..ServiceConfig::default() },
+    )
+    .expect("service");
+    for src in 0..3 {
+        s.query(Query::bfs_level(src)).expect("miss");
+    }
+    let hit = |src| {
+        let before = s.admission_stats().cache_hits;
+        s.query(Query::bfs_level(src)).expect("query");
+        s.admission_stats().cache_hits - before
+    };
+    // A hit does not reorder the entries; the third answer evicted the first.
+    assert_eq!(hit(2), 1, "the newest answer must be kept");
+    assert_eq!(hit(1), 1, "the second answer must be kept");
+    assert_eq!(hit(0), 0, "the oldest answer must be evicted");
+}
+
+#[test]
+fn zero_cache_capacity_keeps_only_the_view_answers() {
+    let admission = AdmissionConfig { cache_capacity: 0, ..AdmissionConfig::default() };
+    let views = ViewsConfig { views: vec![ViewKind::TriangleCount], ..ViewsConfig::default() };
+    let s = GraphService::new(
+        seed(GraphKind::Undirected),
+        ServiceConfig { admission, views: Some(views), ..ServiceConfig::default() },
+    )
+    .expect("service");
+    for _ in 0..2 {
+        s.query(Query::bfs_level(0)).expect("bfs");
+        s.query(Query::core_numbers()).expect("core numbers");
+        s.query(Query::triangle_count()).expect("triangle count");
+    }
+    let st = s.admission_stats();
+    assert_eq!((st.cache_hits, st.cache_misses), (0, 4), "nothing executed may be kept: {st:?}");
+    assert_eq!(st.view_hits, 2, "the registered view still answers: {st:?}");
+}
+
+#[test]
+fn the_pagerank_view_answers_only_at_its_own_options() {
+    let opts = PageRankOptions { tolerance: 0.0, max_iters: 20, ..PageRankOptions::default() };
+    let views =
+        ViewsConfig { views: vec![ViewKind::PageRank], pagerank: opts, ..ViewsConfig::default() };
+    let s = GraphService::new(
+        seed(GraphKind::Undirected),
+        ServiceConfig { views: Some(views), ..ServiceConfig::default() },
+    )
+    .expect("service");
+    let ask = |o: PageRankOptions| {
+        let before = s.admission_stats();
+        s.query(Query::pagerank(&o)).expect("pagerank");
+        let after = s.admission_stats();
+        (after.view_hits - before.view_hits, after.cache_misses - before.cache_misses)
+    };
+    assert_eq!(ask(opts), (1, 0), "the view's own options");
+    assert_eq!(ask(PageRankOptions { tolerance: -0.0, ..opts }), (1, 0), "-0.0 is +0.0");
+    assert_eq!(ask(PageRankOptions { damping: 0.5, ..opts }), (0, 1), "other options execute");
+    assert_eq!(ask(PageRankOptions::default()), (0, 1), "other options execute");
+}
+
+#[test]
+fn zero_max_pending_still_admits_bfs_queries() {
+    for policy in [BackpressurePolicy::Block, BackpressurePolicy::Reject] {
+        // A hang is the failure: the query runs on a thread under a watchdog.
+        let (tx, rx) = mpsc::channel();
+        let query = std::thread::spawn(move || {
+            let admission = AdmissionConfig { max_pending: 0, ..AdmissionConfig::default() };
+            let s = GraphService::new(
+                seed(GraphKind::Undirected),
+                ServiceConfig { policy, admission, ..ServiceConfig::default() },
+            )
+            .expect("service");
+            let r = s.query(Query::bfs_level(0));
+            let _ = tx.send(r.map(|r| r.levels().and_then(|l| l.get(0))));
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{policy:?}: a BFS query hung at max_pending 0"));
+        query.join().expect("query thread");
+        assert_eq!(got, Ok(Some(1)), "{policy:?}");
+    }
+}
+
+#[test]
+fn a_repeated_query_in_one_slice_runs_once() {
+    let s =
+        GraphService::new(seed(GraphKind::Undirected), ServiceConfig::default()).expect("service");
+    let r = s.query_many(&[Query::core_numbers(), Query::core_numbers()]).expect("query_many");
+    match (&r[0], &r[1]) {
+        (QueryResult::Cores(a), QueryResult::Cores(b)) => {
+            assert!(Arc::ptr_eq(a, b), "the repeat executed again")
+        }
+        other => panic!("expected two core-number results, got {other:?}"),
+    }
 }
 
 #[test]
