@@ -463,7 +463,7 @@ impl Admission {
         let t0 = Instant::now();
         self.stats.queries.fetch_add(1, Relaxed);
         self.metrics.queries(&q).inc();
-        let snap = shared.snapshot.read().clone();
+        let snap = shared.current();
         // A pinned view answer comes first, bypassing batching and the
         // query kernel, and *before* the failure check on purpose: a
         // failed epoch is never published, so — like raw `snapshot()`
@@ -495,7 +495,7 @@ impl Admission {
     ) -> Result<Vec<QueryResult>, ServiceError> {
         let t0 = Instant::now();
         self.stats.queries.fetch_add(queries.len() as u64, Relaxed);
-        let snap = shared.snapshot.read().clone();
+        let snap = shared.current();
         let mut out: Vec<Option<QueryResult>> = vec![None; queries.len()];
         // What the answer table leaves to execute: each unique query with
         // the output positions it answers.

@@ -208,6 +208,10 @@ pub(crate) fn coordinator_loop(
             fail_service(shared, shard, message);
             return;
         }
+        // Left for a query thread to release (`Shared::current`); one
+        // that no query released is dropped here.
+        let unreleased = shared.retired.lock().replace(prev);
+        drop(unreleased);
         let now_ns = now_unix_ns();
         shared.metrics.publish_unix_ns.store(now_ns, Relaxed);
         shared.metrics.last_publish.set(now_ns as f64 / 1e9);

@@ -623,9 +623,25 @@ pub(crate) struct Shared {
     pub(crate) metrics: ServiceMetrics,
     /// The materialized-view engine; inert until a view is registered.
     pub(crate) views: Arc<views::ViewEngine>,
+    /// The snapshot the last publish replaced, until an admitted query
+    /// releases it ([`Shared::current`]).
+    pub(crate) retired: parking_lot::Mutex<Option<Arc<Snapshot>>>,
 }
 
 impl Shared {
+    /// The published snapshot, for an admitted query, after releasing
+    /// the one the last publish replaced. The answers a snapshot keeps
+    /// were allocated by query threads, and a query thread frees them
+    /// here, just before it allocates the next ones. While the
+    /// coordinator freed them, ahead of building its next epoch, the
+    /// peak resident set of one workload varied from run to run by
+    /// whole adjacency arrays (EXPERIMENTS.md §P34).
+    pub(crate) fn current(&self) -> Arc<Snapshot> {
+        let replaced = self.retired.lock().take();
+        drop(replaced);
+        self.snapshot.read().clone()
+    }
+
     pub(crate) fn depth(&self) -> u64 {
         self.submitted.load(SeqCst).saturating_sub(self.processed.load(SeqCst))
     }
@@ -720,6 +736,7 @@ impl GraphService {
             published: Condvar::new(),
             metrics: ServiceMetrics::new(shards, config.policy),
             views: Arc::new(views::ViewEngine::new(kind, &views_cfg)),
+            retired: parking_lot::Mutex::new(None),
         });
         // Resident bytes of the *served* snapshot, sampled at scrape
         // time through a weak handle so a dropped service stops
@@ -1063,6 +1080,18 @@ mod tests {
         assert_eq!(before.graph().a().get(9, 9), None); // frozen at epoch 0
         assert_eq!(after.graph().a().get(9, 9), Some(1.0));
         assert!(after.epoch() > before.epoch());
+    }
+
+    #[test]
+    fn the_next_query_releases_the_replaced_snapshot() {
+        let s = service_with(BackpressurePolicy::Block, 64, GraphKind::Directed);
+        let before = Arc::downgrade(&s.snapshot());
+        s.query(Query::degrees()).expect("degrees");
+        s.insert_edge(9, 9, 1.0).expect("insert");
+        s.flush().expect("flush");
+        assert!(before.upgrade().is_some(), "held until a query releases it");
+        s.query(Query::degrees()).expect("degrees");
+        assert!(before.upgrade().is_none(), "released by the query");
     }
 
     #[test]
