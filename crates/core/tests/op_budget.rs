@@ -7,8 +7,9 @@
 //! RMAT at one thread under the pinned cost model (`GRAPHBLAS_COST_MODEL=
 //! 3,1`, set below when the caller has not): op spans per PageRank
 //! iteration, FastSV round and Δ-stepping light relaxation; which path
-//! each vector `write` took; how many vectors changed storage form; and,
-//! for BFS, the positions its writes examined. Three budgets use graphs
+//! each vector `write` took; how many vectors changed storage form, and
+//! that none converts lists a write has just merged; and, for BFS, the
+//! positions its writes examined. Three budgets use graphs
 //! of their own: a push from a star's hub, judged on the entries it
 //! scanned; the epochs at which a service's publishes fold their overlay;
 //! and the row entries a components repair reads to cut a leaf off a hub
@@ -299,6 +300,35 @@ fn two_threads_keep_the_one_thread_budgets() {
             "{what}: merges, form conversions or directions differ"
         );
     }
+}
+
+#[test]
+fn a_write_that_fills_a_sparse_output_writes_in_place() {
+    // A write whose allowed result alone fills a sparse output to n/16
+    // promotes it first and scatters in place; merging lists that
+    // `optimize_form` converts straight after (BFS level 3 did, for
+    // `levels` and `visited`) shows as a `merge` write followed by a
+    // conversion from sparse before the next op starts.
+    let g = rmat();
+    let source = g.out_degree().expect("degrees").iter().next().expect("a vertex with edges").0;
+    let (_, bfs) = traced(|| bfs_level(&g, source).expect("bfs"));
+    let (_, sssp) = traced(|| sssp_delta_stepping(&g, source, 64.0).expect("sssp"));
+    for (what, events) in [("bfs", &bfs), ("delta-stepping", &sssp)] {
+        let mut merged: Option<&Event> = None;
+        for e in events.iter() {
+            if e.name == "vector.convert" && e.arg_str("from") == Some("sparse") {
+                assert!(merged.is_none(), "{what}: {e:?} converts the lists of {merged:?}");
+            } else if is_op(e) {
+                merged = (e.name == "write" && e.arg_str("path") == Some("merge")).then_some(e);
+            }
+        }
+    }
+    let promoted =
+        |w: &&Event| w.arg_str("w_form") == Some("sparse") && w.arg_str("path") == Some("inplace");
+    assert!(
+        bfs.iter().filter(|e| e.name == "write").any(|w| promoted(&w)),
+        "bfs promoted no write"
+    );
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! Shared plumbing for the operation layer: index selections, mask
 //! evaluation, and accumulator conventions.
 
+use std::borrow::Cow;
+
 use crate::descriptor::Descriptor;
 use crate::error::{Error, Result};
 use crate::matrix::{rows_of, Matrix};
 use crate::parallel::{par_chunks_weighted, prefix_sums, Chunking};
 use crate::sparse::{Majors, SparseView};
 use crate::types::{All, Index, Scalar};
-use crate::vector::{VView, Vector};
+use crate::vector::{bitmap_get, VView, Vector, DENSE_LIMIT};
 
 /// "No accumulator" placeholder with a concrete operator type, so call
 /// sites can write `NOACC` without a turbofish. (The operator inside is
@@ -199,22 +201,57 @@ impl From<&[Index]> for IndexSel {
 
 /// Evaluated vector mask: answers "may position `i` be written?"
 /// incorporating the value/structural and complement descriptor settings.
+///
+/// A full-length mask answers in O(1): a structural one from its presence
+/// words alone, a valued one from its words and values. A sparse one
+/// answers by binary search until the op that holds it says, through
+/// [`VMask::ready_for`], that it will probe enough positions to pay for a
+/// scatter: then its true entries go once into packed presence words (a
+/// stored `false` of a valued mask sets no bit), and every probe after
+/// that is one word load.
 pub(crate) struct VMask<'a> {
     view: Option<VView<'a, bool>>,
+    /// Presence words holding exactly the entries that count as true: a
+    /// structural full-length view's own, or a sparse view's, scattered.
+    words: Option<Cow<'a, [u64]>>,
     complement: bool,
     structural: bool,
 }
 
 impl<'a> VMask<'a> {
     pub fn new(view: Option<VView<'a, bool>>, desc: &Descriptor) -> Self {
-        VMask { view, complement: desc.mask_complement, structural: desc.mask_structural }
+        let words = match view {
+            Some(VView::Full(_, bits)) if desc.mask_structural => Some(Cow::Borrowed(bits)),
+            _ => None,
+        };
+        VMask { view, words, complement: desc.mask_complement, structural: desc.mask_structural }
+    }
+
+    /// Get ready for about `probes` position probes over a length-`n`
+    /// output: a sparse mask scatters its true entries into presence words
+    /// when that O(nvals + n/64) pass is at most a probe per word — at
+    /// least n/64 probes — and `n` is short enough for a full-length form.
+    /// A hypersparse-length mask keeps the binary search.
+    pub fn ready_for(&mut self, n: Index, probes: usize) {
+        let Some(VView::Sparse(idx, val)) = self.view else { return };
+        if self.words.is_some() || n > DENSE_LIMIT || probes.saturating_mul(64) < n {
+            return;
+        }
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for (&i, &b) in idx.iter().zip(val) {
+            if self.structural || b {
+                words[i >> 6] |= 1 << (i & 63);
+            }
+        }
+        self.words = Some(Cow::Owned(words));
     }
 
     #[inline]
     pub fn allowed(&self, i: Index) -> bool {
-        let base = match &self.view {
-            None => true,
-            Some(v) => match v.get(i) {
+        let base = match (&self.words, &self.view) {
+            (Some(words), _) => bitmap_get(words, i),
+            (None, None) => true,
+            (None, Some(v)) => match v.get(i) {
                 None => false,
                 Some(b) => self.structural || b,
             },
@@ -440,6 +477,41 @@ mod tests {
         // Complement of the implicit all-true mask blocks everything.
         let m = VMask::new(None, &d);
         assert!(!m.allowed(0));
+    }
+
+    #[test]
+    fn presence_words_answer_as_the_binary_search() {
+        // A valued mask with stored `false`s, over 256 positions.
+        let idx: Vec<Index> = (0..12).map(|j| 20 * j + 5).collect();
+        let val: Vec<bool> = (0..12).map(|j| j % 3 != 0).collect();
+        for flags in 0..4 {
+            let mut d = Descriptor::new();
+            d.mask_complement = flags & 1 != 0;
+            d.mask_structural = flags & 2 != 0;
+            let searched = VMask::new(Some(VView::Sparse(&idx, &val)), &d);
+            let mut words = VMask::new(Some(VView::Sparse(&idx, &val)), &d);
+            words.ready_for(256, 3);
+            assert!(words.words.is_none(), "3 probes < 256/64: the search stays");
+            words.ready_for(256, 4);
+            assert!(words.words.is_some());
+            for i in 0..256 {
+                assert_eq!(words.allowed(i), searched.allowed(i), "flags {flags}, position {i}");
+            }
+        }
+        // A structural full-length mask answers from its own words.
+        let (fval, fbits) = (vec![false; 128], vec![0b1010u64, 1]);
+        for complement in [false, true] {
+            let mut d = Descriptor::new().structural();
+            d.mask_complement = complement;
+            let m = VMask::new(Some(VView::Full(&fval, &fbits)), &d);
+            assert!(matches!(m.words, Some(Cow::Borrowed(_))));
+            let allowed: Vec<Index> = (0..128).filter(|&i| m.allowed(i) != complement).collect();
+            assert_eq!(allowed, [1, 3, 64]);
+        }
+        // Too long for a full-length form: the search stays.
+        let mut long = VMask::new(Some(VView::Sparse(&idx, &val)), &Descriptor::default());
+        long.ready_for(DENSE_LIMIT + 1, usize::MAX);
+        assert!(long.words.is_none());
     }
 
     #[test]

@@ -170,7 +170,7 @@ where
     let uview = gu.view();
 
     let mguard = mask.map(|m| m.read());
-    let meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
+    let mut meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
     let mask_nvals = mguard.as_ref().map(|g| g.nvals_assembled());
 
     // Flops estimates for both directions (saturating — dimensions may sit
@@ -236,36 +236,23 @@ where
         // make that visible next to the kernel tag.
         span.arg("storage", "compressed");
     }
-    let (t, actual) = if transposed {
-        if want_push {
-            span.kernel(push_kernel);
-            scatter(rows, uview, n_out, add, &f, &meval, sp)
-        } else {
-            match dual {
-                Some(dv) => {
-                    span.kernel(pull_kernel);
-                    rowdot(dv, uview, n_in, add, &f, &meval, sp)
-                }
-                None => {
-                    span.kernel(trace::Kernel::PushFallback);
-                    scatter(rows, uview, n_out, add, &f, &meval, sp)
-                }
-            }
-        }
-    } else if want_push {
-        match dual {
-            Some(dv) => {
-                span.kernel(push_kernel);
-                scatter(dv, uview, n_out, add, &f, &meval, sp)
-            }
-            None => {
-                span.kernel(trace::Kernel::PullFallback);
-                rowdot(rows, uview, n_in, add, &f, &meval, sp)
-            }
-        }
+    // The kernel, the side it reads `A` from, and whether it pushes.
+    let (kernel, mat, push) = match (transposed, want_push, dual) {
+        (true, true, _) => (push_kernel, rows, true),
+        (true, false, Some(dv)) => (pull_kernel, dv, false),
+        (true, false, None) => (trace::Kernel::PushFallback, rows, true),
+        (false, true, Some(dv)) => (push_kernel, dv, true),
+        (false, true, None) => (trace::Kernel::PullFallback, rows, false),
+        (false, false, _) => (pull_kernel, rows, false),
+    };
+    span.kernel(kernel);
+    // A pull probes the mask once per row it walks; a push once per slot
+    // it opens, at most the estimated entries it expands.
+    meval.ready_for(n_out, if push { est_push.min(n_out) } else { mat.majors().len() });
+    let (t, actual) = if push {
+        scatter(mat, uview, n_out, add, &f, &meval, sp)
     } else {
-        span.kernel(pull_kernel);
-        rowdot(rows, uview, n_in, add, &f, &meval, sp)
+        rowdot(mat, uview, n_in, add, &f, &meval, sp)
     };
     span.flops(actual);
 

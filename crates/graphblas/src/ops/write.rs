@@ -21,7 +21,8 @@ use crate::matrix::{Matrix, Store};
 use crate::parallel::par_chunks;
 use crate::types::{Index, Scalar};
 use crate::vector::{
-    full_bits, par_windows, FullMut, VInner, VStore, VView, Vector, VectorFormat, DENSE_LIMIT,
+    fills_out, full_bits, par_windows, FullMut, VInner, VStore, VView, Vector, VectorFormat,
+    DENSE_LIMIT,
 };
 use std::ops::Range;
 
@@ -86,6 +87,53 @@ impl<T: Scalar> VecResult<T> {
         for_each_allowed_in(0..n, mask, region, |i| idx.push(i));
         let val = vec![x; idx.len()];
         VecResult::Lists(idx, val)
+    }
+
+    /// An upper bound on the positions this result writes, and on those
+    /// the write rule probes the mask at for it: its entries; for a fill,
+    /// the mask's stored entries when they are the allowed ones, else the
+    /// region.
+    fn reach(&self, n: Index, mask: &VMask<'_>, mask_nvals: usize, region: &InverseSel) -> usize {
+        match self {
+            VecResult::Lists(idx, _) => idx.len(),
+            VecResult::Full { nvals, .. } => *nvals,
+            VecResult::Fill(_) if mask.has_view() && !mask.is_complement() => {
+                mask_nvals.min(region.len(n))
+            }
+            VecResult::Fill(_) => region.len(n),
+        }
+    }
+
+    /// How many of this result's entries (a fill: positions of the region)
+    /// the mask allows. Each lands in the output whatever it held, so this
+    /// is a lower bound on the output's count after the write.
+    fn allowed_len(&self, n: Index, mask: &VMask<'_>, region: &InverseSel) -> usize {
+        match self {
+            VecResult::Lists(idx, _) => idx.iter().filter(|&&i| mask.allowed(i)).count(),
+            VecResult::Full { val, bits, .. } => {
+                let mut allowed = 0;
+                VView::Full(val, bits).for_each(|i, _| allowed += usize::from(mask.allowed(i)));
+                allowed
+            }
+            VecResult::Fill(_) if !mask.has_view() => {
+                if mask.is_complement() {
+                    0
+                } else {
+                    region.len(n)
+                }
+            }
+            VecResult::Fill(_) => {
+                // The region's positions under a true mask entry, counted
+                // off the mask's entries; a complement allows the rest.
+                let mut under = 0;
+                mask.for_each_true_in(0..n, |i| under += usize::from(region.pos(i).is_some()));
+                if mask.is_complement() {
+                    region.len(n) - under
+                } else {
+                    under
+                }
+            }
+        }
     }
 
     /// Drop the entries the mask does not allow.
@@ -166,16 +214,24 @@ fn for_each_allowed_in(
 /// never touched.
 ///
 /// Three paths, chosen from what the output holds (reported as the
-/// span's `path` argument):
+/// span's `path` argument, beside the output's form on entry, `w_form`):
 ///
 /// * `install` — nothing to merge against: the whole vector is written
 ///   and either the output is empty or there is neither mask nor
 ///   accumulator. What the mask allows of `T` becomes the output, in
 ///   `T`'s own arrays.
-/// * `inplace` — the output is in the full-length form: `T` is scattered
-///   into the output's own arrays, see [`write_in_place`].
-/// * `merge` — the output is sparse: a two-pointer merge of its lists with
-///   `T`'s builds new lists, O(|w| + |T|).
+/// * `inplace` — the output is in the full-length form, or is sparse and
+///   `T`'s allowed entries alone (a fill: the positions the mask allows)
+///   already reach the n/16 count at which [`VInner::optimize_form`]
+///   would promote the result: a sparse output is promoted first. `T` is
+///   scattered into the output's own arrays, see [`write_in_place`].
+/// * `merge` — the output is sparse and stays so unless the merged count
+///   crosses n/16: a two-pointer merge of its lists with `T`'s builds new
+///   lists, O(|w| + |T|), and `optimize_form` promotes them if so.
+///
+/// Either way the output ends in the form a merge and `optimize_form`
+/// would leave it in. A sparse mask the paths probe at ≥ n/64 positions
+/// is scattered into presence words once ([`VMask::ready_for`]).
 pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
     w: &mut Vector<T>,
     mask: Option<&Vector<bool>>,
@@ -186,14 +242,17 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
 ) -> Result<()> {
     let mut span = crate::trace::op_span(crate::trace::Op::Write);
     let mguard = mask.map(|m| m.read());
-    let meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
+    let mut meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
+    let mask_nvals = mguard.as_ref().map_or(0, |g| g.nvals_assembled());
     let inner = w.inner.get_mut();
     let n = inner.n;
+    let reach = t.reach(n, &meval, mask_nvals, region);
 
     let replaces_all = meval.is_transparent() && accum.is_none();
     if matches!(region, InverseSel::All) && (replaces_all || inner.is_empty()) {
         span.arg("path", "install");
         span.arg("w_form", inner.format().name());
+        meval.ready_for(n, reach);
         let t = t.expand_fill(n, &meval, region).restricted_to(&meval);
         drop(mguard);
         match t {
@@ -211,8 +270,15 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
     }
 
     inner.assemble();
-    span.arg("w_form", inner.format().name());
-    let work = if inner.format() == VectorFormat::Sparse {
+    let w_form = inner.format();
+    span.arg("w_form", w_form.name());
+    meval.ready_for(n, reach.saturating_add(inner.nvals_assembled()));
+    // `reach` bounds the allowed count from above: count it only when it
+    // could reach the threshold at all.
+    let promoted = w_form == VectorFormat::Sparse
+        && fills_out(n, reach)
+        && fills_out(n, t.allowed_len(n, &meval, region));
+    let work = if w_form == VectorFormat::Sparse && !promoted {
         span.arg("path", "merge");
         let (t_idx, t_val) = t.expand_fill(n, &meval, region).into_lists();
         let work = inner.nvals_assembled() + t_idx.len();
@@ -221,11 +287,16 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
         work
     } else {
         span.arg("path", "inplace");
-        let mask_nvals = mguard.as_ref().map_or(0, |g| g.nvals_assembled());
+        inner.fill_out();
         write_in_place(inner, &meval, mask_nvals, &accum, desc.replace, &t, region)
     };
     span.arg("work", work);
     inner.optimize_form();
+    if promoted {
+        // Reported as `optimize_form` would have after a merge: from the
+        // form on entry to the one the result settled in.
+        crate::trace::vector_convert(w_form.name(), inner.format().name(), n);
+    }
     Ok(())
 }
 

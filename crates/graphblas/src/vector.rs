@@ -61,6 +61,13 @@ impl VectorFormat {
     }
 }
 
+/// True when `count` entries call for the full-length form of a
+/// length-`n` vector held sparse: at least 1/BITMAPIFY_RATIO full, and
+/// not too long to allocate.
+pub(crate) fn fills_out(n: usize, count: usize) -> bool {
+    n <= DENSE_LIMIT && count.saturating_mul(BITMAPIFY_RATIO) >= n
+}
+
 /// Number of `u64` presence words covering `n` positions.
 #[inline]
 fn bitmap_words(n: usize) -> usize {
@@ -127,7 +134,9 @@ impl<'a, T: Scalar> VView<'a, T> {
         }
     }
 
-    /// O(1) for the full-length form, O(log nvals) for sparse.
+    /// O(1) for the full-length form, O(log nvals) for sparse. An op that
+    /// probes a sparse mask at many positions does not come here: its
+    /// `VMask` scatters the mask into presence words first.
     pub fn get(&self, i: Index) -> Option<T> {
         match self {
             VView::Sparse(idx, val) => idx.binary_search(&i).ok().map(|p| val[p]),
@@ -589,7 +598,7 @@ impl<T: Scalar> VInner<T> {
         let before = self.format();
         match &self.store {
             VStore::Sparse { idx, .. } => {
-                if n <= DENSE_LIMIT && idx.len() * BITMAPIFY_RATIO >= n {
+                if fills_out(n, idx.len()) {
                     self.fill_out();
                 }
             }
@@ -631,8 +640,8 @@ impl<T: Scalar> VInner<T> {
         }
     }
 
-    /// Sparse → full-length.
-    fn fill_out(&mut self) {
+    /// Sparse → full-length; a full-length vector stays as it is.
+    pub(crate) fn fill_out(&mut self) {
         if let VStore::Sparse { idx, val } = &self.store {
             let mut fval = vec![T::zero(); self.n];
             let mut bits = vec![0u64; bitmap_words(self.n)];

@@ -11,10 +11,16 @@
 //! parallel cutoff forced to 1, and requires the result to equal
 //! `mimic::write_rule_vec` applied to a `T` computed here by plain loops:
 //! same pattern, same values, and an entry count that matches the pattern.
+//! Where the write merges into an existing output, the form it leaves must
+//! be the one merging and then applying the thresholds gives, whichever
+//! path ran.
 //!
 //! The deterministic tests at the end pin the form transitions: a write
 //! converts the output between sparse and full-length only when it crosses
-//! a hysteresis threshold, in either direction.
+//! a hysteresis threshold, in either direction. A sparse output is
+//! promoted before the write exactly when `T`'s allowed entries alone
+//! reach n/16, and a valued sparse mask's stored `false`s block under
+//! every op that probes it by position.
 
 use std::sync::Mutex;
 
@@ -22,6 +28,7 @@ use graphblas::mimic::{self, DVec};
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::prelude::*;
 use graphblas::semiring::PLUS_TIMES;
+use graphblas::trace;
 use graphblas::VectorFormat;
 use proptest::prelude::*;
 
@@ -140,43 +147,91 @@ fn check(
     op: &OpUnderTest<'_>,
 ) -> std::result::Result<(), TestCaseError> {
     let (w0, m, desc, acc) = (case.w(), case.mask(), descriptor(case.flags), accum(case.flags));
-    let old = DVec::from_vector(&w0);
-    let ruled =
-        mimic::write_rule_vec(&old, m.as_ref().map(DVec::from_vector).as_ref(), &acc, t, &desc);
+    check_with(&format!("{case:?}"), &w0, m.as_ref(), acc, &desc, t, region, op).map(|_| ())
+}
+
+/// The form `optimize_form` leaves a length-`N` output in after a write
+/// that merged into or wrote over an output of form `before` and left
+/// `count` entries: a sparse one turns full-length from n/16, a
+/// full-length one turns sparse below n/32.
+fn rule_form(before: VectorFormat, count: usize) -> VectorFormat {
+    let full = match before {
+        VectorFormat::Sparse => count * 16 >= N,
+        VectorFormat::Bitmap | VectorFormat::Dense => count * 32 >= N,
+    };
+    match (full, count * 4 >= N) {
+        (false, _) => VectorFormat::Sparse,
+        (true, false) => VectorFormat::Bitmap,
+        (true, true) => VectorFormat::Dense,
+    }
+}
+
+/// [`check`] for a given output, mask, accumulator and descriptor. Where
+/// the write has an output to merge against (a non-empty one under a mask
+/// or an accumulator), its form afterwards must be [`rule_form`]'s too.
+/// Returns the path each run's `write` span reported.
+#[allow(clippy::too_many_arguments)]
+fn check_with(
+    what: &str,
+    w0: &Vector<i64>,
+    m: Option<&Vector<bool>>,
+    acc: Option<binaryop::Plus>,
+    desc: &Descriptor,
+    t: &DVec<i64>,
+    region: &dyn Fn(Index) -> bool,
+    op: &OpUnderTest<'_>,
+) -> std::result::Result<Vec<&'static str>, TestCaseError> {
+    let old = DVec::from_vector(w0);
+    let ruled = mimic::write_rule_vec(&old, m.map(DVec::from_vector).as_ref(), &acc, t, desc);
     let want: Vec<(Index, i64)> = (0..N)
         .filter_map(|i| if region(i) { ruled.val[i] } else { old.val[i] }.map(|x| (i, x)))
         .collect();
+    let merges_into_w = w0.nvals() > 0 && (m.is_some() || desc.mask_complement || acc.is_some());
+    let want_form = merges_into_w.then(|| rule_form(w0.vector_format(), want.len()));
     let runs = {
         let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
         set_par_threshold(1);
         let runs = [1, 8].map(|threads| {
             set_threads(threads);
             let mut w = w0.clone();
-            op(&mut w, m.as_ref(), acc, &desc);
-            (threads, w.extract_tuples(), w.nvals())
+            trace::clear();
+            trace::enable();
+            op(&mut w, m, acc, desc);
+            trace::disable();
+            let path = trace::drain()
+                .iter()
+                .rev()
+                .find(|e| e.name == "write")
+                .and_then(|e| e.arg_str("path"));
+            (threads, w.extract_tuples(), w.nvals(), w.vector_format(), path)
         });
         set_threads(0);
         set_par_threshold(0);
         runs
     };
-    for (threads, got, counted) in runs {
+    let mut paths = Vec::new();
+    for (threads, got, counted, form, path) in runs {
         prop_assert_eq!(
             &got,
             &want,
-            "{:?} at {} threads, output was {:?}",
-            case,
+            "{} at {} threads, output was {:?}",
+            what,
             threads,
             w0.vector_format()
         );
         prop_assert_eq!(
             counted,
             want.len(),
-            "entry count drifted: {:?} at {} threads",
-            case,
+            "entry count drifted: {} at {} threads",
+            what,
             threads
         );
+        if let Some(want_form) = want_form {
+            prop_assert_eq!(form, want_form, "{} at {} threads", what, threads);
+        }
+        paths.push(path.unwrap_or("none"));
     }
-    Ok(())
+    Ok(paths)
 }
 
 fn everywhere(_: Index) -> bool {
@@ -390,6 +445,8 @@ fn write(w: &mut Vector<i64>, count: usize, acc: Option<binaryop::Plus>, desc: &
 
 #[test]
 fn accumulating_writes_promote_at_a_sixteenth_only() {
+    // `check_with` traces under the lock; keep these writes out of its ring.
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let mut w = spread(4);
     assert_eq!(w.vector_format(), VectorFormat::Sparse);
     write(&mut w, 8, Some(binaryop::Plus), &Descriptor::default());
@@ -405,6 +462,8 @@ fn accumulating_writes_promote_at_a_sixteenth_only() {
 
 #[test]
 fn shrinking_writes_demote_below_a_thirty_second_only() {
+    // `check_with` traces under the lock; keep these writes out of its ring.
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     // Masked no-accumulator writes of an empty T delete the allowed
     // positions, shrinking the output in place.
     let erase = |w: &mut Vector<i64>, keep: usize| {
@@ -437,6 +496,8 @@ fn shrinking_writes_demote_below_a_thirty_second_only() {
 
 #[test]
 fn replace_under_a_sparse_mask_clears_a_dense_output_in_place() {
+    // `check_with` traces under the lock; keep these writes out of its ring.
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let mut w = Vector::dense(N, 3i64).expect("dense");
     let m = spread(16).pattern();
     let t = spread(64);
@@ -445,4 +506,157 @@ fn replace_under_a_sparse_mask_clears_a_dense_output_in_place() {
     assert_eq!(w.nvals(), 16);
     assert_eq!(w.vector_format(), VectorFormat::Bitmap, "16 ≥ n/32: still full-length");
     assert!(w.iter().all(|(i, x)| i % 16 == 0 && x == 1));
+}
+
+// ---------------------------------------------------------------------------
+// The promotion edge: a sparse output is promoted before the write, and
+// written in place, when `T`'s allowed entries alone reach n/16; when
+// only the merged count does, the write merges and `optimize_form`
+// promotes after. Forms and values are those of merge-then-promote.
+// ---------------------------------------------------------------------------
+
+/// The positions `8j + 3`, `j < 24`, holding `j`.
+fn t24() -> Vector<i64> {
+    Vector::from_tuples(N, (0..24).map(|j| (8 * j + 3, j as i64)).collect(), |_, b| b).expect("t")
+}
+
+fn dvec(v: &Vector<i64>) -> DVec<i64> {
+    DVec::from_vector(v)
+}
+
+#[test]
+fn allowed_counts_either_side_of_a_sixteenth() {
+    let u = t24();
+    // One old entry, under T's first position, so the result holds
+    // exactly the allowed part of T.
+    let w0 = Vector::from_tuples(N, vec![(3, 100)], |_, b| b).expect("w");
+    for allowed in [N / 16 - 1, N / 16] {
+        for complement in [false, true] {
+            // A valued mask over T's 24 positions: `allowed` of them pass,
+            // the rest are stored `false`.
+            let passes = |j: usize| (j < allowed) != complement;
+            let tuples = (0..24).map(|j| (8 * j + 3, passes(j)));
+            let m = Vector::from_tuples(N, tuples.collect(), |_, b| b).expect("mask");
+            let desc = if complement { Descriptor::new().complement() } else { Descriptor::new() };
+            let want_path = if allowed * 16 >= N { "inplace" } else { "merge" };
+            let what = format!("{allowed} allowed, complement {complement}");
+            for acc in [None, Some(binaryop::Plus)] {
+                let paths = check_with(
+                    &what,
+                    &w0,
+                    Some(&m),
+                    acc,
+                    &desc,
+                    &dvec(&u),
+                    &everywhere,
+                    &|w, m, acc, d| apply(w, m, acc, unaryop::Identity, &u, d).expect("apply"),
+                )
+                .expect("apply");
+                assert_eq!(paths, [want_path; 2], "apply: {what}");
+            }
+            // The same count as a fill: 7 at every position the mask allows.
+            let mut t = DVec::new(N);
+            for i in 0..N {
+                let passes = m.get(i).is_some_and(|b| b) != complement;
+                t.val[i] = passes.then_some(7);
+            }
+            if !complement {
+                let paths = check_with(
+                    &what,
+                    &w0,
+                    Some(&m),
+                    None,
+                    &desc,
+                    &t,
+                    &everywhere,
+                    &|w, m, acc, d| {
+                        assign_scalar(w, m, acc, 7, &IndexSel::All, d).expect("assign_scalar")
+                    },
+                )
+                .expect("assign_scalar");
+                assert_eq!(paths, [want_path; 2], "assign_scalar: {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_merged_count_that_crosses_a_sixteenth_merges_then_promotes() {
+    // Eight old entries and eight new ones elsewhere: T alone stays below
+    // n/16 = 16, the result reaches it.
+    let w0 =
+        Vector::from_tuples(N, (0..8).map(|j| (16 * j + 1, 1)).collect(), |_, b| b).expect("w");
+    let u = Vector::from_tuples(N, (0..8).map(|j| (16 * j + 9, 2)).collect(), |_, b| b).expect("u");
+    let paths = check_with(
+        "accumulate",
+        &w0,
+        None,
+        Some(binaryop::Plus),
+        &Descriptor::new(),
+        &dvec(&u),
+        &everywhere,
+        &|w, m, acc, d| apply(w, m, acc, unaryop::Identity, &u, d).expect("apply"),
+    )
+    .expect("apply");
+    assert_eq!(paths, ["merge"; 2]);
+    let m = u.pattern();
+    let mut t = DVec::new(N);
+    for (i, _) in u.iter() {
+        t.val[i] = Some(7);
+    }
+    let desc = Descriptor::new().structural();
+    let paths = check_with("fill", &w0, Some(&m), None, &desc, &t, &everywhere, &|w, m, acc, d| {
+        assign_scalar(w, m, acc, 7, &IndexSel::All, d).expect("assign_scalar")
+    })
+    .expect("assign_scalar");
+    assert_eq!(paths, ["merge"; 2]);
+    let mut w = w0.clone();
+    apply(&mut w, None, Some(binaryop::Plus), unaryop::Identity, &u, &Descriptor::new())
+        .expect("apply");
+    assert_eq!((w.vector_format(), w.nvals()), (VectorFormat::Bitmap, 16));
+}
+
+#[test]
+fn a_valued_sparse_mask_with_false_entries_is_probed_as_stored() {
+    // Twelve mask entries (sparse: < n/16), every other one `false`. At
+    // this length each op below probes the mask at ≥ n/64 positions, so
+    // it answers from presence words that hold the `true` entries only.
+    let m = Vector::from_tuples(N, (0..12).map(|j| (20 * j + 5, j % 2 == 0)).collect(), |_, b| b)
+        .expect("mask");
+    assert_eq!(m.vector_format(), VectorFormat::Sparse);
+    let w0 =
+        Vector::from_tuples(N, (0..6).map(|j| (40 * j + 5, 50 + j as i64)).collect(), |_, b| b)
+            .expect("w");
+    let u = vector(1, N, 0x5EED);
+    let dense = Vector::dense(N, 3i64).expect("dense");
+    let (mut a, product) = matrix_and_product(4, 0xA11, &u, false);
+    a.set_dual_storage(true);
+    let du = dvec(&u);
+    let mut mult = DVec::new(N);
+    let mut fill = DVec::new(N);
+    for i in 0..N {
+        mult.val[i] = du.val[i].map(|x| x - 3);
+        fill.val[i] = Some(7);
+    }
+    for flags in [0u8, 1, 4, 5, 8, 9, 12, 13] {
+        // Plain and complemented, with and without replace and accumulator;
+        // never structural, so the stored `false`s must block.
+        let (desc, acc) = (descriptor(flags), accum(flags));
+        let what = format!("flags {flags}");
+        for direction in [Direction::Push, Direction::Pull] {
+            let d = desc.direction(direction);
+            check_with(&what, &w0, Some(&m), acc, &d, &product, &everywhere, &|w, m, acc, d| {
+                mxv(w, m, acc, &PLUS_TIMES, &a, &u, d).expect("mxv")
+            })
+            .expect("mxv");
+        }
+        check_with(&what, &w0, Some(&m), acc, &desc, &fill, &everywhere, &|w, m, acc, d| {
+            assign_scalar(w, m, acc, 7, &IndexSel::All, d).expect("assign_scalar")
+        })
+        .expect("assign_scalar");
+        check_with(&what, &w0, Some(&m), acc, &desc, &mult, &everywhere, &|w, m, acc, d| {
+            ewise_mult(w, m, acc, binaryop::Minus, &u, &dense, d).expect("ewise_mult")
+        })
+        .expect("ewise_mult");
+    }
 }
