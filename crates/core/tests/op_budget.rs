@@ -8,8 +8,9 @@
 //! 3,1`, set below when the caller has not): op spans per PageRank
 //! iteration, FastSV round and Δ-stepping light relaxation; which path
 //! each vector `write` took; how many vectors changed storage form, and
-//! that none converts lists a write has just merged; and, for BFS, the
-//! positions its writes examined. Three budgets use graphs
+//! that none converts lists a write has just merged; for BFS, the
+//! positions its writes examined; and, per masked `mxv`, the mask
+//! scatters and the write's re-probes. Three budgets use graphs
 //! of their own: a push from a star's hub, judged on the entries it
 //! scanned; the epochs at which a service's publishes fold their overlay;
 //! and the row entries a components repair reads to cut a leaf off a hub
@@ -358,6 +359,42 @@ fn a_push_that_expands_a_hub_is_judged_on_the_entries_it_scanned() {
     let mispredicts: Vec<_> = events.iter().filter(|e| e.name == "mxv.mispredict").collect();
     assert_eq!(mispredicts.len(), 1, "{mispredicts:?}");
     assert_eq!(mispredicts[0].arg_u64("actual"), Some(n as u64 - 1));
+}
+
+/// The vertices of the test RMAT by degree, largest first (ties by id).
+fn hubs(g: &Graph) -> Vec<usize> {
+    let mut by_degree: Vec<(usize, i64)> = g.out_degree().expect("degrees").iter().collect();
+    by_degree.sort_by_key(|&(v, d)| (std::cmp::Reverse(d), v));
+    by_degree.into_iter().map(|(v, _)| v).collect()
+}
+
+#[test]
+fn a_masked_mxv_readies_its_mask_once_and_the_write_trusts_it() {
+    // Every level of a BFS (a structural complemented `visited`) and of a
+    // batched BFS (a valued complemented `done`): the kernel skipped every
+    // blocked position, so the `install` write re-probes none of its
+    // entries, and no mask is scattered into presence words twice.
+    let g = rmat();
+    let source = hubs(&g)[0];
+    let sources: Vec<usize> = hubs(&g).into_iter().step_by(7).take(16).collect();
+    let (_, bfs) = traced(|| bfs_level(&g, source).expect("bfs"));
+    let (_, batch) = traced(|| bfs_level_batch(&g, &sources).expect("batch"));
+    for (what, events) in [("bfs", &bfs), ("batch", &batch)] {
+        let mut scattered = 0;
+        for mxv in events.iter().filter(|e| e.name == "mxv" && e.dur_ns > 0) {
+            let within: Vec<&Event> = events.iter().filter(|e| inside(e, mxv)).collect();
+            let write = within.iter().find(|e| e.name == "write").expect("the mxv's write");
+            assert_eq!(write.arg_str("path"), Some("install"), "{what}: {write:?}");
+            assert_eq!(write.arg_u64("reprobed"), Some(0), "{what}: {write:?}");
+            let scatters = within.iter().filter(|e| e.name == "mask.scatter").count();
+            assert!(scatters <= 1, "{what}: {scatters} scatters in one mxv");
+            scattered += scatters;
+        }
+        // Level 2 of the BFS probes a still-sparse `visited` at every row:
+        // scattered once, for the kernel and the write. The batch's `done`
+        // is full-length from the start.
+        assert_eq!(scattered, usize::from(what == "bfs"), "{what}: masks scattered");
+    }
 }
 
 #[test]

@@ -225,6 +225,12 @@ impl Deref for Words {
     fn deref(&self) -> &[u64] {
         match self {
             Words::Owned(v) => v,
+            // SAFETY: `from_path` builds every window, and only after its
+            // checked layout sums equal the file's size, so `off + 8 * len`
+            // lies inside the mapping (`lagc_rejects_a_header_whose_lengths_wrap`
+            // holds a header that wraps them to Err). `off` is `HEADER_BYTES`
+            // plus whole words from a page-aligned base: aligned for `u64`.
+            // The mapping is read-only and lives as long as `map` does.
             Words::Mapped { map, off, len } => unsafe {
                 std::slice::from_raw_parts(map.bytes().as_ptr().add(*off) as *const u64, *len)
             },
@@ -275,8 +281,14 @@ pub struct MmapFile {
     _never: (),
 }
 
+// SAFETY: the mapping is PROT_READ and MAP_PRIVATE, and nothing writes
+// through `ptr`: any thread may read it, and the one `munmap` runs in
+// `Drop`, after the last `Arc` goes. `lagc_service` serves a mapped graph
+// to query threads, and `compressed_storage_gives_the_same_checksums` runs
+// kernels over one at 8 threads.
 #[cfg(unix)]
 unsafe impl Send for MmapFile {}
+// SAFETY: as for `Send`: shared access only ever reads.
 #[cfg(unix)]
 unsafe impl Sync for MmapFile {}
 
@@ -300,6 +312,10 @@ impl MmapFile {
         if len == 0 {
             return None;
         }
+        // SAFETY: a fresh read-only private mapping of an open descriptor at
+        // an address the kernel picks; failure comes back as MAP_FAILED,
+        // checked below. `len` is the size `from_path` just checked the
+        // file against (`lagc_roundtrip_mapped`).
         let p =
             unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, f.as_raw_fd(), 0) };
         if p.is_null() || p as isize == -1 {
@@ -311,6 +327,10 @@ impl MmapFile {
 
     /// The mapped bytes.
     pub fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` is a live `len`-byte read-only mapping until `Drop`,
+        // which `&self` outlives. A file truncated under the mapping turns
+        // a read past its new end into SIGBUS, not a stale value (DESIGN.md
+        // §13); `lagc_roundtrip_mapped` reads a mapped load.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -321,6 +341,9 @@ impl Drop for MmapFile {
         extern "C" {
             fn munmap(addr: *mut u8, len: usize) -> i32;
         }
+        // SAFETY: unmaps exactly the region `open` mapped, once: the last
+        // `Arc` is gone, so no `Words` window still points into it
+        // (`lagc_roundtrip_mapped` drops a mapped load).
         unsafe {
             munmap(self.ptr, self.len);
         }
@@ -965,8 +988,10 @@ impl EfMeta {
             samples: get_u64(buf, off + 40),
         }
     }
-    fn words(&self) -> u64 {
-        self.low + self.high + self.samples
+    /// The words of its three sections; `None` when a hostile header's
+    /// lengths overflow.
+    fn words(&self) -> Option<u64> {
+        self.low.checked_add(self.high)?.checked_add(self.samples)
     }
 }
 
@@ -1065,11 +1090,17 @@ impl<T: Scalar> CompressedMat<T> {
         if ptr_meta.l > 63 || offs_meta.l > 63 {
             return Err(bad("corrupt Elias-Fano parameters"));
         }
-        if ptr_meta.n != nrows as u64 + 1 || offs_meta.n != nrows as u64 + 1 {
+        let rows_1 = (nrows as u64).checked_add(1);
+        if Some(ptr_meta.n) != rows_1 || Some(offs_meta.n) != rows_1 {
             return Err(bad("Elias-Fano length disagrees with nrows"));
         }
-        let total_words = ptr_meta.words() + offs_meta.words() + data_words + plane_words;
-        let expect = HEADER_BYTES as u64 + 8 * total_words;
+        // Every sum is checked: lengths chosen to wrap to the real size
+        // would pass the size check and carve windows past the mapping.
+        let sections = [ptr_meta.words(), offs_meta.words(), Some(data_words), Some(plane_words)];
+        let layout = sections.into_iter().try_fold(0u64, |sum, w| sum.checked_add(w?));
+        let (total_words, expect) = layout
+            .and_then(|t| Some((t, t.checked_mul(8)?.checked_add(HEADER_BYTES as u64)?)))
+            .ok_or_else(|| bad("section lengths overflow the layout"))?;
         let actual = f.metadata()?.len();
         if actual != expect {
             return Err(bad(format!(
@@ -1078,7 +1109,8 @@ impl<T: Scalar> CompressedMat<T> {
         }
         if plane_kind == 1 {
             let width = plane_meta;
-            if width == 0 || width > 32 || plane_words * 64 < nvals as u64 * width {
+            let short = u128::from(plane_words) * 64 < nvals as u128 * u128::from(width);
+            if width == 0 || width > 32 || short {
                 return Err(bad("packed value plane shorter than nvals"));
             }
         }
@@ -1380,6 +1412,45 @@ mod tests {
         // Wrong element type.
         std::fs::write(&path, &bytes).expect("restore");
         assert!(CompressedMat::<i64>::from_path(&path, false).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lagc_rejects_a_header_whose_lengths_wrap() {
+        // Section lengths chosen so that the layout's byte count wraps to
+        // the file's real size: 2^61 more data words is 2^64 more bytes.
+        // Unchecked, the size check passed and the data window ran 2^61
+        // words past the mapping; each must come back as an error.
+        let cm = CompressedMat::encode(&ladder(64, 64, 3)).expect("compress");
+        let dir = std::env::temp_dir().join(format!("lagc_test_wrap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("wrap.lagc");
+        cm.write_path(&path).expect("write");
+        let bytes = std::fs::read(&path).expect("read back");
+        let bump = |at: usize, by: u64| {
+            let mut b = bytes.clone();
+            let was = get_u64(&b, at);
+            put_u64(&mut b, at, was.wrapping_add(by));
+            b
+        };
+        let hostile = [
+            ("data words", bump(160, 1 << 61)),
+            ("plane words", bump(168, 1 << 61)),
+            // One Elias-Fano section's words wrap the three-way sum.
+            ("ptr low words", bump(64 + 24, u64::MAX - (1 << 20))),
+            ("nrows", {
+                let mut b = bytes.clone();
+                put_u64(&mut b, 24, u64::MAX);
+                b
+            }),
+        ];
+        for (what, file) in hostile {
+            std::fs::write(&path, &file).expect("write hostile");
+            for verify in [false, true] {
+                let loaded = CompressedMat::<f64>::from_path(&path, verify);
+                assert!(loaded.is_err(), "{what}, verify = {verify}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -305,6 +305,15 @@ impl<T: Scalar> SparseView<T> for Layered<T> {
         let growth = self.held.get(k).map_or(self.growth, |h| h.growth);
         self.base.ptr[major].wrapping_add(growth)
     }
+    #[inline]
+    fn row_len(&self, major: Index) -> usize {
+        // A base row is a pointer difference; only an overlay row searches
+        // the (short) overlay list.
+        if !bit(&self.written, major) {
+            return self.base.ptr[major + 1] - self.base.ptr[major];
+        }
+        self.held[self.held.partition_point(|h| h.row < major)].len
+    }
     fn majors(&self) -> Majors<'_> {
         Majors::Layered(&self.base.ptr, &self.written, 0..self.base.nmajor)
     }
@@ -364,6 +373,7 @@ mod tests {
         for i in 0..64 {
             let len = third.entries_before(i + 1) - third.entries_before(i);
             assert_eq!(third.row(i, &mut scratch).0.len(), len, "row {i}");
+            assert_eq!(third.row_len(i), len, "row {i}");
         }
         // Nothing was written over the snapshots it came from.
         assert_eq!(first.tuples(), cs.tuples());

@@ -1568,8 +1568,7 @@ impl<T: Scalar> Rows<'_, T> {
     /// Number of stored entries in row `i`, read off the row pointers
     /// without touching a column index.
     pub fn len(&self, i: Index) -> usize {
-        let v = self.view(i);
-        v.entries_before(i + 1) - v.entries_before(i)
+        self.view(i).row_len(i)
     }
 
     /// Whether `(i, j)` holds an entry.

@@ -9,7 +9,7 @@ use crate::matrix::{rows_of, Matrix};
 use crate::parallel::{par_chunks_weighted, prefix_sums, Chunking};
 use crate::sparse::{Majors, SparseView};
 use crate::types::{All, Index, Scalar};
-use crate::vector::{bitmap_get, VView, Vector, DENSE_LIMIT};
+use crate::vector::{bitmap_get, VInner, VView, Vector, DENSE_LIMIT};
 
 /// "No accumulator" placeholder with a concrete operator type, so call
 /// sites can write `NOACC` without a turbofish. (The operator inside is
@@ -211,6 +211,8 @@ impl From<&[Index]> for IndexSel {
 /// that is one word load.
 pub(crate) struct VMask<'a> {
     view: Option<VView<'a, bool>>,
+    /// The mask's stored entries, `false`s of a valued mask included.
+    nvals: usize,
     /// Presence words holding exactly the entries that count as true: a
     /// structural full-length view's own, or a sparse view's, scattered.
     words: Option<Cow<'a, [u64]>>,
@@ -219,12 +221,44 @@ pub(crate) struct VMask<'a> {
 }
 
 impl<'a> VMask<'a> {
+    #[cfg(test)]
     pub fn new(view: Option<VView<'a, bool>>, desc: &Descriptor) -> Self {
+        let nvals = view.map_or(0, |v| v.nvals());
+        Self::counted(view, nvals, desc)
+    }
+
+    /// The mask of an op that holds `mask`'s read guard (assembled), its
+    /// entry count taken from the vector rather than counted.
+    pub fn of(mask: Option<&'a VInner<bool>>, desc: &Descriptor) -> Self {
+        Self::counted(mask.map(|m| m.view()), mask.map_or(0, |m| m.nvals_assembled()), desc)
+    }
+
+    fn counted(view: Option<VView<'a, bool>>, nvals: usize, desc: &Descriptor) -> Self {
         let words = match view {
             Some(VView::Full(_, bits)) if desc.mask_structural => Some(Cow::Borrowed(bits)),
             _ => None,
         };
-        VMask { view, words, complement: desc.mask_complement, structural: desc.mask_structural }
+        let (complement, structural) = (desc.mask_complement, desc.mask_structural);
+        VMask { view, nvals, words, complement, structural }
+    }
+
+    /// The mask's stored entries (0 without a mask object).
+    pub fn nvals(&self) -> usize {
+        self.nvals
+    }
+
+    /// True for a sparse mask not yet scattered into presence words: a
+    /// probe would binary-search it, so the op sizes its probes for
+    /// [`VMask::ready_for`].
+    pub fn searches(&self) -> bool {
+        matches!(self.view, Some(VView::Sparse(..))) && self.words.is_none()
+    }
+
+    /// The presence words of the entries that count as true, when the mask
+    /// holds them (a structural full-length mask, or a readied sparse
+    /// one); the complement flag plays no part.
+    pub fn true_words(&self) -> Option<&[u64]> {
+        self.words.as_deref()
     }
 
     /// Get ready for about `probes` position probes over a length-`n`
@@ -244,6 +278,7 @@ impl<'a> VMask<'a> {
             }
         }
         self.words = Some(Cow::Owned(words));
+        crate::trace::mask_scatter(idx.len(), n);
     }
 
     #[inline]

@@ -28,6 +28,11 @@
 //! The chosen direction plus estimated vs. actual flops land in the op
 //! span, and a `mxv.mispredict` instant fires when the estimate picked
 //! the slower side — mispredictions are visible in the Chrome trace.
+//!
+//! Both kernels skip every position the mask blocks, so the result goes
+//! to the write rule marked as restricted to it, with the one `VMask` the
+//! product evaluated (and readied at most once): the write probes none
+//! of its entries again.
 
 use crate::binaryop::BinaryOp;
 use crate::cost;
@@ -47,7 +52,7 @@ use crate::vector::{
 
 use super::common::{check_dims, check_vmask, InverseSel, VMask};
 use super::spec::{self, SemiringSpec};
-use super::write::{write_vector, VecResult};
+use super::write::{write_under, VecResult};
 
 /// `w⟨mask⟩ ⊙= A ⊕.⊗ u` (or `Aᵀ ⊕.⊗ u` with the transpose descriptor).
 pub fn mxv<A, U, T, SA, SM, Acc>(
@@ -170,8 +175,7 @@ where
     let uview = gu.view();
 
     let mguard = mask.map(|m| m.read());
-    let mut meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
-    let mask_nvals = mguard.as_ref().map(|g| g.nvals_assembled());
+    let mut meval = VMask::of(mguard.as_deref(), desc);
 
     // Flops estimates for both directions (saturating — dimensions may sit
     // near Index::MAX). Push expands an average-degree row per input entry;
@@ -181,8 +185,8 @@ where
     // hit under a terminal/ANY monoid.
     let a_nnz = rows.nvals();
     let est_push = cost::mxv_push_flops(u_nvals, a_nnz, n_in);
-    let rows_considered = match mask_nvals {
-        Some(m) if !desc.mask_complement => m.min(n_out),
+    let rows_considered = match mask {
+        Some(_) if !desc.mask_complement => meval.nvals().min(n_out),
         _ => n_out,
     };
     let dense_build = if matches!(uview, VView::Sparse(..)) { n_in } else { 0 };
@@ -247,8 +251,14 @@ where
     };
     span.kernel(kernel);
     // A pull probes the mask once per row it walks; a push once per slot
-    // it opens, at most the estimated entries it expands.
-    meval.ready_for(n_out, if push { est_push.min(n_out) } else { mat.majors().len() });
+    // it opens, at most the entries it scans: m_f, the frontier's summed
+    // row lengths, counted only for a mask that would otherwise search.
+    let probes = match (push, meval.searches()) {
+        (false, _) => mat.majors().len(),
+        (true, true) => frontier_entries(mat, uview).min(n_out),
+        (true, false) => 0,
+    };
+    meval.ready_for(n_out, probes);
     let (t, actual) = if push {
         scatter(mat, uview, n_out, add, &f, &meval, sp)
     } else {
@@ -266,11 +276,7 @@ where
     if let (true, Direction::Auto, Some(dv)) = (span.on(), desc.direction, dual) {
         let m = cost::model();
         let (chosen, est_chosen, est_other, work, mis) = if want_push {
-            let pushed = if transposed { rows } else { dv };
-            let mut scanned = 0usize;
-            uview.for_each(|k, _| {
-                scanned += pushed.entries_before(k + 1) - pushed.entries_before(k);
-            });
+            let scanned = frontier_entries(if transposed { rows } else { dv }, uview);
             span.arg("scanned", scanned);
             ("push", est_push, est_pull, scanned, m.pull_cost(est_pull) < m.push_cost(scanned))
         } else {
@@ -280,10 +286,19 @@ where
             trace::mxv_mispredict(chosen, est_chosen, est_other, work);
         }
     }
-    drop(mguard);
     drop(gu);
     drop(ga);
-    write_vector(w, mask, accum, desc, t, &InverseSel::All)
+    // The kernels skipped every position the mask blocks: the result is
+    // restricted to it already, and the write reuses the readied mask.
+    write_under(w, &mut meval, accum, desc, t, true, &InverseSel::All)
+}
+
+/// m_f: the entries of `mat`'s rows at `u`'s entries — what a push from
+/// `u` scans — read off the row pointers ([`SparseView::row_len`]).
+fn frontier_entries<A: Scalar, U: Scalar>(mat: &dyn SparseView<A>, u: VView<'_, U>) -> usize {
+    let mut m_f = 0usize;
+    u.for_each(|k, _| m_f += mat.row_len(k));
+    m_f
 }
 
 /// The fixed part of a pull's per-row cost (mask test, row look-up, the
@@ -606,7 +621,7 @@ where
     // the frontier is a chunk's worth of work by itself. One O(frontier)
     // pass over the row pointers, made only when the push goes parallel.
     let expanded = std::cell::OnceCell::new();
-    let row_len = |&(r, _): &(Index, U)| mat.entries_before(r + 1) - mat.entries_before(r);
+    let row_len = |&(r, _): &(Index, U)| mat.row_len(r);
     let before = |k: usize| expanded.get_or_init(|| prefix_sums(entries.iter().map(row_len)))[k];
     let terminal = add.terminal();
     let is_any = add.is_any();

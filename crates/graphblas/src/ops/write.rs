@@ -93,12 +93,12 @@ impl<T: Scalar> VecResult<T> {
     /// the write rule probes the mask at for it: its entries; for a fill,
     /// the mask's stored entries when they are the allowed ones, else the
     /// region.
-    fn reach(&self, n: Index, mask: &VMask<'_>, mask_nvals: usize, region: &InverseSel) -> usize {
+    fn reach(&self, n: Index, mask: &VMask<'_>, region: &InverseSel) -> usize {
         match self {
             VecResult::Lists(idx, _) => idx.len(),
             VecResult::Full { nvals, .. } => *nvals,
             VecResult::Fill(_) if mask.has_view() && !mask.is_complement() => {
-                mask_nvals.min(region.len(n))
+                mask.nvals().min(region.len(n))
             }
             VecResult::Fill(_) => region.len(n),
         }
@@ -124,9 +124,21 @@ impl<T: Scalar> VecResult<T> {
             }
             VecResult::Fill(_) => {
                 // The region's positions under a true mask entry, counted
-                // off the mask's entries; a complement allows the rest.
-                let mut under = 0;
-                mask.for_each_true_in(0..n, |i| under += usize::from(region.pos(i).is_some()));
+                // off the mask's presence words when the region is the
+                // whole vector, else off its entries; a complement allows
+                // the rest.
+                let under = match (region, mask.true_words()) {
+                    (InverseSel::All, Some(words)) => {
+                        words.iter().map(|w| w.count_ones() as usize).sum()
+                    }
+                    _ => {
+                        let mut under = 0;
+                        mask.for_each_true_in(0..n, |i| {
+                            under += usize::from(region.pos(i).is_some())
+                        });
+                        under
+                    }
+                };
                 if mask.is_complement() {
                     region.len(n) - under
                 } else {
@@ -138,9 +150,6 @@ impl<T: Scalar> VecResult<T> {
 
     /// Drop the entries the mask does not allow.
     fn restricted_to(mut self, mask: &VMask<'_>) -> Self {
-        if mask.is_transparent() {
-            return self;
-        }
         match &mut self {
             VecResult::Lists(idx, val) => {
                 let mut kept = 0;
@@ -160,8 +169,7 @@ impl<T: Scalar> VecResult<T> {
                 .into_iter()
                 .sum::<usize>();
             }
-            // A fill is spelled out over allowed positions only.
-            VecResult::Fill(_) => {}
+            VecResult::Fill(_) => unreachable!("a fill is expanded before it is restricted"),
         }
         self
     }
@@ -240,21 +248,43 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
     t: VecResult<T>,
     region: &InverseSel,
 ) -> Result<()> {
-    let mut span = crate::trace::op_span(crate::trace::Op::Write);
     let mguard = mask.map(|m| m.read());
-    let mut meval = VMask::new(mguard.as_ref().map(|g| g.view()), desc);
-    let mask_nvals = mguard.as_ref().map_or(0, |g| g.nvals_assembled());
+    let mut meval = VMask::of(mguard.as_deref(), desc);
+    write_under(w, &mut meval, accum, desc, t, false, region)
+}
+
+/// [`write_vector`] under a mask the calling op has already evaluated
+/// (and perhaps readied): one `VMask` per op. `restricted` says `t` holds
+/// only entries this mask allows — what a kernel that skipped every
+/// blocked position computed — so the `install` path takes it as it is,
+/// with no second probe of each entry (the write span's `reprobed`
+/// counts the probes it does make).
+pub(crate) fn write_under<T: Scalar, Acc: BinaryOp<T, T, T>>(
+    w: &mut Vector<T>,
+    meval: &mut VMask<'_>,
+    accum: Option<Acc>,
+    desc: &Descriptor,
+    t: VecResult<T>,
+    restricted: bool,
+    region: &InverseSel,
+) -> Result<()> {
+    let mut span = crate::trace::op_span(crate::trace::Op::Write);
     let inner = w.inner.get_mut();
     let n = inner.n;
-    let reach = t.reach(n, &meval, mask_nvals, region);
+    let reach = t.reach(n, meval, region);
 
     let replaces_all = meval.is_transparent() && accum.is_none();
     if matches!(region, InverseSel::All) && (replaces_all || inner.is_empty()) {
         span.arg("path", "install");
         span.arg("w_form", inner.format().name());
-        meval.ready_for(n, reach);
-        let t = t.expand_fill(n, &meval, region).restricted_to(&meval);
-        drop(mguard);
+        // A fill is spelled out over the allowed positions only.
+        let recheck = !restricted && !meval.is_transparent() && !matches!(t, VecResult::Fill(_));
+        if !restricted {
+            meval.ready_for(n, reach);
+        }
+        let t = t.expand_fill(n, meval, region);
+        span.arg("reprobed", if recheck { t.reach(n, meval, region) } else { 0 });
+        let t = if recheck { t.restricted_to(meval) } else { t };
         match t {
             VecResult::Lists(idx, val) => {
                 span.arg("work", idx.len());
@@ -277,18 +307,22 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
     // could reach the threshold at all.
     let promoted = w_form == VectorFormat::Sparse
         && fills_out(n, reach)
-        && fills_out(n, t.allowed_len(n, &meval, region));
+        && fills_out(n, t.allowed_len(n, meval, region));
     let work = if w_form == VectorFormat::Sparse && !promoted {
         span.arg("path", "merge");
-        let (t_idx, t_val) = t.expand_fill(n, &meval, region).into_lists();
+        let (t_idx, t_val) = t.expand_fill(n, meval, region).into_lists();
         let work = inner.nvals_assembled() + t_idx.len();
-        let (idx, val) = merge_sparse(inner, &meval, &accum, desc.replace, &t_idx, &t_val, region);
+        let (idx, val) = merge_sparse(inner, meval, &accum, desc.replace, &t_idx, &t_val, region);
         inner.store = VStore::Sparse { idx, val };
         work
     } else {
         span.arg("path", "inplace");
         inner.fill_out();
-        write_in_place(inner, &meval, mask_nvals, &accum, desc.replace, &t, region)
+        let (work, by_words) = write_in_place(inner, meval, &accum, desc.replace, &t, region);
+        if matches!(t, VecResult::Fill(_)) {
+            span.arg("fill", if by_words { "words" } else { "entries" });
+        }
+        work
     };
     span.arg("work", work);
     inner.optimize_form();
@@ -315,18 +349,22 @@ pub(crate) fn write_vector<T: Scalar, Acc: BinaryOp<T, T, T>>(
 ///    positions;
 /// 2. *scatter* `T`'s allowed entries, combining with what is still there
 ///    under an accumulator: O(|T|), or for a fill the allowed positions.
+///    A fill of the whole vector under a mask that holds presence words,
+///    with neither accumulator nor step 1, goes a word at a time
+///    ([`FullMut::fill_under`]): O(n/64 + allowed positions), no call per
+///    position.
 ///
 /// The entry count is kept exact from the insertions and deletions
-/// actually made. Returns the number of positions examined.
+/// actually made. Returns the number of positions examined, and whether a
+/// fill went a word at a time.
 fn write_in_place<T: Scalar, Acc: BinaryOp<T, T, T>>(
     inner: &mut VInner<T>,
     mask: &VMask<'_>,
-    mask_nvals: usize,
     accum: &Option<Acc>,
     replace: bool,
     t: &VecResult<T>,
     region: &InverseSel,
-) -> usize {
+) -> (usize, bool) {
     /// Which of the output's old entries step 1 deletes.
     #[derive(Clone, Copy)]
     enum Sweep {
@@ -359,16 +397,29 @@ fn write_in_place<T: Scalar, Acc: BinaryOp<T, T, T>>(
     let (full, nvals) = inner.full_mut().expect("in-place arm needs a full-length output");
     let swept = match sweep {
         Sweep::Nothing => 0,
-        Sweep::MaskEntries => mask_nvals,
+        Sweep::MaskEntries => mask.nvals(),
         Sweep::Stored | Sweep::Probe(_) => *nvals,
     };
     let t_work = match t {
         VecResult::Lists(idx, _) => idx.len(),
         VecResult::Full { .. } => n,
-        VecResult::Fill(_) if mask.has_view() && !mask.is_complement() => mask_nvals,
+        VecResult::Fill(_) if mask.has_view() && !mask.is_complement() => mask.nvals(),
         VecResult::Fill(_) => region.len(n),
     };
+    // The words of the allowed positions, for a fill that writes them all
+    // and nothing else.
+    let fill_words = match (t, sweep, region) {
+        (VecResult::Fill(x), Sweep::Nothing, InverseSel::All)
+            if accum.is_none() && !mask.is_complement() =>
+        {
+            mask.true_words().map(|words| (*x, words))
+        }
+        _ => None,
+    };
     let deltas = par_windows(full, t_work + swept, |win| {
+        if let Some((x, words)) = fill_words {
+            return (win.fill_under(words, x), 0);
+        }
         let mut removed = 0;
         match sweep {
             Sweep::Nothing => {}
@@ -416,7 +467,7 @@ fn write_in_place<T: Scalar, Acc: BinaryOp<T, T, T>>(
     for (added, removed) in deltas {
         *nvals = *nvals + added - removed;
     }
-    t_work + swept
+    (t_work + swept, fill_words.is_some())
 }
 
 /// The merge arm of the write rule, for a sparse output: returns the new

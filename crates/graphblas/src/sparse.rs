@@ -140,6 +140,13 @@ pub trait SparseView<T: Scalar>: Sync {
     /// `0..=nmajor`: the row-pointer prefix sum a work-balanced cut over
     /// rows is searched on ([`crate::parallel::par_chunks_weighted`]).
     fn entries_before(&self, major: Index) -> usize;
+    /// Stored entries in vector `major`, read off the pointers in O(1)
+    /// where the form has them: `entries_before(major + 1) −
+    /// entries_before(major)` without the searches a prefix sum may need.
+    /// What a push sums over its frontier (m_f) to price itself.
+    fn row_len(&self, major: Index) -> usize {
+        self.entries_before(major + 1) - self.entries_before(major)
+    }
     /// The majors a row loop walks, in increasing order: `0..nmajor` for
     /// the forms with a pointer array, the occupied ones for the
     /// hypersparse form. Every non-empty vector is among them.
@@ -544,6 +551,10 @@ impl<T: Scalar> SparseView<T> for Cs<T> {
     fn entries_before(&self, major: Index) -> usize {
         self.ptr[major]
     }
+    #[inline]
+    fn row_len(&self, major: Index) -> usize {
+        self.ptr[major + 1] - self.ptr[major]
+    }
     fn majors(&self) -> Majors<'_> {
         Majors::Rows(Some(&self.ptr), 0..self.nmajor)
     }
@@ -729,6 +740,9 @@ impl<T: Scalar> SparseView<T> for Hyper<T> {
     fn entries_before(&self, major: Index) -> usize {
         self.ptr[self.heads.partition_point(|&h| h < major)]
     }
+    fn row_len(&self, major: Index) -> usize {
+        self.heads.binary_search(&major).map_or(0, |k| self.ptr[k + 1] - self.ptr[k])
+    }
     fn majors(&self) -> Majors<'_> {
         Majors::List(&self.heads)
     }
@@ -836,21 +850,36 @@ mod tests {
     #[test]
     fn entries_before_is_the_prefix_sum_of_for_each_len_in_every_form() {
         // Rows 0, 3, 4 and 9 occupied out of 12 — empty rows before, between
-        // and after — in the standard, hypersparse and compressed forms.
+        // and after — in the standard, hypersparse and compressed forms,
+        // and layered over a base of the same rows whose overlay grows row
+        // 0 and fills row 3, empties row 4 and leaves row 9 to the base.
         let t = vec![(0, 1, 1.0), (0, 5, 2.0), (3, 0, 3.0), (4, 2, 4.0), (4, 3, 5.0), (9, 9, 6.0)];
         let cs = Cs::from_tuples(12, 12, t, |_, b| b);
         let hyper = cs.to_hyper();
         let packed = CompressedMat::encode(&cs).expect("encodable");
-        let forms: [&dyn SparseView<f64>; 3] = [&cs, &hyper, &packed];
+        let mut bigger = cs.tuples();
+        bigger.extend((0..12).flat_map(|i| (0..12).map(move |j| (i + 12, j, 1.0))));
+        let base = Layered::new(Cs::from_tuples(24, 12, bigger, |_, b| b));
+        let edits = [(0, 7, Some(7.0)), (3, 1, Some(8.0)), (4, 2, None), (4, 3, None)];
+        let layered = base.with_edits(&edits);
+        assert_eq!(layered.layers().overlay_rows, 3, "under the cut: an overlay, not a fold");
+        let forms: [&dyn SparseView<f64>; 4] = [&cs, &hyper, &packed, &layered];
         for (f, v) in forms.into_iter().enumerate() {
             let mut lens = vec![0usize; v.nmajor()];
             v.for_each_len(&mut |i, len| lens[i] = len);
             let mut sum = 0;
             for (i, len) in lens.iter().enumerate() {
                 assert_eq!(v.entries_before(i), sum, "form {f}, row {i}");
+                let diff = v.entries_before(i + 1) - v.entries_before(i);
+                assert_eq!(v.row_len(i), diff, "form {f}, row {i}: row_len");
+                assert_eq!(v.row_len(i), *len, "form {f}, row {i}: row_len");
                 sum += len;
             }
             assert_eq!(v.entries_before(v.nmajor()), v.nvals(), "form {f}, end");
+            if f == 3 {
+                assert_eq!(&lens[..12], [3, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0]);
+                continue;
+            }
             // The majors a row loop walks: by position, all of them where a
             // pointer array exists and the occupied ones in the hypersparse
             // form. Every row `for_each_len` visits is walked; the CSR walk

@@ -693,6 +693,16 @@ pub(crate) fn vector_convert(from: &'static str, to: &'static str, n: usize) {
     });
 }
 
+/// Record a sparse mask of `entries` scattered into presence words over a
+/// length-`n` output (the op layer's `VMask::ready_for`). An op readies
+/// its mask at most once, so two inside one op span are one mask paid for
+/// twice.
+pub(crate) fn mask_scatter(entries: usize, n: usize) {
+    instant(sinks() & TRACE, "mask.scatter", Cat::Runtime, None, || {
+        vec![("entries", ArgValue::U64(entries as u64)), ("n", ArgValue::U64(n as u64))]
+    });
+}
+
 /// Record the cost model's calibrated per-flop constants (once per
 /// process) so traces show which numbers every direction choice used.
 pub(crate) fn cost_calibrated(push_ns: f64, pull_ns: f64) {

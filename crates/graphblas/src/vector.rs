@@ -237,6 +237,26 @@ impl<'a, T: Scalar> FullMut<'a, T> {
         was
     }
 
+    /// Store `x` at every position whose bit is set in `words` — presence
+    /// words indexed like the whole vector, bits past its length clear —
+    /// and return how many held no entry before. A word at a time: each
+    /// presence word is ORed with its mask word, the new bits counted by
+    /// popcount, and `x` stored at the mask word's set bits.
+    pub fn fill_under(&mut self, words: &[u64], x: T) -> usize {
+        let mut added = 0;
+        let mine = &words[self.base >> 6..][..self.bits.len()];
+        for (w, (word, &m)) in self.bits.iter_mut().zip(mine).enumerate() {
+            added += (m & !*word).count_ones() as usize;
+            *word |= m;
+            let mut rest = m;
+            while rest != 0 {
+                self.val[(w << 6) | rest.trailing_zeros() as usize] = x;
+                rest &= rest - 1;
+            }
+        }
+        added
+    }
+
     /// Delete every stored entry whose index `pred` selects and return how
     /// many went. Presence is swept a word at a time, so an empty stretch
     /// costs one test per 64 positions.

@@ -660,3 +660,95 @@ fn a_valued_sparse_mask_with_false_entries_is_probed_as_stored() {
         .expect("ewise_mult");
     }
 }
+
+// ---------------------------------------------------------------------------
+// A masked scalar fill of the whole vector writes a word at a time when the
+// mask holds presence words of its true entries and nothing else is asked
+// of the write; every other fill visits the allowed positions one by one.
+// ---------------------------------------------------------------------------
+
+/// The `fill` argument of the write span `assign_scalar` leaves, at
+/// `threads` threads.
+fn fill_kind(
+    w0: &Vector<i64>,
+    m: &Vector<bool>,
+    acc: Option<binaryop::Plus>,
+    desc: &Descriptor,
+    threads: usize,
+) -> Option<&'static str> {
+    let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_par_threshold(1);
+    set_threads(threads);
+    let mut w = w0.clone();
+    trace::clear();
+    trace::enable();
+    assign_scalar(&mut w, Some(m), acc, 7, &IndexSel::All, desc).expect("assign_scalar");
+    trace::disable();
+    set_threads(0);
+    set_par_threshold(0);
+    trace::drain().iter().rev().find(|e| e.name == "write").and_then(|e| e.arg_str("fill"))
+}
+
+#[test]
+fn a_masked_fill_goes_a_word_at_a_time_only_where_the_words_are_the_rule() {
+    // A full-length output with entries on and off every mask below.
+    let w0 = vector(4, N, 0xF111);
+    assert_ne!(w0.vector_format(), VectorFormat::Sparse);
+    // A full-length mask (72 entries), every third one a stored `false`,
+    // and a sparse one (12 entries, all `true`).
+    let full = Vector::from_tuples(N, (0..72).map(|j| (3 * j + 1, j % 3 != 0)).collect(), |_, b| b)
+        .expect("full mask");
+    let sparse = Vector::from_tuples(N, (0..12).map(|j| (20 * j + 5, true)).collect(), |_, b| b)
+        .expect("sparse mask");
+    assert_ne!(full.vector_format(), VectorFormat::Sparse);
+    assert_eq!(sparse.vector_format(), VectorFormat::Sparse);
+    let structural = Descriptor::new().structural();
+    let cases = [
+        ("full-length structural mask", &full, None, structural, "words"),
+        // Probed at ≥ n/64 positions, the sparse mask is readied into words.
+        ("readied sparse mask", &sparse, None, Descriptor::new(), "words"),
+        // A valued full-length mask's `false`s are set in its presence
+        // words: the words are not the allowed positions.
+        ("valued mask with stored false", &full, None, Descriptor::new(), "entries"),
+        ("complemented mask", &full, None, structural.complement(), "entries"),
+        ("accumulator", &full, Some(binaryop::Plus), structural, "entries"),
+    ];
+    for (what, m, acc, desc, want) in cases {
+        let mut t = DVec::new(N);
+        for i in 0..N {
+            let true_entry = m.get(i).is_some_and(|b| b || desc.mask_structural);
+            t.val[i] = (true_entry != desc.mask_complement).then_some(7);
+        }
+        let paths = check_with(what, &w0, Some(m), acc, &desc, &t, &everywhere, &|w, m, acc, d| {
+            assign_scalar(w, m, acc, 7, &IndexSel::All, d).expect("assign_scalar")
+        })
+        .expect("assign_scalar");
+        assert_eq!(paths, ["inplace"; 2], "{what}");
+        for threads in [1, 8] {
+            assert_eq!(
+                fill_kind(&w0, m, acc, &desc, threads),
+                Some(want),
+                "{what}, {threads} threads"
+            );
+        }
+    }
+    // A sparse output the fill promotes first takes the word path too.
+    let w0 = Vector::from_tuples(N, vec![(4, 100), (200, -1)], |_, b| b).expect("w");
+    let mut t = DVec::new(N);
+    for i in 0..N {
+        t.val[i] = full.get(i).map(|_| 7);
+    }
+    let paths = check_with(
+        "promoted",
+        &w0,
+        Some(&full),
+        None,
+        &structural,
+        &t,
+        &everywhere,
+        &|w, m, acc, d| assign_scalar(w, m, acc, 7, &IndexSel::All, d).expect("assign_scalar"),
+    )
+    .expect("assign_scalar");
+    assert_eq!(paths, ["inplace"; 2], "promoted");
+    assert_eq!(fill_kind(&w0, &full, None, &structural, 8), Some("words"));
+}
