@@ -82,7 +82,8 @@ pub fn core_numbers(graph: &Graph) -> Result<Vector<i64>> {
 /// Incrementally repair core numbers after a batch of edge *insertions*
 /// — the traversal insertion algorithm of Sarıyüce et al. (streaming
 /// k-core decomposition). Deletions have no comparably local repair
-/// rule here; the service falls back to [`core_numbers`] for them.
+/// rule here; [`Graph::advance`] drops the core numbers for them, and
+/// [`Graph::cores`] recomputes them by [`core_numbers`].
 ///
 /// * `before` — the graph **before** the batch (undirected); its rows
 ///   are read under one lock for the whole call.

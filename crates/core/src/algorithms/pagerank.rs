@@ -14,7 +14,7 @@ use graphblas::trace;
 use crate::graph::Graph;
 
 /// Options for [`pagerank`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankOptions {
     /// Damping factor (the canonical 0.85).
     pub damping: f64,
@@ -35,8 +35,8 @@ pub fn pagerank(graph: &Graph, opts: &PageRankOptions) -> Result<(Vector<f64>, u
     pagerank_core(graph, opts, None)
 }
 
-/// PageRank warm-restarted from a previous rank vector — the incremental
-/// entry point behind the service's materialized view.
+/// PageRank warm-restarted from a previous rank vector — the rule by
+/// which [`Graph::ranks`] repairs the ranks a predecessor carried.
 ///
 /// The iteration is identical to [`pagerank`] (same damping, sink-mass
 /// redistribution, and L1 stopping rule); only the starting point

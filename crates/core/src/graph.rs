@@ -1,6 +1,7 @@
 //! The LAGraph `Graph` object: an adjacency matrix plus cached derived
-//! properties (transpose, structure, degrees, connected components), so
-//! algorithms don't recompute them — the design the LAGraph project
+//! properties (transpose, structure, degrees, connected components,
+//! triangle count, core numbers, PageRank), so algorithms don't
+//! recompute them — the design the LAGraph project
 //! adopted so a graph can flow through a processing pipeline (§IV of the
 //! paper).
 
@@ -11,6 +12,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use crate::algorithms::cc::{connected_components, repair_components};
+use crate::algorithms::{
+    core_numbers, core_numbers_insert, pagerank, pagerank_warm, triangle_count,
+    triangle_count_delta, PageRankOptions, TriCountMethod,
+};
 
 /// Whether the adjacency matrix is to be interpreted as directed (an edge
 /// `(i, j)` is the arc `i → j`) or undirected (the matrix is symmetric by
@@ -39,10 +44,13 @@ pub enum EdgeEvent {
 /// `i ≤ j` half on an undirected one, whose delta carries both arcs of
 /// every edge it writes.
 pub(crate) fn edges_of(kind: GraphKind, arcs: &[EdgeEvent]) -> Vec<EdgeEvent> {
-    let canonical = |e: &EdgeEvent| match *e {
-        EdgeEvent::Insert(u, v) | EdgeEvent::Delete(u, v) => u <= v,
-    };
-    arcs.iter().copied().filter(|e| kind == GraphKind::Directed || canonical(e)).collect()
+    arcs.iter().copied().filter(|e| is_edge(kind, e)).collect()
+}
+
+/// Whether the arc event `e` is one of [`edges_of`].
+fn is_edge(kind: GraphKind, e: &EdgeEvent) -> bool {
+    let (EdgeEvent::Insert(u, v) | EdgeEvent::Delete(u, v)) = *e;
+    kind == GraphKind::Directed || u <= v
 }
 
 #[derive(Default, Clone)]
@@ -53,6 +61,76 @@ struct Cached {
     in_degree: Option<Arc<Vector<i64>>>,
     components: Option<Arc<Vector<u64>>>,
     nself_edges: Option<usize>,
+    triangles: Option<Carry<u64>>,
+    cores: Option<Carry<Arc<Vector<i64>>>>,
+    ranks: Option<Carry<Ranks>>,
+    /// The epoch the seeds are repaired across; dropped with the last one.
+    step: Option<Arc<Step>>,
+}
+
+impl Cached {
+    fn seeded(&self) -> bool {
+        matches!(self.triangles, Some(Carry::Seed(_)))
+            || matches!(self.cores, Some(Carry::Seed(_)))
+            || matches!(self.ranks, Some(Carry::Seed(_)))
+    }
+}
+
+/// An answer a graph holds, or its predecessor's, seeded by
+/// [`Graph::advance`] for its repair rule to bring across the epoch on
+/// the first read.
+#[derive(Clone)]
+enum Carry<T> {
+    Held(T),
+    Seed(T),
+}
+
+impl<T> Carry<T> {
+    fn value(&self) -> &T {
+        match self {
+            Carry::Held(v) | Carry::Seed(v) => v,
+        }
+    }
+
+    /// The value, if held: a seed nobody read is not carried further.
+    fn held(self) -> Option<T> {
+        match self {
+            Carry::Held(v) => Some(v),
+            Carry::Seed(_) => None,
+        }
+    }
+}
+
+/// An answer carried on `quiet` epochs (no structural change) as it is,
+/// and otherwise as the seed of its repair.
+fn carry<T>(held: Option<T>, quiet: bool) -> Option<Carry<T>> {
+    held.map(|v| if quiet { Carry::Held(v) } else { Carry::Seed(v) })
+}
+
+/// PageRank ranks at `opts`, and the iterations they took.
+#[derive(Clone)]
+struct Ranks {
+    opts: PageRankOptions,
+    ranks: Arc<Vector<f64>>,
+    iterations: usize,
+}
+
+/// The epoch a seeded answer is repaired across: the graph before it, a
+/// bare graph over the predecessor's adjacency, and its structural edge
+/// changes ([`edges_of`]).
+struct Step {
+    before: Graph,
+    edges: Vec<EdgeEvent>,
+}
+
+/// A cached answer that [`Graph::advance_within`] carries forward.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Property {
+    Components,
+    OutDegree,
+    Triangles,
+    Cores,
+    Ranks(PageRankOptions),
 }
 
 /// A graph: adjacency matrix, kind, and lazily cached properties.
@@ -60,9 +138,9 @@ struct Cached {
 /// # Cached properties
 ///
 /// The transpose, Boolean structure, degree vectors, connected-component
-/// labels and self-edge count are computed on first use and memoized
-/// behind a lock, so a graph can flow through a pipeline of algorithms
-/// without recomputing them:
+/// labels, triangle count, core numbers, PageRank ranks and self-edge
+/// count are computed on first use and memoized behind a lock, so a graph
+/// can flow through a pipeline of algorithms without recomputing them:
 ///
 /// ```
 /// use lagraph::{Graph, GraphKind};
@@ -81,7 +159,9 @@ struct Cached {
 ///
 /// [`Graph::advance`] carries what a graph has materialised into the graph
 /// an edge delta turns it into. The component labels of an undirected
-/// graph follow by a repair that reads only the rows its searches visit:
+/// graph follow by a repair that reads only the rows its searches visit;
+/// the triangle count, core numbers and ranks by their incremental rules,
+/// applied on the successor's first read:
 ///
 /// ```
 /// use graphblas::Edit;
@@ -120,7 +200,12 @@ impl Graph {
                 a.ncols()
             )));
         }
-        Ok(Graph { a: Arc::new(a), kind, cache: Mutex::new(Cached::default()), epoch: 0 })
+        Ok(Graph::bare(Arc::new(a), kind, 0))
+    }
+
+    /// A graph over `a` with nothing cached.
+    fn bare(a: Arc<Matrix<f64>>, kind: GraphKind, epoch: u64) -> Self {
+        Graph { a, kind, cache: Mutex::new(Cached::default()), epoch }
     }
 
     /// Build an unweighted graph from an edge list (weights set to 1).
@@ -197,10 +282,11 @@ impl Graph {
 
     /// Resident heap bytes of the graph: the adjacency matrix plus every
     /// cached property currently materialized (transpose, structure,
-    /// degrees, component labels). An undirected graph's `Aᵀ` that is the
-    /// adjacency itself is counted once. Polling it does not populate any
-    /// cache, so it is safe to call from a metrics gauge on the serving
-    /// path.
+    /// degrees, component labels, core numbers, ranks), a seeded answer
+    /// included. An undirected graph's `Aᵀ` that is the adjacency itself
+    /// is counted once, and the predecessor's adjacency a seed reads is
+    /// the predecessor's. Polling it does not populate any cache, so it is
+    /// safe to call from a metrics gauge on the serving path.
     pub fn resident_bytes(&self) -> usize {
         let mut total = self.a.memory_usage().total();
         let c = self.cache.lock();
@@ -218,6 +304,12 @@ impl Graph {
         }
         if let Some(labels) = &c.components {
             total += labels.memory_usage().total();
+        }
+        if let Some(cores) = &c.cores {
+            total += cores.value().memory_usage().total();
+        }
+        if let Some(r) = &c.ranks {
+            total += r.value().ranks.memory_usage().total();
         }
         total
     }
@@ -327,6 +419,119 @@ impl Graph {
         Ok(self.cache.lock().components.get_or_insert(labels).clone())
     }
 
+    /// The cached triangle count of an undirected graph
+    /// ([`triangle_count`], Sandia). A graph that [`advance`]s with it
+    /// seeds its successor, whose first read repairs it by
+    /// [`triangle_count_delta`]: exact either way.
+    ///
+    /// [`advance`]: Graph::advance
+    pub fn triangles(&self) -> Result<u64> {
+        self.carried(
+            |c| &mut c.triangles,
+            |_| true,
+            |t, step| Ok(triangle_count_delta(&step.before, t, &step.edges)),
+            || triangle_count(self, TriCountMethod::Sandia),
+        )
+    }
+
+    /// The cached core numbers of an undirected graph ([`core_numbers`]).
+    /// A graph that [`advance`]s with them over inserts only seeds its
+    /// successor, whose first read repairs them by
+    /// [`core_numbers_insert`]; a delete has no local rule, so they are
+    /// dropped and recomputed. Exact either way.
+    ///
+    /// [`advance`]: Graph::advance
+    pub fn cores(&self) -> Result<Arc<Vector<i64>>> {
+        self.carried(
+            |c| &mut c.cores,
+            |_| true,
+            |prev, step| {
+                let Some(mut cores) = prev.to_full() else {
+                    return core_numbers(self).map(Arc::new);
+                };
+                let inserts: Vec<(Index, Index)> = step
+                    .edges
+                    .iter()
+                    .filter_map(|e| match *e {
+                        EdgeEvent::Insert(u, v) => Some((u, v)),
+                        EdgeEvent::Delete(..) => None,
+                    })
+                    .collect();
+                core_numbers_insert(&step.before, &mut cores, &inserts);
+                Ok(Arc::new(Vector::import_full(cores)?))
+            },
+            || core_numbers(self).map(Arc::new),
+        )
+    }
+
+    /// The cached PageRank ranks at `opts` (one options set is kept; other
+    /// options replace it), with their iteration count. Ranks this graph
+    /// computed are [`pagerank()`]`(self, opts)` bit for bit. Ranks a
+    /// predecessor held are *carried*: [`advance`] seeds them, and the
+    /// first read warm-restarts from them ([`pagerank_warm`]), which
+    /// agrees with a cold run to within `opts.tolerance`, not bit for
+    /// bit. A graph advanced past its change budget (at a zero budget,
+    /// every epoch) carries none, so its ranks are the cold ones.
+    ///
+    /// [`advance`]: Graph::advance
+    pub fn ranks(&self, opts: &PageRankOptions) -> Result<(Arc<Vector<f64>>, usize)> {
+        let r = self.carried(
+            |c| &mut c.ranks,
+            |r| r.opts == *opts,
+            |prev, _| {
+                let (ranks, iterations) = pagerank_warm(self, opts, &prev.ranks)?;
+                Ok(Ranks { opts: *opts, ranks: Arc::new(ranks), iterations })
+            },
+            || {
+                let (ranks, iterations) = pagerank(self, opts)?;
+                Ok(Ranks { opts: *opts, ranks: Arc::new(ranks), iterations })
+            },
+        )?;
+        Ok((r.ranks, r.iterations))
+    }
+
+    /// Read one carried answer: a held one that `fits` as it is, a seed
+    /// that fits repaired across the step, anything else computed `cold`.
+    /// Both run outside the lock (they read other cached properties); two
+    /// readers that race compute the same answer from the same inputs.
+    fn carried<T: Clone>(
+        &self,
+        slot: impl Fn(&mut Cached) -> &mut Option<Carry<T>>,
+        fits: impl Fn(&T) -> bool,
+        repair: impl FnOnce(T, &Step) -> Result<T>,
+        cold: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let (carry, step) = {
+            let mut c = self.cache.lock();
+            let carry = slot(&mut c).clone().filter(|k| fits(k.value()));
+            (carry, c.step.clone())
+        };
+        let value = match (carry, step) {
+            (Some(Carry::Held(v)), _) => return Ok(v),
+            (Some(Carry::Seed(v)), Some(step)) => repair(v, &step)?,
+            _ => cold()?,
+        };
+        let mut c = self.cache.lock();
+        *slot(&mut c) = Some(Carry::Held(value.clone()));
+        if !c.seeded() {
+            c.step = None;
+        }
+        Ok(value)
+    }
+
+    /// Whether this graph holds `property`, or the seed it is repaired
+    /// from: whether a read costs a repair rather than a computation.
+    pub(crate) fn holds(&self, property: Property) -> bool {
+        let c = self.cache.lock();
+        match property {
+            Property::Components => c.components.is_some(),
+            Property::OutDegree => c.out_degree.is_some(),
+            Property::Triangles => c.triangles.is_some(),
+            Property::Cores => c.cores.is_some(),
+            Property::Ranks(opts) => c.ranks.as_ref().is_some_and(|r| r.value().opts == opts),
+        }
+    }
+
     /// Number of self-loops, cached.
     pub fn nself_edges(&self) -> Result<usize> {
         let mut c = self.cache.lock();
@@ -402,14 +607,22 @@ impl Graph {
     /// the pattern is one event — a `Some` over an absent arc an insert,
     /// a `None` over a present one a delete, in `delta`'s order.
     /// Whatever this graph had materialised is carried forward by the same
-    /// delta — the structure (dual and all) and a materialised `Aᵀ` by
-    /// one [`Matrix::with_edits`] each, which shares their base arrays and
-    /// rewrites only the touched rows, an `Aᵀ` that is the
-    /// adjacency itself as the same alias of `a_next`, the degrees by
-    /// patching the rows the events touch, an undirected graph's component
-    /// labels by [`connected_components_delta`]'s repair on `a_next` (the
-    /// same labels when no event joins two vertices) — and whatever it had
-    /// not stays lazy. A directed graph's labels are recomputed on demand.
+    /// delta, and whatever it had not stays lazy:
+    /// - the structure (dual and all) and a materialised `Aᵀ` by one
+    ///   [`Matrix::with_edits`] each, which shares their base arrays and
+    ///   rewrites only the touched rows; an `Aᵀ` that is the adjacency
+    ///   itself as the same alias of `a_next`;
+    /// - the degrees by patching the rows the events touch;
+    /// - an undirected graph's component labels by
+    ///   [`connected_components_delta`]'s repair on `a_next` (the same
+    ///   labels when no event joins two vertices); a directed graph's are
+    ///   recomputed on demand;
+    /// - the triangle count and core numbers of an undirected graph, and
+    ///   the ranks, as seeds that the successor's first read repairs
+    ///   ([`Graph::triangles`], [`Graph::cores`], [`Graph::ranks`]); held
+    ///   as they are when no event changed the pattern. A seed nobody
+    ///   read is not carried further.
+    ///
     /// [`Graph::new`] on `a_next` is the from-scratch oracle.
     ///
     /// On an undirected graph `delta` must write both arcs of every edge
@@ -422,6 +635,20 @@ impl Graph {
         &self,
         a_next: Matrix<f64>,
         delta: &[Edit<f64>],
+    ) -> Result<(Graph, Vec<EdgeEvent>)> {
+        self.advance_within(a_next, delta, usize::MAX)
+    }
+
+    /// [`Graph::advance`], carrying the answers (degrees, labels, triangle
+    /// count, core numbers, ranks) only across at most `budget` structural
+    /// edge changes ([`edges_of`]): past it a repair would cost more than
+    /// recomputing, so they stay lazy. The structure and `Aᵀ` always
+    /// follow.
+    pub(crate) fn advance_within(
+        &self,
+        a_next: Matrix<f64>,
+        delta: &[Edit<f64>],
+        budget: usize,
     ) -> Result<(Graph, Vec<EdgeEvent>)> {
         let events = self.classify(delta);
         let a_next = Arc::new(a_next);
@@ -443,7 +670,9 @@ impl Graph {
                 next.at = Some(a_next.clone());
             }
         }
-        if prev.out_degree.is_some() || prev.in_degree.is_some() {
+        let changes = events.iter().filter(|e| is_edge(self.kind, e)).count();
+        let within = changes <= budget;
+        if within && (prev.out_degree.is_some() || prev.in_degree.is_some()) {
             // Net change per row and per column: +1 for an arc inserted,
             // -1 for one deleted.
             let (mut rows, mut cols) = (BTreeMap::new(), BTreeMap::new());
@@ -458,9 +687,25 @@ impl Graph {
             next.out_degree = prev.out_degree.map(|d| patch_degrees(&d, &rows)).transpose()?;
             next.in_degree = prev.in_degree.map(|d| patch_degrees(&d, &cols)).transpose()?;
         }
-        let mut graph =
-            Graph { a: a_next, kind: self.kind, cache: Mutex::new(next), epoch: self.epoch };
-        if let Some(labels) = prev.components.filter(|_| self.kind == GraphKind::Undirected) {
+        let undirected = self.kind == GraphKind::Undirected;
+        if within {
+            let quiet = changes == 0;
+            next.ranks = carry(prev.ranks.and_then(Carry::held), quiet);
+            if undirected {
+                next.triangles = carry(prev.triangles.and_then(Carry::held), quiet);
+                if events.iter().all(|e| matches!(e, EdgeEvent::Insert(..))) {
+                    next.cores = carry(prev.cores.and_then(Carry::held), quiet);
+                }
+            }
+        }
+        if next.seeded() {
+            let before = Graph::bare(self.a.clone(), self.kind, self.epoch);
+            let edges = edges_of(self.kind, &events);
+            next.step = Some(Arc::new(Step { before, edges }));
+        }
+        let mut graph = Graph::bare(a_next, self.kind, self.epoch);
+        *graph.cache.get_mut() = next;
+        if let Some(labels) = prev.components.filter(|_| within && undirected) {
             graph.cache.get_mut().components = graph.carry_components(labels, &events);
         }
         Ok((graph, events))
@@ -701,6 +946,86 @@ mod tests {
             labels.extract_tuples(),
             connected_components(&oracle).expect("fastsv").extract_tuples()
         );
+    }
+
+    /// A small undirected graph holding its triangle count, core numbers
+    /// and ranks, and a delta that inserts `(1, 3)` (and, with `delete`,
+    /// deletes `(0, 2)`).
+    fn with_answers(delete: bool) -> (Graph, Vec<Edit<f64>>) {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)], GraphKind::Undirected)
+            .expect("graph");
+        g.triangles().expect("triangles");
+        g.cores().expect("cores");
+        g.ranks(&PageRankOptions::default()).expect("ranks");
+        let mut delta: Vec<Edit<f64>> = vec![(1, 3, Some(1.0)), (3, 1, Some(1.0))];
+        if delete {
+            delta.extend([(0, 2, None), (2, 0, None)]);
+        }
+        (g, delta)
+    }
+
+    #[test]
+    fn advance_seeds_the_answers_a_graph_held_and_the_first_read_repairs_them() {
+        for delete in [false, true] {
+            let (g, delta) = with_answers(delete);
+            let (next, _) = g.advance(g.a().with_edits(&delta).expect("a"), &delta).expect("g");
+            assert!(next.holds(Property::Triangles));
+            assert_eq!(next.holds(Property::Cores), !delete, "a delete drops the core numbers");
+            let opts = PageRankOptions::default();
+            assert!(next.holds(Property::Ranks(opts)));
+            assert!(!next.holds(Property::Ranks(PageRankOptions { damping: 0.5, ..opts })));
+            let oracle = Graph::new(next.a().clone(), GraphKind::Undirected).expect("oracle");
+            let want = triangle_count(&oracle, TriCountMethod::Sandia).expect("tricount");
+            assert_eq!(next.triangles().expect("repaired"), want);
+            assert_eq!(
+                next.cores().expect("cores").extract_tuples(),
+                core_numbers(&oracle).expect("peel").extract_tuples()
+            );
+            let (ranks, _) = next.ranks(&opts).expect("warm");
+            let (cold, _) = pagerank(&oracle, &opts).expect("cold");
+            for v in 0..4 {
+                let (a, b) = (ranks.get(v).unwrap_or(0.0), cold.get(v).unwrap_or(0.0));
+                assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs {b}");
+            }
+            // Every seed read: the predecessor's adjacency is let go.
+            assert!(next.cache.lock().step.is_none());
+        }
+    }
+
+    #[test]
+    fn past_its_budget_or_unread_an_answer_is_not_carried() {
+        let (g, delta) = with_answers(false);
+        let a_next = g.a().with_edits(&delta).expect("a");
+        let (next, _) = g.advance_within(a_next, &delta, 0).expect("g");
+        let opts = PageRankOptions::default();
+        for p in [Property::Triangles, Property::Cores, Property::Ranks(opts)] {
+            assert!(!next.holds(p), "{p:?} carried past the budget");
+        }
+        // A seed nobody read does not reach the graph after.
+        let (next, _) = g.advance(g.a().with_edits(&delta).expect("a"), &delta).expect("g");
+        let back: Vec<Edit<f64>> = vec![(1, 3, None), (3, 1, None)];
+        let (last, _) = next.advance(next.a().with_edits(&back).expect("a"), &back).expect("g");
+        assert!(!last.holds(Property::Triangles) && !last.holds(Property::Ranks(opts)));
+        // With no structural change the answers hold as they were.
+        let quiet: Vec<Edit<f64>> = vec![(0, 1, Some(5.0)), (1, 0, Some(5.0))];
+        let (same, _) = g.advance(g.a().with_edits(&quiet).expect("a"), &quiet).expect("g");
+        assert!(Arc::ptr_eq(&same.cores().expect("held"), &g.cores().expect("held")));
+        assert!(same.cache.lock().step.is_none());
+    }
+
+    #[test]
+    fn a_graph_advanced_without_answers_holds_none() {
+        let g =
+            Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2)], GraphKind::Undirected).expect("graph");
+        g.out_degree().expect("out_degree");
+        let delta: Vec<Edit<f64>> = vec![(2, 3, Some(1.0)), (3, 2, Some(1.0))];
+        let (next, _) = g.advance(g.a().with_edits(&delta).expect("a"), &delta).expect("g");
+        let opts = PageRankOptions::default();
+        for p in [Property::Triangles, Property::Cores, Property::Ranks(opts)] {
+            assert!(!next.holds(p), "{p:?} appeared without being held");
+        }
+        let degrees = next.out_degree().expect("carried").memory_usage().total();
+        assert_eq!(next.resident_bytes(), next.a().memory_usage().total() + degrees);
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //!   per vertex and one masked `mxv` per level advance every search at
 //!   once, so k queries cost one traversal of the shared structure
 //!   instead of k.
-//! * **Caching** — every answer lives in the answer table of the
-//!   snapshot it was computed against: the registered views' answers are
-//!   pinned there when the snapshot is published, and an executed
-//!   result is kept beside them (first in, first out at
+//! * **Views** — a registered view's query is answered from the snapshot
+//!   graph's cached property ([`super::views`]), which the epoch
+//!   coordinator read when it published the snapshot: no batching, no
+//!   query kernel, no answer table.
+//! * **Caching** — an executed result is kept in the answer table of
+//!   the snapshot it was computed against (first in, first out at
 //!   `cache_capacity`), so a repeat of a canonicalized [`Query`] within
-//!   the epoch is a clone. The next epoch's snapshot starts with only its
-//!   own pinned answers; nothing is looked up by epoch.
+//!   the epoch is a clone. The next epoch's snapshot starts empty;
+//!   nothing is looked up by epoch.
 //! * **Deduplication** — identical in-flight queries (same canonical
 //!   key) share one execution and one result, for the non-batchable
 //!   algorithms too.
@@ -44,7 +46,7 @@ use graphblas::metrics;
 use graphblas::trace;
 use graphblas::{Error as GrbError, Index, Vector};
 
-use super::{panic_message, Answer, BackpressurePolicy, ServiceError, Shared, Snapshot};
+use super::{panic_message, BackpressurePolicy, ServiceError, Shared, Snapshot};
 use crate::algorithms::{
     bfs_level, bfs_level_batch, core_numbers, pagerank, triangle_count, PageRankOptions,
     TriCountMethod,
@@ -65,8 +67,8 @@ pub struct AdmissionConfig {
     /// Widest multi-source BFS one execution runs; a wider collection is
     /// split into consecutive batches of at most this many sources.
     pub max_batch_width: usize,
-    /// Executed results a snapshot keeps for repeats, beside its pinned
-    /// view answers (0 keeps none; the views still answer).
+    /// Executed results a snapshot keeps for repeats (0 keeps none; the
+    /// views still answer).
     pub cache_capacity: usize,
     /// Queries queued for batching before the service's backpressure
     /// policy applies to *reads* as well.
@@ -294,8 +296,8 @@ pub struct AdmissionStats {
     pub cache_hits: u64,
     /// Queries that missed the cache and executed.
     pub cache_misses: u64,
-    /// Queries answered from a view's answer pinned on the snapshot
-    /// (bypassing batching and the query kernel).
+    /// Queries answered by a registered view, from the snapshot graph's
+    /// cached property (bypassing batching and the answer table).
     pub view_hits: u64,
 }
 
@@ -464,8 +466,8 @@ impl Admission {
         self.stats.queries.fetch_add(1, Relaxed);
         self.metrics.queries(&q).inc();
         let snap = shared.current();
-        // A pinned view answer comes first, bypassing batching and the
-        // query kernel, and *before* the failure check on purpose: a
+        // A view answer comes first, bypassing batching and the query
+        // kernel, and *before* the failure check on purpose: a
         // failed epoch is never published, so — like raw `snapshot()`
         // reads — the views keep answering at the last good epoch.
         if let Some(hit) = self.lookup(shared, &snap, &q)? {
@@ -548,27 +550,25 @@ impl Admission {
         Ok(out.into_iter().map(|r| r.expect("every query answered")).collect())
     }
 
-    /// Look `q` up in the snapshot's answer table and count the outcome.
-    /// A pinned view answer returns before the failure check; a failed
-    /// service errors before an evictable answer or a miss.
+    /// Answer `q` from a registered view or the snapshot's answer table,
+    /// and count the outcome. A view answers before the failure check; a
+    /// failed service errors before a kept result or a miss.
     fn lookup(
         &self,
         shared: &Shared,
         snap: &Snapshot,
         q: &Query,
     ) -> Result<Option<QueryResult>, ServiceError> {
-        let cached = match snap.answers.get(q) {
-            Some(Answer::Pinned(r)) => {
-                self.stats.view_hits.fetch_add(1, Relaxed);
-                shared.views.served(q);
-                return Ok(Some(r));
-            }
-            Some(Answer::Evictable(r)) => Some(r),
-            None => None,
-        };
+        if let Some(kind) = shared.views.view_of(q) {
+            let r = caught(|| shared.views.answer(kind, snap.graph()))?;
+            self.stats.view_hits.fetch_add(1, Relaxed);
+            shared.views.served(kind);
+            return Ok(Some(r));
+        }
         if let Some(err) = shared.failure() {
             return Err(err);
         }
+        let cached = snap.answers.get(q);
         if cached.is_some() {
             self.stats.cache_hits.fetch_add(1, Relaxed);
             self.metrics.cache_hit.inc();
@@ -694,20 +694,13 @@ impl Admission {
         if width >= 2 {
             self.stats.batched_queries.fetch_add(width as u64, Relaxed);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if width == 1 {
-                bfs_level(snap.graph(), sources[0]).map(|v| vec![v])
+        caught(|| {
+            Ok(if width == 1 {
+                vec![bfs_level(snap.graph(), sources[0])?]
             } else {
-                bfs_level_batch(snap.graph(), sources)
-            }
-        }));
-        match outcome {
-            Ok(r) => r.map_err(ServiceError::Graph),
-            Err(p) => Err(ServiceError::Graph(GrbError::invalid(format!(
-                "query execution panicked: {}",
-                panic_message(&*p)
-            )))),
-        }
+                bfs_level_batch(snap.graph(), sources)?
+            })
+        })
     }
 
     /// Direct execution for the non-batchable algorithms, deduplicating
@@ -727,14 +720,7 @@ impl Admission {
         let mut span = trace::service_span("service.query");
         span.arg("algo", q.algorithm());
         span.arg("epoch", snap.epoch());
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_query(&q, snap.graph())));
-        let result = match outcome {
-            Ok(r) => r,
-            Err(p) => Err(ServiceError::Graph(GrbError::invalid(format!(
-                "query execution panicked: {}",
-                panic_message(&*p)
-            )))),
-        };
+        let result = caught(|| run_query(&q, snap.graph()));
         if let Ok(r) = &result {
             snap.answers.insert(q, r.clone(), self.config.cache_capacity);
         }
@@ -744,8 +730,20 @@ impl Admission {
     }
 }
 
-/// Execute a query against one graph (no caching, no batching).
-pub(crate) fn run_query(q: &Query, g: &Graph) -> Result<QueryResult, ServiceError> {
+/// Run `f`, surfacing a panic as an error.
+fn caught<T>(f: impl FnOnce() -> Result<T, ServiceError>) -> Result<T, ServiceError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(ServiceError::Graph(GrbError::invalid(format!(
+            "query execution panicked: {}",
+            panic_message(&*p)
+        ))))
+    })
+}
+
+/// Execute a query against one graph (no caching, no batching): the
+/// algorithm entry points, except the components and degrees the graph
+/// caches anyway.
+fn run_query(q: &Query, g: &Graph) -> Result<QueryResult, ServiceError> {
     match q.0 {
         QueryKind::BfsLevel { source } => {
             let v = bfs_level(g, source)?;

@@ -15,7 +15,7 @@
 //! everywhere — the S∈{1,2,4} differential tests check the published
 //! matrix is *bit-identical* to a single-shard replay.
 //!
-//! Failure semantics: the netting, the publish and the view repair run
+//! Failure semantics: the netting, the publish and the views' reads run
 //! under one guard. A panic or an error there marks the service failed:
 //! the coordinator stops publishing (the last good epoch keeps serving),
 //! and every `submit`/`flush`/`query` thereafter returns
@@ -61,12 +61,14 @@ pub(super) fn shard_delta(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
 /// one's base arrays and writes only the rows the delta touches into its
 /// overlay ([`graphblas::Matrix::with_edits`]), folding the overlay into a
 /// fresh base once it crosses its cut; the snapshot's materialised caches
-/// follow by the same delta. Also returns the delta's structural changes,
-/// classified once for the caches and the views.
+/// and answers follow by the same delta, the answers within `budget`
+/// ([`Graph::advance_within`]). Also returns the delta's structural
+/// changes, classified once for the caches and the views.
 fn next_graph(
     prev: &Graph,
     delta: &[Edit<f64>],
     compressed: bool,
+    budget: usize,
 ) -> Result<(Graph, Vec<EdgeEvent>), GrbError> {
     let mut a = prev.a().with_edits(delta)?;
     if compressed {
@@ -74,7 +76,7 @@ fn next_graph(
         // compressed adjacency comes out of the splice re-encoded.
         a.set_compressed(true);
     }
-    prev.advance(a, delta)
+    prev.advance_within(a, delta, budget)
 }
 
 /// Mark the service failed with `message` (`shard` as in
@@ -154,7 +156,7 @@ pub(crate) fn coordinator_loop(
         span.arg("shards", batches.len());
         shared.metrics.batch_updates.observe(total as u64);
 
-        // Net, build, advance the views and swap — under one guard, so a
+        // Net, build, read the views and swap — under one guard, so a
         // panic or an error anywhere in here fails the service closed
         // instead of killing this thread under a flush that waits for the
         // epoch. `shard` is the slice being netted, 0 past the netting.
@@ -169,8 +171,9 @@ pub(crate) fn coordinator_loop(
                 delta.append(&mut shard_delta(b, shared.kind));
             }
             shard = 0;
-            let (mut g, events) = next_graph(prev.graph(), &delta, compressed)
-                .map_err(|e| format!("epoch {epoch} publish failed: {e}"))?;
+            let (mut g, events) =
+                next_graph(prev.graph(), &delta, compressed, shared.views.staleness)
+                    .map_err(|e| format!("epoch {epoch} publish failed: {e}"))?;
             if fail_epoch == Some(epoch) {
                 panic!("injected epoch-publish failure at epoch {epoch}");
             }
@@ -189,16 +192,14 @@ pub(crate) fn coordinator_loop(
                 }
                 span.arg("folded", u64::from(layers.is_some_and(|l| l.folded)));
             }
-            // Publish: the views' answers, repaired from the snapshot this
-            // one replaces by the same classified Δ, are pinned on the new
-            // snapshot before readers swap over to it on their next
+            // Publish: the views' properties, carried from the snapshot
+            // this one replaces by the same classified Δ, are read on the
+            // new graph before readers swap over to it on their next
             // snapshot(), so a flush that observes epoch e observes the
             // views at e. A failed epoch never gets this far, leaving
             // both at the last good epoch.
-            let graph = Arc::new(g);
-            shared.views.on_epoch(&prev, &graph, &events, |pinned| {
-                *shared.snapshot.write() = Arc::new(Snapshot::new(graph.clone(), pinned));
-            });
+            shared.views.read_at_publish(&g, &events);
+            *shared.snapshot.write() = Arc::new(Snapshot::new(Arc::new(g)));
             Ok(())
         }))
         .unwrap_or_else(|p| Err(panic_message(&*p).to_string()));
@@ -226,5 +227,69 @@ pub(crate) fn coordinator_loop(
         shared.processed.fetch_add(total as u64, SeqCst);
         shared.metrics.processed.add(total as u64);
         shared.published.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::edges_of;
+
+    #[test]
+    fn classify_keeps_the_writes_that_change_the_pattern() {
+        let before =
+            Graph::from_edges(5, &[(0, 1), (0, 3), (4, 4)], GraphKind::Undirected).expect("graph");
+        let batch = [
+            Update::Insert(0, 1, 9.0), // present: reweight, no event
+            Update::Delete(2, 3),      // absent: redundant delete, no event
+            Update::Insert(1, 2, 1.0), // absent: real insert
+            Update::Delete(0, 3),      // present: real delete
+            Update::Insert(2, 2, 1.0), // a self-loop: one arc
+            Update::Delete(4, 4),      // a present self-loop goes
+        ];
+        let arcs = before.classify(&shard_delta(&batch, GraphKind::Undirected));
+        assert_eq!(
+            arcs,
+            vec![
+                EdgeEvent::Delete(0, 3),
+                EdgeEvent::Insert(1, 2),
+                EdgeEvent::Insert(2, 1),
+                EdgeEvent::Insert(2, 2),
+                EdgeEvent::Delete(3, 0),
+                EdgeEvent::Delete(4, 4),
+            ]
+        );
+        // The two arcs of one undirected edge are one event.
+        assert_eq!(
+            edges_of(GraphKind::Undirected, &arcs),
+            vec![
+                EdgeEvent::Delete(0, 3),
+                EdgeEvent::Insert(1, 2),
+                EdgeEvent::Insert(2, 2),
+                EdgeEvent::Delete(4, 4),
+            ]
+        );
+    }
+
+    #[test]
+    fn classify_sees_only_the_last_write_to_each_arc() {
+        let before = Graph::from_edges(4, &[(2, 3)], GraphKind::Undirected).expect("graph");
+        let batch = [
+            Update::Insert(0, 1, 1.0),
+            Update::Delete(0, 1), // inserted and deleted again: nets to no event
+            Update::Insert(1, 2, 1.0),
+            Update::Insert(1, 2, 2.0), // a reweight of the queued insert: one insert
+            Update::Delete(2, 3),
+            Update::Insert(2, 3, 5.0), // deleted and put back: a reweight, no event
+        ];
+        let arcs = before.classify(&shard_delta(&batch, GraphKind::Undirected));
+        assert_eq!(arcs, vec![EdgeEvent::Insert(1, 2), EdgeEvent::Insert(2, 1)]);
+        assert_eq!(edges_of(GraphKind::Undirected, &arcs), vec![EdgeEvent::Insert(1, 2)]);
+        // On a directed graph every arc is an edge of its own.
+        let before = Graph::from_edges(4, &[(1, 0)], GraphKind::Directed).expect("graph");
+        let batch = [Update::Insert(0, 1, 1.0), Update::Insert(1, 0, 1.0)];
+        let arcs = before.classify(&shard_delta(&batch, GraphKind::Directed));
+        assert_eq!(arcs, vec![EdgeEvent::Insert(0, 1)]);
+        assert_eq!(edges_of(GraphKind::Directed, &arcs), arcs);
     }
 }

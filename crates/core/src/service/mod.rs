@@ -15,9 +15,9 @@
 //!              answers · batch · dedup · shed│ k queued BFS sources →
 //!                                            │ one bit-parallel k-source BFS
 //!                                            ▼
-//!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e) + its
-//!                                            ▲  answer table (views pinned)
-//!                                            │  caches inherited from e-1
+//!  readers ◀── Arc-swapped epoch snapshot ◀── publish Graph(epoch e), its
+//!                                            ▲  views read off its carried
+//!                                            │  properties, inherited from e-1
 //!          epoch e-1's base, shared + Δ's rows in a new overlay segment
 //!                                            │ Δ = Δ₀ ‖ Δ₁ ‖ … ‖ Δ_{S-1}
 //!  epoch coordinator (one thread): net each shard's slice in shard
@@ -45,17 +45,19 @@
 //!   arrays and writes only the rows the disjoint deltas touch, folding
 //!   its overlay into a fresh base every few dozen epochs, and carries
 //!   the previous snapshot's materialised caches (structure and its
-//!   dual, transpose, degrees, component labels) forward by the same
-//!   delta. One coordinated drain = one **epoch**; a snapshot never
-//!   mixes shards from different epochs. An undirected graph holds two
+//!   dual, transpose, degrees, component labels) and the views'
+//!   properties forward by the same delta ([`Graph::advance`]). It reads
+//!   each registered view's property off the new graph, then publishes
+//!   it. One coordinated drain = one **epoch**; a snapshot never mixes
+//!   shards from different epochs. An undirected graph holds two
 //!   matrices: the adjacency, which is its own transpose, and the
 //!   structure, whose rows are its own dual.
 //! * **Readers** call [`GraphService::snapshot`] for raw access, or
 //!   better, [`GraphService::query`]: the admission layer batches
 //!   concurrent same-algorithm queries (k queued BFS sources run as one
-//!   bit-parallel multi-source traversal), answers from the snapshot's
-//!   own answer table — the registered views' answers pinned at publish,
-//!   and the results executed against it kept beside them — deduplicates
+//!   bit-parallel multi-source traversal), answers a registered view's
+//!   query from the snapshot graph's cached property and a repeat from
+//!   the results executed against the snapshot, deduplicates
 //!   identical in-flight queries, and sheds load under the service's
 //!   backpressure policy. Queries never block behind assembly and never
 //!   observe a torn batch.
@@ -66,7 +68,7 @@
 //! # Failure semantics
 //!
 //! An epoch that fails — a panic or an error while the coordinator nets
-//! the shards' slices, builds the next snapshot, or advances the views —
+//! the shards' slices, builds the next snapshot, or reads the views —
 //! *fails the service* instead of hanging it: all three run under one
 //! guard, the coordinator stops publishing, and every subsequent
 //! [`submit`], [`flush`](GraphService::flush), or
@@ -222,7 +224,7 @@ pub struct ServiceConfig {
     /// graph's kind are skipped with a warning.
     pub views: Option<ViewsConfig>,
     /// Test failpoint: the coordinator panics publishing this epoch,
-    /// after building its snapshot and before advancing the views,
+    /// after building its snapshot and before reading the views,
     /// exercising the failure path end to end (reported as shard 0).
     #[doc(hidden)]
     pub fail_epoch: Option<u64>,
@@ -276,14 +278,14 @@ pub enum ServiceError {
     /// The service is shutting down and no longer accepts updates.
     ShutDown,
     /// An epoch failed: the drain thread panicked or hit an error while
-    /// netting, publishing, or advancing the views. The service stops
+    /// netting, publishing, or reading the views. The service stops
     /// ingesting (writes and queries error instead of hanging on an epoch
     /// that will never arrive); the last published snapshot keeps serving
     /// raw reads.
     DrainerFailed {
         /// The shard whose slice of the update log was being netted when
         /// the epoch failed; 0 for a failure past the netting (building
-        /// the snapshot or advancing the views), which spans every shard.
+        /// the snapshot or reading the views), which spans every shard.
         shard: usize,
         /// The panic or error message, for the post-mortem.
         message: String,
@@ -325,16 +327,14 @@ pub struct Snapshot {
     pub(crate) epoch: u64,
     pub(crate) nedges: usize,
     pub(crate) graph: Arc<Graph>,
-    /// The only place a query answer for this epoch lives.
+    /// The results executed against this epoch.
     pub(crate) answers: Answers,
 }
 
 impl Snapshot {
-    /// A snapshot of `graph` at its own epoch, holding the views'
-    /// `pinned` answers.
-    pub(crate) fn new(graph: Arc<Graph>, pinned: Vec<(Query, QueryResult)>) -> Self {
-        let answers =
-            Answers(parking_lot::Mutex::new(AnswerTable { pinned, ..AnswerTable::default() }));
+    /// A snapshot of `graph` at its own epoch.
+    pub(crate) fn new(graph: Arc<Graph>) -> Self {
+        let answers = Answers::default();
         Snapshot { epoch: graph.epoch(), nedges: graph.nedges(), graph, answers }
     }
 
@@ -365,65 +365,38 @@ impl Snapshot {
     }
 }
 
-/// A snapshot's answer table. Pinned entries are the registered views'
-/// answers, set when the snapshot is published or a view registered on
-/// it; evictable entries are results the admission layer computed
+/// A snapshot's answer table: the results the admission layer computed
 /// against this snapshot, kept first in, first out up to
 /// [`AdmissionConfig::cache_capacity`]. Every entry dies with its
 /// snapshot, so no answer is ever looked up at an epoch but its own.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Answers(parking_lot::Mutex<AnswerTable>);
 
 #[derive(Debug, Default)]
 struct AnswerTable {
-    pinned: Vec<(Query, QueryResult)>,
-    evictable: HashMap<Query, QueryResult>,
-    /// The evictable keys, oldest first.
+    results: HashMap<Query, QueryResult>,
+    /// The keys, oldest first.
     order: VecDeque<Query>,
 }
 
-/// Which kind of entry answered a lookup.
-pub(crate) enum Answer {
-    Pinned(QueryResult),
-    Evictable(QueryResult),
-}
-
 impl Answers {
-    /// The answer to `q`, and which kind of entry held it.
-    pub(crate) fn get(&self, q: &Query) -> Option<Answer> {
-        let t = self.0.lock();
-        if let Some((_, r)) = t.pinned.iter().find(|(k, _)| k == q) {
-            return Some(Answer::Pinned(r.clone()));
-        }
-        t.evictable.get(q).cloned().map(Answer::Evictable)
-    }
-
-    /// The pinned answer to `q`, if a view holds one.
-    pub(crate) fn pinned(&self, q: &Query) -> Option<QueryResult> {
-        self.0.lock().pinned.iter().find(|(k, _)| k == q).map(|(_, r)| r.clone())
-    }
-
-    /// Pin a view's answer, replacing any evictable entry for `q`.
-    pub(crate) fn pin(&self, q: Query, r: QueryResult) {
-        let mut t = self.0.lock();
-        if t.evictable.remove(&q).is_some() {
-            t.order.retain(|k| *k != q);
-        }
-        t.pinned.push((q, r));
+    /// The kept result of `q`.
+    pub(crate) fn get(&self, q: &Query) -> Option<QueryResult> {
+        self.0.lock().results.get(q).cloned()
     }
 
     /// Keep an admitted result, evicting the oldest past `capacity`
-    /// (0 keeps nothing). A pinned answer is never shadowed.
+    /// (0 keeps nothing).
     pub(crate) fn insert(&self, q: Query, r: QueryResult, capacity: usize) {
-        let mut t = self.0.lock();
-        if capacity == 0 || t.pinned.iter().any(|(k, _)| *k == q) {
+        if capacity == 0 {
             return;
         }
-        if t.evictable.insert(q, r).is_none() {
+        let mut t = self.0.lock();
+        if t.results.insert(q, r).is_none() {
             t.order.push_back(q);
             while t.order.len() > capacity {
                 if let Some(old) = t.order.pop_front() {
-                    t.evictable.remove(&old);
+                    t.results.remove(&old);
                 }
             }
         }
@@ -723,7 +696,7 @@ impl GraphService {
             kind,
             nvertices,
             partitioner,
-            snapshot: RwLock::new(Arc::new(Snapshot::new(Arc::new(initial), Vec::new()))),
+            snapshot: RwLock::new(Arc::new(Snapshot::new(Arc::new(initial)))),
             submitted: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -810,14 +783,15 @@ impl GraphService {
         self.admission.stats()
     }
 
-    /// Register one analytic view: compute its answer on the served
-    /// snapshot and pin it there, so matching [`query`](GraphService::query)
-    /// calls are answered from it at once; every later snapshot is
-    /// published with the answer repaired from its predecessor's. Errors if the view is undefined for the graph's kind
-    /// (e.g. [`ViewKind::TriangleCount`] on a directed graph);
+    /// Register one analytic view: materialise its property on the
+    /// served graph, so matching [`query`](GraphService::query) calls are
+    /// answered from it at once.
+    /// Every later snapshot is published with the property carried from
+    /// its predecessor's. Errors if the view is undefined for the graph's
+    /// kind (e.g. [`ViewKind::TriangleCount`] on a directed graph);
     /// re-registering is a no-op. See [`views`] for the machinery.
     pub fn register_view(&self, kind: ViewKind) -> Result<(), ServiceError> {
-        self.shared.views.register(kind, &self.shared.snapshot)
+        self.shared.views.register(kind, self.snapshot().graph())
     }
 
     /// Per-view repair/rebuild/served counters for every registered

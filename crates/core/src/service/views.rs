@@ -1,89 +1,46 @@
-//! Materialized analytic views, incrementally repaired per epoch.
+//! Materialized analytic views: a whole-graph answer kept current on
+//! every served snapshot.
 //!
-//! A view is a precomputed whole-graph answer — connected components,
-//! PageRank, out-degrees, the global triangle count, core numbers —
-//! kept *current* against the served snapshot. Instead of recomputing
-//! from scratch every epoch, the engine is handed what the epoch
-//! coordinator (`drainer.rs`) already holds — the snapshot before the
-//! epoch, the graph after it, and the real structural changes between
-//! them (`Graph::classify` of the netted delta: weight overwrites and
-//! redundant deletes drop out) — and applies each view's algebraic
-//! update rule to the answer pinned on the snapshot before, reading the
-//! snapshots' own rows ([`graphblas::Matrix::rows`]) wherever a rule
-//! needs adjacency. The engine keeps no copy of the graph and no answer:
-//! each answer is pinned in the answer table of the snapshot it
-//! describes, under the [`Query`] it answers.
+//! A view is a cached [`Graph`] property: the component labels, the
+//! out-degrees, the triangle count, the core numbers, or PageRank at the
+//! view's options ([`Graph::components`], [`Graph::out_degree`],
+//! [`Graph::triangles`], [`Graph::cores`], [`Graph::ranks`]).
+//! Registering one sets its flag and materialises the property on the
+//! served graph. [`Graph::advance`] carries each property a graph held
+//! into the next one by the property's repair rule, within the staleness
+//! budget ([`ViewsConfig::staleness`], env `LAGRAPH_VIEWS_STALENESS`);
+//! past the budget they stay lazy.
 //!
-//! * **Connected components** — the snapshot's own labels
-//!   ([`Graph::components`]). Registration materialises them on the
-//!   served graph, and from then on every snapshot inherits them
-//!   repaired by its epoch's changes ([`Graph::advance`], which runs
-//!   [`connected_components_delta`](crate::connected_components_delta)'s
-//!   repair). The view pins that one array; it runs no repair of its
-//!   own.
-//! * **PageRank** — warm-restart from the previous rank vector
-//!   ([`pagerank_warm`]): the same iteration, a much closer starting
-//!   point, so the residual is already near tolerance.
-//! * **Degree counts** — the snapshot's own out-degrees
-//!   ([`Graph::out_degree`]), materialised at registration like the
-//!   components and patched by each epoch's changes in
-//!   [`Graph::advance`]; the view pins that vector.
-//! * **Triangle count** — per-edge common-neighbor deltas over a patch
-//!   on the pre-epoch graph ([`triangle_count_delta`]), exact by
-//!   telescoping.
-//! * **Core numbers** — the traversal insertion rule
-//!   ([`core_numbers_insert`], on the pre-epoch graph) for insert-only
-//!   epochs; any delete falls back to a full peel (deletion has no
-//!   comparably local rule).
-//!
-//! When an epoch's structural-change count exceeds the staleness budget
-//! ([`ViewsConfig::staleness`], env `LAGRAPH_VIEWS_STALENESS`), repair
-//! would cost more than recomputation and the engine rebuilds from the
-//! published graph instead — counted separately, so operators can see
-//! the repair/rebuild ratio in
-//! `lagraph_service_view_refresh_total{view,mode}` and repair latency
-//! in `lagraph_service_view_repair_seconds{view}`.
-//!
-//! A snapshot is published with its views' answers already pinned, so a
+//! At each publish the epoch coordinator (`drainer.rs`) reads every
+//! registered property off the new graph before readers can see it, so a
 //! [`flush`](super::GraphService::flush) that returns epoch `e` sees the
-//! views at `e`, and no answer is ever looked up at another epoch. The
-//! admission layer answers a pinned query first: a hit bypasses
-//! batching and the query kernel entirely. A registered view with no
-//! answer on the snapshot before (its last compute failed) rebuilds
-//! cold. A failed epoch is never
-//! published, so after a failure the views keep answering at the last
-//! good epoch, pinned on the snapshot the service keeps serving. The
-//! core numbers repair in a copy of their array
-//! ([`Vector::to_full`]) and are imported from it as they are
-//! ([`Vector::import_full`]), not sorted from tuples.
-//!
-//! An epoch's view work runs under one `service.views` span (`events`,
+//! views at `e`. The reads run under one `service.views` span (`events`,
 //! `inserts`, `deletes`) with a `service.view` child (`view`, `mode`) per
-//! view repaired or rebuilt, so its trace splits write-to-visible into
-//! the publish, the views and the swap.
+//! view: `mode="repair"` when the graph carried the property, `"rebuild"`
+//! when it did not, counted in
+//! `lagraph_service_view_refresh_total{view,mode}`, with repair latency in
+//! `lagraph_service_view_repair_seconds{view}`. A failed read leaves the
+//! property lazy for its next read. The admission layer answers a
+//! registered view's query from the graph's accessor, before the failure
+//! check: a failed epoch is never published, so the views keep answering
+//! at the last good epoch.
 //!
-//! The differential suite (`tests/service_views.rs`) replays hundreds of
-//! mixed insert/delete updates at S∈{1,2,4} shards (and over compressed
-//! snapshots at S∈{1,2}) and compares every epoch's view against a
-//! from-scratch oracle — bit-for-bit for the discrete views, within
-//! tolerance for warm-restarted PageRank (and bit-for-bit for PageRank
-//! too when `staleness = 0` forces cold rebuilds).
+//! `tests/service_views.rs` checks every epoch's views against a
+//! from-scratch oracle at S ∈ {1, 2, 4} shards: bit for bit, except
+//! warm-restarted PageRank, which is within tolerance (and bit for bit at
+//! `staleness = 0`, where it is computed cold).
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use graphblas::metrics;
 use graphblas::trace;
-use graphblas::{Error as GrbError, Index, Vector};
-use parking_lot::{Mutex, RwLock};
+use graphblas::Error as GrbError;
 
-use super::admission::{run_query, Query, QueryResult};
-use super::{env_parse, ServiceError, Snapshot};
-use crate::algorithms::{
-    core_numbers_insert, pagerank_warm, triangle_count_delta, PageRankOptions,
-};
-use crate::graph::{edges_of, EdgeEvent, Graph, GraphKind};
+use super::admission::{Query, QueryResult};
+use super::{env_parse, ServiceError};
+use crate::algorithms::PageRankOptions;
+use crate::graph::{edges_of, EdgeEvent, Graph, GraphKind, Property};
 
 /// The analytic views the service can materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,7 +58,8 @@ pub enum ViewKind {
 }
 
 impl ViewKind {
-    /// Every view, in registration order.
+    /// Every view, in registration order, which is declaration order:
+    /// `kind as usize` indexes the engine's per-view arrays.
     pub const ALL: [ViewKind; 5] = [
         ViewKind::ConnectedComponents,
         ViewKind::PageRank,
@@ -141,16 +99,6 @@ impl ViewKind {
             ViewKind::ConnectedComponents | ViewKind::TriangleCount | ViewKind::CoreNumbers
         )
     }
-
-    fn idx(self) -> usize {
-        match self {
-            ViewKind::ConnectedComponents => 0,
-            ViewKind::PageRank => 1,
-            ViewKind::DegreeCounts => 2,
-            ViewKind::TriangleCount => 3,
-            ViewKind::CoreNumbers => 4,
-        }
-    }
 }
 
 /// Configuration for the view engine, normally set through
@@ -163,14 +111,16 @@ pub struct ViewsConfig {
     /// are skipped with a warning.
     pub views: Vec<ViewKind>,
     /// Staleness budget: the most structural changes one epoch may
-    /// carry and still be *repaired* incrementally. A larger delta
-    /// rebuilds every view from the published graph instead (counted as
+    /// carry and still have the served graph's answers *repaired*
+    /// incrementally by [`Graph::advance`] — the views' properties, and
+    /// the labels and degrees a query left. A larger delta leaves them to
+    /// be recomputed from the published graph (a view counts that as
     /// `mode="rebuild"`). `0` forces a rebuild every epoch — the
-    /// bit-for-bit-reproducible mode.
+    /// bit-for-bit-reproducible mode. A service without views keeps the
+    /// default budget.
     pub staleness: usize,
     /// Options for the PageRank view; a PageRank query is served from
-    /// the view only when its canonicalized options match these (the
-    /// options are part of the pinned answer's key).
+    /// the view only when its canonicalized options match these.
     pub pagerank: PageRankOptions,
 }
 
@@ -229,9 +179,10 @@ pub struct ViewStat {
     pub view: ViewKind,
     /// Epochs absorbed by incremental repair.
     pub repairs: u64,
-    /// Epochs that fell back to a full recompute (staleness budget
-    /// exceeded, a rule with no local repair — e.g. core numbers under
-    /// deletes — or no answer on the snapshot before to repair from).
+    /// Epochs that fell back to a full recompute: the published graph
+    /// carried no answer to repair (staleness budget exceeded, a rule
+    /// with no local repair — e.g. core numbers under deletes — or a
+    /// failed read before).
     pub rebuilds: u64,
     /// Queries answered from this view.
     pub served: u64,
@@ -277,17 +228,17 @@ fn kind_slot(kind: ViewKind) -> KindSlot {
     }
 }
 
-/// The engine: owned by [`super::Shared`], advanced by the epoch
-/// coordinator. It holds no answers: those are pinned on the snapshots.
+/// The engine: owned by [`super::Shared`], read by the epoch coordinator
+/// at each publish. It holds no answers: those are the graphs' own.
 pub(crate) struct ViewEngine {
     kind: GraphKind,
-    staleness: usize,
+    /// The budget [`Graph::advance_within`] repairs within.
+    pub(crate) staleness: usize,
     pr_opts: PageRankOptions,
-    /// Which views are registered, by [`ViewKind::idx`]. Held by the
-    /// coordinator from reading a snapshot's answers to publishing the
-    /// next, and by registration, so a view registers on the snapshot
-    /// the next epoch repairs from.
-    registered: Mutex<[bool; 5]>,
+    /// Which views are registered, by [`ViewKind`] discriminant. Relaxed:
+    /// a flag publishes no data — the properties live behind the graph's
+    /// lock, and a read finds them there or computes them.
+    registered: [AtomicBool; 5],
     slots: [KindSlot; 5],
 }
 
@@ -297,12 +248,16 @@ impl ViewEngine {
             kind,
             staleness: config.staleness,
             pr_opts: config.pagerank,
-            registered: Mutex::new([false; 5]),
+            registered: Default::default(),
             slots: ViewKind::ALL.map(kind_slot),
         }
     }
 
-    /// The query a view answers: the key of its pinned entry.
+    fn is_registered(&self, kind: ViewKind) -> bool {
+        self.registered[kind as usize].load(Relaxed)
+    }
+
+    /// The query a view answers.
     fn query(&self, kind: ViewKind) -> Query {
         match kind {
             ViewKind::ConnectedComponents => Query::connected_components(),
@@ -313,180 +268,115 @@ impl ViewEngine {
         }
     }
 
-    /// Register one view: compute its answer on the `published` snapshot
-    /// and pin it there. Errors if the view is undefined for the graph's
-    /// kind; re-registering is a no-op.
-    pub(crate) fn register(
-        &self,
-        kind: ViewKind,
-        published: &RwLock<Arc<Snapshot>>,
-    ) -> Result<(), ServiceError> {
+    /// The registered view that answers `q`, if any.
+    pub(crate) fn view_of(&self, q: &Query) -> Option<ViewKind> {
+        ViewKind::ALL.into_iter().find(|&k| self.is_registered(k) && self.query(k) == *q)
+    }
+
+    /// The graph property a view reads.
+    fn property(&self, kind: ViewKind) -> Property {
+        match kind {
+            ViewKind::ConnectedComponents => Property::Components,
+            ViewKind::PageRank => Property::Ranks(self.pr_opts),
+            ViewKind::DegreeCounts => Property::OutDegree,
+            ViewKind::TriangleCount => Property::Triangles,
+            ViewKind::CoreNumbers => Property::Cores,
+        }
+    }
+
+    /// A view's answer on `g`, read off its cached property (computed or
+    /// repaired by this read if `g` does not hold it yet).
+    pub(crate) fn answer(&self, kind: ViewKind, g: &Graph) -> Result<QueryResult, ServiceError> {
+        Ok(match kind {
+            ViewKind::ConnectedComponents => QueryResult::Components(g.components()?),
+            ViewKind::PageRank => {
+                let (ranks, iterations) = g.ranks(&self.pr_opts)?;
+                QueryResult::Ranks { ranks, iterations }
+            }
+            ViewKind::DegreeCounts => QueryResult::Degrees(g.out_degree()?),
+            ViewKind::TriangleCount => QueryResult::Count(g.triangles()?),
+            ViewKind::CoreNumbers => QueryResult::Cores(g.cores()?),
+        })
+    }
+
+    /// Register one view: materialise its property on `served`, the
+    /// served graph, and set its flag. Errors if the view is undefined for
+    /// the graph's kind; re-registering is a no-op.
+    pub(crate) fn register(&self, kind: ViewKind, served: &Graph) -> Result<(), ServiceError> {
         if kind.needs_undirected() && self.kind != GraphKind::Undirected {
             return Err(ServiceError::Graph(GrbError::invalid(format!(
                 "view {:?} is only defined on undirected graphs",
                 kind.name()
             ))));
         }
-        let mut registered = self.registered.lock();
-        if registered[kind.idx()] {
-            return Ok(());
+        if !self.is_registered(kind) {
+            self.answer(kind, served)?;
+            self.registered[kind as usize].store(true, Relaxed);
         }
-        let snap = published.read().clone();
-        let q = self.query(kind);
-        snap.answers.pin(q, run_query(&q, snap.graph())?);
-        registered[kind.idx()] = true;
         Ok(())
     }
 
-    /// Advance every registered view from `prev`, the served snapshot,
-    /// to `after`, the graph the coordinator built from it
-    /// ([`Graph::advance`]), given `arcs`, the structural changes between
-    /// the two (mirror arcs included), and hand the answers to `publish`,
-    /// which swaps in the snapshot that pins them. Runs after the
-    /// adjacency publish, so a failed epoch never reaches here.
-    pub(crate) fn on_epoch(
-        &self,
-        prev: &Snapshot,
-        after: &Graph,
-        arcs: &[EdgeEvent],
-        publish: impl FnOnce(Vec<(Query, QueryResult)>),
-    ) {
-        let registered = self.registered.lock();
-        let kinds: Vec<ViewKind> =
-            ViewKind::ALL.into_iter().filter(|k| registered[k.idx()]).collect();
+    /// Read every registered view's property off `g`, the graph about to
+    /// be published, `arcs` being the structural changes that produced it
+    /// (mirror arcs included): a repair when `g` carried the property, a
+    /// rebuild when it did not, each under its span and counted. What `g`
+    /// carried is taken before any read, since one view's read may
+    /// materialise another's property (PageRank reads the out-degrees).
+    pub(crate) fn read_at_publish(&self, g: &Graph, arcs: &[EdgeEvent]) {
+        let kinds: Vec<(ViewKind, bool)> = ViewKind::ALL
+            .into_iter()
+            .filter(|&k| self.is_registered(k))
+            .map(|k| (k, g.holds(self.property(k))))
+            .collect();
         if kinds.is_empty() {
-            publish(Vec::new());
             return;
         }
         let mut span = trace::service_span("service.views");
         let edges = edges_of(self.kind, arcs);
-        let inserts: Vec<(Index, Index)> = edges
-            .iter()
-            .filter_map(|e| match *e {
-                EdgeEvent::Insert(u, v) => Some((u, v)),
-                EdgeEvent::Delete(..) => None,
-            })
-            .collect();
+        let inserts = edges.iter().filter(|e| matches!(e, EdgeEvent::Insert(..))).count();
         span.arg("events", edges.len());
-        span.arg("inserts", inserts.len());
-        span.arg("deletes", edges.len() - inserts.len());
-        // Past the staleness budget, repair would cost more than
-        // recomputing: rebuild every view from the published graph. An
-        // epoch with no event — reweights and redundant deletes only —
-        // changes nothing a view (all structure-only) can observe.
-        let rebuild = edges.len() > self.staleness;
-        let pinned = kinds
-            .into_iter()
-            .filter_map(|kind| {
-                let q = self.query(kind);
-                let answer = match prev.answers.pinned(&q) {
-                    Some(r) if !rebuild && edges.is_empty() => Some(r),
-                    Some(r) if !rebuild => {
-                        self.repair(kind, r, prev.graph(), after, &edges, &inserts)
-                    }
-                    // No answer to repair from: the view starts cold.
-                    _ => self.rebuild(kind, after),
-                };
-                answer.map(|r| (q, r))
-            })
-            .collect();
-        drop(span);
-        publish(pinned);
-    }
-
-    /// One view's incremental step from its answer on `before`. The
-    /// triangle count and the core numbers read the graph *before* the
-    /// epoch (they patch the events over it); components and degrees are
-    /// the `after` graph's own, which [`Graph::advance`] repaired.
-    fn repair(
-        &self,
-        kind: ViewKind,
-        prev: QueryResult,
-        before: &Graph,
-        after: &Graph,
-        edges: &[EdgeEvent],
-        inserts: &[(Index, Index)],
-    ) -> Option<QueryResult> {
-        let insert_only = inserts.len() == edges.len();
-        let repaired = match (kind, prev) {
-            (ViewKind::TriangleCount, QueryResult::Count(t)) => self.refresh(kind, true, || {
-                Ok(QueryResult::Count(triangle_count_delta(before, t, edges)))
-            }),
-            // Deletion has no local repair rule for core numbers.
-            (ViewKind::CoreNumbers, QueryResult::Cores(c)) if insert_only => {
-                c.to_full().and_then(|mut c| {
-                    self.refresh(kind, true, move || {
-                        core_numbers_insert(before, &mut c, inserts);
-                        Ok(QueryResult::Cores(Arc::new(Vector::import_full(c)?)))
-                    })
-                })
+        span.arg("inserts", inserts);
+        span.arg("deletes", edges.len() - inserts);
+        for (kind, repair) in kinds {
+            if repair && edges.is_empty() {
+                // No event (reweights and redundant deletes only): the
+                // answer holds as it was, with nothing to refresh.
+                continue;
             }
-            (ViewKind::PageRank, QueryResult::Ranks { ranks, .. }) => {
-                self.refresh(kind, true, || {
-                    let (ranks, iterations) = pagerank_warm(after, &self.pr_opts, &ranks)?;
-                    Ok(QueryResult::Ranks { ranks: Arc::new(ranks), iterations })
-                })
-            }
-            (ViewKind::ConnectedComponents | ViewKind::DegreeCounts, _) => {
-                self.refresh(kind, true, || run_query(&self.query(kind), after))
-            }
-            _ => None,
-        };
-        repaired.or_else(|| self.rebuild(kind, after))
-    }
-
-    /// One view recomputed from scratch on `graph`.
-    fn rebuild(&self, kind: ViewKind, graph: &Graph) -> Option<QueryResult> {
-        self.refresh(kind, false, || run_query(&self.query(kind), graph))
-    }
-
-    /// Run one view's repair or rebuild under its span and count it. A
-    /// failed compute leaves the view without an answer (its queries
-    /// execute, and the next epoch rebuilds it) rather than a stale one.
-    fn refresh(
-        &self,
-        kind: ViewKind,
-        repair: bool,
-        compute: impl FnOnce() -> Result<QueryResult, ServiceError>,
-    ) -> Option<QueryResult> {
-        let mode = if repair { "repair" } else { "rebuild" };
-        let _span = view_span(kind, mode);
-        let t0 = Instant::now();
-        let r = compute()
-            .map_err(|e| {
+            let mode = if repair { "repair" } else { "rebuild" };
+            let _span = view_span(kind, mode);
+            let t0 = Instant::now();
+            if let Err(e) = self.answer(kind, g) {
                 let msg = format!("{} view {mode} failed: {e}", kind.name());
                 trace::warn_once("service.views", &msg);
-            })
-            .ok()?;
-        let s = &self.slots[kind.idx()];
-        if repair {
-            s.repairs.fetch_add(1, Relaxed);
-            s.m_repair.inc();
-            s.m_repair_seconds.observe(t0.elapsed().as_nanos() as u64);
-        } else {
-            s.rebuilds.fetch_add(1, Relaxed);
-            s.m_rebuild.inc();
+                continue;
+            }
+            let s = &self.slots[kind as usize];
+            if repair {
+                s.repairs.fetch_add(1, Relaxed);
+                s.m_repair.inc();
+                s.m_repair_seconds.observe(t0.elapsed().as_nanos() as u64);
+            } else {
+                s.rebuilds.fetch_add(1, Relaxed);
+                s.m_rebuild.inc();
+            }
         }
-        Some(r)
     }
 
-    /// Count one query answered by a pinned entry.
-    pub(crate) fn served(&self, q: &Query) {
-        if let Some(kind) = ViewKind::ALL.into_iter().find(|&k| self.query(k) == *q) {
-            let s = &self.slots[kind.idx()];
-            s.served.fetch_add(1, Relaxed);
-            s.m_served.inc();
-        }
+    /// Count one query a view answered.
+    pub(crate) fn served(&self, kind: ViewKind) {
+        let s = &self.slots[kind as usize];
+        s.served.fetch_add(1, Relaxed);
+        s.m_served.inc();
     }
 
     /// Per-view counters for every registered view.
     pub(crate) fn stats(&self) -> Vec<ViewStat> {
-        let registered = *self.registered.lock();
         ViewKind::ALL
             .into_iter()
-            .filter(|k| registered[k.idx()])
+            .filter(|&k| self.is_registered(k))
             .map(|k| {
-                let s = &self.slots[k.idx()];
+                let s = &self.slots[k as usize];
                 ViewStat {
                     view: k,
                     repairs: s.repairs.load(Relaxed),
@@ -510,14 +400,6 @@ fn view_span(kind: ViewKind, mode: &'static str) -> trace::Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Update;
-    use graphblas::Edit;
-
-    /// The netted delta the coordinator builds for `batch` on a graph of
-    /// `kind`: both arcs of an undirected edge, the last write per arc.
-    fn netted(batch: &[Update], kind: GraphKind) -> Vec<Edit<f64>> {
-        super::super::drainer::shard_delta(batch, kind)
-    }
 
     #[test]
     fn view_names_round_trip() {
@@ -528,99 +410,36 @@ mod tests {
     }
 
     #[test]
-    fn classify_keeps_the_writes_that_change_the_pattern() {
-        let before =
-            Graph::from_edges(5, &[(0, 1), (0, 3), (4, 4)], GraphKind::Undirected).expect("graph");
-        let batch = [
-            Update::Insert(0, 1, 9.0), // present: reweight, no event
-            Update::Delete(2, 3),      // absent: redundant delete, no event
-            Update::Insert(1, 2, 1.0), // absent: real insert
-            Update::Delete(0, 3),      // present: real delete
-            Update::Insert(2, 2, 1.0), // a self-loop: one arc
-            Update::Delete(4, 4),      // a present self-loop goes
-        ];
-        let arcs = before.classify(&netted(&batch, GraphKind::Undirected));
-        assert_eq!(
-            arcs,
-            vec![
-                EdgeEvent::Delete(0, 3),
-                EdgeEvent::Insert(1, 2),
-                EdgeEvent::Insert(2, 1),
-                EdgeEvent::Insert(2, 2),
-                EdgeEvent::Delete(3, 0),
-                EdgeEvent::Delete(4, 4),
-            ]
-        );
-        // The two arcs of one undirected edge are one event.
-        assert_eq!(
-            edges_of(GraphKind::Undirected, &arcs),
-            vec![
-                EdgeEvent::Delete(0, 3),
-                EdgeEvent::Insert(1, 2),
-                EdgeEvent::Insert(2, 2),
-                EdgeEvent::Delete(4, 4),
-            ]
-        );
-    }
-
-    #[test]
-    fn classify_sees_only_the_last_write_to_each_arc() {
-        let before = Graph::from_edges(4, &[(2, 3)], GraphKind::Undirected).expect("graph");
-        let batch = [
-            Update::Insert(0, 1, 1.0),
-            Update::Delete(0, 1), // inserted and deleted again: nets to no event
-            Update::Insert(1, 2, 1.0),
-            Update::Insert(1, 2, 2.0), // a reweight of the queued insert: one insert
-            Update::Delete(2, 3),
-            Update::Insert(2, 3, 5.0), // deleted and put back: a reweight, no event
-        ];
-        let arcs = before.classify(&netted(&batch, GraphKind::Undirected));
-        assert_eq!(arcs, vec![EdgeEvent::Insert(1, 2), EdgeEvent::Insert(2, 1)]);
-        assert_eq!(edges_of(GraphKind::Undirected, &arcs), vec![EdgeEvent::Insert(1, 2)]);
-        // On a directed graph every arc is an edge of its own.
-        let before = Graph::from_edges(4, &[(1, 0)], GraphKind::Directed).expect("graph");
-        let batch = [Update::Insert(0, 1, 1.0), Update::Insert(1, 0, 1.0)];
-        let arcs = before.classify(&netted(&batch, GraphKind::Directed));
-        assert_eq!(arcs, vec![EdgeEvent::Insert(0, 1)]);
-        assert_eq!(edges_of(GraphKind::Directed, &arcs), arcs);
-    }
-
-    fn published(g: Graph) -> RwLock<Arc<Snapshot>> {
-        RwLock::new(Arc::new(Snapshot::new(Arc::new(g), Vec::new())))
-    }
-
-    #[test]
     fn engine_rejects_undirected_only_views_on_directed_graphs() {
         let g = Graph::from_edges(4, &[(0, 1)], GraphKind::Directed).expect("graph");
-        let published = published(g);
         let engine = ViewEngine::new(GraphKind::Directed, &ViewsConfig::default());
         for k in [ViewKind::ConnectedComponents, ViewKind::TriangleCount, ViewKind::CoreNumbers] {
-            assert!(
-                engine.register(k, &published).is_err(),
-                "{k:?} must be rejected on a directed graph"
-            );
+            assert!(engine.register(k, &g).is_err(), "{k:?} must be rejected on a directed graph");
+            assert_eq!(engine.view_of(&engine.query(k)), None, "{k:?} was registered");
         }
-        engine.register(ViewKind::PageRank, &published).expect("pagerank works on directed graphs");
-        engine
-            .register(ViewKind::DegreeCounts, &published)
-            .expect("degree works on directed graphs");
+        engine.register(ViewKind::PageRank, &g).expect("pagerank works on directed graphs");
+        engine.register(ViewKind::DegreeCounts, &g).expect("degree works on directed graphs");
+        let registered: Vec<ViewKind> = engine.stats().iter().map(|s| s.view).collect();
+        assert_eq!(registered, [ViewKind::PageRank, ViewKind::DegreeCounts]);
     }
 
     #[test]
-    fn registration_is_idempotent_and_pins_on_the_published_snapshot() {
+    fn registration_is_idempotent_and_materialises_on_the_served_graph() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)], GraphKind::Undirected).expect("graph");
-        let published = published(g);
         let engine = ViewEngine::new(GraphKind::Undirected, &ViewsConfig::default());
-        engine.register(ViewKind::TriangleCount, &published).expect("register");
-        engine.register(ViewKind::TriangleCount, &published).expect("re-register");
-        let snap = published.read().clone();
-        let r = snap.answers.pinned(&Query::triangle_count()).expect("pinned");
+        assert!(!g.holds(Property::Triangles));
+        engine.register(ViewKind::TriangleCount, &g).expect("register");
+        engine.register(ViewKind::TriangleCount, &g).expect("re-register");
+        assert!(g.holds(Property::Triangles), "registration materialises the property");
+        assert_eq!(engine.view_of(&Query::triangle_count()), Some(ViewKind::TriangleCount));
+        let r = engine.answer(ViewKind::TriangleCount, &g).expect("answer");
         assert_eq!(r.count(), Some(0));
-        // A later snapshot holds only what its publish pins on it.
-        let next = Snapshot::new(snap.graph_arc(), Vec::new());
-        assert!(next.answers.get(&Query::triangle_count()).is_none());
-        // Unregistered view: nothing pinned.
-        assert!(snap.answers.get(&Query::connected_components()).is_none());
+        // A graph the view was not registered on holds nothing of it.
+        let other = Graph::new(g.a().clone(), GraphKind::Undirected).expect("graph");
+        assert!(!other.holds(Property::Triangles));
+        // Unregistered view: nothing materialised, no query answered.
+        assert!(!g.holds(Property::Components));
+        assert_eq!(engine.view_of(&Query::connected_components()), None);
     }
 
     #[test]

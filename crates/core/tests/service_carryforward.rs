@@ -13,14 +13,21 @@
 //! component labels a cc query leaves on a snapshot follow every epoch of
 //! a churn of inserts, deletes, re-weights and self-loops, plain and
 //! compressed, equal bit for bit to FastSV from scratch; a directed
-//! graph's are recomputed instead.
+//! graph's are recomputed instead. The triangle count, core numbers and
+//! PageRank the views keep on a snapshot follow the same way, within the
+//! staleness budget: equal at every epoch to the entry points on a graph
+//! built from scratch (PageRank within tolerance when carried, bit for
+//! bit when computed cold), and recomputed past the budget.
 
 use std::collections::BTreeSet;
 
 use graphblas::ops::transpose_new;
 use graphblas::Direction;
-use lagraph::service::{GraphService, Query, ServiceConfig, Update};
-use lagraph::{bfs_level_direction, connected_components, Graph, GraphKind};
+use lagraph::service::{GraphService, Query, ServiceConfig, Update, ViewKind, ViewsConfig};
+use lagraph::{
+    bfs_level_direction, connected_components, core_numbers, pagerank, triangle_count, Graph,
+    GraphKind, PageRankOptions, TriCountMethod,
+};
 
 const N: usize = 64;
 const ROUNDS: usize = 8;
@@ -417,5 +424,151 @@ fn a_directed_graph_recomputes_its_components() {
                 );
             }
         }
+    }
+}
+
+/// The three views whose properties `Graph::advance` seeds for a repair
+/// on the next graph's first read.
+const SEEDED_VIEWS: [ViewKind; 3] =
+    [ViewKind::TriangleCount, ViewKind::CoreNumbers, ViewKind::PageRank];
+
+/// A service over the undirected seed graph with the seeded views
+/// registered, repairing within `staleness` structural changes an epoch.
+fn seeded_view_service(shards: usize, staleness: usize) -> GraphService {
+    let views = ViewsConfig { views: SEEDED_VIEWS.to_vec(), staleness, ..ViewsConfig::default() };
+    let config = ServiceConfig { shards, views: Some(views), ..ServiceConfig::default() };
+    GraphService::new(seed_graph(GraphKind::Undirected), config).expect("service with views")
+}
+
+/// The published graph's triangle count, core numbers and ranks are held
+/// on it (reading them adds nothing resident) and equal what a graph
+/// built from scratch on the same adjacency gets from the entry points:
+/// bit for bit, except ranks that `cold` does not promise, which must be
+/// within 1e-6.
+fn assert_carried_answers_match_oracle(s: &GraphService, label: &str, cold: bool) {
+    let snap = s.snapshot();
+    let g = snap.graph();
+    let label = format!("{label} epoch {}", snap.epoch());
+    let held = g.resident_bytes();
+    let triangles = g.triangles().expect("triangles");
+    let cores = g.cores().expect("cores");
+    let opts = PageRankOptions::default();
+    let (ranks, _) = g.ranks(&opts).expect("ranks");
+    assert_eq!(g.resident_bytes(), held, "{label}: an answer was not held at publish");
+    let oracle = Graph::new(g.a().clone(), GraphKind::Undirected).expect("oracle");
+    assert_eq!(
+        triangles,
+        triangle_count(&oracle, TriCountMethod::Sandia).expect("tricount"),
+        "{label}: triangles"
+    );
+    assert_eq!(
+        cores.extract_tuples(),
+        core_numbers(&oracle).expect("core numbers").extract_tuples(),
+        "{label}: cores"
+    );
+    let (want, _) = pagerank(&oracle, &opts).expect("pagerank");
+    if cold {
+        let bits = |v: &graphblas::Vector<f64>| -> Vec<(usize, u64)> {
+            v.extract_tuples().into_iter().map(|(i, x)| (i, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&ranks), bits(&want), "{label}: cold ranks must be bit-identical");
+    } else {
+        for v in 0..N {
+            let (a, b) = (ranks.get(v).unwrap_or(0.0), want.get(v).unwrap_or(0.0));
+            assert!((a - b).abs() < 1e-6, "{label}: ranks at {v}: {a} vs {b}");
+        }
+    }
+}
+
+fn refreshes(s: &GraphService, view: ViewKind) -> (u64, u64) {
+    let st = s.view_stats().into_iter().find(|v| v.view == view).expect("registered view");
+    (st.repairs, st.rebuilds)
+}
+
+#[test]
+fn carried_view_answers_match_the_entry_points_at_every_epoch() {
+    for shards in [1, 2, 4] {
+        for mix in [Mix::InsertOnly, Mix::Mixed] {
+            let label = format!("{mix:?} S={shards}");
+            let s = seeded_view_service(shards, 4096);
+            assert_carried_answers_match_oracle(&s, &label, true); // registration: cold
+            for round in script(mix) {
+                for u in &round {
+                    s.submit(*u).expect("submit");
+                }
+                s.flush().expect("flush");
+                assert_carried_answers_match_oracle(&s, &label, false);
+            }
+            // Within the budget the count and the ranks always repair; the
+            // core numbers repair on inserts and are recomputed after a delete.
+            for view in [ViewKind::TriangleCount, ViewKind::PageRank] {
+                let (repairs, rebuilds) = refreshes(&s, view);
+                assert!(repairs >= ROUNDS as u64, "{label}: {view:?} repaired {repairs}");
+                assert_eq!(rebuilds, 0, "{label}: {view:?} rebuilt");
+            }
+            let (repairs, rebuilds) = refreshes(&s, ViewKind::CoreNumbers);
+            match mix {
+                Mix::InsertOnly => assert_eq!(rebuilds, 0, "{label}: cores rebuilt on inserts"),
+                _ => assert!(rebuilds >= 1, "{label}: a delete epoch kept the core numbers"),
+            }
+            assert!(repairs + rebuilds >= ROUNDS as u64, "{label}: cores refreshed too rarely");
+        }
+    }
+}
+
+#[test]
+fn past_the_budget_the_view_answers_are_recomputed_cold() {
+    for shards in [1, 2, 4] {
+        // Every epoch changes at least one edge, which a zero budget does
+        // not admit: nothing is carried, so PageRank is bit-identical too.
+        let label = format!("over budget S={shards}");
+        let s = seeded_view_service(shards, 0);
+        for round in script(Mix::Mixed) {
+            for u in &round {
+                s.submit(*u).expect("submit");
+            }
+            s.flush().expect("flush");
+            assert_carried_answers_match_oracle(&s, &label, true);
+        }
+        for view in SEEDED_VIEWS {
+            let (repairs, rebuilds) = refreshes(&s, view);
+            assert_eq!(repairs, 0, "{label}: {view:?} repaired past the budget");
+            assert!(rebuilds >= ROUNDS as u64, "{label}: {view:?} rebuilt {rebuilds}");
+        }
+    }
+}
+
+#[test]
+fn an_epoch_past_the_budget_between_carried_ones_is_recomputed_and_carried_again() {
+    // A budget of one edge: one update a flush is one epoch with one
+    // event, carried; a flush of a whole round holds epochs past it.
+    let rounds = script(Mix::Mixed);
+    for shards in [1, 2, 4] {
+        let label = format!("budget 1 S={shards}");
+        let s = seeded_view_service(shards, 1);
+        let mut past_budget = 0;
+        for (k, round) in rounds.iter().take(4).enumerate() {
+            let before = refreshes(&s, ViewKind::PageRank);
+            for u in &round[..8] {
+                s.submit(*u).expect("submit");
+                s.flush().expect("flush");
+            }
+            let after = refreshes(&s, ViewKind::PageRank);
+            assert!(after.0 > before.0, "{label} round {k}: one-edge epochs were not repaired");
+            assert_carried_answers_match_oracle(&s, &label, false);
+            let before = refreshes(&s, ViewKind::PageRank);
+            for u in &round[8..] {
+                s.submit(*u).expect("submit");
+            }
+            s.flush().expect("flush");
+            let after = refreshes(&s, ViewKind::PageRank);
+            // Only epochs past the budget: the ranks were computed cold.
+            let cold = after.0 == before.0;
+            assert_carried_answers_match_oracle(&s, &label, cold);
+            past_budget += after.1 - before.1;
+        }
+        // A round's 92 updates outrun the coordinator's epochs, so some
+        // epoch takes more than one of them.
+        assert!(past_budget >= 1, "{label}: no epoch went past the budget");
     }
 }

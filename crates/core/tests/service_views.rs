@@ -445,3 +445,24 @@ fn query_many_serves_views_after_drainer_failure_like_query() {
         Err(ServiceError::DrainerFailed { .. })
     ));
 }
+
+#[test]
+fn registering_kcore_and_pagerank_grows_the_snapshot_by_their_vectors() {
+    let s = GraphService::new(seed_graph(), ServiceConfig::default()).expect("service");
+    let g = s.snapshot().graph_arc();
+    // What the two computations read besides the adjacency: the peel's
+    // structure, PageRank's Aᵀ (the adjacency itself) and out-degrees.
+    g.structure().expect("structure");
+    g.at().expect("at");
+    g.out_degree().expect("out_degree");
+    let before = g.resident_bytes();
+    s.register_view(ViewKind::CoreNumbers).expect("kcore view");
+    s.register_view(ViewKind::PageRank).expect("pagerank view");
+    let cores = s.query(Query::core_numbers()).expect("cores");
+    let ranks = s.query(Query::pagerank(&PageRankOptions::default())).expect("ranks");
+    let held = cores.cores().expect("cores").memory_usage().total()
+        + ranks.ranks().expect("ranks").0.memory_usage().total();
+    assert!(held > 0);
+    assert_eq!(g.resident_bytes(), before + held, "the snapshot holds exactly the two vectors");
+    assert_eq!(s.admission_stats().view_hits, 2, "both answered by the views");
+}
