@@ -10,7 +10,9 @@
 //! each vector `write` took; how many vectors changed storage form, and
 //! that none converts lists a write has just merged; for BFS, the
 //! positions its writes examined; and, per masked `mxv`, the mask
-//! scatters and the write's re-probes. Three budgets use graphs
+//! scatters and the write's re-probes; for a BFS pull over the compressed
+//! form, the gap entries it decoded and the cursor seeks it made. Three
+//! budgets use graphs
 //! of their own: a push from a star's hub, judged on the entries it
 //! scanned; the epochs at which a service's publishes fold their overlay;
 //! and the row entries a components repair reads to cut a leaf off a hub
@@ -22,8 +24,8 @@ use std::sync::Mutex;
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::trace::{self, Cat, Event, RunAggregate};
 use lagraph::algorithms::{
-    bfs_level, bfs_level_batch, connected_components, pagerank, sssp_delta_stepping,
-    PageRankOptions,
+    bfs_level, bfs_level_batch, bfs_level_direction, connected_components, pagerank,
+    sssp_delta_stepping, PageRankOptions,
 };
 use lagraph::gen::Workload;
 use lagraph::graph::{Graph, GraphKind};
@@ -588,4 +590,66 @@ fn a_publish_repairs_the_components_once_and_a_query_reads_them() {
     assert!(events.iter().all(|e| e.name != "cc.delta"), "an epoch without events repaired");
     let carried = next.graph().components().expect("components");
     assert!(Arc::ptr_eq(&carried, &labels), "an epoch without events copied the labels");
+}
+
+/// The entries a CSR pull reads at BFS level `depth` (1 at the source):
+/// every row the complemented `visited` mask allows, up to and including
+/// its first entry in the frontier, or all of it when none is.
+fn pull_reads_at(rows: &[Vec<usize>], level: &[i32], depth: i32) -> u64 {
+    let allowed = |i: usize| level[i] == 0 || level[i] > depth;
+    let read =
+        |row: &Vec<usize>| row.iter().position(|&j| level[j] == depth).map_or(row.len(), |p| p + 1);
+    (0..rows.len()).filter(|&i| allowed(i)).map(|i| read(&rows[i]) as u64).sum()
+}
+
+#[test]
+fn a_compressed_pull_decodes_each_row_only_to_its_first_hit() {
+    use graphblas::descriptor::Direction;
+    // Every level of a BFS forced to pull over the compressed test RMAT
+    // decodes exactly the entries the CSR pull reads at that level — each
+    // allowed row up to its first frontier entry — and positions its row
+    // cursor once per chunk: one seek at one thread, where the whole row
+    // range is one chunk, and at most one per chunk at two. Before the
+    // cursor, each row cost three selects and a decode of the whole row.
+    let g = rmat();
+    let source = hubs(&g)[0];
+    let n = g.a().nrows();
+    let mut level = vec![0i32; n];
+    for (v, d) in bfs_level(&g, source).expect("csr bfs").extract_tuples() {
+        level[v] = d;
+    }
+    // Rows of Aᵀ, what the transposed pull reads through the held dual.
+    let mut rows = vec![Vec::new(); n];
+    for (i, j, _) in g.a().extract_tuples() {
+        rows[j].push(i);
+    }
+    let mut gc = rmat();
+    gc.set_compressed(true);
+    let bfs = || bfs_level_direction(&gc, source, Direction::Pull).expect("compressed bfs");
+    for threads in [1, 2] {
+        let (levels, events) = traced_at(threads, bfs);
+        let got: Vec<(usize, i32)> = levels.extract_tuples();
+        assert!(got.iter().all(|&(v, d)| level[v] == d), "compressed bfs levels differ");
+        let pulls: Vec<&Event> =
+            events.iter().filter(|e| e.name == "mxv" && e.dur_ns > 0).collect();
+        assert!(pulls.len() > 2, "{} levels", pulls.len());
+        let mut chunked = 0;
+        for (k, pull) in pulls.iter().enumerate() {
+            let depth = k as i32 + 1;
+            assert_eq!(pull.arg_str("storage"), Some("compressed"), "{pull:?}");
+            assert!(pull.kernel.is_some_and(|k| k.starts_with("pull")), "{pull:?}");
+            let decoded = pull.arg_u64("decoded").expect("a compressed pull reports decoded");
+            let seeks = pull.arg_u64("seeks").expect("a compressed pull reports seeks");
+            assert_eq!(decoded, pull_reads_at(&rows, &level, depth), "level {depth}, {threads} t");
+            let chunks = pull.arg_u64("chunks").unwrap_or(1);
+            if threads == 1 {
+                assert!(seeks <= 1, "level {depth}: {seeks} seeks in one chunk");
+            } else {
+                assert!(seeks <= chunks, "level {depth}: {seeks} seeks in {chunks} chunks");
+            }
+            chunked += usize::from(seeks > 1);
+        }
+        // At two threads some level's chunks start mid-matrix.
+        assert_eq!(chunked > 0, threads > 1, "{threads} threads: {chunked} levels seeked twice");
+    }
 }

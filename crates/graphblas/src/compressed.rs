@@ -15,7 +15,11 @@
 //! in the number of edges, not a parse-and-assemble.
 //!
 //! Kernels read this form's rows as they read every form's, through
-//! `SparseView::row`, which here decodes into caller scratch.
+//! `SparseView::row`, which here decodes into caller scratch at the cost
+//! of one select for the row's pointer pair and one for its bit offset. A
+//! pull walks its rows in order instead: a row cursor steps both
+//! sequences a row at a time after one select, and decodes a row's gaps
+//! only as far as the dot product reads them.
 
 use std::io::{self, Read as _, Write};
 use std::ops::Deref;
@@ -437,23 +441,43 @@ impl EliasFano {
     /// Bit position of the `i`-th set bit of the upper bitmap.
     fn select1(&self, i: usize) -> usize {
         let k = i / SAMPLE;
-        let sample_pos = self.samples[k] as usize;
-        let mut need = i - k * SAMPLE;
-        let mut wi = sample_pos >> 6;
-        let mut w = self.high[wi] & (!0u64 << (sample_pos & 63));
+        self.select_from(self.samples[k] as usize, i - k * SAMPLE)
+    }
+
+    /// Bit position of the `need`-th set bit (from 0) at or after bit
+    /// `pos` of the upper bitmap: whole words by popcount, then one
+    /// broadword select inside the word that holds it.
+    fn select_from(&self, pos: usize, mut need: usize) -> usize {
+        let mut wi = pos >> 6;
+        let mut w = self.high[wi] & (!0u64 << (pos & 63));
         loop {
             let c = w.count_ones() as usize;
             if need < c {
-                let mut x = w;
-                for _ in 0..need {
-                    x &= x - 1;
-                }
-                return wi * 64 + x.trailing_zeros() as usize;
+                return wi * 64 + select_in_word(w, need as u32) as usize;
             }
             need -= c;
             wi += 1;
             w = self.high[wi];
         }
+    }
+
+    /// A reader of elements `i, i + 1, …` in order, positioned by one
+    /// select (`i < len()`).
+    fn cursor(&self, i: usize) -> EfCursor<'_> {
+        let pos = self.select1(i);
+        EfCursor {
+            ef: self,
+            high: BitReader::at(&self.high, pos),
+            low: BitReader::at(&self.low, i * self.l as usize),
+            h: (pos - i) as u64,
+        }
+    }
+
+    /// Elements `i` and `i + 1` off one select: the second is the next
+    /// set bit after the first (`i + 1 < len()`).
+    fn pair(&self, i: usize) -> (u64, u64) {
+        let mut c = self.cursor(i);
+        (c.next_value(), c.next_value())
     }
 
     /// Random access to element `i`.
@@ -488,6 +512,86 @@ impl EliasFano {
         (self.low.len() + self.high.len() + self.samples.len()) * 8 + 24
     }
 }
+
+/// Sequential reader of an Elias-Fano sequence: after the select that
+/// positions it ([`EliasFano::cursor`]), each value costs one unary read
+/// of the upper bits plus the low bits, as [`EliasFano::for_each`] reads
+/// them, and a skip costs a popcount per word it passes.
+struct EfCursor<'a> {
+    ef: &'a EliasFano,
+    /// At the set bit of the next value.
+    high: BitReader<'a>,
+    /// At the low bits of the next value.
+    low: BitReader<'a>,
+    /// The upper part of the last value read; the next one adds the zeros
+    /// before its set bit.
+    h: u64,
+}
+
+impl EfCursor<'_> {
+    /// The next value.
+    fn next_value(&mut self) -> u64 {
+        self.h += self.high.read_unary();
+        let l = self.ef.l;
+        let low = if l == 0 { 0 } else { self.low.read_bits(l) };
+        (self.h << l) | low
+    }
+
+    /// Pass over the next `k` values without reading them.
+    fn skip(&mut self, k: usize) {
+        if k == 0 {
+            return;
+        }
+        let from = self.high.pos;
+        let last = self.ef.select_from(from, k - 1);
+        // `from..=last` holds the `k` set bits and the zeros between them.
+        self.h += (last + 1 - from - k) as u64;
+        self.high.pos = last + 1;
+        self.low.pos += k * self.ef.l as usize;
+    }
+}
+
+/// Position of the `k`-th set bit (from 0) of `x`, which has more than `k`.
+/// Broadword, after Vigna ("Broadword implementation of rank/select
+/// queries", 2008): the bytes' running popcounts come from one multiply,
+/// the byte that holds the bit from one subtract compared in all eight
+/// lanes at once, and the bit inside it from a table.
+fn select_in_word(x: u64, k: u32) -> u32 {
+    const L8: u64 = 0x0101_0101_0101_0101;
+    const H8: u64 = 0x8080_8080_8080_8080;
+    debug_assert!(k < x.count_ones());
+    let mut s = x - ((x >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte `b` of `sums` counts the set bits of bytes `0..=b` (at most 64).
+    let sums = s.wrapping_mul(L8);
+    // A lane keeps its high bit where its running count is still `≤ k`:
+    // those are the bytes wholly before the `k`-th set bit.
+    let before = (((u64::from(k) * L8) | H8) - sums) & H8;
+    let place = before.count_ones() * 8;
+    let rank = u64::from(k) - (((sums << 8) >> place) & 0xff);
+    let byte = ((x >> place) & 0xff) as usize;
+    place + u32::from(SELECT_IN_BYTE[rank as usize * 256 + byte])
+}
+
+/// `SELECT_IN_BYTE[r * 256 + b]`: the position of the `r`-th set bit of
+/// byte `b` (0 where `b` has no `r`-th).
+const SELECT_IN_BYTE: [u8; 2048] = {
+    let mut t = [0u8; 2048];
+    let mut b = 0;
+    while b < 256 {
+        let (mut p, mut r) = (0, 0);
+        while p < 8 {
+            if b >> p & 1 == 1 {
+                t[r * 256 + b] = p as u8;
+                r += 1;
+            }
+            p += 1;
+        }
+        b += 1;
+    }
+    t
+};
 
 // ---------------------------------------------------------------------------
 // Value plane.
@@ -750,55 +854,64 @@ impl<T: Scalar> CompressedMat<T> {
         })
     }
 
-    /// Decompress to standard CSR (parallel over row chunks).
+    /// Decompress to standard CSR (parallel over row chunks, each read
+    /// in order by one [`RowCursor`]).
     pub(crate) fn decode(&self) -> Cs<T> {
-        let ptr = self.ptr_vec();
-        let chunks: Vec<(Vec<Index>, Vec<T>)> = par_chunks(self.nrows, self.nvals.max(1), |r| {
-            let mut idx = Vec::new();
-            let mut val = Vec::new();
-            for i in r {
-                self.decode_row_into(i, ptr[i], ptr[i + 1] - ptr[i], &mut idx, &mut val);
-            }
-            (idx, val)
-        });
+        let chunks: Vec<(Vec<usize>, Vec<Index>, Vec<T>)> =
+            par_chunks(self.nrows, self.nvals.max(1), |r| {
+                let mut lens = Vec::with_capacity(r.len());
+                let mut idx = Vec::new();
+                let mut val = Vec::new();
+                let mut rows = self.rows_from(r.start);
+                for i in r {
+                    let entries = rows.row(i);
+                    lens.push(entries.len());
+                    for (j, v) in entries {
+                        idx.push(j);
+                        val.push(v);
+                    }
+                }
+                (lens, idx, val)
+            });
+        let mut ptr = Vec::with_capacity(self.nrows + 1);
+        ptr.push(0);
         let mut idx = Vec::with_capacity(self.nvals);
         let mut val = Vec::with_capacity(self.nvals);
-        for (ci, cv) in chunks {
+        for (lens, ci, cv) in chunks {
+            for len in lens {
+                ptr.push(ptr[ptr.len() - 1] + len);
+            }
             idx.extend_from_slice(&ci);
             val.extend_from_slice(&cv);
         }
         Cs { nmajor: self.nrows, nminor: self.ncols, ptr, idx, val }
     }
 
-    /// Materialize the cumulative-count pointer array.
-    pub(crate) fn ptr_vec(&self) -> Vec<usize> {
-        let mut ptr = Vec::with_capacity(self.nrows + 1);
-        self.ptr.for_each(|_, v| ptr.push(v as usize));
-        ptr
+    /// A reader of rows `first, first + 1, …` in order: one select into
+    /// each Elias-Fano sequence here, a step of each per row after.
+    pub(crate) fn rows_from(&self, first: Index) -> RowCursor<'_, T> {
+        let mut ptr = self.ptr.cursor(first);
+        let start = ptr.next_value() as usize;
+        RowCursor { m: self, ptr, offs: self.offs.cursor(first), row: first, start }
     }
 
-    fn decode_row_into(
-        &self,
-        i: Index,
-        start: usize,
-        count: usize,
-        idx: &mut Vec<Index>,
-        val: &mut Vec<T>,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let mut r = BitReader::at(&self.data, self.offs.get(i) as usize);
-        let mut prev = 0usize;
-        for p in 0..count {
-            let gap = match self.code {
-                GapCode::Gamma => r.read_gamma(),
-                GapCode::Delta => r.read_delta(),
-            } as usize;
-            let j = if p == 0 { gap - 1 } else { prev + gap };
-            prev = j;
-            idx.push(j);
-            val.push(self.plane.value(start + p));
+    /// Row `i`'s entries by random access: one select for its pointer
+    /// pair, and one more into the bit offsets when it has entries.
+    fn row_entries(&self, i: Index) -> RowEntries<'_, T> {
+        let (a, b) = self.ptr.pair(i);
+        let bit = if a == b { 0 } else { self.offs.get(i) as usize };
+        self.entries_at(a as usize, b as usize, bit)
+    }
+
+    /// The entries `at..end` of one row, its gaps starting at `bit`.
+    fn entries_at(&self, at: usize, end: usize, bit: usize) -> RowEntries<'_, T> {
+        RowEntries {
+            data: BitReader::at(&self.data, bit),
+            code: self.code,
+            plane: &self.plane,
+            at,
+            end,
+            base: 0,
         }
     }
 
@@ -858,49 +971,38 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
             count
         })
     }
-    fn is_compressed(&self) -> bool {
-        true
+    fn as_compressed(&self) -> Option<&CompressedMat<T>> {
+        Some(self)
     }
     fn row<'s>(&'s self, major: Index, scratch: &'s mut RowScratch<T>) -> (&'s [Index], &'s [T]) {
         scratch.idx.clear();
         scratch.val.clear();
-        let (a, b) = (self.ptr.get(major) as usize, self.ptr.get(major + 1) as usize);
-        self.decode_row_into(major, a, b - a, &mut scratch.idx, &mut scratch.val);
+        for (j, v) in self.row_entries(major) {
+            scratch.idx.push(j);
+            scratch.val.push(v);
+        }
         (&scratch.idx, &scratch.val)
     }
     fn get(&self, major: Index, minor: Index) -> Option<T> {
-        let (a, b) = (self.ptr.get(major) as usize, self.ptr.get(major + 1) as usize);
-        if a == b {
-            return None;
-        }
-        let mut r = BitReader::at(&self.data, self.offs.get(major) as usize);
-        let mut j = 0usize;
-        for p in 0..(b - a) {
-            let gap = match self.code {
-                GapCode::Gamma => r.read_gamma(),
-                GapCode::Delta => r.read_delta(),
-            } as usize;
-            j = if p == 0 { gap - 1 } else { j + gap };
-            if j == minor {
-                return Some(self.plane.value(a + p));
-            }
-            if j > minor {
-                return None;
-            }
-        }
-        None
+        // Decodes up to the first column at or past `minor`, no further.
+        let (j, v) = self.row_entries(major).find(|&(j, _)| j >= minor)?;
+        (j == minor).then_some(v)
     }
     fn for_each_vec(&self, f: &mut dyn FnMut(Index, &[Index], &[T])) {
-        let ptr = self.ptr_vec();
+        let mut rows = self.rows_from(0);
         let mut idx = Vec::new();
         let mut val = Vec::new();
         for i in 0..self.nrows {
-            if ptr[i + 1] == ptr[i] {
+            let entries = rows.row(i);
+            if entries.len() == 0 {
                 continue;
             }
             idx.clear();
             val.clear();
-            self.decode_row_into(i, ptr[i], ptr[i + 1] - ptr[i], &mut idx, &mut val);
+            for (j, v) in entries {
+                idx.push(j);
+                val.push(v);
+            }
             f(i, &idx, &val);
         }
     }
@@ -918,7 +1020,89 @@ impl<T: Scalar> SparseView<T> for CompressedMat<T> {
         // One Elias-Fano select: no gap is decoded.
         self.ptr.get(major) as usize
     }
+    fn row_len(&self, major: Index) -> usize {
+        // The pointer pair off one select: no gap is decoded.
+        let (a, b) = self.ptr.pair(major);
+        (b - a) as usize
+    }
 }
+
+/// An in-order reader of a compressed matrix's rows, from
+/// [`CompressedMat::rows_from`]: what a pull's chunk walks its rows with.
+/// The select that positions it is the only one it makes; each later row
+/// steps the pointer and offset sequences, and rows passed over are
+/// skipped by popcount, not selected.
+pub(crate) struct RowCursor<'a, T> {
+    m: &'a CompressedMat<T>,
+    /// At `ptr(row + 1)`.
+    ptr: EfCursor<'a>,
+    /// At `offs(row)`.
+    offs: EfCursor<'a>,
+    /// The next row it can hand out, and `ptr(row)`.
+    row: Index,
+    start: usize,
+}
+
+impl<'a, T: Scalar> RowCursor<'a, T> {
+    /// Row `i`'s entries, for `i` at or past the next row: the rows in
+    /// between are passed over.
+    pub(crate) fn row(&mut self, i: Index) -> RowEntries<'a, T> {
+        assert!(i >= self.row, "a row cursor only moves forward");
+        let passed = i - self.row;
+        if passed > 0 {
+            self.ptr.skip(passed - 1);
+            self.start = self.ptr.next_value() as usize;
+            self.offs.skip(passed);
+        }
+        let end = self.ptr.next_value() as usize;
+        let bit = self.offs.next_value() as usize;
+        let at = std::mem::replace(&mut self.start, end);
+        self.row = i + 1;
+        self.m.entries_at(at, end, bit)
+    }
+}
+
+/// One compressed row's entries in column order, each gap decoded only
+/// when the entry is asked for: a dot that stops at its monoid's terminal
+/// leaves the rest of the row unread. `len()` is what is still unread.
+pub(crate) struct RowEntries<'a, T> {
+    data: BitReader<'a>,
+    code: GapCode,
+    plane: &'a ValuePlane<T>,
+    /// Global entry number of the next entry; one past the row's last.
+    at: usize,
+    end: usize,
+    /// One past the last column read (0 before the first): a gap `g`
+    /// puts the next entry at column `base + g − 1`.
+    base: Index,
+}
+
+impl<T: Scalar> Iterator for RowEntries<'_, T> {
+    type Item = (Index, T);
+
+    #[inline]
+    fn next(&mut self) -> Option<(Index, T)> {
+        if self.at == self.end {
+            return None;
+        }
+        let gap = match self.code {
+            GapCode::Gamma => self.data.read_gamma(),
+            GapCode::Delta => self.data.read_delta(),
+        } as usize;
+        let j = self.base + gap - 1;
+        self.base = j + 1;
+        let v = self.plane.value(self.at);
+        self.at += 1;
+        Some((j, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.at;
+        (left, Some(left))
+    }
+}
+
+impl<T: Scalar> ExactSizeIterator for RowEntries<'_, T> {}
 
 // ---------------------------------------------------------------------------
 // The on-disk `.lagc` container.
@@ -1296,6 +1480,103 @@ mod tests {
         }
     }
 
+    /// The in-word select the broadword one replaced: clear the lowest
+    /// set bit `k` times.
+    fn select_by_clearing(mut x: u64, k: u32) -> u32 {
+        for _ in 0..k {
+            x &= x - 1;
+        }
+        x.trailing_zeros()
+    }
+
+    #[test]
+    fn broadword_select_equals_the_clearing_scan() {
+        let mut words = vec![1u64, 1 << 63, u64::MAX, 0x8000_0000_0000_0001, 0xff00, 0x0101_0101];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Dense, sparse (an AND of draws) and single-byte words.
+            words.extend([x, x & x.rotate_left(23) & x.rotate_left(41), x & 0xff << (x % 57)]);
+        }
+        for w in words.into_iter().filter(|&w| w != 0) {
+            for k in 0..w.count_ones() {
+                assert_eq!(select_in_word(w, k), select_by_clearing(w, k), "{w:#x}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cursor_started_anywhere_reads_what_get_reads() {
+        // Runs of equal values and long strides cross the 64-entry select
+        // sample boundary (and whole upper words) inside one cursor walk.
+        let ramp: Vec<u64> = (0..300u64).map(|i| i * i / 7).collect();
+        let runs: Vec<u64> = (0..260u64).map(|i| (i / 70) * 1000 + (i % 70) / 25).collect();
+        let sequences: [(&str, Vec<u64>); 6] = [
+            ("empty", vec![]),
+            ("flat", vec![5; 200]),
+            ("l = 0", (0..200).collect()),
+            ("ramp", ramp),
+            ("runs across samples", runs),
+            ("one", vec![1 << 40]),
+        ];
+        for (what, vals) in sequences {
+            let ef = EliasFano::encode(&vals);
+            if what == "l = 0" {
+                assert_eq!(ef.l, 0);
+            }
+            for i in 0..vals.len() {
+                let mut c = ef.cursor(i);
+                for k in i..vals.len() {
+                    assert_eq!(c.next_value(), ef.get(k), "{what}: cursor at {i}, value {k}");
+                }
+            }
+            // A skip lands where stepping would.
+            for i in 0..vals.len() {
+                for k in [0, 1, 2, 63, 64, 65, 130] {
+                    if i + k < vals.len() {
+                        let mut c = ef.cursor(i);
+                        c.skip(k);
+                        assert_eq!(c.next_value(), vals[i + k], "{what}: {i} skip {k}");
+                    }
+                }
+            }
+            for i in 0..vals.len().saturating_sub(1) {
+                assert_eq!(ef.pair(i), (vals[i], vals[i + 1]), "{what}: pair {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_cursor_reads_every_row_from_any_start() {
+        let cs = ladder(150, 400, 11);
+        let cm = CompressedMat::encode(&cs).expect("compress");
+        let mut unused = RowScratch::default();
+        for first in 0..cs.nmajor {
+            // Every row from `first`, then every third: stepped and skipped.
+            for stride in [1, 3] {
+                let mut rows = cm.rows_from(first);
+                for i in (first..cs.nmajor).step_by(stride) {
+                    let (ci, cv) = cs.row(i, &mut unused);
+                    let want: Vec<(Index, f64)> =
+                        ci.iter().copied().zip(cv.iter().copied()).collect();
+                    let entries = rows.row(i);
+                    assert_eq!(entries.len(), want.len(), "row {i} from {first}");
+                    assert_eq!(entries.collect::<Vec<_>>(), want, "row {i} from {first}");
+                }
+            }
+        }
+        // A row read part way leaves the cursor ready for the next one.
+        let mut rows = cm.rows_from(0);
+        for i in 0..cs.nmajor {
+            let mut entries = rows.row(i);
+            let first = entries.next();
+            assert_eq!(first.map(|(j, _)| j), cs.row(i, &mut unused).0.first().copied());
+            assert_eq!(SparseView::row_len(&cm, i), cs.row_len(i));
+        }
+    }
+
     fn ladder(nrows: usize, ncols: usize, seed: u64) -> Cs<f64> {
         // Deterministic scale-free-ish structure with integer values.
         let mut tuples = Vec::new();
@@ -1326,7 +1607,7 @@ mod tests {
     fn view_matches_cs_row_by_row() {
         let cs = ladder(128, 257, 7);
         let cm = CompressedMat::encode(&cs).expect("compress");
-        assert!(cm.is_compressed());
+        assert!(cm.as_compressed().is_some());
         let (mut scratch, mut unused) = (RowScratch::default(), RowScratch::default());
         for i in 0..cs.nmajor {
             let (ci, cv) = cs.row(i, &mut unused);

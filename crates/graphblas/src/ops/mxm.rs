@@ -90,7 +90,7 @@ where
         sp,
         Some(SemiringSpec::PlusPair) | Some(SemiringSpec::AnyFirst) | Some(SemiringSpec::AnySecond)
     );
-    let compressed_operand = av.is_compressed() || rows_of(&gb).is_compressed();
+    let compressed_operand = av.as_compressed().is_some() || rows_of(&gb).as_compressed().is_some();
     span.kernel(match (method, sp) {
         (MxmMethod::Dot, _) if compressed_operand => crate::trace::Kernel::CompressedDot,
         (MxmMethod::Dot, Some(_)) => crate::trace::Kernel::DotSpec,

@@ -235,9 +235,11 @@ where
         (false, false) => trace::Kernel::PushMasked,
     };
     let pull_kernel = if sp.is_some() { trace::Kernel::PullSpec } else { trace::Kernel::Pull };
-    if span.on() && rows.is_compressed() {
-        // The pull (row-dot) loop decodes gap-encoded rows on the fly;
-        // make that visible next to the kernel tag.
+    if span.on() && rows.as_compressed().is_some() {
+        // A gap-encoded operand: a pull walks its rows with one cursor a
+        // chunk and decodes each row only up to the dot's terminal or first
+        // hit (its `decoded` and `seeks` say how far); a push decodes each
+        // frontier row whole. Tagged beside the kernel.
         span.arg("storage", "compressed");
     }
     // The kernel, the side it reads `A` from, and whether it pushes.
@@ -262,7 +264,12 @@ where
     let (t, actual) = if push {
         scatter(mat, uview, n_out, add, &f, &meval, sp)
     } else {
-        rowdot(mat, uview, n_in, add, &f, &meval, sp)
+        let (t, work) = rowdot(mat, uview, n_in, add, &f, &meval, sp);
+        if span.on() && mat.as_compressed().is_some() {
+            span.arg("decoded", work.decoded);
+            span.arg("seeks", work.seeks);
+        }
+        (t, work.flops)
     };
     span.flops(actual);
 
@@ -317,11 +324,138 @@ enum PullShape<T> {
     FirstHit,
 }
 
+/// One row's dot product, `⊕ f(A(i,j), u(j))` over the row's entries in
+/// column order, folded in the resolved [`PullShape`]. The fold takes the
+/// entries as an iterator, so a CSR row's slices and a compressed row's
+/// gap decoder run the same code and stop at the same entry.
+struct Dot<'a, A, U, T, SA, F, P> {
+    shape: PullShape<T>,
+    add: &'a SA,
+    f: &'a F,
+    probe: &'a P,
+    terminal: Option<T>,
+    is_any: bool,
+    _operands: std::marker::PhantomData<fn(A, U)>,
+}
+
+impl<A, U, T, SA, F, P> Dot<'_, A, U, T, SA, F, P>
+where
+    A: Scalar,
+    U: Scalar,
+    T: Scalar,
+    SA: Monoid<T>,
+    F: Fn(A, U) -> T,
+    P: Fn(Index) -> Option<U>,
+{
+    /// The row's result (`None` when no entry meets `u`), adding the
+    /// products it computed to `flops`. It stops at the first hit (ANY) or
+    /// the terminal, and reads no entry past it.
+    #[inline]
+    fn row(&self, mut entries: impl Iterator<Item = (Index, A)>, flops: &mut usize) -> Option<T> {
+        let (add, f, probe) = (self.add, self.f, self.probe);
+        match self.shape {
+            PullShape::Generic => {
+                let mut acc: Option<T> = None;
+                for (j, av) in entries {
+                    let Some(uv) = probe(j) else { continue };
+                    let prod = f(av, uv);
+                    *flops += 1;
+                    acc = Some(match acc {
+                        None => prod,
+                        Some(cur) => add.apply(cur, prod),
+                    });
+                    if self.is_any || acc == self.terminal {
+                        break;
+                    }
+                }
+                acc
+            }
+            PullShape::NoTerminal => {
+                let mut first: Option<T> = None;
+                for (j, av) in entries.by_ref() {
+                    if let Some(uv) = probe(j) {
+                        *flops += 1;
+                        first = Some(f(av, uv));
+                        break;
+                    }
+                }
+                first.map(|f0| {
+                    let mut a = f0;
+                    for (j, av) in entries {
+                        if let Some(uv) = probe(j) {
+                            *flops += 1;
+                            a = add.apply(a, f(av, uv));
+                        }
+                    }
+                    a
+                })
+            }
+            PullShape::Terminal(term) => {
+                let mut first: Option<T> = None;
+                for (j, av) in entries.by_ref() {
+                    if let Some(uv) = probe(j) {
+                        *flops += 1;
+                        first = Some(f(av, uv));
+                        break;
+                    }
+                }
+                first.map(|f0| {
+                    let mut a = f0;
+                    if a != term {
+                        for (j, av) in entries {
+                            if let Some(uv) = probe(j) {
+                                *flops += 1;
+                                a = add.apply(a, f(av, uv));
+                                if a == term {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    a
+                })
+            }
+            PullShape::FirstHit => {
+                let mut acc: Option<T> = None;
+                for (j, av) in entries {
+                    if let Some(uv) = probe(j) {
+                        *flops += 1;
+                        acc = Some(f(av, uv));
+                        break;
+                    }
+                }
+                acc
+            }
+        }
+    }
+}
+
+/// What a pull did: the products it computed (plus the dense-view build),
+/// and, on a compressed operand, the gap entries it decoded and the times
+/// it positioned a row cursor by select — once per chunk that reads a row.
+#[derive(Clone, Copy, Default)]
+struct PullWork {
+    flops: usize,
+    decoded: usize,
+    seeks: usize,
+}
+
+impl PullWork {
+    fn plus(self, o: PullWork) -> PullWork {
+        PullWork {
+            flops: self.flops.saturating_add(o.flops),
+            decoded: self.decoded + o.decoded,
+            seeks: self.seeks + o.seeks,
+        }
+    }
+}
+
 /// Pull kernel: `out(i) = ⊕ f(row_i(j), u(j))` over the intersection of
 /// row `i`'s pattern with `u`'s. Rows the mask excludes are skipped, and
 /// each dot product stops at the monoid's terminal value. Returns the
-/// result plus the flops actually performed (products computed, plus
-/// the dense-view build when `u` arrived sparse) for misprediction checks.
+/// result plus the work done ([`PullWork`]: the flops actually performed —
+/// products computed, plus the dense-view build when `u` arrived sparse —
+/// for misprediction checks).
 ///
 /// A pull walks the matrix's majors in place — every row of a CSR or
 /// compressed matrix, an empty one skipped at a compare, the occupied ones
@@ -330,7 +464,10 @@ enum PullShape<T> {
 /// vector keeps) workers write the result straight into full-length
 /// arrays — disjoint row windows, nothing to stitch, and no more than the
 /// kernel already spends per row; otherwise (a hypersparse matrix) the
-/// per-chunk lists are concatenated in chunk order.
+/// per-chunk lists are concatenated in chunk order. A compressed matrix's
+/// chunk reads its rows through one row cursor, positioned at the chunk's
+/// first row the mask allows, and decodes each row's gaps only as far as
+/// the dot reads.
 ///
 /// A full-length `u` is probed through its packed words directly — no
 /// dense view is built, which is what makes the pull side free to enter
@@ -343,7 +480,7 @@ fn rowdot<A, U, T, SA, F>(
     f: &F,
     mask: &VMask<'_>,
     sp: Option<SemiringSpec>,
-) -> (VecResult<T>, usize)
+) -> (VecResult<T>, PullWork)
 where
     A: Scalar,
     U: Scalar,
@@ -380,7 +517,7 @@ fn rowdot_probe<A, U, T, SA, F, P>(
     sp: Option<SemiringSpec>,
     build_flops: usize,
     probe: &P,
-) -> (VecResult<T>, usize)
+) -> (VecResult<T>, PullWork)
 where
     A: Scalar,
     U: Scalar,
@@ -401,100 +538,48 @@ where
     let majors = mat.majors();
     let terminal = add.terminal();
     let is_any = add.is_any();
-    // The dot products of `rows`, handing each result to `emit`; returns
-    // the flops performed.
+    let dot = Dot { shape, add, f, probe, terminal, is_any, _operands: std::marker::PhantomData };
+    // The dot products of `rows`, handing each result to `emit`.
     let dot_rows = |rows: Majors<'_>, emit: &mut dyn FnMut(Index, T)| {
-        let mut flops = 0usize;
-        let mut scratch = crate::sparse::RowScratch::default();
+        let mut work = PullWork::default();
+        let Some(cm) = mat.as_compressed() else {
+            let mut scratch = crate::sparse::RowScratch::default();
+            for i in rows {
+                if !mask.allowed(i) {
+                    continue;
+                }
+                let (ridx, rval) = mat.row(i, &mut scratch);
+                if ridx.is_empty() {
+                    continue;
+                }
+                let entries = ridx.iter().copied().zip(rval.iter().copied());
+                if let Some(v) = dot.row(entries, &mut work.flops) {
+                    emit(i, v);
+                }
+            }
+            return work;
+        };
+        let mut cursor = None;
         for i in rows {
             if !mask.allowed(i) {
                 continue;
             }
-            let (ridx, rval) = mat.row(i, &mut scratch);
-            if ridx.is_empty() {
+            let rows_at = cursor.get_or_insert_with(|| {
+                work.seeks += 1;
+                cm.rows_from(i)
+            });
+            let mut entries = rows_at.row(i);
+            let len = entries.len();
+            if len == 0 {
                 continue;
             }
-            let acc: Option<T> = match shape {
-                PullShape::Generic => {
-                    let mut acc: Option<T> = None;
-                    for (&j, &av) in ridx.iter().zip(rval) {
-                        let Some(uv) = probe(j) else { continue };
-                        let prod = f(av, uv);
-                        flops += 1;
-                        acc = Some(match acc {
-                            None => prod,
-                            Some(cur) => add.apply(cur, prod),
-                        });
-                        if is_any || acc == terminal {
-                            break;
-                        }
-                    }
-                    acc
-                }
-                PullShape::NoTerminal => {
-                    let mut it = ridx.iter().zip(rval);
-                    let mut first: Option<T> = None;
-                    for (&j, &av) in it.by_ref() {
-                        if let Some(uv) = probe(j) {
-                            flops += 1;
-                            first = Some(f(av, uv));
-                            break;
-                        }
-                    }
-                    first.map(|f0| {
-                        let mut a = f0;
-                        for (&j, &av) in it {
-                            if let Some(uv) = probe(j) {
-                                flops += 1;
-                                a = add.apply(a, f(av, uv));
-                            }
-                        }
-                        a
-                    })
-                }
-                PullShape::Terminal(term) => {
-                    let mut it = ridx.iter().zip(rval);
-                    let mut first: Option<T> = None;
-                    for (&j, &av) in it.by_ref() {
-                        if let Some(uv) = probe(j) {
-                            flops += 1;
-                            first = Some(f(av, uv));
-                            break;
-                        }
-                    }
-                    first.map(|f0| {
-                        let mut a = f0;
-                        if a != term {
-                            for (&j, &av) in it {
-                                if let Some(uv) = probe(j) {
-                                    flops += 1;
-                                    a = add.apply(a, f(av, uv));
-                                    if a == term {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        a
-                    })
-                }
-                PullShape::FirstHit => {
-                    let mut acc: Option<T> = None;
-                    for (&j, &av) in ridx.iter().zip(rval) {
-                        if let Some(uv) = probe(j) {
-                            flops += 1;
-                            acc = Some(f(av, uv));
-                            break;
-                        }
-                    }
-                    acc
-                }
-            };
+            let acc = dot.row(&mut entries, &mut work.flops);
+            work.decoded += len - entries.len();
             if let Some(v) = acc {
                 emit(i, v);
             }
         }
-        flops
+        work
     };
     let n_out = mat.nmajor();
     // What the cut weighs a stretch of rows by. A dot that multiplies every
@@ -511,39 +596,40 @@ where
             entries + ROW_COST * rows
         }
     };
-    let (t, flops) = if n_out <= DENSE_LIMIT && mat.nvecs().saturating_mul(SPARSIFY_RATIO) >= n_out
-    {
+    let (t, work) = if n_out <= DENSE_LIMIT && mat.nvecs().saturating_mul(SPARSIFY_RATIO) >= n_out {
         let mut val = vec![T::zero(); n_out];
         let mut bits = vec![0u64; n_out.div_ceil(64)];
         let before = |i| weight(i, mat.entries_before(i));
         let full = FullMut::new(&mut val, &mut bits);
         let parts = par_windows_weighted(full, mat.nvals(), before, |win| {
             let mut stored = 0usize;
-            let flops = dot_rows(majors.within(win.range()), &mut |i, v| {
+            let work = dot_rows(majors.within(win.range()), &mut |i, v| {
                 win.set(i, v);
                 stored += 1;
             });
-            (stored, flops)
+            (stored, work)
         });
-        let (nvals, flops) =
-            parts.into_iter().fold((0, 0usize), |(n, fl), (s, f)| (n + s, fl.saturating_add(f)));
-        (VecResult::Full { val, bits, nvals }, flops)
+        let (nvals, work) = parts
+            .into_iter()
+            .fold((0, PullWork::default()), |(n, all), (s, w)| (n + s, all.plus(w)));
+        (VecResult::Full { val, bits, nvals }, work)
     } else {
         let before = |k| weight(k, majors.get(k).map_or(mat.nvals(), |i| mat.entries_before(i)));
         let oversplit = Chunking::Oversplit;
         let chunks = par_chunks_weighted(majors.len(), mat.nvals(), oversplit, before, |range| {
             let mut idx = Vec::new();
             let mut val = Vec::new();
-            let flops = dot_rows(majors.slice(range), &mut |i, v| {
+            let work = dot_rows(majors.slice(range), &mut |i, v| {
                 idx.push(i);
                 val.push(v);
             });
-            (idx, val, flops)
+            (idx, val, work)
         });
-        let (idx, val, flops) = concat_chunks(chunks);
-        (VecResult::Lists(idx, val), flops)
+        let (idx, val, work) = concat_chunks(chunks);
+        (VecResult::Lists(idx, val), work)
     };
-    (t, flops.saturating_add(build_flops))
+    let build = PullWork { flops: build_flops, ..PullWork::default() };
+    (t, work.plus(build))
 }
 
 /// Push kernel: scatter matrix rows selected by `u`'s entries into dense
@@ -849,17 +935,17 @@ fn full_from_accs<T: Scalar, SA: Monoid<T>>(mut accs: Vec<DenseAcc<T>>, add: &SA
     VecResult::Full { val, bits, nvals: stored.into_iter().sum() }
 }
 
-fn concat_chunks<T>(chunks: Vec<(Vec<Index>, Vec<T>, usize)>) -> (Vec<Index>, Vec<T>, usize) {
+fn concat_chunks<T>(chunks: Vec<(Vec<Index>, Vec<T>, PullWork)>) -> (Vec<Index>, Vec<T>, PullWork) {
     let total: usize = chunks.iter().map(|(i, _, _)| i.len()).sum();
     let mut idx = Vec::with_capacity(total);
     let mut val = Vec::with_capacity(total);
-    let mut flops = 0usize;
-    for (ci, cv, fl) in chunks {
+    let mut work = PullWork::default();
+    for (ci, cv, w) in chunks {
         idx.extend(ci);
         val.extend(cv);
-        flops = flops.saturating_add(fl);
+        work = work.plus(w);
     }
-    (idx, val, flops)
+    (idx, val, work)
 }
 
 #[cfg(test)]

@@ -153,10 +153,11 @@ pub trait SparseView<T: Scalar>: Sync {
     fn majors(&self) -> Majors<'_> {
         Majors::Rows(None, 0..self.nmajor())
     }
-    /// True for the gap-encoded form, which decodes its rows: trace spans
+    /// The gap-encoded form itself, which decodes its rows: a pull walks
+    /// it with a row cursor instead of [`SparseView::row`], and trace spans
     /// carry it as a tag.
-    fn is_compressed(&self) -> bool {
-        false
+    fn as_compressed(&self) -> Option<&CompressedMat<T>> {
+        None
     }
     /// The sorted indices and values of vector `major` (empty slices if it
     /// has no entries). Slice-backed forms borrow them and ignore

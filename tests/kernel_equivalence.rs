@@ -275,6 +275,90 @@ fn untransposed_ops(a: &Matrix<i64>, d: Descriptor) -> Vec<String> {
     out
 }
 
+/// Rows of the tall operand a compressed pull is checked on: five 64-row
+/// windows, so a chunk at 8 threads starts mid-matrix.
+const TALL: usize = 320;
+
+fn arb_tall_tuples() -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
+    proptest::collection::vec((0..TALL, 0..N, -8i64..8), 0..400)
+}
+
+fn arb_tall_mask() -> impl Strategy<Value = Vec<(usize, bool)>> {
+    proptest::collection::vec((0..TALL, any::<bool>()), 0..TALL)
+}
+
+/// Every pull shape on a `TALL × N` operand, held CSR and compressed:
+/// `mxv(A, u)` and `mxv(Aᵀ, v)` (through the held dual), forced to pull,
+/// each under no mask, a valued mask and a structural complement. The two
+/// storages must agree inside the call; the results are returned for the
+/// driver to compare across threads and specialization.
+fn pulls_on_both_storages(
+    at: &[(usize, usize, i64)],
+    ut: &[(usize, i64)],
+    vt: &[(usize, i64)],
+    mt: &[(usize, bool)],
+    desc: &Descriptor,
+) -> Vec<Vec<(usize, String)>> {
+    use graphblas::semiring::MIN_SECOND;
+    fn held<T: graphblas::Scalar>(t: Vec<(usize, usize, T)>, compressed: bool) -> Matrix<T> {
+        let mut m = Matrix::from_tuples(TALL, N, t, |_, b| b).expect("operand");
+        m.set_compressed(compressed);
+        m.set_dual_storage(true);
+        assert!(
+            !compressed || m.nvals() == 0 || m.is_compressed(),
+            "flagged operand must compress"
+        );
+        m
+    }
+    let bools = |t: &[(usize, i64)]| t.iter().map(|&(i, x)| (i, x >= 0)).collect::<Vec<_>>();
+    let (u, ub) = (vec_of(ut), Vector::from_tuples(N, bools(ut), |_, b| b).expect("ub"));
+    let spread: Vec<(usize, i64)> = vt.iter().map(|&(i, x)| (i * (TALL / N), x)).collect();
+    let v = Vector::from_tuples(TALL, spread.clone(), |_, b| b).expect("v");
+    let vb = Vector::from_tuples(TALL, bools(&spread), |_, b| b).expect("vb");
+    let mask = Vector::from_tuples(TALL, mt.to_vec(), |_, b| b).expect("mask");
+    let short: Vec<(usize, bool)> = mt.iter().map(|&(i, x)| (i % N, x)).collect();
+    let short_mask = Vector::from_tuples(N, short, |_, b| b).expect("short mask");
+    let storages = [false, true].map(|compressed| {
+        let a = held(at.to_vec(), compressed);
+        let b = held(at.iter().map(|&(i, j, x)| (i, j, x > 0)).collect(), compressed);
+        (a, b)
+    });
+    let mut out = Vec::new();
+    let modes = [(false, *desc), (true, *desc), (true, desc.structural().complement())];
+    for (masked, d) in modes {
+        for transposed in [false, true] {
+            let (d, n_out, x, xb, m) = if transposed {
+                (d.transpose_a(), N, &v, &vb, masked.then_some(&short_mask))
+            } else {
+                (d, TALL, &u, &ub, masked.then_some(&mask))
+            };
+            let mut legs = storages.iter().map(|(a, b)| {
+                let mut leg = Vec::new();
+                let mut w = Vector::<bool>::new(n_out).expect("w");
+                mxv(&mut w, m, NOACC, &LOR_LAND, b, xb, &d).expect("lor_land");
+                leg.extend(w.extract_tuples().into_iter().map(|(i, x)| (i, format!("lor {x}"))));
+                for name in ["any", "min", "plus"] {
+                    let mut w = Vector::<i64>::new(n_out).expect("w");
+                    match name {
+                        "any" => mxv(&mut w, m, NOACC, &ANY_SECOND, a, x, &d),
+                        "min" => mxv(&mut w, m, NOACC, &MIN_SECOND, a, x, &d),
+                        _ => mxv(&mut w, m, NOACC, &PLUS_TIMES, a, x, &d),
+                    }
+                    .expect(name);
+                    leg.extend(
+                        w.extract_tuples().into_iter().map(|(i, x)| (i, format!("{name} {x}"))),
+                    );
+                }
+                leg
+            });
+            let (csr, compressed) = (legs.next().expect("csr"), legs.next().expect("compressed"));
+            assert_eq!(csr, compressed, "masked={masked} transposed={transposed}");
+            out.push(compressed);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -599,6 +683,20 @@ proptest! {
             assert_eq!(kept.extract_tuples(), kref.extract_tuples(), "select");
 
             (scalar, rows.extract_tuples(), pat.extract_tuples(), kept.extract_tuples())
+        });
+    }
+
+    #[test]
+    fn compressed_pulls_match_csr_under_every_shape(at in arb_tall_tuples(), ut in arb_vec_tuples(),
+                                                    vt in arb_vec_tuples(), mt in arb_tall_mask()) {
+        // A compressed pull walks each chunk's rows with one cursor and
+        // stops decoding a row at its dot's terminal or first hit: under
+        // every pull shape (LOR_LAND terminal, ANY_SECOND first hit,
+        // MIN_SECOND generic, PLUS_TIMES no terminal), masked or not, its
+        // result must be the CSR pull's bit for bit, at 1 and 8 threads.
+        use graphblas::descriptor::Direction;
+        assert_paths_equivalent(Descriptor::new().direction(Direction::Pull), |desc| {
+            pulls_on_both_storages(&at, &ut, &vt, &mt, desc)
         });
     }
 }
