@@ -132,21 +132,22 @@ impl RmatConfig {
     /// The endpoints of edge draw `k`: one descent through `scale`
     /// levels of the recursive quadrant matrix, consuming draws from the
     /// per-edge stream only. Pure in `(self.seed, k)`.
+    ///
+    /// A draw `r` picks the quadrant by the cumulative thresholds
+    /// `a ≤ a + b ≤ a + b + c`: the lower half when `r ≥ a + b`, the right
+    /// half when `a ≤ r < a + b` or `r ≥ a + b + c`. The bits come from
+    /// the comparisons directly, so the descent has no branch to
+    /// mispredict.
     #[inline]
     fn edge(&self, k: usize) -> (Index, Index) {
         let mut s = Stream::new(self.seed, k as u64);
+        let (a, ab) = (self.a, self.a + self.b);
+        let abc = ab + self.c;
         let (mut i, mut j) = (0 as Index, 0 as Index);
         for bit in (0..self.scale).rev() {
             let r = s.next_f64();
-            let (di, dj) = if r < self.a {
-                (0, 0)
-            } else if r < self.a + self.b {
-                (0, 1)
-            } else if r < self.a + self.b + self.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let di = (r >= ab) as Index;
+            let dj = ((r >= a) & (r < ab) | (r >= abc)) as Index;
             i |= di << bit;
             j |= dj << bit;
         }

@@ -385,6 +385,8 @@ pub enum Op {
     AssembleMatrix,
     /// Lazy resolution of a vector's pending tuples and zombies.
     AssembleVector,
+    /// Matrix construction from tuples (`GrB_Matrix_build`).
+    Build,
 }
 
 impl Op {
@@ -410,6 +412,7 @@ impl Op {
             Op::Write => "write",
             Op::AssembleMatrix => "assemble.matrix",
             Op::AssembleVector => "assemble.vector",
+            Op::Build => "build",
         }
     }
 }

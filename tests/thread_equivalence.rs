@@ -525,6 +525,29 @@ fn bucket_transpose_matches_the_sequential_one() {
     });
 }
 
+/// `Matrix::build` through the row buckets sorts its rows on the pool,
+/// over row ranges of equal entries; the arrays must be the one-thread
+/// arrays bit for bit, duplicates folded in input order by a `dup` that
+/// is not commutative, with one hub row holding a quarter of the tuples.
+#[test]
+fn bucket_build_matches_the_sequential_one() {
+    let n = 1024;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let tuples: Vec<(usize, usize, u64)> = (0..40_000)
+        .map(|k| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let i = if k % 4 == 0 { 3 } else { (x % n as u64) as usize };
+            (i, ((x >> 20) % 96) as usize, x >> 32)
+        })
+        .collect();
+    assert_thread_equivalent_across(&[1, 2, 8], || {
+        let dup = |a: u64, b: u64| a.wrapping_mul(31).wrapping_add(b);
+        Matrix::from_tuples(n, n, tuples.clone(), dup).expect("build").export_csr()
+    });
+}
+
 /// The bit-parallel batch BFS chains five chunked vector ops a level over
 /// `u64` words under BOR, whose pull stops at all-ones; its rows must be
 /// the single-source levels at every thread count — on a graph with one
