@@ -7,9 +7,11 @@
 //! 1..=255) with two sources drawn from the seeded permutation. The
 //! checksums fold each output in a fixed order, so a changed level,
 //! distance, rank, label or count moves them. Run the file at any thread
-//! count and with `GRAPHBLAS_SPECIALIZE=0`: every constant below holds in
-//! all of those processes, so the generic kernels, the specialized ones and
-//! the parallel cut are held to the same numbers.
+//! count: every constant below holds in all of those processes, so the
+//! parallel cut is held to the same numbers. The flops are the ones the
+//! plain `Option`-accumulator loops booked before each kernel's inner loop
+//! took the shape its monoid picks, so they hold the shapes' accounting to
+//! those loops too.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -156,7 +158,6 @@ fn compressed_storage_gives_the_same_checksums() {
 fn one_traced_run_books_the_recorded_flops() {
     let _g = pinned();
     let input = Input::new(false);
-    let specialize = graphblas::specialization_enabled();
     for r in &RECORDED {
         // Warm the graph's cached properties first, untraced.
         input.checksum(r.kernel);
@@ -167,10 +168,7 @@ fn one_traced_run_books_the_recorded_flops() {
         let agg = RunAggregate::from_events(&trace::drain());
         assert_eq!(agg.total_flops, r.flops, "{}: {agg:?}", r.kernel);
         if r.kernel == "tricount" {
-            // The specialized table runs the fused multiply-reduce; the
-            // generic leg must show that it did not.
-            assert_eq!(agg.mxm_fused > 0, specialize, "tricount fused: {agg:?}");
-            assert_eq!(agg.specialized > 0, specialize, "tricount specialized: {agg:?}");
+            assert!(agg.mxm_fused > 0, "tricount ran unfused: {agg:?}");
         }
     }
 }

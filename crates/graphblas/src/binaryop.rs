@@ -16,46 +16,16 @@
 
 use crate::types::{Num, Scalar};
 
-/// Identity of a built-in operator, used by the kernel-specialization table
-/// (`ops::spec`) to recognize the handful of semirings that get
-/// monomorphized inner loops. Only operators that participate in a
-/// specialized semiring report an id; everything else — including every
-/// user-defined closure — stays `None` and takes the generic path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum OpId {
-    /// `GrB_PLUS` (wrapping integer add).
-    Plus,
-    /// Saturating add — the tropical-semiring additive operator.
-    SaturatingPlus,
-    /// `GrB_TIMES`.
-    Times,
-    /// `GrB_MIN`.
-    Min,
-    /// `GxB_PAIR` / `GrB_ONEB`.
-    Pair,
-    /// `GrB_FIRST`.
-    First,
-    /// `GrB_SECOND`.
-    Second,
-    /// `GrB_LOR`.
-    Lor,
-    /// `GrB_LAND`.
-    Land,
-    /// The `GxB_ANY` pseudo-monoid operator.
-    Any,
-}
-
 /// A binary operator `z = f(x, y)` over GraphBLAS domains.
 pub trait BinaryOp<A: Scalar, B: Scalar, C: Scalar>: Copy + Send + Sync {
     /// Apply the operator.
     fn apply(&self, a: A, b: B) -> C;
 
-    /// Identity of this operator for kernel specialization, or `None` for
-    /// operators with no specialized kernels (the default — closures and
-    /// most built-ins inherit it).
-    fn op_id(&self) -> Option<OpId> {
-        None
+    /// Whether `apply` returns the same value whatever its operands (PAIR).
+    /// The dot-product and Gustavson kernels then compute the product once
+    /// and never load either operand's values.
+    fn ignores_operands(&self) -> bool {
+        false
     }
 }
 
@@ -208,17 +178,11 @@ impl<A: Scalar, B: Scalar> BinaryOp<A, B, A> for First {
     fn apply(&self, a: A, _: B) -> A {
         a
     }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::First)
-    }
 }
 
 impl<A: Scalar, B: Scalar> BinaryOp<A, B, B> for Second {
     fn apply(&self, _: A, b: B) -> B {
         b
-    }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Second)
     }
 }
 
@@ -226,17 +190,14 @@ impl<A: Scalar, B: Scalar, C: Num> BinaryOp<A, B, C> for Pair {
     fn apply(&self, _: A, _: B) -> C {
         C::one()
     }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Pair)
+    fn ignores_operands(&self) -> bool {
+        true
     }
 }
 
 impl<T: Num> BinaryOp<T, T, T> for Min {
     fn apply(&self, a: T, b: T) -> T {
         a.nmin(b)
-    }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Min)
     }
 }
 
@@ -250,17 +211,11 @@ impl<T: Num> BinaryOp<T, T, T> for Plus {
     fn apply(&self, a: T, b: T) -> T {
         a.nadd(b)
     }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Plus)
-    }
 }
 
 impl<T: Num> BinaryOp<T, T, T> for SaturatingPlus {
     fn apply(&self, a: T, b: T) -> T {
         a.sadd(b)
-    }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::SaturatingPlus)
     }
 }
 
@@ -279,9 +234,6 @@ impl<T: Num> BinaryOp<T, T, T> for Rminus {
 impl<T: Num> BinaryOp<T, T, T> for Times {
     fn apply(&self, a: T, b: T) -> T {
         a.nmul(b)
-    }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Times)
     }
 }
 
@@ -348,9 +300,6 @@ impl<T: Scalar> BinaryOp<T, T, T> for Lor {
             T::zero()
         }
     }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Lor)
-    }
 }
 
 impl<T: Scalar> BinaryOp<T, T, T> for Land {
@@ -364,9 +313,6 @@ impl<T: Scalar> BinaryOp<T, T, T> for Land {
         } else {
             T::zero()
         }
-    }
-    fn op_id(&self) -> Option<OpId> {
-        Some(OpId::Land)
     }
 }
 
@@ -459,8 +405,6 @@ mod tests {
         assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Bxor, 0b0101, 0b0011), 0b0110);
         assert_eq!(BinaryOp::<u8, u8, u8>::apply(&Bxnor, 0b0101, 0b0011), 0b1111_1001);
         assert_eq!(BinaryOp::<u64, u64, u64>::apply(&Bxnor, 7, 7), u64::MAX);
-        // The generic kernels carry them: no specialized loop is keyed on these.
-        assert_eq!(BinaryOp::<u64, u64, u64>::op_id(&Bor), None);
     }
 
     #[test]
@@ -477,20 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn op_ids_cover_the_specialized_set_only() {
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Plus), Some(OpId::Plus));
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&SaturatingPlus), Some(OpId::SaturatingPlus));
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Times), Some(OpId::Times));
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Min), Some(OpId::Min));
-        assert_eq!(BinaryOp::<u64, u64, u64>::op_id(&Pair), Some(OpId::Pair));
-        assert_eq!(BinaryOp::<bool, bool, bool>::op_id(&Lor), Some(OpId::Lor));
-        assert_eq!(BinaryOp::<bool, bool, bool>::op_id(&Land), Some(OpId::Land));
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&First), Some(OpId::First));
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Second), Some(OpId::Second));
-        // Unspecialized built-ins and closures stay on the generic path.
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Max), None);
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&Minus), None);
-        let f = |a: i64, b: i64| a ^ b;
-        assert_eq!(BinaryOp::<i64, i64, i64>::op_id(&f), None);
+    fn only_pair_ignores_its_operands() {
+        assert!(BinaryOp::<u64, u64, u64>::ignores_operands(&Pair));
+        assert!(!BinaryOp::<i64, i64, i64>::ignores_operands(&Times));
+        assert!(!BinaryOp::<i64, i64, i64>::ignores_operands(&Second));
+        let f = |_: i64, _: i64| 1i64;
+        assert!(!BinaryOp::<i64, i64, i64>::ignores_operands(&f));
     }
 }

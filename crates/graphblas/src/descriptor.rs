@@ -32,6 +32,11 @@ pub enum Direction {
 
 /// Per-operation options. `Default` gives the C API defaults: no
 /// transposes, mask by value, no complement, no replace.
+///
+/// The method and direction fields are hints; nothing here picks a
+/// kernel's inner loop. The semiring's monoid picks that (ANY, terminal,
+/// or a plain fold), and a PAIR multiply skips the value loads. No call
+/// can opt out, because every loop gives the same answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Descriptor {
     /// Use `A`ᵀ in place of the first matrix input (`GrB_INP0`+`GrB_TRAN`).
@@ -49,12 +54,6 @@ pub struct Descriptor {
     pub mxm_method: MxmMethod,
     /// mxv/vxm traversal direction hint.
     pub direction: Direction,
-    /// Allow the specialized (monomorphized) kernels for recognized
-    /// semirings. On by default; results are bit-identical either way, so
-    /// this exists for A/B testing and the equivalence proptests. The
-    /// `GRAPHBLAS_SPECIALIZE=0` environment variable disables
-    /// specialization globally regardless of this flag.
-    pub specialize: bool,
 }
 
 impl Default for Descriptor {
@@ -74,7 +73,6 @@ impl Descriptor {
             replace: false,
             mxm_method: MxmMethod::Auto,
             direction: Direction::Auto,
-            specialize: true,
         }
     }
 
@@ -119,14 +117,6 @@ impl Descriptor {
         self.direction = d;
         self
     }
-
-    /// Builder: force the generic kernels for this call even when a
-    /// specialized loop exists for the semiring. Used by the
-    /// specialized-vs-generic equivalence tests.
-    pub const fn generic_only(mut self) -> Self {
-        self.specialize = false;
-        self
-    }
 }
 
 /// The descriptor used by the Fig. 2 BFS: transpose the matrix, complement
@@ -146,14 +136,7 @@ mod tests {
         assert!(!d.mask_complement && !d.mask_structural && !d.replace);
         assert_eq!(d.mxm_method, MxmMethod::Auto);
         assert_eq!(d.direction, Direction::Auto);
-        assert!(d.specialize, "specialized kernels are on by default");
         assert_eq!(d, Descriptor::new());
-    }
-
-    #[test]
-    fn generic_only_disables_specialization() {
-        let d = Descriptor::new().generic_only();
-        assert!(!d.specialize);
     }
 
     #[test]

@@ -406,6 +406,9 @@ impl<T: Scalar> Inner<T> {
     /// Resolve zombies and pending writes. The standard forms cost
     /// `O(p log p)` to net the writes plus one bulk copy of the arrays
     /// ([`splice`]); the hypersparse forms merge tuple streams in `O(e)`.
+    /// An empty CSR matrix whose writes are all inserts is built from them
+    /// instead ([`Inner::build_from`], `dup` = last write wins): its first
+    /// assembly costs what `GrB_Matrix_build` costs.
     pub(crate) fn assemble(&mut self) {
         if !self.needs_assembly() {
             return;
@@ -431,27 +434,53 @@ impl<T: Scalar> Inner<T> {
             }
             // Pending writes are (row, col); the store wants (major, minor).
             let mut pend = std::mem::take(&mut self.pending);
-            if matches!(self.store, Store::Csc(_) | Store::HyperCsc(_)) {
-                for e in &mut pend {
-                    std::mem::swap(&mut e.0, &mut e.1);
+            let empty_csr = matches!(&self.store, Store::Csr(cs) if cs.idx.is_empty());
+            if empty_csr && pend.iter().all(|e| e.2.is_some()) {
+                let inserts = pend.into_iter().filter_map(|(i, j, x)| Some((i, j, x?))).collect();
+                self.build_from(inserts, |_, last| last);
+            } else {
+                if matches!(self.store, Store::Csc(_) | Store::HyperCsc(_)) {
+                    for e in &mut pend {
+                        std::mem::swap(&mut e.0, &mut e.1);
+                    }
                 }
+                net_edits(&mut pend);
+                let mut zombie_majors = std::mem::take(&mut self.zombie_majors);
+                zombie_majors.sort_unstable();
+                self.nzombies = 0;
+                match &mut self.store {
+                    Store::Csr(cs) | Store::Csc(cs) => *cs = splice(cs, &pend, &zombie_majors),
+                    Store::HyperCsr(h) | Store::HyperCsc(h) => *h = splice_hyper(h, &pend),
+                    Store::CompressedCsr(_) => unreachable!("expanded to CSR above"),
+                    Store::Layered(_) => unreachable!("writes fold the layered form first"),
+                }
+                self.maybe_hypersparse();
+                self.maybe_compress();
             }
-            net_edits(&mut pend);
-            let mut zombie_majors = std::mem::take(&mut self.zombie_majors);
-            zombie_majors.sort_unstable();
-            self.nzombies = 0;
-            match &mut self.store {
-                Store::Csr(cs) | Store::Csc(cs) => *cs = splice(cs, &pend, &zombie_majors),
-                Store::HyperCsr(h) | Store::HyperCsc(h) => *h = splice_hyper(h, &pend),
-                Store::CompressedCsr(_) => unreachable!("expanded to CSR above"),
-                Store::Layered(_) => unreachable!("writes fold the layered form first"),
-            }
-            self.maybe_hypersparse();
-            self.maybe_compress();
         }
         if span.on() {
             span.arg("resident_bytes", self.memory_usage().total() as u64);
         }
+    }
+
+    /// Replace the store with one built from `tuples` (row, col, value),
+    /// folding duplicates with `dup(existing, incoming)`, and record a
+    /// `build` span naming the path [`Cs::build`] took.
+    fn build_from(&mut self, tuples: Vec<Tuple<T>>, dup: impl FnMut(T, T) -> T) {
+        let mut span = crate::trace::op_span(crate::trace::Op::Build);
+        span.arg("nvals_in", tuples.len());
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let (store, path) = if nrows > HYPER_DIM_LIMIT {
+            (Store::HyperCsr(Hyper::from_tuples(nrows, ncols, tuples, dup)), "sort")
+        } else {
+            let (cs, path) = Cs::build(nrows, ncols, tuples, dup);
+            (Store::Csr(cs), path)
+        };
+        self.store = store;
+        span.arg("nvals", self.store.nvals_raw());
+        span.arg("path", path);
+        self.maybe_hypersparse();
+        self.maybe_compress();
     }
 
     /// Re-encode assembled standard CSR into the compressed form when the
@@ -940,21 +969,8 @@ impl<T: Scalar> Matrix<T> {
                 return Err(Error::oob(j, inner.ncols));
             }
         }
-        let mut span = crate::trace::op_span(crate::trace::Op::Build);
-        span.arg("nvals_in", tuples.len());
-        let (nrows, ncols) = (inner.nrows, inner.ncols);
         inner.drop_dual();
-        let (store, path) = if nrows > HYPER_DIM_LIMIT {
-            (Store::HyperCsr(Hyper::from_tuples(nrows, ncols, tuples, dup)), "sort")
-        } else {
-            let (cs, path) = Cs::build(nrows, ncols, tuples, dup);
-            (Store::Csr(cs), path)
-        };
-        inner.store = store;
-        span.arg("nvals", inner.store.nvals_raw());
-        span.arg("path", path);
-        inner.maybe_hypersparse();
-        inner.maybe_compress();
+        inner.build_from(tuples, dup);
         Ok(())
     }
 

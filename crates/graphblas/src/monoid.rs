@@ -140,9 +140,6 @@ impl<T: Scalar> BinaryOp<T, T, T> for Any {
     fn apply(&self, a: T, _: T) -> T {
         a
     }
-    fn op_id(&self) -> Option<crate::binaryop::OpId> {
-        Some(crate::binaryop::OpId::Any)
-    }
 }
 
 impl<T: Scalar> Monoid<T> for Any {

@@ -5,9 +5,9 @@
 //! `C` away — into a scalar, a per-row vector, or a thresholded subset.
 //! Materializing `C` just to reduce it pays for matrix assembly, a second
 //! full pass, and peak memory proportional to `nnz(M)`. The entry points
-//! here run the masked dot-product kernel (the same specialized inner
-//! loops as [`super::mxm()`], see the `spec` module) and consume each
-//! output row while it is still in cache — `C` never exists.
+//! here run the masked dot-product kernel (the inner loop the monoid picks,
+//! as in [`super::mxm()`]; see the `shape` module) and consume each output
+//! row while it is still in cache — `C` never exists.
 //!
 //! Scope and contract:
 //!
@@ -16,10 +16,8 @@
 //! * results are identical to the materialize-then-reduce composition —
 //!   rows are consumed in row-major order, entries in column order, which
 //!   is the order the unfused reduction would fold;
-//! * fusion engages only when the semiring resolves to a specialized
-//!   kernel (`spec::resolve`) and specialization is enabled; otherwise
-//!   these functions transparently fall back to the unfused composition,
-//!   so `GRAPHBLAS_SPECIALIZE=0` disables the fused path end to end.
+//! * every semiring fuses, built-in or a closure: there is no unfused
+//!   path behind these functions.
 
 use crate::binaryop::BinaryOp;
 use crate::cost;
@@ -33,7 +31,7 @@ use crate::types::{Index, Scalar};
 use crate::vector::Vector;
 
 use super::common::{check_dims, check_mmask, par_mask_rows, MMask, NOACC};
-use super::spec::{self, SemiringSpec};
+use super::shape::{self, Shape};
 use super::write::write_matrix;
 
 /// Effective operand/output shapes under the descriptor's transposes:
@@ -56,28 +54,7 @@ fn check_fusable(desc: &Descriptor) -> Result<()> {
     Ok(())
 }
 
-/// Resolve the specialized kernel for this call, or `None` when the
-/// semiring is unrecognized or specialization is disabled (the callers
-/// then take the unfused fallback).
-fn resolve_spec<A, B, T, SA, SM>(
-    semiring: &Semiring<SA, SM>,
-    desc: &Descriptor,
-) -> Option<SemiringSpec>
-where
-    A: Scalar,
-    B: Scalar,
-    T: Scalar,
-    SA: Monoid<T>,
-    SM: BinaryOp<A, B, T>,
-{
-    if desc.specialize && spec::enabled() {
-        spec::resolve(semiring.add.op_id(), semiring.mul.op_id())
-    } else {
-        None
-    }
-}
-
-/// The shared fused loop: run one specialized dot per stored mask entry,
+/// The shared fused loop: run one dot product per stored mask entry,
 /// grouped by row, and hand each non-empty output row `(i, ridx, rval)`
 /// to `consume` against a per-chunk state. Chunk states come back in
 /// chunk (= row-major) order.
@@ -86,7 +63,7 @@ fn fused_masked_dot<A, B, T, SA, SM, St, Cons>(
     btv: &dyn SparseView<B>,
     add: &SA,
     mul: &SM,
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
     mask: &MMask<'_>,
     consume: Cons,
 ) -> Vec<St>
@@ -124,7 +101,7 @@ where
             rval.clear();
             for &j in js {
                 let (bidx, bval) = btv.row(j, &mut sb);
-                if let Some(v) = spec::dot(sp, add, mul, aidx, aval, bidx, bval) {
+                if let Some(v) = shape::dot(shape, add, mul, aidx, aval, bidx, bval) {
                     ridx.push(j);
                     rval.push(v);
                 }
@@ -160,12 +137,7 @@ where
     check_fusable(desc)?;
     let (nr, nc) = effective_dims(a, b, desc)?;
     check_mmask(Some(mask), nr, nc)?;
-    let Some(sp) = resolve_spec(semiring, desc) else {
-        // Unfused fallback: materialize, then reduce.
-        let mut c = Matrix::<T>::new(nr, nc)?;
-        super::mxm(&mut c, Some(mask), NOACC, semiring, a, b, desc)?;
-        return Ok(super::reduce_matrix_scalar(reduce, &c));
-    };
+    let shape = Shape::of(&semiring.add, semiring.mul.ignores_operands());
     let mut span = crate::trace::op_span(crate::trace::Op::MxmFused);
     span.kernel(crate::trace::Kernel::FusedReduce);
     let ga = a.read_rows();
@@ -176,13 +148,13 @@ where
     let btv = ebt.view();
     let mguard = mask.read_rows();
     let meval = MMask::new(Some(rows_of(&*mguard)), desc);
-    fused_span_args(&mut span, nr, nc, av, btv, &meval, sp);
+    fused_span_args(&mut span, nr, nc, av, btv, &meval, shape);
     let parts: Vec<Option<T>> = fused_masked_dot(
         av,
         btv,
         &semiring.add,
         &semiring.mul,
-        Some(sp),
+        shape,
         &meval,
         |st: &mut Option<T>, _i, _ridx, rval| {
             for &v in rval {
@@ -248,14 +220,7 @@ where
     check_fusable(desc)?;
     let (nr, nc) = effective_dims(a, b, desc)?;
     check_mmask(Some(mask), nr, nc)?;
-    let Some(sp) = resolve_spec(semiring, desc) else {
-        let mut c = Matrix::<T>::new(nr, nc)?;
-        super::mxm(&mut c, Some(mask), NOACC, semiring, a, b, desc)?;
-        let mut t = Vector::<T>::new(nr)?;
-        super::reduce_matrix(&mut t, None, NOACC, reduce, &c, &Descriptor::new())?;
-        let pat = c.pattern();
-        return Ok((t, pat));
-    };
+    let shape = Shape::of(&semiring.add, semiring.mul.ignores_operands());
     let mut span = crate::trace::op_span(crate::trace::Op::MxmFused);
     span.kernel(crate::trace::Kernel::FusedReduce);
     let (t_entries, pat_vecs) = {
@@ -267,14 +232,14 @@ where
         let btv = ebt.view();
         let mguard = mask.read_rows();
         let meval = MMask::new(Some(rows_of(&*mguard)), desc);
-        fused_span_args(&mut span, nr, nc, av, btv, &meval, sp);
+        fused_span_args(&mut span, nr, nc, av, btv, &meval, shape);
         type RowState<T> = (Vec<(Index, T)>, Vec<(Index, Vec<Index>, Vec<bool>)>);
         let parts: Vec<RowState<T>> = fused_masked_dot(
             av,
             btv,
             &semiring.add,
             &semiring.mul,
-            Some(sp),
+            shape,
             &meval,
             |st: &mut RowState<T>, i, ridx, rval| {
                 let mut it = rval.iter().copied();
@@ -322,13 +287,7 @@ where
     check_fusable(desc)?;
     let (nr, nc) = effective_dims(a, b, desc)?;
     check_mmask(Some(mask), nr, nc)?;
-    let Some(sp) = resolve_spec(semiring, desc) else {
-        let mut c = Matrix::<T>::new(nr, nc)?;
-        super::mxm(&mut c, Some(mask), NOACC, semiring, a, b, desc)?;
-        let kept: Vec<(Index, Index, T)> =
-            c.extract_tuples().into_iter().filter(|&(_, _, v)| keep(v)).collect();
-        return Matrix::from_tuples(nr, nc, kept, |_, incoming| incoming);
-    };
+    let shape = Shape::of(&semiring.add, semiring.mul.ignores_operands());
     let mut span = crate::trace::op_span(crate::trace::Op::MxmFused);
     span.kernel(crate::trace::Kernel::FusedSelect);
     let vecs = {
@@ -340,14 +299,14 @@ where
         let btv = ebt.view();
         let mguard = mask.read_rows();
         let meval = MMask::new(Some(rows_of(&*mguard)), desc);
-        fused_span_args(&mut span, nr, nc, av, btv, &meval, sp);
+        fused_span_args(&mut span, nr, nc, av, btv, &meval, shape);
         type KeptRows<T> = Vec<(Index, Vec<Index>, Vec<T>)>;
         let parts: Vec<KeptRows<T>> = fused_masked_dot(
             av,
             btv,
             &semiring.add,
             &semiring.mul,
-            Some(sp),
+            shape,
             &meval,
             |st: &mut KeptRows<T>, i, ridx, rval| {
                 let mut ki: Vec<Index> = Vec::new();
@@ -371,14 +330,14 @@ where
 }
 
 /// Common span arguments for the fused kernels.
-fn fused_span_args<A: Scalar, B: Scalar>(
+fn fused_span_args<A: Scalar, B: Scalar, T: Scalar>(
     span: &mut crate::trace::Span,
     nr: Index,
     nc: Index,
     av: &dyn SparseView<A>,
     btv: &dyn SparseView<B>,
     mask: &MMask<'_>,
-    sp: SemiringSpec,
+    shape: Shape<T>,
 ) {
     // The same work estimate the mxm span this kernel replaces would have
     // recorded (mxm always books est_gustavson, whatever method ran), so
@@ -391,7 +350,7 @@ fn fused_span_args<A: Scalar, B: Scalar>(
         span.arg("a_nnz", av.nvals());
         span.arg("b_nnz", btv.nvals());
         span.arg("mask_nnz", mask.nvals());
-        span.arg("spec", sp.name());
+        span.arg("shape", shape.name());
     }
 }
 
@@ -427,16 +386,6 @@ mod tests {
                 .expect("fused");
         assert_eq!(fused, materialized_sum(&a, &desc));
         assert_eq!(fused / 6, 2, "two triangles");
-    }
-
-    #[test]
-    fn fused_scalar_reduce_generic_fallback_matches() {
-        let a = two_triangles();
-        let desc = Descriptor::new().structural().generic_only();
-        let fused: u64 =
-            fused_mxm_reduce_scalar(&crate::binaryop::Plus, &a, &PLUS_PAIR, &a, &a, &desc)
-                .expect("fused");
-        assert_eq!(fused / 6, 2);
     }
 
     #[test]

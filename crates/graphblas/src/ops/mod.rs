@@ -18,7 +18,7 @@ pub mod mxm;
 pub mod mxv;
 pub mod reduce;
 pub mod select;
-pub(crate) mod spec;
+pub(crate) mod shape;
 pub mod transpose;
 mod write;
 

@@ -24,7 +24,7 @@ use crate::types::{Index, Scalar};
 use crate::vector::{DenseAcc, Slot};
 
 use super::common::{check_dims, check_mmask, par_mask_rows, par_rows, MMask};
-use super::spec::{self, SemiringSpec};
+use super::shape::{self, Shape};
 use super::write::write_matrix;
 
 /// Dense per-row accumulator is used up to this minor dimension; beyond
@@ -76,27 +76,15 @@ where
         .then(|| cost::mxm_dot_flops(meval.nvals(), a_nnz, nr, b_nnz, bn));
 
     let method = choose_method(desc, est_dot, est_gustavson);
-    // Specialization table lookup: recognized (add, mul) pairs get the
-    // tighter monomorphized inner loops (bit-identical results); anything
-    // else — or an explicit opt-out — stays generic. The heap kernel is
-    // never specialized, and Gustavson only benefits for the no-load and
-    // first-hit shapes.
-    let sp = if desc.specialize && spec::enabled() {
-        spec::resolve(semiring.add.op_id(), semiring.mul.op_id())
-    } else {
-        None
-    };
-    let gus_spec = matches!(
-        sp,
-        Some(SemiringSpec::PlusPair) | Some(SemiringSpec::AnyFirst) | Some(SemiringSpec::AnySecond)
-    );
+    // The dot product runs every shape; Gustavson runs the no-load and
+    // first-hit ones and folds under the other two; the heap merge always
+    // folds.
+    let shape = Shape::of(&semiring.add, semiring.mul.ignores_operands());
     let compressed_operand = av.as_compressed().is_some() || rows_of(&gb).as_compressed().is_some();
-    span.kernel(match (method, sp) {
-        (MxmMethod::Dot, _) if compressed_operand => crate::trace::Kernel::CompressedDot,
-        (MxmMethod::Dot, Some(_)) => crate::trace::Kernel::DotSpec,
-        (MxmMethod::Dot, None) => crate::trace::Kernel::Dot,
-        (MxmMethod::Heap, _) => crate::trace::Kernel::Heap,
-        (_, _) if gus_spec => crate::trace::Kernel::GustavsonSpec,
+    span.kernel(match method {
+        MxmMethod::Dot if compressed_operand => crate::trace::Kernel::CompressedDot,
+        MxmMethod::Dot => crate::trace::Kernel::Dot,
+        MxmMethod::Heap => crate::trace::Kernel::Heap,
         _ => crate::trace::Kernel::Gustavson,
     });
     if span.on() {
@@ -108,9 +96,7 @@ where
         if let Some(d) = est_dot {
             span.arg("est_dot", d);
         }
-        if let Some(s) = sp {
-            span.arg("spec", s.name());
-        }
+        span.arg("shape", shape.name());
     }
     span.flops(est_gustavson);
 
@@ -119,7 +105,7 @@ where
             // Needs rows of (effective B)ᵀ = Bᵀ if no transpose flag, or B
             // itself when transpose_b is set.
             let ebt = EffView::new(&gb, !desc.transpose_b);
-            dot_kernel(sp, av, ebt.view(), &semiring.add, &semiring.mul, &meval)
+            dot_kernel(shape, av, ebt.view(), &semiring.add, &semiring.mul, &meval)
         }
         MxmMethod::Heap => {
             let eb = EffView::new(&gb, desc.transpose_b);
@@ -127,7 +113,7 @@ where
         }
         _ => {
             let eb = EffView::new(&gb, desc.transpose_b);
-            gustavson_kernel(sp, av, eb.view(), &semiring.add, &semiring.mul, &meval)
+            gustavson_kernel(shape, av, eb.view(), &semiring.add, &semiring.mul, &meval)
         }
     };
     drop(mguard);
@@ -154,20 +140,13 @@ fn choose_method(desc: &Descriptor, est_dot: Option<usize>, est_gustavson: usize
     }
 }
 
-/// How the Gustavson inner loop is specialized for the resolved semiring:
-/// `NoLoad` (PAIR multiplies) hoists the constant product and never touches
-/// either value array; `FirstHit` (ANY monoid) never combines into an
-/// occupied slot. Both produce exactly what the generic loop would.
-enum GusMode<T> {
-    Generic,
-    NoLoad(T),
-    FirstHit,
-}
-
 /// Gustavson's method: for each row `i` of `A`, merge the rows of `B`
 /// selected by `A(i,:)` into a sparse accumulator. Parallel over rows.
+/// Under `NoLoad` (PAIR) the loop hoists the product and touches neither
+/// value array; under `FirstHit` (ANY) an occupied slot takes nothing
+/// more. Every other shape folds each product into its slot.
 fn gustavson_kernel<A, B, T, SA, SM>(
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
     av: &dyn SparseView<A>,
     bv: &dyn SparseView<B>,
     add: &SA,
@@ -181,11 +160,8 @@ where
     SA: Monoid<T>,
     SM: BinaryOp<A, B, T>,
 {
-    let mode: GusMode<T> = match sp {
-        Some(SemiringSpec::PlusPair) => GusMode::NoLoad(mul.apply(A::zero(), B::zero())),
-        Some(SemiringSpec::AnyFirst) | Some(SemiringSpec::AnySecond) => GusMode::FirstHit,
-        _ => GusMode::Generic,
-    };
+    // PAIR's product is the same for every entry: applied once, to zeros.
+    let pair = matches!(shape, Shape::NoLoad).then(|| mul.apply(A::zero(), B::zero()));
     let ncols = bv.nminor();
     let flops_estimate = cost::mxm_gustavson_flops(av.nvals(), bv.nvals(), bv.nmajor());
     // Each chunk sets up an accumulator as long as a row of `B`: one per thread.
@@ -205,20 +181,8 @@ where
                     continue;
                 }
                 acc.begin();
-                match mode {
-                    GusMode::Generic => {
-                        for (&k, &aik) in aidx.iter().zip(aval) {
-                            let (bidx, bval) = bv.row(k, &mut sb);
-                            for (&j, &bkj) in bidx.iter().zip(bval) {
-                                let prod = mul.apply(aik, bkj);
-                                match acc.slot(j) {
-                                    Slot::Active => acc.set(j, add.apply(acc.value(j), prod)),
-                                    _ => acc.insert(j, prod),
-                                }
-                            }
-                        }
-                    }
-                    GusMode::NoLoad(one) => {
+                match (pair, shape) {
+                    (Some(one), _) => {
                         for &k in aidx {
                             let (bidx, _) = bv.row(k, &mut sb);
                             for &j in bidx {
@@ -229,7 +193,7 @@ where
                             }
                         }
                     }
-                    GusMode::FirstHit => {
+                    (None, Shape::FirstHit) => {
                         // ANY keeps the first product per slot; occupied
                         // slots absorb later contributions untouched.
                         for (&k, &aik) in aidx.iter().zip(aval) {
@@ -237,6 +201,18 @@ where
                             for (&j, &bkj) in bidx.iter().zip(bval) {
                                 if !matches!(acc.slot(j), Slot::Active) {
                                     acc.insert(j, mul.apply(aik, bkj));
+                                }
+                            }
+                        }
+                    }
+                    (None, _) => {
+                        for (&k, &aik) in aidx.iter().zip(aval) {
+                            let (bidx, bval) = bv.row(k, &mut sb);
+                            for (&j, &bkj) in bidx.iter().zip(bval) {
+                                let prod = mul.apply(aik, bkj);
+                                match acc.slot(j) {
+                                    Slot::Active => acc.set(j, add.apply(acc.value(j), prod)),
+                                    _ => acc.insert(j, prod),
                                 }
                             }
                         }
@@ -295,9 +271,9 @@ where
 /// Dot-product method over rows of `A` and rows of `Bᵀ`. With a
 /// non-complemented mask only the masked positions are computed; dot
 /// products stop early at the monoid's terminal value. The inner loop is
-/// the specialized shape for `sp` when one resolved ([`spec::dot`]).
+/// the call's shape ([`shape::dot`]).
 fn dot_kernel<A, B, T, SA, SM>(
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
     av: &dyn SparseView<A>,
     btv: &dyn SparseView<B>,
     add: &SA,
@@ -312,7 +288,7 @@ where
     SM: BinaryOp<A, B, T>,
 {
     let dot = |aidx: &[Index], aval: &[A], bidx: &[Index], bval: &[B]| -> Option<T> {
-        spec::dot(sp, add, mul, aidx, aval, bidx, bval)
+        shape::dot(shape, add, mul, aidx, aval, bidx, bval)
     };
     if mask.has_view() && !mask.is_complement() {
         // Compute only the masked positions. Gather the mask's stored

@@ -51,7 +51,7 @@ use crate::vector::{
 };
 
 use super::common::{check_dims, check_vmask, InverseSel, VMask};
-use super::spec::{self, SemiringSpec};
+use super::shape::Shape;
 use super::write::{write_under, VecResult};
 
 /// `w⟨mask⟩ ⊙= A ⊕.⊗ u` (or `Aᵀ ⊕.⊗ u` with the transpose descriptor).
@@ -73,11 +73,6 @@ where
     Acc: BinaryOp<T, T, T>,
 {
     let mul = semiring.mul;
-    let sp = if desc.specialize && spec::enabled() {
-        spec::resolve(semiring.add.op_id(), semiring.mul.op_id())
-    } else {
-        None
-    };
     product(
         w,
         mask,
@@ -89,7 +84,6 @@ where
         desc.transpose_a,
         desc,
         trace::Op::Mxv,
-        sp,
     )
 }
 
@@ -113,14 +107,7 @@ where
 {
     let mul = semiring.mul;
     // vxm computes w_j = ⊕_i u(i) ⊗ A(i,j): the same kernels with the
-    // operand order flipped and the transpose sense inverted. The flip
-    // also swaps which operand the multiply projects, so the semiring is
-    // resolved with the mirrored multiply id (First ↔ Second).
-    let sp = if desc.specialize && spec::enabled() {
-        spec::resolve(semiring.add.op_id(), semiring.mul.op_id().map(spec::swap_projection))
-    } else {
-        None
-    };
+    // operand order flipped and the transpose sense inverted.
     product(
         w,
         mask,
@@ -132,7 +119,6 @@ where
         !desc.transpose_b,
         desc,
         trace::Op::Vxm,
-        sp,
     )
 }
 
@@ -151,7 +137,6 @@ fn product<A, U, T, SA, F, Acc>(
     transposed: bool,
     desc: &Descriptor,
     op: trace::Op,
-    sp: Option<SemiringSpec>,
 ) -> Result<()>
 where
     A: Scalar,
@@ -190,8 +175,11 @@ where
         _ => n_out,
     };
     let dense_build = if matches!(uview, VView::Sparse(..)) { n_in } else { 0 };
-    let early = add.terminal().is_some() || add.is_any();
-    let est_pull = cost::mxv_pull_flops(dense_build, rows_considered, a_nnz, n_out, early);
+    // A pull or a push loads the vector's values whatever the multiply:
+    // neither has a no-load loop.
+    let shape = Shape::of(add, false);
+    let est_pull =
+        cost::mxv_pull_flops(dense_build, rows_considered, a_nnz, n_out, shape.stops_early());
     let push_wins = cost::model().push_wins(est_push, est_pull);
 
     // Natural kernel: pull for the row-output form, push for the
@@ -221,20 +209,10 @@ where
         span.arg("u_nnz", u_nvals);
         span.arg("est_push", est_push);
         span.arg("est_pull", est_pull);
-        if let Some(s) = sp {
-            span.arg("spec", s.name());
-        }
+        span.arg("shape", shape.name());
     }
-    // Specialized loop shapes keep the fallback kernel names so direction
-    // mispredictions stay attributable in traces; only the intended
-    // push/pull choices advertise the `(specialized)` variant.
-    let push_kernel = match (meval.is_transparent(), sp.is_some()) {
-        (true, true) => trace::Kernel::PushSpec,
-        (true, false) => trace::Kernel::Push,
-        (false, true) => trace::Kernel::PushMaskedSpec,
-        (false, false) => trace::Kernel::PushMasked,
-    };
-    let pull_kernel = if sp.is_some() { trace::Kernel::PullSpec } else { trace::Kernel::Pull };
+    let push_kernel =
+        if meval.is_transparent() { trace::Kernel::Push } else { trace::Kernel::PushMasked };
     if span.on() && rows.as_compressed().is_some() {
         // A gap-encoded operand: a pull walks its rows with one cursor a
         // chunk and decodes each row only up to the dot's terminal or first
@@ -245,11 +223,11 @@ where
     // The kernel, the side it reads `A` from, and whether it pushes.
     let (kernel, mat, push) = match (transposed, want_push, dual) {
         (true, true, _) => (push_kernel, rows, true),
-        (true, false, Some(dv)) => (pull_kernel, dv, false),
+        (true, false, Some(dv)) => (trace::Kernel::Pull, dv, false),
         (true, false, None) => (trace::Kernel::PushFallback, rows, true),
         (false, true, Some(dv)) => (push_kernel, dv, true),
         (false, true, None) => (trace::Kernel::PullFallback, rows, false),
-        (false, false, _) => (pull_kernel, rows, false),
+        (false, false, _) => (trace::Kernel::Pull, rows, false),
     };
     span.kernel(kernel);
     // A pull probes the mask once per row it walks; a push once per slot
@@ -262,9 +240,9 @@ where
     };
     meval.ready_for(n_out, probes);
     let (t, actual) = if push {
-        scatter(mat, uview, n_out, add, &f, &meval, sp)
+        scatter(mat, uview, n_out, add, &f, &meval, shape)
     } else {
-        let (t, work) = rowdot(mat, uview, n_in, add, &f, &meval, sp);
+        let (t, work) = rowdot(mat, uview, n_in, add, &f, &meval, shape);
         if span.on() && mat.as_compressed().is_some() {
             span.arg("decoded", work.decoded);
             span.arg("seeks", work.seeks);
@@ -312,29 +290,15 @@ fn frontier_entries<A: Scalar, U: Scalar>(mat: &dyn SparseView<A>, u: VView<'_, 
 /// store of the result), in units of one multiplied entry.
 const ROW_COST: usize = 4;
 
-/// The specialized per-row reduction shape for a resolved semiring (see
-/// [`spec`]): `NoTerminal` sheds the `Option` accumulator and the
-/// per-product terminal compare, `Terminal` compares plain `T` against a
-/// hoisted terminal, `FirstHit` takes the first intersection (ANY).
-#[derive(Clone, Copy)]
-enum PullShape<T> {
-    Generic,
-    NoTerminal,
-    Terminal(T),
-    FirstHit,
-}
-
 /// One row's dot product, `⊕ f(A(i,j), u(j))` over the row's entries in
-/// column order, folded in the resolved [`PullShape`]. The fold takes the
+/// column order, folded in the call's [`Shape`]. The fold takes the
 /// entries as an iterator, so a CSR row's slices and a compressed row's
 /// gap decoder run the same code and stop at the same entry.
 struct Dot<'a, A, U, T, SA, F, P> {
-    shape: PullShape<T>,
+    shape: Shape<T>,
     add: &'a SA,
     f: &'a F,
     probe: &'a P,
-    terminal: Option<T>,
-    is_any: bool,
     _operands: std::marker::PhantomData<fn(A, U)>,
 }
 
@@ -351,82 +315,44 @@ where
     /// products it computed to `flops`. It stops at the first hit (ANY) or
     /// the terminal, and reads no entry past it.
     #[inline]
-    fn row(&self, mut entries: impl Iterator<Item = (Index, A)>, flops: &mut usize) -> Option<T> {
-        let (add, f, probe) = (self.add, self.f, self.probe);
+    fn row(&self, entries: impl Iterator<Item = (Index, A)>, flops: &mut usize) -> Option<T> {
         match self.shape {
-            PullShape::Generic => {
-                let mut acc: Option<T> = None;
-                for (j, av) in entries {
-                    let Some(uv) = probe(j) else { continue };
-                    let prod = f(av, uv);
-                    *flops += 1;
-                    acc = Some(match acc {
-                        None => prod,
-                        Some(cur) => add.apply(cur, prod),
-                    });
-                    if self.is_any || acc == self.terminal {
-                        break;
-                    }
-                }
-                acc
+            Shape::Fold | Shape::NoLoad => self.fold(entries, flops, |_| false),
+            Shape::Terminal(t) => self.fold(entries, flops, |acc| acc == t),
+            Shape::FirstHit => self.fold(entries, flops, |_| true),
+        }
+    }
+
+    /// The row folded from its first product until `stop` holds. Each
+    /// shape passes its own closure, so each gets its own loop.
+    #[inline]
+    fn fold(
+        &self,
+        mut entries: impl Iterator<Item = (Index, A)>,
+        flops: &mut usize,
+        stop: impl Fn(T) -> bool,
+    ) -> Option<T> {
+        let (add, f, probe) = (self.add, self.f, self.probe);
+        let mut acc = loop {
+            let (j, av) = entries.next()?;
+            if let Some(uv) = probe(j) {
+                *flops += 1;
+                break f(av, uv);
             }
-            PullShape::NoTerminal => {
-                let mut first: Option<T> = None;
-                for (j, av) in entries.by_ref() {
-                    if let Some(uv) = probe(j) {
-                        *flops += 1;
-                        first = Some(f(av, uv));
-                        break;
-                    }
+        };
+        if stop(acc) {
+            return Some(acc);
+        }
+        for (j, av) in entries {
+            if let Some(uv) = probe(j) {
+                *flops += 1;
+                acc = add.apply(acc, f(av, uv));
+                if stop(acc) {
+                    break;
                 }
-                first.map(|f0| {
-                    let mut a = f0;
-                    for (j, av) in entries {
-                        if let Some(uv) = probe(j) {
-                            *flops += 1;
-                            a = add.apply(a, f(av, uv));
-                        }
-                    }
-                    a
-                })
-            }
-            PullShape::Terminal(term) => {
-                let mut first: Option<T> = None;
-                for (j, av) in entries.by_ref() {
-                    if let Some(uv) = probe(j) {
-                        *flops += 1;
-                        first = Some(f(av, uv));
-                        break;
-                    }
-                }
-                first.map(|f0| {
-                    let mut a = f0;
-                    if a != term {
-                        for (j, av) in entries {
-                            if let Some(uv) = probe(j) {
-                                *flops += 1;
-                                a = add.apply(a, f(av, uv));
-                                if a == term {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    a
-                })
-            }
-            PullShape::FirstHit => {
-                let mut acc: Option<T> = None;
-                for (j, av) in entries {
-                    if let Some(uv) = probe(j) {
-                        *flops += 1;
-                        acc = Some(f(av, uv));
-                        break;
-                    }
-                }
-                acc
             }
         }
+        Some(acc)
     }
 }
 
@@ -479,7 +405,7 @@ fn rowdot<A, U, T, SA, F>(
     add: &SA,
     f: &F,
     mask: &VMask<'_>,
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
 ) -> (VecResult<T>, PullWork)
 where
     A: Scalar,
@@ -505,7 +431,7 @@ where
         }
     };
     let probe = |j: Index| bitmap_get(ubits, j).then(|| uval[j]);
-    rowdot_probe(mat, add, f, mask, sp, build_flops, &probe)
+    rowdot_probe(mat, add, f, mask, shape, build_flops, &probe)
 }
 
 /// The row-loop core of [`rowdot`], generic over the input-vector probe.
@@ -514,7 +440,7 @@ fn rowdot_probe<A, U, T, SA, F, P>(
     add: &SA,
     f: &F,
     mask: &VMask<'_>,
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
     build_flops: usize,
     probe: &P,
 ) -> (VecResult<T>, PullWork)
@@ -526,19 +452,8 @@ where
     F: Fn(A, U) -> T + Sync,
     P: Fn(Index) -> Option<U> + Sync,
 {
-    let shape: PullShape<T> = match sp {
-        None => PullShape::Generic,
-        Some(SemiringSpec::AnyFirst | SemiringSpec::AnySecond) => PullShape::FirstHit,
-        Some(SemiringSpec::MinPlus | SemiringSpec::LorLand) => match add.terminal() {
-            Some(t) => PullShape::Terminal(t),
-            None => PullShape::NoTerminal,
-        },
-        Some(SemiringSpec::PlusTimes | SemiringSpec::PlusPair) => PullShape::NoTerminal,
-    };
     let majors = mat.majors();
-    let terminal = add.terminal();
-    let is_any = add.is_any();
-    let dot = Dot { shape, add, f, probe, terminal, is_any, _operands: std::marker::PhantomData };
+    let dot = Dot { shape, add, f, probe, _operands: std::marker::PhantomData };
     // The dot products of `rows`, handing each result to `emit`.
     let dot_rows = |rows: Majors<'_>, emit: &mut dyn FnMut(Index, T)| {
         let mut work = PullWork::default();
@@ -588,9 +503,8 @@ where
     // ANY monoid, every pull of a BFS — costs about the same whatever the
     // row holds, and cutting it by entries would leave the long sparse tail
     // of a skewed graph to whoever claims the last chunk.
-    let first_hit = terminal.is_some() || is_any;
     let weight = |rows: usize, entries: usize| {
-        if first_hit {
+        if shape.stops_early() {
             rows
         } else {
             entries + ROW_COST * rows
@@ -658,7 +572,7 @@ fn scatter<A, U, T, SA, F>(
     add: &SA,
     f: &F,
     mask: &VMask<'_>,
-    sp: Option<SemiringSpec>,
+    shape: Shape<T>,
 ) -> (VecResult<T>, usize)
 where
     A: Scalar,
@@ -667,38 +581,6 @@ where
     SA: Monoid<T>,
     F: Fn(A, U) -> T + Sync,
 {
-    /// How the dense-accumulator loop treats an `Active` slot for the
-    /// resolved semiring: `Fold` always combines (no terminal exists),
-    /// `Terminal` compares plain `T` against the hoisted terminal, and
-    /// `FirstHit` (ANY) absorbs later contributions untouched. Each
-    /// reproduces exactly what the generic Option-comparing arm does.
-    #[derive(Clone, Copy)]
-    enum ScatterMode<T> {
-        Generic,
-        Fold,
-        Terminal(T),
-        FirstHit,
-    }
-    /// What one chunk of the frontier scattered into.
-    enum Part<T> {
-        Acc(DenseAcc<T>),
-        Lists(Vec<Index>, Vec<T>),
-    }
-    impl<T> Part<T> {
-        fn acc(&self) -> Option<&DenseAcc<T>> {
-            match self {
-                Part::Acc(acc) => Some(acc),
-                Part::Lists(..) => None,
-            }
-        }
-        fn into_acc(self) -> Option<DenseAcc<T>> {
-            match self {
-                Part::Acc(acc) => Some(acc),
-                Part::Lists(..) => None,
-            }
-        }
-    }
-    const DENSE_ACC_LIMIT: usize = 1 << 26;
     let mut entries: Vec<(Index, U)> = Vec::new();
     u.for_each(|k, uk| entries.push((k, uk)));
     let deg = (mat.nvals() / mat.nmajor().max(1)).max(1);
@@ -709,157 +591,14 @@ where
     let expanded = std::cell::OnceCell::new();
     let row_len = |&(r, _): &(Index, U)| mat.row_len(r);
     let before = |k: usize| expanded.get_or_init(|| prefix_sums(entries.iter().map(row_len)))[k];
-    let terminal = add.terminal();
-    let is_any = add.is_any();
-    let mode: ScatterMode<T> = match sp {
-        None => ScatterMode::Generic,
-        Some(SemiringSpec::AnyFirst | SemiringSpec::AnySecond) => ScatterMode::FirstHit,
-        Some(SemiringSpec::MinPlus | SemiringSpec::LorLand) => match add.terminal() {
-            Some(t) => ScatterMode::Terminal(t),
-            None => ScatterMode::Fold,
-        },
-        Some(SemiringSpec::PlusTimes | SemiringSpec::PlusPair) => ScatterMode::Fold,
-    };
     // One dense accumulator per chunk costs O(n_out) to set up, so the
     // frontier is cut into exactly one chunk per thread.
     let chunks = par_chunks_weighted(entries.len(), est, Chunking::PerThread, before, |range| {
-        let mut flops = 0usize;
-        let mut scratch = crate::sparse::RowScratch::default();
-        if n_out <= DENSE_ACC_LIMIT {
-            let mut acc = DenseAcc::<T>::new(n_out);
-            match mode {
-                ScatterMode::Generic => {
-                    for &(k, uk) in &entries[range] {
-                        let (ridx, rval) = mat.row(k, &mut scratch);
-                        for (&j, &av) in ridx.iter().zip(rval) {
-                            match acc.slot(j) {
-                                Slot::Blocked => {}
-                                Slot::Empty => {
-                                    if mask.allowed(j) {
-                                        flops += 1;
-                                        acc.insert(j, f(av, uk));
-                                    } else {
-                                        acc.block(j);
-                                    }
-                                }
-                                Slot::Active => {
-                                    let cur = acc.value(j);
-                                    if is_any || Some(cur) == terminal {
-                                        continue;
-                                    }
-                                    flops += 1;
-                                    acc.set(j, add.apply(cur, f(av, uk)));
-                                }
-                            }
-                        }
-                    }
-                }
-                ScatterMode::Fold => {
-                    for &(k, uk) in &entries[range] {
-                        let (ridx, rval) = mat.row(k, &mut scratch);
-                        for (&j, &av) in ridx.iter().zip(rval) {
-                            match acc.slot(j) {
-                                Slot::Blocked => {}
-                                Slot::Empty => {
-                                    if mask.allowed(j) {
-                                        flops += 1;
-                                        acc.insert(j, f(av, uk));
-                                    } else {
-                                        acc.block(j);
-                                    }
-                                }
-                                Slot::Active => {
-                                    flops += 1;
-                                    acc.set(j, add.apply(acc.value(j), f(av, uk)));
-                                }
-                            }
-                        }
-                    }
-                }
-                ScatterMode::Terminal(term) => {
-                    for &(k, uk) in &entries[range] {
-                        let (ridx, rval) = mat.row(k, &mut scratch);
-                        for (&j, &av) in ridx.iter().zip(rval) {
-                            match acc.slot(j) {
-                                Slot::Blocked => {}
-                                Slot::Empty => {
-                                    if mask.allowed(j) {
-                                        flops += 1;
-                                        acc.insert(j, f(av, uk));
-                                    } else {
-                                        acc.block(j);
-                                    }
-                                }
-                                Slot::Active => {
-                                    let cur = acc.value(j);
-                                    if cur == term {
-                                        continue;
-                                    }
-                                    flops += 1;
-                                    acc.set(j, add.apply(cur, f(av, uk)));
-                                }
-                            }
-                        }
-                    }
-                }
-                ScatterMode::FirstHit => {
-                    for &(k, uk) in &entries[range] {
-                        let (ridx, rval) = mat.row(k, &mut scratch);
-                        for (&j, &av) in ridx.iter().zip(rval) {
-                            match acc.slot(j) {
-                                Slot::Blocked | Slot::Active => {}
-                                Slot::Empty => {
-                                    if mask.allowed(j) {
-                                        flops += 1;
-                                        acc.insert(j, f(av, uk));
-                                    } else {
-                                        acc.block(j);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            (Part::Acc(acc), flops)
-        } else {
-            // Tree accumulator for huge dimensions; `None` marks a probed,
-            // mask-blocked position.
-            use std::collections::btree_map::Entry;
-            let mut acc = std::collections::BTreeMap::<Index, Option<T>>::new();
-            for &(k, uk) in &entries[range] {
-                let (ridx, rval) = mat.row(k, &mut scratch);
-                for (&j, &av) in ridx.iter().zip(rval) {
-                    match acc.entry(j) {
-                        Entry::Vacant(e) => {
-                            if mask.allowed(j) {
-                                flops += 1;
-                                e.insert(Some(f(av, uk)));
-                            } else {
-                                e.insert(None);
-                            }
-                        }
-                        Entry::Occupied(mut e) => {
-                            if let Some(cur) = *e.get() {
-                                if is_any || Some(cur) == terminal {
-                                    continue;
-                                }
-                                flops += 1;
-                                e.insert(Some(add.apply(cur, f(av, uk))));
-                            }
-                        }
-                    }
-                }
-            }
-            let mut idx = Vec::with_capacity(acc.len());
-            let mut val = Vec::with_capacity(acc.len());
-            for (j, v) in acc {
-                if let Some(v) = v {
-                    idx.push(j);
-                    val.push(v);
-                }
-            }
-            (Part::Lists(idx, val), flops)
+        let part = &entries[range];
+        match shape {
+            Shape::Fold | Shape::NoLoad => scatter_part(mat, part, n_out, add, f, mask, |_| false),
+            Shape::Terminal(t) => scatter_part(mat, part, n_out, add, f, mask, |cur| cur == t),
+            Shape::FirstHit => scatter_part(mat, part, n_out, add, f, mask, |_| true),
         }
     });
     let total_flops = chunks.iter().fold(0usize, |s, (_, fl)| s.saturating_add(*fl));
@@ -881,6 +620,110 @@ where
         .collect();
     let (idx, val) = merge_scatter_chunks(parts, |a, b| add.apply(a, b));
     (VecResult::Lists(idx, val), total_flops)
+}
+
+/// What one chunk of the frontier scattered into.
+enum Part<T> {
+    Acc(DenseAcc<T>),
+    Lists(Vec<Index>, Vec<T>),
+}
+
+impl<T> Part<T> {
+    fn acc(&self) -> Option<&DenseAcc<T>> {
+        match self {
+            Part::Acc(acc) => Some(acc),
+            Part::Lists(..) => None,
+        }
+    }
+    fn into_acc(self) -> Option<DenseAcc<T>> {
+        match self {
+            Part::Acc(acc) => Some(acc),
+            Part::Lists(..) => None,
+        }
+    }
+}
+
+/// Scatter one chunk of the frontier, `entries`, and count the products.
+/// A slot whose value `absorbs` takes no further products: any value under
+/// ANY, the terminal under a terminal monoid, none under a plain fold.
+/// Each shape passes its own closure, so each gets its own loop.
+fn scatter_part<A, U, T, SA, F>(
+    mat: &dyn SparseView<A>,
+    entries: &[(Index, U)],
+    n_out: Index,
+    add: &SA,
+    f: &F,
+    mask: &VMask<'_>,
+    absorbs: impl Fn(T) -> bool,
+) -> (Part<T>, usize)
+where
+    A: Scalar,
+    U: Scalar,
+    T: Scalar,
+    SA: Monoid<T>,
+    F: Fn(A, U) -> T,
+{
+    const DENSE_ACC_LIMIT: usize = 1 << 26;
+    let mut flops = 0usize;
+    let mut scratch = crate::sparse::RowScratch::default();
+    if n_out <= DENSE_ACC_LIMIT {
+        let mut acc = DenseAcc::<T>::new(n_out);
+        for &(k, uk) in entries {
+            let (ridx, rval) = mat.row(k, &mut scratch);
+            for (&j, &av) in ridx.iter().zip(rval) {
+                match acc.slot(j) {
+                    Slot::Blocked => {}
+                    Slot::Empty => {
+                        if mask.allowed(j) {
+                            flops += 1;
+                            acc.insert(j, f(av, uk));
+                        } else {
+                            acc.block(j);
+                        }
+                    }
+                    Slot::Active => {
+                        let cur = acc.value(j);
+                        if absorbs(cur) {
+                            continue;
+                        }
+                        flops += 1;
+                        acc.set(j, add.apply(cur, f(av, uk)));
+                    }
+                }
+            }
+        }
+        return (Part::Acc(acc), flops);
+    }
+    // Tree accumulator for huge dimensions; `None` marks a probed,
+    // mask-blocked position.
+    use std::collections::btree_map::Entry;
+    let mut acc = std::collections::BTreeMap::<Index, Option<T>>::new();
+    for &(k, uk) in entries {
+        let (ridx, rval) = mat.row(k, &mut scratch);
+        for (&j, &av) in ridx.iter().zip(rval) {
+            match acc.entry(j) {
+                Entry::Vacant(e) => {
+                    if mask.allowed(j) {
+                        flops += 1;
+                        e.insert(Some(f(av, uk)));
+                    } else {
+                        e.insert(None);
+                    }
+                }
+                Entry::Occupied(mut e) => {
+                    if let Some(cur) = *e.get() {
+                        if absorbs(cur) {
+                            continue;
+                        }
+                        flops += 1;
+                        e.insert(Some(add.apply(cur, f(av, uk))));
+                    }
+                }
+            }
+        }
+    }
+    let (idx, val) = acc.into_iter().filter_map(|(j, v)| v.map(|v| (j, v))).unzip();
+    (Part::Lists(idx, val), flops)
 }
 
 /// Whether the accumulators touched at least `want` distinct slots between

@@ -433,8 +433,6 @@ struct KernelRow {
     /// The `kernel` tag its spans carry.
     name: &'static str,
     family: Family,
-    /// Ran a specialized (hot-semiring or fused) inner loop.
-    specialized: bool,
     /// Ran because the cost model's preferred direction lacked dual
     /// storage.
     fallback: bool,
@@ -443,7 +441,7 @@ struct KernelRow {
 /// Declares [`Kernel`] and its [`KERNELS`] table from one list, so the
 /// two cannot disagree: adding a kernel is one row.
 macro_rules! kernels {
-    ($($(#[$doc:meta])* $variant:ident = $name:literal, $family:ident, $specialized:literal, $fallback:literal;)*) => {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $family:ident, $fallback:literal;)*) => {
         /// Which kernel / direction an op chose, recorded on its span.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub(crate) enum Kernel {
@@ -454,43 +452,32 @@ macro_rules! kernels {
         const KERNELS: &[KernelRow] = &[$(KernelRow {
             name: $name,
             family: Family::$family,
-            specialized: $specialized,
             fallback: $fallback,
         },)*];
     };
 }
 
 kernels! {
-    // variant     = span tag,                   family,    specialized, fallback
-    Gustavson      = "gustavson",                Gustavson, false, false;
-    Dot            = "dot",                      Dot,       false, false;
-    Heap           = "heap",                     Heap,      false, false;
-    Push           = "push",                     Push,      false, false;
+    // variant    = span tag,            family,    fallback
+    Gustavson     = "gustavson",         Gustavson, false;
+    Dot           = "dot",               Dot,       false;
+    Heap          = "heap",              Heap,      false;
+    Push          = "push",              Push,      false;
     /// Push with a non-transparent mask: the scatter kernel filtered
     /// masked-out positions itself instead of deferring to the write rule.
-    PushMasked     = "push(masked)",             Push,      false, false;
-    Pull           = "pull",                     Pull,      false, false;
+    PushMasked    = "push(masked)",      Push,      false;
+    Pull          = "pull",              Pull,      false;
     /// Ran push because the cost model's pull choice lacked dual storage.
-    PushFallback   = "push(fallback)",           Push,      false, true;
+    PushFallback  = "push(fallback)",    Push,      true;
     /// Ran pull because the cost model's push choice lacked dual storage.
-    PullFallback   = "pull(fallback)",           Pull,      false, true;
-    /// Gustavson with a specialized (hot-semiring) inner loop.
-    GustavsonSpec  = "gustavson(specialized)",   Gustavson, true,  false;
-    /// Dot-product method with a specialized inner loop.
-    DotSpec        = "dot(specialized)",         Dot,       true,  false;
+    PullFallback  = "pull(fallback)",    Pull,      true;
     /// Dot-product method where an operand is decoded on the fly from the
     /// compressed (gap-encoded) storage form.
-    CompressedDot  = "dot(compressed)",          Dot,       false, false;
-    /// Push with a specialized scatter loop.
-    PushSpec       = "push(specialized)",        Push,      true,  false;
-    /// Masked push with a specialized scatter loop.
-    PushMaskedSpec = "push(masked,specialized)", Push,      true,  false;
-    /// Pull with a specialized row-dot loop.
-    PullSpec       = "pull(specialized)",        Pull,      true,  false;
+    CompressedDot = "dot(compressed)",   Dot,       false;
     /// Fused masked dot product folding straight into a reduction.
-    FusedReduce    = "fused(dot+reduce)",        Fused,     true,  false;
+    FusedReduce   = "fused(dot+reduce)", Fused,     false;
     /// Fused masked dot product filtered by a select predicate.
-    FusedSelect    = "fused(dot+select)",        Fused,     true,  false;
+    FusedSelect   = "fused(dot+select)", Fused,     false;
 }
 
 impl Kernel {
@@ -1172,8 +1159,6 @@ pub struct RunAggregate {
     pub chunks: u64,
     /// Reductions that short-circuited on a terminal value.
     pub early_exits: u64,
-    /// Products (mxm/mxv/vxm/fused) that ran a specialized inner loop.
-    pub specialized: u64,
     /// Fused multiply-reduce/select invocations (product never
     /// materialized).
     pub mxm_fused: u64,
@@ -1240,7 +1225,6 @@ impl RunAggregate {
                 Family::Pull => &mut self.pull,
                 Family::Fused => &mut self.mxm_fused,
             } += 1;
-            self.specialized += u64::from(k.specialized);
             self.direction_fallbacks += u64::from(k.fallback);
         }
         if matches!(e.name, "assemble.matrix" | "assemble.vector") {
@@ -1319,31 +1303,21 @@ mod aggregate_tests {
             let families =
                 [agg.mxm_gustavson, agg.mxm_dot, agg.mxm_heap, agg.push, agg.pull, agg.mxm_fused];
             assert_eq!(families.iter().sum::<u64>(), 1, "{} is counted {families:?}", k.name);
-            assert_eq!(agg.specialized, u64::from(k.specialized), "{}", k.name);
             assert_eq!(agg.direction_fallbacks, u64::from(k.fallback), "{}", k.name);
         }
         assert_eq!(Kernel::CompressedDot.name(), "dot(compressed)");
     }
 
     #[test]
-    fn run_aggregate_counts_specialized_and_fused_kernels() {
+    fn run_aggregate_counts_fused_kernels() {
         let events = vec![
-            span("mxm", Cat::Op, Some("dot(specialized)"), 7),
-            span("mxm", Cat::Op, Some("gustavson(specialized)"), 7),
-            span("mxv", Cat::Op, Some("pull(specialized)"), 7),
-            span("mxv", Cat::Op, Some("push(specialized)"), 7),
-            span("vxm", Cat::Op, Some("push(masked,specialized)"), 7),
             span("mxm.fused", Cat::Op, Some("fused(dot+reduce)"), 7),
             span("mxm.fused", Cat::Op, Some("fused(dot+select)"), 7),
             span("mxm", Cat::Op, Some("dot"), 7),
         ];
         let agg = RunAggregate::from_events(&events);
-        assert_eq!(agg.specialized, 7);
         assert_eq!(agg.mxm_fused, 2);
-        // Specialized variants still count toward their base kernel tally.
-        assert_eq!(agg.mxm_dot, 2);
-        assert_eq!(agg.mxm_gustavson, 1);
-        assert_eq!((agg.push, agg.pull), (2, 1));
+        assert_eq!(agg.mxm_dot, 1);
     }
 }
 

@@ -4,12 +4,14 @@
 //! sees what (ring × metrics), and the kernel vocabulary on a real
 //! compressed product. The pure tests (exporters, `Profile`, buckets,
 //! the `RunAggregate` roll-up) sit beside the code in `src/trace.rs`.
+//! So do the inner-loop shapes a product's span names, and the `build`
+//! span an assembly records.
 //!
 //! Every test takes `GLOBALS` and leaves every sink off and the ring
 //! empty.
 
 use graphblas::prelude::*;
-use graphblas::semiring::{LOR_LAND, PLUS_TIMES};
+use graphblas::semiring::{LOR_LAND, MIN_SECOND, PLUS_SECOND, PLUS_TIMES};
 use graphblas::trace::{self, ArgValue, Mode, RunAggregate};
 use graphblas::{metrics, MxmMethod};
 use std::sync::{Mutex, MutexGuard};
@@ -196,4 +198,70 @@ fn a_build_span_names_its_path() {
     let few: Vec<_> = extracted.iter().rev().step_by(8).copied().collect();
     assert!(few.len() < n / 3);
     assert_eq!(build_span(n, few).arg_str("path"), Some("sort"));
+}
+
+/// The one traced `mxv` of `run`.
+fn mxv_span(run: impl FnOnce()) -> trace::Event {
+    trace::enable();
+    trace::clear();
+    run();
+    trace::disable();
+    trace::drain().into_iter().find(|e| e.name == "mxv").expect("mxv span")
+}
+
+/// A product's span names the inner loop its monoid picked: PageRank's
+/// `PLUS_SECOND` pull (a dense rank vector accumulated into a dense
+/// constant term, as `lagraph::pagerank` does it) folds every product,
+/// and connected components' `MIN_SECOND` stops at the terminal.
+#[test]
+fn a_product_span_names_the_shape_its_monoid_picks() {
+    let _g = globals();
+    // No dual storage, as PageRank's transposed structure: `mxv` pulls.
+    let (mut a, _) = ring_and_frontier();
+    a.set_dual_storage(false);
+    let ranks = Vector::dense(64, 1.0 / 64.0).expect("ranks");
+    let pull = mxv_span(|| {
+        let mut r = Vector::dense(64, 0.15 / 64.0).expect("r");
+        let accum = Some(|base: f64, pulled: f64| base + 0.85 * pulled);
+        mxv(&mut r, None, accum, &PLUS_SECOND, &a, &ranks, &Descriptor::default()).expect("mxv");
+    });
+    assert!(pull.kernel.is_some_and(|k| k.starts_with("pull")), "{pull:?}");
+    assert_eq!(pull.arg_str("shape"), Some("fold"));
+
+    let labels = Vector::from_tuples(64, (0..64).map(|i| (i, i as u64)).collect(), |_, b| b);
+    let labels = labels.expect("labels");
+    let min = mxv_span(|| {
+        let mut w = Vector::<u64>::new(64).expect("w");
+        mxv(&mut w, None, NOACC, &MIN_SECOND, &a, &labels, &Descriptor::default()).expect("mxv");
+    });
+    assert_eq!(min.arg_str("shape"), Some("terminal"));
+}
+
+/// The first assembly of an empty matrix filled by `set_element` with
+/// inserts only is a build: its writes are ordered by the row buckets
+/// (shuffled, more of them than a third of the rows), and the entries are
+/// the ones a last-wins build of the same writes holds.
+#[test]
+fn a_first_assembly_of_inserts_builds_through_the_buckets() {
+    let _g = globals();
+    let n = 64;
+    let mut writes: Vec<(Index, Index, u64)> =
+        (0..n).flat_map(|i| [(i, (i * 7) % n, 1), (i, (i * 11 + 3) % n, 2)]).collect();
+    writes.push((5, 35, 4));
+    writes.push((5, 35, 9));
+    writes.sort_by_key(|&(i, j, _)| (i * 40_503 + j * 7) % 127);
+    let mut m = Matrix::<u64>::new(n, n).expect("m");
+    for &(i, j, x) in &writes {
+        m.set_element(i, j, x).expect("set");
+    }
+    trace::enable();
+    trace::clear();
+    m.wait();
+    trace::disable();
+    let events = trace::drain();
+    let build = events.iter().find(|e| e.name == "build").expect("build span");
+    assert_eq!(build.arg_str("path"), Some("bucket"));
+    assert_eq!(build.arg_u64("nvals_in"), Some(writes.len() as u64));
+    let built = Matrix::from_tuples(n, n, writes, |_, last| last).expect("build");
+    assert_eq!(m.extract_tuples(), built.extract_tuples());
 }

@@ -1,29 +1,32 @@
-//! The specialized (monomorphized) semiring kernels and the fused
-//! multiply-reduce/select kernels are pure performance features: for
-//! every recognized semiring they must produce **bit-identical** results
-//! to the generic closure-driven path, under any thread count, with any
-//! mask mode, in both product methods. Each scenario here computes the
-//! same product twice — once with the default descriptor (specialization
-//! on) and once with `generic_only()` — at 1 worker thread and at 8, and
-//! requires all four results to agree exactly.
-//!
-//! This is the contract that lets `GRAPHBLAS_SPECIALIZE=0` serve as a
-//! true escape hatch: flipping it can change speed, never answers.
+//! Every product kernel runs the inner loop its monoid picks (first hit
+//! under ANY, a terminal compare, a plain fold, or no value loads under a
+//! PAIR multiply). A loop's shape is a speed matter only: for every
+//! semiring it must give **bit-identical** results to the dense mimic's
+//! brute-force fold, under any thread count, with any mask mode, in both
+//! product methods. Each product scenario here runs at 1 worker thread
+//! and at 8, and then against the mimic on the same inputs, and requires
+//! all three to agree exactly. The fused multiply-reduce/select kernels
+//! are held to the materialized composition they replace.
 //!
 //! Storage is held to the same contract: compressed operands against CSR,
 //! an operand's held dual against a per-call transpose, for every op that
 //! takes a transpose flag, and the layered form `Matrix::with_edits`
 //! publishes against the plain CSR it stands for.
 
-use graphblas::binaryop::Plus;
+use graphblas::binaryop::{Min, Plus};
 use graphblas::descriptor::Descriptor;
+use graphblas::mimic::{self, DMat, DVec};
 use graphblas::ops::*;
 use graphblas::parallel::{set_par_threshold, set_threads};
-use graphblas::semiring::{ANY_SECOND, LOR_LAND, MIN_PLUS, PLUS_PAIR, PLUS_TIMES};
-use graphblas::{Format, Matrix, MxmMethod, Vector};
+use graphblas::semiring::{
+    ANY_SECOND, BOR_SECOND, LOR_LAND, MAX_SECOND, MIN_PLUS, MIN_SECOND, PLUS_FIRST, PLUS_PAIR,
+    PLUS_SECOND, PLUS_TIMES,
+};
+use graphblas::{BinaryOp, Format, Matrix, Monoid, MxmMethod, Scalar, Semiring, Vector};
 use lagraph::algorithms::{triangle_count, TriCountMethod};
 use lagraph::{Graph, GraphKind};
 use proptest::prelude::*;
+use std::fmt::Display;
 use std::sync::Mutex;
 
 const N: usize = 16;
@@ -32,34 +35,123 @@ const N: usize = 16;
 /// interleave their toggles.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
-/// Run `f` with specialization on and with `generic_only()`, at 1 and at
-/// 8 worker threads, and require every result to be bit-identical to the
-/// first. `f` receives the descriptor to pass to each operation.
+/// Run `f` at 1 and at 8 worker threads and require the two results to be
+/// bit-identical; return the result. `f` receives the descriptor to pass
+/// to each operation.
 fn assert_paths_equivalent<R: PartialEq + std::fmt::Debug>(
     base: Descriptor,
     f: impl Fn(&Descriptor) -> R,
-) {
+) -> R {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     set_par_threshold(1);
-    let mut first: Option<(String, R)> = None;
-    for nt in [1usize, 8] {
+    let [one, eight] = [1usize, 8].map(|nt| {
         set_threads(nt);
-        for (label, desc) in [("specialized", base), ("generic", base.generic_only())] {
-            let r = f(&desc);
-            match &first {
-                None => first = Some((format!("{label}@{nt}t"), r)),
-                Some((l0, r0)) => {
-                    assert_eq!(r0, &r, "{label}@{nt}t differs from {l0}");
-                }
-            }
-        }
-    }
+        f(&base)
+    });
     set_threads(0);
     set_par_threshold(0);
+    assert_eq!(one, eight, "8 threads differ from 1");
+    one
+}
+
+/// Who computes a product: the kernels, or the dense mimic on the same
+/// inputs.
+#[derive(Clone, Copy)]
+enum Via {
+    Kernels,
+    Mimic,
+}
+
+/// [`assert_paths_equivalent`] over `products`, whose answer must also be
+/// the dense mimic's.
+fn assert_paths_match_mimic<R: PartialEq + std::fmt::Debug>(
+    base: Descriptor,
+    products: impl Fn(Via, &Descriptor) -> R,
+) {
+    let kernels = assert_paths_equivalent(base, |d| products(Via::Kernels, d));
+    assert_eq!(kernels, products(Via::Mimic, &base), "the kernels differ from the dense mimic");
+}
+
+/// `C⟨M⟩ = A ⊕.⊗ B` over `N × N` operands, rendered exactly.
+fn mxm_via<A, B, T, SA, SM>(
+    via: Via,
+    m: Option<&Matrix<bool>>,
+    s: &Semiring<SA, SM>,
+    a: &Matrix<A>,
+    b: &Matrix<B>,
+    d: &Descriptor,
+) -> Vec<(usize, usize, String)>
+where
+    A: Scalar,
+    B: Scalar,
+    T: Scalar + Display,
+    SA: Monoid<T>,
+    SM: BinaryOp<A, B, T>,
+{
+    let c = match via {
+        Via::Kernels => {
+            let mut c = Matrix::<T>::new(N, N).expect("c");
+            mxm(&mut c, m, NOACC, s, a, b, d).expect("mxm");
+            c
+        }
+        Via::Mimic => {
+            let (da, db) = (DMat::from_matrix(a), DMat::from_matrix(b));
+            let dm = m.map(DMat::from_matrix);
+            mimic::mxm(&DMat::new(N, N), dm.as_ref(), &NOACC, s, &da, &db, d).to_matrix()
+        }
+    };
+    c.extract_tuples().into_iter().map(|(i, j, x)| (i, j, format!("{x}"))).collect()
+}
+
+/// `w⟨m⟩ = A ⊕.⊗ u` (`vxm_order` false) or `uᵀ ⊕.⊗ A` (`vxm_order`
+/// true) over an `N × N` operand, rendered exactly.
+fn mxv_via<A, T, SA, SM>(
+    via: Via,
+    vxm_order: bool,
+    m: Option<&Vector<bool>>,
+    s: &Semiring<SA, SM>,
+    a: &Matrix<A>,
+    u: &Vector<A>,
+    d: &Descriptor,
+) -> Vec<(usize, String)>
+where
+    A: Scalar,
+    T: Scalar + Display,
+    SA: Monoid<T>,
+    SM: BinaryOp<A, A, T>,
+{
+    let w = match via {
+        Via::Kernels => {
+            let mut w = Vector::<T>::new(N).expect("w");
+            if vxm_order {
+                vxm(&mut w, m, NOACC, s, u, a, d).expect("vxm");
+            } else {
+                mxv(&mut w, m, NOACC, s, a, u, d).expect("mxv");
+            }
+            w
+        }
+        Via::Mimic => {
+            let (da, du) = (DMat::from_matrix(a), DVec::from_vector(u));
+            let (dw, dm) = (DVec::new(N), m.map(DVec::from_vector));
+            if vxm_order {
+                mimic::vxm(&dw, dm.as_ref(), &NOACC, s, &du, &da, d).to_vector()
+            } else {
+                mimic::mxv(&dw, dm.as_ref(), &NOACC, s, &da, &du, d).to_vector()
+            }
+        }
+    };
+    w.extract_tuples().into_iter().map(|(i, x)| (i, format!("{x}"))).collect()
 }
 
 fn mat(tuples: &[(usize, usize, i64)]) -> Matrix<i64> {
     Matrix::from_tuples(N, N, tuples.to_vec(), |_, b| b).expect("matrix")
+}
+
+/// The sample as `u64` words: a negative value is a word with its high
+/// bits set, so `-1` is BOR's terminal.
+fn words(tuples: &[(usize, usize, i64)]) -> Matrix<u64> {
+    let cast = tuples.iter().map(|&(i, j, x)| (i, j, x as u64)).collect();
+    Matrix::from_tuples(N, N, cast, |_, b| b).expect("words")
 }
 
 fn vec_of(tuples: &[(usize, i64)]) -> Vector<i64> {
@@ -291,7 +383,7 @@ fn arb_tall_mask() -> impl Strategy<Value = Vec<(usize, bool)>> {
 /// `mxv(A, u)` and `mxv(Aᵀ, v)` (through the held dual), forced to pull,
 /// each under no mask, a valued mask and a structural complement. The two
 /// storages must agree inside the call; the results are returned for the
-/// driver to compare across threads and specialization.
+/// driver to compare across threads.
 fn pulls_on_both_storages(
     at: &[(usize, usize, i64)],
     ut: &[(usize, i64)],
@@ -365,43 +457,34 @@ proptest! {
     #[test]
     fn mxm_specialized_matches_generic(at in arb_mat_tuples(), bt in arb_mat_tuples(),
                                        mt in arb_mat_tuples()) {
-        // Every specialized semiring, in both forced methods, under every
-        // mask mode. The outer driver flips specialization and threads.
+        // Every loop shape (fold, terminal, first hit, no load), in both
+        // forced methods, under every mask mode, against the dense mimic.
+        // The outer driver flips threads and asks the mimic.
         for method in [MxmMethod::Gustavson, MxmMethod::Dot] {
             for transpose_b in [false, true] {
                 let mut base = Descriptor::new().method(method);
                 if transpose_b {
                     base = base.transpose_b();
                 }
-                assert_paths_equivalent(base, |desc| {
+                assert_paths_match_mimic(base, |via, desc| {
                     let a = mat(&at);
                     let b = mat(&bt);
                     let mask = mat(&mt).pattern();
                     let (ap, bp) = (a.pattern(), b.pattern());
+                    let (au, bu) = (words(&at), words(&bt));
                     let mut out: Vec<Vec<(usize, usize, String)>> = Vec::new();
-                    let mut push = |t: Vec<(usize, usize, String)>| out.push(t);
                     for (masked, d) in mask_descs(*desc) {
                         let m = masked.map(|()| &mask);
-                        let mut c = Matrix::<i64>::new(N, N).expect("c");
-                        mxm(&mut c, m, NOACC, &PLUS_TIMES, &a, &b, &d).expect("plus_times");
-                        push(c.extract_tuples().into_iter()
-                            .map(|(i, j, x)| (i, j, format!("{x}"))).collect());
-                        let mut c = Matrix::<i64>::new(N, N).expect("c");
-                        mxm(&mut c, m, NOACC, &MIN_PLUS, &a, &b, &d).expect("min_plus");
-                        push(c.extract_tuples().into_iter()
-                            .map(|(i, j, x)| (i, j, format!("{x}"))).collect());
-                        let mut c = Matrix::<i64>::new(N, N).expect("c");
-                        mxm(&mut c, m, NOACC, &ANY_SECOND, &a, &b, &d).expect("any_second");
-                        push(c.extract_tuples().into_iter()
-                            .map(|(i, j, x)| (i, j, format!("{x}"))).collect());
-                        let mut c = Matrix::<u64>::new(N, N).expect("c");
-                        mxm(&mut c, m, NOACC, &PLUS_PAIR, &ap, &bp, &d).expect("plus_pair");
-                        push(c.extract_tuples().into_iter()
-                            .map(|(i, j, x)| (i, j, format!("{x}"))).collect());
-                        let mut c = Matrix::<bool>::new(N, N).expect("c");
-                        mxm(&mut c, m, NOACC, &LOR_LAND, &ap, &bp, &d).expect("lor_land");
-                        push(c.extract_tuples().into_iter()
-                            .map(|(i, j, x)| (i, j, format!("{x}"))).collect());
+                        out.push(mxm_via(via, m, &PLUS_TIMES, &a, &b, &d));
+                        out.push(mxm_via(via, m, &MIN_PLUS, &a, &b, &d));
+                        out.push(mxm_via(via, m, &ANY_SECOND, &a, &b, &d));
+                        out.push(mxm_via::<_, _, u64, _, _>(via, m, &PLUS_PAIR, &ap, &bp, &d));
+                        out.push(mxm_via(via, m, &LOR_LAND, &ap, &bp, &d));
+                        out.push(mxm_via(via, m, &PLUS_SECOND, &a, &b, &d));
+                        out.push(mxm_via(via, m, &MIN_SECOND, &a, &b, &d));
+                        out.push(mxm_via(via, m, &PLUS_FIRST, &a, &b, &d));
+                        out.push(mxm_via(via, m, &MAX_SECOND, &a, &b, &d));
+                        out.push(mxm_via(via, m, &BOR_SECOND, &au, &bu, &d));
                     }
                     out
                 });
@@ -414,53 +497,34 @@ proptest! {
                                              mt in arb_vec_tuples()) {
         use graphblas::descriptor::Direction;
         // Push (scatter) and pull (dot) kernels, masked and unmasked, for
-        // every specialized semiring, mxv and vxm.
+        // every loop shape, mxv and vxm, against the dense mimic.
         for dir in [Direction::Push, Direction::Pull] {
-            assert_paths_equivalent(Descriptor::new().direction(dir), |desc| {
+            assert_paths_match_mimic(Descriptor::new().direction(dir), |via, desc| {
                 let mut a = mat(&at);
                 a.set_dual_storage(true);
                 let ap = a.pattern();
+                let mut au = words(&at);
+                au.set_dual_storage(true);
                 let u = vec_of(&ut);
                 let up = u.pattern();
+                let uu = Vector::from_tuples(N, ut.iter().map(|&(i, x)| (i, x as u64)).collect(),
+                    |_, b| b).expect("uu");
                 let mask = vec_of(&mt).pattern();
                 let mut out: Vec<Vec<(usize, String)>> = Vec::new();
-                let mut push = |t: Vec<(usize, String)>| out.push(t);
                 for (masked, d) in mask_descs(*desc) {
                     let m = masked.map(|()| &mask);
-                    let mut w = Vector::<i64>::new(N).expect("w");
-                    mxv(&mut w, m, NOACC, &PLUS_TIMES, &a, &u, &d).expect("mxv plus_times");
-                    push(w.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut w = Vector::<i64>::new(N).expect("w");
-                    mxv(&mut w, m, NOACC, &MIN_PLUS, &a, &u, &d).expect("mxv min_plus");
-                    push(w.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut w = Vector::<i64>::new(N).expect("w");
-                    mxv(&mut w, m, NOACC, &ANY_SECOND, &a, &u, &d).expect("mxv any_second");
-                    push(w.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut w = Vector::<u64>::new(N).expect("w");
-                    mxv(&mut w, m, NOACC, &PLUS_PAIR, &ap, &up, &d).expect("mxv plus_pair");
-                    push(w.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut w = Vector::<bool>::new(N).expect("w");
-                    mxv(&mut w, m, NOACC, &LOR_LAND, &ap, &up, &d).expect("mxv lor_land");
-                    push(w.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    // vxm flips the multiply's projection before resolving
-                    // the specialization — exercise that swap too.
-                    let mut t = Vector::<i64>::new(N).expect("t");
-                    vxm(&mut t, m, NOACC, &PLUS_TIMES, &u, &a, &d).expect("vxm plus_times");
-                    push(t.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut t = Vector::<i64>::new(N).expect("t");
-                    vxm(&mut t, m, NOACC, &MIN_PLUS, &u, &a, &d).expect("vxm min_plus");
-                    push(t.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
-                    let mut t = Vector::<i64>::new(N).expect("t");
-                    vxm(&mut t, m, NOACC, &ANY_SECOND, &u, &a, &d).expect("vxm any_second");
-                    push(t.extract_tuples().into_iter()
-                        .map(|(i, x)| (i, format!("{x}"))).collect());
+                    for vxm_order in [false, true] {
+                        out.push(mxv_via(via, vxm_order, m, &PLUS_TIMES, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &MIN_PLUS, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &ANY_SECOND, &a, &u, &d));
+                        out.push(mxv_via::<_, u64, _, _>(via, vxm_order, m, &PLUS_PAIR, &ap, &up, &d));
+                        out.push(mxv_via(via, vxm_order, m, &LOR_LAND, &ap, &up, &d));
+                        out.push(mxv_via(via, vxm_order, m, &PLUS_SECOND, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &MIN_SECOND, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &PLUS_FIRST, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &MAX_SECOND, &a, &u, &d));
+                        out.push(mxv_via(via, vxm_order, m, &BOR_SECOND, &au, &uu, &d));
+                    }
                 }
                 out
             });
@@ -651,10 +715,8 @@ proptest! {
                                                     bt in arb_mat_tuples(),
                                                     mt in arb_mat_tuples()) {
         // Each fused entry point against the three-step unfused
-        // composition it replaces: materialize the masked product with the
-        // generic mxm, then reduce/select. The generic_only() leg of the
-        // driver exercises the fused functions' own fallback path, so this
-        // also proves fallback == fused.
+        // composition it replaces: materialize the masked product with
+        // mxm, then reduce/select.
         assert_paths_equivalent(Descriptor::new().structural(), |desc| {
             let a = mat(&at).pattern();
             let b = mat(&bt).pattern();
@@ -667,10 +729,9 @@ proptest! {
             let kept =
                 fused_mxm_select(|v: u64| v >= 2, &mask, &PLUS_PAIR, &a, &b, desc).expect("sel");
 
-            // The unfused oracle, always on the generic path.
+            // The unfused oracle.
             let mut c = Matrix::<u64>::new(N, N).expect("c");
-            mxm(&mut c, Some(&mask), NOACC, &PLUS_PAIR, &a, &b, &desc.generic_only())
-                .expect("mxm");
+            mxm(&mut c, Some(&mask), NOACC, &PLUS_PAIR, &a, &b, desc).expect("mxm");
             assert_eq!(scalar, reduce_matrix_scalar(&Plus, &c), "scalar reduce");
             let mut rref = Vector::<u64>::new(N).expect("r");
             reduce_matrix(&mut rref, None, NOACC, &Plus, &c, &Descriptor::default())
@@ -687,12 +748,41 @@ proptest! {
     }
 
     #[test]
+    fn fused_kernels_fuse_a_terminal_semiring(at in arb_mat_tuples(), bt in arb_mat_tuples(),
+                                              mt in arb_mat_tuples()) {
+        // Every semiring fuses: MIN_PLUS over f64 (a terminal monoid, not
+        // PAIR) reduced to a scalar and thresholded, against the
+        // materialized product reduced and filtered.
+        let real = |t: &[(usize, usize, i64)]| {
+            let cast = t.iter().map(|&(i, j, x)| (i, j, x as f64 / 4.0)).collect();
+            Matrix::from_tuples(N, N, cast, |_, b| b).expect("real")
+        };
+        assert_paths_equivalent(Descriptor::new().structural(), |desc| {
+            let (a, b) = (real(&at), real(&bt));
+            let mask = mat(&mt).pattern();
+            let scalar: f64 =
+                fused_mxm_reduce_scalar(&Min, &mask, &MIN_PLUS, &a, &b, desc).expect("scalar");
+            let kept = fused_mxm_select(|v: f64| v < 0.5, &mask, &MIN_PLUS, &a, &b, desc)
+                .expect("select");
+
+            let mut c = Matrix::<f64>::new(N, N).expect("c");
+            mxm(&mut c, Some(&mask), NOACC, &MIN_PLUS, &a, &b, desc).expect("mxm");
+            let want = reduce_matrix_scalar(&Min, &c);
+            assert_eq!(scalar.to_bits(), want.to_bits(), "scalar reduce");
+            let filtered: Vec<_> =
+                c.extract_tuples().into_iter().filter(|&(_, _, v)| v < 0.5).collect();
+            assert_eq!(kept.extract_tuples(), filtered, "select");
+            (scalar.to_bits(), format!("{:?}", kept.extract_tuples()))
+        });
+    }
+
+    #[test]
     fn compressed_pulls_match_csr_under_every_shape(at in arb_tall_tuples(), ut in arb_vec_tuples(),
                                                     vt in arb_vec_tuples(), mt in arb_tall_mask()) {
         // A compressed pull walks each chunk's rows with one cursor and
         // stops decoding a row at its dot's terminal or first hit: under
-        // every pull shape (LOR_LAND terminal, ANY_SECOND first hit,
-        // MIN_SECOND generic, PLUS_TIMES no terminal), masked or not, its
+        // every pull shape (LOR_LAND and MIN_SECOND terminal, ANY_SECOND
+        // first hit, PLUS_TIMES fold), masked or not, its
         // result must be the CSR pull's bit for bit, at 1 and 8 threads.
         use graphblas::descriptor::Direction;
         assert_paths_equivalent(Descriptor::new().direction(Direction::Pull), |desc| {
