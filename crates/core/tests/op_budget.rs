@@ -10,14 +10,14 @@
 //! each vector `write` took; how many vectors changed storage form, and
 //! that none converts lists a write has just merged; for BFS, the
 //! positions its writes examined; and, per masked `mxv`, the mask
-//! scatters and the write's re-probes; for a BFS pull over the compressed
-//! form, the gap entries it decoded and the cursor seeks it made. Three
-//! budgets use graphs
-//! of their own: a push from a star's hub, judged on the entries it
-//! scanned; the epochs at which a service's publishes fold their overlay;
-//! and the row entries a components repair reads to cut a leaf off a hub
-//! or to find a ring still joined. A service snapshot's component labels
-//! cost one repair a publish and nothing a query.
+//! scatters and the write's re-probes; for a BFS pull, the rows it walked,
+//! and over the compressed form the gap entries it decoded and the cursor
+//! seeks it made. Three budgets use graphs of their own: a push from a
+//! star's hub, judged on the entries it scanned; the epochs at which a
+//! service's publishes fold their overlay; and the row entries a
+//! components repair reads to cut a leaf off a hub or to find a ring
+//! still joined. A service snapshot's component labels cost one repair a
+//! publish and nothing a query.
 
 use std::sync::Mutex;
 
@@ -652,4 +652,34 @@ fn a_compressed_pull_decodes_each_row_only_to_its_first_hit() {
         // At two threads some level's chunks start mid-matrix.
         assert_eq!(chunked > 0, threads > 1, "{threads} threads: {chunked} levels seeked twice");
     }
+}
+
+#[test]
+fn a_masked_pull_walks_only_the_rows_its_mask_admits() {
+    // A BFS pull runs under the complemented `visited`, which holds presence
+    // words from level 2 on: it walks the set bits of their complement, so
+    // its `rows` are at most the vertices not yet visited — never all n —
+    // and the last pull, with most of the component reached, walks fewer
+    // than half the rows. A pull that stepped through every row and tested
+    // the mask at each walked n.
+    let g = rmat();
+    let source = hubs(&g)[0];
+    let n = g.a().nrows();
+    let (levels, events) = traced(|| bfs_level(&g, source).expect("bfs"));
+    let level: Vec<(usize, i32)> = levels.extract_tuples();
+    let mut pulls = Vec::new();
+    for iter in events.iter().filter(|e| e.name == "bfs.iter" && e.dur_ns > 0) {
+        let depth = iter.arg_u64("iter").expect("the level's depth") as i32;
+        let product = events.iter().find(|e| is_op(e) && e.name == "mxv" && inside(e, iter));
+        let product = product.expect("one mxv a level");
+        if !product.kernel.is_some_and(|k| k.starts_with("pull")) {
+            continue;
+        }
+        let visited = level.iter().filter(|&&(_, d)| d <= depth).count();
+        let rows = product.arg_u64("rows").expect("a pull reports the rows it walked") as usize;
+        assert!(rows <= n - visited, "level {depth}: {rows} rows walked, {visited} of {n} visited");
+        pulls.push(rows);
+    }
+    let last = *pulls.last().expect("the BFS pulls at some level");
+    assert!(last < n / 2, "the last pull walked {last} of {n} rows ({pulls:?})");
 }

@@ -3,10 +3,11 @@
 //!
 //! Two kernels implement all four (operation × transpose) combinations:
 //!
-//! * **pull** (`rowdot`): one dot product per output position, walking a
-//!   row of the matrix against a dense view of the vector. Honors the
-//!   monoid's terminal value — the early-exit trick that makes pull BFS
-//!   fast. Parallelized over rows.
+//! * **pull** (`rowdot`): one dot product per output position the mask
+//!   admits, walking a row of the matrix against a dense view of the
+//!   vector; a mask held as presence words hands it just those rows, a word
+//!   at a time. Honors the monoid's terminal value — the early-exit trick
+//!   that makes pull BFS fast. Parallelized over rows.
 //! * **push** (`scatter`): partition the (sparse) vector's entries
 //!   across the pool, one chunk per thread, cut by the matrix rows the
 //!   entries expand ([`par_chunks_weighted`]); each chunk scatters its
@@ -230,9 +231,11 @@ where
         (false, false, _) => (trace::Kernel::Pull, rows, false),
     };
     span.kernel(kernel);
-    // A pull probes the mask once per row it walks; a push once per slot
-    // it opens, at most the entries it scans: m_f, the frontier's summed
-    // row lengths, counted only for a mask that would otherwise search.
+    // A pull probes the mask once per row, or, readied into words, walks
+    // only the rows it admits, a word at a time; a push probes it once per
+    // slot it opens, at most the entries it scans: m_f, the frontier's
+    // summed row lengths, counted only for a mask that would otherwise
+    // search.
     let probes = match (push, meval.searches()) {
         (false, _) => mat.majors().len(),
         (true, true) => frontier_entries(mat, uview).min(n_out),
@@ -243,6 +246,7 @@ where
         scatter(mat, uview, n_out, add, &f, &meval, shape)
     } else {
         let (t, work) = rowdot(mat, uview, n_in, add, &f, &meval, shape);
+        span.arg("rows", work.rows);
         if span.on() && mat.as_compressed().is_some() {
             span.arg("decoded", work.decoded);
             span.arg("seeks", work.seeks);
@@ -357,11 +361,14 @@ where
 }
 
 /// What a pull did: the products it computed (plus the dense-view build),
-/// and, on a compressed operand, the gap entries it decoded and the times
-/// it positioned a row cursor by select — once per chunk that reads a row.
+/// the rows it stepped through — each chunk's every row, or under a mask
+/// held as presence words the rows it admits ([`Admitted`]) — and, on a
+/// compressed operand, the gap entries it decoded and the times it
+/// positioned a row cursor by select — once per chunk that reads a row.
 #[derive(Clone, Copy, Default)]
 struct PullWork {
     flops: usize,
+    rows: usize,
     decoded: usize,
     seeks: usize,
 }
@@ -370,9 +377,180 @@ impl PullWork {
     fn plus(self, o: PullWork) -> PullWork {
         PullWork {
             flops: self.flops.saturating_add(o.flops),
+            rows: self.rows + o.rows,
             decoded: self.decoded + o.decoded,
             seeks: self.seeks + o.seeks,
         }
+    }
+}
+
+/// The rows of a chunk's majors that a pull reads under a mask that holds
+/// presence words, in increasing order: the set bits of each word (of its
+/// complement under a complemented mask) clipped to the chunk's range of
+/// rows, an empty CSR or layered row then skipped at one pointer compare.
+enum Admitted<'a> {
+    /// A CSR range, given its row pointers: the common case, kept to one
+    /// compare a row.
+    Csr(SetBits<'a>, &'a [usize]),
+    /// A layered or compressed range.
+    Words(SetBits<'a>, Majors<'a>),
+}
+
+impl<'a> Admitted<'a> {
+    /// The word walk over `majors` under `mask`, or `None` — a valued
+    /// full-length mask, a sparse one not readied into words, no mask, or
+    /// a hypersparse operand's list of rows — when the pull walks every
+    /// row and tests each.
+    fn new(majors: &Majors<'a>, mask: &'a VMask<'_>) -> Option<Self> {
+        let (words, r) = (mask.true_words()?, majors.range()?);
+        let bits = SetBits::new(words, if mask.is_complement() { !0 } else { 0 }, r);
+        Some(match majors {
+            Majors::Rows(Some(p), _) => Admitted::Csr(bits, p),
+            _ => Admitted::Words(bits, majors.clone()),
+        })
+    }
+
+    /// The rows the mask admits in the range, which the walk steps through.
+    fn walked(&self) -> usize {
+        match self {
+            Admitted::Csr(bits, _) | Admitted::Words(bits, _) => bits.total(),
+        }
+    }
+}
+
+impl Iterator for Admitted<'_> {
+    type Item = Index;
+
+    #[inline]
+    fn next(&mut self) -> Option<Index> {
+        match self {
+            Admitted::Csr(bits, p) => bits.find(|&i| p[i + 1] > p[i]),
+            Admitted::Words(bits, majors) => bits.find(|&i| majors.may_hold(i)),
+        }
+    }
+
+    /// One loop for each walk, with the caller's body inlined in it.
+    #[inline]
+    fn fold<B, G: FnMut(B, Index) -> B>(self, init: B, g: G) -> B {
+        match self {
+            Admitted::Csr(bits, p) => bits.filter(|&i| p[i + 1] > p[i]).fold(init, g),
+            Admitted::Words(bits, majors) => bits.filter(|&i| majors.may_hold(i)).fold(init, g),
+        }
+    }
+}
+
+/// [`rowdot_probe`]'s dot products over the rows `rows` admits, handing
+/// each result to `emit`. Out of line, so the loop of a pull that walks
+/// every row compiles as it does without it.
+#[inline(never)]
+fn dot_admitted<A, U, T, SA, F, P>(
+    mat: &dyn SparseView<A>,
+    dot: &Dot<'_, A, U, T, SA, F, P>,
+    rows: Admitted<'_>,
+    emit: &mut dyn FnMut(Index, T),
+) -> PullWork
+where
+    A: Scalar,
+    U: Scalar,
+    T: Scalar,
+    SA: Monoid<T>,
+    F: Fn(A, U) -> T,
+    P: Fn(Index) -> Option<U>,
+{
+    let mut work = PullWork { rows: rows.walked(), ..PullWork::default() };
+    let Some(cm) = mat.as_compressed() else {
+        let mut scratch = crate::sparse::RowScratch::default();
+        rows.for_each(|i| {
+            let (ridx, rval) = mat.row(i, &mut scratch);
+            if ridx.is_empty() {
+                return;
+            }
+            let entries = ridx.iter().copied().zip(rval.iter().copied());
+            if let Some(v) = dot.row(entries, &mut work.flops) {
+                emit(i, v);
+            }
+        });
+        return work;
+    };
+    let mut cursor = None;
+    rows.for_each(|i| {
+        let rows_at = cursor.get_or_insert_with(|| {
+            work.seeks += 1;
+            cm.rows_from(i)
+        });
+        let mut entries = rows_at.row(i);
+        let len = entries.len();
+        if len == 0 {
+            return;
+        }
+        let acc = dot.row(&mut entries, &mut work.flops);
+        work.decoded += len - entries.len();
+        if let Some(v) = acc {
+            emit(i, v);
+        }
+    });
+    work
+}
+
+/// The positions in `start..end` whose bit is set in `words ^ flip`, in
+/// increasing order, one word load and a trailing-zeros count at a time.
+struct SetBits<'a> {
+    words: &'a [u64],
+    flip: u64,
+    /// The bits of the word at `base` not yet handed out.
+    cur: u64,
+    /// The first position, and the one past the last.
+    start: Index,
+    end: Index,
+    base: Index,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64], flip: u64, r: std::ops::Range<Index>) -> Self {
+        let base = r.start & !63;
+        let mut bits = SetBits { words, flip, cur: 0, start: r.start, base, end: r.end };
+        if r.start < r.end {
+            bits.cur = bits.word(base, !0u64 << (r.start & 63));
+        }
+        bits
+    }
+
+    /// How many positions the walk hands out in all.
+    fn total(&self) -> usize {
+        let first = self.start & !63;
+        (first..self.end).step_by(64).fold(0, |n, at| {
+            let keep = if at == first { !0u64 << (self.start & 63) } else { !0 };
+            n + self.word(at, keep).count_ones() as usize
+        })
+    }
+
+    /// The word at `at`, flipped, under `keep` and with its bits at or past
+    /// `end` clear.
+    #[inline]
+    fn word(&self, at: Index, keep: u64) -> u64 {
+        let word = (self.words[at >> 6] ^ self.flip) & keep;
+        match self.end - at {
+            left if left < 64 => word & ((1u64 << left) - 1),
+            _ => word,
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = Index;
+
+    #[inline]
+    fn next(&mut self) -> Option<Index> {
+        while self.cur == 0 {
+            self.base += 64;
+            if self.base >= self.end {
+                return None;
+            }
+            self.cur = self.word(self.base, !0);
+        }
+        let i = self.base + self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(i)
     }
 }
 
@@ -383,9 +561,14 @@ impl PullWork {
 /// products computed, plus the dense-view build when `u` arrived sparse —
 /// for misprediction checks).
 ///
-/// A pull walks the matrix's majors in place — every row of a CSR or
-/// compressed matrix, an empty one skipped at a compare, the occupied ones
-/// of a hypersparse one — and never lists them first. When the non-empty
+/// A pull walks the matrix's majors in place and never lists them first.
+/// Under a mask that holds presence words (a structural full-length mask, or
+/// a sparse one readied into words) it walks only the rows the mask admits,
+/// a word at a time ([`Admitted`]): a masked pull costs the rows its mask
+/// admits, plus each one's entries up to its first hit. Otherwise it walks
+/// every row of a CSR or compressed matrix, or the occupied ones of a
+/// hypersparse one, testing each against the mask; an empty CSR or layered
+/// row is skipped at one pointer compare either way. When the non-empty
 /// rows are a fair share of the output (1/32, the density a full-length
 /// vector keeps) workers write the result straight into full-length
 /// arrays — disjoint row windows, nothing to stitch, and no more than the
@@ -456,7 +639,11 @@ where
     let dot = Dot { shape, add, f, probe, _operands: std::marker::PhantomData };
     // The dot products of `rows`, handing each result to `emit`.
     let dot_rows = |rows: Majors<'_>, emit: &mut dyn FnMut(Index, T)| {
-        let mut work = PullWork::default();
+        if let Some(admitted) = Admitted::new(&rows, mask) {
+            return dot_admitted(mat, &dot, admitted, emit);
+        }
+        // Every row, each tested against the mask.
+        let mut work = PullWork { rows: rows.len(), ..PullWork::default() };
         let Some(cm) = mat.as_compressed() else {
             let mut scratch = crate::sparse::RowScratch::default();
             for i in rows {

@@ -82,6 +82,26 @@ impl<'a> Majors<'a> {
         }
     }
 
+    /// The range of majors, for the forms that walk every major in one.
+    pub fn range(&self) -> Option<Range<Index>> {
+        match self {
+            Majors::Rows(_, r) | Majors::Layered(_, _, r) => Some(r.clone()),
+            Majors::List(_) => None,
+        }
+    }
+
+    /// Whether major `i` of the range may hold entries: the test iterating
+    /// applies, one compare where the form has pointers. A listed major
+    /// always may.
+    #[inline]
+    pub fn may_hold(&self, i: Index) -> bool {
+        match self {
+            Majors::Rows(p, _) => p.is_none_or(|p| p[i + 1] > p[i]),
+            Majors::Layered(p, w, _) => p[i + 1] > p[i] || bit(w, i),
+            Majors::List(_) => true,
+        }
+    }
+
     /// The majors that lie in `r`.
     pub fn within(&self, r: Range<Index>) -> Majors<'a> {
         match self {

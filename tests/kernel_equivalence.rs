@@ -15,7 +15,7 @@
 
 use graphblas::binaryop::{Min, Plus};
 use graphblas::descriptor::Descriptor;
-use graphblas::mimic::{self, DMat, DVec};
+use graphblas::mimic::{self, DMat};
 use graphblas::ops::*;
 use graphblas::parallel::{set_par_threshold, set_threads};
 use graphblas::semiring::{
@@ -28,6 +28,8 @@ use lagraph::{Graph, GraphKind};
 use proptest::prelude::*;
 use std::fmt::Display;
 use std::sync::Mutex;
+
+mod common;
 
 const N: usize = 16;
 
@@ -42,16 +44,33 @@ fn assert_paths_equivalent<R: PartialEq + std::fmt::Debug>(
     base: Descriptor,
     f: impl Fn(&Descriptor) -> R,
 ) -> R {
+    assert_paths_equivalent_at(&[1, 8], base, f)
+}
+
+/// [`assert_paths_equivalent`] at each of `threads`, every result held to
+/// the first.
+fn assert_paths_equivalent_at<R: PartialEq + std::fmt::Debug>(
+    threads: &[usize],
+    base: Descriptor,
+    f: impl Fn(&Descriptor) -> R,
+) -> R {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     set_par_threshold(1);
-    let [one, eight] = [1usize, 8].map(|nt| {
-        set_threads(nt);
-        f(&base)
-    });
+    let results: Vec<R> = threads
+        .iter()
+        .map(|&nt| {
+            set_threads(nt);
+            f(&base)
+        })
+        .collect();
     set_threads(0);
     set_par_threshold(0);
-    assert_eq!(one, eight, "8 threads differ from 1");
-    one
+    let mut results = threads.iter().zip(results);
+    let (_, first) = results.next().expect("a thread count");
+    for (nt, r) in results {
+        assert_eq!(first, r, "{nt} threads differ from {}", threads[0]);
+    }
+    first
 }
 
 /// Who computes a product: the kernels, or the dense mimic on the same
@@ -68,7 +87,16 @@ fn assert_paths_match_mimic<R: PartialEq + std::fmt::Debug>(
     base: Descriptor,
     products: impl Fn(Via, &Descriptor) -> R,
 ) {
-    let kernels = assert_paths_equivalent(base, |d| products(Via::Kernels, d));
+    assert_paths_match_mimic_at(&[1, 8], base, products)
+}
+
+/// [`assert_paths_match_mimic`] at each of `threads`.
+fn assert_paths_match_mimic_at<R: PartialEq + std::fmt::Debug>(
+    threads: &[usize],
+    base: Descriptor,
+    products: impl Fn(Via, &Descriptor) -> R,
+) {
+    let kernels = assert_paths_equivalent_at(threads, base, |d| products(Via::Kernels, d));
     assert_eq!(kernels, products(Via::Mimic, &base), "the kernels differ from the dense mimic");
 }
 
@@ -120,27 +148,7 @@ where
     SA: Monoid<T>,
     SM: BinaryOp<A, A, T>,
 {
-    let w = match via {
-        Via::Kernels => {
-            let mut w = Vector::<T>::new(N).expect("w");
-            if vxm_order {
-                vxm(&mut w, m, NOACC, s, u, a, d).expect("vxm");
-            } else {
-                mxv(&mut w, m, NOACC, s, a, u, d).expect("mxv");
-            }
-            w
-        }
-        Via::Mimic => {
-            let (da, du) = (DMat::from_matrix(a), DVec::from_vector(u));
-            let (dw, dm) = (DVec::new(N), m.map(DVec::from_vector));
-            if vxm_order {
-                mimic::vxm(&dw, dm.as_ref(), &NOACC, s, &du, &da, d).to_vector()
-            } else {
-                mimic::mxv(&dw, dm.as_ref(), &NOACC, s, &da, &du, d).to_vector()
-            }
-        }
-    };
-    w.extract_tuples().into_iter().map(|(i, x)| (i, format!("{x}"))).collect()
+    common::mxv_rendered(matches!(via, Via::Mimic), vxm_order, m, s, a, u, d)
 }
 
 fn mat(tuples: &[(usize, usize, i64)]) -> Matrix<i64> {
@@ -528,6 +536,13 @@ proptest! {
                 }
                 out
             });
+            // Edge words: outputs of 1000 and 4097 positions under a readied
+            // sparse structural mask and its complement, every row form, at
+            // thread counts that cut inside a word (tests/common/mod.rs).
+            assert_paths_match_mimic_at(&common::EDGE_THREADS, Descriptor::new().direction(dir),
+                |via, desc| {
+                    common::edge_word_products(matches!(via, Via::Mimic), desc, N, &at, &ut, &mt)
+                });
         }
     }
 

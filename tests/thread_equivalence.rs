@@ -20,6 +20,8 @@ use lagraph_suite::prelude::{Graph, GraphKind, TriCountMethod};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
+mod common;
+
 const N: usize = 16;
 
 /// Thread count and threshold are process-wide globals; scenarios from
@@ -27,11 +29,12 @@ const N: usize = 16;
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 /// Run `f` under each of the given worker-thread counts, restore the
-/// defaults, and require every result to be identical to the first.
+/// defaults, require every result to be identical to the first, and return
+/// it.
 fn assert_thread_equivalent_across<R: PartialEq + std::fmt::Debug>(
     counts: &[usize],
     f: impl Fn() -> R,
-) {
+) -> R {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     set_par_threshold(1);
     let mut first: Option<(usize, R)> = None;
@@ -47,6 +50,7 @@ fn assert_thread_equivalent_across<R: PartialEq + std::fmt::Debug>(
     }
     set_threads(0);
     set_par_threshold(0);
+    first.expect("a thread count").1
 }
 
 /// Run `f` under 1 worker thread and under 8, restore the defaults, and
@@ -150,6 +154,18 @@ proptest! {
             assert_eq!(per_dir[0], per_dir[1], "push must agree with pull");
             per_dir
         });
+        // Edge words (tests/common/mod.rs): outputs of 1000 and 4097
+        // positions under a readied sparse structural mask and its
+        // complement, every row form, at thread counts that cut inside a
+        // word, both directions held to the dense mimic.
+        let mimic = common::edge_word_products(true, &Descriptor::new(), N, &at, &ut, &mt);
+        for dir in [Direction::Push, Direction::Pull] {
+            let d = Descriptor::new().direction(dir);
+            let kernels = assert_thread_equivalent_across(&common::EDGE_THREADS, || {
+                common::edge_word_products(false, &d, N, &at, &ut, &mt)
+            });
+            assert_eq!(kernels, mimic, "{dir:?} differs from the dense mimic");
+        }
     }
 
     #[test]
@@ -567,6 +583,25 @@ fn batch_bfs_rows_at_every_thread_count() {
             let rows: Vec<_> = batch.iter().map(|row| row.extract_tuples()).collect();
             assert_eq!(rows, singles, "batch of {k} diverged from the single-source runs");
             rows
+        });
+    }
+}
+
+/// Δ-stepping on the scale-10 RMAT: bucket scans (`select`), light and
+/// heavy relaxations (`vxm` under MIN_PLUS over `f64` weights) and the
+/// bucket bookkeeping between them are all chunked, and every distance
+/// must come out bit for bit the same at 1 and at 8 threads.
+#[test]
+fn delta_stepping_distances_at_every_thread_count() {
+    let g = lagraph::gen::Workload::Rmat.graph(10, 16, 7, 255).expect("rmat");
+    let pool: Vec<usize> = g.out_degree().expect("degrees").iter().map(|(v, _)| v).collect();
+    for source in [pool[0], pool[pool.len() / 2]] {
+        assert_thread_equivalent(|| {
+            let dist = lagraph::sssp_delta_stepping(&g, source, 64.0).expect("sssp");
+            assert!(dist.nvals() > g.a().nrows() / 2, "{} reached", dist.nvals());
+            let bits =
+                dist.extract_tuples().into_iter().map(|(v, d): (usize, f64)| (v, d.to_bits()));
+            bits.collect::<Vec<_>>()
         });
     }
 }
