@@ -15,9 +15,8 @@
 //!
 //! Calibration runs once per process (the first product that consults the
 //! model): two synthetic micro-kernels — one scatter-shaped, one
-//! dot-shaped — are timed and aggregated through the
-//! [`crate::trace::Profile`] machinery, giving nanoseconds-per-flop
-//! constants on the *actual* host. The result is recorded as a
+//! dot-shaped — are timed, and each one's summed time over its summed
+//! flops gives a nanoseconds-per-flop constant on the *actual* host. The result is recorded as a
 //! `cost.calibrate` instant event so Chrome traces show which constants
 //! every subsequent direction choice used. The `GRAPHBLAS_COST_MODEL`
 //! environment variable (`"<push_ns>,<pull_ns>"`) overrides calibration
@@ -30,7 +29,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::trace::{self, ArgValue, Cat, Event, Profile};
+use crate::trace;
 
 /// Measured per-flop costs, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,8 +90,8 @@ const MIN_NS_PER_FLOP: f64 = 0.05;
 const MAX_NS_PER_FLOP: f64 = 1000.0;
 
 /// Time the two kernel shapes on synthetic data and derive ns-per-flop
-/// constants through a [`Profile`] over the timing events. A few hundred
-/// microseconds, paid once per process.
+/// constants: summed time over summed flops. A few hundred microseconds,
+/// paid once per process.
 fn calibrate() -> CostModel {
     const N: usize = 1 << 10;
     const DEG: usize = 8;
@@ -103,18 +102,9 @@ fn calibrate() -> CostModel {
     let cols: Vec<usize> = (0..N * DEG).map(|t| (t.wrapping_mul(7919) + 13) % N).collect();
     let vals: Vec<f64> = (0..N * DEG).map(|t| (t % 13) as f64 + 1.0).collect();
 
-    let mut events: Vec<Event> = Vec::new();
-    let mut sample = |name: &'static str, dur_ns: u64| {
-        events.push(Event {
-            name,
-            cat: Cat::Runtime,
-            kernel: None,
-            t0_ns: 0,
-            dur_ns: dur_ns.max(1),
-            tid: 0,
-            args: vec![("flops", ArgValue::U64(flops))],
-        });
-    };
+    // Summed nanoseconds per shape (each rep at least 1), over the
+    // REPS × `flops` products the shape computed.
+    let (mut push_ns, mut pull_ns) = (0u64, 0u64);
 
     // Scatter shape: combine every entry into a stamped dense accumulator.
     let mut acc = vec![0.0f64; N];
@@ -134,7 +124,7 @@ fn calibrate() -> CostModel {
             }
         }
         std::hint::black_box(&acc);
-        sample("cost.push", t0.elapsed().as_nanos() as u64);
+        push_ns += (t0.elapsed().as_nanos() as u64).max(1);
     }
 
     // Dot shape: per row, gather from a dense vector and fold.
@@ -150,20 +140,13 @@ fn calibrate() -> CostModel {
             sink += s;
         }
         std::hint::black_box(sink);
-        sample("cost.pull", t0.elapsed().as_nanos() as u64);
+        pull_ns += (t0.elapsed().as_nanos() as u64).max(1);
     }
 
-    let p = Profile::from_events(&events);
-    let per_flop = |name: &str| -> f64 {
-        p.ops
-            .get(name)
-            .filter(|o| o.total_flops > 0)
-            .map(|o| {
-                (o.total_ns as f64 / o.total_flops as f64).clamp(MIN_NS_PER_FLOP, MAX_NS_PER_FLOP)
-            })
-            .unwrap_or(1.0)
+    let per_flop = |ns: u64| {
+        (ns as f64 / (flops * REPS as u64) as f64).clamp(MIN_NS_PER_FLOP, MAX_NS_PER_FLOP)
     };
-    let m = CostModel { push_ns: per_flop("cost.push"), pull_ns: per_flop("cost.pull") };
+    let m = CostModel { push_ns: per_flop(push_ns), pull_ns: per_flop(pull_ns) };
     trace::cost_calibrated(m.push_ns, m.pull_ns);
     m
 }

@@ -287,6 +287,20 @@ mod tests {
         assert_eq!(again.extract_tuples(), before);
     }
 
+    /// §IV's O(1) claim as a count of copies: an export, an import and a
+    /// second export move the same three arrays, so their addresses
+    /// survive the round trip.
+    #[test]
+    fn csr_round_trip_moves_the_arrays() {
+        let tuples = (0..64).map(|k| (k % 8, (k * 5) % 8, k as f64)).collect();
+        let m = Matrix::from_tuples(8, 8, tuples, |_, b| b).expect("build");
+        let (nr, nc, ptr, idx, val) = m.export_csr();
+        let addrs = (ptr.as_ptr(), idx.as_ptr(), val.as_ptr());
+        let again = Matrix::import_csr(nr, nc, ptr, idx, val).expect("import");
+        let (_, _, ptr, idx, val) = again.export_csr();
+        assert_eq!((ptr.as_ptr(), idx.as_ptr(), val.as_ptr()), addrs);
+    }
+
     #[test]
     fn csc_round_trip() {
         let m = Matrix::from_tuples(2, 3, vec![(0, 2, 1), (1, 0, 2)], |_, b| b).expect("m");

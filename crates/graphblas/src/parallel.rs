@@ -164,7 +164,10 @@ struct Dispatch {
 // SAFETY: `run` is the only field that is not `Send + Sync` by itself. It
 // points at a `Sync` closure, so calling it through a shared reference from
 // several threads is sound; that the pointee is alive whenever it is called
-// is the argument in `run_cut`.
+// is the argument in `run_cut`. CI's AddressSanitizer job runs the lib
+// tests, `tests/pool_panic.rs`, `tests/concurrency.rs` (several threads
+// dispatching at once) and lagraph's `lagc_service` with workers sharing
+// a `Dispatch`; a use after its frame is gone would be reported there.
 unsafe impl Send for Dispatch {}
 unsafe impl Sync for Dispatch {}
 
@@ -187,7 +190,10 @@ impl Dispatch {
             if !self.poisoned.load(Ordering::Relaxed) {
                 // SAFETY: chunk `k` is claimed and `pending` still counts
                 // it, so the dispatching thread has not left `run_cut`,
-                // which owns everything `run` borrows.
+                // which owns everything `run` borrows. `tests/pool_panic.rs`
+                // holds that protocol when a chunk panics, and the
+                // AddressSanitizer job runs it with that suite and
+                // `tests/concurrency.rs` (see the `Send`/`Sync` impls).
                 let run = unsafe { &*self.run };
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(k))) {
                     self.poisoned.store(true, Ordering::Relaxed);

@@ -5,7 +5,7 @@
 //! which 600 use only the operators of the GraphBLAS C API (§II.A). In
 //! Rust the compiler's monomorphization plays the code-generator role, so
 //! the registry's job is bookkeeping: enumerating the space so the
-//! `semiring_census` experiment can reproduce both numbers and so tests
+//! census table (`lagraph-bench c4`) can reproduce both numbers and so tests
 //! can sample it for constructibility.
 //!
 //! The counting model (matching SuiteSparse v2.x, the version the paper

@@ -265,3 +265,47 @@ fn a_first_assembly_of_inserts_builds_through_the_buckets() {
     let built = Matrix::from_tuples(n, n, writes, |_, last| last).expect("build");
     assert_eq!(m.extract_tuples(), built.extract_tuples());
 }
+
+/// Logical OR without its terminal: the same monoid as `LOR_LAND`'s, with
+/// nothing to stop a dot product early.
+#[derive(Clone, Copy, Debug)]
+struct LorNoExit;
+
+impl BinaryOp<bool, bool, bool> for LorNoExit {
+    fn apply(&self, a: bool, b: bool) -> bool {
+        a || b
+    }
+}
+
+impl Monoid<bool> for LorNoExit {
+    fn identity(&self) -> bool {
+        false
+    }
+}
+
+/// §II.A's early exit as a count: a pull against a full `true` vector
+/// reads one entry of every non-empty row under `LOR_LAND`, whose
+/// terminal stops each dot at its first product, and every entry under
+/// the same OR without a terminal. Both give the same result.
+#[test]
+fn a_terminal_pull_reads_each_row_only_to_its_first_hit() {
+    let _g = globals();
+    // Row i holds i % 4 entries: a quarter of the rows are empty.
+    let tuples: Vec<(Index, Index, bool)> =
+        (0..64).flat_map(|i| (0..i % 4).map(move |t| (i, (i * 7 + t * 13) % 64, true))).collect();
+    let a = Matrix::from_tuples(64, 64, tuples, |_, b| b).expect("a");
+    let u = Vector::dense(64, true).expect("u");
+    let pull = Descriptor::new().direction(Direction::Pull);
+    let run = |s: &dyn Fn(&mut Vector<bool>)| {
+        let mut w = Vector::<bool>::new(64).expect("w");
+        let span = mxv_span(|| s(&mut w));
+        assert!(span.kernel.is_some_and(|k| k.starts_with("pull")), "{span:?}");
+        (span.arg_u64("flops"), w.extract_tuples())
+    };
+    let (exit_flops, exit) = run(&|w| mxv(w, None, NOACC, &LOR_LAND, &a, &u, &pull).expect("mxv"));
+    let no_exit = Semiring::new(LorNoExit, binaryop::Land);
+    let (all_flops, all) = run(&|w| mxv(w, None, NOACC, &no_exit, &a, &u, &pull).expect("mxv"));
+    assert_eq!(exit_flops, Some(48), "one product per non-empty row");
+    assert_eq!(all_flops, Some(a.nvals() as u64), "every entry");
+    assert_eq!(exit, all);
+}

@@ -96,17 +96,30 @@ pub fn read_binary<T: Scalar>(mut r: impl Read) -> Result<Matrix<T>> {
     let nrows = read_u64(&mut r)? as Index;
     let ncols = read_u64(&mut r)? as Index;
     let nvals = read_u64(&mut r)? as usize;
-    let mut ptr = Vec::with_capacity(nrows + 1);
+    // The arrays grow as their bytes arrive, so a header that claims more
+    // than the file holds ends in an error at its last byte, not in an
+    // allocation of what it claims.
+    let mut ptr = Vec::new();
     for _ in 0..=nrows {
         ptr.push(read_u64(&mut r)? as usize);
     }
-    let mut idx = Vec::with_capacity(nvals);
+    let mut idx = Vec::new();
     for _ in 0..nvals {
         idx.push(read_u64(&mut r)? as Index);
     }
-    let mut val = Vec::with_capacity(nvals);
+    let mut val = Vec::new();
     for _ in 0..nvals {
         val.push(T::from_f64(f64::from_bits(read_u64(&mut r)?)));
+    }
+    // `import_csr` checks lengths only (its O(1) contract); a file is not
+    // trusted with the rest. Reading it was O(e) already.
+    for row in ptr.windows(2) {
+        let cols = idx
+            .get(row[0]..row[1])
+            .ok_or_else(|| Error::invalid("row pointers not monotone or past nvals"))?;
+        if cols.windows(2).any(|w| w[0] >= w[1]) || cols.last().is_some_and(|&j| j >= ncols) {
+            return Err(Error::invalid("a row's columns are unsorted or out of range"));
+        }
     }
     Matrix::import_csr(nrows, ncols, ptr, idx, val)
 }
@@ -171,6 +184,44 @@ mod tests {
     fn garbage_rejected() {
         assert!(read_binary::<f64>(&b"not a file"[..]).is_err());
         assert!(read_binary::<f64>(&b"LAGRBIN1\xff\xff\xff\xff\xff\xff\xff\xff"[..]).is_err());
+    }
+
+    /// A well-formed header over `ptr`, `idx` and all-ones values.
+    fn file(nrows: u64, ncols: u64, ptr: &[u64], idx: &[u64]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        let name = f64::NAME.as_bytes();
+        buf.extend((name.len() as u64).to_le_bytes());
+        buf.extend(name);
+        for x in [nrows, ncols, idx.len() as u64].iter().chain(ptr).chain(idx) {
+            buf.extend(x.to_le_bytes());
+        }
+        for _ in idx {
+            buf.extend(1.0f64.to_bits().to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn a_column_past_ncols_is_rejected() {
+        assert!(read_binary::<f64>(&file(2, 2, &[0, 1, 1], &[1])[..]).is_ok());
+        assert!(read_binary::<f64>(&file(2, 2, &[0, 1, 1], &[7])[..]).is_err());
+    }
+
+    #[test]
+    fn a_row_out_of_order_is_rejected() {
+        assert!(read_binary::<f64>(&file(2, 4, &[0, 2, 2], &[1, 3])[..]).is_ok());
+        assert!(read_binary::<f64>(&file(2, 4, &[0, 2, 2], &[3, 1])[..]).is_err());
+        assert!(read_binary::<f64>(&file(2, 4, &[0, 2, 2], &[1, 1])[..]).is_err());
+        assert!(read_binary::<f64>(&file(2, 4, &[0, 2, 1], &[1, 3])[..]).is_err());
+    }
+
+    /// A 52-byte file whose header claims 2^40 rows ends in an error at
+    /// its last byte instead of reserving 8 TiB.
+    #[test]
+    fn a_header_claiming_more_than_the_file_holds_is_rejected() {
+        let buf = file(1 << 40, 2, &[0], &[]);
+        assert_eq!(buf.len(), 52);
+        assert!(read_binary::<f64>(&buf[..]).is_err());
     }
 
     #[test]
