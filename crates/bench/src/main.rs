@@ -12,10 +12,11 @@
 //! re-invokes itself as `lagraph-bench --side TABLE NAME` (the one hidden
 //! entry), and that child builds the side's inputs, warms up, times the
 //! body in a plain `Instant` loop and prints the median. The parent runs
-//! each side in [`PROCESSES`] processes, a claim's sides adjacent and in
-//! alternating order (A B B A A …), pins every child to the parent's
-//! cost-model constants, and prints per side the median of the process
-//! medians and their min–max.
+//! each side in [`PROCESSES`] processes, spread over the whole run (every
+//! table named is declared first, then timed in one set of rounds), a
+//! claim's sides adjacent and in alternating order (A B B A A …). It pins
+//! every child to the parent's cost-model constants and prints per side
+//! the median of the process medians and their min–max.
 
 use std::collections::{BTreeMap, HashSet};
 use std::hint::black_box;
@@ -41,7 +42,7 @@ use rand::{Rng, SeedableRng};
 /// Processes per timed side. One side's process medians spread by up to
 /// ~15 % on a shared 2-vCPU host (memory layout, and host speed that
 /// drifts over tens of seconds), so a side takes this many, spread over
-/// its whole table.
+/// the whole run.
 const PROCESSES: usize = 9;
 /// Untimed calls before a child's samples: at least one, for this long.
 const WARM_UP: Duration = Duration::from_millis(100);
@@ -105,21 +106,41 @@ fn main() -> ExitCode {
     if chosen.is_empty() {
         chosen = TABLES.iter().collect();
     }
-    for t in chosen {
-        println!("\n## {}\n", t.title);
-        conditions();
-        let mut r = Runner::Parent { claims: Vec::new(), notes: String::new() };
-        (t.run)(&mut r);
-        if let Runner::Parent { claims, notes } = r {
-            time(t.key, &claims);
-            print!("{notes}");
+    // Every chosen table declares its claims first, so that one set of
+    // rounds times them all and each side's processes spread over the
+    // whole run.
+    let mut declared: Vec<(&Table, Vec<Claim>, String)> = chosen
+        .into_iter()
+        .map(|t| {
+            let mut r = Runner::Parent { claims: Vec::new(), notes: String::new() };
+            (t.run)(&mut r);
+            match r {
+                Runner::Parent { claims, notes } => (t, claims, notes),
+                Runner::Child { .. } => unreachable!("declared as the parent"),
+            }
+        })
+        .collect();
+    time(&mut declared);
+    let conditions = conditions();
+    for (t, claims, notes) in &mut declared {
+        println!("\n## {}\n\n{conditions}", t.title);
+        if !claims.is_empty() {
+            println!(
+                "{PROCESSES} processes a side, alternating; each warms up {WARM_UP:?}, then \
+                 takes the median of ≥ {MIN_SAMPLES} samples over ≥ {MEASURE:?}"
+            );
         }
+        println!();
+        for claim in claims {
+            rows(claim);
+        }
+        print!("{notes}");
     }
     ExitCode::SUCCESS
 }
 
-/// The conditions every table was taken under.
-fn conditions() {
+/// The conditions every table was taken under, one line each.
+fn conditions() -> String {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let git = |args: &[&str]| {
         Command::new("git")
@@ -138,13 +159,13 @@ fn conditions() {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let m = cost::model();
-    println!("commit {commit}{dirty}");
-    println!("host cores {cores}, pool threads {}", graphblas::parallel::threads());
-    println!("cost model: push {:.3} ns/flop, pull {:.3} ns/flop", m.push_ns, m.pull_ns);
-    println!(
-        "{PROCESSES} processes a side, alternating; each warms up {WARM_UP:?}, then takes the \
-         median of ≥ {MIN_SAMPLES} samples over ≥ {MEASURE:?}\n"
-    );
+    format!(
+        "commit {commit}{dirty}\nhost cores {cores}, pool threads {}\n\
+         cost model: push {:.3} ns/flop, pull {:.3} ns/flop",
+        graphblas::parallel::threads(),
+        m.push_ns,
+        m.pull_ns
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -189,17 +210,18 @@ fn timed<R>(f: impl FnOnce() -> R) -> Duration {
     t0.elapsed()
 }
 
-/// The sides of one claim, timed against each other, and the lines
-/// printed above its rows.
+/// The sides of one claim, timed against each other, the lines printed
+/// above its rows, and each side's process medians in nanoseconds.
 struct Claim {
     notes: String,
     sides: Vec<Side>,
+    ns: Vec<Vec<u64>>,
 }
 
 /// What a table does with the claims it declares.
 enum Runner {
-    /// Collect the claims, for [`time`] to run once the table has declared
-    /// them all.
+    /// Collect the claims, for [`time`] to run once every table has
+    /// declared its own.
     Parent { claims: Vec<Claim>, notes: String },
     /// Time the one side named, print its median in nanoseconds and exit.
     Child { name: String },
@@ -228,47 +250,55 @@ impl Runner {
                 }
             }
             Runner::Parent { claims, notes } => {
-                claims.push(Claim { notes: std::mem::take(notes), sides });
+                let ns = vec![Vec::new(); sides.len()];
+                claims.push(Claim { notes: std::mem::take(notes), sides, ns });
             }
         }
     }
 }
 
-/// Time a table's claims in [`PROCESSES`] rounds. Each round runs every
-/// claim's sides in turn, forward in even rounds and backward in odd ones,
-/// so a claim's sides stay adjacent and each side's processes spread over
-/// the whole table, not over one stretch of the host's speed.
-fn time(table: &str, claims: &[Claim]) {
-    let mut ns: Vec<Vec<Vec<u64>>> =
-        claims.iter().map(|c| vec![Vec::new(); c.sides.len()]).collect();
+/// Time every declared claim in [`PROCESSES`] rounds. Each round runs
+/// every claim's sides in turn, forward in even rounds and backward in odd
+/// ones, so a claim's sides stay adjacent and each side's processes spread
+/// over the whole run, not over one stretch of the host's speed.
+fn time(declared: &mut [(&Table, Vec<Claim>, String)]) {
+    if declared.iter().all(|(_, claims, _)| claims.is_empty()) {
+        return;
+    }
     for round in 0..PROCESSES {
-        for (claim, ns) in claims.iter().zip(&mut ns) {
-            let n = claim.sides.len();
-            for k in 0..n {
-                let k = if round % 2 == 0 { k } else { n - 1 - k };
-                ns[k].push(child(table, &claim.sides[k].name));
+        eprintln!("lagraph-bench: round {} of {PROCESSES}", round + 1);
+        for (t, claims, _) in declared.iter_mut() {
+            for claim in claims {
+                let n = claim.sides.len();
+                for k in 0..n {
+                    let k = if round % 2 == 0 { k } else { n - 1 - k };
+                    let ns = child(t.key, &claim.sides[k].name);
+                    claim.ns[k].push(ns);
+                }
             }
         }
     }
-    for (claim, ns) in claims.iter().zip(&mut ns) {
-        print!("{}", claim.notes);
-        let mut first = None;
-        for (s, ns) in claim.sides.iter().zip(ns) {
-            ns.sort_unstable();
-            let median = ns[ns.len() / 2];
-            let ratio =
-                first.map_or(String::new(), |f| format!("{:>8.2} ×", median as f64 / f as f64));
-            first.get_or_insert(median);
-            println!(
-                "  {:<44} {:>10}   [{} – {}]{ratio}",
-                s.name,
-                fmt_ns(median),
-                fmt_ns(ns[0]),
-                fmt_ns(ns[ns.len() - 1])
-            );
-        }
-        println!();
+}
+
+/// A claim's notes, then a row per side: the median of its process
+/// medians, their min–max, and its ratio to the claim's first side.
+fn rows(claim: &mut Claim) {
+    print!("{}", claim.notes);
+    let mut first = None;
+    for (s, ns) in claim.sides.iter().zip(&mut claim.ns) {
+        ns.sort_unstable();
+        let median = ns[ns.len() / 2];
+        let ratio = first.map_or(String::new(), |f| format!("{:>8.2} ×", median as f64 / f as f64));
+        first.get_or_insert(median);
+        println!(
+            "  {:<44} {:>10}   [{} – {}]{ratio}",
+            s.name,
+            fmt_ns(median),
+            fmt_ns(ns[0]),
+            fmt_ns(ns[ns.len() - 1])
+        );
     }
+    println!();
 }
 
 /// Run one side in a child process; its median in nanoseconds.
@@ -363,18 +393,18 @@ fn random_tuples(n: Index, e: usize, seed: u64) -> Vec<(Index, Index, f64)> {
 
 /// Table I: every fundamental operation (plus the `select`/`kronecker`
 /// extensions) on random inputs, each against the dense reference mimic.
-fn t1(_: &mut Runner) {
-    table1_ops().expect("Table I");
+fn t1(r: &mut Runner) {
+    table1_ops(r).expect("Table I");
 }
 
-fn check(name: &str, math: &str, ok: bool) {
-    println!("  {:<12} {:<28} {}", name, math, if ok { "conforms" } else { "MISMATCH" });
+fn check(r: &mut Runner, name: &str, math: &str, ok: bool) {
+    r.say(format_args!("  {:<12} {:<28} {}", name, math, if ok { "conforms" } else { "MISMATCH" }));
     assert!(ok, "operation {name} diverged from the reference mimic");
 }
 
-fn table1_ops() -> graphblas::Result<()> {
-    println!("(each checked against the dense reference mimic on random inputs)\n");
-    println!("  {:<12} {:<28} status", "operation", "mathematical form");
+fn table1_ops(r: &mut Runner) -> graphblas::Result<()> {
+    r.say("(each checked against the dense reference mimic on random inputs)\n");
+    r.say(format_args!("  {:<12} {:<28} status", "operation", "mathematical form"));
 
     let n = 32;
     let af = random_matrix(n, n, 150, 1)?;
@@ -400,22 +430,23 @@ fn table1_ops() -> graphblas::Result<()> {
     let mut c = Matrix::<i64>::new(n, n)?;
     mxm(&mut c, None, NOACC, &PLUS_TIMES, &a, &b, &d)?;
     let want = mimic::mxm(&DMat::new(n, n), None, &NOACC, &PLUS_TIMES, &da, &db, &d);
-    check("mxm", "C ⊙= A ⊕.⊗ B", c.extract_tuples() == want.to_matrix().extract_tuples());
+    check(r, "mxm", "C ⊙= A ⊕.⊗ B", c.extract_tuples() == want.to_matrix().extract_tuples());
 
     let mut w = Vector::<i64>::new(n)?;
     mxv(&mut w, None, NOACC, &PLUS_TIMES, &a, &u, &d)?;
     let want = mimic::mxv(&DVec::new(n), None, &NOACC, &PLUS_TIMES, &da, &du, &d);
-    check("mxv", "w ⊙= A ⊕.⊗ u", w.extract_tuples() == want.to_vector().extract_tuples());
+    check(r, "mxv", "w ⊙= A ⊕.⊗ u", w.extract_tuples() == want.to_vector().extract_tuples());
 
     let mut w = Vector::<i64>::new(n)?;
     vxm(&mut w, None, NOACC, &PLUS_TIMES, &u, &a, &d)?;
     let want = mimic::vxm(&DVec::new(n), None, &NOACC, &PLUS_TIMES, &du, &da, &d);
-    check("vxm", "wᵀ ⊙= uᵀ ⊕.⊗ A", w.extract_tuples() == want.to_vector().extract_tuples());
+    check(r, "vxm", "wᵀ ⊙= uᵀ ⊕.⊗ A", w.extract_tuples() == want.to_vector().extract_tuples());
 
     let mut w = Vector::<i64>::new(n)?;
     ewise_mult(&mut w, None, NOACC, binaryop::Times, &u, &v, &d)?;
     let want = mimic::ewise_mult_vec(&DVec::new(n), None, &NOACC, &binaryop::Times, &du, &dv, &d);
     check(
+        r,
         "eWiseMult",
         "C ⊙= A ⊗ B (intersection)",
         w.extract_tuples() == want.to_vector().extract_tuples(),
@@ -425,6 +456,7 @@ fn table1_ops() -> graphblas::Result<()> {
     ewise_add(&mut w, None, NOACC, binaryop::Plus, &u, &v, &d)?;
     let want = mimic::ewise_add_vec(&DVec::new(n), None, &NOACC, &binaryop::Plus, &du, &dv, &d);
     check(
+        r,
         "eWiseAdd",
         "C ⊙= A ⊕ B (union)",
         w.extract_tuples() == want.to_vector().extract_tuples(),
@@ -433,15 +465,16 @@ fn table1_ops() -> graphblas::Result<()> {
     let mut w = Vector::<i64>::new(n)?;
     reduce_matrix(&mut w, None, NOACC, &binaryop::Plus, &a, &d)?;
     let want = mimic::reduce_mat_to_vec(&DVec::new(n), None, &NOACC, &binaryop::Plus, &da, &d);
-    check("reduce", "w ⊙= ⊕ⱼ A(:, j)", w.extract_tuples() == want.to_vector().extract_tuples());
+    check(r, "reduce", "w ⊙= ⊕ⱼ A(:, j)", w.extract_tuples() == want.to_vector().extract_tuples());
 
     let mut w = Vector::<i64>::new(n)?;
     apply(&mut w, None, NOACC, unaryop::Ainv, &u, &d)?;
     let want = mimic::apply_vec(&DVec::new(n), None, &NOACC, &unaryop::Ainv, &du, &d);
-    check("apply", "C ⊙= f(A)", w.extract_tuples() == want.to_vector().extract_tuples());
+    check(r, "apply", "C ⊙= f(A)", w.extract_tuples() == want.to_vector().extract_tuples());
 
     let t = transpose_new(&a)?;
     check(
+        r,
         "transpose",
         "C ⊙= Aᵀ",
         t.extract_tuples() == da.transpose().to_matrix().extract_tuples(),
@@ -461,7 +494,7 @@ fn table1_ops() -> graphblas::Result<()> {
     )?;
     let ok = sub.iter().all(|(i, j, x)| a.get(rows[i], cols[j]) == Some(x))
         && a.iter().filter(|&(i, j, _)| i < n / 2 && j >= n / 2).count() == sub.nvals();
-    check("extract", "C ⊙= A(i, j)", ok);
+    check(r, "extract", "C ⊙= A(i, j)", ok);
 
     let mut target = a.clone();
     assign_matrix(
@@ -474,12 +507,13 @@ fn table1_ops() -> graphblas::Result<()> {
         &d,
     )?;
     let ok = target.extract_tuples() == a.extract_tuples();
-    check("assign", "C(i, j) ⊙= A", ok);
+    check(r, "assign", "C(i, j) ⊙= A", ok);
 
     let mut lower = Matrix::<i64>::new(n, n)?;
     select_matrix(&mut lower, None, NOACC, unaryop::StrictLower, &a, &d)?;
     let want = mimic::select_mat(&DMat::new(n, n), None, &NOACC, &unaryop::StrictLower, &da, &d);
     check(
+        r,
         "select",
         "C ⊙= select(A, pred)",
         lower.extract_tuples() == want.to_matrix().extract_tuples(),
@@ -489,16 +523,16 @@ fn table1_ops() -> graphblas::Result<()> {
     let mut kr = Matrix::<i64>::new(4, 4)?;
     kronecker(&mut kr, None, NOACC, binaryop::Times, &small, &small, &d)?;
     let ok = kr.extract_tuples() == vec![(0, 0, 4), (1, 1, 6), (2, 2, 6), (3, 3, 9)];
-    check("kronecker", "C ⊙= kron(A, B)", ok);
+    check(r, "kronecker", "C ⊙= kron(A, B)", ok);
 
-    println!("\nAll Table I operations conform to the reference semantics.");
+    r.say("\nAll Table I operations conform to the reference semantics.");
     Ok(())
 }
 
 /// Table II: our Rust algorithm functions counted by the built-in
 /// `cloc`-equivalent, beside the paper's numbers (Ligra and GraphIt are
 /// external C++ codebases; their counts are quoted from the paper).
-fn t2(_: &mut Runner) {
+fn t2(r: &mut Runner) {
     let fn_loc = |path: &str, names: &[&str]| -> usize {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let src = std::fs::read_to_string(format!("{root}/{path}"))
@@ -524,32 +558,32 @@ fn t2(_: &mut Runner) {
         ("Single-source shortest-path", "55", "25", "25", sssp),
         ("Local graph clustering", "84", "N/A", "45", lgc),
     ];
-    println!("(Ligra / GraphIt / GraphBLAST columns quoted from the paper;");
-    println!(" 'this library' counted from our Rust sources by the built-in cloc)\n");
-    println!(
+    r.say("(Ligra / GraphIt / GraphBLAST columns quoted from the paper;");
+    r.say(" 'this library' counted from our Rust sources by the built-in cloc)\n");
+    r.say(format_args!(
         "  {:<28} {:>7} {:>9} {:>17} {:>14}",
         "Algorithm", "Ligra", "GraphIt", "GraphBLAS(paper)", "this library"
-    );
+    ));
     for (algorithm, ligra, graphit, paper_grb, ours) in rows {
-        println!("  {algorithm:<28} {ligra:>7} {graphit:>9} {paper_grb:>17} {ours:>14}");
+        r.say(format_args!("  {algorithm:<28} {ligra:>7} {graphit:>9} {paper_grb:>17} {ours:>14}"));
     }
-    println!();
+    r.say("");
     // GraphBLAS implementations are as concise as the specialized
     // frameworks: the same order of magnitude as the paper's GraphBLAS
     // column, and well below Ligra's local-clustering count.
     assert!(bfs <= 60, "BFS should stay concise, got {bfs}");
     assert!(sssp <= 60, "SSSP should stay concise, got {sssp}");
     assert!(lgc < 160, "local clustering should undercut Ligra-scale, got {lgc}");
-    println!("shape holds: GraphBLAS-style algorithms stay within the concise regime");
+    r.say("shape holds: GraphBLAS-style algorithms stay within the concise regime");
 }
 
 /// §II.A: SuiteSparse:GraphBLAS expands into "the 960 unique semirings
 /// supported by the built-in operators", 600 of them from GraphBLAS C API
 /// operators only. The registry enumerates the same space.
-fn c4(_: &mut Runner) {
+fn c4(r: &mut Runner) {
     let all = builtin_semirings();
     let (capi, total) = census();
-    println!("family breakdown:");
+    r.say("family breakdown:");
     let families = [
         (
             "real x real multiply, C API ops     ",
@@ -572,26 +606,26 @@ fn c4(_: &mut Runner) {
         ("pure Boolean                        ", 1, BOOL_MONOIDS.len(), BOOL_MULT.len()),
     ];
     for (family, types, monoids, ops) in families {
-        println!(
+        r.say(format_args!(
             "  {family}: {types:>2} types x {monoids} monoids x {ops:>2} ops = {:>4}",
             types * monoids * ops
-        );
+        ));
     }
-    println!("\ntotals:");
-    println!("  GraphBLAS C API operators only : {capi:>4}   (paper: 600)");
-    println!("  with SuiteSparse extensions    : {total:>4}   (paper: 960)");
+    r.say("\ntotals:");
+    r.say(format_args!("  GraphBLAS C API operators only : {capi:>4}   (paper: 600)"));
+    r.say(format_args!("  with SuiteSparse extensions    : {total:>4}   (paper: 960)"));
     assert_eq!(capi, 600);
     assert_eq!(total, 960);
-    println!("\nsample semirings:");
+    r.say("\nsample semirings:");
     for k in [0usize, 137, 400, 680, 959] {
         let s = &all[k];
         let origin = match s.origin {
             OpOrigin::CApi => "C API",
             OpOrigin::Extension => "GxB",
         };
-        println!("  [{k:>3}] {:<24} ({origin})", s.name());
+        r.say(format_args!("  [{k:>3}] {:<24} ({origin})", s.name()));
     }
-    println!("\ncensus reproduces the paper's 600 / 960 figures exactly.");
+    r.say("\ncensus reproduces the paper's 600 / 960 figures exactly.");
 }
 
 // ---------------------------------------------------------------------------

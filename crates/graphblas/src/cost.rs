@@ -16,9 +16,9 @@
 //! Calibration runs once per process (the first product that consults the
 //! model): two synthetic micro-kernels — one scatter-shaped, one
 //! dot-shaped — are timed, and each one's summed time over its summed
-//! flops gives a nanoseconds-per-flop constant on the *actual* host. The result is recorded as a
-//! `cost.calibrate` instant event so Chrome traces show which constants
-//! every subsequent direction choice used. The `GRAPHBLAS_COST_MODEL`
+//! flops gives a nanoseconds-per-flop constant on the *actual* host. The
+//! result is recorded as a `cost.calibrate` instant event so Chrome
+//! traces show which constants every subsequent direction choice used. The `GRAPHBLAS_COST_MODEL`
 //! environment variable (`"<push_ns>,<pull_ns>"`) overrides calibration
 //! for reproducible runs.
 //!
