@@ -32,12 +32,10 @@ use graphblas::registry::{
 };
 use graphblas::semiring::{LOR_LAND, PLUS_TIMES};
 use graphblas::{cost, net_edits, trace, Edit};
-use lagraph::gen::Workload;
+use lagraph::gen::{random_matrix, random_tuples, RmatConfig, Workload};
 use lagraph::service::{GraphService, ServiceConfig, Update};
 use lagraph::*;
-use lagraph_io::{count_fn_loc, random_matrix, rmat, RmatParams};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lagraph_io::count_fn_loc;
 
 /// Processes per timed side. One side's process medians spread by up to
 /// ~15 % on a shared 2-vCPU host (memory layout, and host speed that
@@ -354,19 +352,14 @@ fn traced<R>(f: impl FnOnce() -> R) -> trace::RunAggregate {
 
 /// An undirected RMAT graph with unit weights, as a [`Graph`].
 fn rmat_graph(scale: u32, edge_factor: usize, seed: u64) -> Graph {
-    let adj = rmat(&RmatParams { scale, edge_factor, seed, ..Default::default() })
-        .expect("rmat generation");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("weights dims");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default())
-        .expect("unit weights");
-    Graph::new(w, GraphKind::Undirected).expect("square adjacency")
+    gen::rmat_graph(&RmatConfig { scale, edge_factor, seed, ..Default::default() })
+        .expect("rmat generation")
 }
 
 /// The Boolean structure of an RMAT graph, with dual storage enabled so
 /// both push and pull kernels are available.
 fn rmat_structure_dual(scale: u32, edge_factor: usize, seed: u64) -> Matrix<bool> {
-    let mut adj = rmat(&RmatParams { scale, edge_factor, seed, ..Default::default() })
+    let mut adj = gen::rmat(&RmatConfig { scale, edge_factor, seed, ..Default::default() })
         .expect("rmat generation");
     adj.set_dual_storage(true);
     adj.wait();
@@ -380,11 +373,6 @@ fn frontier(n: Index, k: usize) -> Vector<bool> {
     let stride = n / k;
     let tuples: Vec<(Index, bool)> = (0..k).map(|t| (t * stride, true)).collect();
     Vector::from_tuples(n, tuples, |_, b| b).expect("frontier dims")
-}
-
-fn random_tuples(n: Index, e: usize, seed: u64) -> Vec<(Index, Index, f64)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..e).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen())).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -768,14 +756,14 @@ fn c1(r: &mut Runner) {
     for e in [1_000usize, 10_000, 100_000, 1_000_000] {
         let mut sides = vec![
             side(format!("incremental_build/build/{e}"), move || {
-                let tuples = random_tuples(n, e, 9);
+                let tuples = random_tuples(n, n, e, 9);
                 each(move || {
                     let m = Matrix::from_tuples(n, n, tuples.clone(), |_, b| b).expect("build");
                     m.nvals()
                 })
             }),
             side(format!("incremental_build/set_element_x_e/{e}"), move || {
-                let tuples = random_tuples(n, e, 9);
+                let tuples = random_tuples(n, n, e, 9);
                 each(move || {
                     let mut m = Matrix::<f64>::new(n, n).expect("new");
                     for &(i, j, x) in &tuples {
@@ -792,7 +780,7 @@ fn c1(r: &mut Runner) {
             sides.push(side(
                 format!("incremental_build/eager_per_element/{}", e / 50),
                 move || {
-                    let mut tuples = random_tuples(n, e, 9);
+                    let mut tuples = random_tuples(n, n, e, 9);
                     tuples.truncate(e / 50);
                     each(move || {
                         let mut m = Matrix::<f64>::new(n, n).expect("new");
@@ -1164,8 +1152,11 @@ fn c6(r: &mut Runner) {
 }
 
 /// §II.A: `C(I,J) = A` can be "100× faster than in MATLAB": one bulk
-/// masked merge against the per-element `set_element` loop, a k × k block
-/// assigned into the middle of a 4096² matrix.
+/// masked merge against a per-element loop, a k × k block assigned into
+/// the middle of a 4096² matrix. Each per-element `set_element` + `wait`
+/// splices its one entry into new compressed arrays, O(nnz) a step: the
+/// cost class of MATLAB's per-element `C(i,j) = x` into a sparse matrix,
+/// which also inserts into compressed arrays.
 fn c7(r: &mut Runner) {
     let n: Index = 1 << 12;
     let inputs = move |k: usize| {
@@ -1197,17 +1188,16 @@ fn c7(r: &mut Runner) {
                 },
             )
         })];
-        // The per-element strawman is quadratic-ish; one size tells the
-        // story (it already loses by three orders of magnitude).
+        // The per-element side costs O(nnz) an entry; one size tells the
+        // story.
         if k == 256 {
             sides.push(side(format!("submatrix_assign/per_element/{k}"), move || {
                 let (base, block, rows, cols) = inputs(k);
                 batched(
                     move || base.clone(),
                     move |mut c: Matrix<f64>| {
-                        // Per-element emulation of the same assignment:
-                        // insert block entries one by one, forcing
-                        // completion each step (MATLAB-style).
+                        // The same assignment entry by entry, completed
+                        // each step as MATLAB's `C(i,j) = x` is.
                         for (bi, bj, x) in block.iter() {
                             c.set_element(rows[bi], cols[bj], x).expect("set");
                             c.wait();
@@ -1227,8 +1217,7 @@ fn c7(r: &mut Runner) {
 fn c8(r: &mut Runner) {
     fn tuples(log_n: u32) -> (Index, Vec<(Index, Index, f64)>) {
         let n: Index = 1 << log_n;
-        let mut rng = StdRng::seed_from_u64(3);
-        (n, (0..10_000).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), 1.0)).collect())
+        (n, random_tuples(n, n, 10_000, 3))
     }
     fn built(log_n: u32) -> Matrix<f64> {
         let (n, t) = tuples(log_n);
@@ -1302,8 +1291,8 @@ fn a1(r: &mut Runner) {
 /// lazy-assembly path when nothing is pending (opacity should cost ~0).
 fn ablation(r: &mut Runner) {
     fn structure(dual: bool) -> Matrix<bool> {
-        let params = RmatParams { scale: 11, edge_factor: 16, seed: 5, ..Default::default() };
-        let mut a = rmat(&params).expect("rmat");
+        let cfg = RmatConfig { scale: 11, edge_factor: 16, seed: 5, ..Default::default() };
+        let mut a = gen::rmat(&cfg).expect("rmat");
         a.set_dual_storage(dual);
         a.wait();
         a

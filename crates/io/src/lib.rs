@@ -4,28 +4,20 @@
 //! algorithm collection:
 //!
 //! * [`mm`] — Matrix Market I/O (the format LAGraph standardizes on),
-//! * [`generators`] — synthetic graphs (RMAT scale-free, Erdős–Rényi,
-//!   grids, rings) standing in for external datasets,
 //! * [`binary`] — a fast binary matrix format built on the O(1)
 //!   import/export of §IV,
 //! * [`loc`] — a `cloc`-equivalent line counter used to regenerate the
 //!   paper's Table II.
 //!
-//! For benchmarking, prefer the thread-count-independent parallel
-//! generators in `lagraph::gen` — the ones here are the simple
-//! sequential reference versions.
+//! The seeded random and scale-free graph generators live in
+//! `lagraph::gen`.
 
 #![warn(missing_docs)]
 
 pub mod binary;
-pub mod generators;
 pub mod loc;
 pub mod mm;
 
 pub use binary::{read_binary, write_binary};
-pub use generators::{
-    barabasi_albert, erdos_renyi, erdos_renyi_weighted, grid2d, random_matrix, ring, rmat,
-    rmat_directed, watts_strogatz, RmatParams,
-};
 pub use loc::{count_fn_loc, count_rust_loc};
 pub use mm::{read_matrix_market, write_matrix_market, MmField, MmSymmetry};

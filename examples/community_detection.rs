@@ -4,31 +4,28 @@
 //!
 //! Run with: `cargo run --release --example community_detection`
 
+use lagraph_suite::lagraph::gen;
 use lagraph_suite::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Planted-partition graph: `k` blocks of `size` vertices, dense inside
-/// (probability `p_in`), sparse across (`p_out`).
+/// Planted-partition graph: `k` blocks of `size` vertices, each block an
+/// Erdős–Rényi draw of `m_in` edges (dense inside), plus one draw of
+/// `m_out` edges over all `k · size` vertices (sparse, mostly across).
 fn planted_partition(
     k: usize,
     size: usize,
-    p_in: f64,
-    p_out: f64,
+    m_in: usize,
+    m_out: usize,
     seed: u64,
 ) -> graphblas::Result<(Graph, Vec<usize>)> {
     let n = k * size;
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::new();
-    let truth: Vec<usize> = (0..n).map(|v| v / size).collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let p = if truth[i] == truth[j] { p_in } else { p_out };
-            if rng.gen::<f64>() < p {
-                edges.push((i, j));
-            }
-        }
+    for b in 0..k {
+        let block = gen::erdos_renyi(size, m_in, seed + b as u64)?;
+        edges.extend(block.iter().map(|(i, j, _)| (b * size + i, b * size + j)));
     }
+    let across = gen::erdos_renyi(n, m_out, seed + k as u64)?;
+    edges.extend(across.iter().map(|(i, j, _)| (i, j)));
+    let truth: Vec<usize> = (0..n).map(|v| v / size).collect();
     Ok((Graph::from_edges(n, &edges, GraphKind::Undirected)?, truth))
 }
 
@@ -60,7 +57,9 @@ fn labels_of(v: &Vector<u64>, n: usize) -> Vec<u64> {
 }
 
 fn main() -> graphblas::Result<()> {
-    let (g, truth) = planted_partition(4, 24, 0.45, 0.02, 11)?;
+    // Duplicate draws collapse: about 45 % of the pairs inside a block
+    // are edges, and about 2 % of those across blocks.
+    let (g, truth) = planted_partition(4, 24, 165, 90, 11)?;
     let n = g.nvertices();
     println!("planted partition: {} vertices in 4 blocks, {} edges", n, g.nedges() / 2);
 

@@ -7,12 +7,13 @@
 
 use std::time::Instant;
 
+use lagraph_suite::lagraph::gen;
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {
     // A 64×64 street grid with mildly varied travel times.
     let (rows, cols) = (64usize, 64usize);
-    let base = grid2d(rows, cols)?;
+    let base = gen::grid2d(rows, cols)?;
     // Perturb weights deterministically so routes are interesting.
     let mut roads = Matrix::<f64>::new(base.nrows(), base.ncols())?;
     apply_matrix_indexed(

@@ -4,15 +4,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use lagraph_suite::lagraph::gen::{self, RmatConfig};
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {
-    // A scale-free RMAT graph, the Graph500 workload shape.
-    let adj = rmat(&RmatParams { scale: 10, edge_factor: 8, ..Default::default() })?;
-    let n = adj.nrows();
-    let mut weights = Matrix::<f64>::new(n, n)?;
-    apply_matrix(&mut weights, None, NOACC, unaryop::One, &adj, &Descriptor::default())?;
-    let g = Graph::new(weights, GraphKind::Undirected)?;
+    // A scale-free RMAT graph with unit weights, the Graph500 workload shape.
+    let g = gen::rmat_graph(&RmatConfig { scale: 10, edge_factor: 8, ..Default::default() })?;
     println!("graph: {} vertices, {} edges", g.nvertices(), g.nedges() / 2);
 
     // Level BFS from vertex 0 (the paper's Fig. 2 algorithm).

@@ -5,15 +5,14 @@
 //!
 //! Run with: `cargo run --release --example social_network`
 
+use lagraph_suite::lagraph::gen::{self, RmatConfig};
 use lagraph_suite::prelude::*;
 
 fn main() -> graphblas::Result<()> {
     // Synthetic "social" graph: scale-free, heavy-tailed degrees.
-    let adj = rmat(&RmatParams { scale: 9, edge_factor: 10, seed: 7, ..Default::default() })?;
-    let n = adj.nrows();
-    let mut weights = Matrix::<f64>::new(n, n)?;
-    apply_matrix(&mut weights, None, NOACC, unaryop::One, &adj, &Descriptor::default())?;
-    let g = Graph::new(weights, GraphKind::Undirected)?;
+    let cfg = RmatConfig { scale: 9, edge_factor: 10, seed: 7, ..Default::default() };
+    let g = gen::rmat_graph(&cfg)?;
+    let n = g.nvertices();
     println!("social graph: {} users, {} ties", g.nvertices(), g.nedges() / 2);
 
     // Influencers: PageRank + betweenness (sampled sources).

@@ -4,6 +4,7 @@
 
 use std::collections::VecDeque;
 
+use lagraph::gen::{self, RmatConfig};
 use lagraph_suite::prelude::*;
 
 /// Plain queue BFS, the non-GraphBLAS oracle.
@@ -34,7 +35,7 @@ fn graph_of(n: usize, edges: &[(usize, usize)]) -> Graph {
 
 #[test]
 fn fig2_bfs_matches_queue_oracle_on_rmat() {
-    let adj = rmat(&RmatParams { scale: 8, edge_factor: 6, seed: 3, ..Default::default() })
+    let adj = gen::rmat(&RmatConfig { scale: 8, edge_factor: 6, seed: 3, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =
@@ -51,7 +52,7 @@ fn fig2_bfs_matches_queue_oracle_on_rmat() {
 
 #[test]
 fn push_pull_and_auto_agree_on_rmat() {
-    let adj = rmat(&RmatParams { scale: 8, edge_factor: 8, seed: 9, ..Default::default() })
+    let adj = gen::rmat(&RmatConfig { scale: 8, edge_factor: 8, seed: 9, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =
@@ -66,12 +67,9 @@ fn push_pull_and_auto_agree_on_rmat() {
 
 #[test]
 fn bfs_levels_equal_unit_sssp_plus_one() {
-    let adj = rmat(&RmatParams { scale: 7, edge_factor: 6, seed: 5, ..Default::default() })
-        .expect("rmat");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("w");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");
-    let g = Graph::new(w, GraphKind::Undirected).expect("graph");
+    let g =
+        gen::rmat_graph(&RmatConfig { scale: 7, edge_factor: 6, seed: 5, ..Default::default() })
+            .expect("rmat");
     let levels = bfs_level(&g, 0).expect("bfs");
     let dist = sssp_bellman_ford(&g, 0).expect("sssp");
     assert_eq!(levels.nvals(), dist.nvals());
@@ -82,7 +80,7 @@ fn bfs_levels_equal_unit_sssp_plus_one() {
 
 #[test]
 fn parent_bfs_tree_is_consistent_with_levels() {
-    let adj = rmat(&RmatParams { scale: 7, edge_factor: 6, seed: 13, ..Default::default() })
+    let adj = gen::rmat(&RmatConfig { scale: 7, edge_factor: 6, seed: 13, ..Default::default() })
         .expect("rmat");
     let n = adj.nrows();
     let edges: Vec<(usize, usize)> =
@@ -104,7 +102,7 @@ fn parent_bfs_tree_is_consistent_with_levels() {
 
 #[test]
 fn bfs_on_grid_has_manhattan_levels() {
-    let a = grid2d(16, 16).expect("grid");
+    let a = gen::grid2d(16, 16).expect("grid");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let levels = bfs_level(&g, 0).expect("bfs");
     for v in 0..256 {

@@ -3,16 +3,13 @@
 //! triangle centrality), the binary serialization format, and the
 //! output-property harness — all on generated graphs.
 
+use lagraph::gen::{self, RmatConfig};
 use lagraph::harness;
 use lagraph_suite::prelude::*;
 
 fn rmat_graph(scale: u32, seed: u64) -> Graph {
-    let adj =
-        rmat(&RmatParams { scale, edge_factor: 8, seed, ..Default::default() }).expect("rmat");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("w");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");
-    Graph::new(w, GraphKind::Undirected).expect("graph")
+    gen::rmat_graph(&RmatConfig { scale, edge_factor: 8, seed, ..Default::default() })
+        .expect("rmat")
 }
 
 #[test]
@@ -102,7 +99,7 @@ fn cdlp_and_peer_pressure_agree_on_disjoint_cliques() {
 
 #[test]
 fn msf_connects_what_cc_connects() {
-    let a = erdos_renyi_weighted(100, 300, 5.0, 31).expect("er");
+    let a = gen::erdos_renyi_weighted(100, 300, 5, 31).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let forest = minimum_spanning_forest(&g).expect("msf");
     // Build a graph of just the forest edges: same component structure.
@@ -114,9 +111,13 @@ fn msf_connects_what_cc_connects() {
 
 #[test]
 fn scc_condensation_is_consistent_with_bfs() {
-    let adj =
-        rmat_directed(&RmatParams { scale: 6, edge_factor: 4, seed: 77, ..Default::default() })
-            .expect("rmat");
+    let adj = gen::rmat_directed(&RmatConfig {
+        scale: 6,
+        edge_factor: 4,
+        seed: 77,
+        ..Default::default()
+    })
+    .expect("rmat");
     let n = adj.nrows();
     let mut w = Matrix::<f64>::new(n, n).expect("w");
     apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");

@@ -1,17 +1,15 @@
 //! End-to-end pipeline tests spanning all three crates: generate a graph
-//! (`lagraph-io`), round-trip it through Matrix Market, and require the
-//! whole algorithm collection (`lagraph`) to produce mutually consistent
-//! results through the GraphBLAS substrate (`graphblas`).
+//! (`lagraph::gen`), round-trip it through Matrix Market (`lagraph-io`),
+//! and require the whole algorithm collection (`lagraph`) to produce
+//! mutually consistent results through the GraphBLAS substrate
+//! (`graphblas`).
 
+use lagraph::gen::{self, RmatConfig};
 use lagraph_suite::prelude::*;
 
 fn rmat_graph(scale: u32, seed: u64) -> Graph {
-    let adj =
-        rmat(&RmatParams { scale, edge_factor: 8, seed, ..Default::default() }).expect("rmat");
-    let n = adj.nrows();
-    let mut w = Matrix::<f64>::new(n, n).expect("w");
-    apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default()).expect("weights");
-    Graph::new(w, GraphKind::Undirected).expect("graph")
+    gen::rmat_graph(&RmatConfig { scale, edge_factor: 8, seed, ..Default::default() })
+        .expect("rmat")
 }
 
 #[test]
@@ -75,7 +73,7 @@ fn tricount_methods_agree_on_scale_free_graphs() {
 
 #[test]
 fn delta_stepping_matches_bellman_ford_on_random_weights() {
-    let a = erdos_renyi_weighted(128, 512, 4.0, 17).expect("er");
+    let a = gen::erdos_renyi_weighted(128, 512, 4, 17).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let bf = sssp_bellman_ford(&g, 0).expect("bf");
     for delta in [0.5, 1.5, 5.0] {
@@ -111,9 +109,13 @@ fn ktruss_is_nested_and_bounded_by_triangles() {
 #[test]
 fn pagerank_mass_conservation_across_graphs() {
     for seed in [11, 22] {
-        let adj =
-            rmat_directed(&RmatParams { scale: 7, edge_factor: 8, seed, ..Default::default() })
-                .expect("rmat");
+        let adj = gen::rmat_directed(&RmatConfig {
+            scale: 7,
+            edge_factor: 8,
+            seed,
+            ..Default::default()
+        })
+        .expect("rmat");
         let n = adj.nrows();
         let mut w = Matrix::<f64>::new(n, n).expect("w");
         apply_matrix(&mut w, None, NOACC, unaryop::One, &adj, &Descriptor::default())
@@ -158,7 +160,7 @@ fn bc_sums_decompose_over_source_batches() {
 
 #[test]
 fn astar_equals_delta_stepping_on_weighted_er() {
-    let a = erdos_renyi_weighted(64, 256, 3.0, 23).expect("er");
+    let a = gen::erdos_renyi_weighted(64, 256, 3, 23).expect("er");
     let g = Graph::new(a, GraphKind::Undirected).expect("graph");
     let dist = sssp_delta_stepping(&g, 0, 1.0).expect("ds");
     for target in [5, 20, 63] {
@@ -176,7 +178,7 @@ fn dnn_inference_composes_with_graph_layers() {
     // Use a small graph's adjacency as a recurrent layer, applied twice:
     // equivalent to multiplying by A² when biases are zero and no
     // saturation occurs.
-    let a = grid2d(4, 4).expect("grid");
+    let a = gen::grid2d(4, 4).expect("grid");
     let scaled = {
         let mut s = Matrix::<f64>::new(16, 16).expect("s");
         apply_matrix(&mut s, None, NOACC, |x: f64| x * 0.1, &a, &Descriptor::default())
@@ -208,7 +210,7 @@ fn dnn_inference_composes_with_graph_layers() {
 
 #[test]
 fn bipartite_matching_on_random_graphs_is_maximal() {
-    let m = random_matrix(40, 40, 160, 4).expect("rand");
+    let m = gen::random_matrix(40, 40, 160, 4).expect("rand");
     let b = m.pattern();
     let (rm, cm) = bipartite_matching(&b).expect("match");
     assert!(verify_matching(&b, &rm, &cm).expect("verify"));
